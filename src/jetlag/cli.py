@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -481,12 +480,6 @@ class CheckOutcome:
         }
 
 
-def _map_points(pool, fn, pts):
-    if pool is None:
-        return [fn(pt) for pt in pts]
-    return list(pool.map(fn, pts))
-
-
 def _from_per_point(pts, per_point, tol, measure="max_abs"):
     """Fold per-point {name: residual} maps into one outcome."""
     names = list(per_point[0])
@@ -502,17 +495,16 @@ def _from_per_point(pts, per_point, tol, measure="max_abs"):
     )
 
 
-def _run_metricity(ctx, pts, tol, pool):
-    per = _map_points(pool, lambda pt: metricity_residuals(ctx, pt), pts)
+def _run_metricity(ctx, pts, tol):
+    return _from_per_point(pts, [metricity_residuals(ctx, pt) for pt in pts], tol)
+
+
+def _run_antisymmetry(ctx, pts, tol):
+    per = [curvature_antisymmetry_residuals(ctx, pt) for pt in pts]
     return _from_per_point(pts, per, tol)
 
 
-def _run_antisymmetry(ctx, pts, tol, pool):
-    per = _map_points(pool, lambda pt: curvature_antisymmetry_residuals(ctx, pt), pts)
-    return _from_per_point(pts, per, tol)
-
-
-def _run_curvature(ctx, pts, tol, pool):
+def _run_curvature(ctx, pts, tol):
     def at(pt):
         out = {}
         for k, v in deflection_identity_residuals(ctx, pt).items():
@@ -521,10 +513,10 @@ def _run_curvature(ctx, pts, tol, pool):
             out[f"bracket_{k}"] = v
         return out
 
-    return _from_per_point(pts, _map_points(pool, at, pts), tol)
+    return _from_per_point(pts, [at(pt) for pt in pts], tol)
 
 
-def _run_torsion(ctx, pts, tol, pool):
+def _run_torsion(ctx, pts, tol):
     verdict = nlc_torsion_free_check(ctx, pts)
     v = float(verdict.max_violation)
     status = "pass" if v <= tol else "fail"
@@ -535,7 +527,7 @@ def _run_torsion(ctx, pts, tol, pool):
     )
 
 
-def _run_maxwell(ctx, pts, tol, pool):
+def _run_maxwell(ctx, pts, tol):
     rep = maxwell_residuals(ctx, pts)
     detail = {
         nm: {"max_abs": st.max_abs, "mean_abs": st.mean_abs,
@@ -548,16 +540,14 @@ def _run_maxwell(ctx, pts, tol, pool):
     status = "pass" if worst_rel <= tol else "fail"
     witness = None
     if status == "fail":
-        # aggregation hides the point; rerun pointwise to name it
-        per = [max(st.max_rel
-                   for st in maxwell_residuals(ctx, [pt]).equations.values())
-               for pt in pts]
-        witness = pts[int(np.argmax(per))]
+        worst = min(st.worst_point for st in rep.equations.values()
+                    if st.max_rel == worst_rel)
+        witness = pts[worst]
     return CheckOutcome(status=status, max_abs=max_abs, mean_abs=mean_abs,
                         measure="max_rel", detail=detail, witness=witness)
 
 
-def _run_einstein(ctx, pts, tol, pool):
+def _run_einstein(ctx, pts, tol):
     k = ctx.K
 
     def at(pt):
@@ -578,11 +568,13 @@ def _run_einstein(ctx, pts, tol, pool):
             ))
         return out
 
-    return _from_per_point(pts, _map_points(pool, at, pts), tol)
+    return _from_per_point(pts, [at(pt) for pt in pts], tol)
 
 
-def _run_conservation(ctx, pts, tol, pool):
-    per = _map_points(pool, lambda pt: conservation_residuals(ctx, [pt], tol), pts)
+def _run_conservation(ctx, pts, tol):
+    # one call per point: a single call over all points sums mean_abs in
+    # another order and moves its last digit
+    per = [conservation_residuals(ctx, [pt], tol) for pt in pts]
     detail = {}
     worst = 0.0
     for nm in per[0].LAW_NAMES:
@@ -605,7 +597,7 @@ def _run_conservation(ctx, pts, tol, pool):
                         measure="max_rel", detail=detail)
 
 
-def _run_natural_form(ctx, pts, tol, pool):
+def _run_natural_form(ctx, pts, tol):
     rep = natural_form_checks(ctx, pts)
     construction = {
         "rewritten_equation": rep.e1prime_residual,
@@ -651,7 +643,7 @@ def _run_natural_form(ctx, pts, tol, pool):
     )
 
 
-def _run_regularity(ctx, pts, tol, pool):
+def _run_regularity(ctx, pts, tol):
     lag = getattr(ctx, "lagrangian", None)
     verdict = kronecker_regularity_check(ctx, pts, lagrangian=lag, tol=tol)
     v = float(verdict.max_deviation)
@@ -679,16 +671,13 @@ def _grad_fields(ctx):
     return out
 
 
-def _run_grad_check(ctx, pts, tol, pool):
+def _run_grad_check(ctx, pts, tol):
     detail = {}
     worst = 0.0
     witness = None
     flagged_nans = []
-    named = _grad_fields(ctx)
-    reports = _map_points(
-        pool, lambda nf: (nf[0], check_grad(nf[1], pts, ctx.diff)), named
-    )
-    for name, rep in reports:
+    for name, fld in _grad_fields(ctx):
+        rep = check_grad(fld, pts, ctx.diff)
         detail[name] = rep.max_rel_dev
         if rep.nan_flags:
             flagged_nans.append(name)
@@ -755,8 +744,8 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
     """Execute a validated config; returns (RunReport, exit_code).
 
     Writes the serialized report to ``out_path`` (or the config's output
-    path) atomically.  ``jobs`` parallelizes point evaluation without
-    touching the numerical content or ordering of the report.
+    path) atomically.  Evaluation is serial; ``jobs`` is accepted for
+    existing callers and ignored.
     """
     start = time.perf_counter()
     ctx = build_space(cfg.space_name, cfg.space_params)
@@ -770,23 +759,18 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
             raise ConfigError(f"unknown dump family {fam!r}; "
                               f"available {list(DUMP_FAMILIES)}")
 
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     checks = {}
-    try:
-        for name in cfg.checks:
-            tol = cfg.tolerances[name]
-            try:
-                outcome = _RUNNERS[name](ctx, pts, tol, pool)
-            except JetlagError as exc:
-                outcome = CheckOutcome(
-                    status="fail", max_abs=None, mean_abs=None,
-                    measure="error", detail={},
-                    witness=getattr(exc, "witness", None), error=str(exc),
-                )
-            checks[name] = outcome.doc(tol)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for name in cfg.checks:
+        tol = cfg.tolerances[name]
+        try:
+            outcome = _RUNNERS[name](ctx, pts, tol)
+        except JetlagError as exc:
+            outcome = CheckOutcome(
+                status="fail", max_abs=None, mean_abs=None,
+                measure="error", detail={},
+                witness=getattr(exc, "witness", None), error=str(exc),
+            )
+        checks[name] = outcome.doc(tol)
 
     dumps = _dump_families(ctx, pts[0], families) if families else None
     statuses = [c["status"] for c in checks.values()]
@@ -829,7 +813,7 @@ def _cmd_run(args) -> int:
         echo["points"] = dict(echo["points"], seed=args.seed)
         cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed, "echo": echo})
     dump = tuple(args.dump.split(",")) if args.dump else None
-    report, code = run_report(cfg, jobs=args.jobs, out_path=args.out, dump=dump)
+    report, code = run_report(cfg, out_path=args.out, dump=dump)
     for name, doc in report.checks.items():
         res = doc["max_abs"]
         shown = "n/a" if res is None else f"{res:.3e}"
@@ -866,8 +850,6 @@ def main(argv=None) -> int:
                        "(overrides the config's output entry)")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config's point seed")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for point evaluation")
     p_run.add_argument("--dump", default=None,
                        help="comma-separated component families to dump")
     p_run.set_defaults(fn=_cmd_run)

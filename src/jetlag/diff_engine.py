@@ -49,7 +49,6 @@ __all__ = [
     "jet_einsum",
     "jet_linear",
     "jet_stack",
-    "jet_transpose",
     "jet_matrix_inverse",
     "jexp",
     "jlog",
@@ -573,10 +572,6 @@ def jet_stack(jets) -> Jet:
     return Jet(first.nvars, K, out)
 
 
-def jet_transpose(a: Jet, perm) -> Jet:
-    return a.transpose(perm)
-
-
 def jet_matrix_inverse(a: Jet, cond_limit=1e12) -> Jet:
     """Inverse of a jet-valued square matrix (component shape (m, m)).
 
@@ -710,20 +705,17 @@ def jabs(x):
 class DiffConfig:
     """Differentiation settings.
 
-    ``mode`` selects the default path of :func:`eval_derivs`; geometry always
-    differentiates through Taylor arithmetic, finite differences exist as the
-    independent cross-check.  ``max_order`` is the caller-facing derivative
-    budget (1..3).
+    Derivatives come from Taylor arithmetic (:func:`eval_derivs`); the
+    steps feed :func:`fd_partial`, the independent finite-difference
+    cross-check.  ``max_order`` is the caller-facing derivative budget
+    (1..3).
     """
 
-    mode: str = "taylor"
     fd_step_1: float = 1e-5
     fd_step_2: float = 1e-4
     max_order: int = 3
 
     def __post_init__(self):
-        if self.mode not in ("taylor", "central-fd"):
-            raise ValueError(f"unknown differentiation mode {self.mode!r}")
         if not (self.fd_step_1 > 0 and self.fd_step_2 > 0):
             raise ValueError("finite-difference steps must be positive")
         if not 1 <= self.max_order <= 3:
@@ -816,7 +808,7 @@ def _field_value(res) -> float:
 
 def eval_derivs(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
     """Mixed partial of ``f`` at ``pt`` with respect to the coordinate ids in
-    ``wrt`` (order = len(wrt)).  Exact in taylor mode, estimated in fd mode.
+    ``wrt`` (order = len(wrt)), exact through Taylor arithmetic.
     """
     order = len(wrt)
     if order > config.max_order:
@@ -825,8 +817,6 @@ def eval_derivs(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
         )
     if order == 0:
         return _field_value(f(float_point(pt)))
-    if config.mode == "central-fd":
-        return fd_partial(f, pt, wrt, config)
     p, n = pt.dims
     spt = seed_point(pt, order, f.deps)
     res = f(spt)
@@ -919,8 +909,6 @@ def check_grad(f: ScalarField, pts, config: DiffConfig) -> AgreementReport:
     worst_wrt = ()
     count = 0
     nans = []
-    tay = DiffConfig(mode="taylor", fd_step_1=config.fd_step_1,
-                     fd_step_2=config.fd_step_2, max_order=config.max_order)
     for ip, pt in enumerate(pts):
         p, n = pt.dims
         coords = _dep_coords(f, p, n)
@@ -931,7 +919,7 @@ def check_grad(f: ScalarField, pts, config: DiffConfig) -> AgreementReport:
             for j in range(i, len(coords))
         ]
         for wrt in probes:
-            a = eval_derivs(f, pt, list(wrt), tay)
+            a = eval_derivs(f, pt, list(wrt), config)
             b = fd_partial(f, pt, list(wrt), config)
             if not (np.isfinite(a) and np.isfinite(b)):
                 nans.append((ip, wrt))

@@ -73,14 +73,6 @@ def _metrical_jets(fr):
     )
 
 
-def _em_jets(fr):
-    """(F, f) jets from the metrical deflections."""
-    _, _, Dmet, dmet = _metrical_jets(fr)
-    F = (Dmet - jet_linear("iaj->jai", Dmet)) * 0.5
-    f = (dmet - jet_linear("iajb->jaib", dmet)) * 0.5
-    return F, f
-
-
 # --------------------------------------------------------------------------
 # deflections
 # --------------------------------------------------------------------------
@@ -170,12 +162,14 @@ class ResidualStats:
 
     max_rel divides each point's max-abs residual by max(1, that point's
     largest constituent-term magnitude), so tiny fields cannot pass for free.
+    worst_point is the index of the first point that reached max_rel.
     """
 
     max_abs: float
     mean_abs: float
     max_rel: float
     scale: float
+    worst_point: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,7 +189,10 @@ class MaxwellReport:
 
 
 class _Agg:
-    __slots__ = ("max_abs", "sum_abs", "count", "max_rel", "scale")
+    """Running stats of one residual block; ``add`` is called once per point."""
+
+    __slots__ = ("max_abs", "sum_abs", "count", "max_rel", "scale",
+                 "n_points", "worst_point")
 
     def __init__(self):
         self.max_abs = 0.0
@@ -203,6 +200,8 @@ class _Agg:
         self.count = 0
         self.max_rel = 0.0
         self.scale = 0.0
+        self.n_points = 0
+        self.worst_point = 0
 
     def add(self, residual: np.ndarray, terms):
         a = np.abs(residual)
@@ -211,7 +210,11 @@ class _Agg:
         self.max_abs = max(self.max_abs, pt_max)
         self.sum_abs += float(a.sum())
         self.count += a.size
-        self.max_rel = max(self.max_rel, pt_max / max(1.0, pt_scale))
+        rel = pt_max / max(1.0, pt_scale)
+        if rel > self.max_rel:
+            self.max_rel = rel
+            self.worst_point = self.n_points
+        self.n_points += 1
         self.scale = max(self.scale, pt_scale)
 
     def stats(self) -> ResidualStats:
@@ -220,6 +223,7 @@ class _Agg:
             mean_abs=self.sum_abs / self.count if self.count else 0.0,
             max_rel=self.max_rel,
             scale=self.scale,
+            worst_point=self.worst_point,
         )
 
 

@@ -26,7 +26,6 @@ symbol's logical indices left to right, a bound vertical pair contributing
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -158,7 +157,7 @@ class UserGiven:
 
 
 class GeometryContext:
-    """Immutable description of one space; shareable across threads.
+    """Immutable description of one space.
 
     The realized g must stay symmetric, invertible, and of constant
     signature: the eigenvalue signs seen at the first evaluated point are
@@ -193,7 +192,6 @@ class GeometryContext:
         self.nlc = nlc
         self.diff = diff if diff is not None else DiffConfig()
         self.K = float(K)
-        self._lock = threading.Lock()
         self._signature = None  # (h signs, g signs) at first sample
         self._frames = {}
 
@@ -204,15 +202,14 @@ class GeometryContext:
             tuple(int(np.sign(v)) for v in np.linalg.eigvalsh(h_val)),
             tuple(int(np.sign(v)) for v in np.linalg.eigvalsh(g_val)),
         )
-        with self._lock:
-            if self._signature is None:
-                self._signature = signs
-            elif self._signature != signs:
-                raise RegularityViolationError(
-                    f"metric signature changed between sample points: "
-                    f"recorded {self._signature}, found {signs}",
-                    witness=pt,
-                )
+        if self._signature is None:
+            self._signature = signs
+        elif self._signature != signs:
+            raise RegularityViolationError(
+                f"metric signature changed between sample points: "
+                f"recorded {self._signature}, found {signs}",
+                witness=pt,
+            )
 
 
 # --------------------------------------------------------------------------
@@ -230,15 +227,13 @@ def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
     curvature-level objects (conservation laws, Bianchi residuals).
     """
     key = (pt.key(), order)
-    with ctx._lock:
-        fr = ctx._frames.get(key)
-        if fr is not None:
-            return fr
+    fr = ctx._frames.get(key)
+    if fr is not None:
+        return fr
     fr = Frame(ctx, pt, order)
-    with ctx._lock:
-        if len(ctx._frames) >= 64:
-            ctx._frames.pop(next(iter(ctx._frames)))
-        ctx._frames[key] = fr
+    if len(ctx._frames) >= 64:
+        ctx._frames.pop(next(iter(ctx._frames)))
+    ctx._frames[key] = fr
     return fr
 
 

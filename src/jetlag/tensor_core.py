@@ -127,16 +127,6 @@ class DTensor:
         )
 
 
-def _scalar_slot(t: DTensor, axis: int, op: str) -> IndexSlot:
-    s = t.signature[axis]
-    if s.family == "vertical":
-        raise ContractMismatchError(
-            f"{op} addresses logical axis {axis + 1}, a bound vertical pair; "
-            "split it first (split_vertical)"
-        )
-    return s
-
-
 def contract(a: DTensor, axis_up: int, axis_dn: int) -> DTensor:
     """Sum over a matched up/down pair of logical axes.
 

@@ -1,9 +1,13 @@
 """End-to-end CLI runs, in process: exit codes, reports, determinism."""
 
+import hashlib
 import json
+import re
 
+import numpy as np
 import pytest
 
+from jetlag import JetPoint, build_space, maxwell_residuals
 from jetlag.cli import main
 
 FULL_CHECKS = [
@@ -95,6 +99,17 @@ def run_to(tmp_path, doc, *extra, name="cfg.json", out="report.json"):
     return rc, json.loads(target.read_text())
 
 
+# sha256 of a report minus its wall-time line, as the benchmark's
+# report_digest takes it; a mismatch means some report byte changed
+REPORT_DIGESTS = {
+    "optic": ("df5d55d43616007c2b6574a75147c280be4f839d468c1467fc0dc33e79ba845e",
+              OPTIC_CFG),
+    "torsional": ("a952e4459b669d848b502c2e859603fa68e34753c2b4750b125e7990a92cc571",
+                  TORSIONAL_CFG),
+}
+WALL_LINE = re.compile(r'^  "wall_time_s": .*\n', re.MULTILINE)
+
+
 def stable_lines(path):
     # wall time is the one legitimately nondeterministic report entry
     return [l for l in path.read_text().splitlines() if "wall_time_s" not in l]
@@ -116,11 +131,19 @@ def test_report_bytes_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, FLAT_CFG)
     for out in ("r1.json", "r2.json"):
         assert main(["run", cfg, "--out", str(tmp_path / out)]) == 0
-    assert main(["run", cfg, "--out", str(tmp_path / "r3.json"),
-                 "--jobs", "3"]) == 0
-    base = stable_lines(tmp_path / "r1.json")
-    assert base == stable_lines(tmp_path / "r2.json")
-    assert base == stable_lines(tmp_path / "r3.json")
+    assert stable_lines(tmp_path / "r1.json") == stable_lines(tmp_path / "r2.json")
+    # there is no thread-count option; argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--jobs", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_digest_pinned(tmp_path, name):
+    digest, doc = REPORT_DIGESTS[name]
+    run_to(tmp_path, doc)
+    text = WALL_LINE.sub("", (tmp_path / "report.json").read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_seed_override(tmp_path):
@@ -150,6 +173,19 @@ def test_lagrangian_conservation_budget_error(tmp_path):
     assert "budget of at least 4" in doc["error"]
     for name in ("metricity", "regularity", "einstein"):
         assert rep["checks"][name]["status"] == "pass"
+
+
+def test_maxwell_failure_names_worst_point(tmp_path):
+    doc = dict(OPTIC_CFG, checks=["maxwell"], tolerances={"maxwell": 1e-300})
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 1
+    assert rep["checks"]["maxwell"]["status"] == "fail"
+    ctx = build_space("optic", OPTIC_CFG["space"]["params"])
+    pts = [JetPoint.of(d["t"], d["x"], d["xs"]) for d in rep["points"]]
+    per = [max(st.max_rel
+               for st in maxwell_residuals(ctx, [pt]).equations.values())
+           for pt in pts]
+    assert rep["checks"]["maxwell"]["witness"] == rep["points"][int(np.argmax(per))]
 
 
 def test_optic_run_dumps_and_flagging(tmp_path):

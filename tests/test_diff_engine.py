@@ -244,11 +244,10 @@ def test_fd_second_order_convergence():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
-def test_eval_derivs_fd_mode():
+def test_fd_partial_second_order():
     f = ExprField("x[1]^3*t[1]", (1, 1), deps=("t", "x"))
     pt = JetPoint.of([2.0], [0.7], [[0.0]])
-    cfg = DiffConfig(mode="central-fd")
-    got = eval_derivs(f, pt, [("x", 0), ("x", 0)], cfg)
+    got = fd_partial(f, pt, [("x", 0), ("x", 0)], DiffConfig())
     assert got == pytest.approx(6 * 0.7 * 2.0, rel=1e-5)
 
 
@@ -269,8 +268,6 @@ def test_undeclared_coordinates_are_constants():
 
 
 def test_diff_config_validation():
-    with pytest.raises(ValueError):
-        DiffConfig(mode="spectral")
     with pytest.raises(ValueError):
         DiffConfig(fd_step_1=0.0)
     with pytest.raises(ValueError):
