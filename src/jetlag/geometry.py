@@ -46,6 +46,7 @@ from .diff_engine import (
     seed_point,
 )
 from .errors import (
+    ConfigError,
     EvalDomainError,
     DerivativeDomainError,
     FieldValidationError,
@@ -299,7 +300,9 @@ class Frame:
         val = h.value
         scale = max(1.0, float(np.max(np.abs(val))))
         if float(np.max(np.abs(val - val.T))) > 1e-9 * scale:
-            raise ValueError("temporal metric h is not symmetric at this point")
+            raise RegularityViolationError(
+                "temporal metric h is not symmetric at this point", witness=self.pt
+            )
         return h
 
     @cached_property
@@ -312,7 +315,9 @@ class Frame:
         val = g.value
         scale = max(1.0, float(np.max(np.abs(val))))
         if float(np.max(np.abs(val - val.T))) > 1e-9 * scale:
-            raise ValueError("vertical metric g is not symmetric at this point")
+            raise RegularityViolationError(
+                "vertical metric g is not symmetric at this point", witness=self.pt
+            )
         self.ctx._check_signature(self.pt, self.h_jet.value, val)
         return g
 
@@ -401,7 +406,9 @@ class Frame:
         phi = self.eval_grid(self.ctx.nlc.phi)
         val = phi.value
         if float(np.max(np.abs(val - val.T))) > 1e-9 * max(1.0, float(np.max(np.abs(val)))):
-            raise ValueError("spatial metric phi is not symmetric at this point")
+            raise RegularityViolationError(
+                "spatial metric phi is not symmetric at this point", witness=self.pt
+            )
         return phi
 
     @cached_property
@@ -1216,7 +1223,8 @@ def sample_points(
 ):
     """Draw points uniformly from coordinate boxes, rejecting near-singular
     metrics (condition number above ``cond_limit``) and field-domain
-    violations."""
+    violations.  Raises :class:`ConfigError` naming the boxes when the try
+    budget runs out."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
@@ -1225,9 +1233,11 @@ def sample_points(
     while len(pts) < count:
         tries += 1
         if tries > budget:
-            raise RuntimeError(
+            raise ConfigError(
                 f"could not sample {count} admissible points in {budget} tries "
-                f"({len(pts)} found); widen the boxes or relax cond_limit"
+                f"({len(pts)} found) from the boxes t {tuple(box_t)}, "
+                f"x {tuple(box_x)}, xs {tuple(box_xs)}; widen the boxes or "
+                f"relax cond_limit"
             )
         pt = JetPoint.of(
             rng.uniform(box_t[0], box_t[1], size=p),

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +278,62 @@ def test_config_rejections(tmp_path, capsys, mutate, frag):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert frag in err
+
+
+def _custom_g_cfg(g):
+    return {
+        "p": 2, "n": 2,
+        "space": {"name": "custom", "params": {
+            "h": [["1", "0"], ["0", "1"]],
+            "g": g,
+            "nlc": {"kind": "christoffel", "phi": [["1", "0"], ["0", "1"]]}}},
+        "points": {"seed": 1, "count": 2},
+        "checks": ["metricity"],
+    }
+
+
+@pytest.mark.parametrize(
+    "g,frag",
+    [
+        ([["1", "x[1]"], ["0", "1"]],
+         "error: vertical metric g is not symmetric at this point"),
+        ([["log(x[1]-5)", "0"], ["0", "1"]],
+         "error: could not sample 2 admissible points in 1000 tries (0 found) "
+         "from the boxes t (-1.0, 1.0), x (-1.0, 1.0), xs (-1.0, 1.0)"),
+    ],
+    ids=["asymmetric-g", "sampling-exhausted"],
+)
+def test_run_time_config_defects_exit_2(tmp_path, capsys, g, frag):
+    # the defect shows only once points are sampled
+    cfg = write_cfg(tmp_path, _custom_g_cfg(g))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(frag)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_asymmetric_g_at_explicit_point_names_witness(tmp_path):
+    doc = _custom_g_cfg([["1", "x[1]"], ["0", "1"]])
+    pt = {"t": [0.1, 0.2], "x": [0.3, 0.4], "xs": [[0.5, 0.6], [0.7, 0.8]]}
+    doc["points"] = {"explicit": [pt]}
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 1
+    check = rep["checks"]["metricity"]
+    assert check["status"] == "fail"
+    assert "vertical metric g is not symmetric" in check["error"]
+    assert check["witness"] == pt
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "jetlag", "spaces"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {
+        "flat", "quadratic", "conformal", "optic", "custom"}
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from jetlag import diff_engine
 from jetlag.diff_engine import (
     DiffConfig,
     Jet,
@@ -232,6 +233,64 @@ def test_check_grad_agreement():
     assert rep.max_rel_dev < 1e-5
 
 
+def _per_probe_check_grad(f, pts, config):
+    """check_grad as one eval_derivs and one fd_partial call per probe."""
+    worst, worst_pt, worst_wrt, count, nans = 0.0, -1, (), 0, []
+    for ip, pt in enumerate(pts):
+        coords = [("t", a) for a in range(2)] + [("x", i) for i in range(2)]
+        coords += [("xs", i, a) for i in range(2) for a in range(2)]
+        probes = [(c,) for c in coords]
+        probes += [(c, d) for k, c in enumerate(coords) for d in coords[k:]]
+        for wrt in probes:
+            a = eval_derivs(f, pt, list(wrt), config)
+            b = fd_partial(f, pt, list(wrt), config)
+            if not (np.isfinite(a) and np.isfinite(b)):
+                nans.append((ip, wrt))
+                continue
+            dev = abs(a - b) / max(1.0, abs(a), abs(b))
+            count += 1
+            if dev > worst:
+                worst, worst_pt, worst_wrt = dev, ip, wrt
+    return worst, worst_pt, worst_wrt, count, nans
+
+
+def test_check_grad_matches_per_probe_reference(monkeypatch):
+    # mixed partials couple all three coordinate groups, so every order-2
+    # entry read off the single jet is exercised; the quotient makes some
+    # order-2 coefficients differ from their transposes in the last bit
+    f = ExprField(
+        "sin(t[1]*x[2])*exp(xs[1][2]*x[1])/(2+cos(t[2]*xs[2][1]))", (2, 2)
+    )
+    rng = np.random.default_rng(11)
+    pts = [
+        JetPoint.of(
+            rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2))
+        )
+        for _ in range(4)
+    ]
+    rep = check_grad(f, pts, DiffConfig())
+    got = (rep.max_rel_dev, rep.worst_point, rep.worst_wrt, rep.n_comparisons,
+           rep.nan_flags)
+    assert got == _per_probe_check_grad(f, pts, DiffConfig())
+    assert rep.n_comparisons == 4 * (8 + 36)
+    # with eval_derivs standing in for the FD side, a probe read off the jet
+    # that differs from eval_derivs in any bit shows as a deviation
+    monkeypatch.setattr(diff_engine, "fd_partial", eval_derivs)
+    assert check_grad(f, pts, DiffConfig()).max_rel_dev == 0.0
+
+
+def test_check_grad_skips_fields_without_dependencies():
+    def never(spt):
+        raise AssertionError("a field without dependencies was evaluated")
+
+    f = PyField(never, deps=())
+    pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.5, 0.6], [0.7, 0.8]])
+    for cfg in (DiffConfig(), DiffConfig(max_order=1)):
+        rep = check_grad(f, [pt, pt], cfg)
+        assert rep.n_comparisons == 0
+        assert rep.worst_point == -1 and not rep.nan_flags
+
+
 def test_fd_second_order_convergence():
     # halving the first-order step cuts the central-difference error ~4x
     f = ExprField("sin(t[1])", (1, 1), deps=("t",))
@@ -258,6 +317,8 @@ def test_order_budget_enforced():
         eval_derivs(f, pt, [("t", 0)] * 3, DiffConfig(max_order=2))
     with pytest.raises(OrderExceededError):
         fd_partial(f, pt, [("t", 0)] * 3, DiffConfig())
+    with pytest.raises(OrderExceededError):
+        check_grad(f, [pt], DiffConfig(max_order=1))
 
 
 def test_undeclared_coordinates_are_constants():
