@@ -28,9 +28,19 @@ from .em_field import (
     deflection_identity_residuals,
     deflection_set,
     em_tensors,
-    maxwell_residuals,
+    maxwell_at,
+    maxwell_report,
+    require_maxwell_budget,
+    require_torsion_free,
 )
-from .errors import ConfigError, JetlagError, ParseError
+from .errors import (
+    ConfigError,
+    DerivativeDomainError,
+    EvalDomainError,
+    JetlagError,
+    ParseError,
+    SingularMetricError,
+)
 from .geometry import (
     ChristoffelOfPhi,
     DirectMetric,
@@ -38,13 +48,15 @@ from .geometry import (
     cartan_connection,
     curvature_antisymmetry_residuals,
     curvature_set,
-    kronecker_regularity_check,
+    kronecker_deviation_at,
     metricity_residuals,
-    nlc_torsion_free_check,
+    nlc_torsion_at,
+    regularity_verdict,
     ricci_and_scalars,
     sample_points,
     spatial_nlc,
     temporal_christoffel_and_M,
+    torsion_free_verdict,
     torsion_set,
 )
 from .gravity import (
@@ -480,6 +492,22 @@ class CheckOutcome:
         }
 
 
+# errors a point's fields raise without naming the point
+_POINT_ERRORS = (SingularMetricError, EvalDomainError, DerivativeDomainError)
+
+
+def _error_outcome(exc: JetlagError, pt=None) -> CheckOutcome:
+    """The outcome of a check that raised ``exc``, while evaluating ``pt``
+    if given."""
+    witness = getattr(exc, "witness", None)
+    if witness is None and isinstance(exc, _POINT_ERRORS):
+        witness = pt
+    return CheckOutcome(
+        status="fail", max_abs=None, mean_abs=None, measure="error",
+        detail={}, witness=witness, error=str(exc),
+    )
+
+
 def _from_per_point(pts, per_point, tol, measure="max_abs"):
     """Fold per-point {name: residual} maps into one outcome."""
     names = list(per_point[0])
@@ -495,29 +523,29 @@ def _from_per_point(pts, per_point, tol, measure="max_abs"):
     )
 
 
-def _run_metricity(ctx, pts, tol):
-    return _from_per_point(pts, [metricity_residuals(ctx, pt) for pt in pts], tol)
+def _run_metricity(ctx, pt, tol):
+    return metricity_residuals(ctx, pt)
 
 
-def _run_antisymmetry(ctx, pts, tol):
-    per = [curvature_antisymmetry_residuals(ctx, pt) for pt in pts]
-    return _from_per_point(pts, per, tol)
+def _run_antisymmetry(ctx, pt, tol):
+    return curvature_antisymmetry_residuals(ctx, pt)
 
 
-def _run_curvature(ctx, pts, tol):
-    def at(pt):
-        out = {}
-        for k, v in deflection_identity_residuals(ctx, pt).items():
-            out[f"deflection_{k}"] = v
-        for k, v in bianchi_residuals(ctx, pt).items():
-            out[f"bracket_{k}"] = v
-        return out
-
-    return _from_per_point(pts, [at(pt) for pt in pts], tol)
+def _run_curvature(ctx, pt, tol):
+    out = {}
+    for k, v in deflection_identity_residuals(ctx, pt).items():
+        out[f"deflection_{k}"] = v
+    for k, v in bianchi_residuals(ctx, pt).items():
+        out[f"bracket_{k}"] = v
+    return out
 
 
-def _run_torsion(ctx, pts, tol):
-    verdict = nlc_torsion_free_check(ctx, pts)
+def _run_torsion(ctx, pt, tol):
+    return nlc_torsion_at(ctx, pt)
+
+
+def _fold_torsion(pts, records, tol):
+    verdict = torsion_free_verdict(pts, records)
     v = float(verdict.max_violation)
     status = "pass" if v <= tol else "fail"
     return CheckOutcome(
@@ -527,8 +555,24 @@ def _run_torsion(ctx, pts, tol):
     )
 
 
-def _run_maxwell(ctx, pts, tol):
-    rep = maxwell_residuals(ctx, pts)
+def _run_maxwell(ctx, pt, tol):
+    require_maxwell_budget(ctx)
+    torsion = nlc_torsion_at(ctx, pt)
+    try:
+        eqs = maxwell_at(ctx, pt)
+    except JetlagError as exc:
+        # the torsion precondition over all points outranks an equation
+        # error, so the error waits in the record for the fold
+        eqs = _error_outcome(exc, pt)
+    return torsion, eqs
+
+
+def _fold_maxwell(pts, records, tol):
+    require_torsion_free(torsion_free_verdict(pts, [t for t, _ in records]))
+    for _, eqs in records:
+        if isinstance(eqs, CheckOutcome):
+            return eqs
+    rep = maxwell_report([eqs for _, eqs in records])
     detail = {
         nm: {"max_abs": st.max_abs, "mean_abs": st.mean_abs,
              "max_rel": st.max_rel}
@@ -547,34 +591,33 @@ def _run_maxwell(ctx, pts, tol):
                         measure="max_rel", detail=detail, witness=witness)
 
 
-def _run_einstein(ctx, pts, tol):
+def _run_einstein(ctx, pt, tol):
     k = ctx.K
-
-    def at(pt):
-        eb = einstein_blocks(ctx, pt)
-        out = {
-            "tt_symmetry": float(np.max(np.abs(eb.tt - eb.tt.T))),
-            "ss_symmetry": float(np.max(np.abs(eb.ss - eb.ss.T))),
-            "vv_symmetry": float(np.max(np.abs(
-                eb.vv - np.transpose(eb.vv, (2, 3, 0, 1))))),
-            "declared_zero_blocks": float(max(np.max(np.abs(eb.zero_ts)),
-                                              np.max(np.abs(eb.zero_tv)))),
-        }
-        if k != 0.0:
-            ts = stress_energy_extract(ctx, pt)
-            out["extraction_roundtrip"] = float(max(
-                np.max(np.abs(k * getattr(ts, f"T_{b}") - getattr(eb, b)))
-                for b in ("tt", "ss", "vv", "st", "vt", "sv", "vs")
-            ))
-        return out
-
-    return _from_per_point(pts, [at(pt) for pt in pts], tol)
+    eb = einstein_blocks(ctx, pt)
+    out = {
+        "tt_symmetry": float(np.max(np.abs(eb.tt - eb.tt.T))),
+        "ss_symmetry": float(np.max(np.abs(eb.ss - eb.ss.T))),
+        "vv_symmetry": float(np.max(np.abs(
+            eb.vv - np.transpose(eb.vv, (2, 3, 0, 1))))),
+        "declared_zero_blocks": float(max(np.max(np.abs(eb.zero_ts)),
+                                          np.max(np.abs(eb.zero_tv)))),
+    }
+    if k != 0.0:
+        ts = stress_energy_extract(ctx, pt)
+        out["extraction_roundtrip"] = float(max(
+            np.max(np.abs(k * getattr(ts, f"T_{b}") - getattr(eb, b)))
+            for b in ("tt", "ss", "vv", "st", "vt", "sv", "vs")
+        ))
+    return out
 
 
-def _run_conservation(ctx, pts, tol):
+def _run_conservation(ctx, pt, tol):
     # one call per point: a single call over all points sums mean_abs in
     # another order and moves its last digit
-    per = [conservation_residuals(ctx, [pt], tol) for pt in pts]
+    return conservation_residuals(ctx, [pt], tol)
+
+
+def _fold_conservation(pts, per, tol):
     detail = {}
     worst = 0.0
     for nm in per[0].LAW_NAMES:
@@ -643,9 +686,12 @@ def _run_natural_form(ctx, pts, tol):
     )
 
 
-def _run_regularity(ctx, pts, tol):
-    lag = getattr(ctx, "lagrangian", None)
-    verdict = kronecker_regularity_check(ctx, pts, lagrangian=lag, tol=tol)
+def _run_regularity(ctx, pt, tol):
+    return kronecker_deviation_at(ctx, pt, getattr(ctx, "lagrangian", None))
+
+
+def _fold_regularity(pts, records, tol):
+    verdict = regularity_verdict(pts, records, tol)
     v = float(verdict.max_deviation)
     status = "pass" if verdict.regular else "fail"
     return CheckOutcome(
@@ -696,6 +742,11 @@ def _run_grad_check(ctx, pts, tol):
     )
 
 
+# A check with a fold runs point-major: run_report calls its step
+# ``(ctx, pt, tol) -> record`` at each point, then its fold
+# ``(pts, records, tol) -> CheckOutcome`` once, over the records in point
+# order.  The other runners take the whole sweep, ``(ctx, pts, tol)``.
+# run_report looks every runner up here at call time.
 _RUNNERS = {
     "metricity": _run_metricity,
     "antisymmetry": _run_antisymmetry,
@@ -707,6 +758,17 @@ _RUNNERS = {
     "natural-form": _run_natural_form,
     "regularity": _run_regularity,
     "grad-check": _run_grad_check,
+}
+
+_FOLDS = {
+    "metricity": _from_per_point,
+    "antisymmetry": _from_per_point,
+    "torsion": _fold_torsion,
+    "curvature": _from_per_point,
+    "maxwell": _fold_maxwell,
+    "einstein": _from_per_point,
+    "conservation": _fold_conservation,
+    "regularity": _fold_regularity,
 }
 
 
@@ -739,38 +801,58 @@ def _dump_families(ctx, pt, families) -> dict:
 # run
 # --------------------------------------------------------------------------
 
+def _collect_points(cfg: RunConfig, ctx) -> list:
+    """The run's points: the explicit ones, then ``cfg.count`` sampled ones."""
+    pts = list(cfg.explicit)
+    if cfg.count:
+        pts += sample_points(ctx, cfg.count, cfg.seed, box_t=cfg.box["t"],
+                             box_x=cfg.box["x"], box_xs=cfg.box["xs"])
+    return pts
+
+
 def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
                dump: tuple | None = None):
     """Execute a validated config; returns (RunReport, exit_code).
 
     Writes the serialized report to ``out_path`` (or the config's output
     path) atomically.  Evaluation is serial; ``jobs`` is accepted for
-    existing callers and ignored.
+    existing callers and ignored.  The run goes point by point: at each
+    point every frame-reading check takes its step, so each point's frames
+    are built once and read by every check while they are cached.  After
+    the last point, each check's fold, or the whole-sweep runner of
+    ``natural-form`` and ``grad-check``, runs in config order.
     """
     start = time.perf_counter()
     ctx = build_space(cfg.space_name, cfg.space_params)
-    pts = list(cfg.explicit)
-    if cfg.count:
-        pts += sample_points(ctx, cfg.count, cfg.seed, box_t=cfg.box["t"],
-                             box_x=cfg.box["x"], box_xs=cfg.box["xs"])
+    pts = _collect_points(cfg, ctx)
     families = cfg.dump if dump is None else tuple(dump)
     for fam in families:
         if fam not in DUMP_FAMILIES:
             raise ConfigError(f"unknown dump family {fam!r}; "
                               f"available {list(DUMP_FAMILIES)}")
 
+    outcomes = {}
+    records = {name: [] for name in cfg.checks if name in _FOLDS}
+    for pt in pts:
+        for name, recs in records.items():
+            if name in outcomes:
+                continue  # the check raised at an earlier point
+            try:
+                recs.append(_RUNNERS[name](ctx, pt, cfg.tolerances[name]))
+            except JetlagError as exc:
+                outcomes[name] = _error_outcome(exc, pt)
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]
-        try:
-            outcome = _RUNNERS[name](ctx, pts, tol)
-        except JetlagError as exc:
-            outcome = CheckOutcome(
-                status="fail", max_abs=None, mean_abs=None,
-                measure="error", detail={},
-                witness=getattr(exc, "witness", None), error=str(exc),
-            )
-        checks[name] = outcome.doc(tol)
+        if name not in outcomes:
+            try:
+                if name in _FOLDS:
+                    outcomes[name] = _FOLDS[name](pts, records[name], tol)
+                else:
+                    outcomes[name] = _RUNNERS[name](ctx, pts, tol)
+            except JetlagError as exc:
+                outcomes[name] = _error_outcome(exc)
+        checks[name] = outcomes[name].doc(tol)
 
     dumps = _dump_families(ctx, pts[0], families) if families else None
     statuses = [c["status"] for c in checks.values()]
@@ -825,7 +907,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    load_config(args.config)
+    cfg = load_config(args.config)
+    # sampling evaluates the metrics, so a defect that shows only at a
+    # point ends here as it would in run
+    _collect_points(cfg, build_space(cfg.space_name, cfg.space_params))
     print(f"{args.config}: valid")
     return 0
 

@@ -42,6 +42,10 @@ __all__ = [
     "deflection_set",
     "em_tensors",
     "maxwell_residuals",
+    "maxwell_at",
+    "maxwell_report",
+    "require_maxwell_budget",
+    "require_torsion_free",
     "deflection_identity_residuals",
     "bianchi_residuals",
 ]
@@ -188,8 +192,18 @@ class MaxwellReport:
     )
 
 
+def _residual_summary(residual: np.ndarray, terms) -> tuple:
+    """(max |r|, sum |r|, size, scale) of one point's residual block r and
+    its constituent terms: all that ``_Agg`` keeps of the point."""
+    a = np.abs(residual)
+    pt_max = float(a.max()) if a.size else 0.0
+    pt_scale = max((float(np.max(np.abs(t))) for t in terms), default=0.0)
+    return pt_max, float(a.sum()), a.size, pt_scale
+
+
 class _Agg:
-    """Running stats of one residual block; ``add`` is called once per point."""
+    """Running stats of one residual block; ``add`` or ``add_summary`` is
+    called once per point."""
 
     __slots__ = ("max_abs", "sum_abs", "count", "max_rel", "scale",
                  "n_points", "worst_point")
@@ -204,12 +218,13 @@ class _Agg:
         self.worst_point = 0
 
     def add(self, residual: np.ndarray, terms):
-        a = np.abs(residual)
-        pt_max = float(a.max()) if a.size else 0.0
-        pt_scale = max((float(np.max(np.abs(t))) for t in terms), default=0.0)
+        self.add_summary(_residual_summary(residual, terms))
+
+    def add_summary(self, summary):
+        pt_max, pt_sum, size, pt_scale = summary
         self.max_abs = max(self.max_abs, pt_max)
-        self.sum_abs += float(a.sum())
-        self.count += a.size
+        self.sum_abs += pt_sum
+        self.count += size
         rel = pt_max / max(1.0, pt_scale)
         if rel > self.max_rel:
             self.max_rel = rel
@@ -231,11 +246,14 @@ def _cyclic3(core: Jet, spec1: str, spec2: str) -> Jet:
     return core + jet_linear(spec1, core) + jet_linear(spec2, core)
 
 
-def _maxwell_at(fr):
-    """Residual arrays of the five equations at one frame.
+def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
+    """Residual summaries of the five equations at one point.
 
-    Returns a list of (residual, constituent term values) in equation order.
+    Returns one (max |r|, sum |r|, size, scale) summary of each residual r
+    and its constituent terms, in equation order.  The torsion precondition
+    is not checked here; see :func:`maxwell_residuals`.
     """
+    fr = frame(ctx, pt, 2)
     x_low, Dbar, Dmet, dmet = _metrical_jets(fr)
     F = (Dmet - jet_linear("iaj->jai", Dmet)) * 0.5
     f = (dmet - jet_linear("iajb->jaib", dmet)) * 0.5
@@ -255,7 +273,8 @@ def _maxwell_at(fr):
     core = t1 + t2 + t3 - t4
     rhs = (core - jet_linear("iabk->kabi", core)) * 0.5
     res = lhs - jet_linear("iabk->iakb", rhs)
-    out.append((res.value, (lhs.value, t1.value, t2.value, t3.value, t4.value)))
+    out.append(_residual_summary(
+        res.value, (lhs.value, t1.value, t2.value, t3.value, t4.value)))
 
     # 2) f^(a)(g)_(i)(k)/b = A_{i,k} { Dbar|^(g)_(k) + dmet.P2 - [dT/dxs + C.P2] x_low } / 2
     P2 = fr.tor_P2_jet
@@ -267,7 +286,8 @@ def _maxwell_at(fr):
     core = u1 + u2 - u3
     rhs = (core - jet_linear("iabkg->kabig", core)) * 0.5
     res = lhs - jet_linear("iabkg->iakgb", rhs)
-    out.append((res.value, (lhs.value, u1.value, u2.value, u3.value)))
+    out.append(_residual_summary(
+        res.value, (lhs.value, u1.value, u2.value, u3.value)))
 
     # 3) sum_{i,j,k} F^(a)_(i)j|k = -(1/2) sum_{i,j,k} [C.x_low + dmet].R3
     R3 = fr.tor_R3_jet
@@ -277,19 +297,19 @@ def _maxwell_at(fr):
     s = jet_einsum("iamu,mujk->iajk", B, R3)
     rhs = _cyclic3(s, "jaki->iajk", "kaij->iajk") * (-0.5)
     res = lhs - rhs
-    out.append((res.value, (Fcs.value, s.value)))
+    out.append(_residual_summary(res.value, (Fcs.value, s.value)))
 
     # 4) sum_{i,j,k} { F^(a)_(i)j|^(g)_(k) + f^(a)(g)_(i)(j)|k } = 0
     Fcv = fr.cov_v(F, (V_DN, S_DN))  # [i,a,j,k,g]
     fcs = fr.cov_s(f, (V_DN, V_DN))  # [i,a,j,g,k]
     both = Fcv + jet_linear("iajgk->iajkg", fcs)
     res = _cyclic3(both, "jakig->iajkg", "kaijg->iajkg")
-    out.append((res.value, (Fcv.value, fcs.value)))
+    out.append(_residual_summary(res.value, (Fcv.value, fcs.value)))
 
     # 5) sum_{i,j,k} f^(a)(b)_(i)(j)|^(g)_(k) = 0
     fcv = fr.cov_v(f, (V_DN, V_DN))  # [i,a,j,b,k,g]
     res = _cyclic3(fcv, "jakbig->iajbkg", "kaibjg->iajbkg")
-    out.append((res.value, (fcv.value,)))
+    out.append(_residual_summary(res.value, (fcv.value,)))
     return out
 
 
@@ -301,11 +321,23 @@ def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
     with the witness point.
     """
     pts = list(pts)
+    require_maxwell_budget(ctx)
+    require_torsion_free(nlc_torsion_free_check(ctx, pts))
+    return maxwell_report([maxwell_at(ctx, pt) for pt in pts])
+
+
+def require_maxwell_budget(ctx: GeometryContext):
+    """Raise OrderExceededError if the context's derivative budget is too
+    small for the Maxwell residuals."""
     if isinstance(ctx.g_source, FromLagrangian):
         _require_budget(ctx, 3, "Maxwell residuals of a Lagrangian-derived space")
     else:
         _require_budget(ctx, 2, "Maxwell residuals")
-    verdict = nlc_torsion_free_check(ctx, pts)
+
+
+def require_torsion_free(verdict):
+    """Raise TorsionPreconditionError at the witness of a torsion verdict
+    that is not torsion free."""
     if not verdict.torsion_free:
         raise TorsionPreconditionError(
             "spatial nonlinear connection has torsion: "
@@ -314,15 +346,18 @@ def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
             witness=verdict.witness[0],
             value=verdict.max_violation,
         )
+
+
+def maxwell_report(per_point: list) -> MaxwellReport:
+    """Fold per-point :func:`maxwell_at` results, in point order."""
     aggs = [_Agg() for _ in range(5)]
-    for pt in pts:
-        fr = frame(ctx, pt, 2)
-        for agg, (res, terms) in zip(aggs, _maxwell_at(fr)):
-            agg.add(res, terms)
-    eqs = {
+    for eqs in per_point:
+        for agg, summary in zip(aggs, eqs):
+            agg.add_summary(summary)
+    equations = {
         name: agg.stats() for name, agg in zip(MaxwellReport.EQ_NAMES, aggs)
     }
-    return MaxwellReport(equations=eqs, n_points=len(pts))
+    return MaxwellReport(equations=equations, n_points=len(per_point))
 
 
 # --------------------------------------------------------------------------

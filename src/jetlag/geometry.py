@@ -85,7 +85,11 @@ __all__ = [
     "vertical_metric_from_L",
     "energy_lagrangian",
     "kronecker_regularity_check",
+    "kronecker_deviation_at",
+    "regularity_verdict",
     "nlc_torsion_free_check",
+    "nlc_torsion_at",
+    "torsion_free_verdict",
     "metricity_residuals",
     "curvature_antisymmetry_residuals",
 ]
@@ -162,7 +166,8 @@ class GeometryContext:
 
     The realized g must stay symmetric, invertible, and of constant
     signature: the eigenvalue signs seen at the first evaluated point are
-    recorded and asserted at every later point.
+    recorded and asserted at every later point.  ``sample_points`` records
+    and asserts it only for the draws it accepts.
     """
 
     def __init__(self, p, n, h, g_source, nlc, diff=None, K=1.0):
@@ -194,6 +199,7 @@ class GeometryContext:
         self.diff = diff if diff is not None else DiffConfig()
         self.K = float(K)
         self._signature = None  # (h signs, g signs) at first sample
+        self._defer_signature = False  # set while sample_points tries a draw
         self._frames = {}
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
@@ -318,7 +324,8 @@ class Frame:
             raise RegularityViolationError(
                 "vertical metric g is not symmetric at this point", witness=self.pt
             )
-        self.ctx._check_signature(self.pt, self.h_jet.value, val)
+        if not self.ctx._defer_signature:
+            self.ctx._check_signature(self.pt, self.h_jet.value, val)
         return g
 
     def _g_from_lagrangian(self) -> Jet:
@@ -1102,32 +1109,43 @@ def kronecker_regularity_check(ctx, pts, lagrangian=None, tol=1e-9) -> Regularit
     magnitude).  Defaults to the context's Lagrangian, or its absolute
     energy when the metric is direct.
     """
+    per_point = [kronecker_deviation_at(ctx, pt, lagrangian) for pt in pts]
+    return regularity_verdict(pts, per_point, tol)
+
+
+def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
+    """(scaled max |B^(a)(b) - h^ab ghat|, ghat) at one point; see
+    :func:`kronecker_regularity_check`."""
     if lagrangian is None:
         if isinstance(ctx.g_source, FromLagrangian):
             lagrangian = ctx.g_source.L
         else:
             lagrangian = EnergyField(ctx)
+    fr = frame(ctx, pt, 0)
+    spt = seed_point(pt, 2, lagrangian.deps)
+    res = lagrangian(spt)
+    if not isinstance(res, Jet):
+        res = Jet.constant(float(res), fr.N, 2)
+    lo = ctx.p + ctx.n
+    d2 = res.dblock(slice(lo, fr.N), (ctx.n, ctx.p)).dblock(
+        slice(lo, fr.N), (ctx.n, ctx.p)
+    )
+    B = 0.5 * d2.value  # [i,mu,j,nu]
+    hval = fr.h_jet.value
+    hinv = np.linalg.inv(hval)
+    ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
+    recon = np.einsum("mn,ij->imjn", hinv, ghat)
+    scale = max(1.0, float(np.max(np.abs(B))))
+    return float(np.max(np.abs(B - recon))) / scale, ghat
+
+
+def regularity_verdict(pts, per_point, tol=1e-9) -> RegularityVerdict:
+    """Fold the per-point ``kronecker_deviation_at`` results, in point order;
+    the witness is the first point to reach the largest deviation above
+    ``tol``."""
     worst = 0.0
     witness = None
-    ghats = []
-    for pt in pts:
-        fr = frame(ctx, pt, 0)
-        spt = seed_point(pt, 2, lagrangian.deps)
-        res = lagrangian(spt)
-        if not isinstance(res, Jet):
-            res = Jet.constant(float(res), fr.N, 2)
-        lo = ctx.p + ctx.n
-        d2 = res.dblock(slice(lo, fr.N), (ctx.n, ctx.p)).dblock(
-            slice(lo, fr.N), (ctx.n, ctx.p)
-        )
-        B = 0.5 * d2.value  # [i,mu,j,nu]
-        hval = fr.h_jet.value
-        hinv = np.linalg.inv(hval)
-        ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
-        recon = np.einsum("mn,ij->imjn", hinv, ghat)
-        scale = max(1.0, float(np.max(np.abs(B))))
-        dev = float(np.max(np.abs(B - recon))) / scale
-        ghats.append(ghat)
+    for pt, (dev, _) in zip(pts, per_point):
         if dev > worst:
             worst = dev
             if dev > tol:
@@ -1136,26 +1154,38 @@ def kronecker_regularity_check(ctx, pts, lagrangian=None, tol=1e-9) -> Regularit
         regular=worst <= tol,
         max_deviation=worst,
         witness=witness,
-        ghats=tuple(ghats),
+        ghats=tuple(ghat for _, ghat in per_point),
     )
 
 
 def nlc_torsion_free_check(ctx, pts, tol=1e-9) -> TorsionFreeVerdict:
     """Check dN^(i)_(a)j/dxs^k_g = dN^(i)_(a)k/dxs^j_g over sample points."""
+    return torsion_free_verdict(pts, [nlc_torsion_at(ctx, pt) for pt in pts], tol)
+
+
+def nlc_torsion_at(ctx, pt) -> tuple:
+    """(max |dN/dxs asymmetry|, the entry [i,a,j,k,g] holding it) at one
+    point; see :func:`nlc_torsion_free_check`."""
+    # Christoffel-built N already spends one derivative order, so the
+    # xs-gradient of N needs a depth-2 frame.
+    fr = frame(ctx, pt, 2)
+    dN = fr.ddxs(fr.N_jet).value  # [i,a,j,k,g]
+    viol = np.abs(dN - np.transpose(dN, (0, 1, 3, 2, 4)))
+    idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    return float(np.max(viol)), tuple(int(v) for v in idx)
+
+
+def torsion_free_verdict(pts, per_point, tol=1e-9) -> TorsionFreeVerdict:
+    """Fold the per-point ``nlc_torsion_at`` results, in point order; the
+    witness is the first point to reach the largest violation above
+    ``tol``, with its entry."""
     worst = 0.0
     witness = None
-    for pt in pts:
-        # Christoffel-built N already spends one derivative order, so the
-        # xs-gradient of N needs a depth-2 frame.
-        fr = frame(ctx, pt, 2)
-        dN = fr.ddxs(fr.N_jet).value  # [i,a,j,k,g]
-        viol = dN - np.transpose(dN, (0, 1, 3, 2, 4))
-        dev = float(np.max(np.abs(viol)))
+    for pt, (dev, idx) in zip(pts, per_point):
         if dev > worst:
             worst = dev
             if dev > tol:
-                idx = np.unravel_index(int(np.argmax(np.abs(viol))), viol.shape)
-                witness = (pt, tuple(int(v) for v in idx))
+                witness = (pt, idx)
     return TorsionFreeVerdict(
         torsion_free=worst <= tol, max_violation=worst, witness=witness
     )
@@ -1224,7 +1254,8 @@ def sample_points(
     """Draw points uniformly from coordinate boxes, rejecting near-singular
     metrics (condition number above ``cond_limit``) and field-domain
     violations.  Raises :class:`ConfigError` naming the boxes when the try
-    budget runs out."""
+    budget runs out.  Only accepted points record or assert the metric
+    signature."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
@@ -1244,6 +1275,7 @@ def sample_points(
             rng.uniform(box_x[0], box_x[1], size=n),
             rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
         )
+        ctx._defer_signature = True
         try:
             fr = frame(ctx, pt, 0)
             hval = fr.h_jet.value
@@ -1252,5 +1284,8 @@ def sample_points(
                 continue
         except (EvalDomainError, DerivativeDomainError, SingularMetricError):
             continue
+        finally:
+            ctx._defer_signature = False
+        ctx._check_signature(pt, hval, gval)
         pts.append(pt)
     return pts

@@ -358,3 +358,26 @@ def test_sample_points_deterministic(ctx_mixed22):
         assert np.array_equal(pa.t, pb.t)
         assert np.array_equal(pa.x, pb.x)
         assert np.array_equal(pa.xs, pb.xs)
+
+
+def test_signature_recorded_from_accepted_points_only():
+    # g = diag(x1, 1) has signature (-1, 1) below x1 = 0; the cond_limit
+    # rejects every draw with |x1| < 0.1, so every accepted point has
+    # signature (1, 1).  The first draw (x1 < 0) is rejected and must not
+    # fix the signature the accepted points are held to.
+    from jetlag.spaces import build_space
+
+    ctx = build_space("custom", {
+        "h": [["1", "0"], ["0", "1"]],
+        "g": [["x[1]", "0"], ["0", "1"]],
+        "nlc": {"kind": "christoffel", "phi": [["1", "0"], ["0", "1"]]},
+    })
+    pts = sample_points(ctx, 3, 0, box_x=(-0.05, 1.0), cond_limit=10)
+    assert len(pts) == 3
+    assert all(pt.x[0] >= 0.1 for pt in pts)
+    assert ctx._signature == ((1, 1), (1, 1))
+    # an accepted point of another signature still raises, naming itself
+    flip = JetPoint.of([0.1, 0.2], [-0.5, 0.4], [[0.5, 0.6], [0.7, 0.8]])
+    with pytest.raises(RegularityViolationError, match="signature changed") as exc:
+        frame(ctx, flip, 0).g_jet
+    assert exc.value.witness is flip
