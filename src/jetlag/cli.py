@@ -48,6 +48,7 @@ from .geometry import (
     cartan_connection,
     curvature_antisymmetry_residuals,
     curvature_set,
+    frame,
     kronecker_deviation_at,
     metricity_residuals,
     nlc_torsion_at,
@@ -499,7 +500,7 @@ _POINT_ERRORS = (SingularMetricError, EvalDomainError, DerivativeDomainError)
 def _error_outcome(exc: JetlagError, pt=None) -> CheckOutcome:
     """The outcome of a check that raised ``exc``, while evaluating ``pt``
     if given."""
-    witness = getattr(exc, "witness", None)
+    witness = exc.witness
     if witness is None and isinstance(exc, _POINT_ERRORS):
         witness = pt
     return CheckOutcome(
@@ -816,7 +817,9 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
 
     Writes the serialized report to ``out_path`` (or the config's output
     path) atomically.  Evaluation is serial; ``jobs`` is accepted for
-    existing callers and ignored.  The run goes point by point: at each
+    existing callers and ignored.  A run with explicit points only records
+    the metric signature from ``pts[0]`` before any check runs (a sampled
+    run records it while sampling).  The run goes point by point: at each
     point every frame-reading check takes its step, so each point's frames
     are built once and read by every check while they are cached.  After
     the last point, each check's fold, or the whole-sweep runner of
@@ -825,6 +828,14 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
     start = time.perf_counter()
     ctx = build_space(cfg.space_name, cfg.space_params)
     pts = _collect_points(cfg, ctx)
+    if not cfg.count:
+        # sampling records the metric signature from its first accepted
+        # point; with explicit points only it is pts[0]'s, whichever check
+        # evaluates g first
+        try:
+            frame(ctx, pts[0], 0).g_jet
+        except JetlagError:
+            pass  # each check that evaluates g at pts[0] reports the error
     families = cfg.dump if dump is None else tuple(dump)
     for fam in families:
         if fam not in DUMP_FAMILIES:

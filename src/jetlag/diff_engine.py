@@ -29,7 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DerivativeDomainError, OrderExceededError
+from .errors import (
+    DerivativeDomainError,
+    EvalDomainError,
+    OrderExceededError,
+    SingularMetricError,
+)
 
 __all__ = [
     "Jet",
@@ -129,6 +134,19 @@ class JetPoint:
 @lru_cache(maxsize=None)
 def _placements(k: int, j: int):
     return tuple(itertools.combinations(range(k), j))
+
+
+@lru_cache(maxsize=None)
+def _moved(ndim: int, k: int, S) -> tuple:
+    """The axis order ``np.moveaxis`` gives an array of ``ndim`` axes when
+    the first ``len(S)`` of its ``k`` trailing jet axes move to slots ``S``
+    of them."""
+    src = [ndim - k + m for m in range(len(S))]
+    dst = [ndim - k + s for s in S]
+    order = [q for q in range(ndim) if q not in src]
+    for d, q in sorted(zip(dst, src)):
+        order.insert(d, q)
+    return tuple(order)
 
 
 def _partitions_of(elems):
@@ -406,9 +424,7 @@ class Jet:
                     positions.extend(block)
                     used += b
                 if positions != sorted(positions):
-                    src = [q - k for q in range(k)]
-                    dst = [q - k for q in positions]
-                    term = np.moveaxis(term, src, dst)
+                    term = term.transpose(_moved(term.ndim, k, tuple(positions)))
                 acc = acc + term
             out.append(acc)
         return Jet(N, K, out)
@@ -440,8 +456,8 @@ def _leibniz_mul(a, b, K):
     """Raw-coefficient product by the multilinear Leibniz rule.
 
     For each order k the k differentiation slots are split between the two
-    factors in every possible way; ``moveaxis`` routes each factor's jet axes
-    to its chosen subset of slots.
+    factors in every possible way; a transpose (:func:`_moved`) routes each
+    factor's jet axes to its chosen subset of slots.
     """
     nvars = a[1].shape[-1] if K >= 1 else 0
     base_shape = np.broadcast_shapes(a[0].shape, b[0].shape)
@@ -463,9 +479,7 @@ def _leibniz_mul(a, b, K):
                 if S == tuple(range(j)):
                     term = P
                 else:
-                    term = np.moveaxis(
-                        P, [m - k for m in range(j)], [s - k for s in S]
-                    )
+                    term = P.transpose(_moved(P.ndim, k, S))
                 acc = term if acc is None else acc + term
         if acc is None:
             acc = np.zeros(base_shape + (nvars,) * k)
@@ -488,78 +502,101 @@ def _as_jet(x, like: Jet) -> Jet:
     return Jet.constant(x, like.nvars, like.order)
 
 
+@lru_cache(maxsize=None)
+def _einsum_plan(spec: str, K: int, kinds: str):
+    """Everything :func:`jet_einsum` derives from its spec alone, per order
+    k <= K; ``kinds`` names the Jet operands ("a", "b" or "ab").
+
+    For one Jet operand: the subscripts of each order.  For two: the
+    subscripts of the order-0 product, used for the shape of a vanishing
+    order, and per order k the terms ``(j, subscripts, placements)`` of the
+    Leibniz split, one axis order per placement of the a-side slots (None
+    when they stay in front).
+    """
+    if "." in spec:
+        raise ValueError(f"jet_einsum specs name every component axis: {spec!r}")
+    ins, outs = spec.split("->")
+    sa, sb = ins.split(",")
+    used = set(sa) | set(sb) | set(outs)
+    pool = "".join(c for c in _LETTERS if c not in used)
+    if kinds == "a":
+        return tuple(f"{sa}{pool[:k]},{sb}->{outs}{pool[:k]}" for k in range(K + 1))
+    if kinds == "b":
+        return tuple(f"{sa},{sb}{pool[:k]}->{outs}{pool[:k]}" for k in range(K + 1))
+    orders = []
+    for k in range(K + 1):
+        terms = []
+        for j in range(k + 1):
+            ja = pool[:j]
+            jb = pool[j:k]
+            placements = tuple(
+                None if S == tuple(range(j)) else _moved(len(outs) + k, k, S)
+                for S in _placements(k, j)
+            )
+            terms.append((j, f"{sa}{ja},{sb}{jb}->{outs}{ja}{jb}", placements))
+        orders.append(tuple(terms))
+    return f"{sa},{sb}->{outs}", tuple(orders)
+
+
 def jet_einsum(spec: str, a, b) -> Jet:
     """Two-operand einsum over component axes with the Leibniz rule on jets.
 
-    ``spec`` addresses only the component axes, e.g. ``"gmb,im->gib"``.
-    Either operand may be a plain ndarray (treated as a constant).
+    ``spec`` addresses only the component axes, e.g. ``"gmb,im->gib"``, and
+    names every one of them (no ``...``).  Either operand may be a plain
+    ndarray (treated as a constant).  The subscripts and slot placements
+    come from a plan made once per (spec, order, operand kinds).
     """
-    ins, outs = spec.split("->")
-    sa, sb = ins.split(",")
     a_is_jet = isinstance(a, Jet)
     b_is_jet = isinstance(b, Jet)
     if not (a_is_jet or b_is_jet):
         raise TypeError("at least one operand must be a Jet")
-    used = set(sa) | set(sb) | set(outs)
-    pool = [c for c in _LETTERS if c not in used]
     if a_is_jet and not b_is_jet:
         K, N = a.order, a.nvars
-        out = []
-        for k in range(K + 1):
-            ja = "".join(pool[:k])
-            out.append(np.einsum(f"{sa}{ja},{sb}->{outs}{ja}", a.coeffs[k], b))
-        return Jet(N, K, out)
+        subs = _einsum_plan(spec, K, "a")
+        return Jet(N, K, [np.einsum(subs[k], a.coeffs[k], b) for k in range(K + 1)])
     if b_is_jet and not a_is_jet:
         K, N = b.order, b.nvars
-        out = []
-        for k in range(K + 1):
-            jb = "".join(pool[:k])
-            out.append(np.einsum(f"{sa},{sb}{jb}->{outs}{jb}", a, b.coeffs[k]))
-        return Jet(N, K, out)
+        subs = _einsum_plan(spec, K, "b")
+        return Jet(N, K, [np.einsum(subs[k], a, b.coeffs[k]) for k in range(K + 1)])
     if a.nvars != b.nvars:
         raise ValueError("jets over different variable sets")
     K = min(a.order, b.order)
     N = a.nvars
+    base, orders = _einsum_plan(spec, K, "ab")
     out = []
-    for k in range(K + 1):
+    for k, terms in enumerate(orders):
         acc = None
-        for j in range(k + 1):
+        for j, subs, placements in terms:
             A = a.coeffs[j]
             B = b.coeffs[k - j]
             if j and not A.any():
                 continue
             if (k - j) and not B.any():
                 continue
-            ja = "".join(pool[:j])
-            jb = "".join(pool[j:k])
-            P = np.einsum(f"{sa}{ja},{sb}{jb}->{outs}{ja}{jb}", A, B)
-            for S in _placements(k, j):
-                if S == tuple(range(j)):
-                    term = P
-                else:
-                    term = np.moveaxis(
-                        P, [m - k for m in range(j)], [s - k for s in S]
-                    )
+            P = np.einsum(subs, A, B)
+            for perm in placements:
+                term = P if perm is None else P.transpose(perm)
                 acc = term if acc is None else acc + term
         if acc is None:
-            shape_probe = np.einsum(
-                f"{sa},{sb}->{outs}", a.coeffs[0], b.coeffs[0]
-            ).shape
+            shape_probe = np.einsum(base, a.coeffs[0], b.coeffs[0]).shape
             acc = np.zeros(shape_probe + (N,) * k)
         out.append(acc)
     return Jet(N, K, out)
 
 
-def jet_linear(spec: str, a: Jet) -> Jet:
-    """Single-operand einsum (trace, transpose, diagonal) applied per order."""
+@lru_cache(maxsize=None)
+def _linear_plan(spec: str, K: int) -> tuple:
+    """The subscripts of :func:`jet_linear` per order k <= K."""
     ins, outs = spec.split("->")
     used = set(ins) | set(outs)
-    pool = [c for c in _LETTERS if c not in used]
-    out = []
-    for k, c in enumerate(a.coeffs):
-        j = "".join(pool[:k])
-        out.append(np.einsum(f"{ins}{j}->{outs}{j}", c))
-    return Jet(a.nvars, a.order, out)
+    pool = "".join(c for c in _LETTERS if c not in used)
+    return tuple(f"{ins}{pool[:k]}->{outs}{pool[:k]}" for k in range(K + 1))
+
+
+def jet_linear(spec: str, a: Jet) -> Jet:
+    """Single-operand einsum (trace, transpose, diagonal) applied per order."""
+    subs = _linear_plan(spec, a.order)
+    return Jet(a.nvars, a.order, [np.einsum(s, c) for s, c in zip(subs, a.coeffs)])
 
 
 def jet_stack(jets) -> Jet:
@@ -578,8 +615,6 @@ def jet_matrix_inverse(a: Jet, cond_limit=1e12) -> Jet:
     Newton iteration X <- X (2I - A X); the number of correct Taylor orders
     doubles each step, so ceil(log2(order+1)) steps suffice.
     """
-    from .errors import SingularMetricError
-
     a0 = a.coeffs[0]
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
         raise ValueError("jet_matrix_inverse expects a square matrix jet")
@@ -723,9 +758,14 @@ class DiffConfig:
 
 
 class SeededPoint:
-    """Coordinates handed to a scalar field: floats or scalar jets."""
+    """Coordinates handed to a scalar field: floats or scalar jets.
 
-    __slots__ = ("t", "x", "xs", "p", "n")
+    ``memo`` maps the structural key of an expression node to its value at
+    this point (see :func:`~jetlag.field_expr.eval_field`); it lives as long
+    as the seeded point.
+    """
+
+    __slots__ = ("t", "x", "xs", "p", "n", "memo")
 
     def __init__(self, t, x, xs):
         self.t = t
@@ -733,6 +773,7 @@ class SeededPoint:
         self.xs = xs
         self.p = len(t)
         self.n = len(x)
+        self.memo = {}
 
 
 class ScalarField:
@@ -902,6 +943,26 @@ def _dep_coords(f: ScalarField, p: int, n: int):
     return out
 
 
+def _probe_pairs(f: ScalarField, pt: JetPoint, coords, config: DiffConfig) -> list:
+    """``(wrt, taylor, fd)`` for every first and second partial of ``f`` at
+    ``pt`` over ``coords``; see :func:`check_grad`."""
+    p, n = pt.dims
+    res = f(seed_point(pt, 2, f.deps))
+    idx = [coord_index(p, n, c) for c in coords]
+    probes = [((c,), (i,)) for c, i in zip(coords, idx)]
+    probes += [
+        ((coords[k], coords[m]), (idx[m], idx[k]))
+        for k in range(len(coords))
+        for m in range(k, len(coords))
+    ]
+    out = []
+    for wrt, key in probes:
+        # a field that ignores the seeded jets returns a plain number
+        a = float(res.coeffs[len(key)][key]) if isinstance(res, Jet) else 0.0
+        out.append((wrt, a, fd_partial(f, pt, list(wrt), config)))
+    return out
+
+
 def check_grad(f: ScalarField, pts, config: DiffConfig) -> AgreementReport:
     """Compare first and second partials between taylor and fd at each point.
 
@@ -910,7 +971,9 @@ def check_grad(f: ScalarField, pts, config: DiffConfig) -> AgreementReport:
     and ``coeffs[2][j, i]`` for ``wrt = (c_i, c_j)``, the entry
     :func:`eval_derivs` reaches by taking ``.partial(i)`` then
     ``.partial(j)`` (the order-2 coefficient is not bitwise symmetric).
-    The finite-difference side runs :func:`fd_partial` per probe.
+    The finite-difference side runs :func:`fd_partial` per probe.  A domain
+    or singular-metric error raised while a point is evaluated names that
+    point as its ``witness``.
     """
     worst = 0.0
     worst_pt = -1
@@ -926,18 +989,13 @@ def check_grad(f: ScalarField, pts, config: DiffConfig) -> AgreementReport:
             raise OrderExceededError(
                 f"derivative order 2 exceeds budget {config.max_order}"
             )
-        res = f(seed_point(pt, 2, f.deps))
-        idx = [coord_index(p, n, c) for c in coords]
-        probes = [((c,), (i,)) for c, i in zip(coords, idx)]
-        probes += [
-            ((coords[k], coords[m]), (idx[m], idx[k]))
-            for k in range(len(coords))
-            for m in range(k, len(coords))
-        ]
-        for wrt, key in probes:
-            # a field that ignores the seeded jets returns a plain number
-            a = float(res.coeffs[len(key)][key]) if isinstance(res, Jet) else 0.0
-            b = fd_partial(f, pt, list(wrt), config)
+        try:
+            pairs = _probe_pairs(f, pt, coords, config)
+        except (DerivativeDomainError, EvalDomainError, SingularMetricError) as exc:
+            if exc.witness is None:
+                exc.witness = pt
+            raise
+        for wrt, a, b in pairs:
             if not (np.isfinite(a) and np.isfinite(b)):
                 nans.append((ip, wrt))
                 continue

@@ -6,7 +6,13 @@ that tests and the CLI can distinguish them without string matching.
 
 
 class JetlagError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``witness`` is the sample point the error was raised at, where the
+    raiser or a caller that evaluated the point knows it, else None.
+    """
+
+    witness = None
 
 
 class ContractMismatchError(JetlagError):

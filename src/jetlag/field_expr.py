@@ -16,10 +16,22 @@ propagation.  Domain violations (log of a non-positive number, division by
 zero, fractional power of a negative base) surface as
 :class:`~jetlag.errors.EvalDomainError` carrying the offending node's byte
 offset; evaluation never returns NaN silently.
+
+Every AST node has a structural key: equal subtrees get equal keys whatever
+their source positions, across all fields of the process, and a number is
+keyed by its exact bits, so ``0.0`` and ``-0.0`` stay apart.  Keys are
+hash-consed once, when an :class:`ExprField` is built.  :func:`eval_field`
+memoises each non-leaf node's value on the :class:`SeededPoint` under that
+key, so a subexpression shared by several fields evaluated at one seeded
+point (the refraction index in every optic metric entry, say) is computed
+once.  The memo lives as long as the seeded point, and a frame seeds fresh
+points for every grid it evaluates.  A node that raises stores nothing, so
+each field re-raises with its own offset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,10 +323,41 @@ def parse_field(src: str, dims):
 # evaluation
 # --------------------------------------------------------------------------
 
+# node structure -> its key, an object compared by identity: a pure cache,
+# since a structure always maps to the same key.  A key copied into another
+# process matches nothing there, so it can miss but never alias.
+_KEYS: dict = {}
+
+
+def _intern(node):
+    """The structural key of ``node``, hash-consed on first use and stored on
+    the node (positions are not part of it)."""
+    key = node.__dict__.get("_key")
+    if key is not None:
+        return key
+    if isinstance(node, Num):
+        sig = ("num", float(node.value).hex())
+    elif isinstance(node, Coord):
+        sig = ("coord", node.kind, node.i, node.a)
+    elif isinstance(node, Neg):
+        sig = ("neg", _intern(node.child))
+    elif isinstance(node, Binary):
+        sig = ("bin", node.op, _intern(node.left), _intern(node.right))
+    elif isinstance(node, Call):
+        sig = ("call", node.fn, _intern(node.arg))
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    key = _KEYS.get(sig)
+    if key is None:
+        key = _KEYS[sig] = object()
+    object.__setattr__(node, "_key", key)
+    return key
+
+
 def _finite(v) -> bool:
     if isinstance(v, Jet):
-        return all(np.all(np.isfinite(c)) for c in v.coeffs)
-    return bool(np.isfinite(v))
+        return all(np.isfinite(c).all() for c in v.coeffs)
+    return math.isfinite(v)
 
 
 def eval_field(ast, spt):
@@ -323,6 +366,12 @@ def eval_field(ast, spt):
     Derivatives propagate exactly when coordinates are jets.  Any domain
     violation or non-finite intermediate raises
     :class:`~jetlag.errors.EvalDomainError` located at the offending node.
+
+    Each non-leaf node is computed once per seeded point: its value is kept
+    in ``spt.memo`` under the node's structural key (see the module
+    docstring), and any field evaluated later on the same ``spt`` reads it
+    from there.  Leaves (numbers, coordinates) are not memoised, and a node
+    that raises is never stored.
     """
     if isinstance(ast, Num):
         return ast.value
@@ -332,9 +381,13 @@ def eval_field(ast, spt):
         if ast.kind == "x":
             return spt.x[ast.i]
         return spt.xs[ast.i][ast.a]
+    key = _intern(ast)
+    out = spt.memo.get(key)
+    if out is not None:
+        return out
     if isinstance(ast, Neg):
-        return -eval_field(ast.child, spt)
-    if isinstance(ast, Binary):
+        out = -eval_field(ast.child, spt)
+    elif isinstance(ast, Binary):
         lhs = eval_field(ast.left, spt)
         rhs = eval_field(ast.right, spt)
         try:
@@ -355,10 +408,11 @@ def eval_field(ast, spt):
             raise EvalDomainError("division by zero", offset=ast.pos)
         except DerivativeDomainError as e:
             raise EvalDomainError(str(e), offset=ast.pos)
+        except OverflowError:  # float ** float
+            raise EvalDomainError("non-finite result", offset=ast.pos)
         if not _finite(out):
             raise EvalDomainError("non-finite result", offset=ast.pos)
-        return out
-    if isinstance(ast, Call):
+    elif isinstance(ast, Call):
         arg = eval_field(ast.arg, spt)
         try:
             out = _FUNCTIONS[ast.fn](arg)
@@ -366,10 +420,14 @@ def eval_field(ast, spt):
             raise EvalDomainError(str(e), offset=ast.pos)
         except ValueError as e:
             raise EvalDomainError(str(e), offset=ast.pos)
+        except OverflowError:  # math.exp of a float
+            raise EvalDomainError("non-finite result", offset=ast.pos)
         if not _finite(out):
             raise EvalDomainError("non-finite result", offset=ast.pos)
-        return out
-    raise TypeError(f"not an AST node: {ast!r}")
+    else:
+        raise TypeError(f"not an AST node: {ast!r}")
+    spt.memo[key] = out
+    return out
 
 
 def _float_pow(base: float, expo: float, pos: int) -> float:
@@ -498,6 +556,7 @@ class ExprField(ScalarField):
         else:
             self.ast = src
             self.src = render(src)
+        _intern(self.ast)
         self.dims = tuple(dims)
         self.deps = frozenset(deps)
         self._name = name or self.src

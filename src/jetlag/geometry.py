@@ -262,29 +262,32 @@ class Frame:
         self.p = ctx.p
         self.n = ctx.n
         self.N = coord_count(ctx.p, ctx.n)
-        self._seeded = {}
 
-    # -- seeding and field evaluation ------------------------------------
-
-    def spt(self, deps, order=None):
-        order = self.order if order is None else order
-        key = (frozenset(deps), order)
-        if key not in self._seeded:
-            self._seeded[key] = seed_point(self.pt, order, frozenset(deps))
-        return self._seeded[key]
+    # -- field evaluation ----------------------------------------------------
 
     def eval_scalar(self, f: ScalarField, order=None) -> Jet:
-        res = f(self.spt(f.deps, order))
-        if isinstance(res, Jet):
-            return res
-        return Jet.constant(
-            float(res), self.N, self.order if order is None else order
-        )
+        return self._eval_fields([f], order)[0]
 
     def eval_grid(self, grid: np.ndarray, order=None) -> Jet:
-        jets = [self.eval_scalar(grid[idx], order) for idx in np.ndindex(grid.shape)]
-        stacked = jet_stack(jets)
-        return stacked.reshape_components(grid.shape)
+        jets = self._eval_fields([grid[idx] for idx in np.ndindex(grid.shape)], order)
+        return jet_stack(jets).reshape_components(grid.shape)
+
+    def _eval_fields(self, fields, order) -> list:
+        """Evaluate ``fields`` at this point, as jets of ``order`` (default:
+        the frame's).  Fields with the same dependency groups share one
+        seeded point, and with it the subexpression memo; the points are
+        seeded for this call only, so a cached frame keeps no memo."""
+        order = self.order if order is None else order
+        spts = {}
+        out = []
+        for f in fields:
+            deps = frozenset(f.deps)
+            spt = spts.get(deps)
+            if spt is None:
+                spt = spts[deps] = seed_point(self.pt, order, deps)
+            res = f(spt)
+            out.append(res if isinstance(res, Jet) else Jet.constant(float(res), self.N, order))
+        return out
 
     # -- coordinates -------------------------------------------------------
 

@@ -486,26 +486,28 @@ def test_maxwell_error_precedence(tmp_path):
     assert rep["checks"]["metricity"]["error"].startswith("matrix is singular")
 
 
+def _load_bench(monkeypatch, name):
+    """A module of perfbench/, loaded read-only under its own name."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def test_benchmark_trace_targets_resolve(monkeypatch):
     # the traced benchmark run wraps these names; a refactor that drops one
     # fails there, and here
     import importlib
-    import importlib.util
 
     from jetlag import cli
 
-    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-
-    def load(name):
-        spec = importlib.util.spec_from_file_location(
-            name, os.path.join(bench, f"{name}.py"))
-        mod = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, name, mod)
-        spec.loader.exec_module(mod)
-        return mod
-
-    bench_spec = load("spec")
-    spans = load("spans")
+    bench_spec = _load_bench(monkeypatch, "spec")
+    spans = _load_bench(monkeypatch, "spans")
     for modname, attr, *_ in spans.TARGETS + spans.ORDER_TARGETS:
         mod = importlib.import_module(f"jetlag.{modname}")
         if "." in attr:
@@ -515,3 +517,83 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
             assert callable(getattr(mod, attr, None)), (modname, attr)
     assert set(bench_spec.CHECKS) <= set(cli._RUNNERS)
     assert all(callable(fn) for fn in cli._RUNNERS.values())
+
+
+def test_benchmark_workload_digests(tmp_path, monkeypatch):
+    # every benchmark run is checked against these references; a change
+    # that moves one report byte fails here before the benchmark runs
+    bench_spec = _load_bench(monkeypatch, "spec")
+    for name, ref in bench_spec.WORKLOADS.items():
+        rc, rep = run_to(tmp_path, bench_spec.make_config(name, None),
+                         name=f"{name}.json", out=f"{name}.report.json")
+        text = (tmp_path / f"{name}.report.json").read_text()
+        statuses = {check: doc["status"] for check, doc in rep["checks"].items()}
+        assert statuses == ref["statuses"], name
+        assert rc == ref["exit_code"], name
+        digest = hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest()
+        assert digest == ref["digest"], name
+
+
+# g = diag(log(x1), 1) leaves the log domain at x1 <= 0
+LOG_DOMAIN_CFG = dict(
+    _custom_g_cfg([["log(x[1])", "0"], ["0", "1"]]),
+    points={"explicit": [_explicit_point(2.0), _explicit_point(-0.5)]},
+    checks=["grad-check"],
+)
+
+
+def test_grad_check_names_its_witness(tmp_path):
+    rc, rep = run_to(tmp_path, LOG_DOMAIN_CFG)
+    assert rc == 1
+    doc = rep["checks"]["grad-check"]
+    assert doc["status"] == "fail"
+    assert doc["error"] == "log of a non-positive value"
+    assert doc["witness"] == LOG_DOMAIN_CFG["points"]["explicit"][1]
+
+
+# g = diag(x1, 1): signature ((1, 1), (-1, 1)) at point 0, ((1, 1), (1, 1))
+# at point 1
+SIGNATURE_FLIP_CFG = dict(
+    _custom_g_cfg([["x[1]", "0"], ["0", "1"]]),
+    points={"explicit": [_explicit_point(-0.5), _explicit_point(0.5)]},
+)
+
+
+@pytest.mark.parametrize("checks", [
+    ["metricity", "curvature", "einstein"],
+    ["einstein", "curvature", "metricity"],
+    ["regularity", "torsion", "curvature"],
+])
+def test_explicit_run_signature_from_first_point(tmp_path, monkeypatch, checks):
+    from jetlag import cli
+    from jetlag.geometry import GeometryContext
+
+    # the signature is recorded from point 0 before any check runs, so the
+    # check order cannot change which point is held to which signature
+    events = []
+    record = GeometryContext._check_signature
+
+    def check_signature(ctx, pt, h_val, g_val):
+        events.append(("signature", pt.x[0]))
+        return record(ctx, pt, h_val, g_val)
+
+    monkeypatch.setattr(GeometryContext, "_check_signature", check_signature)
+    for name in checks:
+        def step(*args, _name=name, _fn=cli._RUNNERS[name]):
+            events.append(("check", _name))
+            return _fn(*args)
+
+        monkeypatch.setitem(cli._RUNNERS, name, step)
+    rc, rep = run_to(tmp_path, dict(SIGNATURE_FLIP_CFG, checks=checks))
+    assert events[0] == ("signature", -0.5)
+    assert rc == 1
+    flip = SIGNATURE_FLIP_CFG["points"]["explicit"][1]
+    for name in checks:
+        doc = rep["checks"][name]
+        if name in ("regularity", "torsion"):
+            assert doc["status"] == "pass"  # neither evaluates g
+            continue
+        assert doc["error"] == ("metric signature changed between sample "
+                                "points: recorded ((1, 1), (-1, 1)), found "
+                                "((1, 1), (1, 1))")
+        assert doc["witness"] == flip

@@ -1,11 +1,12 @@
 """Parser and expression-field suite: grammar corpus, errors, round trips."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlag.diff_engine import float_point, seed_point
+from jetlag.diff_engine import JetPoint, float_point, seed_point
 from jetlag.errors import (
     EvalDomainError,
     FieldValidationError,
@@ -59,6 +60,17 @@ def test_domain_errors(src):
     ast = parse_field(src, CORPUS_DIMS)
     with pytest.raises(EvalDomainError):
         eval_field(ast, float_point(CORPUS_POINT))
+
+
+@pytest.mark.parametrize("src,offset", [("1 + exp(1000)*x[1]", 4),
+                                        ("x[1] - 10^400", 9)])
+@pytest.mark.parametrize("seed", [float_point, lambda pt: seed_point(pt, 1)],
+                         ids=["float", "jet"])
+def test_float_overflow_is_a_domain_error(src, offset, seed):
+    # constant subexpressions stay floats even on seeded jets
+    with pytest.raises(EvalDomainError, match="non-finite") as exc:
+        ExprField(src, CORPUS_DIMS)(seed(CORPUS_POINT))
+    assert exc.value.offset == offset
 
 
 def test_corpus_size():
@@ -135,3 +147,55 @@ def test_fixpoint_property(src):
     ast2 = parse_field(printed, CORPUS_DIMS)
     assert ast_equal(ast, ast2)
     assert render(ast2) == printed
+
+
+# --------------------------------------------------------------------------
+# subexpression memo
+# --------------------------------------------------------------------------
+
+MEMO_POINT = JetPoint.of([0.1, 0.2], [-1.0, 0.5], [[0.3, 0.4], [0.5, 0.6]])
+
+
+@pytest.mark.parametrize("seed", [float_point, lambda pt: seed_point(pt, 2)],
+                         ids=["float", "jet"])
+def test_memo_never_stores_errors(seed):
+    # log(x[1]) is shared by both fields and fails at x1 = -1: the second
+    # field re-raises at its own offset, not the first field's
+    spt = seed(MEMO_POINT)
+    for src, offset in (("log(x[1])", 0), ("2 + log(x[1])", 4)):
+        with pytest.raises(EvalDomainError) as exc:
+            ExprField(src, CORPUS_DIMS)(spt)
+        assert exc.value.offset == offset
+    assert spt.memo == {}
+
+
+def test_memo_computes_shared_subtree_once(monkeypatch):
+    from jetlag import field_expr
+
+    calls = []
+    exp = field_expr._FUNCTIONS["exp"]
+    monkeypatch.setitem(field_expr._FUNCTIONS, "exp",
+                        lambda v: calls.append(v) or exp(v))
+    spt = seed_point(MEMO_POINT, 2)
+    a = ExprField("exp(x[2]*t[1])*2", CORPUS_DIMS)(spt)
+    b = ExprField("1 + exp(x[2] * t[1])", CORPUS_DIMS)(spt)
+    assert len(calls) == 1
+    fresh = seed_point(MEMO_POINT, 2)
+    for got, src in ((a, "exp(x[2]*t[1])*2"), (b, "1 + exp(x[2] * t[1])")):
+        want = eval_field(parse_field(src, CORPUS_DIMS), fresh)
+        for cg, cw in zip(got.coeffs, want.coeffs):
+            assert np.array_equal(cg, cw)
+
+
+def test_memo_keys_are_structural():
+    from jetlag.field_expr import Binary, Coord, Num, _intern
+
+    x1 = Coord("x", 0, 0)
+    assert _intern(Num(0.0)) != _intern(Num(-0.0))
+    assert _intern(Binary("*", Num(2.0), x1, pos=0)) == _intern(
+        Binary("*", Num(2.0), Coord("x", 0, 0, pos=9), pos=5))
+    spt = float_point(MEMO_POINT)
+    plus = ExprField(Binary("*", Num(0.0), x1), CORPUS_DIMS)(spt)
+    minus = ExprField(Binary("*", Num(-0.0), x1), CORPUS_DIMS)(spt)
+    assert math.copysign(1.0, plus) == -1.0  # 0.0 * -1.0
+    assert math.copysign(1.0, minus) == 1.0  # -0.0 * -1.0

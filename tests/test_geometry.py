@@ -381,3 +381,63 @@ def test_signature_recorded_from_accepted_points_only():
     with pytest.raises(RegularityViolationError, match="signature changed") as exc:
         frame(ctx, flip, 0).g_jet
     assert exc.value.witness is flip
+
+
+OPTIC_PARAMS = {
+    "h": [["1", "0"], ["0", "1 + t[1]^2"]],
+    "phi": [["1 + x[1]^2", "0"], ["0", "1 + x[2]^2"]],
+    "n": "1 + 0.5/(1+x[1]^2)",
+    "X": ["1", "1 - t[2]"],
+}
+OPTIC_POINT = JetPoint.of([0.1, 0.2], [0.3, -0.4], [[0.5, -0.2], [0.1, 0.3]])
+
+
+def test_optic_metric_evaluates_refraction_index_once(monkeypatch):
+    # every g entry holds n = 1 + 0.5/(1+x1^2) and 1/n, and its domain
+    # guard evaluates n again: once per grid, that is two reciprocals
+    from jetlag.diff_engine import Jet
+    from jetlag.spaces import build_space
+
+    calls = []
+    reciprocal = Jet._reciprocal
+    monkeypatch.setattr(Jet, "_reciprocal",
+                        lambda self: calls.append(1) or reciprocal(self))
+    ctx = build_space("optic", OPTIC_PARAMS)
+    frame(ctx, OPTIC_POINT, 2).g_jet
+    assert len(calls) == 2
+
+
+def _seeded_points(obj):
+    from jetlag.diff_engine import SeededPoint
+
+    if isinstance(obj, SeededPoint):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [s for item in obj for s in _seeded_points(item)]
+    return []
+
+
+def test_cached_frames_keep_no_memo():
+    from jetlag.spaces import build_space
+
+    ctx = build_space("optic", OPTIC_PARAMS)
+    for order in (0, 2):
+        frame(ctx, OPTIC_POINT, order).g_jet
+    assert len(ctx._frames) == 2
+    for fr in ctx._frames.values():
+        assert all(not spt.memo for spt in _seeded_points(vars(fr)))
+
+
+def test_grid_keeps_signed_zeros(ctx_flat22):
+    from jetlag.field_expr import Binary, Coord, Num
+    from jetlag.geometry import Frame
+
+    # 0.0*x1 and -0.0*x1 differ only in the sign of a zero literal
+    x1 = Coord("x", 0, 0)
+    grid = np.empty((2,), dtype=object)
+    grid[0] = ExprField(Binary("*", Num(0.0), x1), (2, 2))
+    grid[1] = ExprField(Binary("*", Num(-0.0), x1), (2, 2))
+    val = Frame(ctx_flat22, OPTIC_POINT, 1).eval_grid(grid).value
+    assert [np.copysign(1.0, v) for v in val] == [1.0, -1.0]
