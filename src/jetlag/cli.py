@@ -34,12 +34,10 @@ from .em_field import (
     require_torsion_free,
 )
 from .errors import (
+    POINT_ERRORS,
     ConfigError,
-    DerivativeDomainError,
-    EvalDomainError,
     JetlagError,
     ParseError,
-    SingularMetricError,
 )
 from .geometry import (
     ChristoffelOfPhi,
@@ -493,15 +491,11 @@ class CheckOutcome:
         }
 
 
-# errors a point's fields raise without naming the point
-_POINT_ERRORS = (SingularMetricError, EvalDomainError, DerivativeDomainError)
-
-
 def _error_outcome(exc: JetlagError, pt=None) -> CheckOutcome:
     """The outcome of a check that raised ``exc``, while evaluating ``pt``
     if given."""
     witness = exc.witness
-    if witness is None and isinstance(exc, _POINT_ERRORS):
+    if witness is None and isinstance(exc, POINT_ERRORS):
         witness = pt
     return CheckOutcome(
         status="fail", max_abs=None, mean_abs=None, measure="error",
@@ -641,6 +635,11 @@ def _fold_conservation(pts, per, tol):
                         measure="max_rel", detail=detail)
 
 
+def _abs_rel(stats: dict) -> dict:
+    return {nm: {"max_abs": st.max_abs, "max_rel": st.max_rel}
+            for nm, st in stats.items()}
+
+
 def _run_natural_form(ctx, pts, tol):
     rep = natural_form_checks(ctx, pts)
     construction = {
@@ -651,23 +650,15 @@ def _run_natural_form(ctx, pts, tol):
     hard = [v for v in construction.values() if v is not None]
     detail = {"construction": construction}
     if rep.new_law_residuals:
-        detail["rewritten_laws"] = {
-            nm: {"max_abs": st.max_abs, "max_rel": st.max_rel}
-            for nm, st in rep.new_law_residuals.items()
-        }
+        detail["rewritten_laws"] = _abs_rel(rep.new_law_residuals)
         hard += [st.max_rel for st in rep.new_law_residuals.values()]
     stated_worst = 0.0
     if rep.identity_residuals:
-        detail["identities_stated"] = {
-            nm: {"max_abs": st.max_abs, "max_rel": st.max_rel}
-            for nm, st in rep.identity_residuals.items()
-        }
+        detail["identities_stated"] = _abs_rel(rep.identity_residuals)
         stated_worst = max(st.max_rel for st in rep.identity_residuals.values())
     if rep.identity_residuals_derived:
-        detail["identities_contracted_cyclic"] = {
-            nm: {"max_abs": st.max_abs, "max_rel": st.max_rel}
-            for nm, st in rep.identity_residuals_derived.items()
-        }
+        detail["identities_contracted_cyclic"] = _abs_rel(
+            rep.identity_residuals_derived)
         hard += [st.max_rel
                  for st in rep.identity_residuals_derived.values()]
     worst_hard = max(hard) if hard else 0.0

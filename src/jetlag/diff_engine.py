@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    POINT_ERRORS,
     DerivativeDomainError,
-    EvalDomainError,
     OrderExceededError,
     SingularMetricError,
 )
@@ -263,7 +263,8 @@ class Jet:
         out = []
         for k in range(self.order):
             c = self.coeffs[k + 1][..., var_slice]  # shape + (N,)*k + (G,)
-            c = np.moveaxis(c, -1, cn)
+            # the k jet axes move behind G, as np.moveaxis(c, -1, cn) would
+            c = c.transpose(_moved(c.ndim, k + 1, tuple(range(1, k + 1))))
             if newshape is not None:
                 c = c.reshape(c.shape[:cn] + tuple(newshape) + (self.nvars,) * k)
             out.append(c)
@@ -991,7 +992,7 @@ def check_grad(f: ScalarField, pts, config: DiffConfig) -> AgreementReport:
             )
         try:
             pairs = _probe_pairs(f, pt, coords, config)
-        except (DerivativeDomainError, EvalDomainError, SingularMetricError) as exc:
+        except POINT_ERRORS as exc:
             if exc.witness is None:
                 exc.witness = pt
             raise

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff_engine import JetPoint, Jet
+from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import TorsionPreconditionError
 from .geometry import (
     FromLagrangian,
@@ -31,7 +31,6 @@ from .geometry import (
     frame,
     nlc_torsion_free_check,
 )
-from .diff_engine import jet_einsum, jet_linear
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -61,13 +60,9 @@ def _x_low_jet(fr) -> Jet:
     return jet_einsum("am,pm->pa", fr.h_inv, gx)
 
 
-def _t_torsion_jet(fr) -> Jet:
-    """T^m_{bk} = -G^m_{kb}, axes [m, b, k]."""
-    return jet_linear("mkb->mbk", fr.Gc_jet) * (-1.0)
-
-
 def _metrical_jets(fr):
-    """(x_low, Dbar, Dmet, dmet) as jets via the generic covariant rules."""
+    """(x_low, Dbar, Dmet, dmet) as jets via the generic covariant rules;
+    read through ``fr.shared`` so each frame derives them once."""
     x_low = _x_low_jet(fr)
     return (
         x_low,
@@ -128,7 +123,7 @@ def deflection_set(ctx: GeometryContext, pt: JetPoint) -> DeflectionSet:
         "ijmb,ma->iajb", Cc, xs
     )
 
-    x_low, Dbar, Dmet, dmet = _metrical_jets(fr)
+    x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
     return DeflectionSet(
         raw_temporal=raw_t,
         raw_spatial=raw_s,
@@ -254,10 +249,10 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     is not checked here; see :func:`maxwell_residuals`.
     """
     fr = frame(ctx, pt, 2)
-    x_low, Dbar, Dmet, dmet = _metrical_jets(fr)
+    x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
     F = (Dmet - jet_linear("iaj->jai", Dmet)) * 0.5
     f = (dmet - jet_linear("iajb->jaib", dmet)) * 0.5
-    Tt = _t_torsion_jet(fr)
+    Tt = fr.tor_T_jet
     Cc = fr.Cc_jet
     R2 = fr.tor_R2_jet
     out = []
@@ -379,12 +374,12 @@ def deflection_identity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     fr = frame(ctx, pt, 2)
     xs = fr.xs_jet
     Cc = fr.Cc_jet
-    Tt = _t_torsion_jet(fr)
+    Tt = fr.tor_T_jet
 
     rbar = fr.cov_t(xs, (V_UP,))  # [i,a,b]
     rD = fr.cov_s(xs, (V_UP,))  # [i,a,j]
     rd = fr.cov_v(xs, (V_UP,))  # [i,a,j,b]
-    x_low, Dbar, Dmet, dmet = _metrical_jets(fr)
+    x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
 
     def mx(j: Jet) -> float:
         return float(np.max(np.abs(j.value)))
@@ -489,7 +484,7 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
         _require_budget(ctx, 2, "bracket identities")
     fr = frame(ctx, pt, 2)
     Cc = fr.Cc_jet
-    Tt = _t_torsion_jet(fr)
+    Tt = fr.tor_T_jet
     res = {}
 
     # b1: A_{j,k} { R^l_{jak} + T^l_{aj|k} + C^{l(u)}_{k(m)} R^(m)_(u)aj } = 0

@@ -118,3 +118,8 @@ class ConfigError(JetlagError):
     def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
+
+
+# errors a point's fields raise without naming the point; whoever evaluated
+# the point sets their witness
+POINT_ERRORS = (SingularMetricError, EvalDomainError, DerivativeDomainError)

@@ -248,7 +248,10 @@ class Frame:
     """Lazy jet pipeline of one (context, point, order) triple.
 
     Every cached property is a Jet whose component axes follow the block's
-    logical indices; ``.value`` peels the point values.
+    logical indices; ``.value`` peels the point values.  A block that
+    several checks derive outside this module (the conservation-law
+    right-hand sides, the metrical deflections) is built once per frame
+    through :meth:`shared`, so it is cached and evicted with the frame.
     """
 
     def __init__(self, ctx: GeometryContext, pt: JetPoint, order: int):
@@ -262,6 +265,13 @@ class Frame:
         self.p = ctx.p
         self.n = ctx.n
         self.N = coord_count(ctx.p, ctx.n)
+        self._shared = {}
+
+    def shared(self, block):
+        """``block(self)``, computed on the first call and kept per frame."""
+        if block not in self._shared:
+            self._shared[block] = block(self)
+        return self._shared[block]
 
     # -- field evaluation ----------------------------------------------------
 
@@ -561,6 +571,11 @@ class Frame:
         return out
 
     # -- torsion ---------------------------------------------------------------
+
+    @cached_property
+    def tor_T_jet(self) -> Jet:
+        """T^m_bk = -G^m_kb; axes [m,b,k]."""
+        return jet_linear("mkb->mbk", self.Gc_jet) * (-1.0)
 
     @cached_property
     def tor_P2_jet(self) -> Jet:
@@ -874,28 +889,14 @@ def adapted_deriv(ctx: GeometryContext, f: ScalarField, pt: JetPoint, direction)
     Indices 0-based.
     """
     fr = frame(ctx, pt, 1)
-    spt = seed_point(pt, 1, f.deps)
-    res = f(spt)
-    if not isinstance(res, Jet):
-        res = Jet.constant(float(res), fr.N, 1)
-    p, n = ctx.p, ctx.n
+    F = fr.eval_scalar(f)
     kind = direction[0]
-    if kind == "xs":
-        return float(res.partial(coord_index(p, n, direction)).value)
-    dxs = np.array(
-        [
-            [float(res.partial(coord_index(p, n, ("xs", j, b))).value) for b in range(p)]
-            for j in range(n)
-        ]
-    )
     if kind == "t":
-        a = direction[1]
-        raw = float(res.partial(coord_index(p, n, ("t", a))).value)
-        return raw - float(np.sum(fr.M_jet.value[:, :, a] * dxs))
+        return float(fr.delta_t(F).value[direction[1]])
     if kind == "x":
-        i = direction[1]
-        raw = float(res.partial(coord_index(p, n, ("x", i))).value)
-        return raw - float(np.sum(fr.N_jet.value[:, :, i] * dxs))
+        return float(fr.delta_x(F).value[direction[1]])
+    if kind == "xs":
+        return float(fr.ddxs(F).value[direction[1], direction[2]])
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -974,9 +975,8 @@ def cov_deriv(ctx: GeometryContext, tensor_field: JetTensorField, pt: JetPoint, 
 def torsion_set(ctx: GeometryContext, pt: JetPoint) -> TorsionSet:
     """All eight torsion blocks of the Cartan canonical connection."""
     fr = frame(ctx, pt, 2)
-    Gc = fr.Gc_jet.value
     return TorsionSet(
-        T=-np.transpose(Gc, (0, 2, 1)).copy(),
+        T=fr.tor_T_jet.value.copy(),
         P1=fr.Cc_jet.value.copy(),
         P2=fr.tor_P2_jet.value.copy(),
         P3=fr.tor_P3_jet.value.copy(),

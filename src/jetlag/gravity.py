@@ -22,17 +22,23 @@ H^a_b = h^{am} H_mb, R^i_b = g^{im} R_mb, R^i_j = g^{im} R_mj,
 P^(i)_(a)b = g^{im} h_{au} P^(u)_(m)b, P^{i(b)}_(j) = g^{im} P^(b)_m(j),
 P^(i)_(a)j = g^{im} h_{au} P^(u)_(m)j and
 S^(i)(b)_(a)(j) = g^{im} h_{au} S^(u)(b)_(m)(j).
+
+The rewritten laws of the natural form keep these right-hand sides: the
+divergences of the raised R and P blocks are derived once per frame
+(:func:`_law_rhs`) and read by both law checks.  The natural-form checks
+build each point's trace-adjusted Einstein jets once and pass them to the
+identities and the rewritten laws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diff_engine import JetPoint, jet_einsum, jet_linear
 from .em_field import ResidualStats, _Agg
-from .errors import NaturalFormUnavailableError, VacuumConstantError
+from .errors import POINT_ERRORS, NaturalFormUnavailableError, VacuumConstantError
 from .geometry import FromLagrangian, GeometryContext, _require_budget, frame
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
@@ -192,23 +198,29 @@ def _raised_p_jets(fr):
     return Pvt, Pvs, Psb
 
 
+def _law_rhs(fr):
+    """(div_R, div_P1, div_P2, div_P3): the divergences of the raised R and
+    P blocks on the right of the laws, read through ``fr.shared``."""
+    Pvt, Pvs, Psb = _raised_p_jets(fr)
+    Rup = jet_einsum("im,mb->ib", fr.g_inv, fr.ricci_Rmt_jet)
+    return (jet_linear("ibi->b", fr.cov_s(Rup, (S_UP, T_DN))),
+            jet_linear("iabia->b", fr.cov_v(Pvt, (V_UP, T_DN))),
+            jet_linear("iajia->j", fr.cov_v(Pvs, (V_UP, S_DN))),
+            jet_linear("ijbi->jb", fr.cov_s(Psb, (S_UP, V_DN))))
+
+
 def _laws_at(fr):
     """[(residual, constituent terms)] for the three laws at one frame."""
     X1, X2, X3 = _mixed_einstein_jets(fr)
-    Pvt, Pvs, Psb = _raised_p_jets(fr)
+    div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
 
     lhs1 = jet_linear("aba->b", fr.cov_t(X1, (T_UP, T_DN)))
-    Rup = jet_einsum("im,mb->ib", fr.g_inv, fr.ricci_Rmt_jet)
-    div_R = jet_linear("ibi->b", fr.cov_s(Rup, (S_UP, T_DN)))
-    div_P1 = jet_linear("iabia->b", fr.cov_v(Pvt, (V_UP, T_DN)))
     res1 = lhs1 + div_R + div_P1
 
     lhs2 = jet_linear("iji->j", fr.cov_s(X2, (S_UP, S_DN)))
-    div_P2 = jet_linear("iajia->j", fr.cov_v(Pvs, (V_UP, S_DN)))
     res2 = lhs2 + div_P2
 
     lhs3 = jet_linear("iajbia->jb", fr.cov_v(X3, (V_UP, V_DN)))
-    div_P3 = jet_linear("ijbi->jb", fr.cov_s(Psb, (S_UP, V_DN)))
     res3 = lhs3 + div_P3
 
     return [
@@ -270,17 +282,17 @@ class NaturalFormReport:
     p: int
     n: int
     K: float
-    traces: dict | None
-    tilde_traces: dict | None
-    scalars_direct: tuple
-    scalars_solved: tuple | None
-    scalars_from_tilde: tuple | None
-    tilde_tt: np.ndarray | None
-    tilde_ss: np.ndarray | None
-    tilde_vv: np.ndarray | None
-    e1prime_residual: float | None
-    trace_residual: float | None
-    roundtrip_residual: float | None
+    traces: dict | None = None
+    tilde_traces: dict | None = None
+    scalars_direct: tuple | None = None
+    scalars_solved: tuple | None = None
+    scalars_from_tilde: tuple | None = None
+    tilde_tt: np.ndarray | None = None
+    tilde_ss: np.ndarray | None = None
+    tilde_vv: np.ndarray | None = None
+    e1prime_residual: float | None = None
+    trace_residual: float | None = None
+    roundtrip_residual: float | None = None
     identity_residuals: dict | None = None
     identity_residuals_derived: dict | None = None
     new_law_residuals: dict | None = None
@@ -396,8 +408,9 @@ def _tilde_einstein_jets(fr):
     return Ett, Emix_t, Ess, Emix_s, Evv, Econ
 
 
-def _prop_identities_at(fr):
-    """Residuals of the trace-adjusted Einstein divergence identities.
+def _prop_identities_at(fr, tilde):
+    """Residuals of the trace-adjusted Einstein divergence identities, from
+    the frame's :func:`_tilde_einstein_jets` ``tilde``.
 
     Returns (displayed, derived): the curvature-product forms exactly as
     stated, and the forms obtained by contracting the cyclic differential
@@ -407,7 +420,7 @@ def _prop_identities_at(fr):
     nonzero defect while the contracted-cyclic forms close to machine
     precision, so both are reported.
     """
-    _, Emix_t, _, Emix_s, _, Econ = _tilde_einstein_jets(fr)
+    _, Emix_t, _, Emix_s, _, Econ = tilde
 
     id1 = jet_linear("aba->b", fr.cov_t(Emix_t, (T_UP, T_DN)))
 
@@ -464,8 +477,10 @@ def _prop_identities_at(fr):
     return displayed, derived
 
 
-def _new_laws_at(fr, K: float):
-    """Residuals of the rewritten conservation laws at one frame.
+def _new_laws_at(fr, tilde, K: float):
+    """Residuals of the rewritten conservation laws at one frame, from its
+    :func:`_tilde_einstein_jets` ``tilde``.  The divergences on the right
+    are the conservation laws' own (:func:`_law_rhs`, shared per frame).
 
     The scalar-trace terms enter with minus signs: the defining trace
     relations give T~_M = (2-n) R / (2K) and T~_v = (2-pn) S / (2K), so
@@ -474,22 +489,17 @@ def _new_laws_at(fr, K: float):
     with those relations.
     """
     p, n = fr.p, fr.n
-    Ett, Emix_t, Ess, Emix_s, Evv, Econ = _tilde_einstein_jets(fr)
+    _, Emix_t, _, Emix_s, Evv, Econ = tilde
 
     Tmix_t = Emix_t * (1.0 / K)
     Tmix_s = Emix_s * (1.0 / K)
     Tcon_v = Econ * (1.0 / K)
-    tT = jet_linear("aa->", jet_einsum("am,mb->ab", fr.h_inv, Ett)) * (1.0 / K)
-    tM = jet_linear("ii->", jet_einsum("im,mj->ij", fr.g_inv, Ess)) * (1.0 / K)
+    tT = jet_linear("aa->", Emix_t) * (1.0 / K)
+    tM = jet_linear("ii->", Emix_s) * (1.0 / K)
     tmp = jet_einsum("ab,iajb->ij", fr.h_jet, Evv)
     tv = jet_linear("ii->", jet_einsum("im,mj->ij", fr.g_inv, tmp)) * (1.0 / K)
 
-    Pvt, Pvs, Psb = _raised_p_jets(fr)
-    Rup = jet_einsum("im,mb->ib", fr.g_inv, fr.ricci_Rmt_jet)
-    div_R = jet_linear("ibi->b", fr.cov_s(Rup, (S_UP, T_DN)))
-    div_P1 = jet_linear("iabia->b", fr.cov_v(Pvt, (V_UP, T_DN)))
-    div_P2 = jet_linear("iajia->j", fr.cov_v(Pvs, (V_UP, S_DN)))
-    div_P3 = jet_linear("ijbi->jb", fr.cov_s(Psb, (S_UP, V_DN)))
+    div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
 
     d1 = jet_linear("aba->b", fr.cov_t(Tmix_t, (T_UP, T_DN)))
     l1 = d1 - fr.delta_t(tM) * (1.0 / (2.0 - n)) - fr.delta_t(tv) * (1.0 / (2.0 - p * n))
@@ -517,36 +527,44 @@ def _new_laws_at(fr, K: float):
 
 
 def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
-    """Identity and rewritten-law residuals over sample points."""
+    """Identity and rewritten-law residuals over sample points.
+
+    Each point's trace-adjusted Einstein jets are built once and read by
+    both the identities and the rewritten laws; the laws' divergence
+    right-hand sides come from the frame, shared with the conservation
+    check.  A point error names the point it was raised at as witness.
+    """
     _require_natural_form(ctx)
     _gate(ctx, 3, "the trace-adjusted identity checks")
     pts = list(pts)
     if not pts:
         raise ValueError("natural_form_checks needs at least one sample point")
     have_K = ctx.K != 0.0
-    base = natural_stress_energy(ctx, pts[0]) if have_K else None
-
     iaggs = [_Agg() for _ in range(3)]
     daggs = [_Agg() for _ in range(3)]
     laggs = [_Agg() for _ in range(3)]
     saggs = [_Agg() for _ in range(3)]
     max_P = 0.0
     max_S = 0.0
-    for pt in pts:
-        fr = frame(ctx, pt, 3)
-        displayed, derived = _prop_identities_at(fr)
-        for agg, (res, terms) in zip(iaggs, displayed):
-            agg.add(res, terms)
-        for agg, (res, terms) in zip(daggs, derived):
-            agg.add(res, terms)
-        if have_K:
-            laws, simple = _new_laws_at(fr, ctx.K)
-            for agg, (res, terms) in zip(laggs, laws):
+    pt = pts[0]
+    try:
+        base = natural_stress_energy(ctx, pt) if have_K else None
+        for pt in pts:
+            fr = frame(ctx, pt, 3)
+            tilde = _tilde_einstein_jets(fr)
+            displayed, derived = _prop_identities_at(fr, tilde)
+            for agg, (res, terms) in zip(iaggs + daggs, displayed + derived):
                 agg.add(res, terms)
-            for agg, (res, terms) in zip(saggs, simple):
-                agg.add(res, terms)
-        max_P = max(max_P, float(np.max(np.abs(fr.cur_P2_jet.value))))
-        max_S = max(max_S, float(np.max(np.abs(fr.cur_S_jet.value))))
+            if have_K:
+                laws, simple = _new_laws_at(fr, tilde, ctx.K)
+                for agg, (res, terms) in zip(laggs + saggs, laws + simple):
+                    agg.add(res, terms)
+            max_P = max(max_P, float(np.max(np.abs(fr.cur_P2_jet.value))))
+            max_S = max(max_S, float(np.max(np.abs(fr.cur_S_jet.value))))
+    except POINT_ERRORS as exc:
+        if exc.witness is None:
+            exc.witness = pt
+        raise
 
     names = NaturalFormReport.IDENTITY_NAMES
     identity = {nm: agg.stats() for nm, agg in zip(names, iaggs)}
@@ -565,21 +583,10 @@ def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
             else None
         ),
     }
-    return NaturalFormReport(
-        p=ctx.p,
-        n=ctx.n,
-        K=ctx.K,
-        traces=base.traces if base else None,
-        tilde_traces=base.tilde_traces if base else None,
-        scalars_direct=base.scalars_direct if base else None,
-        scalars_solved=base.scalars_solved if base else None,
-        scalars_from_tilde=base.scalars_from_tilde if base else None,
-        tilde_tt=base.tilde_tt if base else None,
-        tilde_ss=base.tilde_ss if base else None,
-        tilde_vv=base.tilde_vv if base else None,
-        e1prime_residual=base.e1prime_residual if base else None,
-        trace_residual=base.trace_residual if base else None,
-        roundtrip_residual=base.roundtrip_residual if base else None,
+    if base is None:
+        base = NaturalFormReport(p=ctx.p, n=ctx.n, K=ctx.K)
+    return replace(
+        base,
         identity_residuals=identity,
         identity_residuals_derived=identity_derived,
         new_law_residuals=new_laws,

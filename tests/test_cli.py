@@ -517,6 +517,15 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
             assert callable(getattr(mod, attr, None)), (modname, attr)
     assert set(bench_spec.CHECKS) <= set(cli._RUNNERS)
     assert all(callable(fn) for fn in cli._RUNNERS.values())
+    # the traced run wraps each Frame block under a block name
+    # (spans._block_of raises LookupError for a name it cannot place)
+    from functools import cached_property
+
+    from jetlag.geometry import Frame
+
+    assert all(spans._block_of(prop) in bench_spec.BLOCKS
+               for prop, val in vars(Frame).items()
+               if isinstance(val, cached_property))
 
 
 def test_benchmark_workload_digests(tmp_path, monkeypatch):
@@ -549,6 +558,58 @@ def test_grad_check_names_its_witness(tmp_path):
     assert doc["status"] == "fail"
     assert doc["error"] == "log of a non-positive value"
     assert doc["witness"] == LOG_DOMAIN_CFG["points"]["explicit"][1]
+
+
+def _eye3():
+    return [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+
+
+# g = diag(log(x1), 1, 1) on a (3,3) space leaves the log domain at point 1
+NATURAL_LOG_DOMAIN_CFG = {
+    "p": 3, "n": 3,
+    "space": {"name": "custom", "params": {
+        "h": _eye3(),
+        "g": [["log(x[1])", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "nlc": {"kind": "christoffel", "phi": _eye3()}}},
+    "points": {"explicit": [
+        {"t": [0.1, 0.2, 0.3], "x": [x1, 0.4, 0.5],
+         "xs": [[0.5, 0.6, 0.1], [0.7, 0.8, 0.2], [0.3, 0.1, 0.4]]}
+        for x1 in (2.0, -0.5)]},
+    "checks": ["natural-form"],
+}
+
+
+def test_natural_form_names_its_witness(tmp_path):
+    rc, rep = run_to(tmp_path, NATURAL_LOG_DOMAIN_CFG)
+    assert rc == 1
+    doc = rep["checks"]["natural-form"]
+    assert doc["status"] == "fail"
+    assert doc["error"] == "log of a non-positive value"
+    assert doc["witness"] == NATURAL_LOG_DOMAIN_CFG["points"]["explicit"][1]
+
+
+def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
+    # conservation and natural-form read one set of law right-hand sides
+    # per frame, curvature and maxwell one set of metrical deflections
+    import support
+    from jetlag import cli, em_field, gravity
+
+    calls = []
+    for mod, name in ((gravity, "_raised_p_jets"), (em_field, "_metrical_jets")):
+        def counting(fr, _fn=getattr(mod, name), _name=name):
+            calls.append(_name)
+            return _fn(fr)
+
+        monkeypatch.setattr(mod, name, counting)
+    ctx = support.mixed33_ctx()
+    cli._run_conservation(ctx, pt_mixed33, 1e-6)
+    cli._run_natural_form(ctx, [pt_mixed33], 1e-6)
+    ctx = build_space("optic", OPTIC_CFG["space"]["params"])
+    pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
+    cli._run_curvature(ctx, pt, 1e-9)
+    cli._run_maxwell(ctx, pt, 1e-9)
+    assert calls.count("_raised_p_jets") == 1
+    assert calls.count("_metrical_jets") == 1
 
 
 # g = diag(x1, 1): signature ((1, 1), (-1, 1)) at point 0, ((1, 1), (1, 1))

@@ -203,7 +203,7 @@ def test_raised_contractions_match_ricci(ctx_mixed33, pt_mixed33):
 
 def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
-    displayed, derived = _prop_identities_at(fr)
+    displayed, derived = _prop_identities_at(fr, _tilde_einstein_jets(fr))
     # the temporal identity closes as stated
     assert np.max(np.abs(displayed[0][0])) < 1e-12
     # the stated spatial and vertical forms carry a real defect on
@@ -219,7 +219,7 @@ def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
 def test_law_variants_agree(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
     old = _laws_at(fr)
-    new, _simple = _new_laws_at(fr, 1.0)
+    new, _simple = _new_laws_at(fr, _tilde_einstein_jets(fr), 1.0)
     for k in range(3):
         scale = max(1.0, np.max(np.abs(old[k][0])))
         assert np.max(np.abs(old[k][0] - new[k][0])) < 1e-11 * scale
