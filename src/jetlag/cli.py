@@ -27,7 +27,6 @@ from .em_field import (
     bianchi_residuals,
     deflection_identity_residuals,
     deflection_set,
-    em_tensors,
     maxwell_at,
     maxwell_report,
     require_maxwell_budget,
@@ -434,18 +433,6 @@ def _witness_doc(obj):
         doc = _point_doc(obj[0])
         doc["where"] = _jsonable(list(obj[1:]))
         return doc
-    if hasattr(obj, "t") and hasattr(obj, "x") and hasattr(obj, "xs"):
-        def val(e):
-            return float(getattr(e, "value", e))
-
-        try:
-            return {
-                "t": [val(e) for e in obj.t],
-                "x": [val(e) for e in obj.x],
-                "xs": [[val(e) for e in row] for row in obj.xs],
-            }
-        except Exception:
-            pass
     return str(obj)
 
 
@@ -714,8 +701,9 @@ def _run_grad_check(ctx, pts, tol):
     worst = 0.0
     witness = None
     flagged_nans = []
-    for name, fld in _grad_fields(ctx):
-        rep = check_grad(fld, pts, ctx.diff)
+    fields = _grad_fields(ctx)
+    reps = check_grad([fld for _, fld in fields], pts, ctx.diff)
+    for (name, _), rep in zip(fields, reps):
         detail[name] = rep.max_rel_dev
         if rep.nan_flags:
             flagged_nans.append(name)
@@ -781,8 +769,8 @@ def _dump_families(ctx, pt, families) -> dict:
             ric, sc = ricci_and_scalars(ctx, pt)
             blocks[fam] = {"ricci": ric, "scalars": sc}
         elif fam == "em":
-            blocks[fam] = {"deflections": deflection_set(ctx, pt),
-                           "em": em_tensors(ctx, pt)}
+            ds = deflection_set(ctx, pt)
+            blocks[fam] = {"deflections": ds, "em": ds.em()}
         elif fam == "einstein":
             blocks[fam] = einstein_blocks(ctx, pt)
     out["families"] = blocks

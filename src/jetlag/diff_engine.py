@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     POINT_ERRORS,
     DerivativeDomainError,
+    JetlagError,
     OrderExceededError,
     SingularMetricError,
 )
@@ -759,14 +760,9 @@ class DiffConfig:
 
 
 class SeededPoint:
-    """Coordinates handed to a scalar field: floats or scalar jets.
+    """Coordinates handed to a scalar field: floats or scalar jets."""
 
-    ``memo`` maps the structural key of an expression node to its value at
-    this point (see :func:`~jetlag.field_expr.eval_field`); it lives as long
-    as the seeded point.
-    """
-
-    __slots__ = ("t", "x", "xs", "p", "n", "memo")
+    __slots__ = ("t", "x", "xs", "p", "n")
 
     def __init__(self, t, x, xs):
         self.t = t
@@ -774,7 +770,18 @@ class SeededPoint:
         self.xs = xs
         self.p = len(t)
         self.n = len(x)
-        self.memo = {}
+
+    @staticmethod
+    def of_flat(z, dims) -> "SeededPoint":
+        """The point whose :meth:`flat` coordinates are ``z``."""
+        p, n = dims
+        base = p + n
+        return SeededPoint(list(z[:p]), list(z[p:base]),
+                           [list(z[base + i * p: base + (i + 1) * p]) for i in range(n)])
+
+    def flat(self) -> list:
+        """The coordinates in the order of :func:`coord_index`."""
+        return [*self.t, *self.x, *(v for row in self.xs for v in row)]
 
 
 class ScalarField:
@@ -790,6 +797,12 @@ class ScalarField:
 
     def __call__(self, spt: SeededPoint):
         raise NotImplementedError
+
+    def value_at(self, z, dims) -> float:
+        """The field's value at the float point whose flat coordinates
+        (:meth:`SeededPoint.flat`) are ``z``; :func:`fd_partial` reads its
+        stencil points through this."""
+        return _field_value(self(SeededPoint.of_flat(z, dims)))
 
     @property
     def name(self) -> str:
@@ -815,31 +828,16 @@ def seed_point(pt: JetPoint, order: int, deps=frozenset(("t", "x", "xs"))) -> Se
     """Seed a point with scalar jets; non-dependency groups become constants."""
     p, n = pt.dims
     N = coord_count(p, n)
-
-    def mk(value, cid, active):
-        # at order 0 there is no first-order slot; everything is a constant
-        if active and order >= 1:
-            j = Jet.constant(value, N, order)
-            j.coeffs[1][coord_index(p, n, cid)] = 1.0
-            return j
-        return Jet.constant(value, N, order)
-
-    t = [mk(pt.t[a], ("t", a), "t" in deps) for a in range(p)]
-    x = [mk(pt.x[i], ("x", i), "x" in deps) for i in range(n)]
-    xs = [
-        [mk(pt.xs[i, a], ("xs", i, a), "xs" in deps) for a in range(p)]
-        for i in range(n)
-    ]
-    return SeededPoint(t, x, xs)
+    z = [Jet.constant(v, N, order) for v in pt.flat()]
+    # at order 0 there is no first-order slot; everything is a constant
+    for k, group in enumerate(["t"] * p + ["x"] * n + ["xs"] * (n * p)):
+        if group in deps and order >= 1:
+            z[k].coeffs[1][k] = 1.0
+    return SeededPoint.of_flat(z, (p, n))
 
 
 def float_point(pt: JetPoint) -> SeededPoint:
-    p, n = pt.dims
-    return SeededPoint(
-        [float(v) for v in pt.t],
-        [float(v) for v in pt.x],
-        [[float(pt.xs[i, a]) for a in range(p)] for i in range(n)],
-    )
+    return SeededPoint.of_flat(pt.flat().tolist(), pt.dims)
 
 
 def _field_value(res) -> float:
@@ -870,55 +868,39 @@ def eval_derivs(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
     return float(cur.value)
 
 
-def _shifted(pt: JetPoint, cid, delta) -> JetPoint:
-    p, n = pt.dims
-    t, x, xs = pt.t.copy(), pt.x.copy(), pt.xs.copy()
-    kind = cid[0]
-    if kind == "t":
-        t[cid[1]] += delta
-    elif kind == "x":
-        x[cid[1]] += delta
-    else:
-        xs[cid[1], cid[2]] += delta
-    return JetPoint(t, x, xs)
-
-
-def _coord_value(pt: JetPoint, cid) -> float:
-    kind = cid[0]
-    if kind == "t":
-        return float(pt.t[cid[1]])
-    if kind == "x":
-        return float(pt.x[cid[1]])
-    return float(pt.xs[cid[1], cid[2]])
-
-
 def fd_partial(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
     """Central finite-difference estimate of a first or second partial.
 
-    Steps are relative: step * max(1, |coordinate|).
+    Steps are relative: step * max(1, |coordinate|).  Each stencil point
+    shifts plain float copies of ``pt``'s flat coordinates and is read
+    through ``f.value_at``.
     """
     order = len(wrt)
     if order not in (1, 2):
         raise OrderExceededError("finite differences support orders 1 and 2 only")
+    dims = p, n = pt.dims
+    z = pt.flat().tolist()
 
-    def ev(q: JetPoint) -> float:
-        return _field_value(f(float_point(q)))
+    def ev(*shifts) -> float:
+        q = z.copy()
+        for i, delta in shifts:
+            q[i] += delta
+        return f.value_at(q, dims)
 
     if order == 1:
-        (cid,) = wrt
-        h = config.fd_step_1 * max(1.0, abs(_coord_value(pt, cid)))
-        return (ev(_shifted(pt, cid, h)) - ev(_shifted(pt, cid, -h))) / (2 * h)
+        i = coord_index(p, n, wrt[0])
+        h = config.fd_step_1 * max(1.0, abs(z[i]))
+        return (ev((i, h)) - ev((i, -h))) / (2 * h)
     c1, c2 = wrt
-    h1 = config.fd_step_2 * max(1.0, abs(_coord_value(pt, c1)))
+    i, j = coord_index(p, n, c1), coord_index(p, n, c2)
+    h1 = config.fd_step_2 * max(1.0, abs(z[i]))
     if c1 == c2:
-        return (
-            ev(_shifted(pt, c1, h1)) - 2 * ev(pt) + ev(_shifted(pt, c1, -h1))
-        ) / (h1 * h1)
-    h2 = config.fd_step_2 * max(1.0, abs(_coord_value(pt, c2)))
-    fpp = ev(_shifted(_shifted(pt, c1, h1), c2, h2))
-    fpm = ev(_shifted(_shifted(pt, c1, h1), c2, -h2))
-    fmp = ev(_shifted(_shifted(pt, c1, -h1), c2, h2))
-    fmm = ev(_shifted(_shifted(pt, c1, -h1), c2, -h2))
+        return (ev((i, h1)) - 2 * ev() + ev((i, -h1))) / (h1 * h1)
+    h2 = config.fd_step_2 * max(1.0, abs(z[j]))
+    fpp = ev((i, h1), (j, h2))
+    fpm = ev((i, h1), (j, -h2))
+    fmp = ev((i, -h1), (j, h2))
+    fmm = ev((i, -h1), (j, -h2))
     return (fpp - fpm - fmp + fmm) / (4 * h1 * h2)
 
 
@@ -944,11 +926,38 @@ def _dep_coords(f: ScalarField, p: int, n: int):
     return out
 
 
-def _probe_pairs(f: ScalarField, pt: JetPoint, coords, config: DiffConfig) -> list:
+class _Probed(ScalarField):
+    """Field ``k`` of ``grid`` at one point of :func:`check_grad`.
+
+    Its value at each stencil point comes from one evaluation of the whole
+    grid there, kept in ``floats`` for every field of the grid; where the
+    grid raises, the field is evaluated alone, so it keeps its own value or
+    error.  Called with a seeded point, it is the field itself.
+    """
+
+    def __init__(self, grid, k, floats):
+        self.grid, self.k, self.floats = grid, k, floats
+        self.field = grid.fields[k]
+        self.deps = self.field.deps
+
+    def __call__(self, spt):
+        return self.field(spt)
+
+    def value_at(self, z, dims) -> float:
+        res = self.floats.get(key := tuple(z))
+        if res is None:
+            try:
+                res = self.floats[key] = self.grid([z], dims)
+            except JetlagError:
+                return self.field.value_at(z, dims)
+        return _field_value(res[self.k])
+
+
+def _probe_pairs(f: _Probed, res, pt: JetPoint, coords, config: DiffConfig) -> list:
     """``(wrt, taylor, fd)`` for every first and second partial of ``f`` at
-    ``pt`` over ``coords``; see :func:`check_grad`."""
+    ``pt`` over ``coords``, ``res`` being its order-2 Taylor value there;
+    see :func:`check_grad`."""
     p, n = pt.dims
-    res = f(seed_point(pt, 2, f.deps))
     idx = [coord_index(p, n, c) for c in coords]
     probes = [((c,), (i,)) for c, i in zip(coords, idx)]
     probes += [
@@ -964,44 +973,74 @@ def _probe_pairs(f: ScalarField, pt: JetPoint, coords, config: DiffConfig) -> li
     return out
 
 
-def check_grad(f: ScalarField, pts, config: DiffConfig) -> AgreementReport:
+def _fold(rep: AgreementReport, ip: int, pairs):
+    for wrt, a, b in pairs:
+        if not (np.isfinite(a) and np.isfinite(b)):
+            rep.nan_flags.append((ip, wrt))
+            continue
+        dev = abs(a - b) / max(1.0, abs(a), abs(b))
+        rep.n_comparisons += 1
+        if dev > rep.max_rel_dev:
+            rep.max_rel_dev, rep.worst_point, rep.worst_wrt = dev, ip, wrt
+
+
+def check_grad(f, pts, config: DiffConfig):
     """Compare first and second partials between taylor and fd at each point.
 
-    The Taylor side evaluates ``f`` once per point, on one order-2 jet, and
-    reads every probe off its coefficients: ``coeffs[1][i]`` for ``d/dc_i``
-    and ``coeffs[2][j, i]`` for ``wrt = (c_i, c_j)``, the entry
-    :func:`eval_derivs` reaches by taking ``.partial(i)`` then
-    ``.partial(j)`` (the order-2 coefficient is not bitwise symmetric).
-    The finite-difference side runs :func:`fd_partial` per probe.  A domain
-    or singular-metric error raised while a point is evaluated names that
-    point as its ``witness``.
+    ``f`` is one field, or a sequence of fields; for a sequence the result
+    is a list with one report per field, each the report that field gets
+    alone.  The fields of one dependency group are evaluated together, at
+    each point: one compiled grid of all of them on one seeded order-2
+    point, and one float grid per distinct stencil point of
+    :func:`fd_partial` (so the centre point of the diagonal probes is
+    evaluated once).
+
+    The Taylor side reads every probe off a field's order-2 jet:
+    ``coeffs[1][i]`` for ``d/dc_i`` and ``coeffs[2][j, i]`` for
+    ``wrt = (c_i, c_j)``, the entry :func:`eval_derivs` reaches by taking
+    ``.partial(i)`` then ``.partial(j)`` (the order-2 coefficient is not
+    bitwise symmetric).  The finite-difference side runs
+    :func:`fd_partial` per probe.  A domain or singular-metric error raised
+    while a point is evaluated names that point as its ``witness``.  The
+    error raised is the first field's, in order, that raises: the one
+    checking the fields one at a time would meet first.
     """
-    worst = 0.0
-    worst_pt = -1
-    worst_wrt = ()
-    count = 0
-    nans = []
-    for ip, pt in enumerate(pts):
-        p, n = pt.dims
-        coords = _dep_coords(f, p, n)
-        if not coords:
-            continue
-        if config.max_order < 2:
-            raise OrderExceededError(
-                f"derivative order 2 exceeds budget {config.max_order}"
-            )
-        try:
-            pairs = _probe_pairs(f, pt, coords, config)
-        except POINT_ERRORS as exc:
-            if exc.witness is None:
-                exc.witness = pt
-            raise
-        for wrt, a, b in pairs:
-            if not (np.isfinite(a) and np.isfinite(b)):
-                nans.append((ip, wrt))
+    from .field_expr import FieldGrid  # field_expr builds on this module
+
+    fields = [f] if isinstance(f, ScalarField) else list(f)
+    reports = [AgreementReport(0.0, -1, (), 0, []) for _ in fields]
+    errors = {}
+    groups = {}
+    for k, fld in enumerate(fields):
+        groups.setdefault(frozenset(fld.deps), []).append(k)
+    for deps, members in groups.items():
+        grid = FieldGrid([fields[k] for k in members])
+        for ip, pt in enumerate(pts):
+            coords = _dep_coords(grid.fields[0], *pt.dims)
+            if not coords:
                 continue
-            dev = abs(a - b) / max(1.0, abs(a), abs(b))
-            count += 1
-            if dev > worst:
-                worst, worst_pt, worst_wrt = dev, ip, wrt
-    return AgreementReport(worst, worst_pt, worst_wrt, count, nans)
+            if config.max_order < 2:
+                raise OrderExceededError(
+                    f"derivative order 2 exceeds budget {config.max_order}"
+                )
+            spt = seed_point(pt, 2, deps)
+            try:
+                jets = grid.at([spt])
+            except JetlagError:
+                jets = None  # each field is evaluated alone below
+            floats = {}
+            for j, k in enumerate(members):
+                if k in errors:
+                    continue
+                try:
+                    res = fields[k](spt) if jets is None else jets[j]
+                    pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, coords, config)
+                except JetlagError as exc:
+                    if isinstance(exc, POINT_ERRORS) and exc.witness is None:
+                        exc.witness = pt
+                    errors[k] = exc
+                    continue
+                _fold(reports[k], ip, pairs)
+    if errors:
+        raise errors[min(errors)]
+    return reports[0] if isinstance(f, ScalarField) else reports

@@ -96,6 +96,12 @@ class DeflectionSet:
     met_vertical: np.ndarray
     x_low: np.ndarray
 
+    def em(self) -> "EmSet":
+        """The electromagnetic blocks: antisymmetrized metrical deflections."""
+        F = 0.5 * (self.met_spatial - np.einsum("jai->iaj", self.met_spatial))
+        f = 0.5 * (self.met_vertical - np.einsum("jaib->iajb", self.met_vertical))
+        return EmSet(F=F, f=f)
+
 
 def deflection_set(ctx: GeometryContext, pt: JetPoint) -> DeflectionSet:
     """Deflections of the Liouville field, raw and metrically lowered.
@@ -145,10 +151,7 @@ class EmSet:
 
 def em_tensors(ctx: GeometryContext, pt: JetPoint) -> EmSet:
     """The two antisymmetrized electromagnetic blocks at a point."""
-    ds = deflection_set(ctx, pt)
-    F = 0.5 * (ds.met_spatial - np.einsum("jai->iaj", ds.met_spatial))
-    f = 0.5 * (ds.met_vertical - np.einsum("jaib->iajb", ds.met_vertical))
-    return EmSet(F=F, f=f)
+    return deflection_set(ctx, pt).em()
 
 
 # --------------------------------------------------------------------------

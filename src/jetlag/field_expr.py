@@ -18,15 +18,14 @@ zero, fractional power of a negative base) surface as
 offset; evaluation never returns NaN silently.
 
 Every AST node has a structural key: equal subtrees get equal keys whatever
-their source positions, across all fields of the process, and a number is
-keyed by its exact bits, so ``0.0`` and ``-0.0`` stay apart.  Keys are
-hash-consed once, when an :class:`ExprField` is built.  :func:`eval_field`
-memoises each non-leaf node's value on the :class:`SeededPoint` under that
-key, so a subexpression shared by several fields evaluated at one seeded
-point (the refraction index in every optic metric entry, say) is computed
-once.  The memo lives as long as the seeded point, and a frame seeds fresh
-points for every grid it evaluates.  A node that raises stores nothing, so
-each field re-raises with its own offset.
+their source positions, and a number is keyed by its exact bits, so ``0.0``
+and ``-0.0`` stay apart.  Fields are evaluated by compiled grids
+(:class:`FieldGrid`): the fields that one caller evaluates at one point,
+a metric's entries say, become one generated straight-line Python function
+with one local per distinct subexpression, so a subexpression that several
+fields share (the refraction index in every optic metric entry) is
+computed once per point.  Only node types, integer indices and constant
+slots reach the generated source, never field text.
 """
 
 from __future__ import annotations
@@ -36,10 +35,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff_engine import Jet, ScalarField, jexp, jlog, jsin, jcos, jsqrt, jtanh, jabs
+from .diff_engine import (
+    Jet,
+    JetPoint,
+    ScalarField,
+    SeededPoint,
+    coord_index,
+    jabs,
+    jcos,
+    jexp,
+    jlog,
+    jsin,
+    jsqrt,
+    jtanh,
+)
 from .errors import (
     DerivativeDomainError,
     EvalDomainError,
+    FieldDomainError,
     FieldValidationError,
     ParseError,
 )
@@ -52,6 +65,7 @@ __all__ = [
     "Call",
     "parse_field",
     "eval_field",
+    "FieldGrid",
     "validate_field",
     "render",
     "ast_equal",
@@ -178,9 +192,11 @@ def _lex(src: str):
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise _perr(src, i, "a numeric literal")
+            if not math.isfinite(value):  # 1e999 reads as inf
+                raise _perr(src, i, "a finite numeric literal")
             tokens.append(_Token("num", text, i, is_int=is_int))
             i = j
             continue
@@ -320,7 +336,7 @@ def parse_field(src: str, dims):
 
 
 # --------------------------------------------------------------------------
-# evaluation
+# evaluation: fields compiled to straight-line code
 # --------------------------------------------------------------------------
 
 # node structure -> its key, an object compared by identity: a pure cache,
@@ -354,82 +370,6 @@ def _intern(node):
     return key
 
 
-def _finite(v) -> bool:
-    if isinstance(v, Jet):
-        return all(np.isfinite(c).all() for c in v.coeffs)
-    return math.isfinite(v)
-
-
-def eval_field(ast, spt):
-    """Evaluate an AST at a seeded point (coordinates floats or scalar jets).
-
-    Derivatives propagate exactly when coordinates are jets.  Any domain
-    violation or non-finite intermediate raises
-    :class:`~jetlag.errors.EvalDomainError` located at the offending node.
-
-    Each non-leaf node is computed once per seeded point: its value is kept
-    in ``spt.memo`` under the node's structural key (see the module
-    docstring), and any field evaluated later on the same ``spt`` reads it
-    from there.  Leaves (numbers, coordinates) are not memoised, and a node
-    that raises is never stored.
-    """
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Coord):
-        if ast.kind == "t":
-            return spt.t[ast.i]
-        if ast.kind == "x":
-            return spt.x[ast.i]
-        return spt.xs[ast.i][ast.a]
-    key = _intern(ast)
-    out = spt.memo.get(key)
-    if out is not None:
-        return out
-    if isinstance(ast, Neg):
-        out = -eval_field(ast.child, spt)
-    elif isinstance(ast, Binary):
-        lhs = eval_field(ast.left, spt)
-        rhs = eval_field(ast.right, spt)
-        try:
-            if ast.op == "+":
-                out = lhs + rhs
-            elif ast.op == "-":
-                out = lhs - rhs
-            elif ast.op == "*":
-                out = lhs * rhs
-            elif ast.op == "/":
-                out = lhs / rhs
-            else:
-                if not isinstance(lhs, Jet) and not isinstance(rhs, Jet):
-                    out = _float_pow(lhs, rhs, ast.pos)
-                else:
-                    out = lhs ** rhs
-        except ZeroDivisionError:
-            raise EvalDomainError("division by zero", offset=ast.pos)
-        except DerivativeDomainError as e:
-            raise EvalDomainError(str(e), offset=ast.pos)
-        except OverflowError:  # float ** float
-            raise EvalDomainError("non-finite result", offset=ast.pos)
-        if not _finite(out):
-            raise EvalDomainError("non-finite result", offset=ast.pos)
-    elif isinstance(ast, Call):
-        arg = eval_field(ast.arg, spt)
-        try:
-            out = _FUNCTIONS[ast.fn](arg)
-        except DerivativeDomainError as e:
-            raise EvalDomainError(str(e), offset=ast.pos)
-        except ValueError as e:
-            raise EvalDomainError(str(e), offset=ast.pos)
-        except OverflowError:  # math.exp of a float
-            raise EvalDomainError("non-finite result", offset=ast.pos)
-        if not _finite(out):
-            raise EvalDomainError("non-finite result", offset=ast.pos)
-    else:
-        raise TypeError(f"not an AST node: {ast!r}")
-    spt.memo[key] = out
-    return out
-
-
 def _float_pow(base: float, expo: float, pos: int) -> float:
     if float(expo).is_integer():
         if base == 0.0 and expo < 0:
@@ -440,6 +380,181 @@ def _float_pow(base: float, expo: float, pos: int) -> float:
             "non-integer power of a non-positive base", offset=pos
         )
     return float(base) ** float(expo)
+
+
+def _jet_finite(v) -> bool:
+    # one check over every coefficient is cheaper than one per order
+    return np.isfinite(np.concatenate([c.ravel() for c in v.coeffs])).all()
+
+
+_isfinite = math.isfinite
+
+
+def _lift(exc, site):
+    """The error that ``exc``, caught while computing ``site`` (a node's
+    offset and whether it is a call; None between nodes), stands for.
+    Generated code raises OverflowError for a non-finite value too."""
+    if site is not None:
+        pos, call = site
+        if isinstance(exc, OverflowError):
+            return EvalDomainError("non-finite result", offset=pos)
+        if isinstance(exc, DerivativeDomainError) or (call and isinstance(exc, ValueError)):
+            return EvalDomainError(str(exc), offset=pos)
+        if isinstance(exc, ZeroDivisionError) and not call:
+            return EvalDomainError("division by zero", offset=pos)
+    return exc
+
+
+def _guard(v, label, name, z, dims):
+    nval = float(getattr(v, "value", v))
+    if nval < 1.0:
+        pt = SeededPoint.of_flat([float(getattr(c, "value", c)) for c in z], dims)
+        raise FieldDomainError(f"{label} {nval} < 1 while evaluating {name!r}",
+                               witness=JetPoint.of(pt.t, pt.x, pt.xs), value=nval)
+
+
+def _compile(grid, dims, jets):
+    """The generated function of ``grid`` at points of ``dims`` whose
+    coordinate k of group g is a Jet iff ``jets[g][k]``; see
+    :class:`FieldGrid`.
+
+    Literals, functions, fields and texts sit in the constant table
+    (``c0``, ...), so the source holds only names, integers and operators.
+    A node that can fail is a *site*: it stores its index in ``_k`` before
+    it runs, so the handler knows its offset, and its value must be finite.
+    """
+    body, consts, slots, names, sites, checked = [], [], {}, {}, [None], set()
+
+    def const(key, value):
+        if key not in slots:
+            slots[key] = len(consts)
+            consts.append(value)
+        return f"c{slots[key]}"
+
+    def new(expr):
+        body.append(f"v{len(body)} = {expr}")
+        return f"v{len(body) - 1}"
+
+    def site(node, call, expr, jet):
+        body.append(f"_k = {len(sites)}")
+        sites.append((node.pos, call))
+        name = new(expr)
+        check = "_jet_finite" if jet else "_isfinite"
+        body.append(f"if not {check}({name}): raise OverflowError")
+        return name, jet
+
+    def visit(node, g):
+        if isinstance(node, Num):
+            return const(_intern(node), node.value), False
+        key = (g, _intern(node))
+        if key in names:
+            return names[key]
+        if isinstance(node, Coord):
+            cid = (node.kind, node.i, node.a) if node.kind == "xs" else (node.kind, node.i)
+            k = coord_index(*dims, cid)
+            got = new(f"z{g}[{k}]"), jets[g][k]
+        elif isinstance(node, Neg):
+            child, jet = visit(node.child, g)
+            got = new(f"-{child}"), jet
+        elif isinstance(node, Binary):
+            (lhs, lj), (rhs, rj) = visit(node.left, g), visit(node.right, g)
+            if node.op != "^":
+                expr = f"{lhs} {node.op} {rhs}"
+            elif lj or rj:
+                expr = f"{lhs} ** {rhs}"
+            else:
+                expr = f"_float_pow({lhs}, {rhs}, {node.pos})"
+            got = site(node, False, expr, lj or rj)
+        elif isinstance(node, Call):
+            arg, jet = visit(node.arg, g)
+            fn = const(("fn", node.fn), _FUNCTIONS[node.fn])
+            got = site(node, True, f"{fn}({arg})", jet)
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
+        names[key] = got
+        return got
+
+    outs = []
+    for f in grid.fields:
+        g = grid.groups.index(frozenset(f.deps))
+        point = f"z{g}, {const(('dims',), dims)}"
+        if not isinstance(f, ExprField):  # called as it is, on a seeded point
+            body.append("_k = 0")
+            outs.append(new(f"{const(('field', id(f)), f)}(SeededPoint.of_flat({point}))"))
+            continue
+        if f.guard is not None:
+            value, _ = visit(f.guard[1].ast, g)
+            if value not in checked:
+                checked.add(value)
+                texts = ", ".join(const(("text", t), t) for t in (f.guard[0], f.name))
+                body.append(f"_guard({value}, {texts}, {point})")
+        outs.append(visit(f.ast, g)[0])
+    source = "\n".join([
+        "def _make(C, S):",
+        f"    ({''.join(f'c{i}, ' for i in range(len(consts)))}) = C",
+        f"    def grid({', '.join(f'z{g}' for g in range(len(jets)))}):",
+        "        _k = 0",
+        "        try:",
+        *(" " * 12 + line for line in body),
+        f"            return [{', '.join(outs)}]",
+        "        except Exception as exc:",
+        "            raise _lift(exc, S[_k])",
+        "    return grid\n"])
+    made = {}
+    exec(compile(source, "<field grid>", "exec"), globals(), made)
+    fn = made["_make"](tuple(consts), tuple(sites))
+    fn.source = source
+    return fn
+
+
+class FieldGrid:
+    """Fields evaluated together at one point by one generated function.
+
+    The fields are grouped by dependency groups (``groups``, in order of
+    first appearance); each group reads its own seeded coordinates.
+    Within a group, each distinct subexpression (by structural key) is one
+    local, computed once: the refraction index in every optic metric entry
+    is shared.  Nodes run in the order of a depth-first, left-to-right walk
+    of the fields in turn, through the operations, checks and offsets of a
+    walk of each AST; constant subtrees stay floats, so each node's type is
+    known before it runs.  So every value is bit for bit that of the field
+    evaluated alone, and the first error raised is the first the walk
+    meets.  An :class:`ExprField` with a ``guard`` checks it first.
+
+    The function is generated on first use for each point shape (dims and
+    the type of each coordinate) and kept with the grid.
+    """
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)
+        self.groups = list(dict.fromkeys(frozenset(f.deps) for f in self.fields))
+        self._fns = {}
+
+    def __call__(self, zs, dims) -> list:
+        """The fields' values at one point of dims (p, n): ``zs[g]`` lists
+        the coordinates seeded for ``groups[g]`` (floats or scalar jets, in
+        the order of :meth:`~jetlag.diff_engine.SeededPoint.flat`)."""
+        kinds = tuple(tuple(map(type, z)) for z in zs)
+        fn = self._fns.get((dims, kinds))
+        if fn is None:
+            jets = [[issubclass(k, Jet) for k in group] for group in kinds]
+            fn = self._fns[dims, kinds] = _compile(self, dims, jets)
+        return fn(*zs)
+
+    def at(self, spts) -> list:
+        """The fields' values at seeded points, one per group."""
+        return self([s.flat() for s in spts], (spts[0].p, spts[0].n))
+
+
+def eval_field(ast, spt):
+    """Evaluate an AST at a seeded point (coordinates floats or scalar jets).
+
+    Derivatives propagate exactly when coordinates are jets.  Any domain
+    violation or non-finite intermediate raises
+    :class:`~jetlag.errors.EvalDomainError` located at the offending node.
+    The AST is compiled as a one-field :class:`FieldGrid` for this call.
+    """
+    return ExprField(ast, (spt.p, spt.n))(spt)
 
 
 def validate_field(ast, declared_deps):
@@ -546,20 +661,25 @@ class ExprField(ScalarField):
 
     Validates the declared dependency groups on construction and raises
     :class:`~jetlag.errors.FieldValidationError` listing every out-of-group
-    coordinate reference.
+    coordinate reference.  ``guard``, a pair (label, field), asks that the
+    field's value be at least 1 wherever this one is evaluated; below 1,
+    evaluation raises :class:`~jetlag.errors.FieldDomainError` naming the
+    label, the value and this field.  A call evaluates the field alone,
+    through a one-field :class:`FieldGrid` compiled on the first call.
     """
 
-    def __init__(self, src, dims, deps=("t", "x", "xs"), name=None):
+    def __init__(self, src, dims, deps=("t", "x", "xs"), name=None, guard=None):
         if isinstance(src, str):
             self.ast = parse_field(src, dims)
             self.src = src
         else:
             self.ast = src
             self.src = render(src)
-        _intern(self.ast)
         self.dims = tuple(dims)
         self.deps = frozenset(deps)
         self._name = name or self.src
+        self.guard = guard
+        self._grid = None
         violations = validate_field(self.ast, self.deps)
         if violations:
             locs = ", ".join(f"{kind} at offset {pos}" for kind, pos in violations)
@@ -570,7 +690,9 @@ class ExprField(ScalarField):
             )
 
     def __call__(self, spt):
-        return eval_field(self.ast, spt)
+        if self._grid is None:
+            self._grid = FieldGrid([self])
+        return self._grid.at([spt])[0]
 
     def __repr__(self):
         return f"ExprField({self.src!r}, dims={self.dims}, deps={sorted(self.deps)})"

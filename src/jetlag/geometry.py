@@ -38,7 +38,6 @@ from .diff_engine import (
     ScalarField,
     coord_count,
     coord_index,
-    float_point,
     jet_einsum,
     jet_linear,
     jet_matrix_inverse,
@@ -54,6 +53,7 @@ from .errors import (
     RegularityViolationError,
     SingularMetricError,
 )
+from .field_expr import FieldGrid
 from .tensor_core import DTensor, IndexSlot, S_DN, S_UP, T_DN, T_UP
 
 __all__ = [
@@ -201,6 +201,7 @@ class GeometryContext:
         self._signature = None  # (h signs, g signs) at first sample
         self._defer_signature = False  # set while sample_points tries a draw
         self._frames = {}
+        self._grids = {}  # compiled field grids, by the tuple of their fields
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
@@ -284,20 +285,15 @@ class Frame:
 
     def _eval_fields(self, fields, order) -> list:
         """Evaluate ``fields`` at this point, as jets of ``order`` (default:
-        the frame's).  Fields with the same dependency groups share one
-        seeded point, and with it the subexpression memo; the points are
-        seeded for this call only, so a cached frame keeps no memo."""
+        the frame's), through the context's compiled grid of them: one
+        seeded point per dependency group, made for this call only."""
         order = self.order if order is None else order
-        spts = {}
-        out = []
-        for f in fields:
-            deps = frozenset(f.deps)
-            spt = spts.get(deps)
-            if spt is None:
-                spt = spts[deps] = seed_point(self.pt, order, deps)
-            res = f(spt)
-            out.append(res if isinstance(res, Jet) else Jet.constant(float(res), self.N, order))
-        return out
+        grid = self.ctx._grids.get(key := tuple(fields))
+        if grid is None:
+            grid = self.ctx._grids[key] = FieldGrid(key)
+        vals = grid.at([seed_point(self.pt, order, deps) for deps in grid.groups])
+        return [v if isinstance(v, Jet) else Jet.constant(float(v), self.N, order)
+                for v in vals]
 
     # -- coordinates -------------------------------------------------------
 

@@ -18,7 +18,6 @@ import numpy as np
 from .diff_engine import seed_point
 from .errors import (
     ConfigError,
-    FieldDomainError,
     FieldValidationError,
     ParseError,
     RegularityViolationError,
@@ -203,30 +202,6 @@ class OpticContext(GeometryContext):
         self.phi_fields = phi_fields
         self.n_field = n_field
         self.X_fields = X_fields
-
-
-class _GuardedEntry(ExprField):
-    """An optic metric entry that refuses points outside the medium's domain.
-
-    The refraction index must stay >= 1 wherever the metric is evaluated;
-    a dip below 1 raises with the offending point and value attached.
-    """
-
-    def __init__(self, src, dims, n_field, name=None):
-        super().__init__(src, dims, deps=("t", "x", "xs"), name=name)
-        self._n_field = n_field
-
-    def __call__(self, spt):
-        res = self._n_field(spt)
-        nval = float(getattr(res, "value", res))
-        if nval < 1.0:
-            raise FieldDomainError(
-                f"refraction index {nval} < 1 while evaluating "
-                f"{self._name!r}",
-                witness=spt,
-                value=nval,
-            )
-        return super().__call__(spt)
 
 
 # --------------------------------------------------------------------------
@@ -423,7 +398,8 @@ def make_optic(h, phi, n_expr, X, *, K: float = 1.0,
             )
     g_fields = _fields(
         g_texts, dims, ("t", "x", "xs"), "g",
-        wrap=lambda src, name: _GuardedEntry(src, dims, n_field, name=name),
+        wrap=lambda src, name: ExprField(
+            src, dims, name=name, guard=("refraction index", n_field)),
     )
     return OpticContext(
         p, n, h_fields, DirectMetric(g_fields), ChristoffelOfPhi(phi_fields),

@@ -78,6 +78,8 @@ ERROR_CASES = [
     "(1+2",  # unbalanced parenthesis
     "",  # empty source
     "1 2",  # trailing token
+    "1e999",  # overflows to inf
+    "2*1e999",  # an overflowing literal inside an expression
 ]
 
 DOMAIN_CASES = [

@@ -658,3 +658,93 @@ def test_explicit_run_signature_from_first_point(tmp_path, monkeypatch, checks):
                                 "points: recorded ((1, 1), (-1, 1)), found "
                                 "((1, 1), (1, 1))")
         assert doc["witness"] == flip
+
+
+def _point(x1, x2=0.4):
+    return {"t": [0.1, 0.2], "x": [x1, x2], "xs": [[0.5, 0.6], [0.7, 0.8]]}
+
+
+# g[1][2] alone leaves the log domain, and only at the step-2 stencil
+# points of its second explicit point (x1 = 5e-5 < 1e-4); g[2][1] holds the
+# same value with its log at another offset
+GRAD_LOG_STENCIL_CFG = dict(
+    _custom_g_cfg([["1 + x[1]^2", "0.01*log(x[1])"],
+                   ["log(x[1])*0.01", "1"]]),
+    points={"explicit": [_point(2.0), _point(5e-5)]},
+    checks=["grad-check"],
+)
+
+# the refraction index n = x1 is 1 + 5e-5 at the second point, so only a
+# step-2 stencil point dips below 1; the witness is that stencil point
+GRAD_INDEX_STENCIL_CFG = dict(
+    OPTIC_CFG,
+    space={"name": "optic",
+           "params": dict(OPTIC_CFG["space"]["params"], n="x[1]")},
+    points={"explicit": [_point(1.5), _point(1.00005)]},
+    checks=["grad-check"], dump=[],
+)
+
+
+# g[1][1] leaves the sqrt domain at the Taylor point of the second point,
+# after g[1][2] left the log domain at a stencil point of the first: the
+# fields are checked in turn, so g[1][1]'s error is the one reported
+GRAD_FIELD_ORDER_CFG = dict(
+    GRAD_LOG_STENCIL_CFG,
+    space={"name": "custom", "params": dict(
+        GRAD_LOG_STENCIL_CFG["space"]["params"],
+        g=[["1 + sqrt(x[2] - 0.35)", "0.01*log(x[1])"],
+           ["log(x[1])*0.01", "1"]])},
+    points={"explicit": [_point(5e-5), _point(2.0, 0.3)]},
+)
+
+
+# the same, with g[1][2] failing at the Taylor point of the first point
+GRAD_TAYLOR_ORDER_CFG = dict(
+    GRAD_FIELD_ORDER_CFG, points={"explicit": [_point(-0.5), _point(2.0, 0.3)]})
+
+
+@pytest.mark.parametrize("doc,error,offset,witness", [
+    (GRAD_LOG_STENCIL_CFG, "log of a non-positive value", 5, _point(5e-5)),
+    (GRAD_FIELD_ORDER_CFG, "sqrt needs a positive argument", 4,
+     _point(2.0, 0.3)),
+    (GRAD_TAYLOR_ORDER_CFG, "sqrt needs a positive argument", 4,
+     _point(2.0, 0.3)),
+    (GRAD_INDEX_STENCIL_CFG,
+     "refraction index 0.9999499950000001 < 1 while evaluating 'g[1][1]'",
+     None,
+     {"t": [0.10010000000000001, 0.2], "x": [0.9999499950000001, 0.4],
+      "xs": [[0.5, 0.6], [0.7, 0.8]]}),
+], ids=["log", "field-order", "taylor-order", "refraction-index"])
+def test_grad_check_error_attribution(tmp_path, doc, error, offset, witness):
+    from jetlag import cli
+    from jetlag.errors import JetlagError
+
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 1
+    check = rep["checks"]["grad-check"]
+    assert (check["status"], check["error"], check["witness"]) == (
+        "fail", error, witness)
+    ctx = build_space(doc["space"]["name"], doc["space"]["params"])
+    pts = [JetPoint.of(p["t"], p["x"], p["xs"]) for p in doc["points"]["explicit"]]
+    with pytest.raises(JetlagError) as exc:
+        cli._run_grad_check(ctx, pts, 1e-5)
+    assert str(exc.value) == error
+    assert getattr(exc.value, "offset", None) == offset
+    if offset is not None:  # a domain error names the probed point
+        assert exc.value.witness is pts[1]
+
+
+def test_em_dump_builds_deflections_once(monkeypatch):
+    from jetlag import cli, em_field
+
+    calls = []
+    build = em_field.deflection_set
+    for mod in (cli, em_field):
+        monkeypatch.setattr(mod, "deflection_set",
+                            lambda ctx, pt: calls.append(pt) or build(ctx, pt))
+    ctx = build_space("optic", OPTIC_CFG["space"]["params"])
+    pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
+    doc = cli._dump_families(ctx, pt, ["em"])["families"]["em"]
+    assert len(calls) == 1
+    em = em_field.em_tensors(ctx, pt)
+    assert np.array_equal(doc["em"].F, em.F) and np.array_equal(doc["em"].f, em.f)

@@ -427,7 +427,7 @@ def test_cached_frames_keep_no_memo():
         frame(ctx, OPTIC_POINT, order).g_jet
     assert len(ctx._frames) == 2
     for fr in ctx._frames.values():
-        assert all(not spt.memo for spt in _seeded_points(vars(fr)))
+        assert not _seeded_points(vars(fr))
 
 
 def test_grid_keeps_signed_zeros(ctx_flat22):

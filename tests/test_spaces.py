@@ -198,6 +198,16 @@ def test_optic_index_below_one_raises():
     assert exc.value.value == 0.25
 
 
+def test_optic_index_guard_runs_before_the_entry():
+    # at n = 0 the entry's 1/n would divide by zero; the guard names n first
+    ctx = make_optic(H2, [["1", "0"], ["0", "1"]], "x[1]", ["1", "0"])
+    pt = JetPoint.of([0.0, 0.0], [0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+    for order in (0, 2):
+        with pytest.raises(FieldDomainError) as exc:
+            frame(ctx, pt, order).g_jet
+        assert str(exc.value) == "refraction index 0.0 < 1 while evaluating 'g[1][1]'"
+
+
 def test_build_space_every_kind():
     assert isinstance(build_space("flat", {"p": 2, "n": 2}), GeometryContext)
     c = build_space("quadratic", {"h": H2, "g": GQ, "F": "t[1]"})
