@@ -752,29 +752,35 @@ _FOLDS = {
 }
 
 
+def _dump_family(ctx, pt, fam):
+    if fam == "nlc":
+        Htc, M = temporal_christoffel_and_M(ctx, pt)
+        return {"M": M, "N": spatial_nlc(ctx, pt)}
+    if fam == "connection":
+        return cartan_connection(ctx, pt)
+    if fam == "torsion":
+        return torsion_set(ctx, pt)
+    if fam == "curvature":
+        return curvature_set(ctx, pt)
+    if fam == "ricci":
+        ric, sc = ricci_and_scalars(ctx, pt)
+        return {"ricci": ric, "scalars": sc}
+    if fam == "em":
+        ds = deflection_set(ctx, pt)
+        return {"deflections": ds, "em": ds.em()}
+    return einstein_blocks(ctx, pt)
+
+
 def _dump_families(ctx, pt, families) -> dict:
-    out = {"point": _point_doc(pt)}
+    """The dumped blocks at ``pt``; an error names its family and point."""
     blocks = {}
     for fam in families:
-        if fam == "nlc":
-            Htc, M = temporal_christoffel_and_M(ctx, pt)
-            blocks[fam] = {"M": M, "N": spatial_nlc(ctx, pt)}
-        elif fam == "connection":
-            blocks[fam] = cartan_connection(ctx, pt)
-        elif fam == "torsion":
-            blocks[fam] = torsion_set(ctx, pt)
-        elif fam == "curvature":
-            blocks[fam] = curvature_set(ctx, pt)
-        elif fam == "ricci":
-            ric, sc = ricci_and_scalars(ctx, pt)
-            blocks[fam] = {"ricci": ric, "scalars": sc}
-        elif fam == "em":
-            ds = deflection_set(ctx, pt)
-            blocks[fam] = {"deflections": ds, "em": ds.em()}
-        elif fam == "einstein":
-            blocks[fam] = einstein_blocks(ctx, pt)
-    out["families"] = blocks
-    return out
+        try:
+            blocks[fam] = _dump_family(ctx, pt, fam)
+        except JetlagError as exc:
+            raise ConfigError(f"dump {fam!r} at point "
+                              f"{json.dumps(_point_doc(pt))}: {exc}") from exc
+    return {"point": _point_doc(pt), "families": blocks}
 
 
 # --------------------------------------------------------------------------

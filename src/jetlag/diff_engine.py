@@ -372,6 +372,13 @@ class Jet:
             derivs.append(fac * c ** (e - m))
         return self.compose(derivs)
 
+    def __rpow__(self, base):
+        """A constant base to this jet's power, by :meth:`__pow__`."""
+        o = self._coerce(base)
+        if o is None:
+            return NotImplemented
+        return o ** self
+
     def _int_pow(self, e: int) -> "Jet":
         if e == 0:
             return Jet.constant(np.ones(self.shape), self.nvars, self.order)
@@ -432,15 +439,6 @@ class Jet:
         return Jet(N, K, out)
 
     # -- misc ----------------------------------------------------------------
-
-    def transpose(self, perm) -> "Jet":
-        cn = self.coeffs[0].ndim
-        if len(perm) != cn:
-            raise ValueError("perm must cover all component axes")
-        out = []
-        for k, c in enumerate(self.coeffs):
-            out.append(np.transpose(c, tuple(perm) + tuple(range(cn, cn + k))))
-        return Jet(self.nvars, self.order, out)
 
     def __float__(self):
         if self.coeffs[0].ndim:

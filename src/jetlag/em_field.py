@@ -24,13 +24,7 @@ import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import TorsionPreconditionError
-from .geometry import (
-    FromLagrangian,
-    GeometryContext,
-    _require_budget,
-    frame,
-    nlc_torsion_free_check,
-)
+from .geometry import GeometryContext, _gate, frame, nlc_torsion_free_check
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -111,10 +105,7 @@ def deflection_set(ctx: GeometryContext, pt: JetPoint) -> DeflectionSet:
     tied together by metricity, which makes lowering commute with the
     derivatives; tests compare them directly.
     """
-    if isinstance(ctx.g_source, FromLagrangian):
-        _require_budget(ctx, 3, "deflections of a Lagrangian-derived space")
-    else:
-        _require_budget(ctx, 2, "deflections")
+    _gate(ctx, 2, "deflections")
     fr = frame(ctx, pt, 2)
     p, n = ctx.p, ctx.n
     xs = pt.xs
@@ -327,10 +318,7 @@ def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
 def require_maxwell_budget(ctx: GeometryContext):
     """Raise OrderExceededError if the context's derivative budget is too
     small for the Maxwell residuals."""
-    if isinstance(ctx.g_source, FromLagrangian):
-        _require_budget(ctx, 3, "Maxwell residuals of a Lagrangian-derived space")
-    else:
-        _require_budget(ctx, 2, "Maxwell residuals")
+    _gate(ctx, 2, "Maxwell residuals")
 
 
 def require_torsion_free(verdict):
@@ -370,10 +358,7 @@ def deflection_identity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     All should vanish; they exercise every covariant rule against the stored
     curvature and torsion arrays.
     """
-    if isinstance(ctx.g_source, FromLagrangian):
-        _require_budget(ctx, 3, "deflection identities of a Lagrangian-derived space")
-    else:
-        _require_budget(ctx, 2, "deflection identities")
+    _gate(ctx, 2, "deflection identities")
     fr = frame(ctx, pt, 2)
     xs = fr.xs_jet
     Cc = fr.Cc_jet
@@ -481,10 +466,7 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     """Max-abs residuals of the four bracket identities tying torsion to
     curvature (the fifth is the vertical curvature's defining formula).
     """
-    if isinstance(ctx.g_source, FromLagrangian):
-        _require_budget(ctx, 3, "bracket identities of a Lagrangian-derived space")
-    else:
-        _require_budget(ctx, 2, "bracket identities")
+    _gate(ctx, 2, "bracket identities")
     fr = frame(ctx, pt, 2)
     Cc = fr.Cc_jet
     Tt = fr.tor_T_jet

@@ -16,8 +16,15 @@ fields.
 
 From these the Cartan canonical connection (H, G, L, C), its eight torsion
 blocks, seven curvature blocks, Ricci contractions and scalar curvature are
-assembled.  All differentiation flows through exact Taylor jets; finite
-differences appear only in tests as an independent oracle.
+assembled.  H, L and C are one Christoffel form,
+(1/2) inv^im (D_k m_mj + D_j m_mk - D_m m_jk), of h along d/dt, of g along
+delta/delta x and of g along d/dxs; gamma(phi) and Gamma(g) are the same
+form along d/dx.  All differentiation flows through exact Taylor jets;
+finite differences appear only in tests as an independent oracle.
+
+Derivative budget: an entry point that reads jets of order k needs
+``DiffConfig.max_order >= k``, and k + 1 on a Lagrangian-derived space,
+whose g already spends one order on the half-Hessian of L.
 
 Index layout convention used for every stored block: axes follow the
 symbol's logical indices left to right, a bound vertical pair contributing
@@ -227,6 +234,15 @@ class GeometryContext:
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _christoffel(d: Jet, inv: Jet) -> Jet:
+    """(1/2) inv^im (d_mjk + d_mkj - d_jkm), axes [i,j,k] (+ [g]), of a
+    metric's derivative block d[m,j,k] = D_k metric_mj; a vertical D carries
+    a trailing temporal axis g through."""
+    g = "g" if d.value.ndim == 4 else ""
+    sym = d + jet_linear(f"mjk{g}->mkj{g}", d) - jet_linear(f"jkm{g}->mjk{g}", d)
+    return jet_einsum(f"im,mjk{g}->ijk{g}", inv, sym) * 0.5
+
+
 def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
     """The cached geometry frame of ``ctx`` at ``pt``.
 
@@ -249,7 +265,15 @@ class Frame:
     """Lazy jet pipeline of one (context, point, order) triple.
 
     Every cached property is a Jet whose component axes follow the block's
-    logical indices; ``.value`` peels the point values.  A block that
+    logical indices; ``.value`` peels the point values.
+
+    The three covariant derivatives (:meth:`cov_t` /b, :meth:`cov_s` |k,
+    :meth:`cov_v` |^(g)_(k)) are one rule: the base derivative
+    (delta/delta t, delta/delta x, d/dxs) of the tensor, plus the
+    coefficient contracted into each upper index, minus it contracted on
+    its upper index into each lower one.  The coefficients are H on
+    temporal and G on spatial indices for /b, L for |k and C for |^(g)_(k);
+    the latter two leave temporal indices alone.  A block that
     several checks derive outside this module (the conservation-law
     right-hand sides, the metrical deflections) is built once per frame
     through :meth:`shared`, so it is cached and evicted with the frame.
@@ -309,16 +333,19 @@ class Frame:
 
     # -- metrics -----------------------------------------------------------
 
-    @cached_property
-    def h_jet(self) -> Jet:
-        h = self.eval_grid(self.ctx.h)
-        val = h.value
+    def _symmetric(self, jet: Jet, what: str) -> Jet:
+        """``jet`` after checking that its (square) value is symmetric."""
+        val = jet.value
         scale = max(1.0, float(np.max(np.abs(val))))
         if float(np.max(np.abs(val - val.T))) > 1e-9 * scale:
             raise RegularityViolationError(
-                "temporal metric h is not symmetric at this point", witness=self.pt
+                f"{what} is not symmetric at this point", witness=self.pt
             )
-        return h
+        return jet
+
+    @cached_property
+    def h_jet(self) -> Jet:
+        return self._symmetric(self.eval_grid(self.ctx.h), "temporal metric h")
 
     @cached_property
     def g_jet(self) -> Jet:
@@ -326,20 +353,12 @@ class Frame:
         if isinstance(src, DirectMetric):
             g = self.eval_grid(src.entries)
         else:
-            g = self._g_from_lagrangian()
-        val = g.value
-        scale = max(1.0, float(np.max(np.abs(val))))
-        if float(np.max(np.abs(val - val.T))) > 1e-9 * scale:
-            raise RegularityViolationError(
-                "vertical metric g is not symmetric at this point", witness=self.pt
-            )
+            hh = self.vertical_half_hessian
+            g = jet_einsum("mn,imjn->ij", self.h_jet, hh) * (1.0 / self.p)
+        self._symmetric(g, "vertical metric g")
         if not self.ctx._defer_signature:
-            self.ctx._check_signature(self.pt, self.h_jet.value, val)
+            self.ctx._check_signature(self.pt, self.h_jet.value, g.value)
         return g
-
-    def _g_from_lagrangian(self) -> Jet:
-        halfhess = self.vertical_half_hessian
-        return jet_einsum("mn,imjn->ij", self.h_jet, halfhess) * (1.0 / self.p)
 
     @cached_property
     def vertical_half_hessian(self) -> Jet:
@@ -347,11 +366,13 @@ class Frame:
         src = self.ctx.g_source
         if not isinstance(src, FromLagrangian):
             raise ValueError("vertical half-Hessian requires a Lagrangian source")
-        L = self.eval_scalar(src.L, self.order + 2)
+        return self.half_hessian(self.eval_scalar(src.L, self.order + 2))
+
+    def half_hessian(self, L: Jet) -> Jet:
+        """(1/2) d^2 L / dxs^i_m dxs^j_n of a scalar jet, axes [i,m,j,n]."""
         lo = self.p + self.n
         d1 = L.dblock(slice(lo, self.N), (self.n, self.p))
-        d2 = d1.dblock(slice(lo, self.N), (self.n, self.p))
-        return d2 * 0.5
+        return d1.dblock(slice(lo, self.N), (self.n, self.p)) * 0.5
 
     @cached_property
     def h_inv(self) -> Jet:
@@ -399,33 +420,18 @@ class Frame:
     @cached_property
     def Htc_jet(self) -> Jet:
         """Temporal Christoffel H^g_ab of h, axes [g,a,b]."""
-        dh = self.ddt(self.h_jet)  # [m,a,b] = dh_ma/dt^b
-        # dh_ma/db + dh_mb/da - dh_ab/dm, then (1/2) h^gm
-        sym = dh + jet_linear("mab->mba", dh) - jet_linear("abm->mab", dh)
-        return jet_einsum("gm,mab->gab", self.h_inv, sym) * 0.5
+        return _christoffel(self.ddt(self.h_jet), self.h_inv)
 
     @cached_property
     def M_jet(self) -> Jet:
         """Canonical temporal NLC M^(i)_(a)b = -H^g_ab x^i_g, axes [i,a,b]."""
         return -jet_einsum("gab,ig->iab", self.Htc_jet, self.xs_jet)
 
-    def _christoffel_x(self, metric: Jet, inv: Jet) -> Jet:
-        """Christoffel symbols of a spatial metric using d/dx only; [i,j,m]."""
-        d = self.ddx(metric)  # [r,j,m] = d metric_rj / dx^m
-        sym = d + jet_linear("rjm->rmj", d) - jet_linear("jmr->rjm", d)
-        return jet_einsum("ir,rjm->ijm", inv, sym) * 0.5
-
     @cached_property
     def phi_jet(self) -> Jet:
         if not isinstance(self.ctx.nlc, ChristoffelOfPhi):
             raise ValueError("this context has no fixed spatial metric phi")
-        phi = self.eval_grid(self.ctx.nlc.phi)
-        val = phi.value
-        if float(np.max(np.abs(val - val.T))) > 1e-9 * max(1.0, float(np.max(np.abs(val)))):
-            raise RegularityViolationError(
-                "spatial metric phi is not symmetric at this point", witness=self.pt
-            )
-        return phi
+        return self._symmetric(self.eval_grid(self.ctx.nlc.phi), "spatial metric phi")
 
     @cached_property
     def phi_inv(self) -> Jet:
@@ -433,7 +439,8 @@ class Frame:
 
     @cached_property
     def gamma_phi_jet(self) -> Jet:
-        return self._christoffel_x(self.phi_jet, self.phi_inv)
+        """Christoffel gamma^i_jm of phi, axes [i,j,m]."""
+        return _christoffel(self.ddx(self.phi_jet), self.phi_inv)
 
     def require_direction_independent(self, what: str):
         """Error unless g has no velocity dependence at this point."""
@@ -457,7 +464,7 @@ class Frame:
         """Generalized Christoffel Gamma^i_jm of g(t,x); direction-independent
         g only."""
         self.require_direction_independent("the generalized Christoffel symbols")
-        return self._christoffel_x(self.g_jet, self.g_inv)
+        return _christoffel(self.ddx(self.g_jet), self.g_inv)
 
     @cached_property
     def N_jet(self) -> Jet:
@@ -484,16 +491,12 @@ class Frame:
     @cached_property
     def Lc_jet(self) -> Jet:
         """L^i_jk, axes [i,j,k]; Christoffel-type with delta/delta x."""
-        d = self.delta_x(self.g_jet)  # [m,j,k] = delta g_mj / delta x^k
-        sym = d + jet_linear("mjk->mkj", d) - jet_linear("jkm->mjk", d)
-        return jet_einsum("im,mjk->ijk", self.g_inv, sym) * 0.5
+        return _christoffel(self.delta_x(self.g_jet), self.g_inv)
 
     @cached_property
     def Cc_jet(self) -> Jet:
         """C^i(g)_j(k), axes [i,j,k,g]; Christoffel-type with d/dxs."""
-        d = self.ddxs(self.g_jet)  # [m,j,k,g] = d g_mj / dxs^k_g
-        sym = d + jet_linear("mjkg->mkjg", d) - jet_linear("jkmg->mjkg", d)
-        return jet_einsum("im,mjkg->ijkg", self.g_inv, sym) * 0.5
+        return _christoffel(self.ddxs(self.g_jet), self.g_inv)
 
     # -- generic covariant derivatives on jets ---------------------------------
 
@@ -505,64 +508,38 @@ class Frame:
 
     def cov_t(self, A: Jet, slots) -> Jet:
         """Temporal covariant derivative /b; appends one temporal axis."""
-        slots = self._storage_slots(slots)
-        cn = A.value.ndim
-        if len(slots) != cn:
-            raise ValueError(f"{len(slots)} slots for {cn} component axes")
-        letters = self._letters(cn + 3, "")
-        S = letters[:cn]
-        w, q, d = letters[cn:cn + 3]
-        out = self.delta_t(A)
-        for ax, slot in enumerate(slots):
-            src = S[:ax] + q + S[ax + 1:]
-            dst = S[:ax] + w + S[ax + 1:]
-            if slot.family == "temporal":
-                coeff = self.Htc_jet
-            else:
-                coeff = self.Gc_jet
-            # up: +K^w_{qd} A^q; down: -K^q_{wd} A_q (sum over the upper slot)
-            cspec = f"{w}{q}{d}" if slot.up else f"{q}{w}{d}"
-            term = jet_einsum(f"{cspec},{src}->{dst}{d}", coeff, A)
-            out = out + term if slot.up else out - term
-        return out
+        return self._cov(A, slots, self.delta_t, ("Htc_jet", "Gc_jet"), 1)
 
     def cov_s(self, A: Jet, slots) -> Jet:
         """Spatial covariant derivative |k; appends one spatial axis."""
-        slots = self._storage_slots(slots)
-        cn = A.value.ndim
-        if len(slots) != cn:
-            raise ValueError(f"{len(slots)} slots for {cn} component axes")
-        letters = self._letters(cn + 3, "")
-        S = letters[:cn]
-        w, q, d = letters[cn:cn + 3]
-        out = self.delta_x(A)
-        for ax, slot in enumerate(slots):
-            if slot.family == "temporal":
-                continue
-            src = S[:ax] + q + S[ax + 1:]
-            dst = S[:ax] + w + S[ax + 1:]
-            cspec = f"{w}{q}{d}" if slot.up else f"{q}{w}{d}"
-            term = jet_einsum(f"{cspec},{src}->{dst}{d}", self.Lc_jet, A)
-            out = out + term if slot.up else out - term
-        return out
+        return self._cov(A, slots, self.delta_x, (None, "Lc_jet"), 1)
 
     def cov_v(self, A: Jet, slots) -> Jet:
         """Vertical covariant derivative |^(g)_(k); appends (n, p) axes."""
+        return self._cov(A, slots, self.ddxs, (None, "Cc_jet"), 2)
+
+    def _cov(self, A: Jet, slots, base, coefficients, extra_axes) -> Jet:
+        """``base(A)`` plus +K^w_(q..) A^q per upper and -K^q_(w..) A_q per
+        lower storage axis, K the frame block named by ``coefficients``
+        (temporal, spatial) for the axis family (None: no correction);
+        ``base`` appends ``extra_axes`` derivative axes, and so does K."""
         slots = self._storage_slots(slots)
         cn = A.value.ndim
         if len(slots) != cn:
             raise ValueError(f"{len(slots)} slots for {cn} component axes")
-        letters = self._letters(cn + 4, "")
+        letters = self._letters(cn + 2 + extra_axes, "")
         S = letters[:cn]
-        w, q, d, e = letters[cn:cn + 4]
-        out = self.ddxs(A)
+        w, q = letters[cn:cn + 2]
+        D = letters[cn + 2:]
+        out = base(A)
         for ax, slot in enumerate(slots):
-            if slot.family == "temporal":
+            name = coefficients[slot.family != "temporal"]
+            if name is None:
                 continue
             src = S[:ax] + q + S[ax + 1:]
             dst = S[:ax] + w + S[ax + 1:]
-            cspec = f"{w}{q}{d}{e}" if slot.up else f"{q}{w}{d}{e}"
-            term = jet_einsum(f"{cspec},{src}->{dst}{d}{e}", self.Cc_jet, A)
+            cspec = f"{w}{q}{D}" if slot.up else f"{q}{w}{D}"
+            term = jet_einsum(f"{cspec},{src}->{dst}{D}", getattr(self, name), A)
             out = out + term if slot.up else out - term
         return out
 
@@ -896,18 +873,22 @@ def adapted_deriv(ctx: GeometryContext, f: ScalarField, pt: JetPoint, direction)
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _require_budget(ctx: GeometryContext, needed: int, why: str):
-    if ctx.diff.max_order < needed:
+def _gate(ctx: GeometryContext, order: int, why: str):
+    """The derivative-budget rule (module docstring): ``why`` reads jets of
+    ``order``, one more on a Lagrangian-derived space."""
+    if isinstance(ctx.g_source, FromLagrangian):
+        order += 1
+        why += " of a Lagrangian-derived space"
+    if ctx.diff.max_order < order:
         raise OrderExceededError(
-            f"{why} needs a derivative budget of at least {needed}; "
+            f"{why} needs a derivative budget of at least {order}; "
             f"the context allows {ctx.diff.max_order}"
         )
 
 
 def cartan_connection(ctx: GeometryContext, pt: JetPoint) -> CartanCoefficients:
     """The four coefficient families of the Cartan canonical connection."""
-    if isinstance(ctx.g_source, FromLagrangian):
-        _require_budget(ctx, 2, "the Cartan connection of a Lagrangian-derived metric")
+    _gate(ctx, 1, "the Cartan connection")
     fr = frame(ctx, pt, 1)
     return CartanCoefficients(
         Htc=fr.Htc_jet.value.copy(),
@@ -939,11 +920,7 @@ def cov_deriv(ctx: GeometryContext, tensor_field: JetTensorField, pt: JetPoint, 
     appends a down spatial axis) or "vertical" (|^(g)_(k), appends a down
     vertical pair stored as (spatial, temporal) axes).
 
-    Rules, per storage axis: temporal derivative corrects temporal axes with
-    H and spatial axes with G; spatial derivative corrects spatial axes with
-    L; vertical derivative corrects spatial axes with C; up indices add the
-    correction, down indices subtract it; temporal axes receive no spatial or
-    vertical correction.
+    The rule is :class:`Frame`'s.
     """
     fr = frame(ctx, pt, 1)
     grid = np.asarray(tensor_field.entries, dtype=object)
@@ -985,10 +962,7 @@ def torsion_set(ctx: GeometryContext, pt: JetPoint) -> TorsionSet:
 
 def curvature_set(ctx: GeometryContext, pt: JetPoint) -> CurvatureSet:
     """The seven effective curvature blocks."""
-    if isinstance(ctx.g_source, FromLagrangian):
-        _require_budget(ctx, 3, "curvature of a Lagrangian-derived space")
-    else:
-        _require_budget(ctx, 2, "curvature")
+    _gate(ctx, 2, "curvature")
     fr = frame(ctx, pt, 2)
     return CurvatureSet(
         H=fr.cur_H_jet.value.copy(),
@@ -1003,10 +977,7 @@ def curvature_set(ctx: GeometryContext, pt: JetPoint) -> CurvatureSet:
 
 def ricci_and_scalars(ctx: GeometryContext, pt: JetPoint):
     """Ricci contractions and the three curvature scalars."""
-    if isinstance(ctx.g_source, FromLagrangian):
-        _require_budget(ctx, 3, "curvature of a Lagrangian-derived space")
-    else:
-        _require_budget(ctx, 2, "curvature")
+    _gate(ctx, 2, "curvature")
     fr = frame(ctx, pt, 2)
     ric = RicciSet(
         H=fr.ricci_H_jet.value.copy(),
@@ -1049,64 +1020,16 @@ def energy_lagrangian(ctx: GeometryContext, pt: JetPoint) -> float:
     return float(np.einsum("mn,ab,am,bn->", hinv, g, pt.xs, pt.xs))
 
 
-class EnergyField(ScalarField):
-    """The absolute energy Lagrangian E of a context, as a scalar field."""
-
-    deps = frozenset(("t", "x", "xs"))
-
-    def __init__(self, ctx: GeometryContext):
-        self.ctx = ctx
-        self._name = "absolute-energy"
-
-    def __call__(self, spt):
-        ctx = self.ctx
-        if not isinstance(ctx.g_source, DirectMetric):
-            raise ValueError(
-                "the energy field of a Lagrangian-derived space is the "
-                "Lagrangian's own concern; use the source L directly"
-            )
-        h = [[ctx.h[a, b](spt) for b in range(ctx.p)] for a in range(ctx.p)]
-        g = [
-            [ctx.g_source.entries[i, j](spt) for j in range(ctx.n)]
-            for i in range(ctx.n)
-        ]
-        flat = [v for row in (h + g + [list(r) for r in spt.xs]) for v in row]
-        template = next((v for v in flat if isinstance(v, Jet)), None)
-        if template is None:
-            hv = np.array(h, dtype=float)
-            gv = np.array(g, dtype=float)
-            xs = np.array(spt.xs, dtype=float)
-            return float(
-                np.einsum("mn,ab,am,bn->", np.linalg.inv(hv), gv, xs, xs)
-            )
-
-        def lift(rows, shape):
-            vals = [
-                v if isinstance(v, Jet)
-                else Jet.constant(float(v), template.nvars, template.order)
-                for row in rows
-                for v in row
-            ]
-            return jet_stack(vals).reshape_components(shape)
-
-        hj = lift(h, (ctx.p, ctx.p))
-        hinv = jet_matrix_inverse(hj)
-        gj = lift(g, (ctx.n, ctx.n))
-        xs = lift([list(r) for r in spt.xs], (ctx.n, ctx.p))
-        e = jet_einsum("mn,am->an", hinv, xs)
-        e = jet_einsum("an,ab->bn", e, gj)
-        e = jet_einsum("bn,bn->", e, xs)
-        return e
-
-
 def kronecker_regularity_check(ctx, pts, lagrangian=None, tol=1e-9) -> RegularityVerdict:
     """Probe whether a Lagrangian's half-Hessian splits as h^ab * ghat.
 
-    For each sample point the half-Hessian blocks B^(a)(b) (n x n) are
-    computed, ghat = (1/p) h_ab B^(a)(b) extracted, and the residual
-    max |B^(a)(b) - h^ab ghat| compared against ``tol`` (scaled by the block
-    magnitude).  Defaults to the context's Lagrangian, or its absolute
-    energy when the metric is direct.
+    For each sample point the half-Hessian blocks B^(a)(b) (n x n) are read
+    off the point's frame, ghat = (1/p) h_ab B^(a)(b) extracted, and the
+    residual max |B^(a)(b) - h^ab ghat| compared against ``tol`` (scaled by
+    the block magnitude).  The Lagrangian is ``lagrangian`` if given, else
+    the context's own (whose half-Hessian its g already holds), else, on a
+    direct metric, the absolute energy E = h^mn g_ij xs^i_m xs^j_n.  g is
+    read there without the frame's symmetry and signature checks.
     """
     per_point = [kronecker_deviation_at(ctx, pt, lagrangian) for pt in pts]
     return regularity_verdict(pts, per_point, tol)
@@ -1115,21 +1038,18 @@ def kronecker_regularity_check(ctx, pts, lagrangian=None, tol=1e-9) -> Regularit
 def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
     """(scaled max |B^(a)(b) - h^ab ghat|, ghat) at one point; see
     :func:`kronecker_regularity_check`."""
-    if lagrangian is None:
-        if isinstance(ctx.g_source, FromLagrangian):
-            lagrangian = ctx.g_source.L
-        else:
-            lagrangian = EnergyField(ctx)
-    fr = frame(ctx, pt, 0)
-    spt = seed_point(pt, 2, lagrangian.deps)
-    res = lagrangian(spt)
-    if not isinstance(res, Jet):
-        res = Jet.constant(float(res), fr.N, 2)
-    lo = ctx.p + ctx.n
-    d2 = res.dblock(slice(lo, fr.N), (ctx.n, ctx.p)).dblock(
-        slice(lo, fr.N), (ctx.n, ctx.p)
-    )
-    B = 0.5 * d2.value  # [i,mu,j,nu]
+    if lagrangian is not None:
+        fr = frame(ctx, pt, 0)
+        B = fr.half_hessian(fr.eval_scalar(lagrangian, 2))
+    elif isinstance(ctx.g_source, FromLagrangian):
+        fr = frame(ctx, pt, 0)
+        B = fr.vertical_half_hessian
+    else:
+        fr = frame(ctx, pt, 2)
+        E = jet_einsum("mn,am->an", fr.h_inv, fr.xs_jet)
+        E = jet_einsum("an,ab->bn", E, fr.eval_grid(ctx.g_source.entries))
+        B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
+    B = B.value  # [i,mu,j,nu]
     hval = fr.h_jet.value
     hinv = np.linalg.inv(hval)
     ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p

@@ -39,7 +39,7 @@ import numpy as np
 from .diff_engine import JetPoint, jet_einsum, jet_linear
 from .em_field import ResidualStats, _Agg
 from .errors import POINT_ERRORS, NaturalFormUnavailableError, VacuumConstantError
-from .geometry import FromLagrangian, GeometryContext, _require_budget, frame
+from .geometry import GeometryContext, _gate, frame
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
 __all__ = [
@@ -58,11 +58,6 @@ ZERO_BLOCK_NOTE = (
     "the temporal-spatial and temporal-vertical cross blocks have no "
     "curvature counterpart; the matching stress-energy components must vanish"
 )
-
-
-def _gate(ctx: GeometryContext, frame_order: int, why: str):
-    extra = 1 if isinstance(ctx.g_source, FromLagrangian) else 0
-    _require_budget(ctx, frame_order + extra, why)
 
 
 # --------------------------------------------------------------------------

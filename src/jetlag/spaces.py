@@ -75,17 +75,14 @@ def _texts(entries, shape, what) -> np.ndarray:
     return out
 
 
-def _fields(texts, dims, deps, label, wrap=None) -> np.ndarray:
-    """Parse an object array of texts into ExprFields with shared deps.
-
-    ``wrap`` optionally replaces the plain constructor (used to bolt the
-    optic domain guard onto every metric entry).
-    """
-    make = wrap or (lambda src, name: ExprField(src, dims, deps=deps, name=name))
+def _fields(texts, dims, deps, label, guard=None) -> np.ndarray:
+    """Parse an object array of texts into ExprFields with shared deps and
+    an optional domain ``guard`` (see :class:`ExprField`)."""
     out = np.empty(texts.shape, dtype=object)
     for idx in np.ndindex(texts.shape):
         name = label + "".join(f"[{k + 1}]" for k in idx)
-        out[idx] = _named(lambda: make(texts[idx], name), name)
+        out[idx] = _named(lambda: ExprField(texts[idx], dims, deps=deps,
+                                            name=name, guard=guard), name)
     return out
 
 
@@ -396,11 +393,8 @@ def make_optic(h, phi, n_expr, X, *, K: float = 1.0,
             g_texts[i, j] = (
                 f"({phi[i, j]}) + (1 - 1/({n_text}))*({Y[i]})*({Y[j]})"
             )
-    g_fields = _fields(
-        g_texts, dims, ("t", "x", "xs"), "g",
-        wrap=lambda src, name: ExprField(
-            src, dims, name=name, guard=("refraction index", n_field)),
-    )
+    g_fields = _fields(g_texts, dims, ("t", "x", "xs"), "g",
+                       guard=("refraction index", n_field))
     return OpticContext(
         p, n, h_fields, DirectMetric(g_fields), ChristoffelOfPhi(phi_fields),
         phi_fields=phi_fields, n_field=n_field, X_fields=X_fields,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from jetlag import JetPoint, build_space, maxwell_residuals
-from jetlag.cli import main
+from jetlag.cli import DUMP_FAMILIES, main
 
 FULL_CHECKS = [
     "metricity",
@@ -89,6 +89,23 @@ LAGRANGIAN_CFG = {
 }
 
 
+QUADRATIC_REGULARITY_CFG = {
+    "p": 2,
+    "n": 2,
+    "space": {
+        "name": "quadratic",
+        "params": {
+            "h": [["1+0.3*t[1]^2+0.1*t[2]", "0.2*t[1]*t[2]"],
+                  ["0.2*t[1]*t[2]", "2+sin(t[2])*0.3"]],
+            "g": [["(1+0.2*t[1])*(1+0.3*x[2]^2)", "0.1*x[1]*x[2]*t[2]"],
+                  ["0.1*x[1]*x[2]*t[2]", "2+0.2*x[1]^2+0.1*t[1]^2"]],
+        },
+    },
+    "points": {"seed": 4, "count": 4},
+    "checks": ["regularity"],
+}
+
+
 def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -109,6 +126,18 @@ REPORT_DIGESTS = {
               OPTIC_CFG),
     "torsional": ("a952e4459b669d848b502c2e859603fa68e34753c2b4750b125e7990a92cc571",
                   TORSIONAL_CFG),
+    # every frame block, through every dump family, on a direct metric and
+    # on a Lagrangian-derived one
+    "optic-dumps": ("1029512b26145e34567b5a415897a12ec0626b999a8244207d7e79fbcbcc3051",
+                    dict(OPTIC_CFG, dump=list(DUMP_FAMILIES))),
+    "lagrangian-dumps": ("15a0fd73623b8cc055447dceac83884e91c85c3243fba0295c4b5c559e98d8e2",
+                         dict(LAGRANGIAN_CFG,
+                              checks=["metricity", "regularity", "einstein",
+                                      "curvature", "maxwell"],
+                              dump=list(DUMP_FAMILIES))),
+    # the regularity probe of a space's own explicit Lagrangian
+    "quadratic-regularity": ("e20c6b68b6124bffa2869eec3db26cd6f407d18fc87e796b1f50220a1951fad5",
+                             QUADRATIC_REGULARITY_CFG),
 }
 WALL_LINE = re.compile(r'^  "wall_time_s": .*\n', re.MULTILINE)
 
@@ -311,6 +340,38 @@ def test_run_time_config_defects_exit_2(tmp_path, capsys, g, frag):
         assert main([command, cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(frag)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_constant_to_varying_power_runs(tmp_path, capsys):
+    doc = dict(_custom_g_cfg([["1+0.1*2^x[1]", "0"], ["0", "1"]]),
+               checks=["metricity", "grad-check"])
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 0
+    assert {c["status"] for c in rep["checks"].values()} == {"pass"}
+    assert main(["validate", write_cfg(tmp_path, doc)]) == 0
+
+
+def test_negative_base_to_varying_power_is_a_point_error(tmp_path, capsys):
+    checks = ["metricity", "antisymmetry", "torsion", "curvature", "maxwell",
+              "einstein", "conservation", "regularity", "grad-check"]
+    doc = dict(_custom_g_cfg([["1+0.1*(-2)^x[1]", "0"], ["0", "1"]]),
+               points={"explicit": [_point(0.3)]}, checks=checks)
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 1
+    for name in checks:
+        got = rep["checks"][name]
+        if name == "torsion":  # reads only the identity phi
+            assert got["status"] == "pass"
+            continue
+        assert got["error"] == "power with a varying exponent needs a positive base"
+        assert got["witness"] == _point(0.3)
+    # every sampled draw leaves the domain
+    cfg = write_cfg(tmp_path, dict(doc, points={"seed": 1, "count": 2}))
+    for command in ("run", "validate"):
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not sample 2 admissible points")
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -732,6 +793,16 @@ def test_grad_check_error_attribution(tmp_path, doc, error, offset, witness):
     assert getattr(exc.value, "offset", None) == offset
     if offset is not None:  # a domain error names the probed point
         assert exc.value.witness is pts[1]
+
+
+def test_dump_error_names_family_and_point(tmp_path, capsys):
+    # without the dump, the same run reports the singular point as witness
+    cfg = write_cfg(tmp_path, dict(SINGULAR_CFG, dump=["connection"]))
+    assert main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    point = json.dumps(SINGULAR_CFG["points"]["explicit"][0])
+    assert err == (f"error: dump 'connection' at point {point}: matrix is "
+                   "singular or ill-conditioned (cond=inf)\n")
 
 
 def test_em_dump_builds_deflections_once(monkeypatch):

@@ -64,6 +64,19 @@ def test_domain_errors(src):
         eval_field(ast, float_point(CORPUS_POINT))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_constant_base_power_of_a_jet(order):
+    # a constant raised to a varying power goes through exp(expo * log(base))
+    spt = seed_point(CORPUS_POINT, order)
+    got = ExprField("2^x[1]", CORPUS_DIMS)(spt)
+    want = ExprField("exp(x[1]*log(2))", CORPUS_DIMS)(spt)
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert np.allclose(g, w, rtol=1e-14, atol=0.0)
+    with pytest.raises(EvalDomainError, match="positive base") as exc:
+        ExprField("1 + (0-2)^x[1]", CORPUS_DIMS)(spt)
+    assert exc.value.offset == 9
+
+
 @pytest.mark.parametrize("src,offset", [("1 + exp(1000)*x[1]", 4),
                                         ("x[1] - 10^400", 9)])
 @pytest.mark.parametrize("seed", [float_point, lambda pt: seed_point(pt, 1)],

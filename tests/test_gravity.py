@@ -4,6 +4,7 @@ import pytest
 
 from jetlag.diff_engine import JetPoint, jet_einsum, jet_linear
 from jetlag.errors import (
+    EvalDomainError,
     NaturalFormUnavailableError,
     OrderExceededError,
     VacuumConstantError,
@@ -308,3 +309,70 @@ def test_natural_form_gates(ctx_tdep22, pt_tdep22):
     assert nf0.identity_residuals is not None
     assert nf0.new_law_residuals is None
     assert nf0.tilde_tt is None
+
+
+# --------------------------------------------------------------------------
+# the derivative-budget rule of every gated entry point
+# --------------------------------------------------------------------------
+
+def _budget_ctx(lagrangian, max_order):
+    """A (3,3) space (the natural form needs p, n > 2) whose g, or L, leaves
+    the log domain at x1 < 0, so a call that passes its budget gate ends at
+    the first field evaluation."""
+    from jetlag.diff_engine import DiffConfig
+    from jetlag.geometry import ChristoffelOfPhi, DirectMetric
+
+    dims = (3, 3)
+    if lagrangian:
+        src = FromLagrangian(ExprField(
+            "log(x[1])*(xs[1][1]^2+xs[2][2]^2+xs[3][3]^2)", dims))
+    else:
+        src = DirectMetric(support.grid(
+            [["log(x[1])", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            dims, ("t", "x")))
+    return GeometryContext(
+        3, 3, support.grid(support.ident_src(3), dims, ("t",)), src,
+        ChristoffelOfPhi(support.grid(support.ident_src(3), dims, ("x",))),
+        diff=DiffConfig(max_order=max_order),
+    )
+
+
+def _budget_entries():
+    from jetlag import em_field
+    from jetlag.geometry import cartan_connection, curvature_set
+
+    one = {"cartan_connection": cartan_connection}
+    two = {
+        "curvature_set": curvature_set,
+        "ricci_and_scalars": ricci_and_scalars,
+        "deflection_set": em_field.deflection_set,
+        "maxwell_residuals": lambda ctx, pt: em_field.maxwell_residuals(ctx, [pt]),
+        "deflection_identity_residuals": em_field.deflection_identity_residuals,
+        "bianchi_residuals": em_field.bianchi_residuals,
+        "einstein_blocks": einstein_blocks,
+        "natural_stress_energy": natural_stress_energy,
+    }
+    three = {
+        "conservation_residuals": lambda ctx, pt: conservation_residuals(ctx, [pt]),
+        "natural_form_checks": lambda ctx, pt: natural_form_checks(ctx, [pt]),
+    }
+    return [(name, fn, need) for need, fns in ((1, one), (2, two), (3, three))
+            for name, fn in fns.items()]
+
+
+@pytest.mark.parametrize("lagrangian", [False, True], ids=["direct", "lagrangian"])
+@pytest.mark.parametrize("name,fn,need", _budget_entries(),
+                         ids=[e[0] for e in _budget_entries()])
+def test_budget_rule(name, fn, need, lagrangian):
+    # a Lagrangian-derived g costs one more order: its half-Hessian
+    need += lagrangian
+    pt = JetPoint.of([0.1, 0.2, 0.3], [-0.5, 0.2, 0.1],
+                     [[0.1, 0.2, 0.3], [0.2, 0.1, 0.3], [0.3, 0.1, 0.2]])
+    if need - 1 >= 1:
+        with pytest.raises(OrderExceededError) as exc:
+            fn(_budget_ctx(lagrangian, need - 1), pt)
+        assert f"at least {need}" in str(exc.value)
+    if need <= 3:
+        # past the gate, the log domain ends the evaluation
+        with pytest.raises(EvalDomainError):
+            fn(_budget_ctx(lagrangian, need), pt)
