@@ -89,6 +89,26 @@ LAGRANGIAN_CFG = {
 }
 
 
+# a direction-dependent g on a conformal space: both Liouville fields (raw
+# and metrical deflections) and the electromagnetic blocks
+CONFORMAL_EM_CFG = {
+    "p": 2,
+    "n": 2,
+    "space": {
+        "name": "conformal",
+        "params": {
+            "h": [["1", "0"], ["0", "1 + t[1]^2"]],
+            "phi": [["1 + x[1]^2", "0"], ["0", "1 + x[2]^2"]],
+            "variant": "iii",
+            "X": ["1", "1 - t[2]"],
+        },
+    },
+    "points": {"seed": 5, "count": 4, "box": {"xs": [-0.5, 0.5]}},
+    "checks": ["curvature", "maxwell", "conservation"],
+    "dump": ["em", "torsion", "curvature"],
+}
+
+
 QUADRATIC_REGULARITY_CFG = {
     "p": 2,
     "n": 2,
@@ -136,6 +156,8 @@ REPORT_DIGESTS = {
                                       "curvature", "maxwell"],
                               dump=list(DUMP_FAMILIES))),
     # the regularity probe of a space's own explicit Lagrangian
+    "conformal-em": ("8b0e691e2b4e97e8d7b68493569e50e0048fbb8c68786252ea588b0192786e0d",
+                     CONFORMAL_EM_CFG),
     "quadratic-regularity": ("e20c6b68b6124bffa2869eec3db26cd6f407d18fc87e796b1f50220a1951fad5",
                              QUADRATIC_REGULARITY_CFG),
 }
