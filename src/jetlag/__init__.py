@@ -67,10 +67,8 @@ from .geometry import (
     TorsionSet,
     UserGiven,
     cartan_connection,
-    cov_deriv,
     curvature_antisymmetry_residuals,
     curvature_set,
-    energy_lagrangian,
     kronecker_regularity_check,
     metricity_residuals,
     nlc_torsion_free_check,
@@ -80,7 +78,6 @@ from .geometry import (
     spatial_nlc,
     temporal_christoffel_and_M,
     torsion_set,
-    vertical_metric_from_L,
 )
 from .gravity import (
     ConservationReport,

@@ -27,6 +27,7 @@ from .em_field import (
     bianchi_residuals,
     deflection_identity_residuals,
     deflection_set,
+    em_tensors,
     maxwell_at,
     maxwell_report,
     require_maxwell_budget,
@@ -273,6 +274,8 @@ def load_config(path: str) -> RunConfig:
         for key in ("t", "x", "xs")
     }
     explicit = []
+    if not isinstance(pts_cfg.get("explicit", []), list):
+        raise _err("points.explicit", "must be a list")
     for k, entry in enumerate(pts_cfg.get("explicit", [])):
         loc = f"points.explicit[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"t", "x", "xs"}:
@@ -766,8 +769,8 @@ def _dump_family(ctx, pt, fam):
         ric, sc = ricci_and_scalars(ctx, pt)
         return {"ricci": ric, "scalars": sc}
     if fam == "em":
-        ds = deflection_set(ctx, pt)
-        return {"deflections": ds, "em": ds.em()}
+        return {"deflections": deflection_set(ctx, pt),
+                "em": em_tensors(ctx, pt)}
     return einstein_blocks(ctx, pt)
 
 
@@ -808,7 +811,8 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
     point every frame-reading check takes its step, so each point's frames
     are built once and read by every check while they are cached.  After
     the last point, each check's fold, or the whole-sweep runner of
-    ``natural-form`` and ``grad-check``, runs in config order.
+    ``natural-form`` and ``grad-check``, runs in config order.  The dumps
+    are taken at ``pts[0]`` before the first check step.
     """
     start = time.perf_counter()
     ctx = build_space(cfg.space_name, cfg.space_params)
@@ -826,6 +830,8 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
         if fam not in DUMP_FAMILIES:
             raise ConfigError(f"unknown dump family {fam!r}; "
                               f"available {list(DUMP_FAMILIES)}")
+    # a dump error ends the run, so it comes before any check step
+    dumps = _dump_families(ctx, pts[0], families) if families else None
 
     outcomes = {}
     records = {name: [] for name in cfg.checks if name in _FOLDS}
@@ -850,7 +856,6 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
                 outcomes[name] = _error_outcome(exc)
         checks[name] = outcomes[name].doc(tol)
 
-    dumps = _dump_families(ctx, pts[0], families) if families else None
     statuses = [c["status"] for c in checks.values()]
     summary = {
         "n_checks": len(statuses),
@@ -887,6 +892,8 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         echo = dict(cfg.echo)
         echo["points"] = dict(echo["points"], seed=args.seed)
         cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed, "echo": echo})

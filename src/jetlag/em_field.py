@@ -14,6 +14,15 @@ vertical index pair adjacent, spatial axis first:
 Raw deflections carry the un-lowered Liouville field xs^i_a itself and have
 the same axis order.  Alternations and cyclic sums permute spatial labels
 only; greek indices stay attached to their slots.
+
+The ten deflection identities are one Ricci identity, applied to a Liouville
+field X (xs or x_low) with deflections D = (temporal, spatial, vertical):
+each commutator of two covariant derivatives of X equals the curvature
+acting on X's spatial index minus the torsion acting on D.  Lowering flips
+the sign of the curvature term.  F and f are the antisymmetrized spatial
+and vertical metrical deflections; they are derived once per frame, as a
+shared block, and both the Maxwell residuals and :func:`em_tensors` read
+them there.
 """
 
 from __future__ import annotations
@@ -66,6 +75,14 @@ def _metrical_jets(fr):
     )
 
 
+def _em_jets(fr):
+    """(F, f), the antisymmetrized metrical deflections, as jets; read
+    through ``fr.shared``."""
+    x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
+    return ((Dmet - jet_linear("iaj->jai", Dmet)) * 0.5,
+            (dmet - jet_linear("iajb->jaib", dmet)) * 0.5)
+
+
 # --------------------------------------------------------------------------
 # deflections
 # --------------------------------------------------------------------------
@@ -89,12 +106,6 @@ class DeflectionSet:
     met_spatial: np.ndarray
     met_vertical: np.ndarray
     x_low: np.ndarray
-
-    def em(self) -> "EmSet":
-        """The electromagnetic blocks: antisymmetrized metrical deflections."""
-        F = 0.5 * (self.met_spatial - np.einsum("jai->iaj", self.met_spatial))
-        f = 0.5 * (self.met_vertical - np.einsum("jaib->iajb", self.met_vertical))
-        return EmSet(F=F, f=f)
 
 
 def deflection_set(ctx: GeometryContext, pt: JetPoint) -> DeflectionSet:
@@ -142,7 +153,9 @@ class EmSet:
 
 def em_tensors(ctx: GeometryContext, pt: JetPoint) -> EmSet:
     """The two antisymmetrized electromagnetic blocks at a point."""
-    return deflection_set(ctx, pt).em()
+    _gate(ctx, 2, "deflections")
+    F, f = frame(ctx, pt, 2).shared(_em_jets)
+    return EmSet(F=F.value.copy(), f=f.value.copy())
 
 
 # --------------------------------------------------------------------------
@@ -244,8 +257,7 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     """
     fr = frame(ctx, pt, 2)
     x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
-    F = (Dmet - jet_linear("iaj->jai", Dmet)) * 0.5
-    f = (dmet - jet_linear("iajb->jaib", dmet)) * 0.5
+    F, f = fr.shared(_em_jets)
     Tt = fr.tor_T_jet
     Cc = fr.Cc_jet
     R2 = fr.tor_R2_jet
@@ -350,115 +362,69 @@ def maxwell_report(per_point: list) -> MaxwellReport:
 # diagnostics: deflection and bracket identities
 # --------------------------------------------------------------------------
 
+def _liouville_identities(fr, X, D, up: bool) -> list:
+    """Max-abs residuals of the five Ricci identities (module docstring) of
+    the Liouville field ``X``, xs if ``up`` else x_low, whose deflections
+    are D = (temporal, spatial, vertical)."""
+    Dt, Ds, Dv = D
+    v = V_UP if up else V_DN
+
+    def curvature(block, rest):
+        if up:
+            return jet_einsum(f"ma,im{rest}->ia{rest}", X, block)
+        return jet_einsum(f"ma,mi{rest}->ia{rest}", X, block) * (-1.0)
+
+    def torsion(block, rest):
+        return jet_einsum(f"iamu,mu{rest}->ia{rest}", Dv, block)
+
+    out = []
+    lhs = fr.cov_s(Dt, (v, T_DN)) - jet_linear(
+        "iakb->iabk", fr.cov_t(Ds, (v, S_DN)))
+    rhs = (curvature(fr.cur_R2_jet, "bk")
+           - jet_einsum("iam,mbk->iabk", Ds, fr.tor_T_jet)
+           - torsion(fr.tor_R2_jet, "bk"))
+    out.append(lhs - rhs)
+
+    lhs = fr.cov_v(Dt, (v, T_DN)) - jet_linear(
+        "iakgb->iabkg", fr.cov_t(Dv, (v, V_DN)))
+    rhs = curvature(fr.cur_P1_jet, "bkg") - torsion(fr.tor_P2_jet, "bkg")
+    out.append(lhs - rhs)
+
+    Dss = fr.cov_s(Ds, (v, S_DN))  # [i,a,j,k]
+    lhs = Dss - jet_linear("iakj->iajk", Dss)
+    rhs = curvature(fr.cur_R3_jet, "jk") - torsion(fr.tor_R3_jet, "jk")
+    out.append(lhs - rhs)
+
+    lhs = fr.cov_v(Ds, (v, S_DN)) - jet_linear(
+        "iakgj->iajkg", fr.cov_s(Dv, (v, V_DN)))
+    rhs = (curvature(fr.cur_P2_jet, "jkg")
+           - jet_einsum("iam,mjkg->iajkg", Ds, fr.Cc_jet)
+           - torsion(fr.tor_P3_jet, "jkg"))
+    out.append(lhs - rhs)
+
+    Dvv = fr.cov_v(Dv, (v, V_DN))  # [i,a,j,b,k,g]
+    lhs = Dvv - jet_linear("iakgjb->iajbkg", Dvv)
+    rhs = curvature(fr.cur_S_jet, "jbkg") - torsion(fr.tor_S_jet, "jbkg")
+    out.append(lhs - rhs)
+    return [float(np.max(np.abs(r.value))) for r in out]
+
+
 def deflection_identity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     """Max-abs residuals of the ten deflection identities at one point.
 
-    raw_1..raw_5 act on xs^i_a and produce curvature blocks on the right;
-    met_1..met_5 are their metric lowerings with torsion blocks on the right.
-    All should vanish; they exercise every covariant rule against the stored
-    curvature and torsion arrays.
+    raw_1..raw_5 are the Liouville identities of xs^i_a, met_1..met_5 those
+    of its lowering x_low.  All should vanish; they exercise every covariant
+    rule against the stored curvature and torsion arrays.
     """
     _gate(ctx, 2, "deflection identities")
     fr = frame(ctx, pt, 2)
     xs = fr.xs_jet
-    Cc = fr.Cc_jet
-    Tt = fr.tor_T_jet
-
-    rbar = fr.cov_t(xs, (V_UP,))  # [i,a,b]
-    rD = fr.cov_s(xs, (V_UP,))  # [i,a,j]
-    rd = fr.cov_v(xs, (V_UP,))  # [i,a,j,b]
-    x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
-
-    def mx(j: Jet) -> float:
-        return float(np.max(np.abs(j.value)))
-
+    raw = (fr.cov_t(xs, (V_UP,)), fr.cov_s(xs, (V_UP,)), fr.cov_v(xs, (V_UP,)))
+    x_low, *met = fr.shared(_metrical_jets)
     res = {}
-
-    # raw identities: upper Liouville, curvature on the right
-    lhs = fr.cov_s(rbar, (V_UP, T_DN)) - jet_linear(
-        "pvkb->pvbk", fr.cov_t(rD, (V_UP, S_DN))
-    )
-    rhs = (
-        jet_einsum("mv,pmbk->pvbk", xs, fr.cur_R2_jet)
-        - jet_einsum("pvm,mbk->pvbk", rD, Tt)
-        - jet_einsum("pvmu,mubk->pvbk", rd, fr.tor_R2_jet)
-    )
-    res["raw_1"] = mx(lhs - rhs)
-
-    lhs = fr.cov_v(rbar, (V_UP, T_DN)) - jet_linear(
-        "pvkgb->pvbkg", fr.cov_t(rd, (V_UP, V_DN))
-    )
-    rhs = jet_einsum("mv,pmbkg->pvbkg", xs, fr.cur_P1_jet) - jet_einsum(
-        "pvmu,mubkg->pvbkg", rd, fr.tor_P2_jet
-    )
-    res["raw_2"] = mx(lhs - rhs)
-
-    rDs = fr.cov_s(rD, (V_UP, S_DN))  # [p,v,j,k]
-    lhs = rDs - jet_linear("pvkj->pvjk", rDs)
-    rhs = jet_einsum("mv,pmjk->pvjk", xs, fr.cur_R3_jet) - jet_einsum(
-        "pvmu,mujk->pvjk", rd, fr.tor_R3_jet
-    )
-    res["raw_3"] = mx(lhs - rhs)
-
-    lhs = fr.cov_v(rD, (V_UP, S_DN)) - jet_linear(
-        "pvkgj->pvjkg", fr.cov_s(rd, (V_UP, V_DN))
-    )
-    rhs = (
-        jet_einsum("mv,pmjkg->pvjkg", xs, fr.cur_P2_jet)
-        - jet_einsum("pvm,mjkg->pvjkg", rD, Cc)
-        - jet_einsum("pvmu,mujkg->pvjkg", rd, fr.tor_P3_jet)
-    )
-    res["raw_4"] = mx(lhs - rhs)
-
-    rdv = fr.cov_v(rd, (V_UP, V_DN))  # [p,v,j,b,k,g]
-    lhs = rdv - jet_linear("pvkgjb->pvjbkg", rdv)
-    rhs = jet_einsum("mv,pmjbkg->pvjbkg", xs, fr.cur_S_jet) - jet_einsum(
-        "pvmu,mujbkg->pvjbkg", rd, fr.tor_S_jet
-    )
-    res["raw_5"] = mx(lhs - rhs)
-
-    # metrical identities: lowered Liouville, torsion on the right
-    lhs = fr.cov_s(Dbar, (V_DN, T_DN)) - jet_linear(
-        "iakb->iabk", fr.cov_t(Dmet, (V_DN, S_DN))
-    )
-    rhs = (
-        jet_einsum("ma,mibk->iabk", x_low, fr.cur_R2_jet) * (-1.0)
-        - jet_einsum("iam,mbk->iabk", Dmet, Tt)
-        - jet_einsum("iamu,mubk->iabk", dmet, fr.tor_R2_jet)
-    )
-    res["met_1"] = mx(lhs - rhs)
-
-    lhs = fr.cov_v(Dbar, (V_DN, T_DN)) - jet_linear(
-        "iakgb->iabkg", fr.cov_t(dmet, (V_DN, V_DN))
-    )
-    rhs = jet_einsum("ma,mibkg->iabkg", x_low, fr.cur_P1_jet) * (
-        -1.0
-    ) - jet_einsum("iamu,mubkg->iabkg", dmet, fr.tor_P2_jet)
-    res["met_2"] = mx(lhs - rhs)
-
-    Dms = fr.cov_s(Dmet, (V_DN, S_DN))
-    lhs = Dms - jet_linear("iakj->iajk", Dms)
-    rhs = jet_einsum("ma,mijk->iajk", x_low, fr.cur_R3_jet) * (
-        -1.0
-    ) - jet_einsum("iamu,mujk->iajk", dmet, fr.tor_R3_jet)
-    res["met_3"] = mx(lhs - rhs)
-
-    lhs = fr.cov_v(Dmet, (V_DN, S_DN)) - jet_linear(
-        "iakgj->iajkg", fr.cov_s(dmet, (V_DN, V_DN))
-    )
-    rhs = (
-        jet_einsum("ma,mijkg->iajkg", x_low, fr.cur_P2_jet) * (-1.0)
-        - jet_einsum("iam,mjkg->iajkg", Dmet, Cc)
-        - jet_einsum("iamu,mujkg->iajkg", dmet, fr.tor_P3_jet)
-    )
-    res["met_4"] = mx(lhs - rhs)
-
-    dv = fr.cov_v(dmet, (V_DN, V_DN))  # [i,a,j,b,k,g]
-    lhs = dv - jet_linear("iakgjb->iajbkg", dv)
-    rhs = jet_einsum("ma,mijbkg->iajbkg", x_low, fr.cur_S_jet) * (
-        -1.0
-    ) - jet_einsum("iamu,mujbkg->iajbkg", dmet, fr.tor_S_jet)
-    res["met_5"] = mx(lhs - rhs)
+    for kind, X, D, up in (("raw", xs, raw, True), ("met", x_low, met, False)):
+        for k, r in enumerate(_liouville_identities(fr, X, D, up), 1):
+            res[f"{kind}_{k}"] = r
     return res
 
 
@@ -498,7 +464,7 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
 
     # b3: sum_{i,j,k} { R^l_{ijk} - C^{l(u)}_{k(m)} R^(m)_(u)ij } = 0
     core = fr.cur_R3_jet - jet_einsum("lkmu,muij->lijk", Cc, fr.tor_R3_jet)
-    s = core + jet_linear("ljki->lijk", core) + jet_linear("lkij->lijk", core)
+    s = _cyclic3(core, "ljki->lijk", "lkij->lijk")
     res["b3"] = float(np.max(np.abs(s.value)))
 
     # b4: A_{j,k} { P^{l (e)}_{jk(p)} + C^{l(e)}_{j(p)|k} + C^{l(u)}_{k(m)} P^(m)(e)_(u)j(p) } = 0

@@ -33,7 +33,7 @@ symbol's logical indices left to right, a bound vertical pair contributing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,7 +61,7 @@ from .errors import (
     SingularMetricError,
 )
 from .field_expr import FieldGrid
-from .tensor_core import DTensor, IndexSlot, S_DN, S_UP, T_DN, T_UP
+from .tensor_core import S_DN, S_UP, T_DN, T_UP
 
 __all__ = [
     "DirectMetric",
@@ -70,7 +70,6 @@ __all__ = [
     "ChristoffelOfPhi",
     "UserGiven",
     "GeometryContext",
-    "JetTensorField",
     "CartanCoefficients",
     "TorsionSet",
     "CurvatureSet",
@@ -83,14 +82,10 @@ __all__ = [
     "temporal_christoffel_and_M",
     "spatial_christoffel",
     "spatial_nlc",
-    "adapted_deriv",
     "cartan_connection",
-    "cov_deriv",
     "torsion_set",
     "curvature_set",
     "ricci_and_scalars",
-    "vertical_metric_from_L",
-    "energy_lagrangian",
     "kronecker_regularity_check",
     "kronecker_deviation_at",
     "regularity_verdict",
@@ -400,20 +395,19 @@ class Frame:
     def delta_t(self, A: Jet) -> Jet:
         """Adapted temporal derivative dA/dt^a - M^(j)_(b)a dA/dxs^j_b;
         appends one temporal axis."""
-        cn = A.value.ndim
-        S = self._letters(cn, "jba")
-        dxs = self.ddxs(A)
-        corr = jet_einsum(f"{S}jb,jba->{S}a", dxs, self.M_jet)
-        return self.ddt(A) - corr
+        return self._adapted(A, self.ddt, self.M_jet)
 
     def delta_x(self, A: Jet) -> Jet:
         """Adapted spatial derivative dA/dx^i - N^(j)_(b)i dA/dxs^j_b;
         appends one spatial axis."""
-        cn = A.value.ndim
-        S = self._letters(cn, "jbi")
-        dxs = self.ddxs(A)
-        corr = jet_einsum(f"{S}jb,jbi->{S}i", dxs, self.N_jet)
-        return self.ddx(A) - corr
+        return self._adapted(A, self.ddx, self.N_jet)
+
+    def _adapted(self, A: Jet, base, connection: Jet) -> Jet:
+        """``base(A)`` minus the nonlinear ``connection`` [j,b,w] contracted
+        with dA/dxs^j_b; appends the derivative axis w."""
+        S = self._letters(A.value.ndim, "jbw")
+        corr = jet_einsum(f"{S}jb,jbw->{S}w", self.ddxs(A), connection)
+        return base(A) - corr
 
     # -- connections ---------------------------------------------------------
 
@@ -854,25 +848,6 @@ def spatial_nlc(ctx: GeometryContext, pt: JetPoint):
     return frame(ctx, pt, 1).N_jet.value.copy()
 
 
-def adapted_deriv(ctx: GeometryContext, f: ScalarField, pt: JetPoint, direction):
-    """Adapted-basis derivative of a scalar field.
-
-    direction: ("t", a) for delta/delta t^a, ("x", i) for delta/delta x^i,
-    ("xs", i, a) for d/dxs^i_a (the vertical basis vector is a raw partial).
-    Indices 0-based.
-    """
-    fr = frame(ctx, pt, 1)
-    F = fr.eval_scalar(f)
-    kind = direction[0]
-    if kind == "t":
-        return float(fr.delta_t(F).value[direction[1]])
-    if kind == "x":
-        return float(fr.delta_x(F).value[direction[1]])
-    if kind == "xs":
-        return float(fr.ddxs(F).value[direction[1], direction[2]])
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def _gate(ctx: GeometryContext, order: int, why: str):
     """The derivative-budget rule (module docstring): ``why`` reads jets of
     ``order``, one more on a Lagrangian-derived space."""
@@ -896,53 +871,6 @@ def cartan_connection(ctx: GeometryContext, pt: JetPoint) -> CartanCoefficients:
         Lc=fr.Lc_jet.value.copy(),
         Cc=fr.Cc_jet.value.copy(),
     )
-
-
-@dataclass(frozen=True)
-class JetTensorField:
-    """A d-tensor field: a typed signature plus a grid of scalar components.
-
-    ``entries`` is an object array of scalar fields whose shape matches the
-    storage extents of ``signature``.
-    """
-
-    signature: tuple
-    entries: object
-
-    def storage_shape(self, p: int, n: int):
-        return tuple(e for s in self.signature for e in s.extents(p, n))
-
-
-def cov_deriv(ctx: GeometryContext, tensor_field: JetTensorField, pt: JetPoint, kind: str) -> DTensor:
-    """Covariant derivative of a d-tensor field at a point.
-
-    kind: "temporal" (/b, appends a down temporal axis), "spatial" (|k,
-    appends a down spatial axis) or "vertical" (|^(g)_(k), appends a down
-    vertical pair stored as (spatial, temporal) axes).
-
-    The rule is :class:`Frame`'s.
-    """
-    fr = frame(ctx, pt, 1)
-    grid = np.asarray(tensor_field.entries, dtype=object)
-    expect = tensor_field.storage_shape(ctx.p, ctx.n)
-    if grid.shape != expect:
-        raise ValueError(
-            f"entries shape {grid.shape} does not match signature storage {expect}"
-        )
-    A = fr.eval_grid(grid)
-    if kind == "temporal":
-        out = fr.cov_t(A, tensor_field.signature)
-        extra = (T_DN,)
-    elif kind == "spatial":
-        out = fr.cov_s(A, tensor_field.signature)
-        extra = (S_DN,)
-    elif kind == "vertical":
-        out = fr.cov_v(A, tensor_field.signature)
-        extra = (IndexSlot("vertical", False),)
-    else:
-        raise ValueError(f"kind must be temporal/spatial/vertical, got {kind!r}")
-    sig = tuple(tensor_field.signature) + extra
-    return DTensor(sig, (ctx.p, ctx.n), out.value.copy())
 
 
 def torsion_set(ctx: GeometryContext, pt: JetPoint) -> TorsionSet:
@@ -994,32 +922,6 @@ def ricci_and_scalars(ctx: GeometryContext, pt: JetPoint):
     return ric, ScalarSet(H=H, R=R, S=S, total=H + R + S)
 
 
-def vertical_metric_from_L(ctx: GeometryContext, pt: JetPoint):
-    """(Gvert[mu,nu,i,j], g_canonical[i,j]) of a Lagrangian-derived metric.
-
-    Gvert is the half-Hessian (1/2) d^2 L/dxs^i_mu dxs^j_nu; g_canonical is
-    its (1/p) h_mu nu contraction.
-    """
-    fr = frame(ctx, pt, 0)
-    hh = fr.vertical_half_hessian.value  # [i,mu,j,nu]
-    g = fr.g_jet.value
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RegularityViolationError(
-            f"canonical g is singular at this point (cond={cond:.3e})",
-            witness=pt,
-        )
-    return np.transpose(hh, (1, 3, 0, 2)).copy(), g.copy()
-
-
-def energy_lagrangian(ctx: GeometryContext, pt: JetPoint) -> float:
-    """Absolute energy E = h^mu nu g_mr xs^m_mu xs^r_nu at pt."""
-    fr = frame(ctx, pt, 0)
-    hinv = np.linalg.inv(fr.h_jet.value)
-    g = fr.g_jet.value
-    return float(np.einsum("mn,ab,am,bn->", hinv, g, pt.xs, pt.xs))
-
-
 def kronecker_regularity_check(ctx, pts, lagrangian=None, tol=1e-9) -> RegularityVerdict:
     """Probe whether a Lagrangian's half-Hessian splits as h^ab * ghat.
 
@@ -1051,7 +953,7 @@ def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
         B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
     B = B.value  # [i,mu,j,nu]
     hval = fr.h_jet.value
-    hinv = np.linalg.inv(hval)
+    hinv = jet_matrix_inverse(fr.h_jet.truncated(0)).value
     ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
     recon = np.einsum("mn,ij->imjn", hinv, ghat)
     scale = max(1.0, float(np.max(np.abs(B))))

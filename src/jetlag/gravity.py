@@ -204,18 +204,21 @@ def _law_rhs(fr):
             jet_linear("ijbi->jb", fr.cov_s(Psb, (S_UP, V_DN))))
 
 
+def _divergences(fr, Xt, Xs, Xv):
+    """The divergences X^a_b/a, X^i_j|i and X^(i)(b)_(a)(j)|^(a)_(i) of a
+    mixed temporal [a,b], spatial [i,j] and vertical [i,a,j,b] block."""
+    return (jet_linear("aba->b", fr.cov_t(Xt, (T_UP, T_DN))),
+            jet_linear("iji->j", fr.cov_s(Xs, (S_UP, S_DN))),
+            jet_linear("iajbia->jb", fr.cov_v(Xv, (V_UP, V_DN))))
+
+
 def _laws_at(fr):
     """[(residual, constituent terms)] for the three laws at one frame."""
-    X1, X2, X3 = _mixed_einstein_jets(fr)
+    mixed = _mixed_einstein_jets(fr)
     div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
-
-    lhs1 = jet_linear("aba->b", fr.cov_t(X1, (T_UP, T_DN)))
+    lhs1, lhs2, lhs3 = _divergences(fr, *mixed)
     res1 = lhs1 + div_R + div_P1
-
-    lhs2 = jet_linear("iji->j", fr.cov_s(X2, (S_UP, S_DN)))
     res2 = lhs2 + div_P2
-
-    lhs3 = jet_linear("iajbia->jb", fr.cov_v(X3, (V_UP, V_DN)))
     res3 = lhs3 + div_P3
 
     return [
@@ -416,10 +419,8 @@ def _prop_identities_at(fr, tilde):
     precision, so both are reported.
     """
     _, Emix_t, _, Emix_s, _, Econ = tilde
+    id1, lhs2, lhs3 = _divergences(fr, Emix_t, Emix_s, Econ)
 
-    id1 = jet_linear("aba->b", fr.cov_t(Emix_t, (T_UP, T_DN)))
-
-    lhs2 = jet_linear("iji->j", fr.cov_s(Emix_s, (S_UP, S_DN)))
     # P^{l(u)}_(m): both plain lower spatial slots of the P-curvature
     # contracted away with g^{-1}
     Pcon = jet_einsum("lm,ilmjb->ijb", fr.g_inv, fr.cur_P2_jet)
@@ -428,7 +429,6 @@ def _prop_identities_at(fr, tilde):
     t2 = jet_einsum("kp,kpi->i", fr.g_inv, tmp) * 0.5
     id2 = lhs2 - t1 + t2
 
-    lhs3 = jet_linear("mujbmu->jb", fr.cov_v(Econ, (V_UP, V_DN)))
     tA = jet_einsum("lm,ilmujb->iujb", fr.g_inv, fr.cur_S_jet)
     Scon = jet_einsum("au,iujb->iajb", fr.h_jet, tA)   # S^(i)(b)_(a)(j)
     t3 = jet_einsum("muialc,lcmu->ia", fr.tor_S_jet, Scon)
@@ -495,16 +495,14 @@ def _new_laws_at(fr, tilde, K: float):
     tv = jet_linear("ii->", jet_einsum("im,mj->ij", fr.g_inv, tmp)) * (1.0 / K)
 
     div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
+    d1, d2, d3 = _divergences(fr, Tmix_t, Tmix_s, Tcon_v)
 
-    d1 = jet_linear("aba->b", fr.cov_t(Tmix_t, (T_UP, T_DN)))
     l1 = d1 - fr.delta_t(tM) * (1.0 / (2.0 - n)) - fr.delta_t(tv) * (1.0 / (2.0 - p * n))
     res1 = l1 * K + div_R + div_P1
 
-    d2 = jet_linear("iji->j", fr.cov_s(Tmix_s, (S_UP, S_DN)))
     l2 = d2 - fr.delta_x(tT) * (1.0 / (2.0 - p)) - fr.delta_x(tv) * (1.0 / (2.0 - p * n))
     res2 = l2 * K + div_P2
 
-    d3 = jet_linear("mujbmu->jb", fr.cov_v(Tcon_v, (V_UP, V_DN)))
     l3 = d3 - fr.ddxs(tT) * (1.0 / (2.0 - p)) - fr.ddxs(tM) * (1.0 / (2.0 - n))
     res3 = l3 * K + div_P3
 

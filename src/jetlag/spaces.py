@@ -52,6 +52,22 @@ __all__ = [
 # text plumbing
 # --------------------------------------------------------------------------
 
+def _square(entries, what, tail=()) -> tuple:
+    """(texts, k): ``entries`` as a (k, *tail, k) grid of expression texts,
+    k its leading extent."""
+    arr = np.asarray(entries, dtype=object)
+    k = arr.shape[0] if arr.ndim else 1
+    return _texts(arr, (k, *tail, k), what), k
+
+
+def _number(v, kind, what):
+    """``kind(v)`` for ``kind`` float or int, or a named error."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {v!r}") from None
+
+
 def _texts(entries, shape, what) -> np.ndarray:
     """Coerce a nested sequence of expression texts to an object array."""
     arr = np.asarray(entries, dtype=object)
@@ -224,12 +240,8 @@ def quadratic_lagrangian(h, g, U=None, F=None) -> ExprField:
     half-Hessian splits as h^{ab} g_{ij}, so the canonical metric the
     regularity probe extracts is g itself.
     """
-    h = np.asarray(h, dtype=object)
-    p = h.shape[0]
-    g = np.asarray(g, dtype=object)
-    n = g.shape[0]
-    h = _texts(h, (p, p), "h")
-    g = _texts(g, (n, n), "g")
+    h, p = _square(h, "h")
+    g, n = _square(g, "g")
     dims = (p, n)
     hinv = _h_inverse_texts(h, p)
     terms = [
@@ -257,12 +269,8 @@ def make_quadratic(h, g, U=None, F=None, *, K: float = 1.0,
     connection differentiates g along t, which only closes for
     direction-independent metrics.
     """
-    h = np.asarray(h, dtype=object)
-    p = h.shape[0]
-    g = np.asarray(g, dtype=object)
-    n = g.shape[0]
-    h = _texts(h, (p, p), "h")
-    g = _texts(g, (n, n), "g")
+    h, p = _square(h, "h")
+    g, n = _square(g, "g")
     dims = (p, n)
     h_fields = _fields(h, dims, ("t",), "h")
     try:
@@ -329,12 +337,8 @@ def make_conformal(h, phi, variant, params, *, K: float = 1.0,
     * ``"iii"`` sigma = phi_{ij}(x) X^a(t) X^b(t) xs^i_a xs^j_b; params is
       the vector X.
     """
-    h = np.asarray(h, dtype=object)
-    p = h.shape[0]
-    phi = np.asarray(phi, dtype=object)
-    n = phi.shape[0]
-    h = _texts(h, (p, p), "h")
-    phi = _texts(phi, (n, n), "phi")
+    h, p = _square(h, "h")
+    phi, n = _square(phi, "phi")
     dims = (p, n)
     h_fields = _fields(h, dims, ("t",), "h")
     phi_fields = _fields(phi, dims, ("x",), "phi")
@@ -367,12 +371,8 @@ def make_optic(h, phi, n_expr, X, *, K: float = 1.0,
     bundle with range [1, oo); X^a(t) is the observation direction.  Every
     metric entry guards the n >= 1 domain at evaluation time.
     """
-    h = np.asarray(h, dtype=object)
-    p = h.shape[0]
-    phi = np.asarray(phi, dtype=object)
-    n = phi.shape[0]
-    h = _texts(h, (p, p), "h")
-    phi = _texts(phi, (n, n), "phi")
+    h, p = _square(h, "h")
+    phi, n = _square(phi, "phi")
     dims = (p, n)
     h_fields = _fields(h, dims, ("t",), "h")
     phi_fields = _fields(phi, dims, ("x",), "phi")
@@ -448,26 +448,24 @@ def _int_param(params, key, where) -> int:
     return int(v)
 
 
-def _build_flat(params, diff):
+def _build_flat(params, diff, K):
     _take(params, {"p", "n", "K"}, {"p", "n"}, "flat")
     return make_flat(_int_param(params, "p", "flat"),
-                     _int_param(params, "n", "flat"),
-                     K=float(params.get("K", 1.0)), diff=diff)
+                     _int_param(params, "n", "flat"), K=K, diff=diff)
 
 
-def _build_quadratic(params, diff):
+def _build_quadratic(params, diff, K):
     _take(params, {"h", "g", "U", "F", "K"}, {"h", "g"}, "quadratic")
     return make_quadratic(params["h"], params["g"],
-                          U=params.get("U"), F=params.get("F"),
-                          K=float(params.get("K", 1.0)), diff=diff)
+                          U=params.get("U"), F=params.get("F"), K=K, diff=diff)
 
 
-def _build_conformal(params, diff):
+def _build_conformal(params, diff, K):
     _take(params, {"h", "phi", "variant", "U", "A", "X", "K"},
           {"h", "phi", "variant"}, "conformal")
     variant = params["variant"]
-    key = {"i": "U", "ii": "A", "iii": "X"}.get(variant)
-    if key is None:
+    key = isinstance(variant, str) and {"i": "U", "ii": "A", "iii": "X"}.get(variant)
+    if not key:
         raise ConfigError(
             f"conformal.variant must be 'i', 'ii' or 'iii', got {variant!r}"
         )
@@ -480,34 +478,28 @@ def _build_conformal(params, diff):
             f"got {sorted(stray)} as well"
         )
     return make_conformal(params["h"], params["phi"], variant, params[key],
-                          K=float(params.get("K", 1.0)), diff=diff)
+                          K=K, diff=diff)
 
 
-def _build_optic(params, diff):
+def _build_optic(params, diff, K):
     _take(params, {"h", "phi", "n", "X", "K"}, {"h", "phi", "n", "X"}, "optic")
     return make_optic(params["h"], params["phi"], params["n"], params["X"],
-                      K=float(params.get("K", 1.0)), diff=diff)
+                      K=K, diff=diff)
 
 
-def _build_custom(params, diff):
+def _build_custom(params, diff, K):
     _take(params, {"h", "g", "lagrangian", "nlc", "K"}, {"h", "nlc"}, "custom")
-    h = np.asarray(params["h"], dtype=object)
-    p = h.shape[0]
-    h = _texts(h, (p, p), "h")
+    h, p = _square(params["h"], "h")
     if ("g" in params) == ("lagrangian" in params):
         raise ConfigError("custom needs exactly one of 'g' or 'lagrangian'")
     nlc_spec = params["nlc"]
     if not isinstance(nlc_spec, dict) or "kind" not in nlc_spec:
         raise ConfigError("custom.nlc must be a map with a 'kind' key")
 
-    def dims_with(n):
-        return (p, n)
-
     if "g" in params:
-        g = np.asarray(params["g"], dtype=object)
-        n = g.shape[0]
-        dims = dims_with(n)
-        g_fields = _fields(_texts(g, (n, n), "g"), dims, ("t", "x", "xs"), "g")
+        g, n = _square(params["g"], "g")
+        dims = (p, n)
+        g_fields = _fields(g, dims, ("t", "x", "xs"), "g")
         g_source = DirectMetric(g_fields)
     else:
         # dimensions are not recoverable from a Lagrangian text alone
@@ -517,12 +509,14 @@ def _build_custom(params, diff):
                 "to pin the spatial dimension"
             )
         if "phi" in nlc_spec:
-            n = np.asarray(nlc_spec["phi"], dtype=object).shape[0]
+            n = _square(nlc_spec["phi"], "nlc.phi")[1]
         elif "entries" in nlc_spec:
-            n = np.asarray(nlc_spec["entries"], dtype=object).shape[0]
+            n = _square(nlc_spec["entries"], "nlc.entries", (p,))[1]
         else:
-            n = int(nlc_spec["n"])
-        dims = dims_with(n)
+            n = _number(nlc_spec["n"], int, "custom.nlc.n")
+            if n < 1:
+                raise ConfigError(f"custom.nlc.n must be positive, got {n}")
+        dims = (p, n)
         L = _texts(np.asarray([params["lagrangian"]], dtype=object), (1,), "lagrangian")[0]
         g_source = FromLagrangian(_scalar_field(L, dims, ("t", "x", "xs"), "L"))
 
@@ -532,12 +526,11 @@ def _build_custom(params, diff):
         nlc = QuadraticCanonical()
     elif kind == "christoffel":
         _take(nlc_spec, {"kind", "phi"}, {"kind", "phi"}, "custom.nlc")
-        phi = _texts(np.asarray(nlc_spec["phi"], dtype=object), (n, n), "nlc.phi")
+        phi = _texts(nlc_spec["phi"], (n, n), "nlc.phi")
         nlc = ChristoffelOfPhi(_fields(phi, dims, ("x",), "phi"))
     elif kind == "user":
         _take(nlc_spec, {"kind", "entries"}, {"kind", "entries"}, "custom.nlc")
-        ent = _texts(np.asarray(nlc_spec["entries"], dtype=object),
-                     (n, p, n), "nlc.entries")
+        ent = _texts(nlc_spec["entries"], (n, p, n), "nlc.entries")
         nlc = UserGiven(_fields(ent, dims, ("t", "x", "xs"), "N"))
     else:
         raise ConfigError(
@@ -545,8 +538,7 @@ def _build_custom(params, diff):
             f"got {kind!r}"
         )
     h_fields = _fields(h, dims, ("t",), "h")
-    return GeometryContext(p, n, h_fields, g_source, nlc,
-                           diff=diff, K=float(params.get("K", 1.0)))
+    return GeometryContext(p, n, h_fields, g_source, nlc, diff=diff, K=K)
 
 
 _BUILDERS = {
@@ -570,7 +562,9 @@ def build_space(name: str, params: dict, *, diff=None) -> GeometryContext:
         raise ConfigError(
             f"unknown space {name!r}; available: {space_names()}"
         ) from None
-    return builder(dict(params or {}), diff)
+    params = dict(params or {})
+    K = _number(params.get("K", 1.0), float, f"{name}.K")
+    return builder(params, diff, K)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jetlag import JetPoint, build_space, maxwell_residuals
 from jetlag.cli import DUMP_FAMILIES, main
@@ -817,10 +819,18 @@ def test_grad_check_error_attribution(tmp_path, doc, error, offset, witness):
         assert exc.value.witness is pts[1]
 
 
-def test_dump_error_names_family_and_point(tmp_path, capsys):
-    # without the dump, the same run reports the singular point as witness
+def test_dump_error_names_family_and_point(tmp_path, capsys, monkeypatch):
+    # without the dump, the same run reports the singular point as witness;
+    # with it, the run stops before any check step
+    from jetlag import cli
+
+    steps = []
+    for name, run in list(cli._RUNNERS.items()):
+        monkeypatch.setitem(cli._RUNNERS, name,
+                            lambda *a, run=run: steps.append(a) or run(*a))
     cfg = write_cfg(tmp_path, dict(SINGULAR_CFG, dump=["connection"]))
     assert main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert steps == []
     err = capsys.readouterr().err
     point = json.dumps(SINGULAR_CFG["points"]["explicit"][0])
     assert err == (f"error: dump 'connection' at point {point}: matrix is "
@@ -841,3 +851,125 @@ def test_em_dump_builds_deflections_once(monkeypatch):
     assert len(calls) == 1
     em = em_field.em_tensors(ctx, pt)
     assert np.array_equal(doc["em"].F, em.F) and np.array_equal(doc["em"].f, em.f)
+
+
+# --------------------------------------------------------------------------
+# error contract: every malformed input ends in one named error
+# --------------------------------------------------------------------------
+
+def _space_cfg(name, params, points=None):
+    return {"p": 2, "n": 2, "space": {"name": name, "params": params},
+            "points": points or {"seed": 1, "count": 1},
+            "checks": ["metricity"]}
+
+
+EYE2 = [["1", "0"], ["0", "1"]]
+CONFORMAL_PARAMS = {"h": EYE2, "phi": EYE2, "variant": "iii", "X": ["1", "0"]}
+LAGRANGIAN_PARAMS = dict(LAGRANGIAN_CFG["space"]["params"])
+
+
+MALFORMED_SPACES = {
+    "optic-h-scalar": ("optic", dict(OPTIC_CFG["space"]["params"], h="1")),
+    "conformal-phi-map": ("conformal", dict(CONFORMAL_PARAMS, phi={"a": "1"})),
+    "quadratic-g-scalar": ("quadratic", {"h": EYE2, "g": 1}),
+    "custom-h-map": ("custom", dict(LAGRANGIAN_PARAMS, h={})),
+    "custom-g-scalar": ("custom", _custom_g_cfg("1")["space"]["params"]),
+    "nlc-phi-scalar": ("custom", dict(
+        LAGRANGIAN_PARAMS, nlc={"kind": "christoffel", "phi": "1"})),
+    "nlc-entries-map": ("custom", dict(
+        LAGRANGIAN_PARAMS, nlc={"kind": "user", "entries": {"a": 1}})),
+    "K-text": ("conformal", dict(CONFORMAL_PARAMS, K="abc")),
+    "K-list": ("optic", dict(OPTIC_CFG["space"]["params"], K=[1])),
+    "nlc-n-text": ("custom", dict(
+        LAGRANGIAN_PARAMS, nlc={"kind": "quadratic", "n": "abc"})),
+    "nlc-n-zero": ("custom", dict(
+        LAGRANGIAN_PARAMS, nlc={"kind": "quadratic", "n": 0})),
+    "variant-list": ("conformal", dict(CONFORMAL_PARAMS, variant=["i"])),
+}
+
+
+def _one_error_line(err):
+    assert err.startswith("error:"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES) + [
+    "explicit-scalar", "negative-seed"])
+def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
+    if case in MALFORMED_SPACES:
+        doc = _space_cfg(*MALFORMED_SPACES[case])
+    else:
+        doc = _space_cfg("conformal", CONFORMAL_PARAMS)
+    if case == "explicit-scalar":
+        doc["points"] = {"explicit": 5}
+    cfg = write_cfg(tmp_path, doc)
+    if case == "negative-seed":
+        commands = [["run", cfg, "--seed", "-1"]]
+    else:
+        commands = [["run", cfg], ["validate", cfg]]
+    for argv in commands:
+        assert main(argv) == 2
+        _one_error_line(capsys.readouterr().err)
+
+
+FUZZ_BASES = [
+    _space_cfg("conformal", dict(CONFORMAL_PARAMS, K=1.0),
+               points={"seed": 1, "count": 1, "box": {"xs": [-0.5, 0.5]},
+                       "explicit": [_point(0.3)]}),
+    dict(_space_cfg("custom", LAGRANGIAN_PARAMS),
+         tolerances={"metricity": 1e-8}, dump=["nlc"]),
+]
+
+
+def _key_paths(doc, prefix=()):
+    for key, val in doc.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=3),
+    st.booleans(), st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+    st.integers(-10**6, -1),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_shape_fuzz(tmp_path, capsys, data):
+    # one key of a small config gets a value of the wrong shape: validate
+    # accepts it or names the error, and never raises
+    base = data.draw(st.sampled_from(FUZZ_BASES))
+    path = data.draw(st.sampled_from(list(_key_paths(base))))
+    doc = json.loads(json.dumps(base))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(FUZZ_VALUES)
+    capsys.readouterr()
+    rc = main(["validate", write_cfg(tmp_path, doc)])
+    err = capsys.readouterr().err
+    if rc == 2:
+        _one_error_line(err)
+    else:
+        assert rc == 0 and err == ""
+
+
+def test_regularity_at_singular_h_names_its_point(tmp_path):
+    # h = diag(t1, 1) is singular at t1 = 0: regularity fails there with
+    # the singular-metric error, as metricity does
+    params = dict(LAGRANGIAN_CFG["space"]["params"], h=[["t[1]", "0"], ["0", "1"]])
+    pt = {"t": [0.0, 0.2], "x": [0.3, 0.4], "xs": [[0.5, 0.6], [0.7, 0.8]]}
+    doc = dict(LAGRANGIAN_CFG, space={"name": "custom", "params": params},
+               points={"explicit": [pt]}, checks=["metricity", "regularity"])
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 1
+    for name in ("metricity", "regularity"):
+        check = rep["checks"][name]
+        assert check["status"] == "fail"
+        assert check["error"] == "matrix is singular or ill-conditioned (cond=inf)"
+        assert check["witness"] == pt

@@ -10,15 +10,11 @@ from jetlag.geometry import (
     DirectMetric,
     FromLagrangian,
     GeometryContext,
-    JetTensorField,
     QuadraticCanonical,
     UserGiven,
-    adapted_deriv,
     cartan_connection,
-    cov_deriv,
     curvature_antisymmetry_residuals,
     curvature_set,
-    energy_lagrangian,
     frame,
     kronecker_regularity_check,
     metricity_residuals,
@@ -29,10 +25,9 @@ from jetlag.geometry import (
     spatial_nlc,
     temporal_christoffel_and_M,
     torsion_set,
-    vertical_metric_from_L,
 )
 from jetlag.errors import RegularityViolationError
-from jetlag.tensor_core import IndexSlot, S_DN
+from jetlag.tensor_core import S_DN, V_UP
 
 import support
 from oracles import fd_christoffel, fd_riemann
@@ -90,7 +85,8 @@ def test_temporal_christoffel_hand_values(diag_t_ctx):
 def test_adapted_derivative_uses_nlc(diag_t_ctx):
     ctx, pt = diag_t_ctx
     f = PyField(lambda spt: spt.xs[0][1], deps=("xs",), name="xs12")
-    val = adapted_deriv(ctx, f, pt, ("t", 0))
+    fr = frame(ctx, pt, 1)
+    val = float(fr.delta_t(fr.eval_scalar(f)).value[0])
     # delta/delta t^1 of xs^1_2 is -M^(1)_(2)1 = 1.5
     assert val == pytest.approx(1.5, abs=1e-12)
 
@@ -114,7 +110,10 @@ def test_metricity_hand_fixtures(diag_t_ctx, diag_x_ctx):
 def test_energy_value(diag_x_ctx):
     ctx, pt = diag_x_ctx
     want = 1 * 1 * 0.5 ** 2 + (3.0 ** 2) * 2.0 ** 2
-    assert energy_lagrangian(ctx, pt) == pytest.approx(want, abs=1e-12)
+    fr = frame(ctx, pt, 0)
+    energy = np.einsum("mn,ab,am,bn->", fr.h_inv.value, fr.g_jet.value,
+                       fr.xs_jet.value, fr.xs_jet.value)
+    assert float(energy) == pytest.approx(want, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -226,15 +225,17 @@ def test_crafted_nlc_has_torsion():
 
 
 # --------------------------------------------------------------------------
-# covariant derivatives through the typed tensor path
+# covariant derivatives of evaluated fields through the frame
 # --------------------------------------------------------------------------
 
 
 def test_metric_covariant_derivatives_vanish(ctx_mixed22, pt_mixed22):
-    gfield = JetTensorField((S_DN, S_DN), ctx_mixed22.g_source.entries)
-    for kind in ("temporal", "spatial", "vertical"):
-        D = cov_deriv(ctx_mixed22, gfield, pt_mixed22, kind)
-        assert np.max(np.abs(D.components)) < 1e-10, kind
+    fr = frame(ctx_mixed22, pt_mixed22, 1)
+    g = fr.eval_grid(ctx_mixed22.g_source.entries)
+    for kind, cov in (("temporal", fr.cov_t), ("spatial", fr.cov_s),
+                      ("vertical", fr.cov_v)):
+        D = cov(g, (S_DN, S_DN))
+        assert np.max(np.abs(D.value)) < 1e-10, kind
 
 
 def liouville_field(p, n):
@@ -244,27 +245,27 @@ def liouville_field(p, n):
             comps[i, a] = PyField(
                 lambda spt, i=i, a=a: spt.xs[i][a], deps=("xs",), name=f"xs{i}{a}"
             )
-    return JetTensorField((IndexSlot("vertical", True),), comps)
+    return comps
 
 
 def test_liouville_closed_forms(ctx_mixed22, pt_mixed22):
-    lio = liouville_field(2, 2)
     fr = frame(ctx_mixed22, pt_mixed22, 1)
+    lio = fr.eval_grid(liouville_field(2, 2))
     xs = pt_mixed22.xs
 
-    D = cov_deriv(ctx_mixed22, lio, pt_mixed22, "temporal")
+    D = fr.cov_t(lio, (V_UP,))
     want = np.einsum("imb,ma->iab", fr.Gc_jet.value, xs)
-    assert np.max(np.abs(D.components - want)) < 1e-12
+    assert np.max(np.abs(D.value - want)) < 1e-12
 
-    D = cov_deriv(ctx_mixed22, lio, pt_mixed22, "spatial")
+    D = fr.cov_s(lio, (V_UP,))
     want = -fr.N_jet.value + np.einsum("imk,ma->iak", fr.Lc_jet.value, xs)
-    assert np.max(np.abs(D.components - want)) < 1e-12
+    assert np.max(np.abs(D.value - want)) < 1e-12
 
-    D = cov_deriv(ctx_mixed22, lio, pt_mixed22, "vertical")
+    D = fr.cov_v(lio, (V_UP,))
     want = np.einsum("ij,ab->iajb", np.eye(2), np.eye(2)) + np.einsum(
         "ijmb,ma->iajb", fr.Cc_jet.value, xs
     )
-    assert np.max(np.abs(D.components - want)) < 1e-12
+    assert np.max(np.abs(D.value - want)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +293,10 @@ def lagrangian_ctx():
 
 def test_vertical_metric_from_lagrangian(lagrangian_ctx):
     pt = JetPoint.of([0.2, -0.1], [0.5, 0.3], [[0.4, -0.2], [0.1, 0.6]])
-    Gvert, gcan = vertical_metric_from_L(lagrangian_ctx, pt)
+    fr = frame(lagrangian_ctx, pt, 0)
+    # half-Hessian [i,mu,j,nu] as [mu,nu,i,j]
+    Gvert = np.transpose(fr.vertical_half_hessian.value, (1, 3, 0, 2))
+    gcan = fr.g_jet.value
     g_want = np.array(
         [
             [1 + 0.3 * 0.3 ** 2, 0.1 * 0.5 * 0.3],
