@@ -8,7 +8,6 @@ with finite differences kept as an independent cross-check.
 """
 
 from .diff_engine import (
-    DiffConfig,
     Jet,
     JetPoint,
     check_grad,
@@ -74,7 +73,6 @@ from .geometry import (
     nlc_torsion_free_check,
     ricci_and_scalars,
     sample_points,
-    spatial_christoffel,
     spatial_nlc,
     temporal_christoffel_and_M,
     torsion_set,
@@ -94,7 +92,6 @@ from .spaces import (
     ConformalContext,
     OpticContext,
     QuadraticContext,
-    SpaceSpec,
     build_space,
     make_conformal,
     make_flat,

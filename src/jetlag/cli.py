@@ -30,7 +30,6 @@ from .em_field import (
     em_tensors,
     maxwell_at,
     maxwell_report,
-    require_maxwell_budget,
     require_torsion_free,
 )
 from .errors import (
@@ -64,7 +63,7 @@ from .gravity import (
     natural_form_checks,
     stress_energy_extract,
 )
-from .spaces import build_space, space_names
+from .spaces import _finite_real, build_space, space_names
 
 __all__ = ["RunConfig", "RunReport", "load_config", "run_report", "main"]
 
@@ -200,11 +199,14 @@ def _get_int(cfg, key, loc, minimum=None):
 
 
 def _box_pair(v, loc):
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(e, numbers.Real) for e in v)
-            or not float(v[0]) < float(v[1])):
-        raise _err(loc, f"must be [lo, hi] with lo < hi, got {v!r}")
-    return (float(v[0]), float(v[1]))
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise _err(loc, f"must be [lo, hi], got {v!r}")
+    lo, hi = (_finite_real(e, f"config.{loc}") for e in v)
+    # a finite width keeps the draws in range
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise _err(loc, f"must be [lo, hi] with lo < hi and a finite width, "
+                        f"got {v!r}")
+    return lo, hi
 
 
 def load_config(path: str) -> RunConfig:
@@ -282,8 +284,10 @@ def load_config(path: str) -> RunConfig:
             raise _err(loc, "must be a map with exactly the keys t, x, xs")
         try:
             pt = JetPoint.of(entry["t"], entry["x"], entry["xs"])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise _err(loc, str(exc)) from None
+        if not np.isfinite(pt.flat()).all():
+            raise _err(loc, "coordinates must be finite")
         if pt.dims != (p, n):
             raise _err(loc, f"dims {pt.dims} do not match (p, n) = ({p}, {n})")
         explicit.append(pt)
@@ -314,10 +318,9 @@ def load_config(path: str) -> RunConfig:
     for key, v in tol_cfg.items():
         if key not in CHECK_NAMES:
             raise _err("tolerances", f"unknown check {key!r}")
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                or not float(v) > 0.0:
-            raise _err(f"tolerances.{key}", f"must be a positive real, got {v!r}")
-        tolerances[key] = float(v)
+        tolerances[key] = _finite_real(v, f"config.tolerances.{key}")
+        if not tolerances[key] > 0.0:
+            raise _err(f"tolerances.{key}", f"must be positive, got {v!r}")
 
     dump_cfg = raw.get("dump", [])
     if not isinstance(dump_cfg, list):
@@ -508,25 +511,13 @@ def _from_per_point(pts, per_point, tol, measure="max_abs"):
     )
 
 
-def _run_metricity(ctx, pt, tol):
-    return metricity_residuals(ctx, pt)
-
-
-def _run_antisymmetry(ctx, pt, tol):
-    return curvature_antisymmetry_residuals(ctx, pt)
-
-
-def _run_curvature(ctx, pt, tol):
+def _run_curvature(ctx, pt):
     out = {}
     for k, v in deflection_identity_residuals(ctx, pt).items():
         out[f"deflection_{k}"] = v
     for k, v in bianchi_residuals(ctx, pt).items():
         out[f"bracket_{k}"] = v
     return out
-
-
-def _run_torsion(ctx, pt, tol):
-    return nlc_torsion_at(ctx, pt)
 
 
 def _fold_torsion(pts, records, tol):
@@ -540,8 +531,7 @@ def _fold_torsion(pts, records, tol):
     )
 
 
-def _run_maxwell(ctx, pt, tol):
-    require_maxwell_budget(ctx)
+def _run_maxwell(ctx, pt):
     torsion = nlc_torsion_at(ctx, pt)
     try:
         eqs = maxwell_at(ctx, pt)
@@ -576,7 +566,7 @@ def _fold_maxwell(pts, records, tol):
                         measure="max_rel", detail=detail, witness=witness)
 
 
-def _run_einstein(ctx, pt, tol):
+def _run_einstein(ctx, pt):
     k = ctx.K
     eb = einstein_blocks(ctx, pt)
     out = {
@@ -596,10 +586,10 @@ def _run_einstein(ctx, pt, tol):
     return out
 
 
-def _run_conservation(ctx, pt, tol):
+def _run_conservation(ctx, pt):
     # one call per point: a single call over all points sums mean_abs in
     # another order and moves its last digit
-    return conservation_residuals(ctx, [pt], tol)
+    return conservation_residuals(ctx, [pt])
 
 
 def _fold_conservation(pts, per, tol):
@@ -668,7 +658,7 @@ def _run_natural_form(ctx, pts, tol):
     )
 
 
-def _run_regularity(ctx, pt, tol):
+def _run_regularity(ctx, pt):
     return kronecker_deviation_at(ctx, pt, getattr(ctx, "lagrangian", None))
 
 
@@ -705,7 +695,7 @@ def _run_grad_check(ctx, pts, tol):
     witness = None
     flagged_nans = []
     fields = _grad_fields(ctx)
-    reps = check_grad([fld for _, fld in fields], pts, ctx.diff)
+    reps = check_grad([fld for _, fld in fields], pts)
     for (name, _), rep in zip(fields, reps):
         detail[name] = rep.max_rel_dev
         if rep.nan_flags:
@@ -726,14 +716,14 @@ def _run_grad_check(ctx, pts, tol):
 
 
 # A check with a fold runs point-major: run_report calls its step
-# ``(ctx, pt, tol) -> record`` at each point, then its fold
+# ``(ctx, pt) -> record`` at each point, then its fold
 # ``(pts, records, tol) -> CheckOutcome`` once, over the records in point
 # order.  The other runners take the whole sweep, ``(ctx, pts, tol)``.
 # run_report looks every runner up here at call time.
 _RUNNERS = {
-    "metricity": _run_metricity,
-    "antisymmetry": _run_antisymmetry,
-    "torsion": _run_torsion,
+    "metricity": metricity_residuals,
+    "antisymmetry": curvature_antisymmetry_residuals,
+    "torsion": nlc_torsion_at,
     "curvature": _run_curvature,
     "maxwell": _run_maxwell,
     "einstein": _run_einstein,
@@ -840,7 +830,7 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
             if name in outcomes:
                 continue  # the check raised at an earlier point
             try:
-                recs.append(_RUNNERS[name](ctx, pt, cfg.tolerances[name]))
+                recs.append(_RUNNERS[name](ctx, pt))
             except JetlagError as exc:
                 outcomes[name] = _error_outcome(exc, pt)
     checks = {}

@@ -41,7 +41,6 @@ __all__ = [
     "Jet",
     "JetPoint",
     "SeededPoint",
-    "DiffConfig",
     "ScalarField",
     "PyField",
     "AgreementReport",
@@ -609,7 +608,7 @@ def jet_stack(jets) -> Jet:
     return Jet(first.nvars, K, out)
 
 
-def jet_matrix_inverse(a: Jet, cond_limit=1e12) -> Jet:
+def jet_matrix_inverse(a: Jet) -> Jet:
     """Inverse of a jet-valued square matrix (component shape (m, m)).
 
     Newton iteration X <- X (2I - A X); the number of correct Taylor orders
@@ -619,7 +618,7 @@ def jet_matrix_inverse(a: Jet, cond_limit=1e12) -> Jet:
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
         raise ValueError("jet_matrix_inverse expects a square matrix jet")
     cond = np.linalg.cond(a0)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise SingularMetricError(
             f"matrix is singular or ill-conditioned (cond={cond:.3e})",
             determinant=float(np.linalg.det(a0)),
@@ -733,28 +732,12 @@ def jabs(x):
 
 
 # --------------------------------------------------------------------------
-# scalar fields and differentiation config
+# scalar fields and finite-difference steps
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """Differentiation settings.
-
-    Derivatives come from Taylor arithmetic (:func:`eval_derivs`); the
-    steps feed :func:`fd_partial`, the independent finite-difference
-    cross-check.  ``max_order`` is the caller-facing derivative budget
-    (1..3).
-    """
-
-    fd_step_1: float = 1e-5
-    fd_step_2: float = 1e-4
-    max_order: int = 3
-
-    def __post_init__(self):
-        if not (self.fd_step_1 > 0 and self.fd_step_2 > 0):
-            raise ValueError("finite-difference steps must be positive")
-        if not 1 <= self.max_order <= 3:
-            raise ValueError("max_order must be between 1 and 3")
+# central-difference steps of :func:`fd_partial`, relative to the coordinate
+FD_STEP_1 = 1e-5
+FD_STEP_2 = 1e-4
 
 
 class SeededPoint:
@@ -844,15 +827,11 @@ def _field_value(res) -> float:
     return float(res)
 
 
-def eval_derivs(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
+def eval_derivs(f: ScalarField, pt: JetPoint, wrt) -> float:
     """Mixed partial of ``f`` at ``pt`` with respect to the coordinate ids in
     ``wrt`` (order = len(wrt)), exact through Taylor arithmetic.
     """
     order = len(wrt)
-    if order > config.max_order:
-        raise OrderExceededError(
-            f"derivative order {order} exceeds budget {config.max_order}"
-        )
     if order == 0:
         return _field_value(f(float_point(pt)))
     p, n = pt.dims
@@ -866,12 +845,13 @@ def eval_derivs(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
     return float(cur.value)
 
 
-def fd_partial(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
+def fd_partial(f: ScalarField, pt: JetPoint, wrt) -> float:
     """Central finite-difference estimate of a first or second partial.
 
-    Steps are relative: step * max(1, |coordinate|).  Each stencil point
-    shifts plain float copies of ``pt``'s flat coordinates and is read
-    through ``f.value_at``.
+    Steps are relative: ``FD_STEP_1`` (first order) or ``FD_STEP_2``
+    (second order) times max(1, |coordinate|).  Each stencil point shifts
+    plain float copies of ``pt``'s flat coordinates and is read through
+    ``f.value_at``.
     """
     order = len(wrt)
     if order not in (1, 2):
@@ -887,14 +867,14 @@ def fd_partial(f: ScalarField, pt: JetPoint, wrt, config: DiffConfig) -> float:
 
     if order == 1:
         i = coord_index(p, n, wrt[0])
-        h = config.fd_step_1 * max(1.0, abs(z[i]))
+        h = FD_STEP_1 * max(1.0, abs(z[i]))
         return (ev((i, h)) - ev((i, -h))) / (2 * h)
     c1, c2 = wrt
     i, j = coord_index(p, n, c1), coord_index(p, n, c2)
-    h1 = config.fd_step_2 * max(1.0, abs(z[i]))
+    h1 = FD_STEP_2 * max(1.0, abs(z[i]))
     if c1 == c2:
         return (ev((i, h1)) - 2 * ev() + ev((i, -h1))) / (h1 * h1)
-    h2 = config.fd_step_2 * max(1.0, abs(z[j]))
+    h2 = FD_STEP_2 * max(1.0, abs(z[j]))
     fpp = ev((i, h1), (j, h2))
     fpm = ev((i, h1), (j, -h2))
     fmp = ev((i, -h1), (j, h2))
@@ -951,7 +931,7 @@ class _Probed(ScalarField):
         return _field_value(res[self.k])
 
 
-def _probe_pairs(f: _Probed, res, pt: JetPoint, coords, config: DiffConfig) -> list:
+def _probe_pairs(f: _Probed, res, pt: JetPoint, coords) -> list:
     """``(wrt, taylor, fd)`` for every first and second partial of ``f`` at
     ``pt`` over ``coords``, ``res`` being its order-2 Taylor value there;
     see :func:`check_grad`."""
@@ -967,7 +947,7 @@ def _probe_pairs(f: _Probed, res, pt: JetPoint, coords, config: DiffConfig) -> l
     for wrt, key in probes:
         # a field that ignores the seeded jets returns a plain number
         a = float(res.coeffs[len(key)][key]) if isinstance(res, Jet) else 0.0
-        out.append((wrt, a, fd_partial(f, pt, list(wrt), config)))
+        out.append((wrt, a, fd_partial(f, pt, list(wrt))))
     return out
 
 
@@ -982,7 +962,7 @@ def _fold(rep: AgreementReport, ip: int, pairs):
             rep.max_rel_dev, rep.worst_point, rep.worst_wrt = dev, ip, wrt
 
 
-def check_grad(f, pts, config: DiffConfig):
+def check_grad(f, pts):
     """Compare first and second partials between taylor and fd at each point.
 
     ``f`` is one field, or a sequence of fields; for a sequence the result
@@ -1017,10 +997,6 @@ def check_grad(f, pts, config: DiffConfig):
             coords = _dep_coords(grid.fields[0], *pt.dims)
             if not coords:
                 continue
-            if config.max_order < 2:
-                raise OrderExceededError(
-                    f"derivative order 2 exceeds budget {config.max_order}"
-                )
             spt = seed_point(pt, 2, deps)
             try:
                 jets = grid.at([spt])
@@ -1032,7 +1008,7 @@ def check_grad(f, pts, config: DiffConfig):
                     continue
                 try:
                     res = fields[k](spt) if jets is None else jets[j]
-                    pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, coords, config)
+                    pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, coords)
                 except JetlagError as exc:
                     if isinstance(exc, POINT_ERRORS) and exc.witness is None:
                         exc.witness = pt

@@ -33,7 +33,7 @@ import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import TorsionPreconditionError
-from .geometry import GeometryContext, _gate, frame, nlc_torsion_free_check
+from .geometry import GeometryContext, frame, nlc_torsion_free_check
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "maxwell_residuals",
     "maxwell_at",
     "maxwell_report",
-    "require_maxwell_budget",
     "require_torsion_free",
     "deflection_identity_residuals",
     "bianchi_residuals",
@@ -116,7 +115,6 @@ def deflection_set(ctx: GeometryContext, pt: JetPoint) -> DeflectionSet:
     tied together by metricity, which makes lowering commute with the
     derivatives; tests compare them directly.
     """
-    _gate(ctx, 2, "deflections")
     fr = frame(ctx, pt, 2)
     p, n = ctx.p, ctx.n
     xs = pt.xs
@@ -153,7 +151,6 @@ class EmSet:
 
 def em_tensors(ctx: GeometryContext, pt: JetPoint) -> EmSet:
     """The two antisymmetrized electromagnetic blocks at a point."""
-    _gate(ctx, 2, "deflections")
     F, f = frame(ctx, pt, 2).shared(_em_jets)
     return EmSet(F=F.value.copy(), f=f.value.copy())
 
@@ -322,15 +319,8 @@ def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
     with the witness point.
     """
     pts = list(pts)
-    require_maxwell_budget(ctx)
     require_torsion_free(nlc_torsion_free_check(ctx, pts))
     return maxwell_report([maxwell_at(ctx, pt) for pt in pts])
-
-
-def require_maxwell_budget(ctx: GeometryContext):
-    """Raise OrderExceededError if the context's derivative budget is too
-    small for the Maxwell residuals."""
-    _gate(ctx, 2, "Maxwell residuals")
 
 
 def require_torsion_free(verdict):
@@ -416,7 +406,6 @@ def deflection_identity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     of its lowering x_low.  All should vanish; they exercise every covariant
     rule against the stored curvature and torsion arrays.
     """
-    _gate(ctx, 2, "deflection identities")
     fr = frame(ctx, pt, 2)
     xs = fr.xs_jet
     raw = (fr.cov_t(xs, (V_UP,)), fr.cov_s(xs, (V_UP,)), fr.cov_v(xs, (V_UP,)))
@@ -432,7 +421,6 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     """Max-abs residuals of the four bracket identities tying torsion to
     curvature (the fifth is the vertical curvature's defining formula).
     """
-    _gate(ctx, 2, "bracket identities")
     fr = frame(ctx, pt, 2)
     Cc = fr.Cc_jet
     Tt = fr.tor_T_jet

@@ -4,8 +4,7 @@ spaces on a first-order jet bundle.
 A space is described by a :class:`GeometryContext`: dimensions (p temporal,
 n spatial), a temporal metric h (fields of t only), a vertical metric source
 (direct g entries, or a Lagrangian whose half-Hessian is contracted down to
-g), a spatial nonlinear-connection choice, a differentiation budget and the
-gravitational constant K.
+g), a spatial nonlinear-connection choice and the gravitational constant K.
 
 The canonical temporal nonlinear connection is M^(i)_(a)b = -H^g_ab x^i_g,
 with H the Christoffel symbols of h.  The spatial one is either the
@@ -22,9 +21,12 @@ delta/delta x and of g along d/dxs; gamma(phi) and Gamma(g) are the same
 form along d/dx.  All differentiation flows through exact Taylor jets;
 finite differences appear only in tests as an independent oracle.
 
-Derivative budget: an entry point that reads jets of order k needs
-``DiffConfig.max_order >= k``, and k + 1 on a Lagrangian-derived space,
-whose g already spends one order on the half-Hessian of L.
+Derivative budget: the theory needs jets of order at most ``MAX_ORDER`` = 3
+(two derivatives of the metrics for curvature, one more for its
+divergences).  An entry point that reads jets of order k needs k, and k + 1
+on a Lagrangian-derived space, whose g already spends one order on the
+half-Hessian of L.  So only the order-3 readers, the conservation laws and
+the natural-form checks, are closed to a Lagrangian-derived space.
 
 Index layout convention used for every stored block: axes follow the
 symbol's logical indices left to right, a bound vertical pair contributing
@@ -39,7 +41,6 @@ from functools import cached_property
 import numpy as np
 
 from .diff_engine import (
-    DiffConfig,
     Jet,
     JetPoint,
     ScalarField,
@@ -63,7 +64,10 @@ from .errors import (
 from .field_expr import FieldGrid
 from .tensor_core import S_DN, S_UP, T_DN, T_UP
 
+MAX_ORDER = 3  # the derivative budget (module docstring)
+
 __all__ = [
+    "MAX_ORDER",
     "DirectMetric",
     "FromLagrangian",
     "QuadraticCanonical",
@@ -80,7 +84,6 @@ __all__ = [
     "frame",
     "sample_points",
     "temporal_christoffel_and_M",
-    "spatial_christoffel",
     "spatial_nlc",
     "cartan_connection",
     "torsion_set",
@@ -172,7 +175,7 @@ class GeometryContext:
     and asserts it only for the draws it accepts.
     """
 
-    def __init__(self, p, n, h, g_source, nlc, diff=None, K=1.0):
+    def __init__(self, p, n, h, g_source, nlc, K=1.0):
         if p < 1 or n < 1:
             raise ValueError(f"dimensions must be positive, got p={p}, n={n}")
         self.p = int(p)
@@ -198,7 +201,6 @@ class GeometryContext:
         elif not isinstance(nlc, QuadraticCanonical):
             raise TypeError(f"unknown spatial nonlinear connection {nlc!r}")
         self.nlc = nlc
-        self.diff = diff if diff is not None else DiffConfig()
         self.K = float(K)
         self._signature = None  # (h signs, g signs) at first sample
         self._defer_signature = False  # set while sample_points tries a draw
@@ -436,22 +438,27 @@ class Frame:
         """Christoffel gamma^i_jm of phi, axes [i,j,m]."""
         return _christoffel(self.ddx(self.phi_jet), self.phi_inv)
 
-    def require_direction_independent(self, what: str):
-        """Error unless g has no velocity dependence at this point."""
+    def direction_independent(self) -> bool:
+        """Whether g has no velocity dependence at this point:
+        max |dg/dxs| <= 1e-10 max(1, max |g|)."""
         src = self.ctx.g_source
-        if isinstance(src, DirectMetric):
-            if not any("xs" in src.entries[idx].deps for idx in np.ndindex(src.entries.shape)):
-                return
-        dg = self.ddxs(self.g_jet).value
-        dev = float(np.max(np.abs(dg)))
+        if isinstance(src, DirectMetric) and not any(
+                "xs" in f.deps for f in src.entries.flat):
+            return True
         scale = max(1.0, float(np.max(np.abs(self.g_jet.value))))
-        if dev > 1e-10 * scale:
-            ij = np.unravel_index(int(np.argmax(np.abs(dg))), dg.shape)
-            raise RegularityViolationError(
-                f"{what} requires a direction-independent g, but "
-                f"dg/dxs at indices {tuple(int(v) for v in ij)} is {dev:.3e}",
-                witness=self.pt,
-            )
+        return float(np.max(np.abs(self.ddxs(self.g_jet).value))) <= 1e-10 * scale
+
+    def require_direction_independent(self, what: str):
+        """Error unless :meth:`direction_independent`."""
+        if self.direction_independent():
+            return
+        dg = np.abs(self.ddxs(self.g_jet).value)
+        ij = np.unravel_index(int(np.argmax(dg)), dg.shape)
+        raise RegularityViolationError(
+            f"{what} requires a direction-independent g, but "
+            f"dg/dxs at indices {tuple(int(v) for v in ij)} is {float(dg.max()):.3e}",
+            witness=self.pt,
+        )
 
     @cached_property
     def gamma_g_jet(self) -> Jet:
@@ -828,21 +835,6 @@ def temporal_christoffel_and_M(ctx: GeometryContext, pt: JetPoint):
     return fr.Htc_jet.value.copy(), fr.M_jet.value.copy()
 
 
-def spatial_christoffel(ctx: GeometryContext, pt: JetPoint, which: str = "generalized"):
-    """Spatial Christoffel symbols, [i,j,m].
-
-    ``which="generalized"``: of g(t, x), valid only for direction-independent
-    g.  ``which="static"``: of the fixed spatial metric phi (requires the
-    Christoffel-of-phi connection).
-    """
-    fr = frame(ctx, pt, 1)
-    if which == "generalized":
-        return fr.gamma_g_jet.value.copy()
-    if which == "static":
-        return fr.gamma_phi_jet.value.copy()
-    raise ValueError(f"which must be 'generalized' or 'static', got {which!r}")
-
-
 def spatial_nlc(ctx: GeometryContext, pt: JetPoint):
     """N^(i)_(a)j values at pt, axes [i,a,j]."""
     return frame(ctx, pt, 1).N_jet.value.copy()
@@ -854,16 +846,15 @@ def _gate(ctx: GeometryContext, order: int, why: str):
     if isinstance(ctx.g_source, FromLagrangian):
         order += 1
         why += " of a Lagrangian-derived space"
-    if ctx.diff.max_order < order:
+    if MAX_ORDER < order:
         raise OrderExceededError(
             f"{why} needs a derivative budget of at least {order}; "
-            f"the context allows {ctx.diff.max_order}"
+            f"the context allows {MAX_ORDER}"
         )
 
 
 def cartan_connection(ctx: GeometryContext, pt: JetPoint) -> CartanCoefficients:
     """The four coefficient families of the Cartan canonical connection."""
-    _gate(ctx, 1, "the Cartan connection")
     fr = frame(ctx, pt, 1)
     return CartanCoefficients(
         Htc=fr.Htc_jet.value.copy(),
@@ -890,7 +881,6 @@ def torsion_set(ctx: GeometryContext, pt: JetPoint) -> TorsionSet:
 
 def curvature_set(ctx: GeometryContext, pt: JetPoint) -> CurvatureSet:
     """The seven effective curvature blocks."""
-    _gate(ctx, 2, "curvature")
     fr = frame(ctx, pt, 2)
     return CurvatureSet(
         H=fr.cur_H_jet.value.copy(),
@@ -905,7 +895,6 @@ def curvature_set(ctx: GeometryContext, pt: JetPoint) -> CurvatureSet:
 
 def ricci_and_scalars(ctx: GeometryContext, pt: JetPoint):
     """Ricci contractions and the three curvature scalars."""
-    _gate(ctx, 2, "curvature")
     fr = frame(ctx, pt, 2)
     ric = RicciSet(
         H=fr.ricci_H_jet.value.copy(),
@@ -1070,7 +1059,6 @@ def sample_points(
     box_x=(-1.0, 1.0),
     box_xs=(-1.0, 1.0),
     cond_limit=1e8,
-    max_tries=None,
 ):
     """Draw points uniformly from coordinate boxes, rejecting near-singular
     metrics (condition number above ``cond_limit``) and field-domain
@@ -1081,7 +1069,7 @@ def sample_points(
     p, n = ctx.p, ctx.n
     pts = []
     tries = 0
-    budget = max_tries if max_tries is not None else max(1000, 50 * count)
+    budget = max(1000, 50 * count)
     while len(pts) < count:
         tries += 1
         if tries > budget:

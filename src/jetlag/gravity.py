@@ -98,8 +98,11 @@ class StressEnergySet:
 
 def einstein_blocks(ctx: GeometryContext, pt: JetPoint) -> EinsteinBlocks:
     """The adapted blocks of the gravitational field equations at a point."""
-    _gate(ctx, 2, "the Einstein blocks")
-    fr = frame(ctx, pt, 2)
+    return _einstein_blocks_at(frame(ctx, pt, 2))
+
+
+def _einstein_blocks_at(fr) -> EinsteinBlocks:
+    """:func:`einstein_blocks`, read off the frame ``fr``."""
     h = fr.h_jet.value
     g = fr.g_jet.value
     sc = float(fr.scalar_H_jet.value + fr.scalar_R_jet.value + fr.scalar_S_jet.value)
@@ -112,8 +115,8 @@ def einstein_blocks(ctx: GeometryContext, pt: JetPoint) -> EinsteinBlocks:
         vt=fr.ricci_P3_jet.value.copy(),
         sv=fr.ricci_P1_jet.value.copy(),
         vs=fr.ricci_P2_jet.value.copy(),
-        zero_ts=np.zeros((ctx.p, ctx.n)),
-        zero_tv=np.zeros((ctx.p, ctx.n, ctx.p)),
+        zero_ts=np.zeros((fr.p, fr.n)),
+        zero_tv=np.zeros((fr.p, fr.n, fr.p)),
     )
 
 
@@ -124,8 +127,11 @@ def stress_energy_extract(ctx: GeometryContext, pt: JetPoint) -> StressEnergySet
             "stress-energy extraction needs a nonzero gravitational constant; "
             "zero describes a vacuum source"
         )
-    eb = einstein_blocks(ctx, pt)
-    k = ctx.K
+    return _stress_energy_of(einstein_blocks(ctx, pt), ctx.K)
+
+
+def _stress_energy_of(eb: EinsteinBlocks, k: float) -> StressEnergySet:
+    """The stress-energy of the Einstein blocks ``eb`` at K = ``k``."""
     return StressEnergySet(
         T_tt=eb.tt / k,
         T_ss=eb.ss / k,
@@ -228,12 +234,6 @@ def _laws_at(fr):
     ]
 
 
-def _direction_independent_at(fr) -> bool:
-    dgx = fr.ddxs(fr.g_jet).value
-    scale = max(1.0, float(np.max(np.abs(fr.g_jet.value))))
-    return float(np.max(np.abs(dgx))) <= 1e-10 * scale
-
-
 def conservation_residuals(ctx: GeometryContext, pts, tol: float = 1e-6) -> ConservationReport:
     """Componentwise residuals of the three conservation laws over pts."""
     _gate(ctx, 3, "conservation-law divergences")
@@ -244,7 +244,7 @@ def conservation_residuals(ctx: GeometryContext, pts, tol: float = 1e-6) -> Cons
         fr = frame(ctx, pt, 3)
         for agg, (res, terms) in zip(aggs, _laws_at(fr)):
             agg.add(res, terms)
-        dir_indep = dir_indep and _direction_independent_at(fr)
+        dir_indep = dir_indep and fr.direction_independent()
         count += 1
     laws = {
         name: agg.stats() for name, agg in zip(ConservationReport.LAW_NAMES, aggs)
@@ -316,10 +316,13 @@ def natural_stress_energy(ctx: GeometryContext, pt: JetPoint) -> NaturalFormRepo
             "the trace-adjusted stress-energy needs a nonzero gravitational "
             "constant"
         )
-    _gate(ctx, 2, "the trace-adjusted stress-energy")
-    fr = frame(ctx, pt, 2)
-    T = stress_energy_extract(ctx, pt)
-    p, n, K = ctx.p, ctx.n, ctx.K
+    return _natural_stress_energy_at(frame(ctx, pt, 2))
+
+
+def _natural_stress_energy_at(fr) -> NaturalFormReport:
+    """:func:`natural_stress_energy`, read off the frame ``fr``."""
+    p, n, K = fr.p, fr.n, fr.ctx.K
+    T = _stress_energy_of(_einstein_blocks_at(fr), K)
     h = fr.h_jet.value
     g = fr.g_jet.value
     h_inv = fr.h_inv.value
@@ -525,7 +528,9 @@ def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
     Each point's trace-adjusted Einstein jets are built once and read by
     both the identities and the rewritten laws; the laws' divergence
     right-hand sides come from the frame, shared with the conservation
-    check.  A point error names the point it was raised at as witness.
+    check.  The construction of :func:`natural_stress_energy` is read off
+    the order-3 frame of ``pts[0]``.  A point error names the point it was
+    raised at as witness.
     """
     _require_natural_form(ctx)
     _gate(ctx, 3, "the trace-adjusted identity checks")
@@ -541,7 +546,7 @@ def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
     max_S = 0.0
     pt = pts[0]
     try:
-        base = natural_stress_energy(ctx, pt) if have_K else None
+        base = _natural_stress_energy_at(frame(ctx, pt, 3)) if have_K else None
         for pt in pts:
             fr = frame(ctx, pt, 3)
             tilde = _tilde_einstein_jets(fr)

@@ -10,8 +10,8 @@ printed, re-parsed and shipped through run configurations unchanged.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "SpaceSpec",
     "QuadraticContext",
     "ConformalContext",
     "OpticContext",
@@ -60,12 +59,15 @@ def _square(entries, what, tail=()) -> tuple:
     return _texts(arr, (k, *tail, k), what), k
 
 
-def _number(v, kind, what):
-    """``kind(v)`` for ``kind`` float or int, or a named error."""
+def _finite_real(v, what) -> float:
+    """``v`` as a float, or a named error unless it is a finite number (a
+    bool is not)."""
     try:
-        return kind(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {v!r}") from None
+        if not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v):
+            return float(v)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ConfigError(f"{what} must be a finite number, got {v!r}")
 
 
 def _texts(entries, shape, what) -> np.ndarray:
@@ -188,8 +190,8 @@ class QuadraticContext(GeometryContext):
     """
 
     def __init__(self, p, n, h, g_source, nlc, *, U_fields, F_field,
-                 lagrangian, diff=None, K=1.0):
-        super().__init__(p, n, h, g_source, nlc, diff=diff, K=K)
+                 lagrangian, K=1.0):
+        super().__init__(p, n, h, g_source, nlc, K=K)
         self.U_fields = U_fields
         self.F_field = F_field
         self.lagrangian = lagrangian
@@ -199,8 +201,8 @@ class ConformalContext(GeometryContext):
     """Conformal deformation g = e^{2 sigma} phi of a static spatial metric."""
 
     def __init__(self, p, n, h, g_source, nlc, *, phi_fields, sigma_field,
-                 variant, diff=None, K=1.0):
-        super().__init__(p, n, h, g_source, nlc, diff=diff, K=K)
+                 variant, K=1.0):
+        super().__init__(p, n, h, g_source, nlc, K=K)
         self.phi_fields = phi_fields
         self.sigma_field = sigma_field
         self.variant = variant
@@ -210,8 +212,8 @@ class OpticContext(GeometryContext):
     """Optic deformation g = phi + (1 - 1/n) Y Y of a static spatial metric."""
 
     def __init__(self, p, n, h, g_source, nlc, *, phi_fields, n_field,
-                 X_fields, diff=None, K=1.0):
-        super().__init__(p, n, h, g_source, nlc, diff=diff, K=K)
+                 X_fields, K=1.0):
+        super().__init__(p, n, h, g_source, nlc, K=K)
         self.phi_fields = phi_fields
         self.n_field = n_field
         self.X_fields = X_fields
@@ -221,15 +223,14 @@ class OpticContext(GeometryContext):
 # constructors
 # --------------------------------------------------------------------------
 
-def make_flat(p: int, n: int, *, K: float = 1.0, diff=None) -> GeometryContext:
+def make_flat(p: int, n: int, *, K: float = 1.0) -> GeometryContext:
     """Identity temporal and vertical metrics; every curvature object vanishes."""
     if p < 1 or n < 1:
         raise ConfigError(f"dimensions must be positive, got p={p}, n={n}")
     dims = (p, n)
     h = _fields(_eye_texts(p), dims, ("t",), "h")
     g = _fields(_eye_texts(n), dims, ("t", "x"), "g")
-    return GeometryContext(p, n, h, DirectMetric(g), QuadraticCanonical(),
-                           diff=diff, K=K)
+    return GeometryContext(p, n, h, DirectMetric(g), QuadraticCanonical(), K=K)
 
 
 def quadratic_lagrangian(h, g, U=None, F=None) -> ExprField:
@@ -261,8 +262,7 @@ def quadratic_lagrangian(h, g, U=None, F=None) -> ExprField:
     return _scalar_field(_sum(terms), dims, ("t", "x", "xs"), "L")
 
 
-def make_quadratic(h, g, U=None, F=None, *, K: float = 1.0,
-                   diff=None) -> QuadraticContext:
+def make_quadratic(h, g, U=None, F=None, *, K: float = 1.0) -> QuadraticContext:
     """Canonical space of the quadratic Lagrangian over g_{ij}(t, x).
 
     g must not depend on the fibre coordinates: the canonical spatial
@@ -290,8 +290,7 @@ def make_quadratic(h, g, U=None, F=None, *, K: float = 1.0,
     lagrangian = quadratic_lagrangian(h, g, U=U, F=F) if p <= 3 else None
     return QuadraticContext(
         p, n, h_fields, DirectMetric(g_fields), QuadraticCanonical(),
-        U_fields=U_fields, F_field=F_field, lagrangian=lagrangian,
-        diff=diff, K=K,
+        U_fields=U_fields, F_field=F_field, lagrangian=lagrangian, K=K,
     )
 
 
@@ -324,8 +323,7 @@ def _sigma_text(variant, params, p, n, h, phi) -> str:
     )
 
 
-def make_conformal(h, phi, variant, params, *, K: float = 1.0,
-                   diff=None) -> ConformalContext:
+def make_conformal(h, phi, variant, params, *, K: float = 1.0) -> ConformalContext:
     """Space with g = e^{2 sigma} phi_{ij}(x) and the static-metric connection.
 
     ``variant`` selects the shape of sigma and what ``params`` holds:
@@ -358,13 +356,11 @@ def make_conformal(h, phi, variant, params, *, K: float = 1.0,
     g_fields = _fields(g_texts, dims, ("t", "x", "xs"), "g")
     return ConformalContext(
         p, n, h_fields, DirectMetric(g_fields), ChristoffelOfPhi(phi_fields),
-        phi_fields=phi_fields, sigma_field=sigma_field, variant=variant,
-        diff=diff, K=K,
+        phi_fields=phi_fields, sigma_field=sigma_field, variant=variant, K=K,
     )
 
 
-def make_optic(h, phi, n_expr, X, *, K: float = 1.0,
-               diff=None) -> OpticContext:
+def make_optic(h, phi, n_expr, X, *, K: float = 1.0) -> OpticContext:
     """Space with g = phi_{ij} + (1 - 1/n) Y_i Y_j, Y_i = phi_{im} xs^m_u X^u.
 
     n is the refraction index of the medium, a scalar field on the whole
@@ -397,8 +393,7 @@ def make_optic(h, phi, n_expr, X, *, K: float = 1.0,
                        guard=("refraction index", n_field))
     return OpticContext(
         p, n, h_fields, DirectMetric(g_fields), ChristoffelOfPhi(phi_fields),
-        phi_fields=phi_fields, n_field=n_field, X_fields=X_fields,
-        diff=diff, K=K,
+        phi_fields=phi_fields, n_field=n_field, X_fields=X_fields, K=K,
     )
 
 
@@ -448,19 +443,19 @@ def _int_param(params, key, where) -> int:
     return int(v)
 
 
-def _build_flat(params, diff, K):
+def _build_flat(params, K):
     _take(params, {"p", "n", "K"}, {"p", "n"}, "flat")
     return make_flat(_int_param(params, "p", "flat"),
-                     _int_param(params, "n", "flat"), K=K, diff=diff)
+                     _int_param(params, "n", "flat"), K=K)
 
 
-def _build_quadratic(params, diff, K):
+def _build_quadratic(params, K):
     _take(params, {"h", "g", "U", "F", "K"}, {"h", "g"}, "quadratic")
     return make_quadratic(params["h"], params["g"],
-                          U=params.get("U"), F=params.get("F"), K=K, diff=diff)
+                          U=params.get("U"), F=params.get("F"), K=K)
 
 
-def _build_conformal(params, diff, K):
+def _build_conformal(params, K):
     _take(params, {"h", "phi", "variant", "U", "A", "X", "K"},
           {"h", "phi", "variant"}, "conformal")
     variant = params["variant"]
@@ -477,17 +472,15 @@ def _build_conformal(params, diff, K):
             f"conformal variant {variant!r} takes only {key!r}, "
             f"got {sorted(stray)} as well"
         )
-    return make_conformal(params["h"], params["phi"], variant, params[key],
-                          K=K, diff=diff)
+    return make_conformal(params["h"], params["phi"], variant, params[key], K=K)
 
 
-def _build_optic(params, diff, K):
+def _build_optic(params, K):
     _take(params, {"h", "phi", "n", "X", "K"}, {"h", "phi", "n", "X"}, "optic")
-    return make_optic(params["h"], params["phi"], params["n"], params["X"],
-                      K=K, diff=diff)
+    return make_optic(params["h"], params["phi"], params["n"], params["X"], K=K)
 
 
-def _build_custom(params, diff, K):
+def _build_custom(params, K):
     _take(params, {"h", "g", "lagrangian", "nlc", "K"}, {"h", "nlc"}, "custom")
     h, p = _square(params["h"], "h")
     if ("g" in params) == ("lagrangian" in params):
@@ -513,7 +506,7 @@ def _build_custom(params, diff, K):
         elif "entries" in nlc_spec:
             n = _square(nlc_spec["entries"], "nlc.entries", (p,))[1]
         else:
-            n = _number(nlc_spec["n"], int, "custom.nlc.n")
+            n = _int_param(nlc_spec, "n", "custom.nlc")
             if n < 1:
                 raise ConfigError(f"custom.nlc.n must be positive, got {n}")
         dims = (p, n)
@@ -538,7 +531,7 @@ def _build_custom(params, diff, K):
             f"got {kind!r}"
         )
     h_fields = _fields(h, dims, ("t",), "h")
-    return GeometryContext(p, n, h_fields, g_source, nlc, diff=diff, K=K)
+    return GeometryContext(p, n, h_fields, g_source, nlc, K=K)
 
 
 _BUILDERS = {
@@ -554,7 +547,7 @@ def space_names():
     return sorted(_BUILDERS)
 
 
-def build_space(name: str, params: dict, *, diff=None) -> GeometryContext:
+def build_space(name: str, params: dict) -> GeometryContext:
     """Construct a built-in space from its name and parameter map."""
     try:
         builder = _BUILDERS[name]
@@ -563,16 +556,5 @@ def build_space(name: str, params: dict, *, diff=None) -> GeometryContext:
             f"unknown space {name!r}; available: {space_names()}"
         ) from None
     params = dict(params or {})
-    K = _number(params.get("K", 1.0), float, f"{name}.K")
-    return builder(params, diff, K)
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Name plus parameter map pinning one built-in space."""
-
-    name: str
-    params: dict
-
-    def build(self, diff=None) -> GeometryContext:
-        return build_space(self.name, self.params, diff=diff)
+    K = _finite_real(params.get("K", 1.0), f"{name}.K")
+    return builder(params, K)

@@ -401,7 +401,7 @@ def test_criterion_10_diff_cross_check(capsys, spaces5):
             if key in seen:
                 continue
             seen.add(key)
-            rep = check_grad(fld, pts, ctx.diff)
+            rep = check_grad(fld, pts)
             n_fields += 1
             worst = max(worst, rep.max_rel_dev)
             if rep.nan_flags:

@@ -687,12 +687,12 @@ def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
 
         monkeypatch.setattr(mod, name, counting)
     ctx = support.mixed33_ctx()
-    cli._run_conservation(ctx, pt_mixed33, 1e-6)
+    cli._run_conservation(ctx, pt_mixed33)
     cli._run_natural_form(ctx, [pt_mixed33], 1e-6)
     ctx = build_space("optic", OPTIC_CFG["space"]["params"])
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
-    cli._run_curvature(ctx, pt, 1e-9)
-    cli._run_maxwell(ctx, pt, 1e-9)
+    cli._run_curvature(ctx, pt)
+    cli._run_maxwell(ctx, pt)
     assert calls.count("_raised_p_jets") == 1
     assert calls.count("_metrical_jets") == 1
 
@@ -885,7 +885,16 @@ MALFORMED_SPACES = {
     "nlc-n-zero": ("custom", dict(
         LAGRANGIAN_PARAMS, nlc={"kind": "quadratic", "n": 0})),
     "variant-list": ("conformal", dict(CONFORMAL_PARAMS, variant=["i"])),
+    "K-nan": ("conformal", dict(CONFORMAL_PARAMS, K=float("nan"))),
+    "K-inf": ("optic", dict(OPTIC_CFG["space"]["params"], K=float("inf"))),
+    "K-bool": ("conformal", dict(CONFORMAL_PARAMS, K=True)),
+    "nlc-n-float": ("custom", dict(
+        LAGRANGIAN_PARAMS, nlc={"kind": "quadratic", "n": 2.7})),
 }
+
+# a box whose width overflows a float, or an infinite bound, used to end
+# sampling in an OverflowError traceback
+BOX_CASES = {"box-overflow": [-1e308, 1e308], "box-infinite": [0, float("inf")]}
 
 
 def _one_error_line(err):
@@ -893,15 +902,21 @@ def _one_error_line(err):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES) + [
-    "explicit-scalar", "negative-seed"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES) + sorted(BOX_CASES) + [
+    "explicit-scalar", "explicit-nan", "tolerance-inf", "negative-seed"])
 def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
     if case in MALFORMED_SPACES:
         doc = _space_cfg(*MALFORMED_SPACES[case])
     else:
         doc = _space_cfg("conformal", CONFORMAL_PARAMS)
+    if case in BOX_CASES:
+        doc["points"]["box"] = {"x": BOX_CASES[case]}
     if case == "explicit-scalar":
         doc["points"] = {"explicit": 5}
+    if case == "explicit-nan":
+        doc["points"] = {"explicit": [_point(float("nan"))]}
+    if case == "tolerance-inf":
+        doc["tolerances"] = {"metricity": float("inf")}
     cfg = write_cfg(tmp_path, doc)
     if case == "negative-seed":
         commands = [["run", cfg, "--seed", "-1"]]
@@ -918,19 +933,49 @@ FUZZ_BASES = [
                        "explicit": [_point(0.3)]}),
     dict(_space_cfg("custom", LAGRANGIAN_PARAMS),
          tolerances={"metricity": 1e-8}, dump=["nlc"]),
+    {"p": 1, "n": 1, "space": "flat", "checks": ["metricity"],
+     "points": {"count": 1, "box": {"t": [-1, 1], "x": [-1, 1], "xs": [-1, 1]}}},
 ]
 
 
 def _key_paths(doc, prefix=()):
-    for key, val in doc.items():
-        yield prefix + (key,)
-        if isinstance(val, dict):
+    """(path, value) of every key of the maps in ``doc`` and every index
+    of its lists."""
+    for key, val in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,), val
+        if isinstance(val, (dict, list)):
             yield from _key_paths(val, prefix + (key,))
 
 
+def _with(doc, path, value):
+    """A copy of ``doc`` with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _validate_ends_cleanly(tmp_path, capsys, doc):
+    """validate accepts ``doc`` or names the error, and never raises."""
+    capsys.readouterr()
+    rc = main(["validate", write_cfg(tmp_path, doc)])
+    err = capsys.readouterr().err
+    if rc == 2:
+        _one_error_line(err)
+    else:
+        assert rc == 0 and err == ""
+
+
+# non-finite and overflowing numbers
+EXTREMES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308]
+EXTREME = st.sampled_from(EXTREMES)
+
 FUZZ_VALUES = st.one_of(
-    st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=4),
-    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=3),
+    st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=4), EXTREME,
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2), EXTREME),
+             max_size=3),
     st.booleans(), st.none(),
     st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
     st.integers(-10**6, -1),
@@ -941,22 +986,22 @@ FUZZ_VALUES = st.one_of(
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_config_shape_fuzz(tmp_path, capsys, data):
-    # one key of a small config gets a value of the wrong shape: validate
-    # accepts it or names the error, and never raises
+    # one key of a small config gets a value of the wrong shape
     base = data.draw(st.sampled_from(FUZZ_BASES))
-    path = data.draw(st.sampled_from(list(_key_paths(base))))
-    doc = json.loads(json.dumps(base))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = data.draw(FUZZ_VALUES)
-    capsys.readouterr()
-    rc = main(["validate", write_cfg(tmp_path, doc)])
-    err = capsys.readouterr().err
-    if rc == 2:
-        _one_error_line(err)
-    else:
-        assert rc == 0 and err == ""
+    path = data.draw(st.sampled_from([p for p, _ in _key_paths(base)]))
+    _validate_ends_cleanly(tmp_path, capsys,
+                           _with(base, path, data.draw(FUZZ_VALUES)))
+
+
+def test_extreme_number_at_every_number(tmp_path, capsys):
+    # each number of the fuzz bases in turn becomes nan, +-inf or +-1e308;
+    # the random fuzz above seldom lands on a box bound
+    for base in FUZZ_BASES:
+        for path, val in _key_paths(base):
+            if type(val) in (int, float):
+                for value in EXTREMES:
+                    _validate_ends_cleanly(tmp_path, capsys,
+                                           _with(base, path, value))
 
 
 def test_regularity_at_singular_h_names_its_point(tmp_path):

@@ -7,7 +7,6 @@ import sympy as sp
 
 from jetlag import diff_engine
 from jetlag.diff_engine import (
-    DiffConfig,
     Jet,
     JetPoint,
     PyField,
@@ -227,13 +226,13 @@ def test_check_grad_agreement():
         )
         for _ in range(10)
     ]
-    rep = check_grad(f, pts, DiffConfig())
+    rep = check_grad(f, pts)
     assert rep.n_comparisons > 0
     assert not rep.nan_flags
     assert rep.max_rel_dev < 1e-5
 
 
-def _per_probe_check_grad(f, pts, config):
+def _per_probe_check_grad(f, pts):
     """check_grad as one eval_derivs and one fd_partial call per probe."""
     worst, worst_pt, worst_wrt, count, nans = 0.0, -1, (), 0, []
     for ip, pt in enumerate(pts):
@@ -242,8 +241,8 @@ def _per_probe_check_grad(f, pts, config):
         probes = [(c,) for c in coords]
         probes += [(c, d) for k, c in enumerate(coords) for d in coords[k:]]
         for wrt in probes:
-            a = eval_derivs(f, pt, list(wrt), config)
-            b = fd_partial(f, pt, list(wrt), config)
+            a = eval_derivs(f, pt, list(wrt))
+            b = fd_partial(f, pt, list(wrt))
             if not (np.isfinite(a) and np.isfinite(b)):
                 nans.append((ip, wrt))
                 continue
@@ -268,15 +267,15 @@ def test_check_grad_matches_per_probe_reference(monkeypatch):
         )
         for _ in range(4)
     ]
-    rep = check_grad(f, pts, DiffConfig())
+    rep = check_grad(f, pts)
     got = (rep.max_rel_dev, rep.worst_point, rep.worst_wrt, rep.n_comparisons,
            rep.nan_flags)
-    assert got == _per_probe_check_grad(f, pts, DiffConfig())
+    assert got == _per_probe_check_grad(f, pts)
     assert rep.n_comparisons == 4 * (8 + 36)
     # with eval_derivs standing in for the FD side, a probe read off the jet
     # that differs from eval_derivs in any bit shows as a deviation
     monkeypatch.setattr(diff_engine, "fd_partial", eval_derivs)
-    assert check_grad(f, pts, DiffConfig()).max_rel_dev == 0.0
+    assert check_grad(f, pts).max_rel_dev == 0.0
 
 
 def test_check_grad_skips_fields_without_dependencies():
@@ -285,20 +284,20 @@ def test_check_grad_skips_fields_without_dependencies():
 
     f = PyField(never, deps=())
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.5, 0.6], [0.7, 0.8]])
-    for cfg in (DiffConfig(), DiffConfig(max_order=1)):
-        rep = check_grad(f, [pt, pt], cfg)
-        assert rep.n_comparisons == 0
-        assert rep.worst_point == -1 and not rep.nan_flags
+    rep = check_grad(f, [pt, pt])
+    assert rep.n_comparisons == 0
+    assert rep.worst_point == -1 and not rep.nan_flags
 
 
-def test_fd_second_order_convergence():
+def test_fd_second_order_convergence(monkeypatch):
     # halving the first-order step cuts the central-difference error ~4x
     f = ExprField("sin(t[1])", (1, 1), deps=("t",))
     pt = JetPoint.of([0.3], [0.0], [[0.0]])
-    exact = eval_derivs(f, pt, [("t", 0)], DiffConfig())
+    exact = eval_derivs(f, pt, [("t", 0)])
     errs = []
     for step in (2e-3, 1e-3):
-        approx = fd_partial(f, pt, [("t", 0)], DiffConfig(fd_step_1=step))
+        monkeypatch.setattr(diff_engine, "FD_STEP_1", step)
+        approx = fd_partial(f, pt, [("t", 0)])
         errs.append(abs(approx - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -306,33 +305,23 @@ def test_fd_second_order_convergence():
 def test_fd_partial_second_order():
     f = ExprField("x[1]^3*t[1]", (1, 1), deps=("t", "x"))
     pt = JetPoint.of([2.0], [0.7], [[0.0]])
-    got = fd_partial(f, pt, [("x", 0), ("x", 0)], DiffConfig())
+    got = fd_partial(f, pt, [("x", 0), ("x", 0)])
     assert got == pytest.approx(6 * 0.7 * 2.0, rel=1e-5)
 
 
 def test_order_budget_enforced():
+    # finite differences stop at order 2
     f = ExprField("t[1]^4", (1, 1), deps=("t",))
     pt = JetPoint.of([0.5], [0.0], [[0.0]])
     with pytest.raises(OrderExceededError):
-        eval_derivs(f, pt, [("t", 0)] * 3, DiffConfig(max_order=2))
-    with pytest.raises(OrderExceededError):
-        fd_partial(f, pt, [("t", 0)] * 3, DiffConfig())
-    with pytest.raises(OrderExceededError):
-        check_grad(f, [pt], DiffConfig(max_order=1))
+        fd_partial(f, pt, [("t", 0)] * 3)
 
 
 def test_undeclared_coordinates_are_constants():
     # the field reads xs but only declares t, so d/dxs vanishes by seeding
     f = PyField(lambda spt: spt.xs[0][0], deps=("t",), name="sneaky")
     pt = JetPoint.of([0.1], [0.2], [[0.9]])
-    assert eval_derivs(f, pt, [("xs", 0, 0)], DiffConfig()) == 0.0
-
-
-def test_diff_config_validation():
-    with pytest.raises(ValueError):
-        DiffConfig(fd_step_1=0.0)
-    with pytest.raises(ValueError):
-        DiffConfig(max_order=4)
+    assert eval_derivs(f, pt, [("xs", 0, 0)]) == 0.0
 
 
 def test_seed_point_orders():

@@ -21,7 +21,6 @@ from jetlag.geometry import (
     nlc_torsion_free_check,
     ricci_and_scalars,
     sample_points,
-    spatial_christoffel,
     spatial_nlc,
     temporal_christoffel_and_M,
     torsion_set,
@@ -93,7 +92,7 @@ def test_adapted_derivative_uses_nlc(diag_t_ctx):
 
 def test_spatial_christoffel_hand_values(diag_x_ctx):
     ctx, pt = diag_x_ctx
-    Gamma = spatial_christoffel(ctx, pt, "generalized")
+    Gamma = frame(ctx, pt, 1).gamma_g_jet.value
     assert Gamma[1, 1, 0] == pytest.approx(1 / 3, abs=1e-12)
     assert Gamma[0, 1, 1] == pytest.approx(-3.0, abs=1e-12)
     Nv = spatial_nlc(ctx, pt)
@@ -352,7 +351,7 @@ def test_generalized_christoffel_refused_on_fibre_dependence(
     ctx_mixed22, pt_mixed22
 ):
     with pytest.raises(RegularityViolationError):
-        spatial_christoffel(ctx_mixed22, pt_mixed22, "generalized")
+        frame(ctx_mixed22, pt_mixed22, 1).gamma_g_jet
 
 
 def test_sample_points_deterministic(ctx_mixed22):

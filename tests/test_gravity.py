@@ -312,14 +312,13 @@ def test_natural_form_gates(ctx_tdep22, pt_tdep22):
 
 
 # --------------------------------------------------------------------------
-# the derivative-budget rule of every gated entry point
+# the fixed derivative budget at every entry point that reads frames
 # --------------------------------------------------------------------------
 
-def _budget_ctx(lagrangian, max_order):
+def _budget_ctx(lagrangian):
     """A (3,3) space (the natural form needs p, n > 2) whose g, or L, leaves
     the log domain at x1 < 0, so a call that passes its budget gate ends at
     the first field evaluation."""
-    from jetlag.diff_engine import DiffConfig
     from jetlag.geometry import ChristoffelOfPhi, DirectMetric
 
     dims = (3, 3)
@@ -333,7 +332,6 @@ def _budget_ctx(lagrangian, max_order):
     return GeometryContext(
         3, 3, support.grid(support.ident_src(3), dims, ("t",)), src,
         ChristoffelOfPhi(support.grid(support.ident_src(3), dims, ("x",))),
-        diff=DiffConfig(max_order=max_order),
     )
 
 
@@ -365,14 +363,19 @@ def _budget_entries():
                          ids=[e[0] for e in _budget_entries()])
 def test_budget_rule(name, fn, need, lagrangian):
     # a Lagrangian-derived g costs one more order: its half-Hessian
+    from jetlag.geometry import MAX_ORDER
+
     need += lagrangian
     pt = JetPoint.of([0.1, 0.2, 0.3], [-0.5, 0.2, 0.1],
                      [[0.1, 0.2, 0.3], [0.2, 0.1, 0.3], [0.3, 0.1, 0.2]])
-    if need - 1 >= 1:
+    ctx = _budget_ctx(lagrangian)
+    if need > MAX_ORDER:
         with pytest.raises(OrderExceededError) as exc:
-            fn(_budget_ctx(lagrangian, need - 1), pt)
-        assert f"at least {need}" in str(exc.value)
-    if need <= 3:
-        # past the gate, the log domain ends the evaluation
+            fn(ctx, pt)
+        assert str(exc.value).endswith(
+            "of a Lagrangian-derived space needs a derivative budget of at "
+            "least 4; the context allows 3")
+    else:
+        # within the budget, the log domain ends the evaluation
         with pytest.raises(EvalDomainError):
-            fn(_budget_ctx(lagrangian, need), pt)
+            fn(ctx, pt)

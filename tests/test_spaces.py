@@ -23,7 +23,6 @@ from jetlag.geometry import (
     spatial_nlc,
 )
 from jetlag.spaces import (
-    SpaceSpec,
     build_space,
     make_conformal,
     make_flat,
@@ -239,7 +238,7 @@ def test_build_space_every_kind():
         },
     )
     assert c.nlc.__class__.__name__ == "UserGiven"
-    c = SpaceSpec("flat", {"p": 1, "n": 2}).build()
+    c = build_space("flat", {"p": 1, "n": 2})
     assert c.p == 1 and c.n == 2
 
 
