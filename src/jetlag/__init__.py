@@ -89,7 +89,6 @@ from .gravity import (
     stress_energy_extract,
 )
 from .spaces import (
-    ConformalContext,
     OpticContext,
     QuadraticContext,
     build_space,

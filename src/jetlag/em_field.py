@@ -47,9 +47,14 @@ __all__ = [
     "maxwell_at",
     "maxwell_report",
     "require_torsion_free",
+    "TORSION_LIMIT",
     "deflection_identity_residuals",
     "bianchi_residuals",
 ]
+
+# The Maxwell equations assume a torsion-free spatial nonlinear connection;
+# a larger max |dN/dxs asymmetry| than this breaks that precondition.
+TORSION_LIMIT = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -325,8 +330,8 @@ def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
 
 def require_torsion_free(verdict):
     """Raise TorsionPreconditionError at the witness of a torsion verdict
-    that is not torsion free."""
-    if not verdict.torsion_free:
+    whose violation exceeds :data:`TORSION_LIMIT`."""
+    if verdict.max_violation > TORSION_LIMIT:
         raise TorsionPreconditionError(
             "spatial nonlinear connection has torsion: "
             f"max |dN/dxs asymmetry| = {verdict.max_violation:.3e} "

@@ -810,9 +810,8 @@ class ScalarSet:
 class RegularityVerdict:
     """Outcome of the Kronecker h-regularity probe."""
 
-    regular: bool
     max_deviation: float
-    witness: object  # offending JetPoint or None
+    witness: object  # first JetPoint reaching max_deviation, or None
     ghats: tuple     # extracted ghat (n, n) per sample point
 
 
@@ -820,9 +819,8 @@ class RegularityVerdict:
 class TorsionFreeVerdict:
     """Outcome of the spatial-NLC torsion-freeness probe."""
 
-    torsion_free: bool
     max_violation: float
-    witness: object  # (JetPoint, indices) or None
+    witness: object  # (JetPoint, indices) of the first maximum, or None
 
 
 # --------------------------------------------------------------------------
@@ -911,19 +909,19 @@ def ricci_and_scalars(ctx: GeometryContext, pt: JetPoint):
     return ric, ScalarSet(H=H, R=R, S=S, total=H + R + S)
 
 
-def kronecker_regularity_check(ctx, pts, lagrangian=None, tol=1e-9) -> RegularityVerdict:
+def kronecker_regularity_check(ctx, pts, lagrangian=None) -> RegularityVerdict:
     """Probe whether a Lagrangian's half-Hessian splits as h^ab * ghat.
 
     For each sample point the half-Hessian blocks B^(a)(b) (n x n) are read
     off the point's frame, ghat = (1/p) h_ab B^(a)(b) extracted, and the
-    residual max |B^(a)(b) - h^ab ghat| compared against ``tol`` (scaled by
-    the block magnitude).  The Lagrangian is ``lagrangian`` if given, else
+    residual max |B^(a)(b) - h^ab ghat| measured (scaled by the block
+    magnitude).  The Lagrangian is ``lagrangian`` if given, else
     the context's own (whose half-Hessian its g already holds), else, on a
     direct metric, the absolute energy E = h^mn g_ij xs^i_m xs^j_n.  g is
     read there without the frame's symmetry and signature checks.
     """
     per_point = [kronecker_deviation_at(ctx, pt, lagrangian) for pt in pts]
-    return regularity_verdict(pts, per_point, tol)
+    return regularity_verdict(pts, per_point)
 
 
 def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
@@ -949,28 +947,30 @@ def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
     return float(np.max(np.abs(B - recon))) / scale, ghat
 
 
-def regularity_verdict(pts, per_point, tol=1e-9) -> RegularityVerdict:
-    """Fold the per-point ``kronecker_deviation_at`` results, in point order;
-    the witness is the first point to reach the largest deviation above
-    ``tol``."""
-    worst = 0.0
-    witness = None
-    for pt, (dev, _) in zip(pts, per_point):
-        if dev > worst:
-            worst = dev
-            if dev > tol:
-                witness = pt
+def _first_max(values, witnesses) -> tuple:
+    """(the largest of ``values``, the witness of the first value to reach
+    it); the witness is None when no value is above 0."""
+    worst, witness = 0.0, None
+    for v, w in zip(values, witnesses):
+        if v > worst:
+            worst, witness = v, w
+    return worst, witness
+
+
+def regularity_verdict(pts, per_point) -> RegularityVerdict:
+    """Fold the per-point ``kronecker_deviation_at`` results, in point
+    order."""
+    worst, witness = _first_max([dev for dev, _ in per_point], pts)
     return RegularityVerdict(
-        regular=worst <= tol,
         max_deviation=worst,
         witness=witness,
         ghats=tuple(ghat for _, ghat in per_point),
     )
 
 
-def nlc_torsion_free_check(ctx, pts, tol=1e-9) -> TorsionFreeVerdict:
-    """Check dN^(i)_(a)j/dxs^k_g = dN^(i)_(a)k/dxs^j_g over sample points."""
-    return torsion_free_verdict(pts, [nlc_torsion_at(ctx, pt) for pt in pts], tol)
+def nlc_torsion_free_check(ctx, pts) -> TorsionFreeVerdict:
+    """Measure dN^(i)_(a)j/dxs^k_g - dN^(i)_(a)k/dxs^j_g over sample points."""
+    return torsion_free_verdict(pts, [nlc_torsion_at(ctx, pt) for pt in pts])
 
 
 def nlc_torsion_at(ctx, pt) -> tuple:
@@ -985,20 +985,14 @@ def nlc_torsion_at(ctx, pt) -> tuple:
     return float(np.max(viol)), tuple(int(v) for v in idx)
 
 
-def torsion_free_verdict(pts, per_point, tol=1e-9) -> TorsionFreeVerdict:
+def torsion_free_verdict(pts, per_point) -> TorsionFreeVerdict:
     """Fold the per-point ``nlc_torsion_at`` results, in point order; the
-    witness is the first point to reach the largest violation above
-    ``tol``, with its entry."""
-    worst = 0.0
-    witness = None
-    for pt, (dev, idx) in zip(pts, per_point):
-        if dev > worst:
-            worst = dev
-            if dev > tol:
-                witness = (pt, idx)
-    return TorsionFreeVerdict(
-        torsion_free=worst <= tol, max_violation=worst, witness=witness
+    witness carries the point's entry."""
+    worst, witness = _first_max(
+        [dev for dev, _ in per_point],
+        [(pt, idx) for pt, (_, idx) in zip(pts, per_point)],
     )
+    return TorsionFreeVerdict(max_violation=worst, witness=witness)
 
 
 def metricity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
@@ -1062,22 +1056,26 @@ def sample_points(
 ):
     """Draw points uniformly from coordinate boxes, rejecting near-singular
     metrics (condition number above ``cond_limit``) and field-domain
-    violations.  Raises :class:`ConfigError` naming the boxes when the try
-    budget runs out.  Only accepted points record or assert the metric
-    signature."""
+    violations.  Raises :class:`ConfigError` naming the boxes and counting
+    each kind of rejection when the try budget runs out.  Only accepted
+    points record or assert the metric signature."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
     tries = 0
+    ill_conditioned = 0
     budget = max(1000, 50 * count)
     while len(pts) < count:
         tries += 1
         if tries > budget:
+            rejected = budget - len(pts)
             raise ConfigError(
                 f"could not sample {count} admissible points in {budget} tries "
                 f"({len(pts)} found) from the boxes t {tuple(box_t)}, "
-                f"x {tuple(box_x)}, xs {tuple(box_xs)}; widen the boxes or "
-                f"relax cond_limit"
+                f"x {tuple(box_x)}, xs {tuple(box_xs)}: "
+                f"{rejected - ill_conditioned} draws left a field's domain and "
+                f"{ill_conditioned} had a metric with condition number above "
+                f"{cond_limit:g}"
             )
         pt = JetPoint.of(
             rng.uniform(box_t[0], box_t[1], size=p),
@@ -1090,8 +1088,12 @@ def sample_points(
             hval = fr.h_jet.value
             gval = fr.g_jet.value
             if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
+                ill_conditioned += 1
                 continue
-        except (EvalDomainError, DerivativeDomainError, SingularMetricError):
+        except SingularMetricError:
+            ill_conditioned += 1
+            continue
+        except (EvalDomainError, DerivativeDomainError):
             continue
         finally:
             ctx._defer_signature = False

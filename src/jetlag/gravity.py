@@ -154,16 +154,13 @@ def _stress_energy_of(eb: EinsteinBlocks, k: float) -> StressEnergySet:
 class ConservationReport:
     """Residuals LHS - RHS of the three divergence laws.
 
-    Each law's status is "pass" below tol and "flagged" otherwise; outside
-    the direction-independent regime the laws are diagnostics, not hard
-    assertions, so no status is ever "fail".
+    Outside the direction-independent regime the laws are diagnostics, not
+    hard assertions.
     """
 
     laws: dict
-    statuses: dict
     direction_independent: bool
     n_points: int
-    tol: float
 
     LAW_NAMES = ("temporal", "spatial", "vertical")
 
@@ -234,7 +231,7 @@ def _laws_at(fr):
     ]
 
 
-def conservation_residuals(ctx: GeometryContext, pts, tol: float = 1e-6) -> ConservationReport:
+def conservation_residuals(ctx: GeometryContext, pts) -> ConservationReport:
     """Componentwise residuals of the three conservation laws over pts."""
     _gate(ctx, 3, "conservation-law divergences")
     aggs = [_Agg() for _ in range(3)]
@@ -249,16 +246,8 @@ def conservation_residuals(ctx: GeometryContext, pts, tol: float = 1e-6) -> Cons
     laws = {
         name: agg.stats() for name, agg in zip(ConservationReport.LAW_NAMES, aggs)
     }
-    statuses = {
-        name: "pass" if stats.max_rel < tol else "flagged"
-        for name, stats in laws.items()
-    }
     return ConservationReport(
-        laws=laws,
-        statuses=statuses,
-        direction_independent=dir_indep,
-        n_points=count,
-        tol=tol,
+        laws=laws, direction_independent=dir_indep, n_points=count
     )
 
 

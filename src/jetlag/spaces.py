@@ -34,7 +34,6 @@ from .geometry import (
 
 __all__ = [
     "QuadraticContext",
-    "ConformalContext",
     "OpticContext",
     "make_flat",
     "make_quadratic",
@@ -44,6 +43,7 @@ __all__ = [
     "quadratic_lagrangian",
     "build_space",
     "space_names",
+    "PARAM_SCHEMAS",
 ]
 
 
@@ -184,28 +184,14 @@ def _eval0(fld, pt) -> float:
 class QuadraticContext(GeometryContext):
     """Canonical space of a quadratic Lagrangian.
 
-    Carries the linear and scalar pieces (geometry-inert: the vertical
-    Hessian drops them) plus the assembled Lagrangian itself for
-    regularity probes.
+    Carries the assembled Lagrangian, linear and scalar pieces included
+    (geometry-inert: the vertical Hessian drops them), for regularity
+    probes.
     """
 
-    def __init__(self, p, n, h, g_source, nlc, *, U_fields, F_field,
-                 lagrangian, K=1.0):
+    def __init__(self, p, n, h, g_source, nlc, *, lagrangian, K=1.0):
         super().__init__(p, n, h, g_source, nlc, K=K)
-        self.U_fields = U_fields
-        self.F_field = F_field
         self.lagrangian = lagrangian
-
-
-class ConformalContext(GeometryContext):
-    """Conformal deformation g = e^{2 sigma} phi of a static spatial metric."""
-
-    def __init__(self, p, n, h, g_source, nlc, *, phi_fields, sigma_field,
-                 variant, K=1.0):
-        super().__init__(p, n, h, g_source, nlc, K=K)
-        self.phi_fields = phi_fields
-        self.sigma_field = sigma_field
-        self.variant = variant
 
 
 class OpticContext(GeometryContext):
@@ -280,17 +266,16 @@ def make_quadratic(h, g, U=None, F=None, *, K: float = 1.0) -> QuadraticContext:
             f"quadratic g must be independent of the fibre coordinates: {exc}",
             witness=exc.violations,
         ) from exc
-    U_fields = None
+    # U and F are parsed for their own named errors and dependency checks
     if U is not None:
-        U_fields = _fields(_texts(U, (n, p), "U"), dims, ("t", "x"), "U")
-    F_field = None
+        _fields(_texts(U, (n, p), "U"), dims, ("t", "x"), "U")
     if F is not None:
         F_text = _texts(np.asarray([F], dtype=object), (1,), "F")[0]
-        F_field = _scalar_field(F_text, dims, ("t", "x"), "F")
+        _scalar_field(F_text, dims, ("t", "x"), "F")
     lagrangian = quadratic_lagrangian(h, g, U=U, F=F) if p <= 3 else None
     return QuadraticContext(
         p, n, h_fields, DirectMetric(g_fields), QuadraticCanonical(),
-        U_fields=U_fields, F_field=F_field, lagrangian=lagrangian, K=K,
+        lagrangian=lagrangian, K=K,
     )
 
 
@@ -323,7 +308,7 @@ def _sigma_text(variant, params, p, n, h, phi) -> str:
     )
 
 
-def make_conformal(h, phi, variant, params, *, K: float = 1.0) -> ConformalContext:
+def make_conformal(h, phi, variant, params, *, K: float = 1.0) -> GeometryContext:
     """Space with g = e^{2 sigma} phi_{ij}(x) and the static-metric connection.
 
     ``variant`` selects the shape of sigma and what ``params`` holds:
@@ -348,15 +333,13 @@ def make_conformal(h, phi, variant, params, *, K: float = 1.0) -> ConformalConte
     elif variant == "iii":
         _fields(_texts(params, (p,), "X"), dims, ("t",), "X")
     sigma = _sigma_text(variant, params, p, n, h, phi)
-    sigma_field = _scalar_field(sigma, dims, ("t", "x", "xs"), "sigma")
     g_texts = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
             g_texts[i, j] = f"exp(2*({sigma}))*({phi[i, j]})"
     g_fields = _fields(g_texts, dims, ("t", "x", "xs"), "g")
-    return ConformalContext(
-        p, n, h_fields, DirectMetric(g_fields), ChristoffelOfPhi(phi_fields),
-        phi_fields=phi_fields, sigma_field=sigma_field, variant=variant, K=K,
+    return GeometryContext(
+        p, n, h_fields, DirectMetric(g_fields), ChristoffelOfPhi(phi_fields), K=K
     )
 
 
@@ -426,6 +409,42 @@ def optic_inverse_closed(ctx: OpticContext, pt) -> np.ndarray:
 # name + parameter-map front door
 # --------------------------------------------------------------------------
 
+# each space's parameter keys, with what each holds (``jetlag spaces``)
+PARAM_SCHEMAS = {
+    "flat": {"p": "int >= 1", "n": "int >= 1", "K": "float, optional"},
+    "quadratic": {
+        "h": "p x p expression texts in t",
+        "g": "n x n expression texts in t, x",
+        "U": "n x p expression texts in t, x (optional, geometry-inert)",
+        "F": "expression text in t, x (optional, geometry-inert)",
+        "K": "float, optional",
+    },
+    "conformal": {
+        "h": "p x p expression texts in t",
+        "phi": "n x n expression texts in x",
+        "variant": "'i' | 'ii' | 'iii'",
+        "U": "n x p texts in t, x (variant i)",
+        "A": "n texts in x (variant ii)",
+        "X": "p texts in t (variant iii)",
+        "K": "float, optional",
+    },
+    "optic": {
+        "h": "p x p expression texts in t",
+        "phi": "n x n expression texts in x",
+        "n": "refraction-index expression text, range [1, oo)",
+        "X": "p expression texts in t",
+        "K": "float, optional",
+    },
+    "custom": {
+        "h": "p x p expression texts in t",
+        "g": "n x n expression texts (exclusive with 'lagrangian')",
+        "lagrangian": "expression text (exclusive with 'g')",
+        "nlc": "{'kind': 'quadratic' | 'christoffel' | 'user', ...}",
+        "K": "float, optional",
+    },
+}
+
+
 def _take(params: dict, allowed, required, where: str) -> dict:
     extra = sorted(set(params) - set(allowed))
     if extra:
@@ -444,20 +463,20 @@ def _int_param(params, key, where) -> int:
 
 
 def _build_flat(params, K):
-    _take(params, {"p", "n", "K"}, {"p", "n"}, "flat")
+    _take(params, PARAM_SCHEMAS["flat"], {"p", "n"}, "flat")
     return make_flat(_int_param(params, "p", "flat"),
                      _int_param(params, "n", "flat"), K=K)
 
 
 def _build_quadratic(params, K):
-    _take(params, {"h", "g", "U", "F", "K"}, {"h", "g"}, "quadratic")
+    _take(params, PARAM_SCHEMAS["quadratic"], {"h", "g"}, "quadratic")
     return make_quadratic(params["h"], params["g"],
                           U=params.get("U"), F=params.get("F"), K=K)
 
 
 def _build_conformal(params, K):
-    _take(params, {"h", "phi", "variant", "U", "A", "X", "K"},
-          {"h", "phi", "variant"}, "conformal")
+    _take(params, PARAM_SCHEMAS["conformal"], {"h", "phi", "variant"},
+          "conformal")
     variant = params["variant"]
     key = isinstance(variant, str) and {"i": "U", "ii": "A", "iii": "X"}.get(variant)
     if not key:
@@ -476,12 +495,12 @@ def _build_conformal(params, K):
 
 
 def _build_optic(params, K):
-    _take(params, {"h", "phi", "n", "X", "K"}, {"h", "phi", "n", "X"}, "optic")
+    _take(params, PARAM_SCHEMAS["optic"], {"h", "phi", "n", "X"}, "optic")
     return make_optic(params["h"], params["phi"], params["n"], params["X"], K=K)
 
 
 def _build_custom(params, K):
-    _take(params, {"h", "g", "lagrangian", "nlc", "K"}, {"h", "nlc"}, "custom")
+    _take(params, PARAM_SCHEMAS["custom"], {"h", "nlc"}, "custom")
     h, p = _square(params["h"], "h")
     if ("g" in params) == ("lagrangian" in params):
         raise ConfigError("custom needs exactly one of 'g' or 'lagrangian'")

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetlag import JetPoint, build_space, maxwell_residuals
-from jetlag.cli import DUMP_FAMILIES, main
+from jetlag.cli import CHECK_NAMES, DUMP_FAMILIES, main
 
 FULL_CHECKS = [
     "metricity",
@@ -673,6 +673,39 @@ def test_natural_form_names_its_witness(tmp_path):
     assert doc["witness"] == NATURAL_LOG_DOMAIN_CFG["points"]["explicit"][1]
 
 
+# N^(1)_(1)1 = 5e-10 xs^2_1: a violation below the Maxwell precondition's
+# limit that a torsion tolerance of 1e-12 still fails
+WEAK_TORSION_CFG = dict(
+    TORSIONAL_CFG,
+    space={"name": "custom", "params": dict(
+        TORSIONAL_CFG["space"]["params"],
+        nlc={"kind": "user", "entries": [[["5e-10*xs[2][1]", "0"], ["0", "0"]],
+                                         [["0", "0"], ["0", "0"]]]})},
+    tolerances={"torsion": 1e-12},
+)
+
+
+def test_every_failing_check_names_its_witness(tmp_path):
+    # the optic config with every check it allows, each at a tolerance that
+    # only an exact zero meets
+    checks = [c for c in CHECK_NAMES if c != "natural-form"]
+    optic = dict(OPTIC_CFG, checks=checks, dump=[],
+                 tolerances={c: 1e-300 for c in checks})
+    for doc in (optic, WEAK_TORSION_CFG):
+        rc, rep = run_to(tmp_path, doc)
+        assert rc == 1
+        for name, got in rep["checks"].items():
+            if got["status"] == "fail" and got["error"] is None:
+                assert got["witness"] is not None, name
+            for flag in ("torsion_free", "regular"):
+                if flag in got["detail"]:
+                    assert got["detail"][flag] == (got["status"] == "pass"), name
+    torsion = rep["checks"]["torsion"]
+    assert torsion["status"] == "fail"
+    assert torsion["detail"]["torsion_free"] is False
+    assert torsion["witness"]["where"] == [[0, 0, 0, 1, 0]]
+
+
 def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
     # conservation and natural-form read one set of law right-hand sides
     # per frame, curvature and maxwell one set of metrical deflections
@@ -893,8 +926,11 @@ MALFORMED_SPACES = {
 }
 
 # a box whose width overflows a float, or an infinite bound, used to end
-# sampling in an OverflowError traceback
-BOX_CASES = {"box-overflow": [-1e308, 1e308], "box-infinite": [0, float("inf")]}
+# sampling in an OverflowError traceback; a finite but huge box of the
+# conformal xs overflows exp(2 sigma) at every draw, and its error used to
+# follow numpy overflow warnings on stderr
+BOX_CASES = {"box-overflow": [-1e308, 1e308], "box-infinite": [0, float("inf")],
+             "box-huge": [-1, 1e308]}
 
 
 def _one_error_line(err):
@@ -910,7 +946,7 @@ def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
     else:
         doc = _space_cfg("conformal", CONFORMAL_PARAMS)
     if case in BOX_CASES:
-        doc["points"]["box"] = {"x": BOX_CASES[case]}
+        doc["points"]["box"] = {"xs": BOX_CASES[case]}
     if case == "explicit-scalar":
         doc["points"] = {"explicit": 5}
     if case == "explicit-nan":

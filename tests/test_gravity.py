@@ -48,7 +48,7 @@ def test_flat_space_vacuum(ctx_flat22, pt_flat22):
     assert max(np.max(np.abs(b)) for b in blocks) == 0.0
     rep = conservation_residuals(ctx_flat22, [pt_flat22])
     assert max(s.max_abs for s in rep.laws.values()) == 0.0
-    assert all(s == "pass" for s in rep.statuses.values())
+    assert all(s.max_rel < 1e-6 for s in rep.laws.values())
 
 
 # --------------------------------------------------------------------------
@@ -81,13 +81,13 @@ def test_mixed_einstein_tensor_matches_h_oracle(ctx_curved_h, curved_h_point):
 
 def test_curved_h_laws_pass(ctx_curved_h):
     rep = conservation_residuals(ctx_curved_h, sample_points(ctx_curved_h, 5, seed=3))
-    assert all(s == "pass" for s in rep.statuses.values())
+    assert all(s.max_rel < 1e-6 for s in rep.laws.values())
     assert rep.direction_independent
 
 
 def test_x_dependent_g_laws_pass(ctx_xdep22):
     rep = conservation_residuals(ctx_xdep22, sample_points(ctx_xdep22, 8, seed=11))
-    assert all(s == "pass" for s in rep.statuses.values())
+    assert all(s.max_rel < 1e-6 for s in rep.laws.values())
     assert rep.direction_independent
 
 
@@ -112,10 +112,9 @@ def test_temporal_law_defect_structure(ctx_tdep22, pt_tdep22):
 
 def test_temporal_law_flagged_others_pass(ctx_tdep22, pt_tdep22):
     rep = conservation_residuals(ctx_tdep22, [pt_tdep22])
-    assert rep.statuses["temporal"] == "flagged"
-    assert rep.statuses["spatial"] == "pass"
-    assert rep.statuses["vertical"] == "pass"
-    assert not rep.laws["temporal"].max_rel < rep.tol
+    assert not rep.laws["temporal"].max_rel < 1e-6
+    assert rep.laws["spatial"].max_rel < 1e-6
+    assert rep.laws["vertical"].max_rel < 1e-6
 
 
 # --------------------------------------------------------------------------

@@ -92,7 +92,6 @@ def test_quadratic_lagrangian_regular_with_ghat_equal_g():
     ctx = make_quadratic(H2, GQ, U=[["t[1]", "0"], ["x[2]", "1"]], F="t[1]*x[1]")
     pts = sample_points(ctx, 10, seed=7)
     verdict = kronecker_regularity_check(ctx, pts, lagrangian=ctx.lagrangian)
-    assert verdict.regular
     assert verdict.max_deviation < 1e-12
     for pt, ghat in zip(pts, verdict.ghats):
         gval = frame(ctx, pt, 0).g_jet.value
@@ -146,7 +145,7 @@ def test_conformal_variant_metricity_and_torsion(variant, param):
     pts = sample_points(ctx, 6, seed=13, box_xs=(-0.4, 0.4))
     met = max(max(metricity_residuals(ctx, pt).values()) for pt in pts)
     assert met < 1e-8
-    assert nlc_torsion_free_check(ctx, pts).torsion_free
+    assert nlc_torsion_free_check(ctx, pts).max_violation <= 1e-9
 
 
 def test_optic_fixture_inverse_discrepancy():
@@ -210,11 +209,12 @@ def test_optic_index_guard_runs_before_the_entry():
 def test_build_space_every_kind():
     assert isinstance(build_space("flat", {"p": 2, "n": 2}), GeometryContext)
     c = build_space("quadratic", {"h": H2, "g": GQ, "F": "t[1]"})
-    assert c.F_field is not None
+    assert c.lagrangian.src.endswith("+ (t[1])")
     c = build_space(
         "conformal", {"h": H2, "phi": PHI_NT, "variant": "ii", "A": ["1", "0"]}
     )
-    assert c.variant == "ii"
+    assert c.nlc.__class__.__name__ == "ChristoffelOfPhi"
+    assert c.g_source.entries[0, 0].src.startswith("exp(2*(")
     c = build_space("optic", {"h": H2, "phi": PHI_O, "n": "2", "X": ["1", "0"]})
     assert c.n_field is not None
     c = build_space(
@@ -288,7 +288,7 @@ def test_quartic_lagrangian_irregular():
     )
     pts = sample_points(ctx, 8, seed=17)
     v = kronecker_regularity_check(ctx, pts)
-    assert not v.regular
+    assert v.max_deviation > 1e-9
     assert v.witness is not None
 
 
