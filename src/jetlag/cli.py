@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -572,10 +572,10 @@ def _fold_conservation(pts, per, tol):
             "max_abs": max_abs,
             "mean_abs": float(np.mean([r.laws[nm].mean_abs for r in per])),
             "max_rel": max_rel,
-            "status": "pass" if max_rel < tol else "flagged",
+            "status": "pass" if max_rel <= tol else "flagged",
         }
     detail["direction_independent"] = all(r.direction_independent for r in per)
-    status = "pass" if worst < tol else "flagged"
+    status = "pass" if worst <= tol else "flagged"
     max_abs = max(d["max_abs"] for nm, d in detail.items()
                   if isinstance(d, dict))
     mean_abs = float(np.mean([d["mean_abs"] for nm, d in detail.items()
@@ -749,8 +749,7 @@ def _collect_points(cfg: RunConfig, ctx) -> list:
     return pts
 
 
-def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
-               dump: tuple | None = None):
+def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     """Execute a validated config; returns (RunReport, exit_code).
 
     Writes the serialized report to ``out_path`` (or the config's output
@@ -775,13 +774,8 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None,
             frame(ctx, pts[0], 0).g_jet
         except JetlagError:
             pass  # each check that evaluates g at pts[0] reports the error
-    families = cfg.dump if dump is None else tuple(dump)
-    for fam in families:
-        if fam not in DUMP_FAMILIES:
-            raise ConfigError(f"unknown dump family {fam!r}; "
-                              f"available {list(DUMP_FAMILIES)}")
     # a dump error ends the run, so it comes before any check step
-    dumps = _dump_families(ctx, pts[0], families) if families else None
+    dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
 
     outcomes = {}
     records = {name: [] for name in cfg.checks if name in _FOLDS}
@@ -844,11 +838,16 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        echo = dict(cfg.echo)
-        echo["points"] = dict(echo["points"], seed=args.seed)
-        cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed, "echo": echo})
-    dump = tuple(args.dump.split(",")) if args.dump else None
-    report, code = run_report(cfg, out_path=args.out, dump=dump)
+        points = dict(cfg.echo["points"], seed=args.seed)
+        cfg = replace(cfg, seed=args.seed, echo=dict(cfg.echo, points=points))
+    if args.dump:
+        dump = tuple(args.dump.split(","))
+        for fam in dump:
+            if fam not in DUMP_FAMILIES:
+                raise ConfigError(f"unknown dump family {fam!r}; "
+                                  f"available {list(DUMP_FAMILIES)}")
+        cfg = replace(cfg, dump=dump, echo=dict(cfg.echo, dump=list(dump)))
+    report, code = run_report(cfg, out_path=args.out)
     for name, doc in report.checks.items():
         res = doc["max_abs"]
         shown = "n/a" if res is None else f"{res:.3e}"

@@ -612,7 +612,10 @@ def jet_matrix_inverse(a: Jet) -> Jet:
     """Inverse of a jet-valued square matrix (component shape (m, m)).
 
     Newton iteration X <- X (2I - A X); the number of correct Taylor orders
-    doubles each step, so ceil(log2(order+1)) steps suffice.
+    doubles each step, so ceil(log2(order+1)) steps suffice.  Every order
+    takes at least the two steps of order 3, the derivative budget:
+    coefficient k of each step reads only coefficients up to k, so the
+    inverse of an order-k jet is the order-3 inverse truncated, bit for bit.
     """
     a0 = a.coeffs[0]
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
@@ -625,10 +628,8 @@ def jet_matrix_inverse(a: Jet) -> Jet:
             condition=float(cond),
         )
     x = Jet.constant(np.linalg.inv(a0), a.nvars, a.order)
-    if a.order == 0:
-        return x
     eye = np.eye(a0.shape[0])
-    steps = max(1, math.ceil(math.log2(a.order + 1)))
+    steps = max(2, math.ceil(math.log2(a.order + 1)))
     for _ in range(steps):
         ax = jet_einsum("im,mj->ij", a, x)
         corr = Jet(ax.nvars, ax.order, [eye - ax.coeffs[0]] + [-c for c in ax.coeffs[1:]])

@@ -67,6 +67,13 @@ def _x_low_jet(fr) -> Jet:
     return jet_einsum("am,pm->pa", fr.h_inv, gx)
 
 
+def _raw_jets(fr):
+    """(Dbar, Dmet, dmet) of the Liouville field xs itself, as jets via the
+    generic covariant rules; read through ``fr.shared``."""
+    xs = fr.xs_jet
+    return (fr.cov_t(xs, (V_UP,)), fr.cov_s(xs, (V_UP,)), fr.cov_v(xs, (V_UP,)))
+
+
 def _metrical_jets(fr):
     """(x_low, Dbar, Dmet, dmet) as jets via the generic covariant rules;
     read through ``fr.shared`` so each frame derives them once."""
@@ -115,30 +122,19 @@ class DeflectionSet:
 def deflection_set(ctx: GeometryContext, pt: JetPoint) -> DeflectionSet:
     """Deflections of the Liouville field, raw and metrically lowered.
 
-    Raw blocks come from the expanded closed forms; metrical blocks from the
-    generic covariant rules applied to the lowered field.  The two routes are
-    tied together by metricity, which makes lowering commute with the
-    derivatives; tests compare them directly.
+    Both come from the generic covariant rules, applied to xs and to its
+    lowering, as the frame-shared blocks that the deflection identities
+    read.  Metricity, which makes lowering commute with the derivatives,
+    ties the two together; tests compare them directly, and compare the
+    raw blocks with their closed forms.
     """
     fr = frame(ctx, pt, 2)
-    p, n = ctx.p, ctx.n
-    xs = pt.xs
-    Gc = fr.Gc_jet.value
-    Lc = fr.Lc_jet.value
-    Cc = fr.Cc_jet.value
-    Nv = fr.N_jet.value
-
-    raw_t = np.einsum("imb,ma->iab", Gc, xs)
-    raw_s = -Nv + np.einsum("imj,ma->iaj", Lc, xs)
-    raw_v = np.einsum("ij,ab->iajb", np.eye(n), np.eye(p)) + np.einsum(
-        "ijmb,ma->iajb", Cc, xs
-    )
-
+    raw_t, raw_s, raw_v = fr.shared(_raw_jets)
     x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
     return DeflectionSet(
-        raw_temporal=raw_t,
-        raw_spatial=raw_s,
-        raw_vertical=raw_v,
+        raw_temporal=raw_t.value.copy(),
+        raw_spatial=raw_s.value.copy(),
+        raw_vertical=raw_v.value.copy(),
         met_temporal=Dbar.value.copy(),
         met_spatial=Dmet.value.copy(),
         met_vertical=dmet.value.copy(),
@@ -412,11 +408,11 @@ def deflection_identity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     rule against the stored curvature and torsion arrays.
     """
     fr = frame(ctx, pt, 2)
-    xs = fr.xs_jet
-    raw = (fr.cov_t(xs, (V_UP,)), fr.cov_s(xs, (V_UP,)), fr.cov_v(xs, (V_UP,)))
+    raw = fr.shared(_raw_jets)
     x_low, *met = fr.shared(_metrical_jets)
     res = {}
-    for kind, X, D, up in (("raw", xs, raw, True), ("met", x_low, met, False)):
+    for kind, X, D, up in (("raw", fr.xs_jet, raw, True),
+                           ("met", x_low, met, False)):
         for k, r in enumerate(_liouville_identities(fr, X, D, up), 1):
             res[f"{kind}_{k}"] = r
     return res

@@ -245,7 +245,9 @@ def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
 
     ``order`` is the Taylor depth carried by the metric-level jets; 2 covers
     torsion/curvature values, 3 is needed for covariant derivatives of
-    curvature-level objects (conservation laws, Bianchi residuals).
+    curvature-level objects (conservation laws, Bianchi residuals).  It
+    decides how much is computed, not any number: every block of an
+    order-k frame is the order-3 frame's block truncated, bit for bit.
     """
     key = (pt.key(), order)
     fr = ctx._frames.get(key)
@@ -940,7 +942,7 @@ def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
         B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
     B = B.value  # [i,mu,j,nu]
     hval = fr.h_jet.value
-    hinv = jet_matrix_inverse(fr.h_jet.truncated(0)).value
+    hinv = fr.h_inv.value
     ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
     recon = np.einsum("mn,ij->imjn", hinv, ghat)
     scale = max(1.0, float(np.max(np.abs(B))))

@@ -144,13 +144,13 @@ def run_to(tmp_path, doc, *extra, name="cfg.json", out="report.json"):
 # sha256 of a report minus its wall-time line, as the benchmark's
 # report_digest takes it; a mismatch means some report byte changed
 REPORT_DIGESTS = {
-    "optic": ("df5d55d43616007c2b6574a75147c280be4f839d468c1467fc0dc33e79ba845e",
+    "optic": ("f9f6a0312873826fc9476a4b416318a478325cdab9ceaff550d660fb03e2df37",
               OPTIC_CFG),
     "torsional": ("a952e4459b669d848b502c2e859603fa68e34753c2b4750b125e7990a92cc571",
                   TORSIONAL_CFG),
     # every frame block, through every dump family, on a direct metric and
     # on a Lagrangian-derived one
-    "optic-dumps": ("1029512b26145e34567b5a415897a12ec0626b999a8244207d7e79fbcbcc3051",
+    "optic-dumps": ("33ae2fb2c70a2c6849631c460f53a96212c76e2b555cdb079f567ee579c60f4e",
                     dict(OPTIC_CFG, dump=list(DUMP_FAMILIES))),
     "lagrangian-dumps": ("15a0fd73623b8cc055447dceac83884e91c85c3243fba0295c4b5c559e98d8e2",
                          dict(LAGRANGIAN_CFG,
@@ -158,7 +158,7 @@ REPORT_DIGESTS = {
                                       "curvature", "maxwell"],
                               dump=list(DUMP_FAMILIES))),
     # the regularity probe of a space's own explicit Lagrangian
-    "conformal-em": ("8b0e691e2b4e97e8d7b68493569e50e0048fbb8c68786252ea588b0192786e0d",
+    "conformal-em": ("b9c0dd20f3f8d1c15c7e35668c046835bcce43b51ccc769226c72ef096d598c8",
                      CONFORMAL_EM_CFG),
     "quadratic-regularity": ("e20c6b68b6124bffa2869eec3db26cd6f407d18fc87e796b1f50220a1951fad5",
                              QUADRATIC_REGULARITY_CFG),
@@ -230,6 +230,33 @@ def test_lagrangian_conservation_budget_error(tmp_path):
     assert doc["witness"] is None  # a config-level error names no point
     for name in ("metricity", "regularity", "einstein"):
         assert rep["checks"][name]["status"] == "pass"
+
+
+def test_conservation_tolerance_at_the_measured_value_passes(tmp_path):
+    # a tolerance equal to the worst measured max_rel passes, as value <= tol
+    # does in every other check
+    doc = dict(OPTIC_CFG, checks=["conservation"], dump=[],
+               tolerances={"conservation": 0.21817123301995614})
+    rc, rep = run_to(tmp_path, doc)
+    cons = rep["checks"]["conservation"]
+    assert max(law["max_rel"] for law in cons["detail"].values()
+               if isinstance(law, dict)) == 0.21817123301995614
+    assert (rc, cons["status"]) == (0, "pass")
+    assert all(law["status"] == "pass" for law in cons["detail"].values()
+               if isinstance(law, dict))
+
+
+def test_dump_flag_overrides_the_config(tmp_path, capsys):
+    doc = dict(OPTIC_CFG, checks=["metricity"], dump=[])
+    rc, rep = run_to(tmp_path, doc, "--dump", "nlc")
+    assert rc == 0
+    assert rep["config"]["dump"] == ["nlc"]
+    assert list(rep["dumps"]["families"]) == ["nlc"]
+    capsys.readouterr()
+    assert main(["run", write_cfg(tmp_path, doc), "--dump", "nlc,spin"]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err)
+    assert "unknown dump family 'spin'" in err
 
 
 def test_maxwell_failure_names_worst_point(tmp_path):
@@ -613,19 +640,32 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
                if isinstance(val, cached_property))
 
 
+# the workload reports at a second seed; the benchmark pins only the
+# default seed's digest, and a change that keeps reports byte-identical
+# keeps these too
+SEED23_DIGESTS = {
+    "optic-suite": "169d047f3d8c238437c01a975e3fbd5b88e68d95a21c9288db5a16bd812b8f48",
+    "optic-sweep": "493b2e712367985bfbb26d5d7d437318a5b84615e15180b76d1051497daac7bb",
+    "mixed33-deep": "3cb9c9d57b6bbf64169d268f76d86cabc57194bd6f3a0d549caf154fd26c8b0a",
+}
+
+
 def test_benchmark_workload_digests(tmp_path, monkeypatch):
     # every benchmark run is checked against these references; a change
     # that moves one report byte fails here before the benchmark runs
     bench_spec = _load_bench(monkeypatch, "spec")
-    for name, ref in bench_spec.WORKLOADS.items():
-        rc, rep = run_to(tmp_path, bench_spec.make_config(name, None),
-                         name=f"{name}.json", out=f"{name}.report.json")
-        text = (tmp_path / f"{name}.report.json").read_text()
-        statuses = {check: doc["status"] for check, doc in rep["checks"].items()}
-        assert statuses == ref["statuses"], name
-        assert rc == ref["exit_code"], name
-        digest = hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest()
-        assert digest == ref["digest"], name
+    for seed in (None, 23):
+        for name, ref in bench_spec.WORKLOADS.items():
+            rc, rep = run_to(tmp_path, bench_spec.make_config(name, seed),
+                             name=f"{name}.json", out=f"{name}.report.json")
+            text = (tmp_path / f"{name}.report.json").read_text()
+            statuses = {check: doc["status"]
+                        for check, doc in rep["checks"].items()}
+            assert statuses == ref["statuses"], (name, seed)
+            assert rc == ref["exit_code"], (name, seed)
+            digest = hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest()
+            want = ref["digest"] if seed is None else SEED23_DIGESTS[name]
+            assert digest == want, (name, seed)
 
 
 # g = diag(log(x1), 1) leaves the log domain at x1 <= 0

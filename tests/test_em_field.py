@@ -13,7 +13,7 @@ from jetlag.em_field import (
 from jetlag.errors import TorsionPreconditionError
 from jetlag.geometry import frame, sample_points
 
-from test_geometry import crafted_torsional_ctx
+from test_geometry import OPTIC_PARAMS, OPTIC_POINT, crafted_torsional_ctx
 
 
 def _lower(fr, raw):
@@ -29,6 +29,40 @@ def test_metrical_deflections_are_lowered_raw(ctx_mixed22, pt_mixed22):
         (ds.raw_vertical, ds.met_vertical),
     ):
         assert np.max(np.abs(_lower(fr, raw) - met)) < 1e-12
+
+
+CONFORMAL_PARAMS = {
+    "h": [["1", "0"], ["0", "1 + t[1]^2"]],
+    "phi": [["1 + x[1]^2", "0"], ["0", "1 + x[2]^2"]],
+    "variant": "iii",
+    "X": ["1", "1 - t[2]"],
+}
+
+
+@pytest.mark.parametrize("space", ["mixed22", "optic", "conformal"])
+def test_raw_deflections_match_their_closed_forms(ctx_mixed22, pt_mixed22, space):
+    # the covariant rules against the expanded forms G.xs, -N + L.xs and
+    # delta + C.xs, which no library path computes
+    from jetlag.spaces import build_space
+
+    ctx, pt = {
+        "mixed22": (ctx_mixed22, pt_mixed22),
+        "optic": (build_space("optic", OPTIC_PARAMS), OPTIC_POINT),
+        "conformal": (build_space("conformal", CONFORMAL_PARAMS), OPTIC_POINT),
+    }[space]
+    ds = deflection_set(ctx, pt)
+    fr = frame(ctx, pt, 2)
+    xs = pt.xs
+    n, p = xs.shape
+    want = (
+        np.einsum("imb,ma->iab", fr.Gc_jet.value, xs),
+        -fr.N_jet.value + np.einsum("imj,ma->iaj", fr.Lc_jet.value, xs),
+        np.einsum("ij,ab->iajb", np.eye(n), np.eye(p))
+        + np.einsum("ijmb,ma->iajb", fr.Cc_jet.value, xs),
+    )
+    got = (ds.raw_temporal, ds.raw_spatial, ds.raw_vertical)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) < 1e-15
 
 
 def test_lowered_liouville_components(ctx_mixed22, pt_mixed22):

@@ -441,3 +441,54 @@ def test_grid_keeps_signed_zeros(ctx_flat22):
     grid[1] = ExprField(Binary("*", Num(-0.0), x1), (2, 2))
     val = Frame(ctx_flat22, OPTIC_POINT, 1).eval_grid(grid).value
     assert [np.copysign(1.0, v) for v in val] == [1.0, -1.0]
+
+
+# --------------------------------------------------------------------------
+# a frame's order decides how much is computed, never a number
+# --------------------------------------------------------------------------
+
+PT22_B = JetPoint.of([-0.3, 0.4], [0.2, 0.5], [[-0.1, 0.4], [0.3, -0.2]])
+PT33_B = JetPoint.of([-0.1, 0.3, 0.2], [0.1, -0.2, 0.3],
+                     [[0.1, 0.2, -0.3], [-0.2, 0.1, 0.3], [0.3, -0.1, 0.1]])
+
+
+def _blocks(fr) -> dict:
+    """Every cached block of ``fr`` that it can compute, by name."""
+    from functools import cached_property
+
+    from jetlag.errors import OrderExceededError
+    from jetlag.geometry import Frame
+
+    out = {}
+    for name, val in vars(Frame).items():
+        if isinstance(val, cached_property):
+            try:
+                out[name] = getattr(fr, name)
+            except (ValueError, RegularityViolationError, OrderExceededError):
+                pass  # not defined on this space, or not at this order
+    return out
+
+
+@pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "quadratic"])
+def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
+    from jetlag.spaces import build_space
+
+    ctx, pts = {
+        "optic": lambda: (build_space("optic", OPTIC_PARAMS),
+                          [OPTIC_POINT, PT22_B]),
+        "mixed33": lambda: (support.mixed33_ctx(),
+                            [request.getfixturevalue("pt_mixed33"), PT33_B]),
+        "lagrangian": lambda: (request.getfixturevalue("lagrangian_ctx"),
+                               [OPTIC_POINT, PT22_B]),
+        "quadratic": lambda: (support.tdep_g_ctx(), [OPTIC_POINT, PT22_B]),
+    }[space]()
+    for pt in pts:
+        full = _blocks(frame(ctx, pt, 3))
+        for order in (0, 1, 2):
+            blocks = _blocks(frame(ctx, pt, order))
+            if order == 2:
+                assert blocks.keys() == full.keys()
+            for name, jet in blocks.items():
+                want = full[name].truncated(jet.order)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(jet.coeffs, want.coeffs)), (order, name)
