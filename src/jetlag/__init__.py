@@ -19,7 +19,6 @@ from .em_field import (
     DeflectionSet,
     EmSet,
     MaxwellReport,
-    ResidualStats,
     bianchi_residuals,
     deflection_identity_residuals,
     deflection_set,
@@ -60,6 +59,7 @@ from .geometry import (
     GeometryContext,
     QuadraticCanonical,
     RegularityVerdict,
+    ResidualStats,
     RicciSet,
     ScalarSet,
     TorsionFreeVerdict,

@@ -860,9 +860,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
+    ctx = build_space(cfg.space_name, cfg.space_params)
     # sampling evaluates the metrics, so a defect that shows only at a
-    # point ends here as it would in run
-    _collect_points(cfg, build_space(cfg.space_name, cfg.space_params))
+    # point ends here as it would in run; explicit points are not sampled,
+    # so their order-0 metric inverses are taken here
+    _collect_points(cfg, ctx)
+    for k, pt in enumerate(cfg.explicit):
+        fr = frame(ctx, pt, 0)
+        try:
+            fr.h_inv, fr.g_inv
+            if isinstance(ctx.nlc, ChristoffelOfPhi):
+                fr.phi_inv
+        except JetlagError as exc:
+            raise _err(f"points.explicit[{k}]", f"metrics at "
+                       f"{json.dumps(_point_doc(pt))}: {exc}") from None
     print(f"{args.config}: valid")
     return 0
 

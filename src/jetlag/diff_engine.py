@@ -537,29 +537,35 @@ def _einsum_plan(spec: str, K: int, kinds: str):
     return f"{sa},{sb}->{outs}", tuple(orders)
 
 
-def jet_einsum(spec: str, a, b) -> Jet:
+def jet_einsum(spec: str, a, b, order=None) -> Jet:
     """Two-operand einsum over component axes with the Leibniz rule on jets.
 
     ``spec`` addresses only the component axes, e.g. ``"gmb,im->gib"``, and
     names every one of them (no ``...``).  Either operand may be a plain
     ndarray (treated as a constant).  The subscripts and slot placements
     come from a plan made once per (spec, order, operand kinds).
+
+    The result has the lower of the operands' orders, capped at ``order``
+    when given.  Coefficient k reads only the operands' coefficients up to
+    k, so a product that feeds a sum of lower order is built to that order
+    alone, bit for bit the low coefficients of the uncapped product.
     """
     a_is_jet = isinstance(a, Jet)
     b_is_jet = isinstance(b, Jet)
     if not (a_is_jet or b_is_jet):
         raise TypeError("at least one operand must be a Jet")
+    cap = math.inf if order is None else order
     if a_is_jet and not b_is_jet:
-        K, N = a.order, a.nvars
+        K, N = min(a.order, cap), a.nvars
         subs = _einsum_plan(spec, K, "a")
         return Jet(N, K, [np.einsum(subs[k], a.coeffs[k], b) for k in range(K + 1)])
     if b_is_jet and not a_is_jet:
-        K, N = b.order, b.nvars
+        K, N = min(b.order, cap), b.nvars
         subs = _einsum_plan(spec, K, "b")
         return Jet(N, K, [np.einsum(subs[k], a, b.coeffs[k]) for k in range(K + 1)])
     if a.nvars != b.nvars:
         raise ValueError("jets over different variable sets")
-    K = min(a.order, b.order)
+    K = min(a.order, b.order, cap)
     N = a.nvars
     base, orders = _einsum_plan(spec, K, "ab")
     out = []

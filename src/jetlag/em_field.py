@@ -33,7 +33,8 @@ import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import TorsionPreconditionError
-from .geometry import GeometryContext, frame, nlc_torsion_free_check
+from .geometry import (GeometryContext, ResidualStats, _Agg, _residual_summary,
+                       frame, nlc_torsion_free_check)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -161,22 +162,6 @@ def em_tensors(ctx: GeometryContext, pt: JetPoint) -> EmSet:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResidualStats:
-    """Aggregate of one residual block over components and sample points.
-
-    max_rel divides each point's max-abs residual by max(1, that point's
-    largest constituent-term magnitude), so tiny fields cannot pass for free.
-    worst_point is the index of the first point that reached max_rel.
-    """
-
-    max_abs: float
-    mean_abs: float
-    max_rel: float
-    scale: float
-    worst_point: int = 0
-
-
-@dataclass(frozen=True)
 class MaxwellReport:
     """Residuals of the five electromagnetic field equations."""
 
@@ -190,56 +175,6 @@ class MaxwellReport:
         "mixed_cyclic",
         "f_vertical_cyclic",
     )
-
-
-def _residual_summary(residual: np.ndarray, terms) -> tuple:
-    """(max |r|, sum |r|, size, scale) of one point's residual block r and
-    its constituent terms: all that ``_Agg`` keeps of the point."""
-    a = np.abs(residual)
-    pt_max = float(a.max()) if a.size else 0.0
-    pt_scale = max((float(np.max(np.abs(t))) for t in terms), default=0.0)
-    return pt_max, float(a.sum()), a.size, pt_scale
-
-
-class _Agg:
-    """Running stats of one residual block; ``add`` or ``add_summary`` is
-    called once per point."""
-
-    __slots__ = ("max_abs", "sum_abs", "count", "max_rel", "scale",
-                 "n_points", "worst_point")
-
-    def __init__(self):
-        self.max_abs = 0.0
-        self.sum_abs = 0.0
-        self.count = 0
-        self.max_rel = 0.0
-        self.scale = 0.0
-        self.n_points = 0
-        self.worst_point = 0
-
-    def add(self, residual: np.ndarray, terms):
-        self.add_summary(_residual_summary(residual, terms))
-
-    def add_summary(self, summary):
-        pt_max, pt_sum, size, pt_scale = summary
-        self.max_abs = max(self.max_abs, pt_max)
-        self.sum_abs += pt_sum
-        self.count += size
-        rel = pt_max / max(1.0, pt_scale)
-        if rel > self.max_rel:
-            self.max_rel = rel
-            self.worst_point = self.n_points
-        self.n_points += 1
-        self.scale = max(self.scale, pt_scale)
-
-    def stats(self) -> ResidualStats:
-        return ResidualStats(
-            max_abs=self.max_abs,
-            mean_abs=self.sum_abs / self.count if self.count else 0.0,
-            max_rel=self.max_rel,
-            scale=self.scale,
-            worst_point=self.worst_point,
-        )
 
 
 def _cyclic3(core: Jet, spec1: str, spec2: str) -> Jet:
@@ -264,7 +199,7 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     # 1) F^(a)_(i)k/b  =  A_{i,k} { Dbar_{|k} + Dmet.T + dmet.R - [T_{|k} + C.R] x_low } / 2
     lhs = fr.cov_t(F, (V_DN, S_DN))  # [i,a,k,b]
     t1 = fr.cov_s(Dbar, (V_DN, T_DN))  # [i,a,b,k]
-    t2 = jet_einsum("iam,mbk->iabk", Dmet, Tt)
+    t2 = jet_einsum("iam,mbk->iabk", Dmet, Tt, order=t1.order)
     t3 = jet_einsum("iamu,mubk->iabk", dmet, R2)
     Tcs = fr.cov_s(Tt, (S_UP, T_DN, S_DN))  # [p,b,i,k]
     br = Tcs + jet_einsum("pkmu,mubi->pbik", Cc, R2)
@@ -292,7 +227,7 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     R3 = fr.tor_R3_jet
     Fcs = fr.cov_s(F, (V_DN, S_DN))  # [i,a,j,k]
     lhs = _cyclic3(Fcs, "jaki->iajk", "kaij->iajk")
-    B = jet_einsum("pimu,pa->iamu", Cc, x_low) + dmet
+    B = jet_einsum("pimu,pa->iamu", Cc, x_low, order=R3.order) + dmet
     s = jet_einsum("iamu,mujk->iajk", B, R3)
     rhs = _cyclic3(s, "jaki->iajk", "kaij->iajk") * (-0.5)
     res = lhs - rhs
@@ -359,6 +294,7 @@ def _liouville_identities(fr, X, D, up: bool) -> list:
     are D = (temporal, spatial, vertical)."""
     Dt, Ds, Dv = D
     v = V_UP if up else V_DN
+    o = Dt.order - 1  # the order of two derivatives of X, on the left
 
     def curvature(block, rest):
         if up:
@@ -366,13 +302,13 @@ def _liouville_identities(fr, X, D, up: bool) -> list:
         return jet_einsum(f"ma,mi{rest}->ia{rest}", X, block) * (-1.0)
 
     def torsion(block, rest):
-        return jet_einsum(f"iamu,mu{rest}->ia{rest}", Dv, block)
+        return jet_einsum(f"iamu,mu{rest}->ia{rest}", Dv, block, order=o)
 
     out = []
     lhs = fr.cov_s(Dt, (v, T_DN)) - jet_linear(
         "iakb->iabk", fr.cov_t(Ds, (v, S_DN)))
     rhs = (curvature(fr.cur_R2_jet, "bk")
-           - jet_einsum("iam,mbk->iabk", Ds, fr.tor_T_jet)
+           - jet_einsum("iam,mbk->iabk", Ds, fr.tor_T_jet, order=o)
            - torsion(fr.tor_R2_jet, "bk"))
     out.append(lhs - rhs)
 
@@ -389,7 +325,7 @@ def _liouville_identities(fr, X, D, up: bool) -> list:
     lhs = fr.cov_v(Ds, (v, S_DN)) - jet_linear(
         "iakgj->iajkg", fr.cov_s(Dv, (v, V_DN)))
     rhs = (curvature(fr.cur_P2_jet, "jkg")
-           - jet_einsum("iam,mjkg->iajkg", Ds, fr.Cc_jet)
+           - jet_einsum("iam,mjkg->iajkg", Ds, fr.Cc_jet, order=o)
            - torsion(fr.tor_P3_jet, "jkg"))
     out.append(lhs - rhs)
 
@@ -441,10 +377,11 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     # to the defining combination of P^{l (e)}_{ka(p)}:
     #   T^l_{ak}|^(e)_(p) + C^{m(e)}_{k(p)} T^l_{am} - C^{l(e)}_{m(p)} T^m_{ak}
     #   + P^{l (e)}_{ka(p)} + C^{l(e)}_{k(p)/a} - C^{l(u)}_{k(m)} P^(m)(e)_(u)a(p) = 0
+    dT = fr.cov_v(Tt, (S_UP, T_DN, S_DN))
     r2 = (
-        fr.cov_v(Tt, (S_UP, T_DN, S_DN))
-        + jet_einsum("mkpe,lam->lakpe", Cc, Tt)
-        - jet_einsum("lmpe,mak->lakpe", Cc, Tt)
+        dT
+        + jet_einsum("mkpe,lam->lakpe", Cc, Tt, order=dT.order)
+        - jet_einsum("lmpe,mak->lakpe", Cc, Tt, order=dT.order)
         + jet_linear("lkape->lakpe", fr.cur_P1_jet)
         + jet_linear("lkpea->lakpe", fr.cov_t(Cc, (S_UP, S_DN, V_DN)))
         - jet_einsum("lkmu,muape->lakpe", Cc, fr.tor_P2_jet)

@@ -80,6 +80,7 @@ __all__ = [
     "RicciSet",
     "ScalarSet",
     "RegularityVerdict",
+    "ResidualStats",
     "TorsionFreeVerdict",
     "frame",
     "sample_points",
@@ -248,6 +249,7 @@ def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
     curvature-level objects (conservation laws, Bianchi residuals).  It
     decides how much is computed, not any number: every block of an
     order-k frame is the order-3 frame's block truncated, bit for bit.
+    Each product is built only to the order its result keeps.
     """
     key = (pt.key(), order)
     fr = ctx._frames.get(key)
@@ -276,6 +278,8 @@ class Frame:
     several checks derive outside this module (the conservation-law
     right-hand sides, the metrical deflections) is built once per frame
     through :meth:`shared`, so it is cached and evicted with the frame.
+    Each product is built only to the order its result keeps, through the
+    ``order`` cap of :func:`jet_einsum`.
     """
 
     def __init__(self, ctx: GeometryContext, pt: JetPoint, order: int):
@@ -542,7 +546,8 @@ class Frame:
             src = S[:ax] + q + S[ax + 1:]
             dst = S[:ax] + w + S[ax + 1:]
             cspec = f"{w}{q}{D}" if slot.up else f"{q}{w}{D}"
-            term = jet_einsum(f"{cspec},{src}->{dst}{D}", getattr(self, name), A)
+            term = jet_einsum(f"{cspec},{src}->{dst}{D}", getattr(self, name), A,
+                              order=out.order)
             out = out + term if slot.up else out - term
         return out
 
@@ -561,8 +566,8 @@ class Frame:
         p, n = self.p, self.n
         eye_p = np.eye(p)
         eye_n = np.eye(n)
-        t2 = jet_einsum("mja,ub->muajb", self.Gc_jet, eye_p)
-        t3 = jet_einsum("bua,mj->muajb", self.Htc_jet, eye_n)
+        t2 = jet_einsum("mja,ub->muajb", self.Gc_jet, eye_p, order=dM.order)
+        t3 = jet_einsum("bua,mj->muajb", self.Htc_jet, eye_n, order=dM.order)
         return dM - t2 + t3
 
     @cached_property
@@ -570,7 +575,7 @@ class Frame:
         """P^(m)(b)_(mu)i(j) = dN^(m)_(mu)i/dxs^j_b - d^b_mu L^m_ji;
         axes [m,mu,i,j,b]."""
         dN = self.ddxs(self.N_jet)  # [m,mu,i,j,b]
-        t2 = jet_einsum("mji,ub->muijb", self.Lc_jet, np.eye(self.p))
+        t2 = jet_einsum("mji,ub->muijb", self.Lc_jet, np.eye(self.p), order=dN.order)
         return dN - t2
 
     @cached_property
@@ -609,7 +614,7 @@ class Frame:
         """H^a_e b g = dH^a_eb/dt^g - dH^a_eg/dt^b + H^m_eb H^a_mg
         - H^m_eg H^a_mb; axes [a,e,b,g]."""
         dH = self.ddt(self.Htc_jet)  # [a,e,b,g]
-        quad = jet_einsum("meb,amg->aebg", self.Htc_jet, self.Htc_jet)
+        quad = jet_einsum("meb,amg->aebg", self.Htc_jet, self.Htc_jet, order=dH.order)
         anti = dH + quad
         return anti - jet_linear("aebg->aegb", anti)
 
@@ -617,7 +622,7 @@ class Frame:
     def cur_R1_jet(self) -> Jet:
         """R^l_i b g; axes [l,i,b,g]."""
         dG = self.delta_t(self.Gc_jet)  # [l,i,b,g]
-        quad = jet_einsum("mib,lmg->libg", self.Gc_jet, self.Gc_jet)
+        quad = jet_einsum("mib,lmg->libg", self.Gc_jet, self.Gc_jet, order=dG.order)
         anti = dG + quad
         anti = anti - jet_linear("libg->ligb", anti)
         tail = jet_einsum("limu,mubg->libg", self.Cc_jet, self.tor_R1_jet)
@@ -629,8 +634,8 @@ class Frame:
         dG = self.delta_x(self.Gc_jet)   # [l,i,b,k]
         dL = self.delta_t(self.Lc_jet)   # [l,i,k,b]
         t1 = dG - jet_linear("likb->libk", dL)
-        t2 = jet_einsum("mib,lmk->libk", self.Gc_jet, self.Lc_jet)
-        t3 = jet_einsum("mik,lmb->libk", self.Lc_jet, self.Gc_jet)
+        t2 = jet_einsum("mib,lmk->libk", self.Gc_jet, self.Lc_jet, order=t1.order)
+        t3 = jet_einsum("mik,lmb->libk", self.Lc_jet, self.Gc_jet, order=t1.order)
         tail = jet_einsum("limu,mubk->libk", self.Cc_jet, self.tor_R2_jet)
         return t1 + t2 - t3 + tail
 
@@ -638,7 +643,7 @@ class Frame:
     def cur_R3_jet(self) -> Jet:
         """R^l_i j k; axes [l,i,j,k]."""
         dL = self.delta_x(self.Lc_jet)  # [l,i,j,k]
-        quad = jet_einsum("mij,lmk->lijk", self.Lc_jet, self.Lc_jet)
+        quad = jet_einsum("mij,lmk->lijk", self.Lc_jet, self.Lc_jet, order=dL.order)
         anti = dL + quad
         anti = anti - jet_linear("lijk->likj", anti)
         tail = jet_einsum("limu,mujk->lijk", self.Cc_jet, self.tor_R3_jet)
@@ -668,7 +673,7 @@ class Frame:
     def cur_S_jet(self) -> Jet:
         """S^l(b)(g)_i(j)(k); axes [l,i,j,b,k,g]."""
         dC = self.ddxs(self.Cc_jet)  # [l,i,j,b,k,g]
-        quad = jet_einsum("mijb,lmkg->lijbkg", self.Cc_jet, self.Cc_jet)
+        quad = jet_einsum("mijb,lmkg->lijbkg", self.Cc_jet, self.Cc_jet, order=dC.order)
         anti = dC + quad
         return anti - jet_linear("lijbkg->likgjb", anti)
 
@@ -959,6 +964,72 @@ def _first_max(values, witnesses) -> tuple:
     return worst, witness
 
 
+@dataclass(frozen=True)
+class ResidualStats:
+    """Aggregate of one residual block over components and sample points.
+
+    max_rel divides each point's max-abs residual by max(1, that point's
+    largest constituent-term magnitude), so tiny fields cannot pass for free.
+    worst_point is the index of the first point that reached max_rel.
+    """
+
+    max_abs: float
+    mean_abs: float
+    max_rel: float
+    scale: float
+    worst_point: int = 0
+
+
+def _residual_summary(residual: np.ndarray, terms) -> tuple:
+    """(max |r|, sum |r|, size, scale) of one point's residual block r and
+    its constituent terms: all that ``_Agg`` keeps of the point."""
+    a = np.abs(residual)
+    pt_max = float(a.max()) if a.size else 0.0
+    pt_scale = max((float(np.max(np.abs(t))) for t in terms), default=0.0)
+    return pt_max, float(a.sum()), a.size, pt_scale
+
+
+class _Agg:
+    """Running stats of one residual block; ``add`` or ``add_summary`` is
+    called once per point."""
+
+    __slots__ = ("max_abs", "sum_abs", "count", "max_rel", "scale",
+                 "n_points", "worst_point")
+
+    def __init__(self):
+        self.max_abs = 0.0
+        self.sum_abs = 0.0
+        self.count = 0
+        self.max_rel = 0.0
+        self.scale = 0.0
+        self.n_points = 0
+        self.worst_point = 0
+
+    def add(self, residual: np.ndarray, terms):
+        self.add_summary(_residual_summary(residual, terms))
+
+    def add_summary(self, summary):
+        pt_max, pt_sum, size, pt_scale = summary
+        self.max_abs = max(self.max_abs, pt_max)
+        self.sum_abs += pt_sum
+        self.count += size
+        rel = pt_max / max(1.0, pt_scale)
+        if rel > self.max_rel:
+            self.max_rel = rel
+            self.worst_point = self.n_points
+        self.n_points += 1
+        self.scale = max(self.scale, pt_scale)
+
+    def stats(self) -> ResidualStats:
+        return ResidualStats(
+            max_abs=self.max_abs,
+            mean_abs=self.sum_abs / self.count if self.count else 0.0,
+            max_rel=self.max_rel,
+            scale=self.scale,
+            worst_point=self.worst_point,
+        )
+
+
 def regularity_verdict(pts, per_point) -> RegularityVerdict:
     """Fold the per-point ``kronecker_deviation_at`` results, in point
     order."""
@@ -1000,15 +1071,16 @@ def torsion_free_verdict(pts, per_point) -> TorsionFreeVerdict:
 def metricity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     """Max-abs covariant derivatives of both metrics; all six should vanish."""
     fr = frame(ctx, pt, 2)
-    g_slots = (S_DN, S_DN)
-    h_slots = (T_DN, T_DN)
+    # only values are read, so the metrics enter at order 1
+    g, g_slots = fr.g_jet.truncated(1), (S_DN, S_DN)
+    h, h_slots = fr.h_jet.truncated(1), (T_DN, T_DN)
     return {
-        "g_spatial": float(np.max(np.abs(fr.cov_s(fr.g_jet, g_slots).value))),
-        "g_vertical": float(np.max(np.abs(fr.cov_v(fr.g_jet, g_slots).value))),
-        "h_temporal": float(np.max(np.abs(fr.cov_t(fr.h_jet, h_slots).value))),
-        "h_spatial": float(np.max(np.abs(fr.cov_s(fr.h_jet, h_slots).value))),
-        "h_vertical": float(np.max(np.abs(fr.cov_v(fr.h_jet, h_slots).value))),
-        "g_temporal": float(np.max(np.abs(fr.cov_t(fr.g_jet, g_slots).value))),
+        "g_spatial": float(np.max(np.abs(fr.cov_s(g, g_slots).value))),
+        "g_vertical": float(np.max(np.abs(fr.cov_v(g, g_slots).value))),
+        "h_temporal": float(np.max(np.abs(fr.cov_t(h, h_slots).value))),
+        "h_spatial": float(np.max(np.abs(fr.cov_s(h, h_slots).value))),
+        "h_vertical": float(np.max(np.abs(fr.cov_v(h, h_slots).value))),
+        "g_temporal": float(np.max(np.abs(fr.cov_t(g, g_slots).value))),
     }
 
 

@@ -37,9 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diff_engine import JetPoint, jet_einsum, jet_linear
-from .em_field import ResidualStats, _Agg
 from .errors import POINT_ERRORS, NaturalFormUnavailableError, VacuumConstantError
-from .geometry import GeometryContext, _gate, frame
+from .geometry import GeometryContext, _Agg, _gate, frame
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
 __all__ = [
@@ -391,7 +390,7 @@ def _tilde_einstein_jets(fr):
     Emix_t = jet_einsum("am,mb->ab", fr.h_inv, Ett)
     Ess = fr.ricci_Rmm_jet - jet_einsum(",ij->ij", fr.scalar_R_jet * 0.5, fr.g_jet)
     Emix_s = jet_einsum("im,mj->ij", fr.g_inv, Ess)
-    Gup = jet_einsum("ab,ij->iajb", fr.h_inv, fr.g_jet)
+    Gup = jet_einsum("ab,ij->iajb", fr.h_inv, fr.g_jet, order=fr.scalar_S_jet.order)
     Evv = fr.ricci_S_jet - jet_einsum(",iajb->iajb", fr.scalar_S_jet * 0.5, Gup)
     tmp = jet_einsum("mq,qujb->mujb", fr.g_inv, Evv)
     Econ = jet_einsum("uv,mvjb->mujb", fr.h_jet, tmp)
@@ -412,19 +411,20 @@ def _prop_identities_at(fr, tilde):
     """
     _, Emix_t, _, Emix_s, _, Econ = tilde
     id1, lhs2, lhs3 = _divergences(fr, Emix_t, Emix_s, Econ)
+    o = lhs2.order  # every product below feeds a sum of this order
 
     # P^{l(u)}_(m): both plain lower spatial slots of the P-curvature
     # contracted away with g^{-1}
-    Pcon = jet_einsum("lm,ilmjb->ijb", fr.g_inv, fr.cur_P2_jet)
+    Pcon = jet_einsum("lm,ilmjb->ijb", fr.g_inv, fr.cur_P2_jet, order=o)
     t1 = jet_einsum("muil,lmu->i", fr.tor_R3_jet, Pcon)
-    tmp = jet_einsum("mukl,lpimu->kpi", fr.tor_R3_jet, fr.cur_P2_jet)
+    tmp = jet_einsum("mukl,lpimu->kpi", fr.tor_R3_jet, fr.cur_P2_jet, order=o)
     t2 = jet_einsum("kp,kpi->i", fr.g_inv, tmp) * 0.5
     id2 = lhs2 - t1 + t2
 
-    tA = jet_einsum("lm,ilmujb->iujb", fr.g_inv, fr.cur_S_jet)
+    tA = jet_einsum("lm,ilmujb->iujb", fr.g_inv, fr.cur_S_jet, order=o)
     Scon = jet_einsum("au,iujb->iajb", fr.h_jet, tA)   # S^(i)(b)_(a)(j)
     t3 = jet_einsum("muialc,lcmu->ia", fr.tor_S_jet, Scon)
-    w1 = jet_einsum("cd,mukdlc->mukl", fr.h_jet, fr.tor_S_jet)
+    w1 = jet_einsum("cd,mukdlc->mukl", fr.h_jet, fr.tor_S_jet, order=o)
     w2 = jet_einsum("kp,mukl->mupl", fr.g_inv, w1)
     t4 = jet_einsum("mupl,lpiamu->ia", w2, fr.cur_S_jet) * 0.5
     id3 = lhs3 - t3 + t4
@@ -439,19 +439,19 @@ def _prop_identities_at(fr, tilde):
     # R-curvature x P-curvature couplings, one with the upper/second-slot
     # trace of P)
     tracedP = jet_linear("jpjmu->pmu", fr.cur_P2_jet)
-    B3 = jet_einsum("muki,pmu->pik", fr.tor_R3_jet, tracedP)
+    B3 = jet_einsum("muki,pmu->pik", fr.tor_R3_jet, tracedP, order=o)
     C3 = jet_einsum("kp,pik->i", fr.g_inv, B3)
     der2 = lhs2 + t1 * 0.5 - t2 + C3 * 0.5
 
     # vertical, same contraction pattern on the S-sector
-    W1 = jet_einsum("kp,jpkgmu->jgmu", fr.g_inv, fr.cur_S_jet)
+    W1 = jet_einsum("kp,jpkgmu->jgmu", fr.g_inv, fr.cur_S_jet, order=o)
     W2 = jet_einsum("bg,jgmu->jbmu", fr.h_jet, W1)
     R1 = jet_einsum("muiajb,jbmu->ia", fr.tor_S_jet, W2)
-    V1 = jet_einsum("bg,mujbkg->mujk", fr.h_jet, fr.tor_S_jet)
+    V1 = jet_einsum("bg,mujbkg->mujk", fr.h_jet, fr.tor_S_jet, order=o)
     V2 = jet_einsum("kp,mujk->mujp", fr.g_inv, V1)
     R2 = jet_einsum("mujp,jpiamu->ia", V2, fr.cur_S_jet)
     tracedS = jet_linear("jpjbmu->pbmu", fr.cur_S_jet)
-    Y1 = jet_einsum("kp,pbmu->kbmu", fr.g_inv, tracedS)
+    Y1 = jet_einsum("kp,pbmu->kbmu", fr.g_inv, tracedS, order=o)
     Y2 = jet_einsum("bg,kbmu->kgmu", fr.h_jet, Y1)
     R3 = jet_einsum("mukgia,kgmu->ia", fr.tor_S_jet, Y2)
     der3 = lhs3 + (R1 + R2 + R3) * 0.5

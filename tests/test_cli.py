@@ -128,6 +128,30 @@ QUADRATIC_REGULARITY_CFG = {
 }
 
 
+# a (3,3) space with a direction-independent g and the quadratic-canonical
+# connection: every order-3 divergence of the conservation and natural-form
+# checks, next to the order-2 curvature blocks
+QUADRATIC33_CFG = {
+    "p": 3,
+    "n": 3,
+    "space": {
+        "name": "quadratic",
+        "params": {
+            "h": [["1+0.2*t[1]^2", "0.1*t[1]*t[2]", "0"],
+                  ["0.1*t[1]*t[2]", "2+0.1*sin(t[2])", "0.05*t[3]"],
+                  ["0", "0.05*t[3]", "1.5+0.1*t[3]^2"]],
+            "g": [["(1+0.1*t[1])*(1+0.2*x[2]^2)", "0.1*x[1]*x[3]", "0"],
+                  ["0.1*x[1]*x[3]", "2+0.1*x[1]^2+0.05*t[2]*x[3]", "0.05*x[2]"],
+                  ["0", "0.05*x[2]", "1+0.1*x[3]^2+0.1*t[3]^2"]],
+        },
+    },
+    "points": {"seed": 11, "count": 3, "box": {"t": [-0.5, 0.5],
+                                               "x": [-0.5, 0.5]}},
+    "checks": ["conservation", "natural-form", "metricity", "curvature"],
+    "dump": ["einstein", "curvature"],
+}
+
+
 def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -162,6 +186,10 @@ REPORT_DIGESTS = {
                      CONFORMAL_EM_CFG),
     "quadratic-regularity": ("e20c6b68b6124bffa2869eec3db26cd6f407d18fc87e796b1f50220a1951fad5",
                              QUADRATIC_REGULARITY_CFG),
+    # order-3 divergences and their Einstein and curvature dumps beyond the
+    # benchmark's own (3,3) workload
+    "quadratic33-laws": ("e45682540680b3425a3198138a2b09530c5829fcb8823b11a71733d071d74f29",
+                         QUADRATIC33_CFG),
 }
 WALL_LINE = re.compile(r'^  "wall_time_s": .*\n', re.MULTILINE)
 
@@ -328,6 +356,30 @@ def test_validate_subcommand(tmp_path, capsys):
     bad = write_cfg(tmp_path, {"p": 2}, "bad.json")
     assert main(["validate", bad]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_validate_evaluates_explicit_points(tmp_path, capsys):
+    # g = x1 is singular at the explicit x1 = 0: run grades the metricity
+    # failure there, and validate names the point instead of passing it
+    pt = {"t": [0.1], "x": [0.0], "xs": [[0.2]]}
+    doc = {"p": 1, "n": 1,
+           "space": {"name": "custom", "params": {
+               "h": [["1"]], "g": [["x[1]"]],
+               "nlc": {"kind": "christoffel", "phi": [["1"]]}}},
+           "points": {"explicit": [pt]}, "checks": ["metricity"]}
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 1
+    assert rep["checks"]["metricity"]["witness"] == pt
+    capsys.readouterr()
+    assert main(["validate", write_cfg(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err)
+    assert err == ("error: config.points.explicit[0]: metrics at "
+                   f"{json.dumps(pt)}: matrix is singular or ill-conditioned "
+                   "(cond=inf)\n")
+    # a regular explicit point still validates
+    doc["points"]["explicit"] = [dict(pt, x=[0.5])]
+    assert main(["validate", write_cfg(tmp_path, doc)]) == 0
 
 
 def test_spaces_subcommand(capsys):

@@ -492,3 +492,65 @@ def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
                 want = full[name].truncated(jet.order)
                 assert all(np.array_equal(a, b)
                            for a, b in zip(jet.coeffs, want.coeffs)), (order, name)
+
+
+# --------------------------------------------------------------------------
+# each product is built only to the order its result keeps
+# --------------------------------------------------------------------------
+
+def _record_einsum_orders(monkeypatch) -> list:
+    """The output order of every ``jet_einsum`` call that ``geometry`` and
+    ``gravity`` make from now on, appended to the returned list."""
+    from jetlag import geometry, gravity
+    from jetlag.diff_engine import jet_einsum
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        out = jet_einsum(*args, **kwargs)
+        seen.append(out.order)
+        return out
+
+    for mod in (geometry, gravity):
+        monkeypatch.setattr(mod, "jet_einsum", recording)
+    return seen
+
+
+def test_no_product_outranks_the_block_it_feeds(monkeypatch, pt_mixed33):
+    # Taylor coefficient k of a product reads only its operands' coefficients
+    # up to k, so building a product past the order of the sum it feeds is
+    # work that a truncation then throws away
+    from functools import cached_property
+
+    from jetlag.geometry import Frame
+    from jetlag.gravity import _tilde_einstein_jets
+    from jetlag.tensor_core import S_UP, T_DN, T_UP
+
+    fr = Frame(support.mixed33_ctx(), pt_mixed33, 3)
+    for name in ("Htc_jet", "M_jet", "N_jet", "Gc_jet", "Lc_jet", "Cc_jet"):
+        getattr(fr, name)
+    names = [nm for nm, val in vars(Frame).items()
+             if isinstance(val, cached_property)]
+    for name in names:
+        if name.startswith("tor_"):
+            getattr(fr, name)
+    seen = _record_einsum_orders(monkeypatch)
+    for name in names:
+        if name.startswith("cur_"):
+            seen.clear()
+            block = getattr(fr, name)
+            assert block.order == 1, name
+            assert max(seen) <= block.order, (name, seen)
+    for cov, slots in ((fr.cov_s, (S_UP, S_DN)), (fr.cov_t, (T_UP, T_DN)),
+                       (fr.cov_v, (S_UP, S_DN))):
+        A = fr.cur_R3_jet[:, :, 0, 0]  # an order-1 block
+        seen.clear()
+        out = cov(A, slots)
+        assert out.order == 0, cov.__name__
+        assert max(seen) == 0, (cov.__name__, seen)
+    for name in names:
+        if name.startswith(("ricci_", "scalar_")):
+            getattr(fr, name)
+    seen.clear()
+    tilde = _tilde_einstein_jets(fr)
+    assert max(seen) <= max(jet.order for jet in tilde) == 1, seen
