@@ -868,9 +868,9 @@ def _cmd_validate(args) -> int:
     for k, pt in enumerate(cfg.explicit):
         fr = frame(ctx, pt, 0)
         try:
-            fr.h_inv, fr.g_inv
+            fr.inverse("h", 0), fr.inverse("g", 0)
             if isinstance(ctx.nlc, ChristoffelOfPhi):
-                fr.phi_inv
+                fr.inverse("phi", 0)
         except JetlagError as exc:
             raise _err(f"points.explicit[{k}]", f"metrics at "
                        f"{json.dumps(_point_doc(pt))}: {exc}") from None

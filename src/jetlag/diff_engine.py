@@ -614,15 +614,20 @@ def jet_stack(jets) -> Jet:
     return Jet(first.nvars, K, out)
 
 
-def jet_matrix_inverse(a: Jet) -> Jet:
-    """Inverse of a jet-valued square matrix (component shape (m, m)).
+def jet_matrix_inverse(a: Jet, order=None) -> Jet:
+    """Inverse of a jet-valued square matrix (component shape (m, m)), to
+    the order of ``a``, capped at ``order`` when given.
 
     Newton iteration X <- X (2I - A X); the number of correct Taylor orders
     doubles each step, so ceil(log2(order+1)) steps suffice.  Every order
     takes at least the two steps of order 3, the derivative budget:
     coefficient k of each step reads only coefficients up to k, so the
     inverse of an order-k jet is the order-3 inverse truncated, bit for bit.
+    The cap therefore inverts ``a`` truncated to ``order``, with the same
+    steps, and an inverse is built only to the order its readers keep.
     """
+    if order is not None and order < a.order:
+        a = a.truncated(order)
     a0 = a.coeffs[0]
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
         raise ValueError("jet_matrix_inverse expects a square matrix jet")

@@ -33,8 +33,8 @@ import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import TorsionPreconditionError
-from .geometry import (GeometryContext, ResidualStats, _Agg, _residual_summary,
-                       frame, nlc_torsion_free_check)
+from .geometry import (Frame, GeometryContext, ResidualStats, _Agg,
+                       _residual_summary, frame, nlc_torsion_free_check)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -65,7 +65,7 @@ TORSION_LIMIT = 1e-9
 def _x_low_jet(fr) -> Jet:
     """x^(a)_(p) = h^{am} g_pq xs^q_m, axes [p, a]."""
     gx = jet_einsum("pq,qm->pm", fr.g_jet, fr.xs_jet)
-    return jet_einsum("am,pm->pa", fr.h_inv, gx)
+    return jet_einsum("am,pm->pa", fr.inverse("h", fr.order), gx)
 
 
 def _raw_jets(fr):
@@ -198,10 +198,10 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
 
     # 1) F^(a)_(i)k/b  =  A_{i,k} { Dbar_{|k} + Dmet.T + dmet.R - [T_{|k} + C.R] x_low } / 2
     lhs = fr.cov_t(F, (V_DN, S_DN))  # [i,a,k,b]
-    t1 = fr.cov_s(Dbar, (V_DN, T_DN))  # [i,a,b,k]
+    t1 = fr.shared(Frame.cov_s, Dbar, (V_DN, T_DN))  # [i,a,b,k]
     t2 = jet_einsum("iam,mbk->iabk", Dmet, Tt, order=t1.order)
     t3 = jet_einsum("iamu,mubk->iabk", dmet, R2)
-    Tcs = fr.cov_s(Tt, (S_UP, T_DN, S_DN))  # [p,b,i,k]
+    Tcs = fr.shared(Frame.cov_s, Tt, (S_UP, T_DN, S_DN))  # [p,b,i,k]
     br = Tcs + jet_einsum("pkmu,mubi->pbik", Cc, R2)
     t4 = jet_einsum("pbik,pa->iabk", br, x_low)
     core = t1 + t2 + t3 - t4
@@ -213,7 +213,7 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     # 2) f^(a)(g)_(i)(k)/b = A_{i,k} { Dbar|^(g)_(k) + dmet.P2 - [dT/dxs + C.P2] x_low } / 2
     P2 = fr.tor_P2_jet
     lhs = fr.cov_t(f, (V_DN, V_DN))  # [i,a,k,g,b]
-    u1 = fr.cov_v(Dbar, (V_DN, T_DN))  # [i,a,b,k,g]
+    u1 = fr.shared(Frame.cov_v, Dbar, (V_DN, T_DN))  # [i,a,b,k,g]
     u2 = jet_einsum("iamu,mubkg->iabkg", dmet, P2)
     br = fr.ddxs(Tt) + jet_einsum("pkmu,mubig->pbikg", Cc, P2)
     u3 = jet_einsum("pbikg,pa->iabkg", br, x_low)
@@ -305,14 +305,14 @@ def _liouville_identities(fr, X, D, up: bool) -> list:
         return jet_einsum(f"iamu,mu{rest}->ia{rest}", Dv, block, order=o)
 
     out = []
-    lhs = fr.cov_s(Dt, (v, T_DN)) - jet_linear(
+    lhs = fr.shared(Frame.cov_s, Dt, (v, T_DN)) - jet_linear(
         "iakb->iabk", fr.cov_t(Ds, (v, S_DN)))
     rhs = (curvature(fr.cur_R2_jet, "bk")
            - jet_einsum("iam,mbk->iabk", Ds, fr.tor_T_jet, order=o)
            - torsion(fr.tor_R2_jet, "bk"))
     out.append(lhs - rhs)
 
-    lhs = fr.cov_v(Dt, (v, T_DN)) - jet_linear(
+    lhs = fr.shared(Frame.cov_v, Dt, (v, T_DN)) - jet_linear(
         "iakgb->iabkg", fr.cov_t(Dv, (v, V_DN)))
     rhs = curvature(fr.cur_P1_jet, "bkg") - torsion(fr.tor_P2_jet, "bkg")
     out.append(lhs - rhs)
@@ -331,7 +331,7 @@ def _liouville_identities(fr, X, D, up: bool) -> list:
 
     Dvv = fr.cov_v(Dv, (v, V_DN))  # [i,a,j,b,k,g]
     lhs = Dvv - jet_linear("iakgjb->iajbkg", Dvv)
-    rhs = curvature(fr.cur_S_jet, "jbkg") - torsion(fr.tor_S_jet, "jbkg")
+    rhs = curvature(fr.cur_S_jet, "jbkg") - torsion(fr.tor_S(o), "jbkg")
     out.append(lhs - rhs)
     return [float(np.max(np.abs(r.value))) for r in out]
 
@@ -366,7 +366,7 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     # b1: A_{j,k} { R^l_{jak} + T^l_{aj|k} + C^{l(u)}_{k(m)} R^(m)_(u)aj } = 0
     core = (
         jet_linear("ljak->lajk", fr.cur_R2_jet)
-        + fr.cov_s(Tt, (S_UP, T_DN, S_DN))
+        + fr.shared(Frame.cov_s, Tt, (S_UP, T_DN, S_DN))
         + jet_einsum("lkmu,muaj->lajk", Cc, fr.tor_R2_jet)
     )
     res["b1"] = float(np.max(np.abs((core - jet_linear("lakj->lajk", core)).value)))
@@ -383,7 +383,7 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
         + jet_einsum("mkpe,lam->lakpe", Cc, Tt, order=dT.order)
         - jet_einsum("lmpe,mak->lakpe", Cc, Tt, order=dT.order)
         + jet_linear("lkape->lakpe", fr.cur_P1_jet)
-        + jet_linear("lkpea->lakpe", fr.cov_t(Cc, (S_UP, S_DN, V_DN)))
+        + jet_linear("lkpea->lakpe", fr.shared(Frame.cov_t, Cc, (S_UP, S_DN, V_DN)))
         - jet_einsum("lkmu,muape->lakpe", Cc, fr.tor_P2_jet)
     )
     res["b2"] = float(np.max(np.abs(r2.value)))
@@ -396,7 +396,7 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
     # b4: A_{j,k} { P^{l (e)}_{jk(p)} + C^{l(e)}_{j(p)|k} + C^{l(u)}_{k(m)} P^(m)(e)_(u)j(p) } = 0
     core = (
         fr.cur_P2_jet
-        + jet_linear("ljpek->ljkpe", fr.cov_s(Cc, (S_UP, S_DN, V_DN)))
+        + jet_linear("ljpek->ljkpe", fr.shared(Frame.cov_s, Cc, (S_UP, S_DN, V_DN)))
         + jet_einsum("lkmu,mujpe->ljkpe", Cc, fr.tor_P3_jet)
     )
     res["b4"] = float(np.max(np.abs((core - jet_linear("lkjpe->ljkpe", core)).value)))

@@ -62,7 +62,7 @@ from .errors import (
     SingularMetricError,
 )
 from .field_expr import FieldGrid
-from .tensor_core import S_DN, S_UP, T_DN, T_UP
+from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN
 
 MAX_ORDER = 3  # the derivative budget (module docstring)
 
@@ -232,15 +232,6 @@ class GeometryContext:
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _christoffel(d: Jet, inv: Jet) -> Jet:
-    """(1/2) inv^im (d_mjk + d_mkj - d_jkm), axes [i,j,k] (+ [g]), of a
-    metric's derivative block d[m,j,k] = D_k metric_mj; a vertical D carries
-    a trailing temporal axis g through."""
-    g = "g" if d.value.ndim == 4 else ""
-    sym = d + jet_linear(f"mjk{g}->mkj{g}", d) - jet_linear(f"jkm{g}->mjk{g}", d)
-    return jet_einsum(f"im,mjk{g}->ijk{g}", inv, sym) * 0.5
-
-
 def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
     """The cached geometry frame of ``ctx`` at ``pt``.
 
@@ -249,7 +240,8 @@ def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
     curvature-level objects (conservation laws, Bianchi residuals).  It
     decides how much is computed, not any number: every block of an
     order-k frame is the order-3 frame's block truncated, bit for bit.
-    Each product is built only to the order its result keeps.
+    Each product is built only to the order its result keeps, and each
+    metric inverse and the S-torsion only to the order their readers read.
     """
     key = (pt.key(), order)
     fr = ctx._frames.get(key)
@@ -279,7 +271,10 @@ class Frame:
     right-hand sides, the metrical deflections) is built once per frame
     through :meth:`shared`, so it is cached and evicted with the frame.
     Each product is built only to the order its result keeps, through the
-    ``order`` cap of :func:`jet_einsum`.
+    ``order`` cap of :func:`jet_einsum`.  The metric inverses
+    (:meth:`inverse`) and the S-torsion (:meth:`tor_S`) are built only to
+    the order their readers name: each reader asks for the order of the
+    block it contracts, and a lower order is served truncated.
     """
 
     def __init__(self, ctx: GeometryContext, pt: JetPoint, order: int):
@@ -294,12 +289,24 @@ class Frame:
         self.n = ctx.n
         self.N = coord_count(ctx.p, ctx.n)
         self._shared = {}
+        self._built = {}
 
-    def shared(self, block):
-        """``block(self)``, computed on the first call and kept per frame."""
-        if block not in self._shared:
-            self._shared[block] = block(self)
-        return self._shared[block]
+    def shared(self, block, *args):
+        """``block(self, *args)``, computed on the first call and kept per
+        frame.  A jet argument is keyed by identity: pass only jets that the
+        frame itself keeps, such as its blocks."""
+        key = (block, *args)
+        if key not in self._shared:
+            self._shared[key] = block(self, *args)
+        return self._shared[key]
+
+    def _upto(self, key, order: int, build) -> Jet:
+        """``build(order)``, kept per frame at the highest order asked for
+        so far; a lower order is that block truncated, bit for bit."""
+        have = self._built.get(key)
+        if have is None or have.order < order:
+            have = self._built[key] = build(order)
+        return have.truncated(order)
 
     # -- field evaluation ----------------------------------------------------
 
@@ -377,13 +384,14 @@ class Frame:
         d1 = L.dblock(slice(lo, self.N), (self.n, self.p))
         return d1.dblock(slice(lo, self.N), (self.n, self.p)) * 0.5
 
-    @cached_property
-    def h_inv(self) -> Jet:
-        return jet_matrix_inverse(self.h_jet)
+    def inverse(self, which: str, order: int) -> Jet:
+        """The inverse of the metric ``which`` ("h", "g" or "phi"), built
+        to ``order`` only."""
+        return self._upto(which, order, lambda k: jet_matrix_inverse(
+            getattr(self, f"{which}_jet"), order=k))
 
-    @cached_property
-    def g_inv(self) -> Jet:
-        return jet_matrix_inverse(self.g_jet)
+    h_inv = property(lambda self: self.inverse("h", self.order))
+    g_inv = property(lambda self: self.inverse("g", self.order))
 
     # -- raw derivative blocks ----------------------------------------------
 
@@ -410,6 +418,14 @@ class Frame:
         appends one spatial axis."""
         return self._adapted(A, self.ddx, self.N_jet)
 
+    def _christoffel(self, d: Jet, which: str) -> Jet:
+        """(1/2) inv^im (d_mjk + d_mkj - d_jkm), axes [i,j,k] (+ [g]), of
+        the derivative block d[m,j,k] = D_k m_mj of the metric ``which``; a
+        vertical D carries a trailing temporal axis g through."""
+        g = "g" if d.value.ndim == 4 else ""
+        sym = d + jet_linear(f"mjk{g}->mkj{g}", d) - jet_linear(f"jkm{g}->mjk{g}", d)
+        return jet_einsum(f"im,mjk{g}->ijk{g}", self.inverse(which, d.order), sym) * 0.5
+
     def _adapted(self, A: Jet, base, connection: Jet) -> Jet:
         """``base(A)`` minus the nonlinear ``connection`` [j,b,w] contracted
         with dA/dxs^j_b; appends the derivative axis w."""
@@ -422,7 +438,7 @@ class Frame:
     @cached_property
     def Htc_jet(self) -> Jet:
         """Temporal Christoffel H^g_ab of h, axes [g,a,b]."""
-        return _christoffel(self.ddt(self.h_jet), self.h_inv)
+        return self._christoffel(self.ddt(self.h_jet), "h")
 
     @cached_property
     def M_jet(self) -> Jet:
@@ -436,13 +452,9 @@ class Frame:
         return self._symmetric(self.eval_grid(self.ctx.nlc.phi), "spatial metric phi")
 
     @cached_property
-    def phi_inv(self) -> Jet:
-        return jet_matrix_inverse(self.phi_jet)
-
-    @cached_property
     def gamma_phi_jet(self) -> Jet:
         """Christoffel gamma^i_jm of phi, axes [i,j,m]."""
-        return _christoffel(self.ddx(self.phi_jet), self.phi_inv)
+        return self._christoffel(self.ddx(self.phi_jet), "phi")
 
     def direction_independent(self) -> bool:
         """Whether g has no velocity dependence at this point:
@@ -471,7 +483,7 @@ class Frame:
         """Generalized Christoffel Gamma^i_jm of g(t,x); direction-independent
         g only."""
         self.require_direction_independent("the generalized Christoffel symbols")
-        return _christoffel(self.ddx(self.g_jet), self.g_inv)
+        return self._christoffel(self.ddx(self.g_jet), "g")
 
     @cached_property
     def N_jet(self) -> Jet:
@@ -484,7 +496,7 @@ class Frame:
         self.require_direction_independent("the quadratic-canonical connection")
         term1 = jet_einsum("ijm,ma->iaj", self.gamma_g_jet, self.xs_jet)
         dg_t = self.ddt(self.g_jet)  # [j,m,a]
-        term2 = jet_einsum("im,jma->iaj", self.g_inv, dg_t) * 0.5
+        term2 = jet_einsum("im,jma->iaj", self.inverse("g", dg_t.order), dg_t) * 0.5
         return term1 + term2
 
     # -- Cartan canonical connection ------------------------------------------
@@ -493,17 +505,17 @@ class Frame:
     def Gc_jet(self) -> Jet:
         """G^k_jg = (g^ki/2) delta g_ij / delta t^g, axes [k,j,g]."""
         dg = self.delta_t(self.g_jet)  # [i,j,g]
-        return jet_einsum("ki,ijg->kjg", self.g_inv, dg) * 0.5
+        return jet_einsum("ki,ijg->kjg", self.inverse("g", dg.order), dg) * 0.5
 
     @cached_property
     def Lc_jet(self) -> Jet:
         """L^i_jk, axes [i,j,k]; Christoffel-type with delta/delta x."""
-        return _christoffel(self.delta_x(self.g_jet), self.g_inv)
+        return self._christoffel(self.delta_x(self.g_jet), "g")
 
     @cached_property
     def Cc_jet(self) -> Jet:
         """C^i(g)_j(k), axes [i,j,k,g]; Christoffel-type with d/dxs."""
-        return _christoffel(self.ddxs(self.g_jet), self.g_inv)
+        return self._christoffel(self.ddxs(self.g_jet), "g")
 
     # -- generic covariant derivatives on jets ---------------------------------
 
@@ -598,14 +610,14 @@ class Frame:
         dN = self.delta_x(self.N_jet)  # [m,mu,i,j]
         return dN - jet_linear("muij->muji", dN)
 
-    @cached_property
-    def tor_S_jet(self) -> Jet:
-        """S^(m)(a)(b)_(mu)(i)(j) = d^a_mu C^m(b)_i(j) - d^b_mu C^m(a)_j(i);
-        axes [m,mu,i,a,j,b]."""
-        eye = np.eye(self.p)
-        t1 = jet_einsum("mijb,ua->muiajb", self.Cc_jet, eye)
-        t2 = jet_einsum("mjia,ub->muiajb", self.Cc_jet, eye)
-        return t1 - t2
+    def tor_S(self, order: int) -> Jet:
+        """S^(m)(a)(b)_(mu)(i)(j) = d^a_mu C^m(b)_i(j) - d^b_mu C^m(a)_j(i),
+        built to ``order`` only; axes [m,mu,i,a,j,b]."""
+        def build(k):
+            eye = np.eye(self.p)
+            return (jet_einsum("mijb,ua->muiajb", self.Cc_jet, eye, order=k)
+                    - jet_einsum("mjia,ub->muiajb", self.Cc_jet, eye, order=k))
+        return self._upto("tor_S", order, build)
 
     # -- curvature ---------------------------------------------------------------
 
@@ -654,7 +666,7 @@ class Frame:
         """P^l(g)_i b (k) = dG^l_ib/dxs^k_g - C^l(g)_i(k)/b
         + C^l(mu)_i(m) P^(m)(g)_(mu)b(k); axes [l,i,b,k,g]."""
         dG = self.ddxs(self.Gc_jet)  # [l,i,b,k,g]
-        Ccov = self.cov_t(self.Cc_jet, (S_UP, S_DN, S_DN, T_UP))  # [l,i,k,g,b]
+        Ccov = self.shared(Frame.cov_t, self.Cc_jet, (S_UP, S_DN, V_DN))  # [l,i,k,g,b]
         t2 = jet_linear("likgb->libkg", Ccov)
         t3 = jet_einsum("limu,mubkg->libkg", self.Cc_jet, self.tor_P2_jet)
         return dG - t2 + t3
@@ -664,7 +676,7 @@ class Frame:
         """P^l(g)_ij(k) = dL^l_ij/dxs^k_g - C^l(g)_i(k)|j
         + C^l(mu)_i(m) P^(m)(g)_(mu)j(k); axes [l,i,j,k,g]."""
         dL = self.ddxs(self.Lc_jet)  # [l,i,j,k,g]
-        Ccov = self.cov_s(self.Cc_jet, (S_UP, S_DN, S_DN, T_UP))  # [l,i,k,g,j]
+        Ccov = self.shared(Frame.cov_s, self.Cc_jet, (S_UP, S_DN, V_DN))  # [l,i,k,g,j]
         t2 = jet_linear("likgj->lijkg", Ccov)
         t3 = jet_einsum("limu,mujkg->lijkg", self.Cc_jet, self.tor_P3_jet)
         return dL - t2 + t3
@@ -716,16 +728,18 @@ class Frame:
 
     @cached_property
     def scalar_H_jet(self) -> Jet:
-        return jet_linear("aa->", jet_einsum("ab,bc->ac", self.h_inv, self.ricci_H_jet))
+        B = self.ricci_H_jet
+        return jet_linear("aa->", jet_einsum("ab,bc->ac", self.inverse("h", B.order), B))
 
     @cached_property
     def scalar_R_jet(self) -> Jet:
-        return jet_linear("ii->", jet_einsum("ij,jk->ik", self.g_inv, self.ricci_Rmm_jet))
+        B = self.ricci_Rmm_jet
+        return jet_linear("ii->", jet_einsum("ij,jk->ik", self.inverse("g", B.order), B))
 
     @cached_property
     def scalar_S_jet(self) -> Jet:
-        lowered = jet_einsum("ab,iajb->ij", self.h_jet, self.ricci_S_jet)
-        return jet_linear("ii->", jet_einsum("ij,jk->ik", self.g_inv, lowered))
+        B = jet_einsum("ab,iajb->ij", self.h_jet, self.ricci_S_jet)
+        return jet_linear("ii->", jet_einsum("ij,jk->ik", self.inverse("g", B.order), B))
 
 
 # --------------------------------------------------------------------------
@@ -880,7 +894,7 @@ def torsion_set(ctx: GeometryContext, pt: JetPoint) -> TorsionSet:
         R1=fr.tor_R1_jet.value.copy(),
         R2=fr.tor_R2_jet.value.copy(),
         R3=fr.tor_R3_jet.value.copy(),
-        S=fr.tor_S_jet.value.copy(),
+        S=fr.tor_S(0).value.copy(),
     )
 
 
@@ -942,12 +956,12 @@ def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
         B = fr.vertical_half_hessian
     else:
         fr = frame(ctx, pt, 2)
-        E = jet_einsum("mn,am->an", fr.h_inv, fr.xs_jet)
+        E = jet_einsum("mn,am->an", fr.inverse("h", fr.order), fr.xs_jet)
         E = jet_einsum("an,ab->bn", E, fr.eval_grid(ctx.g_source.entries))
         B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
     B = B.value  # [i,mu,j,nu]
     hval = fr.h_jet.value
-    hinv = fr.h_inv.value
+    hinv = fr.inverse("h", 0).value
     ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
     recon = np.einsum("mn,ij->imjn", hinv, ghat)
     scale = max(1.0, float(np.max(np.abs(B))))

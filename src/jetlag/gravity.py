@@ -109,7 +109,7 @@ def _einstein_blocks_at(fr) -> EinsteinBlocks:
         tt=fr.ricci_H_jet.value - 0.5 * sc * h,
         ss=fr.ricci_Rmm_jet.value - 0.5 * sc * g,
         vv=fr.ricci_S_jet.value
-        - 0.5 * sc * np.einsum("ab,ij->iajb", fr.h_inv.value, g),
+        - 0.5 * sc * np.einsum("ab,ij->iajb", fr.inverse("h", 0).value, g),
         st=fr.ricci_Rmt_jet.value.copy(),
         vt=fr.ricci_P3_jet.value.copy(),
         sv=fr.ricci_P1_jet.value.copy(),
@@ -173,13 +173,14 @@ def _mixed_einstein_jets(fr):
     half = (fr.scalar_H_jet + fr.scalar_R_jet + fr.scalar_S_jet) * 0.5
     eye_p = np.eye(fr.p)
     eye_n = np.eye(fr.n)
-    X1 = jet_einsum("am,mb->ab", fr.h_inv, fr.ricci_H_jet) - jet_einsum(
+    h_inv, g_inv = fr.inverse("h", half.order), fr.inverse("g", half.order)
+    X1 = jet_einsum("am,mb->ab", h_inv, fr.ricci_H_jet) - jet_einsum(
         ",ab->ab", half, eye_p
     )
-    X2 = jet_einsum("im,mj->ij", fr.g_inv, fr.ricci_Rmm_jet) - jet_einsum(
+    X2 = jet_einsum("im,mj->ij", g_inv, fr.ricci_Rmm_jet) - jet_einsum(
         ",ij->ij", half, eye_n
     )
-    tmp = jet_einsum("im,mujb->iujb", fr.g_inv, fr.ricci_S_jet)
+    tmp = jet_einsum("im,mujb->iujb", g_inv, fr.ricci_S_jet)
     Sup = jet_einsum("au,iujb->iajb", fr.h_jet, tmp)
     X3 = Sup - jet_einsum(",iajb->iajb", half, np.einsum("ij,ab->iajb", eye_n, eye_p))
     return X1, X2, X3
@@ -187,11 +188,12 @@ def _mixed_einstein_jets(fr):
 
 def _raised_p_jets(fr):
     """Raised mixed P blocks of the law right-hand sides."""
-    tmp = jet_einsum("im,mub->iub", fr.g_inv, fr.ricci_P3_jet)
+    g_inv = fr.inverse("g", fr.ricci_P3_jet.order)  # every Ricci block's order
+    tmp = jet_einsum("im,mub->iub", g_inv, fr.ricci_P3_jet)
     Pvt = jet_einsum("au,iub->iab", fr.h_jet, tmp)   # P^(i)_(a)b
-    tmp = jet_einsum("im,muj->iuj", fr.g_inv, fr.ricci_P2_jet)
+    tmp = jet_einsum("im,muj->iuj", g_inv, fr.ricci_P2_jet)
     Pvs = jet_einsum("au,iuj->iaj", fr.h_jet, tmp)   # P^(i)_(a)j
-    Psb = jet_einsum("im,mjb->ijb", fr.g_inv, fr.ricci_P1_jet)  # P^{i(b)}_(j)
+    Psb = jet_einsum("im,mjb->ijb", g_inv, fr.ricci_P1_jet)  # P^{i(b)}_(j)
     return Pvt, Pvs, Psb
 
 
@@ -199,7 +201,8 @@ def _law_rhs(fr):
     """(div_R, div_P1, div_P2, div_P3): the divergences of the raised R and
     P blocks on the right of the laws, read through ``fr.shared``."""
     Pvt, Pvs, Psb = _raised_p_jets(fr)
-    Rup = jet_einsum("im,mb->ib", fr.g_inv, fr.ricci_Rmt_jet)
+    Rup = jet_einsum("im,mb->ib", fr.inverse("g", fr.ricci_Rmt_jet.order),
+                     fr.ricci_Rmt_jet)
     return (jet_linear("ibi->b", fr.cov_s(Rup, (S_UP, T_DN))),
             jet_linear("iabia->b", fr.cov_v(Pvt, (V_UP, T_DN))),
             jet_linear("iajia->j", fr.cov_v(Pvs, (V_UP, S_DN))),
@@ -313,8 +316,8 @@ def _natural_stress_energy_at(fr) -> NaturalFormReport:
     T = _stress_energy_of(_einstein_blocks_at(fr), K)
     h = fr.h_jet.value
     g = fr.g_jet.value
-    h_inv = fr.h_inv.value
-    g_inv = fr.g_inv.value
+    h_inv = fr.inverse("h", 0).value
+    g_inv = fr.inverse("g", 0).value
     H = float(fr.scalar_H_jet.value)
     R = float(fr.scalar_R_jet.value)
     S = float(fr.scalar_S_jet.value)
@@ -386,13 +389,15 @@ def _natural_stress_energy_at(fr) -> NaturalFormReport:
 
 def _tilde_einstein_jets(fr):
     """Trace-adjusted Einstein jets: lowered, mixed and raised variants."""
+    o = fr.scalar_S_jet.order  # every block below has this order
+    h_inv, g_inv = fr.inverse("h", o), fr.inverse("g", o)
     Ett = fr.ricci_H_jet - jet_einsum(",ab->ab", fr.scalar_H_jet * 0.5, fr.h_jet)
-    Emix_t = jet_einsum("am,mb->ab", fr.h_inv, Ett)
+    Emix_t = jet_einsum("am,mb->ab", h_inv, Ett)
     Ess = fr.ricci_Rmm_jet - jet_einsum(",ij->ij", fr.scalar_R_jet * 0.5, fr.g_jet)
-    Emix_s = jet_einsum("im,mj->ij", fr.g_inv, Ess)
-    Gup = jet_einsum("ab,ij->iajb", fr.h_inv, fr.g_jet, order=fr.scalar_S_jet.order)
+    Emix_s = jet_einsum("im,mj->ij", g_inv, Ess)
+    Gup = jet_einsum("ab,ij->iajb", h_inv, fr.g_jet, order=o)
     Evv = fr.ricci_S_jet - jet_einsum(",iajb->iajb", fr.scalar_S_jet * 0.5, Gup)
-    tmp = jet_einsum("mq,qujb->mujb", fr.g_inv, Evv)
+    tmp = jet_einsum("mq,qujb->mujb", g_inv, Evv)
     Econ = jet_einsum("uv,mvjb->mujb", fr.h_jet, tmp)
     return Ett, Emix_t, Ess, Emix_s, Evv, Econ
 
@@ -412,20 +417,21 @@ def _prop_identities_at(fr, tilde):
     _, Emix_t, _, Emix_s, _, Econ = tilde
     id1, lhs2, lhs3 = _divergences(fr, Emix_t, Emix_s, Econ)
     o = lhs2.order  # every product below feeds a sum of this order
+    g_inv, tor_S = fr.inverse("g", o), fr.tor_S(o)
 
     # P^{l(u)}_(m): both plain lower spatial slots of the P-curvature
     # contracted away with g^{-1}
-    Pcon = jet_einsum("lm,ilmjb->ijb", fr.g_inv, fr.cur_P2_jet, order=o)
+    Pcon = jet_einsum("lm,ilmjb->ijb", g_inv, fr.cur_P2_jet, order=o)
     t1 = jet_einsum("muil,lmu->i", fr.tor_R3_jet, Pcon)
     tmp = jet_einsum("mukl,lpimu->kpi", fr.tor_R3_jet, fr.cur_P2_jet, order=o)
-    t2 = jet_einsum("kp,kpi->i", fr.g_inv, tmp) * 0.5
+    t2 = jet_einsum("kp,kpi->i", g_inv, tmp) * 0.5
     id2 = lhs2 - t1 + t2
 
-    tA = jet_einsum("lm,ilmujb->iujb", fr.g_inv, fr.cur_S_jet, order=o)
+    tA = jet_einsum("lm,ilmujb->iujb", g_inv, fr.cur_S_jet, order=o)
     Scon = jet_einsum("au,iujb->iajb", fr.h_jet, tA)   # S^(i)(b)_(a)(j)
-    t3 = jet_einsum("muialc,lcmu->ia", fr.tor_S_jet, Scon)
-    w1 = jet_einsum("cd,mukdlc->mukl", fr.h_jet, fr.tor_S_jet, order=o)
-    w2 = jet_einsum("kp,mukl->mupl", fr.g_inv, w1)
+    t3 = jet_einsum("muialc,lcmu->ia", tor_S, Scon)
+    w1 = jet_einsum("cd,mukdlc->mukl", fr.h_jet, tor_S, order=o)
+    w2 = jet_einsum("kp,mukl->mupl", g_inv, w1)
     t4 = jet_einsum("mupl,lpiamu->ia", w2, fr.cur_S_jet) * 0.5
     id3 = lhs3 - t3 + t4
 
@@ -440,20 +446,20 @@ def _prop_identities_at(fr, tilde):
     # trace of P)
     tracedP = jet_linear("jpjmu->pmu", fr.cur_P2_jet)
     B3 = jet_einsum("muki,pmu->pik", fr.tor_R3_jet, tracedP, order=o)
-    C3 = jet_einsum("kp,pik->i", fr.g_inv, B3)
+    C3 = jet_einsum("kp,pik->i", g_inv, B3)
     der2 = lhs2 + t1 * 0.5 - t2 + C3 * 0.5
 
     # vertical, same contraction pattern on the S-sector
-    W1 = jet_einsum("kp,jpkgmu->jgmu", fr.g_inv, fr.cur_S_jet, order=o)
+    W1 = jet_einsum("kp,jpkgmu->jgmu", g_inv, fr.cur_S_jet, order=o)
     W2 = jet_einsum("bg,jgmu->jbmu", fr.h_jet, W1)
-    R1 = jet_einsum("muiajb,jbmu->ia", fr.tor_S_jet, W2)
-    V1 = jet_einsum("bg,mujbkg->mujk", fr.h_jet, fr.tor_S_jet, order=o)
-    V2 = jet_einsum("kp,mujk->mujp", fr.g_inv, V1)
+    R1 = jet_einsum("muiajb,jbmu->ia", tor_S, W2)
+    V1 = jet_einsum("bg,mujbkg->mujk", fr.h_jet, tor_S, order=o)
+    V2 = jet_einsum("kp,mujk->mujp", g_inv, V1)
     R2 = jet_einsum("mujp,jpiamu->ia", V2, fr.cur_S_jet)
     tracedS = jet_linear("jpjbmu->pbmu", fr.cur_S_jet)
-    Y1 = jet_einsum("kp,pbmu->kbmu", fr.g_inv, tracedS, order=o)
+    Y1 = jet_einsum("kp,pbmu->kbmu", g_inv, tracedS, order=o)
     Y2 = jet_einsum("bg,kbmu->kgmu", fr.h_jet, Y1)
-    R3 = jet_einsum("mukgia,kgmu->ia", fr.tor_S_jet, Y2)
+    R3 = jet_einsum("mukgia,kgmu->ia", tor_S, Y2)
     der3 = lhs3 + (R1 + R2 + R3) * 0.5
 
     derived = [
@@ -484,7 +490,8 @@ def _new_laws_at(fr, tilde, K: float):
     tT = jet_linear("aa->", Emix_t) * (1.0 / K)
     tM = jet_linear("ii->", Emix_s) * (1.0 / K)
     tmp = jet_einsum("ab,iajb->ij", fr.h_jet, Evv)
-    tv = jet_linear("ii->", jet_einsum("im,mj->ij", fr.g_inv, tmp)) * (1.0 / K)
+    g_inv = fr.inverse("g", tmp.order)
+    tv = jet_linear("ii->", jet_einsum("im,mj->ij", g_inv, tmp)) * (1.0 / K)
 
     div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
     d1, d2, d3 = _divergences(fr, Tmix_t, Tmix_s, Tcon_v)

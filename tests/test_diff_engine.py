@@ -25,8 +25,10 @@ from jetlag.diff_engine import (
     jtanh,
     seed_point,
 )
-from jetlag.errors import OrderExceededError
+from jetlag.errors import OrderExceededError, SingularMetricError
 from jetlag.field_expr import ExprField
+
+import support
 
 N = 3  # jet variables
 K = 3  # truncation order
@@ -165,6 +167,44 @@ def test_matrix_inverse(basis):
         for k in range(K + 1)
     )
     assert resid < 1e-10
+
+
+def _bits_equal(a: Jet, b: Jet) -> bool:
+    return a.order == b.order and all(
+        np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        for x, y in zip(a.coeffs, b.coeffs))
+
+
+def _spd_jet(seed: int, nvars: int = 15) -> Jet:
+    """A random symmetric positive-definite 3x3 jet of order 3 with every
+    derivative coefficient nonzero."""
+    rng = np.random.default_rng(seed)
+    z = Jet.variables(rng.uniform(-0.5, 0.5, nvars), np.arange(nvars), nvars, 3)
+    Y = jet_einsum("ijc,c->ij", rng.normal(size=(3, 3, nvars)), jsin(z))
+    return jet_einsum("ik,jk->ij", Y, Y) + Jet.constant(3.0 * np.eye(3), nvars, 3)
+
+
+def test_matrix_inverse_order_cap_is_the_full_inverse_truncated(pt_mixed33):
+    # coefficient k of each Newton step reads only coefficients up to k, and
+    # every order takes the same two steps, so capping the order moves no bit
+    from jetlag.geometry import frame
+
+    ctx = support.mixed33_ctx()
+    mats = [_spd_jet(5)]
+    for pt in (pt_mixed33, JetPoint.of([-0.1, 0.3, 0.2], [0.1, -0.2, 0.3],
+                                       np.full((3, 3), 0.15))):
+        fr = frame(ctx, pt, 3)
+        mats += [fr.h_jet, fr.g_jet, fr.phi_jet]
+    for a in mats:
+        assert a.order == 3 and not a.is_constant()
+        full = jet_matrix_inverse(a)
+        for k in range(4):
+            assert _bits_equal(jet_matrix_inverse(a, order=k), full.truncated(k)), k
+    singular = _spd_jet(6)
+    singular.coeffs[0] = np.ones((3, 3))
+    for k in range(4):
+        with pytest.raises(SingularMetricError):
+            jet_matrix_inverse(singular, order=k)
 
 
 def test_einsum_with_constant_operands(basis):

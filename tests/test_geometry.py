@@ -469,6 +469,22 @@ def _blocks(fr) -> dict:
     return out
 
 
+def _order_keyed(fr, orders) -> dict:
+    """The metric inverses and the S-torsion of ``fr``, asked for at each
+    of ``orders`` in turn, by (name, order); a metric the space lacks is
+    left out."""
+    out = {}
+    for k in orders:
+        for which in ("h", "g", "phi"):
+            try:
+                out[which, k] = fr.inverse(which, k)
+            except ValueError:
+                pass  # no phi on this space
+        if k < fr.order:  # the order of C, the S-torsion's factor
+            out["tor_S", k] = fr.tor_S(k)
+    return out
+
+
 @pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "quadratic"])
 def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
     from jetlag.spaces import build_space
@@ -484,6 +500,8 @@ def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
     }[space]()
     for pt in pts:
         full = _blocks(frame(ctx, pt, 3))
+        # highest order first, so that lower ones are served truncated
+        full_keyed = _order_keyed(frame(ctx, pt, 3), (3, 2, 1, 0))
         for order in (0, 1, 2):
             blocks = _blocks(frame(ctx, pt, order))
             if order == 2:
@@ -492,27 +510,37 @@ def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
                 want = full[name].truncated(jet.order)
                 assert all(np.array_equal(a, b)
                            for a, b in zip(jet.coeffs, want.coeffs)), (order, name)
+            # lowest order first, so that each higher one is built again
+            keyed = _order_keyed(frame(ctx, pt, order), range(order + 1))
+            assert keyed and keyed.keys() <= full_keyed.keys()
+            for key, jet in keyed.items():
+                want = full_keyed[key]
+                assert jet.order == want.order == key[1], (order, key)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(jet.coeffs, want.coeffs)), (order, key)
 
 
 # --------------------------------------------------------------------------
 # each product is built only to the order its result keeps
 # --------------------------------------------------------------------------
 
-def _record_einsum_orders(monkeypatch) -> list:
-    """The output order of every ``jet_einsum`` call that ``geometry`` and
+def _record_orders(monkeypatch, name="jet_einsum") -> list:
+    """The output order of every call of ``diff_engine.<name>``
+    (``jet_einsum`` or ``jet_matrix_inverse``) that ``geometry`` and
     ``gravity`` make from now on, appended to the returned list."""
-    from jetlag import geometry, gravity
-    from jetlag.diff_engine import jet_einsum
+    from jetlag import diff_engine, geometry, gravity
 
+    fn = getattr(diff_engine, name)
     seen = []
 
     def recording(*args, **kwargs):
-        out = jet_einsum(*args, **kwargs)
+        out = fn(*args, **kwargs)
         seen.append(out.order)
         return out
 
     for mod in (geometry, gravity):
-        monkeypatch.setattr(mod, "jet_einsum", recording)
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, recording)
     return seen
 
 
@@ -534,7 +562,7 @@ def test_no_product_outranks_the_block_it_feeds(monkeypatch, pt_mixed33):
     for name in names:
         if name.startswith("tor_"):
             getattr(fr, name)
-    seen = _record_einsum_orders(monkeypatch)
+    seen = _record_orders(monkeypatch)
     for name in names:
         if name.startswith("cur_"):
             seen.clear()
@@ -554,3 +582,29 @@ def test_no_product_outranks_the_block_it_feeds(monkeypatch, pt_mixed33):
     seen.clear()
     tilde = _tilde_einstein_jets(fr)
     assert max(seen) <= max(jet.order for jet in tilde) == 1, seen
+
+
+def test_no_inverse_or_spread_torsion_outranks_its_readers(monkeypatch, pt_mixed33):
+    # every Christoffel form reads its metric's inverse one order below the
+    # metric, and the S-torsion is read only where a product is cut to the
+    # order of a residual, so neither is built past what its readers keep
+    from jetlag.cli import _RUNNERS
+    from jetlag.spaces import build_space
+
+    inverses = _record_orders(monkeypatch, "jet_matrix_inverse")
+    ctx = support.mixed33_ctx()
+    _RUNNERS["conservation"](ctx, pt_mixed33)
+    _RUNNERS["natural-form"](ctx, [pt_mixed33], 1e-8)
+    fr = frame(ctx, pt_mixed33, 3)
+    assert inverses and max(inverses) <= 2, inverses
+    assert fr._built["tor_S"].order == 0
+
+    # on an order-2 frame only the lowered Liouville field reads h^-1 at
+    # the frame's order
+    ctx = build_space("optic", OPTIC_PARAMS)
+    inverses.clear()
+    _RUNNERS["curvature"](ctx, OPTIC_POINT)
+    _RUNNERS["maxwell"](ctx, OPTIC_POINT)
+    built = frame(ctx, OPTIC_POINT, 2)._built
+    assert (built["g"].order, built["phi"].order, built["h"].order) == (1, 1, 2)
+    assert sorted(inverses) == [1, 1, 1, 2], inverses
