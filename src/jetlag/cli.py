@@ -756,12 +756,14 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     path) atomically.  Evaluation is serial; ``jobs`` is accepted for
     existing callers and ignored.  A run with explicit points only records
     the metric signature from ``pts[0]`` before any check runs (a sampled
-    run records it while sampling).  The run goes point by point: at each
-    point every frame-reading check takes its step, so each point's frames
-    are built once and read by every check while they are cached.  After
-    the last point, each check's fold, or the whole-sweep runner of
-    ``natural-form`` and ``grad-check``, runs in config order.  The dumps
-    are taken at ``pts[0]`` before the first check step.
+    run records it while sampling).  The dumps are taken at ``pts[0]``
+    before the first check step.  Then the run's points are registered
+    with the context, so each field grid runs once per order over all of
+    them.  The run goes point by point: at each point every frame-reading
+    check takes its step, so each point's frames are built once and read
+    by every check while they are cached.  After the last point, each
+    check's fold, or the whole-sweep runner of ``natural-form`` and
+    ``grad-check``, runs in config order.
     """
     start = time.perf_counter()
     ctx = build_space(cfg.space_name, cfg.space_params)
@@ -774,8 +776,10 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
             frame(ctx, pts[0], 0).g_jet
         except JetlagError:
             pass  # each check that evaluates g at pts[0] reports the error
-    # a dump error ends the run, so it comes before any check step
+    # a dump error ends the run, so it comes before any check step; it
+    # reads pts[0] alone, at orders the checks may not read
     dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
+    ctx.register(pts)
 
     outcomes = {}
     records = {name: [] for name in cfg.checks if name in _FOLDS}

@@ -11,7 +11,9 @@ A :class:`Jet` is a truncated multivariate Taylor expansion with respect to z:
 ``coeffs[k]`` stores the raw k-th derivative tensor, whose trailing k axes
 (one per differentiation slot, each of size N) are symmetric.  A leading
 "component" shape lets one Jet carry a whole tensor of values at once, and all
-arithmetic broadcasts over it like numpy does.
+arithmetic broadcasts over it like numpy does.  The same axis can run over the
+points of a batch (:func:`seed_point` of several points, evaluated inside a
+:func:`point_batch`): vector forward mode, one pass for all of them.
 
 Products use the multilinear Leibniz rule, compositions use Faa di Bruno over
 set partitions, and matrix inversion uses a Newton iteration whose accuracy
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +47,8 @@ __all__ = [
     "ScalarField",
     "PyField",
     "AgreementReport",
+    "BatchDiverged",
+    "point_batch",
     "coord_count",
     "coord_index",
     "seed_point",
@@ -339,7 +344,7 @@ class Jet:
             raise DerivativeDomainError("division by zero")
         derivs = []
         for m in range(self.order + 1):
-            derivs.append(((-1.0) ** m) * math.factorial(m) * c ** (-(m + 1)))
+            derivs.append(((-1.0) ** m) * math.factorial(m) * _pow(c, -(m + 1)))
         return self.compose(derivs)
 
     def __pow__(self, expo):
@@ -347,6 +352,11 @@ class Jet:
             if expo.is_constant() and expo.value.ndim == 0:
                 expo = float(expo.value)
             else:
+                # at a point where the exponent is constant the point alone
+                # takes the branch above
+                if _batched and not np.any(
+                        [_at_each_point(c) for c in expo.coeffs[1:]], axis=0).all():
+                    raise BatchDiverged
                 base = self.coeffs[0]
                 if np.any(base <= 0.0):
                     raise DerivativeDomainError(
@@ -368,7 +378,7 @@ class Jet:
             fac = 1.0
             for r in range(m):
                 fac *= e - r
-            derivs.append(fac * c ** (e - m))
+            derivs.append(fac * _pow(c, e - m))
         return self.compose(derivs)
 
     def __rpow__(self, base):
@@ -451,6 +461,66 @@ class Jet:
         )
 
 
+# set while a batch of points is evaluated; see :func:`point_batch`
+_batched = False
+
+
+class BatchDiverged(Exception):
+    """A data-dependent branch of the jet arithmetic would go one way at some
+    points of a batch and the other way at the rest."""
+
+
+@contextmanager
+def point_batch():
+    """Evaluate jets whose leading component axis runs over the points of a
+    batch (:func:`seed_point` of several points).
+
+    Arithmetic is elementwise over that axis, and powers are taken by the
+    scalar libm pow (:func:`_pow`), so each point gets bit for bit the
+    values it gets alone, except where the arithmetic branches on the data:
+    a product skips an all-zero coefficient, and a power with a constant
+    jet exponent takes the real-power rule.  Inside this block such a
+    branch raises :class:`BatchDiverged` unless it goes the same way at
+    every point.  numpy's floating-point warnings are off: a value that
+    would warn is not finite, so the batch fails, and the point evaluated
+    alone warns.
+    """
+    global _batched
+    _batched = True
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _batched = False
+
+
+def _at_each_point(c) -> np.ndarray:
+    """Per point of a batched coefficient ``c``: whether it has a nonzero."""
+    return c.reshape(len(c), -1).any(axis=1)
+
+
+def _vanishes(c, k) -> bool:
+    """Whether the order-``k`` coefficient ``c`` is all zero, so that a
+    product may skip it; in a :func:`point_batch` the answer must hold at
+    each point."""
+    if not c.any():
+        return True
+    if _batched and c.ndim > k and not _at_each_point(c).all():
+        raise BatchDiverged
+    return False
+
+
+def _pow(c, e):
+    """``c ** e`` elementwise, each element by the scalar libm pow.
+
+    numpy's array pow may take a vector path that differs from libm in the
+    last bit, so every derivative table takes its powers here: a point then
+    gets the same bits alone, in a batch, or as a 0-d array.
+    """
+    c = np.asarray(c, dtype=float)
+    return np.array([v ** e for v in c.ravel()]).reshape(c.shape)
+
+
 def _leibniz_mul(a, b, K):
     """Raw-coefficient product by the multilinear Leibniz rule.
 
@@ -466,9 +536,9 @@ def _leibniz_mul(a, b, K):
         for j in range(k + 1):
             A = a[j]
             B = b[k - j]
-            if j and not A.any():
+            if j and _vanishes(A, j):
                 continue
-            if (k - j) and not B.any():
+            if (k - j) and _vanishes(B, k - j):
                 continue
             A_e = A.reshape(A.shape + (1,) * (k - j))
             bc = B.ndim - (k - j)
@@ -670,7 +740,7 @@ def jlog(x):
         _require(np.all(c > 0.0), "log of a non-positive value")
         derivs = [np.log(c)]
         for m in range(1, x.order + 1):
-            derivs.append(((-1.0) ** (m - 1)) * math.factorial(m - 1) * c ** (-m))
+            derivs.append(((-1.0) ** (m - 1)) * math.factorial(m - 1) * _pow(c, -m))
         return x.compose(derivs)
     xf = float(x)
     _require(xf > 0.0, "log of a non-positive value")
@@ -705,7 +775,7 @@ def jsqrt(x):
             fac = 1.0
             for r in range(m):
                 fac *= 0.5 - r
-            derivs.append(fac * c ** (0.5 - m))
+            derivs.append(fac * _pow(c, 0.5 - m))
         return x.compose(derivs)
     xf = float(x)
     _require(xf >= 0.0, "sqrt of a negative value")
@@ -817,15 +887,31 @@ class PyField(ScalarField):
         return self._fn(spt)
 
 
-def seed_point(pt: JetPoint, order: int, deps=frozenset(("t", "x", "xs"))) -> SeededPoint:
-    """Seed a point with scalar jets; non-dependency groups become constants."""
-    p, n = pt.dims
+def seed_point(pts, order: int, deps=frozenset(("t", "x", "xs"))) -> SeededPoint:
+    """Seed points with scalar jets; non-dependency groups become constants.
+
+    ``pts`` is one :class:`JetPoint`, seeded alone (component shape ()), or
+    a sequence of B points of the same dims, seeded as one batch: each
+    coordinate is then one jet whose value axis runs over the points
+    (component shape (B,)), for a :func:`point_batch`.  The derivative
+    coefficients are the same at every point, so they are broadcast,
+    read-only views.
+    """
+    one = isinstance(pts, JetPoint)
+    p, n = (pts if one else pts[0]).dims
     N = coord_count(p, n)
-    z = [Jet.constant(v, N, order) for v in pt.flat()]
+    values = pts.flat() if one else np.stack([pt.flat() for pt in pts], axis=1)
+    comp = values.shape[1:]
+    unit = np.eye(N)
+    zeros = [np.broadcast_to(np.zeros((N,) * k), comp + (N,) * k)
+             for k in range(1, order + 1)]
+    z = []
     # at order 0 there is no first-order slot; everything is a constant
     for k, group in enumerate(["t"] * p + ["x"] * n + ["xs"] * (n * p)):
+        coeffs = [np.asarray(values[k]), *zeros]
         if group in deps and order >= 1:
-            z[k].coeffs[1][k] = 1.0
+            coeffs[1] = np.broadcast_to(unit[k], comp + (N,))
+        z.append(Jet(N, order, coeffs))
     return SeededPoint.of_flat(z, (p, n))
 
 
@@ -979,10 +1065,11 @@ def check_grad(f, pts):
 
     ``f`` is one field, or a sequence of fields; for a sequence the result
     is a list with one report per field, each the report that field gets
-    alone.  The fields of one dependency group are evaluated together, at
-    each point: one compiled grid of all of them on one seeded order-2
-    point, and one float grid per distinct stencil point of
-    :func:`fd_partial` (so the centre point of the diagonal probes is
+    alone.  The fields of one dependency group are evaluated together: one
+    compiled grid of all of them, run once at order 2 over every point
+    (:meth:`~jetlag.field_expr.FieldGrid.batch`; where the batch cannot run
+    as one, once per point), and one float grid per distinct stencil point
+    of :func:`fd_partial` (so the centre point of the diagonal probes is
     evaluated once).
 
     The Taylor side reads every probe off a field's order-2 jet:
@@ -1005,21 +1092,23 @@ def check_grad(f, pts):
         groups.setdefault(frozenset(fld.deps), []).append(k)
     for deps, members in groups.items():
         grid = FieldGrid([fields[k] for k in members])
+        if not deps:
+            continue  # no coordinate to probe
+        rows = grid.batch(pts, 2) or [None] * len(pts)
         for ip, pt in enumerate(pts):
             coords = _dep_coords(grid.fields[0], *pt.dims)
-            if not coords:
-                continue
-            spt = seed_point(pt, 2, deps)
-            try:
-                jets = grid.at([spt])
-            except JetlagError:
-                jets = None  # each field is evaluated alone below
+            jets = rows[ip]
+            if jets is None:
+                try:
+                    jets = grid.stacked([pt], 2)[0]
+                except JetlagError:
+                    pass  # each field is evaluated alone below
             floats = {}
             for j, k in enumerate(members):
                 if k in errors:
                     continue
                 try:
-                    res = fields[k](spt) if jets is None else jets[j]
+                    res = fields[k](seed_point(pt, 2, deps)) if jets is None else jets[j]
                     pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, coords)
                 except JetlagError as exc:
                     if isinstance(exc, POINT_ERRORS) and exc.witness is None:

@@ -20,26 +20,30 @@ offset; evaluation never returns NaN silently.
 Every AST node has a structural key: equal subtrees get equal keys whatever
 their source positions, and a number is keyed by its exact bits, so ``0.0``
 and ``-0.0`` stay apart.  Fields are evaluated by compiled grids
-(:class:`FieldGrid`): the fields that one caller evaluates at one point,
-a metric's entries say, become one generated straight-line Python function
-with one local per distinct subexpression, so a subexpression that several
-fields share (the refraction index in every optic metric entry) is
-computed once per point.  Only node types, integer indices and constant
-slots reach the generated source, never field text.
+(:class:`FieldGrid`): the fields that one caller evaluates, a metric's
+entries say, become one generated straight-line Python function with one
+local per distinct subexpression, so a subexpression that several fields
+share (the refraction index in every optic metric entry) is computed once.
+The function runs at one point or, with jets seeded over a batch of
+points, at all of them in one call.  Only node types, integer indices and
+constant slots reach the generated source, never field text.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diff_engine import (
+    BatchDiverged,
     Jet,
     JetPoint,
     ScalarField,
     SeededPoint,
+    coord_count,
     coord_index,
     jabs,
     jcos,
@@ -48,12 +52,15 @@ from .diff_engine import (
     jsin,
     jsqrt,
     jtanh,
+    point_batch,
+    seed_point,
 )
 from .errors import (
     DerivativeDomainError,
     EvalDomainError,
     FieldDomainError,
     FieldValidationError,
+    JetlagError,
     ParseError,
 )
 
@@ -406,11 +413,36 @@ def _lift(exc, site):
 
 
 def _guard(v, label, name, z, dims):
-    nval = float(getattr(v, "value", v))
-    if nval < 1.0:
-        pt = SeededPoint.of_flat([float(getattr(c, "value", c)) for c in z], dims)
-        raise FieldDomainError(f"{label} {nval} < 1 while evaluating {name!r}",
-                               witness=JetPoint.of(pt.t, pt.x, pt.xs), value=nval)
+    value = np.asarray(getattr(v, "value", v))
+    if not (value < 1.0).any():
+        return
+    if value.ndim:  # a batch: the points that fail raise alone
+        raise BatchDiverged
+    nval = float(value)
+    pt = SeededPoint.of_flat([float(getattr(c, "value", c)) for c in z], dims)
+    raise FieldDomainError(f"{label} {nval} < 1 while evaluating {name!r}",
+                           witness=JetPoint.of(pt.t, pt.x, pt.xs), value=nval)
+
+
+_LOCAL = re.compile(r"\bv\d+\b")
+
+
+def _with_dels(body, jet_locals, keep) -> list:
+    """``body`` with a ``del`` of each jet local after its last use, except
+    those in ``keep``, so a batch of points holds only the jets still
+    needed."""
+    last = {}
+    for i, line in enumerate(body):
+        for name in _LOCAL.findall(line):
+            last[name] = i
+    out = []
+    for i, line in enumerate(body):
+        out.append(line)
+        dead = [nm for nm in dict.fromkeys(_LOCAL.findall(line))
+                if last[nm] == i and nm in jet_locals and nm not in keep]
+        if dead:
+            out.append(f"del {', '.join(dead)}")
+    return out
 
 
 def _compile(grid, dims, jets):
@@ -424,6 +456,7 @@ def _compile(grid, dims, jets):
     it runs, so the handler knows its offset, and its value must be finite.
     """
     body, consts, slots, names, sites, checked = [], [], {}, {}, [None], set()
+    jet_locals = set()
 
     def const(key, value):
         if key not in slots:
@@ -472,6 +505,8 @@ def _compile(grid, dims, jets):
         else:
             raise TypeError(f"not an AST node: {node!r}")
         names[key] = got
+        if got[1]:
+            jet_locals.add(got[0])
         return got
 
     outs = []
@@ -495,7 +530,7 @@ def _compile(grid, dims, jets):
         f"    def grid({', '.join(f'z{g}' for g in range(len(jets)))}):",
         "        _k = 0",
         "        try:",
-        *(" " * 12 + line for line in body),
+        *(" " * 12 + line for line in _with_dels(body, jet_locals, set(outs))),
         f"            return [{', '.join(outs)}]",
         "        except Exception as exc:",
         "            raise _lift(exc, S[_k])",
@@ -508,7 +543,7 @@ def _compile(grid, dims, jets):
 
 
 class FieldGrid:
-    """Fields evaluated together at one point by one generated function.
+    """Fields evaluated together by one generated function.
 
     The fields are grouped by dependency groups (``groups``, in order of
     first appearance); each group reads its own seeded coordinates.
@@ -519,7 +554,14 @@ class FieldGrid:
     walk of each AST; constant subtrees stay floats, so each node's type is
     known before it runs.  So every value is bit for bit that of the field
     evaluated alone, and the first error raised is the first the walk
-    meets.  An :class:`ExprField` with a ``guard`` checks it first.
+    meets.  An :class:`ExprField` with a ``guard`` checks it first.  Each
+    jet local is deleted after its last use.
+
+    The same function evaluates one point or a batch of points
+    (:meth:`stacked`): seeded as a batch, each coordinate is one jet whose
+    value axis runs over the points, and Jet arithmetic is elementwise over
+    it, so the grid runs once for all of them and each point gets the bits
+    it gets alone (:func:`~jetlag.diff_engine.point_batch`).
 
     The function is generated on first use for each point shape (dims and
     the type of each coordinate) and kept with the grid.
@@ -529,6 +571,8 @@ class FieldGrid:
         self.fields = tuple(fields)
         self.groups = list(dict.fromkeys(frozenset(f.deps) for f in self.fields))
         self._fns = {}
+        # any other field is called on one seeded point, which it may branch on
+        self._batchable = all(isinstance(f, ExprField) for f in self.fields)
 
     def __call__(self, zs, dims) -> list:
         """The fields' values at one point of dims (p, n): ``zs[g]`` lists
@@ -544,6 +588,45 @@ class FieldGrid:
     def at(self, spts) -> list:
         """The fields' values at seeded points, one per group."""
         return self([s.flat() for s in spts], (spts[0].p, spts[0].n))
+
+    def stacked(self, pts, order) -> list:
+        """The fields at each point of ``pts`` as jets of ``order``: per
+        point, one Jet of component shape (F,) that stacks the F fields in
+        order (a field that reads no seeded jet is a constant jet).
+
+        One point is seeded alone.  Several are seeded as one batch and
+        evaluated by one call in a :func:`~jetlag.diff_engine.point_batch`,
+        whose result is split into per-point jets at once.  Raises what the
+        call raises, and :class:`~jetlag.diff_engine.BatchDiverged` where
+        the points of a batch branch apart.
+        """
+        one = len(pts) == 1
+        seeds = [seed_point(pts[0] if one else pts, order, deps) for deps in self.groups]
+        if one:
+            vals = self.at(seeds)
+        else:
+            with point_batch():
+                vals = self.at(seeds)
+        N = coord_count(*pts[0].dims)
+        jets = [v if isinstance(v, Jet) else Jet.constant(float(v), N, order)
+                for v in vals]
+        K = min(j.order for j in jets)
+        return [Jet(N, K, [np.stack([j.coeffs[k][b] if j.shape else j.coeffs[k]
+                                     for j in jets]) for k in range(K + 1)])
+                for b in range(len(pts))]
+
+    def batch(self, pts, order):
+        """:meth:`stacked` of two or more points as one batch, or None where
+        they are not: the grid holds a field that is not an
+        :class:`ExprField`, or the batch raises or branches apart.  The
+        caller then evaluates each point alone, which raises that point's
+        own error."""
+        if len(pts) < 2 or not self._batchable:
+            return None
+        try:
+            return self.stacked(pts, order)
+        except (JetlagError, BatchDiverged):
+            return None
 
 
 def eval_field(ast, spt):

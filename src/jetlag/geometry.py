@@ -49,8 +49,6 @@ from .diff_engine import (
     jet_einsum,
     jet_linear,
     jet_matrix_inverse,
-    jet_stack,
-    seed_point,
 )
 from .errors import (
     ConfigError,
@@ -207,6 +205,16 @@ class GeometryContext:
         self._defer_signature = False  # set while sample_points tries a draw
         self._frames = {}
         self._grids = {}  # compiled field grids, by the tuple of their fields
+        self._points = {}  # the registered points, by key
+        self._rows = {}  # (fields, order) -> {point key: its fields' jets}
+
+    def register(self, pts):
+        """Register the points about to be read: the first evaluation of a
+        field grid at one of them, at one order, evaluates it at all of
+        them in one batch (:meth:`Frame.eval_grid`).  Replaces the points
+        registered before, and the rows of their batches not yet taken."""
+        self._points = {pt.key(): pt for pt in pts}
+        self._rows = {}
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
@@ -274,7 +282,10 @@ class Frame:
     ``order`` cap of :func:`jet_einsum`.  The metric inverses
     (:meth:`inverse`) and the S-torsion (:meth:`tor_S`) are built only to
     the order their readers name: each reader asks for the order of the
-    block it contracts, and a lower order is served truncated.
+    block it contracts, and a lower order is served truncated.  The
+    fields (h, g, phi, N, L) come from the context's compiled field grids
+    (:meth:`eval_grid`), each run once per order over the points
+    registered with the context, and a frame takes its own point's row.
     """
 
     def __init__(self, ctx: GeometryContext, pt: JetPoint, order: int):
@@ -314,20 +325,32 @@ class Frame:
         return self._eval_fields([f], order)[0]
 
     def eval_grid(self, grid: np.ndarray, order=None) -> Jet:
-        jets = self._eval_fields([grid[idx] for idx in np.ndindex(grid.shape)], order)
-        return jet_stack(jets).reshape_components(grid.shape)
+        fields = [grid[idx] for idx in np.ndindex(grid.shape)]
+        return self._eval_fields(fields, order).reshape_components(grid.shape)
 
-    def _eval_fields(self, fields, order) -> list:
-        """Evaluate ``fields`` at this point, as jets of ``order`` (default:
-        the frame's), through the context's compiled grid of them: one
-        seeded point per dependency group, made for this call only."""
+    def _eval_fields(self, fields, order) -> Jet:
+        """``fields`` at this point, as jets of ``order`` (default: the
+        frame's) stacked along one leading axis, through the context's
+        compiled grid of them.
+
+        At a registered point (:meth:`GeometryContext.register`) the first
+        call for the grid and order runs the grid once over every
+        registered point, and keeps each point's row until that point's
+        frame takes it.  A point that is not registered, or whose row was
+        taken, or whose batch could not run as one, is evaluated alone.
+        """
         order = self.order if order is None else order
-        grid = self.ctx._grids.get(key := tuple(fields))
+        ctx = self.ctx
+        grid = ctx._grids.get(key := tuple(fields))
         if grid is None:
-            grid = self.ctx._grids[key] = FieldGrid(key)
-        vals = grid.at([seed_point(self.pt, order, deps) for deps in grid.groups])
-        return [v if isinstance(v, Jet) else Jet.constant(float(v), self.N, order)
-                for v in vals]
+            grid = ctx._grids[key] = FieldGrid(key)
+        rows = ctx._rows.get((key, order))
+        if rows is None:
+            pts = ctx._points if self.pt.key() in ctx._points else {}
+            rows = ctx._rows[key, order] = dict(
+                zip(pts, grid.batch(list(pts.values()), order) or ()))
+        row = rows.pop(self.pt.key(), None)
+        return row if row is not None else grid.stacked([self.pt], order)[0]
 
     # -- coordinates -------------------------------------------------------
 
@@ -386,9 +409,14 @@ class Frame:
 
     def inverse(self, which: str, order: int) -> Jet:
         """The inverse of the metric ``which`` ("h", "g" or "phi"), built
-        to ``order`` only."""
-        return self._upto(which, order, lambda k: jet_matrix_inverse(
-            getattr(self, f"{which}_jet"), order=k))
+        to ``order`` only.  h^-1 is built at once to the frame's order, at
+        most ``MAX_ORDER - 1``: on a frame of order 2 or less the lowered
+        Liouville field reads it at the frame's order after the temporal
+        Christoffel form has read it one lower, and on an order-3 frame no
+        reader reads it above order 2."""
+        top = min(self.order, MAX_ORDER - 1) if which == "h" else order
+        return self._upto(which, max(order, top), lambda k: jet_matrix_inverse(
+            getattr(self, f"{which}_jet"), order=k)).truncated(order)
 
     h_inv = property(lambda self: self.inverse("h", self.order))
     g_inv = property(lambda self: self.inverse("g", self.order))
@@ -1146,7 +1174,11 @@ def sample_points(
     metrics (condition number above ``cond_limit``) and field-domain
     violations.  Raises :class:`ConfigError` naming the boxes and counting
     each kind of rejection when the try budget runs out.  Only accepted
-    points record or assert the metric signature."""
+    points record or assert the metric signature.  The draws are made one
+    block at a time, one draw per point still wanted, and each block is
+    registered with ``ctx`` (:meth:`GeometryContext.register`), so its
+    metrics are evaluated in one batch; the draws are tried in draw
+    order."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
@@ -1154,8 +1186,7 @@ def sample_points(
     ill_conditioned = 0
     budget = max(1000, 50 * count)
     while len(pts) < count:
-        tries += 1
-        if tries > budget:
+        if tries >= budget:
             rejected = budget - len(pts)
             raise ConfigError(
                 f"could not sample {count} admissible points in {budget} tries "
@@ -1165,26 +1196,30 @@ def sample_points(
                 f"{ill_conditioned} had a metric with condition number above "
                 f"{cond_limit:g}"
             )
-        pt = JetPoint.of(
+        # one draw per point still wanted, registered as one batch
+        block = [JetPoint.of(
             rng.uniform(box_t[0], box_t[1], size=p),
             rng.uniform(box_x[0], box_x[1], size=n),
             rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
-        )
-        ctx._defer_signature = True
-        try:
-            fr = frame(ctx, pt, 0)
-            hval = fr.h_jet.value
-            gval = fr.g_jet.value
-            if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
+        ) for _ in range(min(count - len(pts), budget - tries))]
+        ctx.register(block)
+        for pt in block:
+            tries += 1
+            ctx._defer_signature = True
+            try:
+                fr = frame(ctx, pt, 0)
+                hval = fr.h_jet.value
+                gval = fr.g_jet.value
+                if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
+                    ill_conditioned += 1
+                    continue
+            except SingularMetricError:
                 ill_conditioned += 1
                 continue
-        except SingularMetricError:
-            ill_conditioned += 1
-            continue
-        except (EvalDomainError, DerivativeDomainError):
-            continue
-        finally:
-            ctx._defer_signature = False
-        ctx._check_signature(pt, hval, gval)
-        pts.append(pt)
+            except (EvalDomainError, DerivativeDomainError):
+                continue
+            finally:
+                ctx._defer_signature = False
+            ctx._check_signature(pt, hval, gval)
+            pts.append(pt)
     return pts

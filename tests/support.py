@@ -166,3 +166,22 @@ def xdep33_ctx(K=1.0):
         QuadraticCanonical(),
         K=K,
     )
+
+
+def record_grid_calls(monkeypatch) -> list:
+    """(grid, order, batch size) of every jet-seeded FieldGrid call from now
+    on; the batch size of a point seeded alone is 0."""
+    from jetlag.diff_engine import Jet
+    from jetlag.field_expr import FieldGrid
+
+    calls = []
+    call = FieldGrid.__call__
+
+    def recording(self, zs, dims):
+        z = zs[0][0]
+        if isinstance(z, Jet):
+            calls.append((self, z.order, z.value.size if z.value.ndim else 0))
+        return call(self, zs, dims)
+
+    monkeypatch.setattr(FieldGrid, "__call__", recording)
+    return calls

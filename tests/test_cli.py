@@ -1146,3 +1146,56 @@ def test_regularity_at_singular_h_names_its_point(tmp_path):
         assert check["status"] == "fail"
         assert check["error"] == "matrix is singular or ill-conditioned (cond=inf)"
         assert check["witness"] == pt
+
+
+# --------------------------------------------------------------------------
+# field grids run once per order over the run's points
+# --------------------------------------------------------------------------
+
+# phi = diag(exp(x1), log(x2)) leaves the log domain at the third point only
+DOMAIN_SWEEP_CFG = {
+    "p": 2, "n": 2,
+    "space": {"name": "custom", "params": {
+        "h": [["1", "0"], ["0", "1 + t[1]^2"]],
+        "g": [["1 + x[1]^2", "0"], ["0", "2 + x[2]^3"]],
+        "nlc": {"kind": "christoffel",
+                "phi": [["exp(x[1])", "0"], ["0", "log(x[2])"]]}}},
+    "points": {"explicit": [_explicit_point(x1, x2) for x1, x2 in
+                            ((0.1, 1.4), (0.3, 1.5), (0.5, -0.4), (0.2, 1.7), (0.4, 1.3))]},
+    "checks": ["metricity", "torsion", "curvature", "maxwell", "einstein"],
+}
+
+
+def test_a_point_outside_a_domain_keeps_its_error_in_a_batch(tmp_path):
+    # the phi grid's batch raises, so each point is evaluated alone and the
+    # third one raises its own error; the digest was taken with every point
+    # evaluated alone
+    rc, rep = run_to(tmp_path, DOMAIN_SWEEP_CFG)
+    assert rc == 1
+    bad = DOMAIN_SWEEP_CFG["points"]["explicit"][2]
+    for name in DOMAIN_SWEEP_CFG["checks"]:
+        doc = rep["checks"][name]
+        assert (doc["status"], doc["error"], doc["witness"]) == (
+            "fail", "log of a non-positive value", bad), name
+    text = (tmp_path / "report.json").read_text()
+    digest = hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest()
+    assert digest == "f375815e1d5b583b40317ffa9309d884a696e2e0129e48c3884865877b276eab"
+
+
+def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch):
+    # a tooling guard: perfbench's field_expr.eval.calls wraps ExprField
+    # calls, which grids bypass, so it cannot see a run that falls back to
+    # evaluating its fields point by point
+    import support
+
+    calls = support.record_grid_calls(monkeypatch)
+    count = 9
+    doc = dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], count=count),
+               checks=SWEEP_CHECKS, dump=[])
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 0 and len(rep["points"]) == count
+    # one sampling block (no draw is rejected), then one batch per order
+    runs = [(grid, order) for grid, order, _ in calls]
+    assert len(runs) == len(set(runs))
+    assert {order for _, order in runs} == {0, 2}
+    assert {size for _, _, size in calls} == {count}

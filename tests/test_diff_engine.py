@@ -373,3 +373,39 @@ def test_seed_point_orders():
     xs_jet = spt.xs[0][0]
     assert float(xs_jet.value) == 2.0
     assert float(np.max(np.abs(xs_jet.coeffs[1]))) == 0.0
+
+
+def _coeff_bytes(jet):
+    return [np.asarray(c).tobytes() for c in jet.coeffs]
+
+
+def test_powers_take_the_scalar_libm_pow_at_any_value_shape():
+    # numpy's array pow may differ from the scalar libm pow in the last bit;
+    # every derivative table takes its powers by the latter, so a value held
+    # as a 0-d array, as a numpy scalar or as one row of a batch gives the
+    # same coefficients
+    import math
+
+    rng = np.random.default_rng(11)
+    B, n, order = 48, 2, 3
+    vals = rng.uniform(0.05, 20.0, size=B)
+    rest = [rng.normal(size=(B,) + (n,) * k) for k in range(1, order + 1)]
+    batch = Jet(n, order, [vals, *rest])
+    for e in (-2, -3, 0.5, -0.5, 1.5):
+        got = diff_engine._pow(vals, e)
+        assert got.tobytes() == np.array([math.pow(v, e) for v in vals]).tobytes()
+    ops = {
+        "reciprocal": lambda j: j._reciprocal(),
+        "pow -1.5": lambda j: j ** -1.5,
+        "pow 0.5": lambda j: j ** 0.5,
+        "pow -2": lambda j: j ** -2,
+        "log": jlog,
+        "sqrt": jsqrt,
+    }
+    for name, op in ops.items():
+        rows = op(batch)
+        for b in range(B):
+            rest_b = [c[b] for c in rest]
+            want = _coeff_bytes(rows[b])
+            for value in (np.asarray(vals[b]), np.float64(vals[b])):
+                assert _coeff_bytes(op(Jet(n, order, [value, *rest_b]))) == want, (name, b)

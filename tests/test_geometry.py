@@ -271,8 +271,7 @@ def test_liouville_closed_forms(ctx_mixed22, pt_mixed22):
 # --------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def lagrangian_ctx():
+def _lagrangian_ctx():
     dims = (2, 2)
     h = support.grid(support.ident_src(2), dims, ("t",))
     g_src = support.G_XDEP_SRC
@@ -287,6 +286,11 @@ def lagrangian_ctx():
     src = "+".join(terms) + "+0.5*xs[1][1]*x[2]+3*t[1]"
     L = E(src, dims, ("t", "x", "xs"))
     return GeometryContext(2, 2, h, FromLagrangian(L), QuadraticCanonical())
+
+
+@pytest.fixture(scope="module")
+def lagrangian_ctx():
+    return _lagrangian_ctx()
 
 
 def test_vertical_metric_from_lagrangian(lagrangian_ctx):
@@ -600,11 +604,152 @@ def test_no_inverse_or_spread_torsion_outranks_its_readers(monkeypatch, pt_mixed
     assert fr._built["tor_S"].order == 0
 
     # on an order-2 frame only the lowered Liouville field reads h^-1 at
-    # the frame's order
+    # the frame's order; h is inverted once, to that order, though the
+    # temporal Christoffel form asks for it first, one order lower
     ctx = build_space("optic", OPTIC_PARAMS)
     inverses.clear()
     _RUNNERS["curvature"](ctx, OPTIC_POINT)
     _RUNNERS["maxwell"](ctx, OPTIC_POINT)
     built = frame(ctx, OPTIC_POINT, 2)._built
     assert (built["g"].order, built["phi"].order, built["h"].order) == (1, 1, 2)
-    assert sorted(inverses) == [1, 1, 1, 2], inverses
+    assert sorted(inverses) == [1, 1, 2], inverses
+
+
+# --------------------------------------------------------------------------
+# a field grid runs once over the registered points, bit for bit per point
+# --------------------------------------------------------------------------
+
+def _random_points(ctx, count, seed) -> list:
+    rng = np.random.default_rng(seed)
+    return [JetPoint.of(rng.uniform(-0.5, 0.5, ctx.p), rng.uniform(-0.5, 0.5, ctx.n),
+                        rng.uniform(-0.5, 0.5, (ctx.n, ctx.p)))
+            for _ in range(count)]
+
+
+def _field_jets(ctx, pt, order) -> dict:
+    """The bytes of every field grid of ``ctx`` that a frame of ``order``
+    evaluates at ``pt``, by name."""
+    from jetlag.geometry import Frame
+
+    fr = Frame(ctx, pt, order)
+    jets = {"h": fr.eval_grid(ctx.h)}
+    src = ctx.g_source
+    if isinstance(src, DirectMetric):
+        jets["g"] = fr.eval_grid(src.entries)
+    else:
+        jets["L"] = fr.eval_scalar(src.L)
+    if isinstance(ctx.nlc, ChristoffelOfPhi):
+        jets["phi"] = fr.eval_grid(ctx.nlc.phi)
+    return {name: [c.tobytes() for c in jet.coeffs] for name, jet in jets.items()}
+
+
+@pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "quadratic"])
+def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
+    from jetlag.spaces import build_space
+
+    make = {
+        "optic": lambda: build_space("optic", OPTIC_PARAMS),
+        "mixed33": support.mixed33_ctx,
+        "lagrangian": _lagrangian_ctx,
+        "quadratic": support.tdep_g_ctx,
+    }[space]
+    calls = support.record_grid_calls(monkeypatch)
+    alone, batched = make(), make()
+    pts = _random_points(alone, 5, 17)
+    for order in range(4):
+        calls.clear()
+        batched.register(pts)
+        for pt in pts:
+            assert _field_jets(batched, pt, order) == _field_jets(alone, pt, order), order
+        runs = [(grid, size) for grid, k, size in calls if grid in batched._grids.values()]
+        assert sorted(size for _, size in runs) == [len(pts)] * len(batched._grids)
+
+
+def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
+    # at t1 = 0 the first-order coefficient of t1^2 vanishes, so a product
+    # with it skips a term there and not at the other points; a constant
+    # jet exponent takes the real-power rule; a PyField may branch on its
+    # point.  Each such batch is evaluated point by point, so every point
+    # keeps its own bits, signed zeros included.
+    from jetlag.diff_engine import PyField
+    from jetlag.geometry import Frame
+
+    dims = (2, 2)
+    grids = {
+        "vanishing": [E("(1 - t[1]) * t[1]^2", dims), E("t[1]^3", dims)],
+        "constant exponent": [E("(1 + x[1]^2)^(t[1] - t[1])", dims)],
+        "varying exponent": [E("(5 + x[1]^2)^(7 + t[1])", dims)],
+        "pyfield": [E("x[1]*x[2]", dims),
+                    PyField(lambda spt: spt.x[0] * spt.x[1], ("x",))],
+    }
+    # the orders at which each grid runs as one batch: t1^2 vanishes to
+    # first order at t1 = 0, and at order 0 every jet exponent is constant
+    batches_at = {"vanishing": {0}, "constant exponent": set(),
+                  "varying exponent": {1, 2, 3}, "pyfield": None}
+    zero_t = JetPoint.of([0.0, 0.3], [0.2, -0.1], [[0.4, 0.1], [-0.3, 0.2]])
+    pts = [zero_t] + _random_points(ctx_flat22, 4, 5)
+    calls = support.record_grid_calls(monkeypatch)
+    for name, fields in grids.items():
+        for order in range(4):
+            ctx = support.tdep_g_ctx()
+            ctx.register(pts)
+            calls.clear()
+            got = [Frame(ctx, pt, order)._eval_fields(fields, None) for pt in pts]
+            sizes = [size for _, _, size in calls]
+            alone = support.tdep_g_ctx()
+            for pt, jet in zip(pts, got):
+                want = Frame(alone, pt, order)._eval_fields(fields, None)
+                assert ([c.tobytes() for c in jet.coeffs]
+                        == [c.tobytes() for c in want.coeffs]), (name, order)
+            # one batch where every point takes the same branches, else a
+            # batch that gives up and then each point alone
+            if batches_at[name] is None:  # never tried
+                want = [0] * len(pts)
+            elif order in batches_at[name]:
+                want = [len(pts)]
+            else:
+                want = [len(pts)] + [0] * len(pts)
+            assert sizes == want, (name, order)
+    # the skipped term leaves a negative zero that the batch's sum would not
+    jet = Frame(support.tdep_g_ctx(), zero_t, 1)._eval_fields(grids["vanishing"], None)
+    assert np.signbit(jet.coeffs[1][0, 0]) and jet.coeffs[1][0, 0] == 0.0
+    # without the vanishing point the same product runs as one batch
+    ctx = support.tdep_g_ctx()
+    ctx.register(pts[1:])
+    calls.clear()
+    Frame(ctx, pts[1], 2)._eval_fields(grids["vanishing"], None)
+    assert [size for _, _, size in calls] == [len(pts) - 1]
+
+
+def _log_domain_ctx():
+    """g = diag(t1^16, sqrt(x2)): x2 < 0 leaves sqrt's domain, and a small
+    t1 makes g ill-conditioned."""
+    dims = (1, 2)
+    h = [[E("1", dims, ("t",))]]
+    g = [[E("t[1]^16", dims), E("0", dims)], [E("0", dims), E("sqrt(x[2])", dims)]]
+    return GeometryContext(1, 2, h, DirectMetric(np.array(g, dtype=object)),
+                           QuadraticCanonical())
+
+
+def test_sampling_blocks_keep_draws_and_rejections(monkeypatch):
+    # a block whose batch raises is tried one draw at a time, so a box that
+    # rejects draws of both kinds gives the points and the error text of
+    # sampling without batches (both taken that way)
+    import hashlib
+
+    from jetlag.errors import ConfigError
+
+    blocks = []
+    register = GeometryContext.register
+    monkeypatch.setattr(GeometryContext, "register",
+                        lambda self, pts: blocks.append(len(pts)) or register(self, pts))
+    pts = sample_points(_log_domain_ctx(), 5, 4, box_t=(-0.4, 0.4), box_x=(-1.0, 1.0))
+    assert hashlib.sha256(b"".join(p.key() for p in pts)).hexdigest() == (
+        "47ed527317d7140d54708485ac266ef46f2207af8969987e001930948ecc9128")
+    assert len(blocks) > 1 and blocks[0] == 5
+    with pytest.raises(ConfigError) as exc:
+        sample_points(_log_domain_ctx(), 3, 2, box_t=(-0.4, 0.4), box_x=(-1.0, 0.01))
+    assert str(exc.value) == (
+        "could not sample 3 admissible points in 1000 tries (1 found) from the "
+        "boxes t (-0.4, 0.4), x (-1.0, 0.01), xs (-1.0, 1.0): 993 draws left a "
+        "field's domain and 6 had a metric with condition number above 1e+08")
