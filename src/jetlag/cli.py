@@ -584,13 +584,22 @@ def _fold_conservation(pts, per, tol):
                         measure="max_rel", detail=detail)
 
 
-def _abs_rel(stats: dict) -> dict:
-    return {nm: {"max_abs": st.max_abs, "max_rel": st.max_rel}
-            for nm, st in stats.items()}
+def _natural_form_at(ctx, pt):
+    return natural_form_checks(ctx, [pt])
 
 
-def _run_natural_form(ctx, pts, tol):
-    rep = natural_form_checks(ctx, pts)
+def _fold_natural_form(pts, per, tol):
+    """Each block's max_abs and max_rel is the max over the points; the
+    construction is the one ``natural_form_checks`` reads at ``pts[0]``."""
+    def blocks(attr):
+        stats = [getattr(r, attr) for r in per]
+        if not stats[0]:
+            return None
+        return {nm: {"max_abs": max(st[nm].max_abs for st in stats),
+                     "max_rel": max(st[nm].max_rel for st in stats)}
+                for nm in stats[0]}
+
+    rep = per[0]
     construction = {
         "rewritten_equation": rep.e1prime_residual,
         "trace_recovery": rep.trace_residual,
@@ -598,18 +607,16 @@ def _run_natural_form(ctx, pts, tol):
     }
     hard = [v for v in construction.values() if v is not None]
     detail = {"construction": construction}
-    if rep.new_law_residuals:
-        detail["rewritten_laws"] = _abs_rel(rep.new_law_residuals)
-        hard += [st.max_rel for st in rep.new_law_residuals.values()]
+    if laws := blocks("new_law_residuals"):
+        detail["rewritten_laws"] = laws
+        hard += [st["max_rel"] for st in laws.values()]
     stated_worst = 0.0
-    if rep.identity_residuals:
-        detail["identities_stated"] = _abs_rel(rep.identity_residuals)
-        stated_worst = max(st.max_rel for st in rep.identity_residuals.values())
-    if rep.identity_residuals_derived:
-        detail["identities_contracted_cyclic"] = _abs_rel(
-            rep.identity_residuals_derived)
-        hard += [st.max_rel
-                 for st in rep.identity_residuals_derived.values()]
+    if stated := blocks("identity_residuals"):
+        detail["identities_stated"] = stated
+        stated_worst = max(st["max_rel"] for st in stated.values())
+    if derived := blocks("identity_residuals_derived"):
+        detail["identities_contracted_cyclic"] = derived
+        hard += [st["max_rel"] for st in derived.values()]
     worst_hard = max(hard) if hard else 0.0
     if worst_hard > tol:
         status = "fail"
@@ -676,7 +683,8 @@ def _run_grad_check(ctx, pts, tol):
 # A check with a fold runs point-major: run_report calls its step
 # ``(ctx, pt) -> record`` at each point, then its fold
 # ``(pts, records, tol) -> CheckOutcome`` once, over the records in point
-# order.  The other runners take the whole sweep, ``(ctx, pts, tol)``.
+# order.  Every check that reads frames has one.  ``grad-check`` reads
+# none, and its runner takes the whole sweep, ``(ctx, pts, tol)``.
 # run_report looks every runner up here at call time.
 _RUNNERS = {
     "metricity": metricity_residuals,
@@ -686,7 +694,7 @@ _RUNNERS = {
     "maxwell": _run_maxwell,
     "einstein": _run_einstein,
     "conservation": _run_conservation,
-    "natural-form": _run_natural_form,
+    "natural-form": _natural_form_at,
     "regularity": _run_regularity,
     "grad-check": _run_grad_check,
 }
@@ -700,6 +708,7 @@ _FOLDS = {
     "maxwell": _fold_maxwell,
     "einstein": _from_per_point,
     "conservation": _fold_conservation,
+    "natural-form": _fold_natural_form,
     "regularity": partial(_fold_first_max, regularity_verdict,
                           "max_deviation", "regular", "max_rel"),
 }
@@ -760,10 +769,10 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     before the first check step.  Then the run's points are registered
     with the context, so each field grid runs once per order over all of
     them.  The run goes point by point: at each point every frame-reading
-    check takes its step, so each point's frames are built once and read
-    by every check while they are cached.  After the last point, each
-    check's fold, or the whole-sweep runner of ``natural-form`` and
-    ``grad-check``, runs in config order.
+    check takes its step, so each point's frames are built once, read by
+    every check, and dropped when the next point starts.  After the last
+    point, each check's fold, or the whole-sweep runner of ``grad-check``,
+    runs in config order.
     """
     start = time.perf_counter()
     ctx = build_space(cfg.space_name, cfg.space_params)

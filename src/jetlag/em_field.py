@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
-from .errors import TorsionPreconditionError
+from .errors import JetlagError, TorsionPreconditionError
 from .geometry import (Frame, GeometryContext, ResidualStats, _Agg,
-                       _residual_summary, frame, nlc_torsion_free_check)
+                       _residual_summary, frame, nlc_torsion_at,
+                       torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -250,13 +251,23 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
 def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
     """Residuals of the five field equations over sample points.
 
-    The equations assume a torsion-free spatial nonlinear connection, so that
-    is checked first over the same points and violated preconditions raise
-    with the witness point.
+    The equations assume a torsion-free spatial nonlinear connection, so
+    that is measured at the same points, in the same pass, and a violation
+    raises with the witness point, ahead of the first equation error.
     """
     pts = list(pts)
-    require_torsion_free(nlc_torsion_free_check(ctx, pts))
-    return maxwell_report([maxwell_at(ctx, pt) for pt in pts])
+    torsion, per_point, error = [], [], None
+    for pt in pts:
+        torsion.append(nlc_torsion_at(ctx, pt))
+        if error is None:
+            try:
+                per_point.append(maxwell_at(ctx, pt))
+            except JetlagError as exc:
+                error = exc
+    require_torsion_free(torsion_free_verdict(pts, torsion))
+    if error is not None:
+        raise error
+    return maxwell_report(per_point)
 
 
 def require_torsion_free(verdict):

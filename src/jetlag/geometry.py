@@ -203,7 +203,8 @@ class GeometryContext:
         self.K = float(K)
         self._signature = None  # (h signs, g signs) at first sample
         self._defer_signature = False  # set while sample_points tries a draw
-        self._frames = {}
+        self._frame_point = None  # the key of the point last framed
+        self._frames = {}  # that point's frames, by order
         self._grids = {}  # compiled field grids, by the tuple of their fields
         self._points = {}  # the registered points, by key
         self._rows = {}  # (fields, order) -> {point key: its fields' jets}
@@ -241,7 +242,12 @@ _LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
-    """The cached geometry frame of ``ctx`` at ``pt``.
+    """The geometry frame of ``ctx`` at ``pt``.
+
+    The context keeps the frames of one point, by order: asking for another
+    point drops them.  So a caller that goes point by point, as
+    ``jetlag run`` does, reads each point's frames while they live and frees
+    them when the next point starts.
 
     ``order`` is the Taylor depth carried by the metric-level jets; 2 covers
     torsion/curvature values, 3 is needed for covariant derivatives of
@@ -251,14 +257,12 @@ def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
     Each product is built only to the order its result keeps, and each
     metric inverse and the S-torsion only to the order their readers read.
     """
-    key = (pt.key(), order)
-    fr = ctx._frames.get(key)
-    if fr is not None:
-        return fr
-    fr = Frame(ctx, pt, order)
-    if len(ctx._frames) >= 64:
-        ctx._frames.pop(next(iter(ctx._frames)))
-    ctx._frames[key] = fr
+    key = pt.key()
+    if ctx._frame_point != key:
+        ctx._frame_point, ctx._frames = key, {}
+    fr = ctx._frames.get(order)
+    if fr is None:
+        fr = ctx._frames[order] = Frame(ctx, pt, order)
     return fr
 
 
@@ -277,7 +281,7 @@ class Frame:
     the latter two leave temporal indices alone.  A block that
     several checks derive outside this module (the conservation-law
     right-hand sides, the metrical deflections) is built once per frame
-    through :meth:`shared`, so it is cached and evicted with the frame.
+    through :meth:`shared`, so it lives and dies with the frame.
     Each product is built only to the order its result keeps, through the
     ``order`` cap of :func:`jet_einsum`.  The metric inverses
     (:meth:`inverse`) and the S-torsion (:meth:`tor_S`) are built only to
@@ -1161,6 +1165,13 @@ def curvature_antisymmetry_residuals(ctx: GeometryContext, pt: JetPoint) -> dict
 # sampling (identities are pointwise; boxes keep fields in smooth regimes)
 # --------------------------------------------------------------------------
 
+def _metric_values(ctx, pt):
+    """The values of h and g at ``pt``, off its order-0 frame, which the
+    next point's frame replaces."""
+    fr = frame(ctx, pt, 0)
+    return fr.h_jet.value, fr.g_jet.value
+
+
 def sample_points(
     ctx: GeometryContext,
     count: int,
@@ -1178,7 +1189,7 @@ def sample_points(
     block at a time, one draw per point still wanted, and each block is
     registered with ``ctx`` (:meth:`GeometryContext.register`), so its
     metrics are evaluated in one batch; the draws are tried in draw
-    order."""
+    order, and each draw's frame lives until the next draw is framed."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
@@ -1207,9 +1218,7 @@ def sample_points(
             tries += 1
             ctx._defer_signature = True
             try:
-                fr = frame(ctx, pt, 0)
-                hval = fr.h_jet.value
-                gval = fr.g_jet.value
+                hval, gval = _metric_values(ctx, pt)
                 if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
                     ill_conditioned += 1
                     continue

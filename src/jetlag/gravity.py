@@ -521,12 +521,14 @@ def _new_laws_at(fr, tilde, K: float):
 def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
     """Identity and rewritten-law residuals over sample points.
 
+    The points are visited once, in order, each through its order-3 frame.
     Each point's trace-adjusted Einstein jets are built once and read by
     both the identities and the rewritten laws; the laws' divergence
-    right-hand sides come from the frame, shared with the conservation
-    check.  The construction of :func:`natural_stress_energy` is read off
-    the order-3 frame of ``pts[0]``.  A point error names the point it was
-    raised at as witness.
+    right-hand sides come from the frame, shared with a conservation check
+    that reads the same frame.  The construction of
+    :func:`natural_stress_energy` is read off the frame of ``pts[0]``.
+    ``jetlag run`` calls this one point at a time and folds the reports.
+    A point error names the point it was raised at as witness.
     """
     _require_natural_form(ctx)
     _gate(ctx, 3, "the trace-adjusted identity checks")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import support
 from jetlag import JetPoint, build_space, maxwell_residuals
 from jetlag.cli import CHECK_NAMES, DUMP_FAMILIES, main
 
@@ -581,10 +582,26 @@ TORSION_PRECEDENCE_CFG = dict(
     checks=["metricity", "torsion", "maxwell"],
 )
 
+# the benchmark's direction-dependent (3,3) space (support.mixed33_ctx) at
+# three sampled points; seven of the nine natural-form blocks have their
+# worst point at the last point, not the first
+MIXED33_CFG = {
+    "p": 3, "n": 3,
+    "space": {"name": "custom", "params": {
+        "h": support.H33_SRC,
+        "g": support.conformal_g_src(support.SIG33, support.PHI33_SRC),
+        "nlc": {"kind": "christoffel", "phi": support.PHI33_SRC}}},
+    "points": {"seed": 8, "count": 3,
+               "box": {"t": [-0.5, 0.5], "x": [-0.5, 0.5],
+                       "xs": [-0.5, 0.5]}},
+    "checks": ["conservation", "natural-form"],
+}
+
 ORACLE_CFGS = {
-    # more points than the 64-entry frame cache holds
+    # a sweep of many points, each with its own frames
     "optic-66": dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], count=66),
                      checks=SWEEP_CHECKS, dump=[]),
+    "mixed33": MIXED33_CFG,
     "torsional": dict(TORSIONAL_CFG, checks=[
         "torsion", "metricity", "maxwell", "conservation", "regularity",
         "grad-check"]),
@@ -622,6 +639,71 @@ def test_point_major_builds_each_order2_frame_once(tmp_path, monkeypatch):
     rc, rep = run_to(tmp_path, ORACLE_CFGS["optic-66"])
     assert rc == 0 and len(rep["points"]) == 66
     assert builds.count(2) == 66
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def test_natural_form_fold_matches_the_whole_sweep(tmp_path):
+    # the fold of the per-point records is the library's one pass over the
+    # points, block by block and bit for bit
+    from jetlag import cli
+    from jetlag.gravity import natural_form_checks
+
+    cfg = cli.load_config(write_cfg(tmp_path, MIXED33_CFG))
+    ctx = build_space(cfg.space_name, cfg.space_params)
+    pts = cli._collect_points(cfg, ctx)
+    ctx.register(pts)
+    got = cli._FOLDS["natural-form"](
+        pts, [cli._RUNNERS["natural-form"](ctx, pt) for pt in pts], 1e-8)
+    rep = natural_form_checks(ctx, pts)
+    assert len(pts) == 3 and got.status == "fail" and got.witness is pts[0]
+    for key, attr in (("rewritten_laws", "new_law_residuals"),
+                      ("identities_stated", "identity_residuals"),
+                      ("identities_contracted_cyclic",
+                       "identity_residuals_derived")):
+        want = getattr(rep, attr)
+        assert list(got.detail[key]) == list(want), key
+        for nm, st in want.items():
+            assert _bits(got.detail[key][nm]["max_abs"]) == _bits(st.max_abs)
+            assert _bits(got.detail[key][nm]["max_rel"]) == _bits(st.max_rel)
+    construction = got.detail["construction"]
+    assert _bits(construction["rewritten_equation"]) == _bits(rep.e1prime_residual)
+    assert _bits(construction["trace_recovery"]) == _bits(rep.trace_residual)
+    assert _bits(construction["roundtrip"]) == _bits(rep.roundtrip_residual)
+    # the worst point of most blocks is not the first
+    worst = [st.worst_point for attr in ("new_law_residuals",
+                                         "identity_residuals",
+                                         "identity_residuals_derived")
+             for st in getattr(rep, attr).values()]
+    assert worst.count(0) <= 2, worst
+
+
+def test_frames_live_only_as_long_as_their_point(tmp_path, monkeypatch):
+    # when a frame of a new point is built, no frame of an earlier point is
+    # alive: the run drops each point's frames when the next point starts
+    import weakref
+
+    from jetlag.geometry import Frame
+
+    bench_spec = _load_bench(monkeypatch, "spec")
+    built = []  # (point key, weak reference) of every frame of the run
+    stale = []
+    init = Frame.__init__
+
+    def tracking(self, ctx, pt, order):
+        key = pt.key()
+        stale.extend(k for k, ref in built if k != key and ref() is not None)
+        init(self, ctx, pt, order)
+        built.append((key, weakref.ref(self)))
+
+    monkeypatch.setattr(Frame, "__init__", tracking)
+    for doc in (MIXED33_CFG, bench_spec.make_config("optic-sweep", None)):
+        built.clear()
+        run_to(tmp_path, doc)
+        assert len({k for k, _ in built}) >= 3
+        assert not stale, len(stale)
 
 
 def test_point_errors_name_their_point(tmp_path):
@@ -801,7 +883,6 @@ def test_every_failing_check_names_its_witness(tmp_path):
 def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
     # conservation and natural-form read one set of law right-hand sides
     # per frame, curvature and maxwell one set of metrical deflections
-    import support
     from jetlag import cli, em_field, gravity
 
     calls = []
@@ -813,7 +894,7 @@ def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
         monkeypatch.setattr(mod, name, counting)
     ctx = support.mixed33_ctx()
     cli._run_conservation(ctx, pt_mixed33)
-    cli._run_natural_form(ctx, [pt_mixed33], 1e-6)
+    cli._natural_form_at(ctx, pt_mixed33)
     ctx = build_space("optic", OPTIC_CFG["space"]["params"])
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
     cli._run_curvature(ctx, pt)
@@ -1186,8 +1267,6 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
     # a tooling guard: perfbench's field_expr.eval.calls wraps ExprField
     # calls, which grids bypass, so it cannot see a run that falls back to
     # evaluating its fields point by point
-    import support
-
     calls = support.record_grid_calls(monkeypatch)
     count = 9
     doc = dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], count=count),

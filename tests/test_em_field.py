@@ -10,7 +10,8 @@ from jetlag.em_field import (
     em_tensors,
     maxwell_residuals,
 )
-from jetlag.errors import TorsionPreconditionError
+from jetlag.errors import (EvalDomainError, SingularMetricError,
+                           TorsionPreconditionError)
 from jetlag.geometry import frame, sample_points
 
 from test_geometry import OPTIC_PARAMS, OPTIC_POINT, crafted_torsional_ctx
@@ -147,3 +148,49 @@ def test_torsional_connection_refused():
     err = exc_info.value
     assert err.witness is not None
     assert err.value > 0.1
+
+
+def test_maxwell_residuals_builds_each_frame_once(monkeypatch, ctx_mixed22):
+    # the torsion probe and the equations of a point read one order-2 frame
+    from jetlag.geometry import Frame
+
+    pts = sample_points(ctx_mixed22, 4, seed=7, box_xs=(-0.6, 0.6))
+    builds = []
+    init = Frame.__init__
+
+    def counting(self, ctx, pt, order):
+        builds.append((pt.key(), order))
+        init(self, ctx, pt, order)
+
+    monkeypatch.setattr(Frame, "__init__", counting)
+    maxwell_residuals(ctx_mixed22, pts)
+    assert builds == [(pt.key(), 2) for pt in pts]
+
+
+def _precedence_ctx(g, nlc):
+    from jetlag.spaces import build_space
+
+    return build_space("custom", {"h": [["1", "0"], ["0", "1"]], "g": g,
+                                  "nlc": nlc})
+
+
+def test_maxwell_residuals_error_precedence():
+    # g = diag(x1, 1) is singular at the first point, so an equation raises
+    # there; the torsion probe at the second point outranks it
+    g = [["x[1]", "0"], ["0", "1"]]
+    xs = [[0.5, 0.6], [0.7, 0.8]]
+    pts = [JetPoint.of([0.1, 0.2], [0.0, 0.4], xs),
+           JetPoint.of([0.1, 0.2], [0.5, -0.4], xs)]
+    ctx = _precedence_ctx(g, {"kind": "christoffel",
+                              "phi": [["exp(x[1])", "0"], ["0", "log(x[2])"]]})
+    with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+        maxwell_residuals(ctx, pts)
+    # without the second point the equation error is the one raised
+    with pytest.raises(SingularMetricError):
+        maxwell_residuals(ctx, pts[:1])
+    # a torsion violation outranks it too, named at its worst point
+    ctx = _precedence_ctx(g, {"kind": "user", "entries": [
+        [["xs[2][1]", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]})
+    with pytest.raises(TorsionPreconditionError) as exc_info:
+        maxwell_residuals(ctx, pts)
+    assert exc_info.value.witness is pts[0]

@@ -598,7 +598,7 @@ def test_no_inverse_or_spread_torsion_outranks_its_readers(monkeypatch, pt_mixed
     inverses = _record_orders(monkeypatch, "jet_matrix_inverse")
     ctx = support.mixed33_ctx()
     _RUNNERS["conservation"](ctx, pt_mixed33)
-    _RUNNERS["natural-form"](ctx, [pt_mixed33], 1e-8)
+    _RUNNERS["natural-form"](ctx, pt_mixed33)
     fr = frame(ctx, pt_mixed33, 3)
     assert inverses and max(inverses) <= 2, inverses
     assert fr._built["tor_S"].order == 0
