@@ -15,8 +15,9 @@ arithmetic broadcasts over it like numpy does.  The same axis can run over the
 points of a batch (:func:`seed_point` of several points, evaluated inside a
 :func:`point_batch`): vector forward mode, one pass for all of them.
 
-Products use the multilinear Leibniz rule, compositions use Faa di Bruno over
-set partitions, and matrix inversion uses a Newton iteration whose accuracy
+Products, ``*`` and :func:`jet_einsum` alike, use one multilinear Leibniz
+kernel (:func:`_leibniz`), compositions use Faa di Bruno over set
+partitions, and matrix inversion uses a Newton iteration whose accuracy
 order doubles per step.  Nothing here samples more than one point: finite
 differences live in :func:`fd_partial` and are only ever used as an
 independent cross-check of the Taylor path.
@@ -317,8 +318,8 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        K = min(self.order, o.order)
-        return Jet(self.nvars, K, _leibniz_mul(self.coeffs, o.coeffs, K))
+        spec = _mul_spec(self.coeffs[0].ndim, o.coeffs[0].ndim)
+        return _leibniz(spec, self, o, min(self.order, o.order))
 
     __rmul__ = __mul__
 
@@ -477,10 +478,10 @@ def point_batch():
 
     Arithmetic is elementwise over that axis, and powers are taken by the
     scalar libm pow (:func:`_pow`), so each point gets bit for bit the
-    values it gets alone, except where the arithmetic branches on the data:
-    a product skips an all-zero coefficient, and a power with a constant
-    jet exponent takes the real-power rule.  Inside this block such a
-    branch raises :class:`BatchDiverged` unless it goes the same way at
+    values it gets alone.  A product that skips an all-zero coefficient
+    does not branch (:func:`_leibniz`); a power whose jet exponent is
+    constant takes the real-power rule, and that branch raises
+    :class:`BatchDiverged` inside this block unless it goes the same way at
     every point.  numpy's floating-point warnings are off: a value that
     would warn is not finite, so the batch fails, and the point evaluated
     alone warns.
@@ -499,17 +500,6 @@ def _at_each_point(c) -> np.ndarray:
     return c.reshape(len(c), -1).any(axis=1)
 
 
-def _vanishes(c, k) -> bool:
-    """Whether the order-``k`` coefficient ``c`` is all zero, so that a
-    product may skip it; in a :func:`point_batch` the answer must hold at
-    each point."""
-    if not c.any():
-        return True
-    if _batched and c.ndim > k and not _at_each_point(c).all():
-        raise BatchDiverged
-    return False
-
-
 def _pow(c, e):
     """``c ** e`` elementwise, each element by the scalar libm pow.
 
@@ -519,41 +509,6 @@ def _pow(c, e):
     """
     c = np.asarray(c, dtype=float)
     return np.array([v ** e for v in c.ravel()]).reshape(c.shape)
-
-
-def _leibniz_mul(a, b, K):
-    """Raw-coefficient product by the multilinear Leibniz rule.
-
-    For each order k the k differentiation slots are split between the two
-    factors in every possible way; a transpose (:func:`_moved`) routes each
-    factor's jet axes to its chosen subset of slots.
-    """
-    nvars = a[1].shape[-1] if K >= 1 else 0
-    base_shape = np.broadcast_shapes(a[0].shape, b[0].shape)
-    out = []
-    for k in range(K + 1):
-        acc = None
-        for j in range(k + 1):
-            A = a[j]
-            B = b[k - j]
-            if j and _vanishes(A, j):
-                continue
-            if (k - j) and _vanishes(B, k - j):
-                continue
-            A_e = A.reshape(A.shape + (1,) * (k - j))
-            bc = B.ndim - (k - j)
-            B_e = B.reshape(B.shape[:bc] + (1,) * j + B.shape[bc:])
-            P = A_e * B_e
-            for S in _placements(k, j):
-                if S == tuple(range(j)):
-                    term = P
-                else:
-                    term = P.transpose(_moved(P.ndim, k, S))
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = np.zeros(base_shape + (nvars,) * k)
-        out.append(acc)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -613,7 +568,8 @@ def jet_einsum(spec: str, a, b, order=None) -> Jet:
     ``spec`` addresses only the component axes, e.g. ``"gmb,im->gib"``, and
     names every one of them (no ``...``).  Either operand may be a plain
     ndarray (treated as a constant).  The subscripts and slot placements
-    come from a plan made once per (spec, order, operand kinds).
+    come from a plan made once per (spec, order, operand kinds); two jets
+    are multiplied by :func:`_leibniz`, the kernel of ``*`` too.
 
     The result has the lower of the operands' orders, capped at ``order``
     when given.  Coefficient k reads only the operands' coefficients up to
@@ -635,7 +591,28 @@ def jet_einsum(spec: str, a, b, order=None) -> Jet:
         return Jet(N, K, [np.einsum(subs[k], a, b.coeffs[k]) for k in range(K + 1)])
     if a.nvars != b.nvars:
         raise ValueError("jets over different variable sets")
-    K = min(a.order, b.order, cap)
+    return _leibniz(spec, a, b, min(a.order, b.order, cap))
+
+
+@lru_cache(maxsize=None)
+def _mul_spec(na: int, nb: int) -> str:
+    """The :func:`jet_einsum` spec of an elementwise product of component
+    ranks ``na`` and ``nb``, their axes aligned from the right as numpy
+    broadcasts them (einsum broadcasts an axis of size 1 too)."""
+    out = _LETTERS[:max(na, nb)]
+    return f"{out[len(out) - na:]},{out[len(out) - nb:]}->{out}"
+
+
+def _leibniz(spec: str, a: Jet, b: Jet, K: int) -> Jet:
+    """The product of jets ``a`` and ``b`` to order ``K`` by the
+    multilinear Leibniz rule, components contracted by ``spec``.
+
+    Each split of the k differentiation slots between the factors is one
+    einsum, whose transposes route the a-side jet axes to each subset of
+    slots.  Skipping an all-zero coefficient is a shortcut, not a branch:
+    einsum sums into +0.0, so no term or sum of terms is -0.0, and a term
+    that is zero at a point of a :func:`point_batch` leaves its bits.
+    """
     N = a.nvars
     base, orders = _einsum_plan(spec, K, "ab")
     out = []
@@ -1066,7 +1043,8 @@ def check_grad(f, pts):
     ``f`` is one field, or a sequence of fields; for a sequence the result
     is a list with one report per field, each the report that field gets
     alone.  The fields of one dependency group are evaluated together: one
-    compiled grid of all of them, run once at order 2 over every point
+    shared grid of all of them (:meth:`~jetlag.field_expr.FieldGrid.of`),
+    run once at order 2 over every point
     (:meth:`~jetlag.field_expr.FieldGrid.batch`; where the batch cannot run
     as one, once per point), and one float grid per distinct stencil point
     of :func:`fd_partial` (so the centre point of the diagonal probes is
@@ -1091,7 +1069,7 @@ def check_grad(f, pts):
     for k, fld in enumerate(fields):
         groups.setdefault(frozenset(fld.deps), []).append(k)
     for deps, members in groups.items():
-        grid = FieldGrid([fields[k] for k in members])
+        grid = FieldGrid.of([fields[k] for k in members])
         if not deps:
             continue  # no coordinate to probe
         rows = grid.batch(pts, 2) or [None] * len(pts)

@@ -564,7 +564,8 @@ class FieldGrid:
     it gets alone (:func:`~jetlag.diff_engine.point_batch`).
 
     The function is generated on first use for each point shape (dims and
-    the type of each coordinate) and kept with the grid.
+    the type of each coordinate) and kept with the grid; :meth:`of` keeps
+    the grid of each tuple of fields, so every caller shares its functions.
     """
 
     def __init__(self, fields):
@@ -573,6 +574,16 @@ class FieldGrid:
         self._fns = {}
         # any other field is called on one seeded point, which it may branch on
         self._batchable = all(isinstance(f, ExprField) for f in self.fields)
+
+    @staticmethod
+    def of(fields) -> "FieldGrid":
+        """The grid of ``fields``, made on the first call for that tuple and
+        kept on its first field, so it lives as long as the fields do."""
+        key = tuple(fields)
+        grids = vars(key[0]).setdefault("_grids", {})
+        if key not in grids:
+            grids[key] = FieldGrid(key)
+        return grids[key]
 
     def __call__(self, zs, dims) -> list:
         """The fields' values at one point of dims (p, n): ``zs[g]`` lists
@@ -748,7 +759,7 @@ class ExprField(ScalarField):
     field's value be at least 1 wherever this one is evaluated; below 1,
     evaluation raises :class:`~jetlag.errors.FieldDomainError` naming the
     label, the value and this field.  A call evaluates the field alone,
-    through a one-field :class:`FieldGrid` compiled on the first call.
+    through its one-field :class:`FieldGrid` (:meth:`FieldGrid.of`).
     """
 
     def __init__(self, src, dims, deps=("t", "x", "xs"), name=None, guard=None):
@@ -762,7 +773,6 @@ class ExprField(ScalarField):
         self.deps = frozenset(deps)
         self._name = name or self.src
         self.guard = guard
-        self._grid = None
         violations = validate_field(self.ast, self.deps)
         if violations:
             locs = ", ".join(f"{kind} at offset {pos}" for kind, pos in violations)
@@ -773,9 +783,7 @@ class ExprField(ScalarField):
             )
 
     def __call__(self, spt):
-        if self._grid is None:
-            self._grid = FieldGrid([self])
-        return self._grid.at([spt])[0]
+        return FieldGrid.of([self]).at([spt])[0]
 
     def __repr__(self):
         return f"ExprField({self.src!r}, dims={self.dims}, deps={sorted(self.deps)})"

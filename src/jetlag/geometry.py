@@ -205,9 +205,8 @@ class GeometryContext:
         self._defer_signature = False  # set while sample_points tries a draw
         self._frame_point = None  # the key of the point last framed
         self._frames = {}  # that point's frames, by order
-        self._grids = {}  # compiled field grids, by the tuple of their fields
         self._points = {}  # the registered points, by key
-        self._rows = {}  # (fields, order) -> {point key: its fields' jets}
+        self._rows = {}  # (grid, order) -> {point key: its fields' jets}
 
     def register(self, pts):
         """Register the points about to be read: the first evaluation of a
@@ -335,7 +334,7 @@ class Frame:
     def _eval_fields(self, fields, order) -> Jet:
         """``fields`` at this point, as jets of ``order`` (default: the
         frame's) stacked along one leading axis, through the context's
-        compiled grid of them.
+        compiled grid of them (:meth:`FieldGrid.of`).
 
         At a registered point (:meth:`GeometryContext.register`) the first
         call for the grid and order runs the grid once over every
@@ -345,13 +344,11 @@ class Frame:
         """
         order = self.order if order is None else order
         ctx = self.ctx
-        grid = ctx._grids.get(key := tuple(fields))
-        if grid is None:
-            grid = ctx._grids[key] = FieldGrid(key)
-        rows = ctx._rows.get((key, order))
+        grid = FieldGrid.of(fields)
+        rows = ctx._rows.get((grid, order))
         if rows is None:
             pts = ctx._points if self.pt.key() in ctx._points else {}
-            rows = ctx._rows[key, order] = dict(
+            rows = ctx._rows[grid, order] = dict(
                 zip(pts, grid.batch(list(pts.values()), order) or ()))
         row = rows.pop(self.pt.key(), None)
         return row if row is not None else grid.stacked([self.pt], order)[0]

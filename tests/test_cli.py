@@ -641,6 +641,26 @@ def test_point_major_builds_each_order2_frame_once(tmp_path, monkeypatch):
     assert builds.count(2) == 66
 
 
+def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
+    # grad-check reads the field grids the frames compiled: one generated
+    # function per (fields, dims, coordinate kinds) in the whole run
+    from jetlag import field_expr
+
+    compiled = []
+    compile_ = field_expr._compile
+
+    def recording(grid, dims, jets):
+        compiled.append((grid.fields, dims, tuple(map(tuple, jets))))
+        return compile_(grid, dims, jets)
+
+    monkeypatch.setattr(field_expr, "_compile", recording)
+    doc = _load_bench(monkeypatch, "spec").make_config("optic-suite", None)
+    assert "grad-check" in doc["checks"]
+    rc, _ = run_to(tmp_path, doc)
+    assert rc == 0 and compiled
+    assert len(set(compiled)) == len(compiled), len(compiled)
+
+
 def _bits(x):
     return x.hex() if isinstance(x, float) else x
 

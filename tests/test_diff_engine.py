@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlag import diff_engine
 from jetlag.diff_engine import (
@@ -23,6 +25,7 @@ from jetlag.diff_engine import (
     jcos,
     jsqrt,
     jtanh,
+    point_batch,
     seed_point,
 )
 from jetlag.errors import OrderExceededError, SingularMetricError
@@ -409,3 +412,65 @@ def test_powers_take_the_scalar_libm_pow_at_any_value_shape():
             want = _coeff_bytes(rows[b])
             for value in (np.asarray(vals[b]), np.float64(vals[b])):
                 assert _coeff_bytes(op(Jet(n, order, [value, *rest_b]))) == want, (name, b)
+
+
+# (jet_einsum spec with the batch axis z, component shapes of a and b,
+# whether ``*`` broadcasts them); no spec sums a component axis, so each
+# output entry is one Leibniz sum whatever the batch holds
+_PRODUCT_CASES = [
+    ("z,z->z", (), (), True),
+    ("zi,zi->zi", (2,), (2,), True),
+    ("zi,zi->zi", (1,), (3,), True),
+    ("zi,zj->zij", (2,), (3,), False),
+    ("z,zi->zi", (), (3,), False),
+]
+
+
+@st.composite
+def _batched_factors(draw):
+    """A product case and its two jets over a batch of 2-5 points, up to
+    order 3, some coefficient blocks all +0.0 or all -0.0 at some points
+    and the rest holding -0.0 entries among their values."""
+    case = draw(st.sampled_from(_PRODUCT_CASES))
+    B, nvars = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jets = []
+    for comp in case[1:3]:
+        order = draw(st.integers(0, 3))
+        coeffs = []
+        for k in range(order + 1):
+            c = rng.choice([0.0, -0.0, 1.0, -1.5, 0.25], size=(B,) + comp + (nvars,) * k)
+            c = np.where(rng.random(c.shape) < 0.5, c, rng.normal(size=c.shape))
+            blocks = draw(st.lists(st.sampled_from([None, 0.0, -0.0]),
+                                   min_size=B, max_size=B))
+            for b, fill in enumerate(blocks):
+                if fill is not None:
+                    c[b] = fill
+            coeffs.append(c)
+        jets.append(Jet(nvars, order, coeffs))
+    return case, jets
+
+
+def _point_of(jet, b):
+    return Jet(jet.nvars, jet.order, [c[b] for c in jet.coeffs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batched_factors())
+def test_batched_products_keep_each_points_bits(factors):
+    # a product skips a coefficient that is all zero, which a point alone
+    # may do and its batch not; the batch adds that term as +0.0, which
+    # leaves the point's bits, since no product coefficient is ever -0.0
+    (spec, _, _, broadcasts), (a, b) = factors
+    alone = spec.replace("z", "")
+    with point_batch():
+        got = {"einsum": jet_einsum(spec, a, b)}
+        if broadcasts:
+            got["*"] = a * b
+    for name, batched in got.items():
+        for pt in range(len(a.value)):
+            pa, pb = _point_of(a, pt), _point_of(b, pt)
+            want = pa * pb if name == "*" else jet_einsum(alone, pa, pb)
+            assert _coeff_bytes(_point_of(batched, pt)) == _coeff_bytes(want), (name, pt)
+        for c in batched.coeffs:
+            assert not (np.signbit(c) & (c == 0.0)).any(), name

@@ -643,8 +643,20 @@ def _field_jets(ctx, pt, order) -> dict:
     return {name: [c.tobytes() for c in jet.coeffs] for name, jet in jets.items()}
 
 
+def _frame_fields(ctx) -> list:
+    """The fields of every field grid that :func:`_field_jets` evaluates,
+    in the order a frame passes them to its compiled grid."""
+    src = ctx.g_source
+    out = [list(ctx.h.flat),
+           list(src.entries.flat) if isinstance(src, DirectMetric) else [src.L]]
+    if isinstance(ctx.nlc, ChristoffelOfPhi):
+        out.append(list(ctx.nlc.phi.flat))
+    return out
+
+
 @pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "quadratic"])
 def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
+    from jetlag.field_expr import FieldGrid
     from jetlag.spaces import build_space
 
     make = {
@@ -661,16 +673,18 @@ def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
         batched.register(pts)
         for pt in pts:
             assert _field_jets(batched, pt, order) == _field_jets(alone, pt, order), order
-        runs = [(grid, size) for grid, k, size in calls if grid in batched._grids.values()]
-        assert sorted(size for _, size in runs) == [len(pts)] * len(batched._grids)
+        grids = {FieldGrid.of(fields) for fields in _frame_fields(batched)}
+        runs = [size for grid, k, size in calls if grid in grids]
+        assert sorted(runs) == [len(pts)] * len(grids)
 
 
 def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
     # at t1 = 0 the first-order coefficient of t1^2 vanishes, so a product
-    # with it skips a term there and not at the other points; a constant
-    # jet exponent takes the real-power rule; a PyField may branch on its
-    # point.  Each such batch is evaluated point by point, so every point
-    # keeps its own bits, signed zeros included.
+    # with it skips a term there and not at the other points, which does
+    # not branch: the batch adds that term as +0.0.  A constant jet
+    # exponent takes the real-power rule, and a PyField may branch on its
+    # point: each such batch is evaluated point by point.  Every point keeps
+    # its own bits, signed zeros included.
     from jetlag.diff_engine import PyField
     from jetlag.geometry import Frame
 
@@ -682,9 +696,9 @@ def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
         "pyfield": [E("x[1]*x[2]", dims),
                     PyField(lambda spt: spt.x[0] * spt.x[1], ("x",))],
     }
-    # the orders at which each grid runs as one batch: t1^2 vanishes to
-    # first order at t1 = 0, and at order 0 every jet exponent is constant
-    batches_at = {"vanishing": {0}, "constant exponent": set(),
+    # the orders at which each grid runs as one batch: at order 0 every jet
+    # exponent is constant
+    batches_at = {"vanishing": {0, 1, 2, 3}, "constant exponent": set(),
                   "varying exponent": {1, 2, 3}, "pyfield": None}
     zero_t = JetPoint.of([0.0, 0.3], [0.2, -0.1], [[0.4, 0.1], [-0.3, 0.2]])
     pts = [zero_t] + _random_points(ctx_flat22, 4, 5)
@@ -710,15 +724,13 @@ def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
             else:
                 want = [len(pts)] + [0] * len(pts)
             assert sizes == want, (name, order)
-    # the skipped term leaves a negative zero that the batch's sum would not
-    jet = Frame(support.tdep_g_ctx(), zero_t, 1)._eval_fields(grids["vanishing"], None)
-    assert np.signbit(jet.coeffs[1][0, 0]) and jet.coeffs[1][0, 0] == 0.0
-    # without the vanishing point the same product runs as one batch
+    # d/dt1 of (1 - t1) t1^2 at t1 = 0 is (-1) * 0 plus a skipped term:
+    # +0.0 alone and in the batch, as a product is never -0.0
     ctx = support.tdep_g_ctx()
-    ctx.register(pts[1:])
-    calls.clear()
-    Frame(ctx, pts[1], 2)._eval_fields(grids["vanishing"], None)
-    assert [size for _, _, size in calls] == [len(pts) - 1]
+    ctx.register(pts)
+    for fr in Frame(support.tdep_g_ctx(), zero_t, 1), Frame(ctx, zero_t, 1):
+        c = fr._eval_fields(grids["vanishing"], None).coeffs[1][0, 0]
+        assert c == 0.0 and not np.signbit(c)
 
 
 def _log_domain_ctx():
