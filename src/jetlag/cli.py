@@ -11,6 +11,7 @@ entry varies between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -29,20 +30,15 @@ from .em_field import (
     deflection_identity_residuals,
     deflection_set,
     em_tensors,
-    maxwell_at,
-    maxwell_report,
-    require_torsion_free,
+    maxwell_fold,
+    maxwell_step,
 )
-from .errors import (
-    POINT_ERRORS,
-    ConfigError,
-    JetlagError,
-    ParseError,
-)
+from .errors import ConfigError, JetlagError, ParseError, name_witness
 from .geometry import (
     ChristoffelOfPhi,
     DirectMetric,
     FromLagrangian,
+    GeometryContext,
     cartan_connection,
     curvature_antisymmetry_residuals,
     curvature_set,
@@ -106,12 +102,12 @@ DUMP_FAMILIES = ("nlc", "connection", "torsion", "curvature", "ricci",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration."""
+    """Validated run configuration, with the space every run of it reads."""
 
     p: int
     n: int
     space_name: str
-    space_params: dict
+    space: GeometryContext
     seed: int
     count: int
     box: dict
@@ -185,6 +181,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
     allowed = {"p", "n", "space", "points", "checks", "tolerances",
@@ -323,7 +321,7 @@ def load_config(path: str) -> RunConfig:
         "dump": list(dump_cfg),
     }
     return RunConfig(
-        p=p, n=n, space_name=name, space_params=params, seed=seed,
+        p=p, n=n, space_name=name, space=ctx, seed=seed,
         count=count, box=box, explicit=tuple(explicit), checks=tuple(checks),
         tolerances=tolerances, dump=tuple(dump_cfg), output=output, echo=echo,
     )
@@ -410,18 +408,23 @@ def _witness_doc(obj):
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jetlag-", suffix=".tmp")
+    """Write ``text`` to ``path`` through a temporary file beside it.  On
+    any error the temporary file is removed, and an OS error is raised as a
+    ConfigError that names ``path``."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".jetlag-", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path!r}: "
+                          f"{exc.strerror or exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -451,15 +454,11 @@ class CheckOutcome:
         }
 
 
-def _error_outcome(exc: JetlagError, pt=None) -> CheckOutcome:
-    """The outcome of a check that raised ``exc``, while evaluating ``pt``
-    if given."""
-    witness = exc.witness
-    if witness is None and isinstance(exc, POINT_ERRORS):
-        witness = pt
+def _error_outcome(exc: JetlagError) -> CheckOutcome:
+    """The outcome of a check that raised ``exc``."""
     return CheckOutcome(
         status="fail", max_abs=None, mean_abs=None, measure="error",
-        detail={}, witness=witness, error=str(exc),
+        detail={}, witness=exc.witness, error=str(exc),
     )
 
 
@@ -500,23 +499,8 @@ def _fold_first_max(verdict_of, value, flag, measure, pts, records, tol):
     )
 
 
-def _run_maxwell(ctx, pt):
-    torsion = nlc_torsion_at(ctx, pt)
-    try:
-        eqs = maxwell_at(ctx, pt)
-    except JetlagError as exc:
-        # the torsion precondition over all points outranks an equation
-        # error, so the error waits in the record for the fold
-        eqs = _error_outcome(exc, pt)
-    return torsion, eqs
-
-
 def _fold_maxwell(pts, records, tol):
-    require_torsion_free(torsion_free_verdict(pts, [t for t, _ in records]))
-    for _, eqs in records:
-        if isinstance(eqs, CheckOutcome):
-            return eqs
-    rep = maxwell_report([eqs for _, eqs in records])
+    rep = maxwell_fold(pts, records)
     detail = {
         nm: {"max_abs": st.max_abs, "mean_abs": st.mean_abs,
              "max_rel": st.max_rel}
@@ -691,7 +675,7 @@ _RUNNERS = {
     "antisymmetry": curvature_antisymmetry_residuals,
     "torsion": nlc_torsion_at,
     "curvature": _run_curvature,
-    "maxwell": _run_maxwell,
+    "maxwell": maxwell_step,
     "einstein": _run_einstein,
     "conservation": _run_conservation,
     "natural-form": _natural_form_at,
@@ -763,7 +747,8 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
 
     Writes the serialized report to ``out_path`` (or the config's output
     path) atomically.  Evaluation is serial; ``jobs`` is accepted for
-    existing callers and ignored.  A run with explicit points only records
+    existing callers and ignored.  Every run of one config evaluates the
+    space ``load_config`` built.  A run with explicit points only records
     the metric signature from ``pts[0]`` before any check runs (a sampled
     run records it while sampling).  The dumps are taken at ``pts[0]``
     before the first check step.  Then the run's points are registered
@@ -775,7 +760,7 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     runs in config order.
     """
     start = time.perf_counter()
-    ctx = build_space(cfg.space_name, cfg.space_params)
+    ctx = cfg.space
     pts = _collect_points(cfg, ctx)
     if not cfg.count:
         # sampling records the metric signature from its first accepted
@@ -799,7 +784,7 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
             try:
                 recs.append(_RUNNERS[name](ctx, pt))
             except JetlagError as exc:
-                outcomes[name] = _error_outcome(exc, pt)
+                outcomes[name] = _error_outcome(name_witness(exc, pt))
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]
@@ -873,7 +858,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    ctx = build_space(cfg.space_name, cfg.space_params)
+    ctx = cfg.space
     # sampling evaluates the metrics, so a defect that shows only at a
     # point ends here as it would in run; explicit points are not sampled,
     # so their order-0 metric inverses are taken here

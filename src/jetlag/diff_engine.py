@@ -34,11 +34,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    POINT_ERRORS,
     DerivativeDomainError,
     JetlagError,
     OrderExceededError,
     SingularMetricError,
+    name_witness,
 )
 
 __all__ = [
@@ -1089,9 +1089,7 @@ def check_grad(f, pts):
                     res = fields[k](seed_point(pt, 2, deps)) if jets is None else jets[j]
                     pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, coords)
                 except JetlagError as exc:
-                    if isinstance(exc, POINT_ERRORS) and exc.witness is None:
-                        exc.witness = pt
-                    errors[k] = exc
+                    errors[k] = name_witness(exc, pt)
                     continue
                 _fold(reports[k], ip, pairs)
     if errors:

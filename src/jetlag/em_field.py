@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
-from .errors import JetlagError, TorsionPreconditionError
+from .errors import JetlagError, TorsionPreconditionError, name_witness
 from .geometry import (Frame, GeometryContext, ResidualStats, _Agg,
                        _residual_summary, frame, nlc_torsion_at,
                        torsion_free_verdict)
@@ -47,8 +47,8 @@ __all__ = [
     "em_tensors",
     "maxwell_residuals",
     "maxwell_at",
-    "maxwell_report",
-    "require_torsion_free",
+    "maxwell_step",
+    "maxwell_fold",
     "TORSION_LIMIT",
     "deflection_identity_residuals",
     "bianchi_residuals",
@@ -187,7 +187,7 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
 
     Returns one (max |r|, sum |r|, size, scale) summary of each residual r
     and its constituent terms, in equation order.  The torsion precondition
-    is not checked here; see :func:`maxwell_residuals`.
+    is not checked here; see :func:`maxwell_fold`.
     """
     fr = frame(ctx, pt, 2)
     x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
@@ -248,31 +248,29 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     return out
 
 
-def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
-    """Residuals of the five field equations over sample points.
+def maxwell_step(ctx: GeometryContext, pt: JetPoint) -> tuple:
+    """One point's record: (its torsion probe, its :func:`maxwell_at`
+    summaries, or the error an equation raised, held for
+    :func:`maxwell_fold` with its witness named and its traceback dropped,
+    so that it keeps none of the point's frames alive)."""
+    try:
+        torsion = nlc_torsion_at(ctx, pt)
+    except JetlagError as exc:
+        raise name_witness(exc, pt)
+    try:
+        return torsion, maxwell_at(ctx, pt)
+    except JetlagError as exc:
+        return torsion, name_witness(exc, pt).with_traceback(None)
 
-    The equations assume a torsion-free spatial nonlinear connection, so
-    that is measured at the same points, in the same pass, and a violation
-    raises with the witness point, ahead of the first equation error.
+
+def maxwell_fold(pts, records) -> MaxwellReport:
+    """Fold the :func:`maxwell_step` records of ``pts``, in point order.
+
+    The equations assume a torsion-free spatial nonlinear connection, so a
+    torsion above :data:`TORSION_LIMIT` at any point raises first, at its
+    witness; then the first equation error held is raised.
     """
-    pts = list(pts)
-    torsion, per_point, error = [], [], None
-    for pt in pts:
-        torsion.append(nlc_torsion_at(ctx, pt))
-        if error is None:
-            try:
-                per_point.append(maxwell_at(ctx, pt))
-            except JetlagError as exc:
-                error = exc
-    require_torsion_free(torsion_free_verdict(pts, torsion))
-    if error is not None:
-        raise error
-    return maxwell_report(per_point)
-
-
-def require_torsion_free(verdict):
-    """Raise TorsionPreconditionError at the witness of a torsion verdict
-    whose violation exceeds :data:`TORSION_LIMIT`."""
+    verdict = torsion_free_verdict(pts, [t for t, _ in records])
     if verdict.max_violation > TORSION_LIMIT:
         raise TorsionPreconditionError(
             "spatial nonlinear connection has torsion: "
@@ -281,18 +279,24 @@ def require_torsion_free(verdict):
             witness=verdict.witness[0],
             value=verdict.max_violation,
         )
-
-
-def maxwell_report(per_point: list) -> MaxwellReport:
-    """Fold per-point :func:`maxwell_at` results, in point order."""
     aggs = [_Agg() for _ in range(5)]
-    for eqs in per_point:
+    for _, eqs in records:
+        if isinstance(eqs, JetlagError):
+            raise eqs
         for agg, summary in zip(aggs, eqs):
             agg.add_summary(summary)
     equations = {
         name: agg.stats() for name, agg in zip(MaxwellReport.EQ_NAMES, aggs)
     }
-    return MaxwellReport(equations=equations, n_points=len(per_point))
+    return MaxwellReport(equations=equations, n_points=len(records))
+
+
+def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
+    """Residuals of the five field equations over sample points: the
+    :func:`maxwell_fold` of each point's :func:`maxwell_step`, in one pass,
+    so the torsion precondition outranks the first equation error."""
+    pts = list(pts)
+    return maxwell_fold(pts, [maxwell_step(ctx, pt) for pt in pts])
 
 
 # --------------------------------------------------------------------------

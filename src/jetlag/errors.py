@@ -121,5 +121,13 @@ class ConfigError(JetlagError):
 
 
 # errors a point's fields raise without naming the point; whoever evaluated
-# the point sets their witness
+# the point sets their witness, through name_witness
 POINT_ERRORS = (SingularMetricError, EvalDomainError, DerivativeDomainError)
+
+
+def name_witness(exc: JetlagError, pt) -> JetlagError:
+    """Name ``pt``, the point being evaluated when ``exc`` was raised, as
+    the witness of a point error that names none; returns ``exc``."""
+    if exc.witness is None and isinstance(exc, POINT_ERRORS):
+        exc.witness = pt
+    return exc

@@ -166,7 +166,11 @@ class UserGiven:
 
 
 class GeometryContext:
-    """Immutable description of one space.
+    """One space, and the state of evaluating it: not immutable.
+
+    Besides the fields and K it holds one point's frames (:func:`frame`),
+    the registered points and their field rows (:meth:`register`) and the
+    recorded signature.  All runs of one ``RunConfig`` share it.
 
     The realized g must stay symmetric, invertible, and of constant
     signature: the eigenvalue signs seen at the first evaluated point are

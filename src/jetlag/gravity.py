@@ -26,8 +26,8 @@ S^(i)(b)_(a)(j) = g^{im} h_{au} S^(u)(b)_(m)(j).
 The rewritten laws of the natural form keep these right-hand sides: the
 divergences of the raised R and P blocks are derived once per frame
 (:func:`_law_rhs`) and read by both law checks.  The natural-form checks
-build each point's trace-adjusted Einstein jets once and pass them to the
-identities and the rewritten laws.
+build each point's trace-adjusted Einstein jets and their divergences once,
+for both the identities and the rewritten laws.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diff_engine import JetPoint, jet_einsum, jet_linear
-from .errors import POINT_ERRORS, NaturalFormUnavailableError, VacuumConstantError
+from .errors import (JetlagError, NaturalFormUnavailableError,
+                     VacuumConstantError, name_witness)
 from .geometry import GeometryContext, _Agg, _gate, frame
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
@@ -402,9 +403,10 @@ def _tilde_einstein_jets(fr):
     return Ett, Emix_t, Ess, Emix_s, Evv, Econ
 
 
-def _prop_identities_at(fr, tilde):
+def _prop_identities_at(fr, divs):
     """Residuals of the trace-adjusted Einstein divergence identities, from
-    the frame's :func:`_tilde_einstein_jets` ``tilde``.
+    ``divs``, the :func:`_divergences` of the frame's trace-adjusted
+    (Emix_t, Emix_s, Econ) (:func:`_tilde_einstein_jets`).
 
     Returns (displayed, derived): the curvature-product forms exactly as
     stated, and the forms obtained by contracting the cyclic differential
@@ -414,8 +416,7 @@ def _prop_identities_at(fr, tilde):
     nonzero defect while the contracted-cyclic forms close to machine
     precision, so both are reported.
     """
-    _, Emix_t, _, Emix_s, _, Econ = tilde
-    id1, lhs2, lhs3 = _divergences(fr, Emix_t, Emix_s, Econ)
+    id1, lhs2, lhs3 = divs
     o = lhs2.order  # every product below feeds a sum of this order
     g_inv, tor_S = fr.inverse("g", o), fr.tor_S(o)
 
@@ -470,10 +471,12 @@ def _prop_identities_at(fr, tilde):
     return displayed, derived
 
 
-def _new_laws_at(fr, tilde, K: float):
+def _new_laws_at(fr, tilde, divs, K: float):
     """Residuals of the rewritten conservation laws at one frame, from its
-    :func:`_tilde_einstein_jets` ``tilde``.  The divergences on the right
-    are the conservation laws' own (:func:`_law_rhs`, shared per frame).
+    :func:`_tilde_einstein_jets` ``tilde`` and the divergences ``divs``
+    that :func:`_prop_identities_at` reads, here divided by K.  The
+    divergences on the right are the conservation laws' own
+    (:func:`_law_rhs`, shared per frame).
 
     The scalar-trace terms enter with minus signs: the defining trace
     relations give T~_M = (2-n) R / (2K) and T~_v = (2-pn) S / (2K), so
@@ -482,11 +485,8 @@ def _new_laws_at(fr, tilde, K: float):
     with those relations.
     """
     p, n = fr.p, fr.n
-    _, Emix_t, _, Emix_s, Evv, Econ = tilde
-
-    Tmix_t = Emix_t * (1.0 / K)
-    Tmix_s = Emix_s * (1.0 / K)
-    Tcon_v = Econ * (1.0 / K)
+    _, Emix_t, _, Emix_s, Evv, _ = tilde
+    d1, d2, d3 = (d * (1.0 / K) for d in divs)
     tT = jet_linear("aa->", Emix_t) * (1.0 / K)
     tM = jet_linear("ii->", Emix_s) * (1.0 / K)
     tmp = jet_einsum("ab,iajb->ij", fr.h_jet, Evv)
@@ -494,7 +494,6 @@ def _new_laws_at(fr, tilde, K: float):
     tv = jet_linear("ii->", jet_einsum("im,mj->ij", g_inv, tmp)) * (1.0 / K)
 
     div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
-    d1, d2, d3 = _divergences(fr, Tmix_t, Tmix_s, Tcon_v)
 
     l1 = d1 - fr.delta_t(tM) * (1.0 / (2.0 - n)) - fr.delta_t(tv) * (1.0 / (2.0 - p * n))
     res1 = l1 * K + div_R + div_P1
@@ -522,10 +521,10 @@ def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
     """Identity and rewritten-law residuals over sample points.
 
     The points are visited once, in order, each through its order-3 frame.
-    Each point's trace-adjusted Einstein jets are built once and read by
-    both the identities and the rewritten laws; the laws' divergence
-    right-hand sides come from the frame, shared with a conservation check
-    that reads the same frame.  The construction of
+    Each point's trace-adjusted Einstein jets, and their divergences, are
+    built once and read by both the identities and the rewritten laws; the
+    laws' divergence right-hand sides come from the frame, shared with a
+    conservation check that reads the same frame.  The construction of
     :func:`natural_stress_energy` is read off the frame of ``pts[0]``.
     ``jetlag run`` calls this one point at a time and folds the reports.
     A point error names the point it was raised at as witness.
@@ -548,19 +547,18 @@ def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
         for pt in pts:
             fr = frame(ctx, pt, 3)
             tilde = _tilde_einstein_jets(fr)
-            displayed, derived = _prop_identities_at(fr, tilde)
+            divs = _divergences(fr, *tilde[1::2])  # Emix_t, Emix_s, Econ
+            displayed, derived = _prop_identities_at(fr, divs)
             for agg, (res, terms) in zip(iaggs + daggs, displayed + derived):
                 agg.add(res, terms)
             if have_K:
-                laws, simple = _new_laws_at(fr, tilde, ctx.K)
+                laws, simple = _new_laws_at(fr, tilde, divs, ctx.K)
                 for agg, (res, terms) in zip(laggs + saggs, laws + simple):
                     agg.add(res, terms)
             max_P = max(max_P, float(np.max(np.abs(fr.cur_P2_jet.value))))
             max_S = max(max_S, float(np.max(np.abs(fr.cur_S_jet.value))))
-    except POINT_ERRORS as exc:
-        if exc.witness is None:
-            exc.witness = pt
-        raise
+    except JetlagError as exc:
+        raise name_witness(exc, pt)
 
     names = NaturalFormReport.IDENTITY_NAMES
     identity = {nm: agg.stats() for nm, agg in zip(names, iaggs)}

@@ -144,7 +144,7 @@ SIG33 = "0.1*(xs[1][1]^2+xs[2][2]^2)+0.05*xs[3][1]*xs[1][3]+0.05*t[1]*x[2]"
 G33_XDEP_SRC = PHI33_SRC
 
 
-def mixed33_ctx():
+def mixed33_ctx(K=1.0):
     dims = (3, 3)
     g_src = conformal_g_src(SIG33, PHI33_SRC)
     return GeometryContext(
@@ -153,6 +153,7 @@ def mixed33_ctx():
         grid(H33_SRC, dims, ("t",)),
         DirectMetric(grid(g_src, dims, ("t", "x", "xs"))),
         ChristoffelOfPhi(grid(PHI33_SRC, dims, ("x",))),
+        K=K,
     )
 
 

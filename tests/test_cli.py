@@ -672,7 +672,7 @@ def test_natural_form_fold_matches_the_whole_sweep(tmp_path):
     from jetlag.gravity import natural_form_checks
 
     cfg = cli.load_config(write_cfg(tmp_path, MIXED33_CFG))
-    ctx = build_space(cfg.space_name, cfg.space_params)
+    ctx = cfg.space
     pts = cli._collect_points(cfg, ctx)
     ctx.register(pts)
     got = cli._FOLDS["natural-form"](
@@ -698,6 +698,24 @@ def test_natural_form_fold_matches_the_whole_sweep(tmp_path):
                                          "identity_residuals_derived")
              for st in getattr(rep, attr).values()]
     assert worst.count(0) <= 2, worst
+
+
+def test_mixed33_deep_takes_each_divergence_once(tmp_path, monkeypatch):
+    # natural-form's rewritten laws read the divergences its identities
+    # take: 12 covariant derivatives per order-3 frame, not 15
+    from jetlag.geometry import Frame
+
+    calls = []
+    cov = Frame._cov
+
+    def counting(self, *args):
+        calls.append(self.order)
+        return cov(self, *args)
+
+    monkeypatch.setattr(Frame, "_cov", counting)
+    doc = _load_bench(monkeypatch, "spec").make_config("mixed33-deep", None)
+    run_to(tmp_path, doc)
+    assert calls == [3] * 192
 
 
 def test_frames_live_only_as_long_as_their_point(tmp_path, monkeypatch):
@@ -752,6 +770,39 @@ def test_maxwell_error_precedence(tmp_path):
     assert rep["checks"]["metricity"]["error"].startswith("matrix is singular")
 
 
+@pytest.mark.parametrize("count", [2, 1])
+def test_held_maxwell_error_keeps_no_frame_alive(tmp_path, monkeypatch, count):
+    # the equation error of point 0 waits in its record while point 1 is
+    # evaluated, and holds none of point 0's frames; the library's
+    # maxwell_residuals raises what the run reports, at the same witness
+    import weakref
+
+    from jetlag import cli
+    from jetlag.errors import JetlagError
+    from jetlag.geometry import Frame
+
+    points = dict(MAXWELL_PRECEDENCE_CFG["points"],
+                  explicit=MAXWELL_PRECEDENCE_CFG["points"]["explicit"][:count])
+    doc = dict(MAXWELL_PRECEDENCE_CFG, points=points, checks=["maxwell"])
+    built, stale = [], []
+    init = Frame.__init__
+
+    def tracking(self, ctx, pt, order):
+        stale.extend(k for k, ref in built if k != pt.key() and ref() is not None)
+        init(self, ctx, pt, order)
+        built.append((pt.key(), weakref.ref(self)))
+
+    monkeypatch.setattr(Frame, "__init__", tracking)
+    _, rep = run_to(tmp_path, doc)
+    assert len({k for k, _ in built}) == count and not stale
+    got = rep["checks"]["maxwell"]
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    with pytest.raises(JetlagError) as info:
+        maxwell_residuals(cfg.space, cfg.explicit)
+    assert str(info.value) == got["error"]
+    assert cli._point_doc(info.value.witness) == got["witness"] == points["explicit"][-1]
+
+
 def _load_bench(monkeypatch, name):
     """A module of perfbench/, loaded read-only under its own name."""
     import importlib.util
@@ -792,6 +843,31 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert all(spans._block_of(prop) in bench_spec.BLOCKS
                for prop, val in vars(Frame).items()
                if isinstance(val, cached_property))
+
+
+def test_benchmark_nonzero_targets_hold(tmp_path, monkeypatch):
+    # the traced benchmark run asserts spec.NONZERO_ON: each workload must
+    # reach the targets named for it (check_grad, natural_form_checks) and
+    # no other, and tensor_core on none.  One run of each workload's
+    # config here, under perfbench's own span recorder.
+    from jetlag import cli
+
+    bench_spec = _load_bench(monkeypatch, "spec")
+    spans = _load_bench(monkeypatch, "spans")
+    # the recorder rebinds names with setattr; through monkeypatch every
+    # name is restored after the test, and the runner table is a copy
+    monkeypatch.setattr(spans, "setattr", monkeypatch.setattr, raising=False)
+    monkeypatch.setattr(cli, "_RUNNERS", dict(cli._RUNNERS))
+    rec = spans.install()
+    for name in bench_spec.WORKLOADS:
+        cfg = cli.load_config(write_cfg(
+            tmp_path, bench_spec.make_config(name, None), name=f"{name}.json"))
+        lo = len(rec)
+        report, _ = cli.run_report(cfg)
+        got = spans.layer_metrics(rec.summary(lo, len(rec)),
+                                  len(report.points) - len(cfg.explicit))
+        for metric, on in bench_spec.NONZERO_ON.items():
+            assert (got[metric] > 0) == (name in on), (name, metric, got[metric])
 
 
 # the workload reports at a second seed; the benchmark pins only the
@@ -918,7 +994,7 @@ def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
     ctx = build_space("optic", OPTIC_CFG["space"]["params"])
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
     cli._run_curvature(ctx, pt)
-    cli._run_maxwell(ctx, pt)
+    cli._RUNNERS["maxwell"](ctx, pt)
     assert calls.count("_raised_p_jets") == 1
     assert calls.count("_metrical_jets") == 1
 
@@ -969,6 +1045,29 @@ def test_explicit_run_signature_from_first_point(tmp_path, monkeypatch, checks):
                                 "points: recorded ((1, 1), (-1, 1)), found "
                                 "((1, 1), (1, 1))")
         assert doc["witness"] == flip
+
+
+@pytest.mark.parametrize("doc", [
+    OPTIC_CFG, dict(SIGNATURE_FLIP_CFG, checks=["metricity", "curvature"])],
+    ids=["optic", "signature-flip"])
+def test_one_config_builds_its_space_once(tmp_path, monkeypatch, doc):
+    # load_config builds the space, and every run of the config evaluates
+    # that one; the second run writes the first run's bytes
+    from jetlag import cli
+
+    built = []
+    build = cli.build_space
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_space", counting)
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    for out in ("r1.json", "r2.json"):
+        cli.run_report(cfg, out_path=str(tmp_path / out))
+    assert len(built) == 1
+    assert stable_lines(tmp_path / "r1.json") == stable_lines(tmp_path / "r2.json")
 
 
 def _point(x1, x2=0.4):
@@ -1154,6 +1253,31 @@ def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
     for argv in commands:
         assert main(argv) == 2
         _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "output-dir-missing",
+                                  "out-is-a-directory"])
+def test_unreadable_or_unwritable_path_is_a_named_error(tmp_path, capsys, case):
+    # each ends in one error line naming the path, and leaves no temporary
+    # report file behind
+    doc, extra = FLAT_CFG, []
+    if case == "output-dir-missing":
+        path = str(tmp_path / "missing" / "report.json")
+        doc = dict(FLAT_CFG, output=path)
+    elif case == "out-is-a-directory":
+        path = str(tmp_path / "reports")
+        os.mkdir(path)
+        extra = ["--out", path]
+    cfg = write_cfg(tmp_path, doc)
+    if case == "config-not-utf8":  # "flat" with a Latin-1 byte
+        path = cfg
+        (tmp_path / "cfg.json").write_bytes(
+            json.dumps(FLAT_CFG).encode().replace(b'"flat"', b'"fl\xe4t"'))
+    assert main(["run", cfg, *extra]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err)
+    assert repr(path) in err
+    assert not list(tmp_path.rglob(".jetlag-*.tmp"))
 
 
 FUZZ_BASES = [

@@ -23,6 +23,8 @@ from jetlag.gravity import (
     natural_form_checks,
     natural_stress_energy,
     stress_energy_extract,
+    _divergences,
+    _law_rhs,
     _laws_at,
     _new_laws_at,
     _prop_identities_at,
@@ -203,7 +205,8 @@ def test_raised_contractions_match_ricci(ctx_mixed33, pt_mixed33):
 
 def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
-    displayed, derived = _prop_identities_at(fr, _tilde_einstein_jets(fr))
+    tilde = _tilde_einstein_jets(fr)
+    displayed, derived = _prop_identities_at(fr, _divergences(fr, *tilde[1::2]))
     # the temporal identity closes as stated
     assert np.max(np.abs(displayed[0][0])) < 1e-12
     # the stated spatial and vertical forms carry a real defect on
@@ -219,10 +222,46 @@ def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
 def test_law_variants_agree(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
     old = _laws_at(fr)
-    new, _simple = _new_laws_at(fr, _tilde_einstein_jets(fr), 1.0)
+    tilde = _tilde_einstein_jets(fr)
+    new, _simple = _new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), 1.0)
     for k in range(3):
         scale = max(1.0, np.max(np.abs(old[k][0])))
         assert np.max(np.abs(old[k][0] - new[k][0])) < 1e-11 * scale
+
+
+def _two_path_laws(fr, tilde, K):
+    """The rewritten-law residuals with the divergences taken a second
+    time, of T = E / K, instead of dividing the identities' divergences."""
+    p, n = fr.p, fr.n
+    _, Emix_t, _, Emix_s, Evv, Econ = tilde
+    d1, d2, d3 = _divergences(fr, Emix_t * (1.0 / K), Emix_s * (1.0 / K),
+                              Econ * (1.0 / K))
+    tT = jet_linear("aa->", Emix_t) * (1.0 / K)
+    tM = jet_linear("ii->", Emix_s) * (1.0 / K)
+    tmp = jet_einsum("ab,iajb->ij", fr.h_jet, Evv)
+    tv = jet_linear("ii->", jet_einsum(
+        "im,mj->ij", fr.inverse("g", tmp.order), tmp)) * (1.0 / K)
+    div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
+    a, b, c = 1.0 / (2.0 - p), 1.0 / (2.0 - n), 1.0 / (2.0 - p * n)
+    return [
+        ((d1 - fr.delta_t(tM) * b - fr.delta_t(tv) * c) * K + div_R + div_P1).value,
+        ((d2 - fr.delta_x(tT) * a - fr.delta_x(tv) * c) * K + div_P2).value,
+        ((d3 - fr.ddxs(tT) * a - fr.ddxs(tM) * b) * K + div_P3).value,
+    ]
+
+
+@pytest.mark.parametrize("K", [1.0, 0.7])
+def test_rewritten_laws_read_the_identities_divergences(pt_mixed33, K):
+    # dividing the divergences of E by K is dividing E by K before taking
+    # them: bit for bit at K = 1, to rounding otherwise
+    fr = frame(support.mixed33_ctx(K), pt_mixed33, 3)
+    tilde = _tilde_einstein_jets(fr)
+    laws, _ = _new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), K)
+    for (res, terms), want in zip(laws, _two_path_laws(fr, tilde, K)):
+        if K == 1.0:
+            assert res.tobytes() == want.tobytes()
+        scale = max(np.max(np.abs(t)) for t in terms)
+        assert np.max(np.abs(res - want)) <= 1e-14 * scale
 
 
 def test_trace_term_sign_matters(ctx_mixed33, pt_mixed33):
