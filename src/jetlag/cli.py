@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .diff_engine import JetPoint, check_grad
+from .diff_engine import BatchDiverged, JetPoint, check_grad
 from .em_field import (
     bianchi_residuals,
     deflection_identity_residuals,
@@ -39,6 +39,7 @@ from .geometry import (
     DirectMetric,
     FromLagrangian,
     GeometryContext,
+    block_size,
     cartan_connection,
     curvature_antisymmetry_residuals,
     curvature_set,
@@ -477,13 +478,11 @@ def _from_per_point(pts, per_point, tol, measure="max_abs"):
     )
 
 
-def _run_curvature(ctx, pt):
-    out = {}
-    for k, v in deflection_identity_residuals(ctx, pt).items():
-        out[f"deflection_{k}"] = v
-    for k, v in bianchi_residuals(ctx, pt).items():
-        out[f"bracket_{k}"] = v
-    return out
+def _run_curvature(ctx, block):
+    return [{**{f"deflection_{k}": v for k, v in defl.items()},
+             **{f"bracket_{k}": v for k, v in bracket.items()}}
+            for defl, bracket in zip(deflection_identity_residuals(ctx, block),
+                                     bianchi_residuals(ctx, block))]
 
 
 def _fold_first_max(verdict_of, value, flag, measure, pts, records, tol):
@@ -519,30 +518,33 @@ def _fold_maxwell(pts, records, tol):
                         measure="max_rel", detail=detail, witness=witness)
 
 
-def _run_einstein(ctx, pt):
+def _run_einstein(ctx, block):
     k = ctx.K
-    eb = einstein_blocks(ctx, pt)
-    out = {
-        "tt_symmetry": float(np.max(np.abs(eb.tt - eb.tt.T))),
-        "ss_symmetry": float(np.max(np.abs(eb.ss - eb.ss.T))),
-        "vv_symmetry": float(np.max(np.abs(
-            eb.vv - np.transpose(eb.vv, (2, 3, 0, 1))))),
-        "declared_zero_blocks": float(max(np.max(np.abs(eb.zero_ts)),
-                                          np.max(np.abs(eb.zero_tv)))),
-    }
-    if k != 0.0:
-        ts = stress_energy_extract(ctx, pt)
-        out["extraction_roundtrip"] = float(max(
-            np.max(np.abs(k * getattr(ts, f"T_{b}") - getattr(eb, b)))
-            for b in ("tt", "ss", "vv", "st", "vt", "sv", "vs")
-        ))
+    ebs = einstein_blocks(ctx, block)
+    tss = stress_energy_extract(ctx, block) if k != 0.0 else [None] * len(ebs)
+    out = []
+    for eb, ts in zip(ebs, tss):
+        rec = {
+            "tt_symmetry": float(np.max(np.abs(eb.tt - eb.tt.T))),
+            "ss_symmetry": float(np.max(np.abs(eb.ss - eb.ss.T))),
+            "vv_symmetry": float(np.max(np.abs(
+                eb.vv - np.transpose(eb.vv, (2, 3, 0, 1))))),
+            "declared_zero_blocks": float(max(np.max(np.abs(eb.zero_ts)),
+                                              np.max(np.abs(eb.zero_tv)))),
+        }
+        if ts is not None:
+            rec["extraction_roundtrip"] = float(max(
+                np.max(np.abs(k * getattr(ts, f"T_{b}") - getattr(eb, b)))
+                for b in ("tt", "ss", "vv", "st", "vt", "sv", "vs")
+            ))
+        out.append(rec)
     return out
 
 
-def _run_conservation(ctx, pt):
-    # one call per point: a single call over all points sums mean_abs in
+def _run_conservation(ctx, block):
+    # one report per point: a report over all points sums mean_abs in
     # another order and moves its last digit
-    return conservation_residuals(ctx, [pt])
+    return conservation_residuals(ctx, block, each=True)
 
 
 def _fold_conservation(pts, per, tol):
@@ -568,8 +570,8 @@ def _fold_conservation(pts, per, tol):
                         measure="max_rel", detail=detail)
 
 
-def _natural_form_at(ctx, pt):
-    return natural_form_checks(ctx, [pt])
+def _natural_form_at(ctx, block):
+    return natural_form_checks(ctx, block, each=True)
 
 
 def _fold_natural_form(pts, per, tol):
@@ -618,8 +620,8 @@ def _fold_natural_form(pts, per, tol):
     )
 
 
-def _run_regularity(ctx, pt):
-    return kronecker_deviation_at(ctx, pt, getattr(ctx, "lagrangian", None))
+def _run_regularity(ctx, block):
+    return kronecker_deviation_at(ctx, block, getattr(ctx, "lagrangian", None))
 
 
 def _grad_fields(ctx):
@@ -664,12 +666,13 @@ def _run_grad_check(ctx, pts, tol):
     )
 
 
-# A check with a fold runs point-major: run_report calls its step
-# ``(ctx, pt) -> record`` at each point, then its fold
-# ``(pts, records, tol) -> CheckOutcome`` once, over the records in point
-# order.  Every check that reads frames has one.  ``grad-check`` reads
-# none, and its runner takes the whole sweep, ``(ctx, pts, tol)``.
-# run_report looks every runner up here at call time.
+# A check with a fold runs block-major: run_report calls its step
+# ``(ctx, block) -> [record per point]`` on each block of points (a list;
+# see _block_records), then its fold ``(pts, records, tol) -> CheckOutcome``
+# once, over the records in point order.  Every check that reads frames
+# has one.  ``grad-check`` reads none, and its runner takes the whole
+# sweep, ``(ctx, pts, tol)``.  run_report looks every runner up here at
+# call time.
 _RUNNERS = {
     "metricity": metricity_residuals,
     "antisymmetry": curvature_antisymmetry_residuals,
@@ -733,6 +736,29 @@ def _dump_families(ctx, pt, families) -> dict:
 # run
 # --------------------------------------------------------------------------
 
+# the checks that read order-3 frames; the others read order 2 at most
+_DEEP_CHECKS = ("conservation", "natural-form")
+
+
+def _block_records(step, ctx, block) -> list:
+    """The records of ``step`` at the points of ``block``: from one call
+    over the block, or, where that raises or its points branch apart, from
+    one call per point, whose error names its point.  So a point keeps the
+    record or the error it gets alone."""
+    if len(block) > 1:
+        try:
+            return step(ctx, block)
+        except (JetlagError, BatchDiverged):
+            pass  # each point alone gives its own record or error
+    out = []
+    for pt in block:
+        try:
+            out += step(ctx, [pt])
+        except JetlagError as exc:
+            raise name_witness(exc, pt)
+    return out
+
+
 def _collect_points(cfg: RunConfig, ctx) -> list:
     """The run's points: the explicit ones, then ``cfg.count`` sampled ones."""
     pts = list(cfg.explicit)
@@ -751,13 +777,14 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     space ``load_config`` built.  A run with explicit points only records
     the metric signature from ``pts[0]`` before any check runs (a sampled
     run records it while sampling).  The dumps are taken at ``pts[0]``
-    before the first check step.  Then the run's points are registered
-    with the context, so each field grid runs once per order over all of
-    them.  The run goes point by point: at each point every frame-reading
-    check takes its step, so each point's frames are built once, read by
-    every check, and dropped when the next point starts.  After the last
-    point, each check's fold, or the whole-sweep runner of ``grad-check``,
-    runs in config order.
+    before the first check step.  The run goes block by block, each block
+    as many points as :func:`~jetlag.geometry.block_size` gives the space
+    and the deepest frame its checks read: on each block every
+    frame-reading check takes its step (:func:`_block_records`), so the
+    block's frames are built once, with every field grid run once per
+    order over the block, read by every check, and dropped when the next
+    block starts.  After the last block, each check's fold, or the
+    whole-sweep runner of ``grad-check``, runs in config order.
     """
     start = time.perf_counter()
     ctx = cfg.space
@@ -773,18 +800,20 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     # a dump error ends the run, so it comes before any check step; it
     # reads pts[0] alone, at orders the checks may not read
     dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
-    ctx.register(pts)
 
     outcomes = {}
     records = {name: [] for name in cfg.checks if name in _FOLDS}
-    for pt in pts:
+    size = block_size(ctx.p, ctx.n,
+                      3 if set(_DEEP_CHECKS) & set(cfg.checks) else 2)
+    for lo in range(0, len(pts), size):
+        block = pts[lo:lo + size]
         for name, recs in records.items():
             if name in outcomes:
                 continue  # the check raised at an earlier point
             try:
-                recs.append(_RUNNERS[name](ctx, pt))
+                recs += _block_records(_RUNNERS[name], ctx, block)
             except JetlagError as exc:
-                outcomes[name] = _error_outcome(name_witness(exc, pt))
+                outcomes[name] = _error_outcome(exc)
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]

@@ -13,7 +13,12 @@ A :class:`Jet` is a truncated multivariate Taylor expansion with respect to z:
 "component" shape lets one Jet carry a whole tensor of values at once, and all
 arithmetic broadcasts over it like numpy does.  The same axis can run over the
 points of a batch (:func:`seed_point` of several points, evaluated inside a
-:func:`point_batch`): vector forward mode, one pass for all of them.
+:func:`point_batch`): vector forward mode, one pass for all of them.  Above
+the fields, a frame of a block of points gives every jet one leading point
+axis, which :func:`jet_einsum`, :func:`jet_linear` and
+:func:`jet_matrix_inverse` recognise as one component axis more than their
+spec names, and letter :data:`POINT`; each point keeps the bits it gets
+alone.
 
 Products, ``*`` and :func:`jet_einsum` alike, use one multilinear Leibniz
 kernel (:func:`_leibniz`), compositions use Faa di Bruno over set
@@ -515,7 +520,14 @@ def _pow(c, e):
 # jet-aware tensor helpers
 # --------------------------------------------------------------------------
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXY"
+# the letter of the point axis of a batched operand; no spec or plan uses it
+POINT = "Z"
+
+try:  # the kernel np.einsum calls when it is not asked to optimize
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 
 def _as_jet(x, like: Jet) -> Jet:
@@ -524,6 +536,45 @@ def _as_jet(x, like: Jet) -> Jet:
             raise ValueError("jets over different variable sets")
         return x
     return Jet.constant(x, like.nvars, like.order)
+
+
+@lru_cache(maxsize=None)
+def _pointed(spec: str, *ranks) -> tuple:
+    """(``spec`` with the point letter on each operand whose component rank
+    in ``ranks`` is one more than ``spec`` names, and on the output if any
+    operand has it; the einsum that runs its subscripts).
+
+    A batched operand carries one leading point axis over the points of a
+    frame's block (:class:`~jetlag.geometry.Frame`), and the result keeps
+    it.  A contraction over one letter gives each point the bits it gets
+    alone, but one over two or more may sum them in another order, so such
+    a spec runs one point at a time (:func:`_per_point`).
+    """
+    ins, outs = spec.split("->")
+    terms = ins.split(",")
+    lead = [r == len(t) + 1 for t, r in zip(terms, ranks)]
+    if not any(lead):
+        return spec, _einsum
+    summed = set("".join(terms)) - set(outs)
+    terms = [POINT * b + t for t, b in zip(terms, lead)]
+    return (f"{','.join(terms)}->{POINT}{outs}",
+            _per_point if len(summed) >= 2 else _einsum)
+
+
+@lru_cache(maxsize=None)
+def _unpointed(subs: str) -> tuple:
+    """(``subs`` without the point letter, which operands carry it)."""
+    ins = subs.split("->")[0].split(",")
+    return subs.replace(POINT, ""), tuple(t.startswith(POINT) for t in ins)
+
+
+def _per_point(subs: str, *ops) -> np.ndarray:
+    """``np.einsum(subs, *ops)`` as one einsum per point along the point
+    axis, stacked."""
+    one, lead = _unpointed(subs)
+    B = next(len(op) for op, b in zip(ops, lead) if b)
+    return np.stack([_einsum(one, *(op[i] if b else op for op, b in zip(ops, lead)))
+                     for i in range(B)])
 
 
 @lru_cache(maxsize=None)
@@ -566,10 +617,12 @@ def jet_einsum(spec: str, a, b, order=None) -> Jet:
     """Two-operand einsum over component axes with the Leibniz rule on jets.
 
     ``spec`` addresses only the component axes, e.g. ``"gmb,im->gib"``, and
-    names every one of them (no ``...``).  Either operand may be a plain
-    ndarray (treated as a constant).  The subscripts and slot placements
-    come from a plan made once per (spec, order, operand kinds); two jets
-    are multiplied by :func:`_leibniz`, the kernel of ``*`` too.
+    names every one of them (no ``...``), but for the point axis of a
+    batched operand, which it recognises by its one extra leading axis
+    (:func:`_pointed`).  Either operand may be a plain ndarray (treated as
+    a constant).  The subscripts and slot placements come from a plan made
+    once per (spec, order, operand kinds); two jets are multiplied by
+    :func:`_leibniz`, the kernel of ``*`` too.
 
     The result has the lower of the operands' orders, capped at ``order``
     when given.  Coefficient k reads only the operands' coefficients up to
@@ -581,17 +634,19 @@ def jet_einsum(spec: str, a, b, order=None) -> Jet:
     if not (a_is_jet or b_is_jet):
         raise TypeError("at least one operand must be a Jet")
     cap = math.inf if order is None else order
+    spec, einsum = _pointed(spec, a.coeffs[0].ndim if a_is_jet else np.ndim(a),
+                            b.coeffs[0].ndim if b_is_jet else np.ndim(b))
     if a_is_jet and not b_is_jet:
         K, N = min(a.order, cap), a.nvars
         subs = _einsum_plan(spec, K, "a")
-        return Jet(N, K, [np.einsum(subs[k], a.coeffs[k], b) for k in range(K + 1)])
+        return Jet(N, K, [einsum(subs[k], a.coeffs[k], b) for k in range(K + 1)])
     if b_is_jet and not a_is_jet:
         K, N = min(b.order, cap), b.nvars
         subs = _einsum_plan(spec, K, "b")
-        return Jet(N, K, [np.einsum(subs[k], a, b.coeffs[k]) for k in range(K + 1)])
+        return Jet(N, K, [einsum(subs[k], a, b.coeffs[k]) for k in range(K + 1)])
     if a.nvars != b.nvars:
         raise ValueError("jets over different variable sets")
-    return _leibniz(spec, a, b, min(a.order, b.order, cap))
+    return _leibniz(spec, a, b, min(a.order, b.order, cap), einsum)
 
 
 @lru_cache(maxsize=None)
@@ -603,9 +658,15 @@ def _mul_spec(na: int, nb: int) -> str:
     return f"{out[len(out) - na:]},{out[len(out) - nb:]}->{out}"
 
 
-def _leibniz(spec: str, a: Jet, b: Jet, K: int) -> Jet:
+def _live(c: np.ndarray) -> bool:
+    """``c.any()``, looking at its first entry before scanning it all."""
+    return c.size > 0 and (c.flat[0] != 0 or c.any())
+
+
+def _leibniz(spec: str, a: Jet, b: Jet, K: int, einsum=_einsum) -> Jet:
     """The product of jets ``a`` and ``b`` to order ``K`` by the
-    multilinear Leibniz rule, components contracted by ``spec``.
+    multilinear Leibniz rule, components contracted by ``spec`` through
+    ``einsum`` (:func:`_pointed`).
 
     Each split of the k differentiation slots between the factors is one
     einsum, whose transposes route the a-side jet axes to each subset of
@@ -615,17 +676,16 @@ def _leibniz(spec: str, a: Jet, b: Jet, K: int) -> Jet:
     """
     N = a.nvars
     base, orders = _einsum_plan(spec, K, "ab")
+    # which coefficients are worth a term: the value always is
+    live_a = [True, *map(_live, a.coeffs[1:K + 1])]
+    live_b = [True, *map(_live, b.coeffs[1:K + 1])]
     out = []
     for k, terms in enumerate(orders):
         acc = None
         for j, subs, placements in terms:
-            A = a.coeffs[j]
-            B = b.coeffs[k - j]
-            if j and not A.any():
+            if not (live_a[j] and live_b[k - j]):
                 continue
-            if (k - j) and not B.any():
-                continue
-            P = np.einsum(subs, A, B)
+            P = einsum(subs, a.coeffs[j], b.coeffs[k - j])
             for perm in placements:
                 term = P if perm is None else P.transpose(perm)
                 acc = term if acc is None else acc + term
@@ -646,9 +706,11 @@ def _linear_plan(spec: str, K: int) -> tuple:
 
 
 def jet_linear(spec: str, a: Jet) -> Jet:
-    """Single-operand einsum (trace, transpose, diagonal) applied per order."""
+    """Single-operand einsum (trace, transpose, diagonal) applied per order;
+    a batched operand keeps its point axis, as in :func:`jet_einsum`."""
+    spec, einsum = _pointed(spec, a.coeffs[0].ndim)
     subs = _linear_plan(spec, a.order)
-    return Jet(a.nvars, a.order, [np.einsum(s, c) for s, c in zip(subs, a.coeffs)])
+    return Jet(a.nvars, a.order, [einsum(s, c) for s, c in zip(subs, a.coeffs)])
 
 
 def jet_stack(jets) -> Jet:
@@ -662,8 +724,9 @@ def jet_stack(jets) -> Jet:
 
 
 def jet_matrix_inverse(a: Jet, order=None) -> Jet:
-    """Inverse of a jet-valued square matrix (component shape (m, m)), to
-    the order of ``a``, capped at ``order`` when given.
+    """Inverse of a jet-valued square matrix (component shape (m, m), or
+    (B, m, m) over the points of a block), to the order of ``a``, capped
+    at ``order`` when given.
 
     Newton iteration X <- X (2I - A X); the number of correct Taylor orders
     doubles each step, so ceil(log2(order+1)) steps suffice.  Every order
@@ -676,17 +739,22 @@ def jet_matrix_inverse(a: Jet, order=None) -> Jet:
     if order is not None and order < a.order:
         a = a.truncated(order)
     a0 = a.coeffs[0]
-    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
+    if a0.ndim not in (2, 3) or a0.shape[-2] != a0.shape[-1]:
         raise ValueError("jet_matrix_inverse expects a square matrix jet")
+    # a stack of matrices gets each matrix's own cond and inverse, bit for bit
     cond = np.linalg.cond(a0)
-    if not np.isfinite(cond) or cond > 1e12:
+    bad = ~(np.isfinite(cond) & (cond <= 1e12))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        one = a0 if a0.ndim == 2 else a0[i]
+        cond = np.ravel(cond)[i]
         raise SingularMetricError(
             f"matrix is singular or ill-conditioned (cond={cond:.3e})",
-            determinant=float(np.linalg.det(a0)),
+            determinant=float(np.linalg.det(one)),
             condition=float(cond),
         )
     x = Jet.constant(np.linalg.inv(a0), a.nvars, a.order)
-    eye = np.eye(a0.shape[0])
+    eye = np.eye(a0.shape[-1])
     steps = max(2, math.ceil(math.log2(a.order + 1)))
     for _ in range(steps):
         ax = jet_einsum("im,mj->ij", a, x)
@@ -864,6 +932,16 @@ class PyField(ScalarField):
         return self._fn(spt)
 
 
+@lru_cache(maxsize=None)
+def _seed_tables(N: int, order: int) -> tuple:
+    """(the N x N identity, the zero coefficients of orders 1..``order``),
+    read-only, shared by every seeded coordinate."""
+    tables = [np.eye(N)] + [np.zeros((N,) * k) for k in range(1, order + 1)]
+    for t in tables:
+        t.flags.writeable = False
+    return tables[0], tables[1:]
+
+
 def seed_point(pts, order: int, deps=frozenset(("t", "x", "xs"))) -> SeededPoint:
     """Seed points with scalar jets; non-dependency groups become constants.
 
@@ -879,15 +957,16 @@ def seed_point(pts, order: int, deps=frozenset(("t", "x", "xs"))) -> SeededPoint
     N = coord_count(p, n)
     values = pts.flat() if one else np.stack([pt.flat() for pt in pts], axis=1)
     comp = values.shape[1:]
-    unit = np.eye(N)
-    zeros = [np.broadcast_to(np.zeros((N,) * k), comp + (N,) * k)
-             for k in range(1, order + 1)]
+    unit, zeros = _seed_tables(N, order)
+    if comp:
+        unit = np.broadcast_to(unit[:, None], (N,) + comp + (N,))
+        zeros = [np.broadcast_to(c, comp + c.shape) for c in zeros]
     z = []
     # at order 0 there is no first-order slot; everything is a constant
     for k, group in enumerate(["t"] * p + ["x"] * n + ["xs"] * (n * p)):
         coeffs = [np.asarray(values[k]), *zeros]
         if group in deps and order >= 1:
-            coeffs[1] = np.broadcast_to(unit[k], comp + (N,))
+            coeffs[1] = unit[k]
         z.append(Jet(N, order, coeffs))
     return SeededPoint.of_flat(z, (p, n))
 
@@ -1078,7 +1157,7 @@ def check_grad(f, pts):
             jets = rows[ip]
             if jets is None:
                 try:
-                    jets = grid.stacked([pt], 2)[0]
+                    jets = grid.stacked(pt, 2)
                 except JetlagError:
                     pass  # each field is evaluated alone below
             floats = {}

@@ -33,7 +33,7 @@ import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import JetlagError, TorsionPreconditionError, name_witness
-from .geometry import (Frame, GeometryContext, ResidualStats, _Agg,
+from .geometry import (Frame, GeometryContext, ResidualStats, _Agg, _each,
                        _residual_summary, frame, nlc_torsion_at,
                        torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
@@ -182,8 +182,9 @@ def _cyclic3(core: Jet, spec1: str, spec2: str) -> Jet:
     return core + jet_linear(spec1, core) + jet_linear(spec2, core)
 
 
-def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
-    """Residual summaries of the five equations at one point.
+def maxwell_at(ctx: GeometryContext, pt) -> list:
+    """Residual summaries of the five equations at one point, or the list
+    of them over a block of points.
 
     Returns one (max |r|, sum |r|, size, scale) summary of each residual r
     and its constituent terms, in equation order.  The torsion precondition
@@ -195,7 +196,10 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     Tt = fr.tor_T_jet
     Cc = fr.Cc_jet
     R2 = fr.tor_R2_jet
-    out = []
+    out = []  # per equation, its summary at each point
+
+    def add(res, *terms):
+        out.append([_residual_summary(*pair) for [pair] in fr.residuals([(res, terms)])])
 
     # 1) F^(a)_(i)k/b  =  A_{i,k} { Dbar_{|k} + Dmet.T + dmet.R - [T_{|k} + C.R] x_low } / 2
     lhs = fr.cov_t(F, (V_DN, S_DN))  # [i,a,k,b]
@@ -208,8 +212,7 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     core = t1 + t2 + t3 - t4
     rhs = (core - jet_linear("iabk->kabi", core)) * 0.5
     res = lhs - jet_linear("iabk->iakb", rhs)
-    out.append(_residual_summary(
-        res.value, (lhs.value, t1.value, t2.value, t3.value, t4.value)))
+    add(res, lhs, t1, t2, t3, t4)
 
     # 2) f^(a)(g)_(i)(k)/b = A_{i,k} { Dbar|^(g)_(k) + dmet.P2 - [dT/dxs + C.P2] x_low } / 2
     P2 = fr.tor_P2_jet
@@ -221,8 +224,7 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     core = u1 + u2 - u3
     rhs = (core - jet_linear("iabkg->kabig", core)) * 0.5
     res = lhs - jet_linear("iabkg->iakgb", rhs)
-    out.append(_residual_summary(
-        res.value, (lhs.value, u1.value, u2.value, u3.value)))
+    add(res, lhs, u1, u2, u3)
 
     # 3) sum_{i,j,k} F^(a)_(i)j|k = -(1/2) sum_{i,j,k} [C.x_low + dmet].R3
     R3 = fr.tor_R3_jet
@@ -232,35 +234,42 @@ def maxwell_at(ctx: GeometryContext, pt: JetPoint) -> list:
     s = jet_einsum("iamu,mujk->iajk", B, R3)
     rhs = _cyclic3(s, "jaki->iajk", "kaij->iajk") * (-0.5)
     res = lhs - rhs
-    out.append(_residual_summary(res.value, (Fcs.value, s.value)))
+    add(res, Fcs, s)
 
     # 4) sum_{i,j,k} { F^(a)_(i)j|^(g)_(k) + f^(a)(g)_(i)(j)|k } = 0
     Fcv = fr.cov_v(F, (V_DN, S_DN))  # [i,a,j,k,g]
     fcs = fr.cov_s(f, (V_DN, V_DN))  # [i,a,j,g,k]
     both = Fcv + jet_linear("iajgk->iajkg", fcs)
     res = _cyclic3(both, "jakig->iajkg", "kaijg->iajkg")
-    out.append(_residual_summary(res.value, (Fcv.value, fcs.value)))
+    add(res, Fcv, fcs)
 
     # 5) sum_{i,j,k} f^(a)(b)_(i)(j)|^(g)_(k) = 0
     fcv = fr.cov_v(f, (V_DN, V_DN))  # [i,a,j,b,k,g]
     res = _cyclic3(fcv, "jakbig->iajbkg", "kaibjg->iajbkg")
-    out.append(_residual_summary(res.value, (fcv.value,)))
-    return out
+    add(res, fcv)
+    return _each(pt, [list(eqs) for eqs in zip(*out)])
 
 
-def maxwell_step(ctx: GeometryContext, pt: JetPoint) -> tuple:
+def maxwell_step(ctx: GeometryContext, pts):
     """One point's record: (its torsion probe, its :func:`maxwell_at`
     summaries, or the error an equation raised, held for
     :func:`maxwell_fold` with its witness named and its traceback dropped,
-    so that it keeps none of the point's frames alive)."""
+    so that it keeps none of the point's frames alive).  Over a block
+    (sequence) of points, the list of their records; a block of two or
+    more points is read off one frame of it and raises any error, so that
+    its points are then stepped one at a time."""
+    if not isinstance(pts, JetPoint) and len(pts) > 1:
+        return list(zip(nlc_torsion_at(ctx, pts), maxwell_at(ctx, pts)))
+    pt = pts if isinstance(pts, JetPoint) else pts[0]
     try:
         torsion = nlc_torsion_at(ctx, pt)
     except JetlagError as exc:
         raise name_witness(exc, pt)
     try:
-        return torsion, maxwell_at(ctx, pt)
+        record = torsion, maxwell_at(ctx, pt)
     except JetlagError as exc:
-        return torsion, name_witness(exc, pt).with_traceback(None)
+        record = torsion, name_witness(exc, pt).with_traceback(None)
+    return _each(pts, [record])
 
 
 def maxwell_fold(pts, records) -> MaxwellReport:
@@ -348,11 +357,12 @@ def _liouville_identities(fr, X, D, up: bool) -> list:
     lhs = Dvv - jet_linear("iakgjb->iajbkg", Dvv)
     rhs = curvature(fr.cur_S_jet, "jbkg") - torsion(fr.tor_S(o), "jbkg")
     out.append(lhs - rhs)
-    return [float(np.max(np.abs(r.value))) for r in out]
+    return [fr.max_abs(r) for r in out]
 
 
-def deflection_identity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
-    """Max-abs residuals of the ten deflection identities at one point.
+def deflection_identity_residuals(ctx: GeometryContext, pt):
+    """Max-abs residuals of the ten deflection identities at one point, or
+    the list of them over a block of points.
 
     raw_1..raw_5 are the Liouville identities of xs^i_a, met_1..met_5 those
     of its lowering x_low.  All should vanish; they exercise every covariant
@@ -366,12 +376,13 @@ def deflection_identity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
                            ("met", x_low, met, False)):
         for k, r in enumerate(_liouville_identities(fr, X, D, up), 1):
             res[f"{kind}_{k}"] = r
-    return res
+    return _each(pt, [dict(zip(res, vals)) for vals in zip(*res.values())])
 
 
-def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
+def bianchi_residuals(ctx: GeometryContext, pt):
     """Max-abs residuals of the four bracket identities tying torsion to
-    curvature (the fifth is the vertical curvature's defining formula).
+    curvature (the fifth is the vertical curvature's defining formula), at
+    one point, or the list of them over a block of points.
     """
     fr = frame(ctx, pt, 2)
     Cc = fr.Cc_jet
@@ -384,7 +395,7 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
         + fr.shared(Frame.cov_s, Tt, (S_UP, T_DN, S_DN))
         + jet_einsum("lkmu,muaj->lajk", Cc, fr.tor_R2_jet)
     )
-    res["b1"] = float(np.max(np.abs((core - jet_linear("lakj->lajk", core)).value)))
+    res["b1"] = fr.max_abs(core - jet_linear("lakj->lajk", core))
 
     # b2 ties the vertical derivative of the temporal torsion to the mixed
     # curvature block.  The bare covariant derivative T|^(e)_(p) carries two
@@ -401,12 +412,12 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
         + jet_linear("lkpea->lakpe", fr.shared(Frame.cov_t, Cc, (S_UP, S_DN, V_DN)))
         - jet_einsum("lkmu,muape->lakpe", Cc, fr.tor_P2_jet)
     )
-    res["b2"] = float(np.max(np.abs(r2.value)))
+    res["b2"] = fr.max_abs(r2)
 
     # b3: sum_{i,j,k} { R^l_{ijk} - C^{l(u)}_{k(m)} R^(m)_(u)ij } = 0
     core = fr.cur_R3_jet - jet_einsum("lkmu,muij->lijk", Cc, fr.tor_R3_jet)
     s = _cyclic3(core, "ljki->lijk", "lkij->lijk")
-    res["b3"] = float(np.max(np.abs(s.value)))
+    res["b3"] = fr.max_abs(s)
 
     # b4: A_{j,k} { P^{l (e)}_{jk(p)} + C^{l(e)}_{j(p)|k} + C^{l(u)}_{k(m)} P^(m)(e)_(u)j(p) } = 0
     core = (
@@ -414,5 +425,5 @@ def bianchi_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
         + jet_linear("ljpek->ljkpe", fr.shared(Frame.cov_s, Cc, (S_UP, S_DN, V_DN)))
         + jet_einsum("lkmu,mujpe->ljkpe", Cc, fr.tor_P3_jet)
     )
-    res["b4"] = float(np.max(np.abs((core - jet_linear("lkjpe->ljkpe", core)).value)))
-    return res
+    res["b4"] = fr.max_abs(core - jet_linear("lkjpe->ljkpe", core))
+    return _each(pt, [dict(zip(res, vals)) for vals in zip(*res.values())])

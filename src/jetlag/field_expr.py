@@ -600,44 +600,49 @@ class FieldGrid:
         """The fields' values at seeded points, one per group."""
         return self([s.flat() for s in spts], (spts[0].p, spts[0].n))
 
-    def stacked(self, pts, order) -> list:
-        """The fields at each point of ``pts`` as jets of ``order``: per
-        point, one Jet of component shape (F,) that stacks the F fields in
-        order (a field that reads no seeded jet is a constant jet).
-
-        One point is seeded alone.  Several are seeded as one batch and
-        evaluated by one call in a :func:`~jetlag.diff_engine.point_batch`,
-        whose result is split into per-point jets at once.  Raises what the
-        call raises, and :class:`~jetlag.diff_engine.BatchDiverged` where
-        the points of a batch branch apart.
+    def stacked(self, pts, order) -> Jet:
+        """The fields as one jet of ``order`` that stacks the F fields in
+        order (a field that reads no seeded jet is a constant jet): of
+        component shape (F,) at one :class:`~jetlag.diff_engine.JetPoint`,
+        seeded alone, or (B, F) over a sequence of B points, seeded as one
+        batch and evaluated by one call in a
+        :func:`~jetlag.diff_engine.point_batch`.  Raises what the call
+        raises, and :class:`~jetlag.diff_engine.BatchDiverged` where the
+        points of a batch branch apart or the grid holds a field that is not
+        an :class:`ExprField`.
         """
-        one = len(pts) == 1
-        seeds = [seed_point(pts[0] if one else pts, order, deps) for deps in self.groups]
+        one = isinstance(pts, JetPoint)
+        if not (one or self._batchable):
+            raise BatchDiverged
+        seeds = [seed_point(pts, order, deps) for deps in self.groups]
         if one:
             vals = self.at(seeds)
         else:
             with point_batch():
                 vals = self.at(seeds)
-        N = coord_count(*pts[0].dims)
+        lead = () if one else (len(pts),)
+        N = coord_count(*(pts if one else pts[0]).dims)
         jets = [v if isinstance(v, Jet) else Jet.constant(float(v), N, order)
                 for v in vals]
         K = min(j.order for j in jets)
-        return [Jet(N, K, [np.stack([j.coeffs[k][b] if j.shape else j.coeffs[k]
-                                     for j in jets]) for k in range(K + 1)])
-                for b in range(len(pts))]
+        return Jet(N, K, [np.stack([np.broadcast_to(j.coeffs[k], lead + j.coeffs[k].shape)
+                                    if lead and not j.shape else j.coeffs[k]
+                                    for j in jets], axis=len(lead))
+                          for k in range(K + 1)])
 
     def batch(self, pts, order):
-        """:meth:`stacked` of two or more points as one batch, or None where
-        they are not: the grid holds a field that is not an
-        :class:`ExprField`, or the batch raises or branches apart.  The
-        caller then evaluates each point alone, which raises that point's
-        own error."""
-        if len(pts) < 2 or not self._batchable:
+        """The per-point jets of :meth:`stacked` over two or more points as
+        one batch, or None where they cannot run as one: the grid holds a
+        field that is not an :class:`ExprField`, or the batch raises or
+        branches apart.  The caller then evaluates each point alone, which
+        raises that point's own error."""
+        if len(pts) < 2:
             return None
         try:
-            return self.stacked(pts, order)
+            jet = self.stacked(pts, order)
         except (JetlagError, BatchDiverged):
             return None
+        return [jet[b] for b in range(len(pts))]
 
 
 def eval_field(ast, spt):

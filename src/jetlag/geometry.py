@@ -36,11 +36,12 @@ symbol's logical indices left to right, a bound vertical pair contributing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .diff_engine import (
+    BatchDiverged,
     Jet,
     JetPoint,
     ScalarField,
@@ -55,6 +56,7 @@ from .errors import (
     EvalDomainError,
     DerivativeDomainError,
     FieldValidationError,
+    JetlagError,
     OrderExceededError,
     RegularityViolationError,
     SingularMetricError,
@@ -63,6 +65,10 @@ from .field_expr import FieldGrid
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN
 
 MAX_ORDER = 3  # the derivative budget (module docstring)
+
+# The jet elements one block of points may hold in one frame block of the
+# largest kind (:func:`block_size`): about 1 MB of doubles.
+BLOCK_ELEMENTS = 2 ** 17
 
 __all__ = [
     "MAX_ORDER",
@@ -80,6 +86,8 @@ __all__ = [
     "RegularityVerdict",
     "ResidualStats",
     "TorsionFreeVerdict",
+    "BLOCK_ELEMENTS",
+    "block_size",
     "frame",
     "sample_points",
     "temporal_christoffel_and_M",
@@ -168,9 +176,8 @@ class UserGiven:
 class GeometryContext:
     """One space, and the state of evaluating it: not immutable.
 
-    Besides the fields and K it holds one point's frames (:func:`frame`),
-    the registered points and their field rows (:meth:`register`) and the
-    recorded signature.  All runs of one ``RunConfig`` share it.
+    Besides the fields and K it holds one block's frames (:func:`frame`)
+    and the recorded signature.  All runs of one ``RunConfig`` share it.
 
     The realized g must stay symmetric, invertible, and of constant
     signature: the eigenvalue signs seen at the first evaluated point are
@@ -207,18 +214,8 @@ class GeometryContext:
         self.K = float(K)
         self._signature = None  # (h signs, g signs) at first sample
         self._defer_signature = False  # set while sample_points tries a draw
-        self._frame_point = None  # the key of the point last framed
-        self._frames = {}  # that point's frames, by order
-        self._points = {}  # the registered points, by key
-        self._rows = {}  # (grid, order) -> {point key: its fields' jets}
-
-    def register(self, pts):
-        """Register the points about to be read: the first evaluation of a
-        field grid at one of them, at one order, evaluates it at all of
-        them in one batch (:meth:`Frame.eval_grid`).  Replaces the points
-        registered before, and the rows of their batches not yet taken."""
-        self._points = {pt.key(): pt for pt in pts}
-        self._rows = {}
+        self._framed = None  # the key of the point or block last framed
+        self._frames = {}  # its frames, by order
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
@@ -241,16 +238,29 @@ class GeometryContext:
 # frame: all jet-level geometry at one point, lazily computed and cached
 # --------------------------------------------------------------------------
 
-_LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# every letter but the point letter of a batched operand (diff_engine.POINT)
+_LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXY"
 
 
-def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
-    """The geometry frame of ``ctx`` at ``pt``.
+def block_size(p: int, n: int, order: int) -> int:
+    """How many points one frame spans on a (p, n) space whose frames go
+    up to ``order``: as many as keep a six-index jet of that order (the
+    n^4 p^2 components of the vertical curvature S) within
+    :data:`BLOCK_ELEMENTS`, and at least one."""
+    N = coord_count(p, n)
+    per_point = n ** 4 * p ** 2 * sum(N ** k for k in range(order + 1))
+    return max(1, BLOCK_ELEMENTS // per_point)
 
-    The context keeps the frames of one point, by order: asking for another
-    point drops them.  So a caller that goes point by point, as
-    ``jetlag run`` does, reads each point's frames while they live and frees
-    them when the next point starts.
+
+def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
+    """The geometry frame of ``ctx`` at ``pts``: one :class:`JetPoint`, or
+    a block (sequence) of points, of which a block of one is framed at its
+    point alone.
+
+    The context keeps the frames of one point or block, by order: asking
+    for another drops them.  So a caller that goes block by block, as
+    ``jetlag run`` does, reads each block's frames while they live and
+    frees them when the next block starts.
 
     ``order`` is the Taylor depth carried by the metric-level jets; 2 covers
     torsion/curvature values, 3 is needed for covariant derivatives of
@@ -260,20 +270,33 @@ def frame(ctx: GeometryContext, pt: JetPoint, order: int = 2) -> "Frame":
     Each product is built only to the order its result keeps, and each
     metric inverse and the S-torsion only to the order their readers read.
     """
-    key = pt.key()
-    if ctx._frame_point != key:
-        ctx._frame_point, ctx._frames = key, {}
+    if not isinstance(pts, JetPoint):
+        pts = pts[0] if len(pts) == 1 else tuple(pts)
+    key = pts.key() if isinstance(pts, JetPoint) else tuple(pt.key() for pt in pts)
+    if ctx._framed != key:
+        ctx._framed, ctx._frames = key, {}
     fr = ctx._frames.get(order)
     if fr is None:
-        fr = ctx._frames[order] = Frame(ctx, pt, order)
+        fr = ctx._frames[order] = Frame(ctx, pts, order)
     return fr
 
 
+def _each(pts, records):
+    """``records``, one per point, as a caller of a per-point function
+    asked for them: the one record at a :class:`JetPoint`, else the list."""
+    return records[0] if isinstance(pts, JetPoint) else records
+
+
 class Frame:
-    """Lazy jet pipeline of one (context, point, order) triple.
+    """Lazy jet pipeline of one (context, point or block, order) triple.
 
     Every cached property is a Jet whose component axes follow the block's
-    logical indices; ``.value`` peels the point values.
+    logical indices; ``.value`` peels the point values.  The frame of a
+    block of B points (:func:`frame`) runs the same pipeline once for all
+    of them: every jet carries one leading point axis of size B, which the
+    jet operations recognise as one component axis more than their spec
+    names, and each point gets the bits it gets alone.  :meth:`values`
+    splits values by point.
 
     The three covariant derivatives (:meth:`cov_t` /b, :meth:`cov_s` |k,
     :meth:`cov_v` |^(g)_(k)) are one rule: the base derivative
@@ -291,17 +314,19 @@ class Frame:
     the order their readers name: each reader asks for the order of the
     block it contracts, and a lower order is served truncated.  The
     fields (h, g, phi, N, L) come from the context's compiled field grids
-    (:meth:`eval_grid`), each run once per order over the points
-    registered with the context, and a frame takes its own point's row.
+    (:meth:`eval_grid`), each run once per order over the frame's points.
     """
 
-    def __init__(self, ctx: GeometryContext, pt: JetPoint, order: int):
-        if pt.dims != (ctx.p, ctx.n):
-            raise ValueError(
-                f"point dims {pt.dims} do not match context ({ctx.p},{ctx.n})"
-            )
+    def __init__(self, ctx: GeometryContext, pts, order: int):
+        self.pts = (pts,) if isinstance(pts, JetPoint) else tuple(pts)
+        for pt in self.pts:
+            if pt.dims != (ctx.p, ctx.n):
+                raise ValueError(
+                    f"point dims {pt.dims} do not match context ({ctx.p},{ctx.n})"
+                )
         self.ctx = ctx
-        self.pt = pt
+        self.batched = len(self.pts) > 1
+        self._lead = (len(self.pts),) if self.batched else ()
         self.order = order
         self.p = ctx.p
         self.n = ctx.n
@@ -326,36 +351,45 @@ class Frame:
             have = self._built[key] = build(order)
         return have.truncated(order)
 
+    def _rank(self, A: Jet) -> int:
+        """The number of ``A``'s component axes, its point axis not counted."""
+        return A.value.ndim - self.batched
+
+    def values(self, *jets) -> list:
+        """Per point of the frame, the tuple of the values of ``jets`` there."""
+        vals = [j.value if self.batched else j.value[None] for j in jets]
+        return list(zip(*vals))
+
+    def max_abs(self, jet: Jet) -> list:
+        """Per point of the frame, the largest |value| of ``jet`` there."""
+        return [float(np.max(np.abs(v))) for (v,) in self.values(jet)]
+
+    def residuals(self, pairs) -> list:
+        """Per point of the frame, [(residual value, constituent-term
+        values)] of each (residual, terms) pair of jets in ``pairs``."""
+        per = [self.values(res, *terms) for res, terms in pairs]
+        return [[(v[k][0], v[k][1:]) for v in per] for k in range(len(self.pts))]
+
     # -- field evaluation ----------------------------------------------------
 
     def eval_scalar(self, f: ScalarField, order=None) -> Jet:
-        return self._eval_fields([f], order)[0]
+        return self._eval_fields([f], order).reshape_components(self._lead)
 
     def eval_grid(self, grid: np.ndarray, order=None) -> Jet:
         fields = [grid[idx] for idx in np.ndindex(grid.shape)]
-        return self._eval_fields(fields, order).reshape_components(grid.shape)
+        return self._eval_fields(fields, order).reshape_components(
+            self._lead + grid.shape)
 
     def _eval_fields(self, fields, order) -> Jet:
-        """``fields`` at this point, as jets of ``order`` (default: the
-        frame's) stacked along one leading axis, through the context's
-        compiled grid of them (:meth:`FieldGrid.of`).
-
-        At a registered point (:meth:`GeometryContext.register`) the first
-        call for the grid and order runs the grid once over every
-        registered point, and keeps each point's row until that point's
-        frame takes it.  A point that is not registered, or whose row was
-        taken, or whose batch could not run as one, is evaluated alone.
-        """
+        """``fields`` at the frame's points, as jets of ``order`` (default:
+        the frame's) stacked along one axis behind the point axis, through
+        the context's compiled grid of them (:meth:`FieldGrid.of`), run
+        once over the frame's points.  A block whose grid raises or whose
+        points branch apart raises, and its points are then framed alone
+        (:class:`~jetlag.diff_engine.BatchDiverged`)."""
         order = self.order if order is None else order
-        ctx = self.ctx
-        grid = FieldGrid.of(fields)
-        rows = ctx._rows.get((grid, order))
-        if rows is None:
-            pts = ctx._points if self.pt.key() in ctx._points else {}
-            rows = ctx._rows[grid, order] = dict(
-                zip(pts, grid.batch(list(pts.values()), order) or ()))
-        row = rows.pop(self.pt.key(), None)
-        return row if row is not None else grid.stacked([self.pt], order)[0]
+        pts = self.pts if self.batched else self.pts[0]
+        return FieldGrid.of(fields).stacked(pts, order)
 
     # -- coordinates -------------------------------------------------------
 
@@ -367,18 +401,20 @@ class Frame:
                 for i in range(self.n)
             ]
         )
-        return Jet.variables(self.pt.xs, idx, self.N, self.order)
+        xs = np.stack([pt.xs for pt in self.pts]) if self.batched else self.pts[0].xs
+        return Jet.variables(xs, np.broadcast_to(idx, xs.shape), self.N, self.order)
 
     # -- metrics -----------------------------------------------------------
 
     def _symmetric(self, jet: Jet, what: str) -> Jet:
-        """``jet`` after checking that its (square) value is symmetric."""
-        val = jet.value
-        scale = max(1.0, float(np.max(np.abs(val))))
-        if float(np.max(np.abs(val - val.T))) > 1e-9 * scale:
-            raise RegularityViolationError(
-                f"{what} is not symmetric at this point", witness=self.pt
-            )
+        """``jet`` after checking that its (square) value is symmetric at
+        each point."""
+        for pt, (val,) in zip(self.pts, self.values(jet)):
+            scale = max(1.0, float(np.max(np.abs(val))))
+            if float(np.max(np.abs(val - val.T))) > 1e-9 * scale:
+                raise RegularityViolationError(
+                    f"{what} is not symmetric at this point", witness=pt
+                )
         return jet
 
     @cached_property
@@ -395,7 +431,8 @@ class Frame:
             g = jet_einsum("mn,imjn->ij", self.h_jet, hh) * (1.0 / self.p)
         self._symmetric(g, "vertical metric g")
         if not self.ctx._defer_signature:
-            self.ctx._check_signature(self.pt, self.h_jet.value, g.value)
+            for pt, (h_val, g_val) in zip(self.pts, self.values(self.h_jet, g)):
+                self.ctx._check_signature(pt, h_val, g_val)
         return g
 
     @cached_property
@@ -437,9 +474,10 @@ class Frame:
     def ddxs(self, A: Jet) -> Jet:
         return A.dblock(slice(self.p + self.n, self.N), (self.n, self.p))
 
-    def _letters(self, k: int, avoid: str) -> str:
-        out = [c for c in _LETTER_POOL if c not in avoid]
-        return "".join(out[:k])
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _letters(k: int, avoid: str) -> str:
+        return "".join([c for c in _LETTER_POOL if c not in avoid][:k])
 
     def delta_t(self, A: Jet) -> Jet:
         """Adapted temporal derivative dA/dt^a - M^(j)_(b)a dA/dxs^j_b;
@@ -455,14 +493,14 @@ class Frame:
         """(1/2) inv^im (d_mjk + d_mkj - d_jkm), axes [i,j,k] (+ [g]), of
         the derivative block d[m,j,k] = D_k m_mj of the metric ``which``; a
         vertical D carries a trailing temporal axis g through."""
-        g = "g" if d.value.ndim == 4 else ""
+        g = "g" if self._rank(d) == 4 else ""
         sym = d + jet_linear(f"mjk{g}->mkj{g}", d) - jet_linear(f"jkm{g}->mjk{g}", d)
         return jet_einsum(f"im,mjk{g}->ijk{g}", self.inverse(which, d.order), sym) * 0.5
 
     def _adapted(self, A: Jet, base, connection: Jet) -> Jet:
         """``base(A)`` minus the nonlinear ``connection`` [j,b,w] contracted
         with dA/dxs^j_b; appends the derivative axis w."""
-        S = self._letters(A.value.ndim, "jbw")
+        S = self._letters(self._rank(A), "jbw")
         corr = jet_einsum(f"{S}jb,jbw->{S}w", self.ddxs(A), connection)
         return base(A) - corr
 
@@ -489,26 +527,29 @@ class Frame:
         """Christoffel gamma^i_jm of phi, axes [i,j,m]."""
         return self._christoffel(self.ddx(self.phi_jet), "phi")
 
-    def direction_independent(self) -> bool:
-        """Whether g has no velocity dependence at this point:
-        max |dg/dxs| <= 1e-10 max(1, max |g|)."""
+    def direction_independent(self) -> list:
+        """Per point of the frame, whether g has no velocity dependence
+        there: max |dg/dxs| <= 1e-10 max(1, max |g|)."""
         src = self.ctx.g_source
         if isinstance(src, DirectMetric) and not any(
                 "xs" in f.deps for f in src.entries.flat):
-            return True
-        scale = max(1.0, float(np.max(np.abs(self.g_jet.value))))
-        return float(np.max(np.abs(self.ddxs(self.g_jet).value))) <= 1e-10 * scale
+            return [True] * len(self.pts)
+        return [float(np.max(np.abs(dg))) <= 1e-10 * max(1.0, float(np.max(np.abs(g))))
+                for g, dg in self.values(self.g_jet, self.ddxs(self.g_jet))]
 
     def require_direction_independent(self, what: str):
-        """Error unless :meth:`direction_independent`."""
-        if self.direction_independent():
+        """Error, at the first point that is not, unless every point of the
+        frame is :meth:`direction_independent`."""
+        independent = self.direction_independent()
+        if all(independent):
             return
-        dg = np.abs(self.ddxs(self.g_jet).value)
+        k = independent.index(False)
+        dg = np.abs(self.values(self.ddxs(self.g_jet))[k][0])
         ij = np.unravel_index(int(np.argmax(dg)), dg.shape)
         raise RegularityViolationError(
             f"{what} requires a direction-independent g, but "
             f"dg/dxs at indices {tuple(int(v) for v in ij)} is {float(dg.max()):.3e}",
-            witness=self.pt,
+            witness=self.pts[k],
         )
 
     @cached_property
@@ -576,7 +617,7 @@ class Frame:
         (temporal, spatial) for the axis family (None: no correction);
         ``base`` appends ``extra_axes`` derivative axes, and so does K."""
         slots = self._storage_slots(slots)
-        cn = A.value.ndim
+        cn = self._rank(A)
         if len(slots) != cn:
             raise ValueError(f"{len(slots)} slots for {cn} component axes")
         letters = self._letters(cn + 2 + extra_axes, "")
@@ -978,9 +1019,9 @@ def kronecker_regularity_check(ctx, pts, lagrangian=None) -> RegularityVerdict:
     return regularity_verdict(pts, per_point)
 
 
-def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
-    """(scaled max |B^(a)(b) - h^ab ghat|, ghat) at one point; see
-    :func:`kronecker_regularity_check`."""
+def kronecker_deviation_at(ctx, pt, lagrangian=None):
+    """(scaled max |B^(a)(b) - h^ab ghat|, ghat) at one point, or the list
+    of them over a block of points; see :func:`kronecker_regularity_check`."""
     if lagrangian is not None:
         fr = frame(ctx, pt, 0)
         B = fr.half_hessian(fr.eval_scalar(lagrangian, 2))
@@ -992,13 +1033,13 @@ def kronecker_deviation_at(ctx, pt, lagrangian=None) -> tuple:
         E = jet_einsum("mn,am->an", fr.inverse("h", fr.order), fr.xs_jet)
         E = jet_einsum("an,ab->bn", E, fr.eval_grid(ctx.g_source.entries))
         B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
-    B = B.value  # [i,mu,j,nu]
-    hval = fr.h_jet.value
-    hinv = fr.inverse("h", 0).value
-    ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
-    recon = np.einsum("mn,ij->imjn", hinv, ghat)
-    scale = max(1.0, float(np.max(np.abs(B))))
-    return float(np.max(np.abs(B - recon))) / scale, ghat
+    out = []
+    for B, hval, hinv in fr.values(B, fr.h_jet, fr.inverse("h", 0)):  # B[i,mu,j,nu]
+        ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
+        recon = np.einsum("mn,ij->imjn", hinv, ghat)
+        scale = max(1.0, float(np.max(np.abs(B))))
+        out.append((float(np.max(np.abs(B - recon))) / scale, ghat))
+    return _each(pt, out)
 
 
 def _first_max(values, witnesses) -> tuple:
@@ -1093,16 +1134,19 @@ def nlc_torsion_free_check(ctx, pts) -> TorsionFreeVerdict:
     return torsion_free_verdict(pts, [nlc_torsion_at(ctx, pt) for pt in pts])
 
 
-def nlc_torsion_at(ctx, pt) -> tuple:
+def nlc_torsion_at(ctx, pt):
     """(max |dN/dxs asymmetry|, the entry [i,a,j,k,g] holding it) at one
-    point; see :func:`nlc_torsion_free_check`."""
+    point, or the list of them over a block of points; see
+    :func:`nlc_torsion_free_check`."""
     # Christoffel-built N already spends one derivative order, so the
     # xs-gradient of N needs a depth-2 frame.
     fr = frame(ctx, pt, 2)
-    dN = fr.ddxs(fr.N_jet).value  # [i,a,j,k,g]
-    viol = np.abs(dN - np.transpose(dN, (0, 1, 3, 2, 4)))
-    idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
-    return float(np.max(viol)), tuple(int(v) for v in idx)
+    out = []
+    for (dN,) in fr.values(fr.ddxs(fr.N_jet)):  # [i,a,j,k,g]
+        viol = np.abs(dN - np.transpose(dN, (0, 1, 3, 2, 4)))
+        idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        out.append((float(np.max(viol)), tuple(int(v) for v in idx)))
+    return _each(pt, out)
 
 
 def torsion_free_verdict(pts, per_point) -> TorsionFreeVerdict:
@@ -1115,62 +1159,58 @@ def torsion_free_verdict(pts, per_point) -> TorsionFreeVerdict:
     return TorsionFreeVerdict(max_violation=worst, witness=witness)
 
 
-def metricity_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
-    """Max-abs covariant derivatives of both metrics; all six should vanish."""
+def metricity_residuals(ctx: GeometryContext, pt):
+    """Max-abs covariant derivatives of both metrics; all six should vanish.
+    One map at a point, or the list of them over a block of points."""
     fr = frame(ctx, pt, 2)
     # only values are read, so the metrics enter at order 1
     g, g_slots = fr.g_jet.truncated(1), (S_DN, S_DN)
     h, h_slots = fr.h_jet.truncated(1), (T_DN, T_DN)
-    return {
-        "g_spatial": float(np.max(np.abs(fr.cov_s(g, g_slots).value))),
-        "g_vertical": float(np.max(np.abs(fr.cov_v(g, g_slots).value))),
-        "h_temporal": float(np.max(np.abs(fr.cov_t(h, h_slots).value))),
-        "h_spatial": float(np.max(np.abs(fr.cov_s(h, h_slots).value))),
-        "h_vertical": float(np.max(np.abs(fr.cov_v(h, h_slots).value))),
-        "g_temporal": float(np.max(np.abs(fr.cov_t(g, g_slots).value))),
-    }
+    names = ("g_spatial", "g_vertical", "h_temporal", "h_spatial",
+             "h_vertical", "g_temporal")
+    blocks = (fr.cov_s(g, g_slots), fr.cov_v(g, g_slots), fr.cov_t(h, h_slots),
+              fr.cov_s(h, h_slots), fr.cov_v(h, h_slots), fr.cov_t(g, g_slots))
+    return _each(pt, [{nm: float(np.max(np.abs(v))) for nm, v in zip(names, vals)}
+                      for vals in fr.values(*blocks)])
 
 
-def curvature_antisymmetry_residuals(ctx: GeometryContext, pt: JetPoint) -> dict:
+def curvature_antisymmetry_residuals(ctx: GeometryContext, pt):
     """The seven lowered-antisymmetry identities; max |sym part| each.
+    One map at a point, or the list of them over a block of points.
 
     Lower the upper index with the matching metric, then the sum of the
     tensor and its first-two-index swap must vanish.
     """
     fr = frame(ctx, pt, 2)
-    h = fr.h_jet.value
-    g = fr.g_jet.value
 
     def anti(lowered, perm):
         return float(np.max(np.abs(lowered + np.transpose(lowered, perm))))
 
-    H_low = np.einsum("bm,magd->abgd", h, fr.cur_H_jet.value)
-    R1_low = np.einsum("jm,mibg->ijbg", g, fr.cur_R1_jet.value)
-    R2_low = np.einsum("jm,mibk->ijbk", g, fr.cur_R2_jet.value)
-    R3_low = np.einsum("jm,mikl->ijkl", g, fr.cur_R3_jet.value)
-    P1_low = np.einsum("jm,mibkg->ijbkg", g, fr.cur_P1_jet.value)
-    P2_low = np.einsum("jm,mikld->ijkld", g, fr.cur_P2_jet.value)
-    S_low = np.einsum("jm,mikgld->ijkgld", g, fr.cur_S_jet.value)
-    return {
-        "H_tt": anti(H_low, (1, 0, 2, 3)),
-        "R_tt": anti(R1_low, (1, 0, 2, 3)),
-        "R_tm": anti(R2_low, (1, 0, 2, 3)),
-        "R_mm": anti(R3_low, (1, 0, 2, 3)),
-        "P_vt": anti(P1_low, (1, 0, 2, 3, 4)),
-        "P_vm": anti(P2_low, (1, 0, 2, 3, 4)),
-        "S_vv": anti(S_low, (1, 0, 2, 3, 4, 5)),
-    }
+    out = []
+    for h, g, H, R1, R2, R3, P1, P2, S in fr.values(
+            fr.h_jet, fr.g_jet, fr.cur_H_jet, fr.cur_R1_jet, fr.cur_R2_jet,
+            fr.cur_R3_jet, fr.cur_P1_jet, fr.cur_P2_jet, fr.cur_S_jet):
+        out.append({
+            "H_tt": anti(np.einsum("bm,magd->abgd", h, H), (1, 0, 2, 3)),
+            "R_tt": anti(np.einsum("jm,mibg->ijbg", g, R1), (1, 0, 2, 3)),
+            "R_tm": anti(np.einsum("jm,mibk->ijbk", g, R2), (1, 0, 2, 3)),
+            "R_mm": anti(np.einsum("jm,mikl->ijkl", g, R3), (1, 0, 2, 3)),
+            "P_vt": anti(np.einsum("jm,mibkg->ijbkg", g, P1), (1, 0, 2, 3, 4)),
+            "P_vm": anti(np.einsum("jm,mikld->ijkld", g, P2), (1, 0, 2, 3, 4)),
+            "S_vv": anti(np.einsum("jm,mikgld->ijkgld", g, S), (1, 0, 2, 3, 4, 5)),
+        })
+    return _each(pt, out)
 
 
 # --------------------------------------------------------------------------
 # sampling (identities are pointwise; boxes keep fields in smooth regimes)
 # --------------------------------------------------------------------------
 
-def _metric_values(ctx, pt):
-    """The values of h and g at ``pt``, off its order-0 frame, which the
-    next point's frame replaces."""
-    fr = frame(ctx, pt, 0)
-    return fr.h_jet.value, fr.g_jet.value
+def _metric_values(ctx, pts) -> list:
+    """The values (h, g) at each of ``pts``, off their order-0 frame, which
+    the next frame replaces."""
+    fr = frame(ctx, pts, 0)
+    return fr.values(fr.h_jet, fr.g_jet)
 
 
 def sample_points(
@@ -1187,10 +1227,10 @@ def sample_points(
     violations.  Raises :class:`ConfigError` naming the boxes and counting
     each kind of rejection when the try budget runs out.  Only accepted
     points record or assert the metric signature.  The draws are made one
-    block at a time, one draw per point still wanted, and each block is
-    registered with ``ctx`` (:meth:`GeometryContext.register`), so its
-    metrics are evaluated in one batch; the draws are tried in draw
-    order, and each draw's frame lives until the next draw is framed."""
+    block at a time, one draw per point still wanted, and h and g are read
+    off one order-0 frame of the block; a block that raises or branches
+    apart is read one draw at a time, so each draw is tried, in draw
+    order, as it would be alone."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
@@ -1208,18 +1248,24 @@ def sample_points(
                 f"{ill_conditioned} had a metric with condition number above "
                 f"{cond_limit:g}"
             )
-        # one draw per point still wanted, registered as one batch
+        # one draw per point still wanted, evaluated as one block
         block = [JetPoint.of(
             rng.uniform(box_t[0], box_t[1], size=p),
             rng.uniform(box_x[0], box_x[1], size=n),
             rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
         ) for _ in range(min(count - len(pts), budget - tries))]
-        ctx.register(block)
-        for pt in block:
+        ctx._defer_signature = True
+        try:
+            metrics = _metric_values(ctx, block) if len(block) > 1 else None
+        except (JetlagError, BatchDiverged):
+            metrics = None
+        finally:
+            ctx._defer_signature = False
+        for k, pt in enumerate(block):
             tries += 1
             ctx._defer_signature = True
             try:
-                hval, gval = _metric_values(ctx, pt)
+                hval, gval = metrics[k] if metrics else _metric_values(ctx, pt)[0]
                 if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
                     ill_conditioned += 1
                     continue

@@ -39,7 +39,7 @@ import numpy as np
 from .diff_engine import JetPoint, jet_einsum, jet_linear
 from .errors import (JetlagError, NaturalFormUnavailableError,
                      VacuumConstantError, name_witness)
-from .geometry import GeometryContext, _Agg, _gate, frame
+from .geometry import GeometryContext, _Agg, _each, _gate, frame
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
 __all__ = [
@@ -96,38 +96,46 @@ class StressEnergySet:
     K: float
 
 
-def einstein_blocks(ctx: GeometryContext, pt: JetPoint) -> EinsteinBlocks:
-    """The adapted blocks of the gravitational field equations at a point."""
-    return _einstein_blocks_at(frame(ctx, pt, 2))
+def einstein_blocks(ctx: GeometryContext, pt):
+    """The adapted blocks of the gravitational field equations at a point,
+    or the list of them over a block of points."""
+    return _each(pt, _einstein_blocks_at(frame(ctx, pt, 2)))
 
 
-def _einstein_blocks_at(fr) -> EinsteinBlocks:
-    """:func:`einstein_blocks`, read off the frame ``fr``."""
-    h = fr.h_jet.value
-    g = fr.g_jet.value
-    sc = float(fr.scalar_H_jet.value + fr.scalar_R_jet.value + fr.scalar_S_jet.value)
-    return EinsteinBlocks(
-        tt=fr.ricci_H_jet.value - 0.5 * sc * h,
-        ss=fr.ricci_Rmm_jet.value - 0.5 * sc * g,
-        vv=fr.ricci_S_jet.value
-        - 0.5 * sc * np.einsum("ab,ij->iajb", fr.inverse("h", 0).value, g),
-        st=fr.ricci_Rmt_jet.value.copy(),
-        vt=fr.ricci_P3_jet.value.copy(),
-        sv=fr.ricci_P1_jet.value.copy(),
-        vs=fr.ricci_P2_jet.value.copy(),
-        zero_ts=np.zeros((fr.p, fr.n)),
-        zero_tv=np.zeros((fr.p, fr.n, fr.p)),
-    )
+def _einstein_blocks_at(fr) -> list:
+    """:func:`einstein_blocks` at each point of the frame ``fr``."""
+    out = []
+    for h, g, sH, sR, sS, rH, rR, rS, rRmt, rP3, rP1, rP2, h_inv in fr.values(
+            fr.h_jet, fr.g_jet, fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
+            fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet, fr.ricci_Rmt_jet,
+            fr.ricci_P3_jet, fr.ricci_P1_jet, fr.ricci_P2_jet, fr.inverse("h", 0)):
+        sc = float(sH + sR + sS)
+        out.append(EinsteinBlocks(
+            tt=rH - 0.5 * sc * h,
+            ss=rR - 0.5 * sc * g,
+            vv=rS - 0.5 * sc * np.einsum("ab,ij->iajb", h_inv, g),
+            st=rRmt.copy(),
+            vt=rP3.copy(),
+            sv=rP1.copy(),
+            vs=rP2.copy(),
+            zero_ts=np.zeros((fr.p, fr.n)),
+            zero_tv=np.zeros((fr.p, fr.n, fr.p)),
+        ))
+    return out
 
 
-def stress_energy_extract(ctx: GeometryContext, pt: JetPoint) -> StressEnergySet:
-    """Stress-energy components implied by the field equations and ctx.K."""
+def stress_energy_extract(ctx: GeometryContext, pt):
+    """Stress-energy components implied by the field equations and ctx.K,
+    at a point, or the list of them over a block of points."""
     if ctx.K == 0.0:
         raise VacuumConstantError(
             "stress-energy extraction needs a nonzero gravitational constant; "
             "zero describes a vacuum source"
         )
-    return _stress_energy_of(einstein_blocks(ctx, pt), ctx.K)
+    blocks = einstein_blocks(ctx, pt)
+    if isinstance(pt, JetPoint):
+        return _stress_energy_of(blocks, ctx.K)
+    return [_stress_energy_of(eb, ctx.K) for eb in blocks]
 
 
 def _stress_energy_of(eb: EinsteinBlocks, k: float) -> StressEnergySet:
@@ -218,40 +226,54 @@ def _divergences(fr, Xt, Xs, Xv):
             jet_linear("iajbia->jb", fr.cov_v(Xv, (V_UP, V_DN))))
 
 
-def _laws_at(fr):
-    """[(residual, constituent terms)] for the three laws at one frame."""
+def _laws_at(fr) -> list:
+    """[(residual, constituent terms)] jet pairs of the three laws at one
+    frame."""
     mixed = _mixed_einstein_jets(fr)
     div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
     lhs1, lhs2, lhs3 = _divergences(fr, *mixed)
     res1 = lhs1 + div_R + div_P1
     res2 = lhs2 + div_P2
     res3 = lhs3 + div_P3
-
     return [
-        (res1.value, (lhs1.value, div_R.value, div_P1.value)),
-        (res2.value, (lhs2.value, div_P2.value)),
-        (res3.value, (lhs3.value, div_P3.value)),
+        (res1, (lhs1, div_R, div_P1)),
+        (res2, (lhs2, div_P2)),
+        (res3, (lhs3, div_P3)),
     ]
 
 
-def conservation_residuals(ctx: GeometryContext, pts) -> ConservationReport:
-    """Componentwise residuals of the three conservation laws over pts."""
-    _gate(ctx, 3, "conservation-law divergences")
+def _conservation_report(laws, dir_indep) -> ConservationReport:
+    """The report of the points whose :func:`_laws_at` values
+    (:meth:`~jetlag.geometry.Frame.residuals`) are ``laws`` and
+    whose direction independence is ``dir_indep``, in point order."""
     aggs = [_Agg() for _ in range(3)]
-    dir_indep = True
-    count = 0
+    for point in laws:
+        for agg, (res, terms) in zip(aggs, point):
+            agg.add(res, terms)
+    return ConservationReport(
+        laws={name: agg.stats()
+              for name, agg in zip(ConservationReport.LAW_NAMES, aggs)},
+        direction_independent=all(dir_indep), n_points=len(laws),
+    )
+
+
+def conservation_residuals(ctx: GeometryContext, pts, each=False):
+    """Componentwise residuals of the three conservation laws over pts.
+
+    With ``each``, ``pts`` is one point or a block of points, read off one
+    frame of it, and the result is the report of each point alone (of a
+    :class:`JetPoint`, its one report)."""
+    _gate(ctx, 3, "conservation-law divergences")
+    if each:
+        fr = frame(ctx, pts, 3)
+        return _each(pts, [_conservation_report([laws], [di]) for laws, di in
+                           zip(fr.residuals(_laws_at(fr)), fr.direction_independent())])
+    laws, dir_indep = [], []
     for pt in pts:
         fr = frame(ctx, pt, 3)
-        for agg, (res, terms) in zip(aggs, _laws_at(fr)):
-            agg.add(res, terms)
-        dir_indep = dir_indep and fr.direction_independent()
-        count += 1
-    laws = {
-        name: agg.stats() for name, agg in zip(ConservationReport.LAW_NAMES, aggs)
-    }
-    return ConservationReport(
-        laws=laws, direction_independent=dir_indep, n_points=count
-    )
+        laws += fr.residuals(_laws_at(fr))
+        dir_indep += fr.direction_independent()
+    return _conservation_report(laws, dir_indep)
 
 
 # --------------------------------------------------------------------------
@@ -308,84 +330,85 @@ def natural_stress_energy(ctx: GeometryContext, pt: JetPoint) -> NaturalFormRepo
             "the trace-adjusted stress-energy needs a nonzero gravitational "
             "constant"
         )
-    return _natural_stress_energy_at(frame(ctx, pt, 2))
+    return _natural_stress_energy_at(frame(ctx, pt, 2))[0]
 
 
-def _natural_stress_energy_at(fr) -> NaturalFormReport:
-    """:func:`natural_stress_energy`, read off the frame ``fr``."""
+def _natural_stress_energy_at(fr) -> list:
+    """:func:`natural_stress_energy` at each point of the frame ``fr``."""
     p, n, K = fr.p, fr.n, fr.ctx.K
-    T = _stress_energy_of(_einstein_blocks_at(fr), K)
-    h = fr.h_jet.value
-    g = fr.g_jet.value
-    h_inv = fr.inverse("h", 0).value
-    g_inv = fr.inverse("g", 0).value
-    H = float(fr.scalar_H_jet.value)
-    R = float(fr.scalar_R_jet.value)
-    S = float(fr.scalar_S_jet.value)
+    out = []
+    for eb, (h, g, h_inv, g_inv, H, R, S, ricci_H, ricci_Rmm, ricci_S) in zip(
+            _einstein_blocks_at(fr), fr.values(
+                fr.h_jet, fr.g_jet, fr.inverse("h", 0), fr.inverse("g", 0),
+                fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
+                fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet)):
+        T = _stress_energy_of(eb, K)
+        H, R, S = float(H), float(R), float(S)
 
-    # the vertical trace pairs the inverse vertical metric h_ab g^ij with
-    # the vv block, mirroring the S scalar
-    T_T = float(np.einsum("ab,ab->", h_inv, T.T_tt))
-    T_M = float(np.einsum("ij,ij->", g_inv, T.T_ss))
-    T_v = float(np.einsum("ab,ij,iajb->", h, g_inv, T.T_vv))
-    D = 2.0 - p - n - p * n
-    tot = T_T + T_M + T_v
-    scalars_solved = (
-        K * (T_T + p / D * tot),
-        K * (T_M + n / D * tot),
-        K * (T_v + p * n / D * tot),
-    )
+        # the vertical trace pairs the inverse vertical metric h_ab g^ij with
+        # the vv block, mirroring the S scalar
+        T_T = float(np.einsum("ab,ab->", h_inv, T.T_tt))
+        T_M = float(np.einsum("ij,ij->", g_inv, T.T_ss))
+        T_v = float(np.einsum("ab,ij,iajb->", h, g_inv, T.T_vv))
+        D = 2.0 - p - n - p * n
+        tot = T_T + T_M + T_v
+        scalars_solved = (
+            K * (T_T + p / D * tot),
+            K * (T_M + n / D * tot),
+            K * (T_v + p * n / D * tot),
+        )
 
-    G_up = np.einsum("ab,ij->iajb", h_inv, g)
-    tilde_tt = T.T_tt + (R + S) / (2.0 * K) * h
-    tilde_ss = T.T_ss + (H + S) / (2.0 * K) * g
-    tilde_vv = T.T_vv + (H + R) / (2.0 * K) * G_up
+        G_up = np.einsum("ab,ij->iajb", h_inv, g)
+        tilde_tt = T.T_tt + (R + S) / (2.0 * K) * h
+        tilde_ss = T.T_ss + (H + S) / (2.0 * K) * g
+        tilde_vv = T.T_vv + (H + R) / (2.0 * K) * G_up
 
-    Tt_T = float(np.einsum("ab,ab->", h_inv, tilde_tt))
-    Tt_M = float(np.einsum("ij,ij->", g_inv, tilde_ss))
-    Tt_v = float(np.einsum("ab,ij,iajb->", h, g_inv, tilde_vv))
-    scalars_from_tilde = (
-        2.0 * K * Tt_T / (2.0 - p),
-        2.0 * K * Tt_M / (2.0 - n),
-        2.0 * K * Tt_v / (2.0 - p * n),
-    )
+        Tt_T = float(np.einsum("ab,ab->", h_inv, tilde_tt))
+        Tt_M = float(np.einsum("ij,ij->", g_inv, tilde_ss))
+        Tt_v = float(np.einsum("ab,ij,iajb->", h, g_inv, tilde_vv))
+        scalars_from_tilde = (
+            2.0 * K * Tt_T / (2.0 - p),
+            2.0 * K * Tt_M / (2.0 - n),
+            2.0 * K * Tt_v / (2.0 - p * n),
+        )
 
-    e1p = max(
-        float(np.max(np.abs(fr.ricci_H_jet.value - 0.5 * H * h - K * tilde_tt))),
-        float(np.max(np.abs(fr.ricci_Rmm_jet.value - 0.5 * R * g - K * tilde_ss))),
-        float(np.max(np.abs(fr.ricci_S_jet.value - 0.5 * S * G_up - K * tilde_vv))),
-    )
-    direct = (H, R, S)
-    trace_res = max(
-        max(abs(a - b) for a, b in zip(direct, scalars_solved)),
-        max(abs(a - b) for a, b in zip(direct, scalars_from_tilde)),
-    )
-    # round trip through the inverse trace relations
-    Hr, Rr, Sr = scalars_from_tilde
-    back_tt = tilde_tt - (Rr + Sr) / (2.0 * K) * h
-    back_ss = tilde_ss - (Hr + Sr) / (2.0 * K) * g
-    back_vv = tilde_vv - (Hr + Rr) / (2.0 * K) * G_up
-    roundtrip = max(
-        float(np.max(np.abs(back_tt - T.T_tt))),
-        float(np.max(np.abs(back_ss - T.T_ss))),
-        float(np.max(np.abs(back_vv - T.T_vv))),
-    )
-    return NaturalFormReport(
-        p=p,
-        n=n,
-        K=K,
-        traces={"T_T": T_T, "T_M": T_M, "T_v": T_v},
-        tilde_traces={"T_T": Tt_T, "T_M": Tt_M, "T_v": Tt_v},
-        scalars_direct=direct,
-        scalars_solved=scalars_solved,
-        scalars_from_tilde=scalars_from_tilde,
-        tilde_tt=tilde_tt,
-        tilde_ss=tilde_ss,
-        tilde_vv=tilde_vv,
-        e1prime_residual=e1p,
-        trace_residual=trace_res,
-        roundtrip_residual=roundtrip,
-    )
+        e1p = max(
+            float(np.max(np.abs(ricci_H - 0.5 * H * h - K * tilde_tt))),
+            float(np.max(np.abs(ricci_Rmm - 0.5 * R * g - K * tilde_ss))),
+            float(np.max(np.abs(ricci_S - 0.5 * S * G_up - K * tilde_vv))),
+        )
+        direct = (H, R, S)
+        trace_res = max(
+            max(abs(a - b) for a, b in zip(direct, scalars_solved)),
+            max(abs(a - b) for a, b in zip(direct, scalars_from_tilde)),
+        )
+        # round trip through the inverse trace relations
+        Hr, Rr, Sr = scalars_from_tilde
+        back_tt = tilde_tt - (Rr + Sr) / (2.0 * K) * h
+        back_ss = tilde_ss - (Hr + Sr) / (2.0 * K) * g
+        back_vv = tilde_vv - (Hr + Rr) / (2.0 * K) * G_up
+        roundtrip = max(
+            float(np.max(np.abs(back_tt - T.T_tt))),
+            float(np.max(np.abs(back_ss - T.T_ss))),
+            float(np.max(np.abs(back_vv - T.T_vv))),
+        )
+        out.append(NaturalFormReport(
+            p=p,
+            n=n,
+            K=K,
+            traces={"T_T": T_T, "T_M": T_M, "T_v": T_v},
+            tilde_traces={"T_T": Tt_T, "T_M": Tt_M, "T_v": Tt_v},
+            scalars_direct=direct,
+            scalars_solved=scalars_solved,
+            scalars_from_tilde=scalars_from_tilde,
+            tilde_tt=tilde_tt,
+            tilde_ss=tilde_ss,
+            tilde_vv=tilde_vv,
+            e1prime_residual=e1p,
+            trace_residual=trace_res,
+            roundtrip_residual=roundtrip,
+        ))
+    return out
 
 
 def _tilde_einstein_jets(fr):
@@ -408,7 +431,8 @@ def _prop_identities_at(fr, divs):
     ``divs``, the :func:`_divergences` of the frame's trace-adjusted
     (Emix_t, Emix_s, Econ) (:func:`_tilde_einstein_jets`).
 
-    Returns (displayed, derived): the curvature-product forms exactly as
+    Returns (displayed, derived), each a list of (residual, constituent
+    terms) jet pairs: the curvature-product forms exactly as
     stated, and the forms obtained by contracting the cyclic differential
     identities of the connection (upper index against the second spatial
     slot, then g^{-1} and h on the remaining lower pairs).  On spaces with
@@ -436,11 +460,7 @@ def _prop_identities_at(fr, divs):
     t4 = jet_einsum("mupl,lpiamu->ia", w2, fr.cur_S_jet) * 0.5
     id3 = lhs3 - t3 + t4
 
-    displayed = [
-        (id1.value, (id1.value,)),
-        (id2.value, (lhs2.value, t1.value, t2.value)),
-        (id3.value, (lhs3.value, t3.value, t4.value)),
-    ]
+    displayed = [(id1, (id1,)), (id2, (lhs2, t1, t2)), (id3, (lhs3, t3, t4))]
 
     # spatial, contracted-cyclic: lhs2 = -1/2 g^{kp} (sum of the three
     # R-curvature x P-curvature couplings, one with the upper/second-slot
@@ -463,16 +483,13 @@ def _prop_identities_at(fr, divs):
     R3 = jet_einsum("mukgia,kgmu->ia", tor_S, Y2)
     der3 = lhs3 + (R1 + R2 + R3) * 0.5
 
-    derived = [
-        (id1.value, (id1.value,)),
-        (der2.value, (lhs2.value, C3.value)),
-        (der3.value, (lhs3.value, R1.value, R2.value, R3.value)),
-    ]
+    derived = [(id1, (id1,)), (der2, (lhs2, C3)), (der3, (lhs3, R1, R2, R3))]
     return displayed, derived
 
 
 def _new_laws_at(fr, tilde, divs, K: float):
-    """Residuals of the rewritten conservation laws at one frame, from its
+    """(residual, constituent terms) jet pairs of the rewritten
+    conservation laws and of their simple form at one frame, from its
     :func:`_tilde_einstein_jets` ``tilde`` and the divergences ``divs``
     that :func:`_prop_identities_at` reads, here divided by K.  The
     divergences on the right are the conservation laws' own
@@ -504,36 +521,32 @@ def _new_laws_at(fr, tilde, divs, K: float):
     l3 = d3 - fr.ddxs(tT) * (1.0 / (2.0 - p)) - fr.ddxs(tM) * (1.0 / (2.0 - n))
     res3 = l3 * K + div_P3
 
-    laws = [
-        (res1.value, (d1.value * K, div_R.value, div_P1.value)),
-        (res2.value, (d2.value * K, div_P2.value)),
-        (res3.value, (d3.value * K, div_P3.value)),
-    ]
-    simple = [
-        (d1.value, (d1.value,)),
-        (d2.value, (d2.value,)),
-        (d3.value, (d3.value,)),
-    ]
+    # the terms read only values: d * K at order 0
+    dK1, dK2, dK3 = (d.truncated(0) * K for d in (d1, d2, d3))
+    laws = [(res1, (dK1, div_R, div_P1)), (res2, (dK2, div_P2)), (res3, (dK3, div_P3))]
+    simple = [(d1, (d1,)), (d2, (d2,)), (d3, (d3,))]
     return laws, simple
 
 
-def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
-    """Identity and rewritten-law residuals over sample points.
+def _natural_form_points(fr, have_K: bool) -> list:
+    """Per point of the frame: (the residual pairs of the stated identities,
+    of the contracted-cyclic ones, of the rewritten laws and of their
+    simple form (both None without K), max |P curvature|, max |S
+    curvature|), as values (:meth:`~jetlag.geometry.Frame.residuals`)."""
+    tilde = _tilde_einstein_jets(fr)
+    divs = _divergences(fr, *tilde[1::2])  # Emix_t, Emix_s, Econ
+    displayed, derived = _prop_identities_at(fr, divs)
+    laws, simple = _new_laws_at(fr, tilde, divs, fr.ctx.K) if have_K else ([], [])
+    pairs = fr.residuals(displayed + derived + laws + simple)
+    return [(pt[:3], pt[3:6], pt[6:9] or None, pt[9:] or None, P, S)
+            for pt, P, S in zip(pairs, fr.max_abs(fr.cur_P2_jet),
+                                fr.max_abs(fr.cur_S_jet))]
 
-    The points are visited once, in order, each through its order-3 frame.
-    Each point's trace-adjusted Einstein jets, and their divergences, are
-    built once and read by both the identities and the rewritten laws; the
-    laws' divergence right-hand sides come from the frame, shared with a
-    conservation check that reads the same frame.  The construction of
-    :func:`natural_stress_energy` is read off the frame of ``pts[0]``.
-    ``jetlag run`` calls this one point at a time and folds the reports.
-    A point error names the point it was raised at as witness.
-    """
-    _require_natural_form(ctx)
-    _gate(ctx, 3, "the trace-adjusted identity checks")
-    pts = list(pts)
-    if not pts:
-        raise ValueError("natural_form_checks needs at least one sample point")
+
+def _natural_form_report(ctx, base, points) -> NaturalFormReport:
+    """The report of the points whose :func:`_natural_form_points` are
+    ``points``, in point order, on the construction ``base`` (None without
+    K)."""
     have_K = ctx.K != 0.0
     iaggs = [_Agg() for _ in range(3)]
     daggs = [_Agg() for _ in range(3)]
@@ -541,24 +554,14 @@ def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
     saggs = [_Agg() for _ in range(3)]
     max_P = 0.0
     max_S = 0.0
-    pt = pts[0]
-    try:
-        base = _natural_stress_energy_at(frame(ctx, pt, 3)) if have_K else None
-        for pt in pts:
-            fr = frame(ctx, pt, 3)
-            tilde = _tilde_einstein_jets(fr)
-            divs = _divergences(fr, *tilde[1::2])  # Emix_t, Emix_s, Econ
-            displayed, derived = _prop_identities_at(fr, divs)
-            for agg, (res, terms) in zip(iaggs + daggs, displayed + derived):
+    for displayed, derived, laws, simple, P, S in points:
+        for agg, (res, terms) in zip(iaggs + daggs, displayed + derived):
+            agg.add(res, terms)
+        if have_K:
+            for agg, (res, terms) in zip(laggs + saggs, laws + simple):
                 agg.add(res, terms)
-            if have_K:
-                laws, simple = _new_laws_at(fr, tilde, divs, ctx.K)
-                for agg, (res, terms) in zip(laggs + saggs, laws + simple):
-                    agg.add(res, terms)
-            max_P = max(max_P, float(np.max(np.abs(fr.cur_P2_jet.value))))
-            max_S = max(max_S, float(np.max(np.abs(fr.cur_S_jet.value))))
-    except JetlagError as exc:
-        raise name_witness(exc, pt)
+        max_P = max(max_P, P)
+        max_S = max(max_S, S)
 
     names = NaturalFormReport.IDENTITY_NAMES
     identity = {nm: agg.stats() for nm, agg in zip(names, iaggs)}
@@ -585,5 +588,43 @@ def natural_form_checks(ctx: GeometryContext, pts) -> NaturalFormReport:
         identity_residuals_derived=identity_derived,
         new_law_residuals=new_laws,
         simple_form=simple_form,
-        n_points=len(pts),
+        n_points=len(points),
     )
+
+
+def natural_form_checks(ctx: GeometryContext, pts, each=False):
+    """Identity and rewritten-law residuals over sample points.
+
+    The points are visited once, in order, each through its order-3 frame.
+    Each point's trace-adjusted Einstein jets, and their divergences, are
+    built once and read by both the identities and the rewritten laws; the
+    laws' divergence right-hand sides come from the frame, shared with a
+    conservation check that reads the same frame.  The construction of
+    :func:`natural_stress_energy` is read off the frame of ``pts[0]``.
+    A point error names the point it was raised at as witness.
+
+    With ``each``, ``pts`` is one point or a block of points, read off one
+    frame of it, and the result is the report of each point alone (of a
+    :class:`JetPoint`, its one report): ``jetlag run`` takes these and
+    folds them.
+    """
+    _require_natural_form(ctx)
+    _gate(ctx, 3, "the trace-adjusted identity checks")
+    have_K = ctx.K != 0.0
+    if each:
+        fr = frame(ctx, pts, 3)
+        bases = _natural_stress_energy_at(fr) if have_K else [None] * len(fr.pts)
+        return _each(pts, [_natural_form_report(ctx, base, [point]) for base, point
+                           in zip(bases, _natural_form_points(fr, have_K))])
+    pts = list(pts)
+    if not pts:
+        raise ValueError("natural_form_checks needs at least one sample point")
+    pt = pts[0]
+    points = []
+    try:
+        base = _natural_stress_energy_at(frame(ctx, pt, 3))[0] if have_K else None
+        for pt in pts:
+            points += _natural_form_points(frame(ctx, pt, 3), have_K)
+    except JetlagError as exc:
+        raise name_witness(exc, pt)
+    return _natural_form_report(ctx, base, points)

@@ -328,9 +328,10 @@ def test_criterion_08_contracted_bianchi_reduction(capsys):
     worst_law = worst_id = 0.0
     for pt in sample_points(ctx, 3, seed=808):
         fr = frame(ctx, pt, 3)
-        law1 = _laws_at(fr)[0][0]
+        law1 = fr.residuals(_laws_at(fr))[0][0][0]
         tilde = _tilde_einstein_jets(fr)
-        displayed, _ = _prop_identities_at(fr, _divergences(fr, *tilde[1::2]))
+        displayed = fr.residuals(
+            _prop_identities_at(fr, _divergences(fr, *tilde[1::2]))[0])[0]
         id1 = displayed[0][0]
         _, div = h_einstein_oracle(support.h22_at, np.asarray(pt.t))
         worst_law = max(worst_law, float(np.max(np.abs(law1 - div))))

@@ -625,20 +625,44 @@ def test_point_major_matches_single_check_runs(tmp_path, name):
         assert rep["checks"][check] == alone["checks"][check], check
 
 
-def test_point_major_builds_each_order2_frame_once(tmp_path, monkeypatch):
-    from jetlag.geometry import Frame
+def _block_sizes(count, size) -> list:
+    """The sizes of the blocks that ``count`` points fall into."""
+    return [min(size, count - lo) for lo in range(0, count, size)]
+
+
+def _order2_builds(tmp_path, monkeypatch, doc) -> tuple:
+    """(the number of points of each order-2 frame that a run of ``doc``
+    builds, the run's block size)."""
+    from jetlag.geometry import Frame, block_size
 
     builds = []
     init = Frame.__init__
 
-    def counting(self, ctx, pt, order):
-        builds.append(order)
-        init(self, ctx, pt, order)
+    def counting(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        if order == 2:
+            builds.append(len(self.pts))
 
     monkeypatch.setattr(Frame, "__init__", counting)
-    rc, rep = run_to(tmp_path, ORACLE_CFGS["optic-66"])
-    assert rc == 0 and len(rep["points"]) == 66
-    assert builds.count(2) == 66
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 0 and len(rep["points"]) == sum(builds)
+    return builds, block_size(doc["p"], doc["n"], 2)
+
+
+def test_point_major_builds_each_order2_frame_once(tmp_path, monkeypatch):
+    # one order-2 frame per block of points, read by every check
+    builds, size = _order2_builds(tmp_path, monkeypatch, ORACLE_CFGS["optic-66"])
+    assert 1 < size < 66
+    assert builds == _block_sizes(66, size)
+
+
+def test_optic_sweep_builds_one_order2_frame_per_block(tmp_path, monkeypatch):
+    # a tooling guard: the benchmark's frame counts cannot change in a
+    # change that claims a speed-up, so this count lives here
+    doc = _load_bench(monkeypatch, "spec").make_config("optic-sweep", None)
+    builds, size = _order2_builds(tmp_path, monkeypatch, doc)
+    assert len(builds) <= -(-doc["points"]["count"] // size)
+    assert 16 <= size <= 32
 
 
 def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
@@ -674,9 +698,8 @@ def test_natural_form_fold_matches_the_whole_sweep(tmp_path):
     cfg = cli.load_config(write_cfg(tmp_path, MIXED33_CFG))
     ctx = cfg.space
     pts = cli._collect_points(cfg, ctx)
-    ctx.register(pts)
     got = cli._FOLDS["natural-form"](
-        pts, [cli._RUNNERS["natural-form"](ctx, pt) for pt in pts], 1e-8)
+        pts, cli._block_records(cli._RUNNERS["natural-form"], ctx, pts), 1e-8)
     rep = natural_form_checks(ctx, pts)
     assert len(pts) == 3 and got.status == "fail" and got.witness is pts[0]
     for key, attr in (("rewritten_laws", "new_law_residuals"),
@@ -718,25 +741,39 @@ def test_mixed33_deep_takes_each_divergence_once(tmp_path, monkeypatch):
     assert calls == [3] * 192
 
 
+def _block_key(pts):
+    return tuple(pt.key() for pt in pts)
+
+
 def test_frames_live_only_as_long_as_their_point(tmp_path, monkeypatch):
-    # when a frame of a new point is built, no frame of an earlier point is
-    # alive: the run drops each point's frames when the next point starts
+    # when a frame of a new block is built, no frame and no field jet of an
+    # earlier block is alive: the run drops each block's frames, and the
+    # jets they evaluated, when the next block starts
     import weakref
 
+    from jetlag.field_expr import FieldGrid
     from jetlag.geometry import Frame
 
     bench_spec = _load_bench(monkeypatch, "spec")
-    built = []  # (point key, weak reference) of every frame of the run
+    built = []  # (block key, weak reference) of every frame and field jet
     stale = []
     init = Frame.__init__
+    stacked = FieldGrid.stacked
 
-    def tracking(self, ctx, pt, order):
-        key = pt.key()
+    def tracking(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        key = _block_key(self.pts)
         stale.extend(k for k, ref in built if k != key and ref() is not None)
-        init(self, ctx, pt, order)
         built.append((key, weakref.ref(self)))
 
+    def evaluating(self, pts, order):
+        jet = stacked(self, pts, order)
+        key = _block_key([pts] if isinstance(pts, JetPoint) else pts)
+        built.extend((key, weakref.ref(c)) for c in jet.coeffs)
+        return jet
+
     monkeypatch.setattr(Frame, "__init__", tracking)
+    monkeypatch.setattr(FieldGrid, "stacked", evaluating)
     for doc in (MIXED33_CFG, bench_spec.make_config("optic-sweep", None)):
         built.clear()
         run_to(tmp_path, doc)
@@ -787,14 +824,16 @@ def test_held_maxwell_error_keeps_no_frame_alive(tmp_path, monkeypatch, count):
     built, stale = [], []
     init = Frame.__init__
 
-    def tracking(self, ctx, pt, order):
-        stale.extend(k for k, ref in built if k != pt.key() and ref() is not None)
-        init(self, ctx, pt, order)
-        built.append((pt.key(), weakref.ref(self)))
+    def tracking(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        key = _block_key(self.pts)
+        stale.extend(k for k, ref in built if k != key and ref() is not None)
+        built.append((key, weakref.ref(self)))
 
     monkeypatch.setattr(Frame, "__init__", tracking)
     _, rep = run_to(tmp_path, doc)
-    assert len({k for k, _ in built}) == count and not stale
+    # the block of both points, then each point alone
+    assert len({k for k, _ in built}) == (1 if count == 1 else 3) and not stale
     got = rep["checks"]["maxwell"]
     cfg = cli.load_config(write_cfg(tmp_path, doc))
     with pytest.raises(JetlagError) as info:
@@ -989,12 +1028,12 @@ def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
 
         monkeypatch.setattr(mod, name, counting)
     ctx = support.mixed33_ctx()
-    cli._run_conservation(ctx, pt_mixed33)
-    cli._natural_form_at(ctx, pt_mixed33)
+    cli._run_conservation(ctx, [pt_mixed33])
+    cli._natural_form_at(ctx, [pt_mixed33])
     ctx = build_space("optic", OPTIC_CFG["space"]["params"])
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
-    cli._run_curvature(ctx, pt)
-    cli._RUNNERS["maxwell"](ctx, pt)
+    cli._run_curvature(ctx, [pt])
+    cli._RUNNERS["maxwell"](ctx, [pt])
     assert calls.count("_raised_p_jets") == 1
     assert calls.count("_metrical_jets") == 1
 
@@ -1412,13 +1451,158 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
     # calls, which grids bypass, so it cannot see a run that falls back to
     # evaluating its fields point by point
     calls = support.record_grid_calls(monkeypatch)
-    count = 9
+    from jetlag.geometry import block_size
+
+    count = 40
     doc = dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], count=count),
                checks=SWEEP_CHECKS, dump=[])
     rc, rep = run_to(tmp_path, doc)
     assert rc == 0 and len(rep["points"]) == count
-    # one sampling block (no draw is rejected), then one batch per order
-    runs = [(grid, order) for grid, order, _ in calls]
-    assert len(runs) == len(set(runs))
+    # one sampling block (no draw is rejected), then one batch per block
+    # and order
+    blocks = _block_sizes(count, block_size(2, 2, 2))
+    assert len(blocks) > 1
+    runs = {}
+    for grid, order, n in calls:
+        runs.setdefault((grid, order), []).append(n)
     assert {order for _, order in runs} == {0, 2}
-    assert {size for _, _, size in calls} == {count}
+    for (grid, order), sizes in runs.items():
+        assert sizes == ([count] if order == 0 else blocks), order
+
+
+def test_a_second_run_evaluates_the_first_point_alone(tmp_path, monkeypatch):
+    # the explicit-point signature step reads pts[0] alone, in every run of
+    # one loaded config: no run evaluates it over another run's points
+    from jetlag import cli
+
+    calls = support.record_grid_calls(monkeypatch)
+    points = {"explicit": [_explicit_point(x1) for x1 in (0.1, 0.3, 0.5)]}
+    cfg = cli.load_config(write_cfg(tmp_path, dict(OPTIC_CFG, points=points)))
+    order0 = []
+    for out in ("r1.json", "r2.json"):
+        calls.clear()
+        cli.run_report(cfg, out_path=str(tmp_path / out))
+        order0.append([n for _, order, n in calls if order == 0])
+    assert order0[0] == order0[1] and order0[0] and not any(order0[0])
+
+
+# --------------------------------------------------------------------------
+# a block of points gives each point the report it gets alone
+# --------------------------------------------------------------------------
+
+def _block_point(x1=0.3, xs11=0.5):
+    return {"t": [0.1, 0.2], "x": [x1, 0.4], "xs": [[xs11, 0.6], [0.7, 0.8]]}
+
+
+# g is singular at the third of five points, so a metric inverse over the
+# block of all five raises; each point of the block then runs alone
+SINGULAR_IN_BLOCK_CFG = dict(
+    _custom_g_cfg([["x[1]^2 + 1e-14", "0"], ["0", "1"]]),
+    points={"explicit": [_block_point(x1) for x1 in (0.2, 0.4, 0.0, 0.6, 0.8)]},
+    checks=["metricity", "antisymmetry", "torsion", "curvature", "maxwell",
+            "einstein", "regularity"],
+)
+
+# g = 1 + xs11^2 in its first entry is direction-independent where xs11 = 0
+# only: the quadratic-canonical connection exists at the first point of the
+# block and not at the second, and conservation records each point's flag
+DIRECTION_IN_BLOCK_CFG = dict(
+    _custom_g_cfg([["1 + xs[1][1]^2", "0"], ["0", "1"]]),
+    points={"explicit": [_block_point(xs11=v) for v in (0.0, 0.5, 0.0, 0.3)]},
+    checks=["metricity", "curvature", "einstein", "conservation"],
+)
+DIRECTION_QUADRATIC_CFG = dict(
+    DIRECTION_IN_BLOCK_CFG,
+    space={"name": "custom", "params": dict(
+        DIRECTION_IN_BLOCK_CFG["space"]["params"], nlc={"kind": "quadratic"})},
+    checks=["metricity", "torsion", "curvature", "einstein", "conservation"],
+)
+
+
+@pytest.mark.parametrize("doc,digest", [
+    (SINGULAR_IN_BLOCK_CFG,
+     "b99d4114ce0f1c1611954dbfbd3a4c75267995f6acca164c9998f5c93cafad1d"),
+    (DIRECTION_QUADRATIC_CFG,
+     "1e6cde2383066afac99f669dab40b357895ccaeb8d21231d415b739f35a3ddd2"),
+    (DIRECTION_IN_BLOCK_CFG,
+     "2bfb373a7cf2f50581e23c9768fc2379a8afd21c1e845a429ea48f4a4d404a9d"),
+], ids=["singular", "direction-quadratic", "direction-christoffel"])
+def test_a_block_keeps_each_points_errors_and_branches(tmp_path, monkeypatch,
+                                                       doc, digest):
+    # the digests were taken with every point evaluated alone
+    from jetlag.geometry import Frame
+
+    spans = []
+    init = Frame.__init__
+
+    def counting(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        spans.append(len(self.pts))
+
+    monkeypatch.setattr(Frame, "__init__", counting)
+    rc, rep = run_to(tmp_path, doc)
+    assert max(spans) > 1  # a frame of a block
+    text = (tmp_path / "report.json").read_text()
+    assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == digest
+    pts = doc["points"]["explicit"]
+    if doc is SINGULAR_IN_BLOCK_CFG:
+        for name in ("metricity", "antisymmetry", "curvature", "maxwell", "einstein"):
+            got = rep["checks"][name]
+            assert got["error"].startswith("matrix is singular"), name
+            assert got["witness"] == pts[2], name
+    elif doc is DIRECTION_QUADRATIC_CFG:
+        for name, got in rep["checks"].items():
+            assert got["error"].startswith("the quadratic-canonical connection"), name
+            assert got["witness"] == pts[1], name
+    else:
+        assert rep["checks"]["conservation"]["detail"]["direction_independent"] is False
+
+
+# The einsum plans that sum two or more letters and, stacked over the points
+# of a mixed33-deep block, move bits: each must run one point at a time.
+DRIFTING_PLANS = ("ab,iajb->ij", "muil,lmu->i", "muialc,lcmu->ia",
+                  "muiajb,jbmu->ia")
+
+
+def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch):
+    # every einsum over the point axis of a block, in every pinned config
+    # and benchmark workload run in blocks of four, is replayed at each
+    # point alone and must give its bytes; the plans that sum two or more
+    # letters run point by point, the drifting ones among them
+    from jetlag import cli, diff_engine
+
+    bench_spec = _load_bench(monkeypatch, "spec")
+    einsum, pointed = diff_engine._einsum, diff_engine._pointed
+    batched, per_point = set(), set()
+
+    def checking(subs, *ops):
+        out = einsum(subs, *ops)
+        if diff_engine.POINT in subs:
+            one, lead = diff_engine._unpointed(subs)
+            for i, got in enumerate(out):
+                alone = einsum(one, *(op[i] if b else op for op, b in zip(ops, lead)))
+                assert got.tobytes() == alone.tobytes(), subs
+            batched.add(subs)
+        return out
+
+    def recording(spec, *ranks):
+        out = pointed(spec, *ranks)
+        if out[1] is diff_engine._per_point:
+            per_point.add(spec)
+        return out
+
+    monkeypatch.setattr(diff_engine, "_einsum", checking)
+    monkeypatch.setattr(diff_engine, "_pointed", recording)
+    monkeypatch.setattr(cli, "block_size", lambda p, n, order: 4)
+    docs = {name: (digest, doc) for name, (digest, doc) in REPORT_DIGESTS.items()}
+    docs.update({name: (ref["digest"], bench_spec.make_config(name, None))
+                 for name, ref in bench_spec.WORKLOADS.items()})
+    pointed.cache_clear()  # it keeps the einsum it hands out
+    try:
+        for name, (digest, doc) in docs.items():
+            run_to(tmp_path, doc, name=f"{name}.json", out=f"{name}.report.json")
+            text = (tmp_path / f"{name}.report.json").read_text()
+            assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == digest, name
+    finally:
+        pointed.cache_clear()
+    assert batched and set(DRIFTING_PLANS) <= per_point

@@ -393,5 +393,5 @@ def test_batch_matches_each_point_alone(srcs, order):
     for pts in BATCHES:
         # None where a point raises alone, or the points branch apart
         for pt, row in zip(pts, grid.batch(pts, order) or ()):
-            alone = grid.stacked([pt], order)[0]
+            alone = grid.stacked(pt, order)
             assert [c.tobytes() for c in row.coeffs] == [c.tobytes() for c in alone.coeffs]

@@ -597,8 +597,8 @@ def test_no_inverse_or_spread_torsion_outranks_its_readers(monkeypatch, pt_mixed
 
     inverses = _record_orders(monkeypatch, "jet_matrix_inverse")
     ctx = support.mixed33_ctx()
-    _RUNNERS["conservation"](ctx, pt_mixed33)
-    _RUNNERS["natural-form"](ctx, pt_mixed33)
+    _RUNNERS["conservation"](ctx, [pt_mixed33])
+    _RUNNERS["natural-form"](ctx, [pt_mixed33])
     fr = frame(ctx, pt_mixed33, 3)
     assert inverses and max(inverses) <= 2, inverses
     assert fr._built["tor_S"].order == 0
@@ -608,15 +608,15 @@ def test_no_inverse_or_spread_torsion_outranks_its_readers(monkeypatch, pt_mixed
     # temporal Christoffel form asks for it first, one order lower
     ctx = build_space("optic", OPTIC_PARAMS)
     inverses.clear()
-    _RUNNERS["curvature"](ctx, OPTIC_POINT)
-    _RUNNERS["maxwell"](ctx, OPTIC_POINT)
+    _RUNNERS["curvature"](ctx, [OPTIC_POINT])
+    _RUNNERS["maxwell"](ctx, [OPTIC_POINT])
     built = frame(ctx, OPTIC_POINT, 2)._built
     assert (built["g"].order, built["phi"].order, built["h"].order) == (1, 1, 2)
     assert sorted(inverses) == [1, 1, 2], inverses
 
 
 # --------------------------------------------------------------------------
-# a field grid runs once over the registered points, bit for bit per point
+# a field grid runs once over a block's points, bit for bit per point
 # --------------------------------------------------------------------------
 
 def _random_points(ctx, count, seed) -> list:
@@ -626,12 +626,12 @@ def _random_points(ctx, count, seed) -> list:
             for _ in range(count)]
 
 
-def _field_jets(ctx, pt, order) -> dict:
-    """The bytes of every field grid of ``ctx`` that a frame of ``order``
-    evaluates at ``pt``, by name."""
+def _field_jets(ctx, pts, order) -> list:
+    """Per point of ``pts`` (a point or a block), the bytes of every field
+    grid of ``ctx`` that a frame of ``order`` evaluates there, by name."""
     from jetlag.geometry import Frame
 
-    fr = Frame(ctx, pt, order)
+    fr = Frame(ctx, pts, order)
     jets = {"h": fr.eval_grid(ctx.h)}
     src = ctx.g_source
     if isinstance(src, DirectMetric):
@@ -640,7 +640,10 @@ def _field_jets(ctx, pt, order) -> dict:
         jets["L"] = fr.eval_scalar(src.L)
     if isinstance(ctx.nlc, ChristoffelOfPhi):
         jets["phi"] = fr.eval_grid(ctx.nlc.phi)
-    return {name: [c.tobytes() for c in jet.coeffs] for name, jet in jets.items()}
+    per = [jet.coeffs if fr.batched else [c[None] for c in jet.coeffs]
+           for jet in jets.values()]
+    return [{name: [c[b].tobytes() for c in coeffs] for name, coeffs in zip(jets, per)}
+            for b in range(len(fr.pts))]
 
 
 def _frame_fields(ctx) -> list:
@@ -666,16 +669,15 @@ def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
         "quadratic": support.tdep_g_ctx,
     }[space]
     calls = support.record_grid_calls(monkeypatch)
-    alone, batched = make(), make()
-    pts = _random_points(alone, 5, 17)
+    ctx = make()
+    pts = _random_points(ctx, 5, 17)
     for order in range(4):
         calls.clear()
-        batched.register(pts)
-        for pt in pts:
-            assert _field_jets(batched, pt, order) == _field_jets(alone, pt, order), order
-        grids = {FieldGrid.of(fields) for fields in _frame_fields(batched)}
+        got = _field_jets(ctx, pts, order)
+        grids = {FieldGrid.of(fields) for fields in _frame_fields(ctx)}
         runs = [size for grid, k, size in calls if grid in grids]
         assert sorted(runs) == [len(pts)] * len(grids)
+        assert got == [_field_jets(ctx, pt, order)[0] for pt in pts], order
 
 
 def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
@@ -683,9 +685,10 @@ def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
     # with it skips a term there and not at the other points, which does
     # not branch: the batch adds that term as +0.0.  A constant jet
     # exponent takes the real-power rule, and a PyField may branch on its
-    # point: each such batch is evaluated point by point.  Every point keeps
-    # its own bits, signed zeros included.
-    from jetlag.diff_engine import PyField
+    # point: such a block frame raises BatchDiverged, and its points are
+    # framed one at a time.  Every point keeps its own bits, signed zeros
+    # included.
+    from jetlag.diff_engine import BatchDiverged, PyField
     from jetlag.geometry import Frame
 
     dims = (2, 2)
@@ -703,12 +706,15 @@ def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
     zero_t = JetPoint.of([0.0, 0.3], [0.2, -0.1], [[0.4, 0.1], [-0.3, 0.2]])
     pts = [zero_t] + _random_points(ctx_flat22, 4, 5)
     calls = support.record_grid_calls(monkeypatch)
+    ctx = support.tdep_g_ctx()
     for name, fields in grids.items():
         for order in range(4):
-            ctx = support.tdep_g_ctx()
-            ctx.register(pts)
             calls.clear()
-            got = [Frame(ctx, pt, order)._eval_fields(fields, None) for pt in pts]
+            try:
+                jet = Frame(ctx, pts, order)._eval_fields(fields, None)
+                got = [jet[b] for b in range(len(pts))]
+            except BatchDiverged:
+                got = [Frame(ctx, pt, order)._eval_fields(fields, None) for pt in pts]
             sizes = [size for _, _, size in calls]
             alone = support.tdep_g_ctx()
             for pt, jet in zip(pts, got):
@@ -726,10 +732,8 @@ def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
             assert sizes == want, (name, order)
     # d/dt1 of (1 - t1) t1^2 at t1 = 0 is (-1) * 0 plus a skipped term:
     # +0.0 alone and in the batch, as a product is never -0.0
-    ctx = support.tdep_g_ctx()
-    ctx.register(pts)
-    for fr in Frame(support.tdep_g_ctx(), zero_t, 1), Frame(ctx, zero_t, 1):
-        c = fr._eval_fields(grids["vanishing"], None).coeffs[1][0, 0]
+    for fr in Frame(ctx, zero_t, 1), Frame(ctx, pts, 1):
+        c = fr._eval_fields(grids["vanishing"], None).coeffs[1][..., 0, 0].flat[0]
         assert c == 0.0 and not np.signbit(c)
 
 
@@ -749,12 +753,18 @@ def test_sampling_blocks_keep_draws_and_rejections(monkeypatch):
     # sampling without batches (both taken that way)
     import hashlib
 
+    from jetlag import geometry
     from jetlag.errors import ConfigError
 
     blocks = []
-    register = GeometryContext.register
-    monkeypatch.setattr(GeometryContext, "register",
-                        lambda self, pts: blocks.append(len(pts)) or register(self, pts))
+    metric_values = geometry._metric_values
+
+    def recording(ctx, pts):
+        if not isinstance(pts, JetPoint):
+            blocks.append(len(pts))
+        return metric_values(ctx, pts)
+
+    monkeypatch.setattr(geometry, "_metric_values", recording)
     pts = sample_points(_log_domain_ctx(), 5, 4, box_t=(-0.4, 0.4), box_x=(-1.0, 1.0))
     assert hashlib.sha256(b"".join(p.key() for p in pts)).hexdigest() == (
         "47ed527317d7140d54708485ac266ef46f2207af8969987e001930948ecc9128")

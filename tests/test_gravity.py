@@ -65,7 +65,7 @@ def curved_h_point():
 
 def test_first_law_matches_h_oracle(ctx_curved_h, curved_h_point):
     fr = frame(ctx_curved_h, curved_h_point, 3)
-    res1, _ = _laws_at(fr)[0]
+    res1, _ = fr.residuals(_laws_at(fr))[0][0]
     _, div_oracle = h_einstein_oracle(support.h22_at, curved_h_point.t)
     assert np.max(np.abs(res1 - div_oracle)) < 1e-7
 
@@ -100,7 +100,7 @@ def test_x_dependent_g_laws_pass(ctx_xdep22):
 
 def test_temporal_law_defect_structure(ctx_tdep22, pt_tdep22):
     fr = frame(ctx_tdep22, pt_tdep22, 3)
-    res, _ = _laws_at(fr)[0]
+    res, _ = fr.residuals(_laws_at(fr))[0][0]
     ginv = fr.g_inv.value
     dgdt = fr.ddt(fr.g_jet).value  # [i, j, b]
     ric_up = np.einsum(
@@ -206,7 +206,8 @@ def test_raised_contractions_match_ricci(ctx_mixed33, pt_mixed33):
 def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
     tilde = _tilde_einstein_jets(fr)
-    displayed, derived = _prop_identities_at(fr, _divergences(fr, *tilde[1::2]))
+    displayed, derived = (fr.residuals(pairs)[0] for pairs in
+                          _prop_identities_at(fr, _divergences(fr, *tilde[1::2])))
     # the temporal identity closes as stated
     assert np.max(np.abs(displayed[0][0])) < 1e-12
     # the stated spatial and vertical forms carry a real defect on
@@ -221,9 +222,9 @@ def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
 
 def test_law_variants_agree(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
-    old = _laws_at(fr)
+    old = fr.residuals(_laws_at(fr))[0]
     tilde = _tilde_einstein_jets(fr)
-    new, _simple = _new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), 1.0)
+    new = fr.residuals(_new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), 1.0)[0])[0]
     for k in range(3):
         scale = max(1.0, np.max(np.abs(old[k][0])))
         assert np.max(np.abs(old[k][0] - new[k][0])) < 1e-11 * scale
@@ -256,7 +257,7 @@ def test_rewritten_laws_read_the_identities_divergences(pt_mixed33, K):
     # them: bit for bit at K = 1, to rounding otherwise
     fr = frame(support.mixed33_ctx(K), pt_mixed33, 3)
     tilde = _tilde_einstein_jets(fr)
-    laws, _ = _new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), K)
+    laws = fr.residuals(_new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), K)[0])[0]
     for (res, terms), want in zip(laws, _two_path_laws(fr, tilde, K)):
         if K == 1.0:
             assert res.tobytes() == want.tobytes()
@@ -287,7 +288,7 @@ def test_trace_term_sign_matters(ctx_mixed33, pt_mixed33):
     assert np.max(np.abs(plus - minus - 2 * term.value)) < 1e-12
     # the minus form is the engine's law; the trace terms are genuinely
     # nonzero here, so the plus variant is a different (wrong) equation
-    engine_res, _ = _laws_at(fr)[0]
+    engine_res, _ = fr.residuals(_laws_at(fr))[0][0]
     assert np.max(np.abs(minus - engine_res)) < 1e-11
     assert np.max(np.abs(term.value)) > 1e-6
 
