@@ -74,6 +74,7 @@ from .geometry import (
     ricci_and_scalars,
     sample_points,
     spatial_nlc,
+    sweep,
     temporal_christoffel_and_M,
     torsion_set,
 )
@@ -82,9 +83,11 @@ from .gravity import (
     EinsteinBlocks,
     NaturalFormReport,
     StressEnergySet,
+    conservation_fold,
     conservation_residuals,
     einstein_blocks,
     natural_form_checks,
+    natural_form_fold,
     natural_stress_energy,
     stress_energy_extract,
 )

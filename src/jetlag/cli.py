@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .diff_engine import BatchDiverged, JetPoint, check_grad
+from .diff_engine import JetPoint, check_grad
 from .em_field import (
     bianchi_residuals,
     deflection_identity_residuals,
@@ -33,12 +33,13 @@ from .em_field import (
     maxwell_fold,
     maxwell_step,
 )
-from .errors import ConfigError, JetlagError, ParseError, name_witness
+from .errors import ConfigError, JetlagError, ParseError
 from .geometry import (
     ChristoffelOfPhi,
     DirectMetric,
     FromLagrangian,
     GeometryContext,
+    _block_records,
     block_size,
     cartan_connection,
     curvature_antisymmetry_residuals,
@@ -56,9 +57,11 @@ from .geometry import (
     torsion_set,
 )
 from .gravity import (
+    conservation_fold,
     conservation_residuals,
     einstein_blocks,
     natural_form_checks,
+    natural_form_fold,
     stress_energy_extract,
 )
 from .spaces import PARAM_SCHEMAS, _finite_real, build_space, space_names
@@ -541,68 +544,54 @@ def _run_einstein(ctx, block):
     return out
 
 
+# The conservation and natural-form steps are the library's, called through
+# module-level names: the traced benchmark run times them by rebinding
+# those names, which a _RUNNERS entry holding the function would bypass.
 def _run_conservation(ctx, block):
-    # one report per point: a report over all points sums mean_abs in
-    # another order and moves its last digit
-    return conservation_residuals(ctx, block, each=True)
+    return conservation_residuals(ctx, block)
 
 
 def _fold_conservation(pts, per, tol):
-    detail = {}
-    worst = 0.0
-    for nm in per[0].LAW_NAMES:
-        max_abs = max(r.laws[nm].max_abs for r in per)
-        max_rel = max(r.laws[nm].max_rel for r in per)
-        worst = max(worst, max_rel)
-        detail[nm] = {
-            "max_abs": max_abs,
-            "mean_abs": float(np.mean([r.laws[nm].mean_abs for r in per])),
-            "max_rel": max_rel,
-            "status": "pass" if max_rel <= tol else "flagged",
-        }
-    detail["direction_independent"] = all(r.direction_independent for r in per)
-    status = "pass" if worst <= tol else "flagged"
-    max_abs = max(d["max_abs"] for nm, d in detail.items()
-                  if isinstance(d, dict))
-    mean_abs = float(np.mean([d["mean_abs"] for nm, d in detail.items()
-                              if isinstance(d, dict)]))
-    return CheckOutcome(status=status, max_abs=max_abs, mean_abs=mean_abs,
-                        measure="max_rel", detail=detail)
+    rep = conservation_fold(per)
+    laws = rep.laws.values()
+    detail = {nm: {"max_abs": st.max_abs, "mean_abs": st.mean_abs,
+                   "max_rel": st.max_rel,
+                   "status": "pass" if st.max_rel <= tol else "flagged"}
+              for nm, st in rep.laws.items()}
+    detail["direction_independent"] = rep.direction_independent
+    return CheckOutcome(
+        status="pass" if max(st.max_rel for st in laws) <= tol else "flagged",
+        max_abs=max(st.max_abs for st in laws),
+        mean_abs=float(np.mean([st.mean_abs for st in laws])),
+        measure="max_rel", detail=detail)
 
 
 def _natural_form_at(ctx, block):
-    return natural_form_checks(ctx, block, each=True)
+    return natural_form_checks(ctx, block)
 
 
 def _fold_natural_form(pts, per, tol):
-    """Each block's max_abs and max_rel is the max over the points; the
-    construction is the one ``natural_form_checks`` reads at ``pts[0]``."""
-    def blocks(attr):
-        stats = [getattr(r, attr) for r in per]
-        if not stats[0]:
-            return None
-        return {nm: {"max_abs": max(st[nm].max_abs for st in stats),
-                     "max_rel": max(st[nm].max_rel for st in stats)}
-                for nm in stats[0]}
-
-    rep = per[0]
+    """Grade :func:`~jetlag.gravity.natural_form_fold`, whose construction
+    is the first point's."""
+    rep = natural_form_fold(per)
     construction = {
         "rewritten_equation": rep.e1prime_residual,
         "trace_recovery": rep.trace_residual,
         "roundtrip": rep.roundtrip_residual,
     }
-    hard = [v for v in construction.values() if v is not None]
     detail = {"construction": construction}
-    if laws := blocks("new_law_residuals"):
-        detail["rewritten_laws"] = laws
-        hard += [st["max_rel"] for st in laws.values()]
-    stated_worst = 0.0
-    if stated := blocks("identity_residuals"):
-        detail["identities_stated"] = stated
-        stated_worst = max(st["max_rel"] for st in stated.values())
-    if derived := blocks("identity_residuals_derived"):
-        detail["identities_contracted_cyclic"] = derived
-        hard += [st["max_rel"] for st in derived.values()]
+    for key, stats in (("rewritten_laws", rep.new_law_residuals),
+                       ("identities_stated", rep.identity_residuals),
+                       ("identities_contracted_cyclic",
+                        rep.identity_residuals_derived)):
+        if stats:
+            detail[key] = {nm: {"max_abs": st.max_abs, "max_rel": st.max_rel}
+                           for nm, st in stats.items()}
+    hard = [v for v in construction.values() if v is not None] + [
+        st.max_rel for stats in (rep.new_law_residuals or {},
+                                 rep.identity_residuals_derived)
+        for st in stats.values()]
+    stated_worst = max(st.max_rel for st in rep.identity_residuals.values())
     worst_hard = max(hard) if hard else 0.0
     if worst_hard > tol:
         status = "fail"
@@ -668,11 +657,11 @@ def _run_grad_check(ctx, pts, tol):
 
 # A check with a fold runs block-major: run_report calls its step
 # ``(ctx, block) -> [record per point]`` on each block of points (a list;
-# see _block_records), then its fold ``(pts, records, tol) -> CheckOutcome``
-# once, over the records in point order.  Every check that reads frames
-# has one.  ``grad-check`` reads none, and its runner takes the whole
-# sweep, ``(ctx, pts, tol)``.  run_report looks every runner up here at
-# call time.
+# see geometry._block_records), then its fold
+# ``(pts, records, tol) -> CheckOutcome`` once, over the records in point
+# order.  Every check that reads frames has one.  ``grad-check`` reads
+# none, and its runner takes the whole sweep, ``(ctx, pts, tol)``.
+# run_report looks every runner up here at call time.
 _RUNNERS = {
     "metricity": metricity_residuals,
     "antisymmetry": curvature_antisymmetry_residuals,
@@ -740,25 +729,6 @@ def _dump_families(ctx, pt, families) -> dict:
 _DEEP_CHECKS = ("conservation", "natural-form")
 
 
-def _block_records(step, ctx, block) -> list:
-    """The records of ``step`` at the points of ``block``: from one call
-    over the block, or, where that raises or its points branch apart, from
-    one call per point, whose error names its point.  So a point keeps the
-    record or the error it gets alone."""
-    if len(block) > 1:
-        try:
-            return step(ctx, block)
-        except (JetlagError, BatchDiverged):
-            pass  # each point alone gives its own record or error
-    out = []
-    for pt in block:
-        try:
-            out += step(ctx, [pt])
-        except JetlagError as exc:
-            raise name_witness(exc, pt)
-    return out
-
-
 def _collect_points(cfg: RunConfig, ctx) -> list:
     """The run's points: the explicit ones, then ``cfg.count`` sampled ones."""
     pts = list(cfg.explicit)
@@ -780,10 +750,11 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     before the first check step.  The run goes block by block, each block
     as many points as :func:`~jetlag.geometry.block_size` gives the space
     and the deepest frame its checks read: on each block every
-    frame-reading check takes its step (:func:`_block_records`), so the
-    block's frames are built once, with every field grid run once per
-    order over the block, read by every check, and dropped when the next
-    block starts.  After the last block, each check's fold, or the
+    frame-reading check takes its step, by the rule of the library's
+    sweeps (:func:`~jetlag.geometry._block_records`), so the block's
+    frames are built once, with every field grid run once per order over
+    the block, read by every check, and dropped when the next block
+    starts.  After the last block, each check's fold, or the
     whole-sweep runner of ``grad-check``, runs in config order.
     """
     start = time.perf_counter()

@@ -22,7 +22,8 @@ acting on X's spatial index minus the torsion acting on D.  Lowering flips
 the sign of the curvature term.  F and f are the antisymmetrized spatial
 and vertical metrical deflections; they are derived once per frame, as a
 shared block, and both the Maxwell residuals and :func:`em_tensors` read
-them there.
+them there.  ``jetlag run`` and :func:`maxwell_residuals` share the
+Maxwell step (:func:`maxwell_step`) and fold (:func:`maxwell_fold`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import JetlagError, TorsionPreconditionError, name_witness
 from .geometry import (Frame, GeometryContext, ResidualStats, _Agg, _each,
-                       _residual_summary, frame, nlc_torsion_at,
+                       _residual_summary, frame, nlc_torsion_at, sweep,
                        torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
@@ -254,17 +255,15 @@ def maxwell_step(ctx: GeometryContext, pts):
     """One point's record: (its torsion probe, its :func:`maxwell_at`
     summaries, or the error an equation raised, held for
     :func:`maxwell_fold` with its witness named and its traceback dropped,
-    so that it keeps none of the point's frames alive).  Over a block
-    (sequence) of points, the list of their records; a block of two or
-    more points is read off one frame of it and raises any error, so that
-    its points are then stepped one at a time."""
+    so that it keeps none of the point's frames alive).  A torsion-probe
+    error is raised, and :func:`~jetlag.geometry.sweep` names its point.
+    Over a block (sequence) of points, the list of their records; a block
+    of two or more points is read off one frame of it and raises any
+    error, so that its points are then stepped one at a time."""
     if not isinstance(pts, JetPoint) and len(pts) > 1:
         return list(zip(nlc_torsion_at(ctx, pts), maxwell_at(ctx, pts)))
     pt = pts if isinstance(pts, JetPoint) else pts[0]
-    try:
-        torsion = nlc_torsion_at(ctx, pt)
-    except JetlagError as exc:
-        raise name_witness(exc, pt)
+    torsion = nlc_torsion_at(ctx, pt)
     try:
         record = torsion, maxwell_at(ctx, pt)
     except JetlagError as exc:
@@ -302,10 +301,11 @@ def maxwell_fold(pts, records) -> MaxwellReport:
 
 def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
     """Residuals of the five field equations over sample points: the
-    :func:`maxwell_fold` of each point's :func:`maxwell_step`, in one pass,
-    so the torsion precondition outranks the first equation error."""
+    :func:`maxwell_fold` of the :func:`maxwell_step` records, taken block
+    by block (:func:`~jetlag.geometry.sweep`), so the torsion precondition
+    outranks the first equation error."""
     pts = list(pts)
-    return maxwell_fold(pts, [maxwell_step(ctx, pt) for pt in pts])
+    return maxwell_fold(pts, sweep(maxwell_step, ctx, pts, 2))
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,9 @@ on a Lagrangian-derived space, whose g already spends one order on the
 half-Hessian of L.  So only the order-3 readers, the conservation laws and
 the natural-form checks, are closed to a Lagrangian-derived space.
 
+A check over many points folds the records of a per-point step, which
+:func:`sweep` takes block by block as ``jetlag run`` does.
+
 Index layout convention used for every stored block: axes follow the
 symbol's logical indices left to right, a bound vertical pair contributing
 (spatial, temporal) adjacent axes.  All indices are 0-based in arrays.
@@ -36,7 +39,7 @@ symbol's logical indices left to right, a bound vertical pair contributing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -60,6 +63,7 @@ from .errors import (
     OrderExceededError,
     RegularityViolationError,
     SingularMetricError,
+    name_witness,
 )
 from .field_expr import FieldGrid
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN
@@ -88,6 +92,7 @@ __all__ = [
     "TorsionFreeVerdict",
     "BLOCK_ELEMENTS",
     "block_size",
+    "sweep",
     "frame",
     "sample_points",
     "temporal_christoffel_and_M",
@@ -252,6 +257,37 @@ def block_size(p: int, n: int, order: int) -> int:
     return max(1, BLOCK_ELEMENTS // per_point)
 
 
+def _block_records(step, ctx, block) -> list:
+    """The records of ``step`` at the points of ``block``: from one call
+    over the block, or, where that raises or its points branch apart, from
+    one call per point, whose error names its point.  So a point keeps the
+    record or the error it gets alone."""
+    if len(block) > 1:
+        try:
+            return step(ctx, block)
+        except (JetlagError, BatchDiverged):
+            pass  # each point alone gives its own record or error
+    out = []
+    for pt in block:
+        try:
+            out += step(ctx, [pt])
+        except JetlagError as exc:
+            raise name_witness(exc, pt)
+    return out
+
+
+def sweep(step, ctx, pts, order: int) -> list:
+    """The records of ``step`` (``(ctx, block) -> [record per point]``) at
+    ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
+    block of :func:`block_size` points whose frames go up to ``order``, so
+    a fold of them has the run's bits, errors and witnesses."""
+    size = block_size(ctx.p, ctx.n, order)
+    out = []
+    for lo in range(0, len(pts), size):
+        out += _block_records(step, ctx, pts[lo:lo + size])
+    return out
+
+
 def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     """The geometry frame of ``ctx`` at ``pts``: one :class:`JetPoint`, or
     a block (sequence) of points, of which a block of one is framed at its
@@ -259,8 +295,8 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
 
     The context keeps the frames of one point or block, by order: asking
     for another drops them.  So a caller that goes block by block, as
-    ``jetlag run`` does, reads each block's frames while they live and
-    frees them when the next block starts.
+    ``jetlag run`` and :func:`sweep` do, reads each block's frames while
+    they live and frees them when the next block starts.
 
     ``order`` is the Taylor depth carried by the metric-level jets; 2 covers
     torsion/curvature values, 3 is needed for covariant derivatives of
@@ -459,9 +495,6 @@ class Frame:
         top = min(self.order, MAX_ORDER - 1) if which == "h" else order
         return self._upto(which, max(order, top), lambda k: jet_matrix_inverse(
             getattr(self, f"{which}_jet"), order=k)).truncated(order)
-
-    h_inv = property(lambda self: self.inverse("h", self.order))
-    g_inv = property(lambda self: self.inverse("g", self.order))
 
     # -- raw derivative blocks ----------------------------------------------
 
@@ -1013,10 +1046,11 @@ def kronecker_regularity_check(ctx, pts, lagrangian=None) -> RegularityVerdict:
     magnitude).  The Lagrangian is ``lagrangian`` if given, else
     the context's own (whose half-Hessian its g already holds), else, on a
     direct metric, the absolute energy E = h^mn g_ij xs^i_m xs^j_n.  g is
-    read there without the frame's symmetry and signature checks.
+    read there without the frame's symmetry and signature checks.  The
+    points are read block by block (:func:`sweep`).
     """
-    per_point = [kronecker_deviation_at(ctx, pt, lagrangian) for pt in pts]
-    return regularity_verdict(pts, per_point)
+    return regularity_verdict(pts, sweep(
+        partial(kronecker_deviation_at, lagrangian=lagrangian), ctx, pts, 2))
 
 
 def kronecker_deviation_at(ctx, pt, lagrangian=None):
@@ -1093,8 +1127,9 @@ class _Agg:
         self.n_points = 0
         self.worst_point = 0
 
-    def add(self, residual: np.ndarray, terms):
+    def add(self, residual: np.ndarray, terms) -> "_Agg":
         self.add_summary(_residual_summary(residual, terms))
+        return self
 
     def add_summary(self, summary):
         pt_max, pt_sum, size, pt_scale = summary
@@ -1130,8 +1165,9 @@ def regularity_verdict(pts, per_point) -> RegularityVerdict:
 
 
 def nlc_torsion_free_check(ctx, pts) -> TorsionFreeVerdict:
-    """Measure dN^(i)_(a)j/dxs^k_g - dN^(i)_(a)k/dxs^j_g over sample points."""
-    return torsion_free_verdict(pts, [nlc_torsion_at(ctx, pt) for pt in pts])
+    """Measure dN^(i)_(a)j/dxs^k_g - dN^(i)_(a)k/dxs^j_g over sample points,
+    block by block (:func:`sweep`)."""
+    return torsion_free_verdict(pts, sweep(nlc_torsion_at, ctx, pts, 2))
 
 
 def nlc_torsion_at(ctx, pt):

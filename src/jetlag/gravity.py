@@ -26,8 +26,13 @@ S^(i)(b)_(a)(j) = g^{im} h_{au} S^(u)(b)_(m)(j).
 The rewritten laws of the natural form keep these right-hand sides: the
 divergences of the raised R and P blocks are derived once per frame
 (:func:`_law_rhs`) and read by both law checks.  The natural-form checks
-build each point's trace-adjusted Einstein jets and their divergences once,
+build each frame's trace-adjusted Einstein jets and their divergences once,
 for both the identities and the rewritten laws.
+
+Both checks are a step, the report of each point of one frame alone, and
+a fold of those reports over the points, in point order:
+``jetlag run`` and a library sweep (:func:`~jetlag.geometry.sweep`) take
+the same steps block by block and the same fold.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diff_engine import JetPoint, jet_einsum, jet_linear
-from .errors import (JetlagError, NaturalFormUnavailableError,
-                     VacuumConstantError, name_witness)
-from .geometry import GeometryContext, _Agg, _each, _gate, frame
+from .errors import NaturalFormUnavailableError, VacuumConstantError
+from .geometry import (GeometryContext, ResidualStats, _Agg, _each, _gate,
+                       frame)
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
 __all__ = [
@@ -50,8 +55,10 @@ __all__ = [
     "einstein_blocks",
     "stress_energy_extract",
     "conservation_residuals",
+    "conservation_fold",
     "natural_stress_energy",
     "natural_form_checks",
+    "natural_form_fold",
 ]
 
 ZERO_BLOCK_NOTE = (
@@ -132,10 +139,8 @@ def stress_energy_extract(ctx: GeometryContext, pt):
             "stress-energy extraction needs a nonzero gravitational constant; "
             "zero describes a vacuum source"
         )
-    blocks = einstein_blocks(ctx, pt)
-    if isinstance(pt, JetPoint):
-        return _stress_energy_of(blocks, ctx.K)
-    return [_stress_energy_of(eb, ctx.K) for eb in blocks]
+    return _each(pt, [_stress_energy_of(eb, ctx.K)
+                      for eb in _einstein_blocks_at(frame(ctx, pt, 2))])
 
 
 def _stress_energy_of(eb: EinsteinBlocks, k: float) -> StressEnergySet:
@@ -242,38 +247,58 @@ def _laws_at(fr) -> list:
     ]
 
 
-def _conservation_report(laws, dir_indep) -> ConservationReport:
-    """The report of the points whose :func:`_laws_at` values
-    (:meth:`~jetlag.geometry.Frame.residuals`) are ``laws`` and
-    whose direction independence is ``dir_indep``, in point order."""
-    aggs = [_Agg() for _ in range(3)]
-    for point in laws:
-        for agg, (res, terms) in zip(aggs, point):
-            agg.add(res, terms)
-    return ConservationReport(
-        laws={name: agg.stats()
-              for name, agg in zip(ConservationReport.LAW_NAMES, aggs)},
-        direction_independent=all(dir_indep), n_points=len(laws),
-    )
+def _point_stats(names, pairs):
+    """{name: :class:`~jetlag.geometry.ResidualStats`} of one point's
+    (residual, constituent terms) value ``pairs``, one per name; None for
+    no pairs."""
+    return {nm: _Agg().add(res, terms).stats()
+            for nm, (res, terms) in zip(names, pairs)} if pairs else None
 
 
-def conservation_residuals(ctx: GeometryContext, pts, each=False):
-    """Componentwise residuals of the three conservation laws over pts.
+def _fold_stats(maps):
+    """The {name: stats} map over the points of per-point ``maps`` (None if
+    they are None), in point order: the max of max_abs, max_rel and scale,
+    the mean of the points' mean_abs, and the first point reaching
+    max_rel."""
+    if maps[0] is None:
+        return None
+    out = {}
+    for nm in maps[0]:
+        stats = [m[nm] for m in maps]
+        rels = [st.max_rel for st in stats]
+        out[nm] = ResidualStats(
+            max_abs=max(st.max_abs for st in stats),
+            mean_abs=float(np.mean([st.mean_abs for st in stats])),
+            max_rel=max(rels), scale=max(st.scale for st in stats),
+            worst_point=rels.index(max(rels)))
+    return out
 
-    With ``each``, ``pts`` is one point or a block of points, read off one
-    frame of it, and the result is the report of each point alone (of a
-    :class:`JetPoint`, its one report)."""
+
+def conservation_residuals(ctx: GeometryContext, pts):
+    """Componentwise residuals of the three conservation laws at ``pts``,
+    one point or a block of points read off one frame of it: the report
+    of each point alone (of a :class:`JetPoint`, its one report).
+    :func:`conservation_fold` folds them."""
     _gate(ctx, 3, "conservation-law divergences")
-    if each:
-        fr = frame(ctx, pts, 3)
-        return _each(pts, [_conservation_report([laws], [di]) for laws, di in
-                           zip(fr.residuals(_laws_at(fr)), fr.direction_independent())])
-    laws, dir_indep = [], []
-    for pt in pts:
-        fr = frame(ctx, pt, 3)
-        laws += fr.residuals(_laws_at(fr))
-        dir_indep += fr.direction_independent()
-    return _conservation_report(laws, dir_indep)
+    fr = frame(ctx, pts, 3)
+    return _each(pts, [
+        ConservationReport(laws=_point_stats(ConservationReport.LAW_NAMES, laws),
+                           direction_independent=di, n_points=1)
+        for laws, di in zip(fr.residuals(_laws_at(fr)),
+                            fr.direction_independent())])
+
+
+def conservation_fold(reports) -> ConservationReport:
+    """The report over the points of the per-point ``reports`` of
+    :func:`conservation_residuals`, in point order; over a whole sweep,
+    ``conservation_fold(sweep(conservation_residuals, ctx, pts, 3))``."""
+    if not reports:
+        raise ValueError("conservation_fold needs at least one report")
+    return ConservationReport(
+        laws=_fold_stats([r.laws for r in reports]),
+        direction_independent=all(r.direction_independent for r in reports),
+        n_points=sum(r.n_points for r in reports),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -286,9 +311,10 @@ class NaturalFormReport:
 
     The construction half (traces, recovered scalars, tilde blocks, the
     rewritten-equation and round-trip residuals) describes one probe point;
-    the verification half aggregates over sample points and is None until
-    filled by the checks pass.  With K = 0 only the pure-geometry identity
-    residuals are available.
+    the verification half covers the report's ``n_points`` points (one for
+    a step of :func:`natural_form_checks`, all of them after
+    :func:`natural_form_fold`) and is None in a bare construction.  With
+    K = 0 only the pure-geometry identity residuals are available.
     """
 
     p: int
@@ -528,103 +554,63 @@ def _new_laws_at(fr, tilde, divs, K: float):
     return laws, simple
 
 
-def _natural_form_points(fr, have_K: bool) -> list:
-    """Per point of the frame: (the residual pairs of the stated identities,
-    of the contracted-cyclic ones, of the rewritten laws and of their
-    simple form (both None without K), max |P curvature|, max |S
-    curvature|), as values (:meth:`~jetlag.geometry.Frame.residuals`)."""
-    tilde = _tilde_einstein_jets(fr)
-    divs = _divergences(fr, *tilde[1::2])  # Emix_t, Emix_s, Econ
-    displayed, derived = _prop_identities_at(fr, divs)
-    laws, simple = _new_laws_at(fr, tilde, divs, fr.ctx.K) if have_K else ([], [])
-    pairs = fr.residuals(displayed + derived + laws + simple)
-    return [(pt[:3], pt[3:6], pt[6:9] or None, pt[9:] or None, P, S)
-            for pt, P, S in zip(pairs, fr.max_abs(fr.cur_P2_jet),
-                                fr.max_abs(fr.cur_S_jet))]
-
-
-def _natural_form_report(ctx, base, points) -> NaturalFormReport:
-    """The report of the points whose :func:`_natural_form_points` are
-    ``points``, in point order, on the construction ``base`` (None without
-    K)."""
-    have_K = ctx.K != 0.0
-    iaggs = [_Agg() for _ in range(3)]
-    daggs = [_Agg() for _ in range(3)]
-    laggs = [_Agg() for _ in range(3)]
-    saggs = [_Agg() for _ in range(3)]
-    max_P = 0.0
-    max_S = 0.0
-    for displayed, derived, laws, simple, P, S in points:
-        for agg, (res, terms) in zip(iaggs + daggs, displayed + derived):
-            agg.add(res, terms)
-        if have_K:
-            for agg, (res, terms) in zip(laggs + saggs, laws + simple):
-                agg.add(res, terms)
-        max_P = max(max_P, P)
-        max_S = max(max_S, S)
-
-    names = NaturalFormReport.IDENTITY_NAMES
-    identity = {nm: agg.stats() for nm, agg in zip(names, iaggs)}
-    identity_derived = {nm: agg.stats() for nm, agg in zip(names, daggs)}
-    new_laws = (
-        {nm: agg.stats() for nm, agg in zip(names, laggs)} if have_K else None
-    )
-    applicable = max_P < 1e-10 and max_S < 1e-10
-    simple_form = {
-        "applicable": applicable,
-        "max_P_curvature": max_P,
-        "max_S_curvature": max_S,
-        "residuals": (
-            {nm: agg.stats() for nm, agg in zip(names, saggs)}
-            if (applicable and have_K)
-            else None
-        ),
-    }
-    if base is None:
-        base = NaturalFormReport(p=ctx.p, n=ctx.n, K=ctx.K)
-    return replace(
-        base,
-        identity_residuals=identity,
-        identity_residuals_derived=identity_derived,
-        new_law_residuals=new_laws,
-        simple_form=simple_form,
-        n_points=len(points),
-    )
-
-
-def natural_form_checks(ctx: GeometryContext, pts, each=False):
-    """Identity and rewritten-law residuals over sample points.
-
-    The points are visited once, in order, each through its order-3 frame.
-    Each point's trace-adjusted Einstein jets, and their divergences, are
-    built once and read by both the identities and the rewritten laws; the
-    laws' divergence right-hand sides come from the frame, shared with a
-    conservation check that reads the same frame.  The construction of
-    :func:`natural_stress_energy` is read off the frame of ``pts[0]``.
-    A point error names the point it was raised at as witness.
-
-    With ``each``, ``pts`` is one point or a block of points, read off one
-    frame of it, and the result is the report of each point alone (of a
-    :class:`JetPoint`, its one report): ``jetlag run`` takes these and
-    folds them.
+def natural_form_checks(ctx: GeometryContext, pts):
+    """Identity and rewritten-law residuals at ``pts``, one point or a
+    block of points read off one frame of it: the report of each point
+    alone (of a :class:`JetPoint`, its one report), with its own
+    construction of :func:`natural_stress_energy` (none without K).
+    :func:`natural_form_fold` folds them.  The laws' divergence
+    right-hand sides are shared with a conservation check of the frame.
     """
     _require_natural_form(ctx)
     _gate(ctx, 3, "the trace-adjusted identity checks")
     have_K = ctx.K != 0.0
-    if each:
-        fr = frame(ctx, pts, 3)
-        bases = _natural_stress_energy_at(fr) if have_K else [None] * len(fr.pts)
-        return _each(pts, [_natural_form_report(ctx, base, [point]) for base, point
-                           in zip(bases, _natural_form_points(fr, have_K))])
-    pts = list(pts)
-    if not pts:
-        raise ValueError("natural_form_checks needs at least one sample point")
-    pt = pts[0]
-    points = []
-    try:
-        base = _natural_stress_energy_at(frame(ctx, pt, 3))[0] if have_K else None
-        for pt in pts:
-            points += _natural_form_points(frame(ctx, pt, 3), have_K)
-    except JetlagError as exc:
-        raise name_witness(exc, pt)
-    return _natural_form_report(ctx, base, points)
+    fr = frame(ctx, pts, 3)
+    bases = (_natural_stress_energy_at(fr) if have_K else
+             [NaturalFormReport(p=ctx.p, n=ctx.n, K=ctx.K)] * len(fr.pts))
+    tilde = _tilde_einstein_jets(fr)
+    divs = _divergences(fr, *tilde[1::2])  # Emix_t, Emix_s, Econ
+    displayed, derived = _prop_identities_at(fr, divs)
+    laws, simple = _new_laws_at(fr, tilde, divs, ctx.K) if have_K else ([], [])
+    names = NaturalFormReport.IDENTITY_NAMES
+    out = []
+    for base, pairs, P, S in zip(
+            bases, fr.residuals(displayed + derived + laws + simple),
+            fr.max_abs(fr.cur_P2_jet), fr.max_abs(fr.cur_S_jet)):
+        applicable = P < 1e-10 and S < 1e-10
+        out.append(replace(
+            base,
+            identity_residuals=_point_stats(names, pairs[:3]),
+            identity_residuals_derived=_point_stats(names, pairs[3:6]),
+            new_law_residuals=_point_stats(names, pairs[6:9]),
+            simple_form={"applicable": applicable, "max_P_curvature": P,
+                         "max_S_curvature": S,
+                         "residuals": _point_stats(names, pairs[9:])
+                         if applicable else None},
+        ))
+    return _each(pts, out)
+
+
+def natural_form_fold(reports) -> NaturalFormReport:
+    """The report over the points of the per-point ``reports`` of
+    :func:`natural_form_checks`, in point order, with the first point's
+    construction; over a whole sweep,
+    ``natural_form_fold(sweep(natural_form_checks, ctx, pts, 3))``."""
+    if not reports:
+        raise ValueError("natural_form_fold needs at least one report")
+    simple = [r.simple_form for r in reports]
+    max_P = max(sf["max_P_curvature"] for sf in simple)
+    max_S = max(sf["max_S_curvature"] for sf in simple)
+    applicable = max_P < 1e-10 and max_S < 1e-10
+    return replace(
+        reports[0],
+        identity_residuals=_fold_stats([r.identity_residuals for r in reports]),
+        identity_residuals_derived=_fold_stats(
+            [r.identity_residuals_derived for r in reports]),
+        new_law_residuals=_fold_stats([r.new_law_residuals for r in reports]),
+        simple_form={"applicable": applicable, "max_P_curvature": max_P,
+                     "max_S_curvature": max_S,
+                     "residuals": _fold_stats([sf["residuals"] for sf in simple])
+                     if applicable else None},
+        n_points=sum(r.n_points for r in reports),
+    )

@@ -30,6 +30,7 @@ from jetlag.geometry import (
     nlc_torsion_free_check,
     ricci_and_scalars,
     sample_points,
+    sweep,
     torsion_set,
 )
 from jetlag.gravity import (
@@ -37,6 +38,7 @@ from jetlag.gravity import (
     _laws_at,
     _prop_identities_at,
     _tilde_einstein_jets,
+    conservation_fold,
     conservation_residuals,
     einstein_blocks,
     natural_stress_energy,
@@ -149,7 +151,7 @@ def _flat_worst(ctx, pts):
         upd(np.array(list(bianchi_residuals(ctx, pt).values())))
     mx = maxwell_residuals(ctx, pts)
     upd(np.array([s.max_abs for s in mx.equations.values()]))
-    cons = conservation_residuals(ctx, pts)
+    cons = conservation_fold(sweep(conservation_residuals, ctx, pts, 3))
     upd(np.array([cons.laws[nm].max_abs for nm in cons.LAW_NAMES]))
     return worst
 
@@ -355,19 +357,21 @@ def test_criterion_09_conservation(capsys):
         ("curved-h (2,2)", support.curved_h_ctx()),
         ("xdep (3,3)", support.xdep33_ctx()),
     ):
-        rep = conservation_residuals(
-            ctx, sample_points(ctx, 30, seed=909, box_xs=(-0.5, 0.5)),
-        )
+        rep = conservation_fold(sweep(
+            conservation_residuals, ctx,
+            sample_points(ctx, 30, seed=909, box_xs=(-0.5, 0.5)), 3,
+        ))
         oks.append(
             rep.direction_independent
             and all(st.max_rel < 1e-6 for st in rep.laws.values())
         )
         worst = max(worst, max(rep.laws[nm].max_rel for nm in rep.LAW_NAMES))
     # direction-dependent space: computed and reported, pass or flagged
-    mixed = conservation_residuals(
-        support.mixed22_ctx(),
+    mixed = conservation_fold(sweep(
+        conservation_residuals, support.mixed22_ctx(),
         sample_points(support.mixed22_ctx(), 10, seed=910, box_xs=(-0.5, 0.5)),
-    )
+        3,
+    ))
     statuses = {nm: "pass" if st.max_rel < 1e-6 else "flagged"
                 for nm, st in mixed.laws.items()}
     reported = all(np.isfinite(st.max_rel) for st in mixed.laws.values())

@@ -685,42 +685,72 @@ def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
     assert len(set(compiled)) == len(compiled), len(compiled)
 
 
-def _bits(x):
-    return x.hex() if isinstance(x, float) else x
-
-
-def test_natural_form_fold_matches_the_whole_sweep(tmp_path):
-    # the fold of the per-point records is the library's one pass over the
-    # points, block by block and bit for bit
+def _hexed(obj):
+    """``obj`` as plain data with every float as its ``float.hex``."""
     from jetlag import cli
-    from jetlag.gravity import natural_form_checks
 
-    cfg = cli.load_config(write_cfg(tmp_path, MIXED33_CFG))
+    obj = cli._jsonable(obj)
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hexed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_hexed(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("which", ["mixed33", "optic-suite"])
+def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which):
+    # each fold of a library sweep, which takes its steps block by block, is
+    # the fold of one-point steps, bit for bit; optic-suite's conservation
+    # runs in blocks of 3, mixed33's one point at a time
+    from jetlag import cli
+    from jetlag.geometry import block_size, sweep
+    from jetlag.gravity import (conservation_fold, conservation_residuals,
+                                natural_form_checks, natural_form_fold)
+
+    doc = (MIXED33_CFG if which == "mixed33" else
+           _load_bench(monkeypatch, "spec").make_config(which, None))
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
     ctx = cfg.space
     pts = cli._collect_points(cfg, ctx)
-    got = cli._FOLDS["natural-form"](
-        pts, cli._block_records(cli._RUNNERS["natural-form"], ctx, pts), 1e-8)
-    rep = natural_form_checks(ctx, pts)
-    assert len(pts) == 3 and got.status == "fail" and got.witness is pts[0]
-    for key, attr in (("rewritten_laws", "new_law_residuals"),
-                      ("identities_stated", "identity_residuals"),
-                      ("identities_contracted_cyclic",
-                       "identity_residuals_derived")):
-        want = getattr(rep, attr)
-        assert list(got.detail[key]) == list(want), key
-        for nm, st in want.items():
-            assert _bits(got.detail[key][nm]["max_abs"]) == _bits(st.max_abs)
-            assert _bits(got.detail[key][nm]["max_rel"]) == _bits(st.max_rel)
-    construction = got.detail["construction"]
-    assert _bits(construction["rewritten_equation"]) == _bits(rep.e1prime_residual)
-    assert _bits(construction["trace_recovery"]) == _bits(rep.trace_residual)
-    assert _bits(construction["roundtrip"]) == _bits(rep.roundtrip_residual)
-    # the worst point of most blocks is not the first
-    worst = [st.worst_point for attr in ("new_law_residuals",
-                                         "identity_residuals",
-                                         "identity_residuals_derived")
-             for st in getattr(rep, attr).values()]
-    assert worst.count(0) <= 2, worst
+    assert block_size(ctx.p, ctx.n, 3) == (1 if which == "mixed33" else 3)
+    checks = [(conservation_residuals, conservation_fold)]
+    if "natural-form" in cfg.checks:
+        checks.append((natural_form_checks, natural_form_fold))
+    for step, fold in checks:
+        got = fold(sweep(step, ctx, pts, 3))
+        assert _hexed(got) == _hexed(fold([step(ctx, pt) for pt in pts]))
+        assert got.n_points == len(pts)
+        with pytest.raises(ValueError):
+            fold([])
+    if which == "mixed33":
+        # the worst point of most blocks is not the first
+        worst = [st.worst_point for attr in ("new_law_residuals",
+                                             "identity_residuals",
+                                             "identity_residuals_derived")
+                 for st in getattr(got, attr).values()]
+        assert worst.count(0) <= 2, worst
+
+
+def test_library_sweep_frames_hold_one_block(monkeypatch):
+    # a library sweep frames block_size points at a time, as a run does
+    from jetlag.geometry import Frame, block_size, sample_points, sweep
+    from jetlag.gravity import conservation_fold, conservation_residuals
+
+    ctx = build_space("optic", OPTIC_CFG["space"]["params"])
+    pts = sample_points(ctx, 10, seed=4, box_xs=(-0.5, 0.5))
+    sizes = []
+    init = Frame.__init__
+
+    def counting(self, ctx, block, order):
+        init(self, ctx, block, order)
+        sizes.append(len(self.pts))
+
+    monkeypatch.setattr(Frame, "__init__", counting)
+    rep = conservation_fold(sweep(conservation_residuals, ctx, pts, 3))
+    assert rep.n_points == 10 and block_size(2, 2, 3) == 3
+    assert max(sizes) <= block_size(2, 2, 3) and sizes.count(3) == 3
 
 
 def test_mixed33_deep_takes_each_divergence_once(tmp_path, monkeypatch):
@@ -884,11 +914,9 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
                if isinstance(val, cached_property))
 
 
-def test_benchmark_nonzero_targets_hold(tmp_path, monkeypatch):
-    # the traced benchmark run asserts spec.NONZERO_ON: each workload must
-    # reach the targets named for it (check_grad, natural_form_checks) and
-    # no other, and tensor_core on none.  One run of each workload's
-    # config here, under perfbench's own span recorder.
+def _traced_workloads(tmp_path, monkeypatch):
+    """(workload, its config, its per-layer metrics) of one run of each
+    benchmark workload's config, under perfbench's own span recorder."""
     from jetlag import cli
 
     bench_spec = _load_bench(monkeypatch, "spec")
@@ -903,10 +931,39 @@ def test_benchmark_nonzero_targets_hold(tmp_path, monkeypatch):
             tmp_path, bench_spec.make_config(name, None), name=f"{name}.json"))
         lo = len(rec)
         report, _ = cli.run_report(cfg)
-        got = spans.layer_metrics(rec.summary(lo, len(rec)),
-                                  len(report.points) - len(cfg.explicit))
+        yield name, cfg, spans.layer_metrics(
+            rec.summary(lo, len(rec)), len(report.points) - len(cfg.explicit))
+
+
+def test_benchmark_nonzero_targets_hold(tmp_path, monkeypatch):
+    # the traced benchmark run asserts spec.NONZERO_ON: each workload must
+    # reach the targets named for it (check_grad, natural_form_checks) and
+    # no other, and tensor_core on none
+    bench_spec = _load_bench(monkeypatch, "spec")
+    for name, _, got in _traced_workloads(tmp_path, monkeypatch):
         for metric, on in bench_spec.NONZERO_ON.items():
             assert (got[metric] > 0) == (name in on), (name, metric, got[metric])
+
+
+# the library entry points each check's step calls, by the per-layer
+# metric that times them; a step that stops calling one reads 0 there
+CHECK_SPANS = {
+    "conservation": ("gravity.conservation.s",),
+    "einstein": ("gravity.einstein_blocks.s", "gravity.stress_energy.s"),
+    "curvature": ("em_field.deflection_identities.s", "em_field.bracket.s"),
+}
+
+
+def test_benchmark_check_spans_take_time(tmp_path, monkeypatch):
+    # each workload that runs a check times the library entry points its
+    # step calls
+    seen = set()
+    for name, cfg, got in _traced_workloads(tmp_path, monkeypatch):
+        for check in set(CHECK_SPANS) & set(cfg.checks):
+            seen.add(check)
+            for metric in CHECK_SPANS[check]:
+                assert got[metric] > 0, (name, metric)
+    assert seen == set(CHECK_SPANS)
 
 
 # the workload reports at a second seed; the benchmark pins only the

@@ -18,7 +18,7 @@ from test_geometry import OPTIC_PARAMS, OPTIC_POINT, crafted_torsional_ctx
 
 
 def _lower(fr, raw):
-    return np.einsum("au,im,mu...->ia...", fr.h_inv.value, fr.g_jet.value, raw)
+    return np.einsum("au,im,mu...->ia...", fr.inverse("h", 0).value, fr.g_jet.value, raw)
 
 
 def test_metrical_deflections_are_lowered_raw(ctx_mixed22, pt_mixed22):
@@ -70,7 +70,7 @@ def test_lowered_liouville_components(ctx_mixed22, pt_mixed22):
     ds = deflection_set(ctx_mixed22, pt_mixed22)
     fr = frame(ctx_mixed22, pt_mixed22, 2)
     want = np.einsum(
-        "au,pm,mu->pa", fr.h_inv.value, fr.g_jet.value, pt_mixed22.xs
+        "au,pm,mu->pa", fr.inverse("h", 0).value, fr.g_jet.value, pt_mixed22.xs
     )
     assert np.max(np.abs(ds.x_low - want)) < 1e-14
 
@@ -125,7 +125,7 @@ def test_direction_independent_reduction(ctx_tdep22, pt_tdep22):
     ds = deflection_set(ctx_tdep22, pt_tdep22)
     em = em_tensors(ctx_tdep22, pt_tdep22)
     fr = frame(ctx_tdep22, pt_tdep22, 2)
-    want = np.einsum("ab,ij->iajb", fr.h_inv.value, fr.g_jet.value)
+    want = np.einsum("ab,ij->iajb", fr.inverse("h", 0).value, fr.g_jet.value)
     assert np.max(np.abs(ds.met_vertical - want)) < 1e-12
     assert np.max(np.abs(em.f)) < 1e-15
     assert np.max(np.abs(em.F)) < 1e-12
@@ -151,20 +151,23 @@ def test_torsional_connection_refused():
 
 
 def test_maxwell_residuals_builds_each_frame_once(monkeypatch, ctx_mixed22):
-    # the torsion probe and the equations of a point read one order-2 frame
+    # the torsion probe and the equations of a block of points read one
+    # order-2 frame of the block, as in a run
+    from jetlag import geometry
     from jetlag.geometry import Frame
 
     pts = sample_points(ctx_mixed22, 4, seed=7, box_xs=(-0.6, 0.6))
     builds = []
     init = Frame.__init__
 
-    def counting(self, ctx, pt, order):
-        builds.append((pt.key(), order))
-        init(self, ctx, pt, order)
+    def counting(self, ctx, block, order):
+        init(self, ctx, block, order)
+        builds.append(([pt.key() for pt in self.pts], order))
 
     monkeypatch.setattr(Frame, "__init__", counting)
+    monkeypatch.setattr(geometry, "block_size", lambda p, n, order: 3)
     maxwell_residuals(ctx_mixed22, pts)
-    assert builds == [(pt.key(), 2) for pt in pts]
+    assert builds == [([pt.key() for pt in pts[:3]], 2), ([pts[3].key()], 2)]
 
 
 def _precedence_ctx(g, nlc):

@@ -110,7 +110,7 @@ def test_energy_value(diag_x_ctx):
     ctx, pt = diag_x_ctx
     want = 1 * 1 * 0.5 ** 2 + (3.0 ** 2) * 2.0 ** 2
     fr = frame(ctx, pt, 0)
-    energy = np.einsum("mn,ab,am,bn->", fr.h_inv.value, fr.g_jet.value,
+    energy = np.einsum("mn,ab,am,bn->", fr.inverse("h", 0).value, fr.g_jet.value,
                        fr.xs_jet.value, fr.xs_jet.value)
     assert float(energy) == pytest.approx(want, abs=1e-12)
 

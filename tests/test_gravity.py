@@ -16,11 +16,14 @@ from jetlag.geometry import (
     frame,
     ricci_and_scalars,
     sample_points,
+    sweep,
 )
 from jetlag.gravity import (
+    conservation_fold,
     conservation_residuals,
     einstein_blocks,
     natural_form_checks,
+    natural_form_fold,
     natural_stress_energy,
     stress_energy_extract,
     _divergences,
@@ -38,6 +41,16 @@ import support
 from oracles import h_einstein_oracle
 
 
+def _conservation(ctx, pts):
+    """The conservation report over ``pts``, block by block."""
+    return conservation_fold(sweep(conservation_residuals, ctx, pts, 3))
+
+
+def _natural_form(ctx, pts):
+    """The natural-form report over ``pts``, block by block."""
+    return natural_form_fold(sweep(natural_form_checks, ctx, pts, 3))
+
+
 def _all_blocks(eb):
     return [eb.tt, eb.ss, eb.vv, eb.st, eb.vt, eb.sv, eb.vs, eb.zero_ts, eb.zero_tv]
 
@@ -48,7 +61,7 @@ def test_flat_space_vacuum(ctx_flat22, pt_flat22):
     T = stress_energy_extract(ctx_flat22, pt_flat22)
     blocks = [T.T_tt, T.T_ss, T.T_vv, T.T_st, T.T_vt, T.T_sv, T.T_vs]
     assert max(np.max(np.abs(b)) for b in blocks) == 0.0
-    rep = conservation_residuals(ctx_flat22, [pt_flat22])
+    rep = _conservation(ctx_flat22, [pt_flat22])
     assert max(s.max_abs for s in rep.laws.values()) == 0.0
     assert all(s.max_rel < 1e-6 for s in rep.laws.values())
 
@@ -72,7 +85,7 @@ def test_first_law_matches_h_oracle(ctx_curved_h, curved_h_point):
 
 def test_mixed_einstein_tensor_matches_h_oracle(ctx_curved_h, curved_h_point):
     fr = frame(ctx_curved_h, curved_h_point, 3)
-    X1 = jet_einsum("am,mb->ab", fr.h_inv, fr.ricci_H_jet)
+    X1 = jet_einsum("am,mb->ab", fr.inverse("h", fr.order), fr.ricci_H_jet)
     total = float(
         fr.scalar_H_jet.value + fr.scalar_R_jet.value + fr.scalar_S_jet.value
     )
@@ -82,13 +95,13 @@ def test_mixed_einstein_tensor_matches_h_oracle(ctx_curved_h, curved_h_point):
 
 
 def test_curved_h_laws_pass(ctx_curved_h):
-    rep = conservation_residuals(ctx_curved_h, sample_points(ctx_curved_h, 5, seed=3))
+    rep = _conservation(ctx_curved_h, sample_points(ctx_curved_h, 5, seed=3))
     assert all(s.max_rel < 1e-6 for s in rep.laws.values())
     assert rep.direction_independent
 
 
 def test_x_dependent_g_laws_pass(ctx_xdep22):
-    rep = conservation_residuals(ctx_xdep22, sample_points(ctx_xdep22, 8, seed=11))
+    rep = _conservation(ctx_xdep22, sample_points(ctx_xdep22, 8, seed=11))
     assert all(s.max_rel < 1e-6 for s in rep.laws.values())
     assert rep.direction_independent
 
@@ -101,7 +114,7 @@ def test_x_dependent_g_laws_pass(ctx_xdep22):
 def test_temporal_law_defect_structure(ctx_tdep22, pt_tdep22):
     fr = frame(ctx_tdep22, pt_tdep22, 3)
     res, _ = fr.residuals(_laws_at(fr))[0][0]
-    ginv = fr.g_inv.value
+    ginv = fr.inverse("g", 0).value
     dgdt = fr.ddt(fr.g_jet).value  # [i, j, b]
     ric_up = np.einsum(
         "im,jn,mn->ij", ginv, ginv, fr.ricci_Rmm_jet.value
@@ -113,7 +126,7 @@ def test_temporal_law_defect_structure(ctx_tdep22, pt_tdep22):
 
 
 def test_temporal_law_flagged_others_pass(ctx_tdep22, pt_tdep22):
-    rep = conservation_residuals(ctx_tdep22, [pt_tdep22])
+    rep = _conservation(ctx_tdep22, [pt_tdep22])
     assert not rep.laws["temporal"].max_rel < 1e-6
     assert rep.laws["spatial"].max_rel < 1e-6
     assert rep.laws["vertical"].max_rel < 1e-6
@@ -167,7 +180,7 @@ def test_conservation_needs_deep_budget():
     ctx = GeometryContext(2, 2, h, FromLagrangian(L), QuadraticCanonical())
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.5, 0.6], [0.7, 0.8]])
     with pytest.raises(OrderExceededError):
-        conservation_residuals(ctx, [pt])
+        _conservation(ctx, [pt])
 
 
 # --------------------------------------------------------------------------
@@ -177,8 +190,8 @@ def test_conservation_needs_deep_budget():
 
 def test_raised_contractions_match_ricci(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
-    hv, hiv = fr.h_jet.value, fr.h_inv.value
-    giv = fr.g_inv.value
+    hv, hiv = fr.h_jet.value, fr.inverse("h", 0).value
+    giv = fr.inverse("g", 0).value
 
     aux = np.einsum("me,ameb->ab", hiv, fr.cur_H_jet.value)
     assert np.max(np.abs(aux - np.einsum("am,mb->ab", hiv, fr.ricci_H_jet.value))) < 1e-12
@@ -271,11 +284,11 @@ def test_trace_term_sign_matters(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
     _, Emix_t, _, _, Evv, _ = _tilde_einstein_jets(fr)
     Ess = _tilde_einstein_jets(fr)[2]
-    tM = jet_linear("ii->", jet_einsum("im,mj->ij", fr.g_inv, Ess))
+    tM = jet_linear("ii->", jet_einsum("im,mj->ij", fr.inverse("g", fr.order), Ess))
     tmp = jet_einsum("ab,iajb->ij", fr.h_jet, Evv)
-    tv = jet_linear("ii->", jet_einsum("im,mj->ij", fr.g_inv, tmp))
+    tv = jet_linear("ii->", jet_einsum("im,mj->ij", fr.inverse("g", fr.order), tmp))
     d1 = jet_linear("aba->b", fr.cov_t(Emix_t, (T_UP, T_DN)))
-    Rup = jet_einsum("im,mb->ib", fr.g_inv, fr.ricci_Rmt_jet)
+    Rup = jet_einsum("im,mb->ib", fr.inverse("g", fr.order), fr.ricci_Rmt_jet)
     div_R = jet_linear("ibi->b", fr.cov_s(Rup, (S_UP, T_DN)))
     Pvt = _raised_p_jets(fr)[0]
     div_P1 = jet_linear("iabia->b", fr.cov_v(Pvt, (V_UP, T_DN)))
@@ -296,7 +309,7 @@ def test_trace_term_sign_matters(ctx_mixed33, pt_mixed33):
 def test_block_trace_relation(ctx_mixed33, pt_mixed33):
     eb = einstein_blocks(ctx_mixed33, pt_mixed33)
     ric, sc = ricci_and_scalars(ctx_mixed33, pt_mixed33)
-    hiv = frame(ctx_mixed33, pt_mixed33, 2).h_inv.value
+    hiv = frame(ctx_mixed33, pt_mixed33, 2).inverse("h", 0).value
     lhs = np.einsum("ab,ab->", hiv, eb.tt)
     assert lhs == pytest.approx(sc.H - 1.5 * sc.total, abs=1e-10)
 
@@ -319,7 +332,7 @@ def test_natural_form_checks_direction_dependent(ctx_mixed33, pt_mixed33):
         [0.4, -0.3, 0.2],
         [[0.3, 0.1, -0.2], [0.2, -0.1, 0.3], [-0.3, 0.2, 0.1]],
     )
-    nfc = natural_form_checks(ctx_mixed33, [pt_mixed33, pt2])
+    nfc = _natural_form(ctx_mixed33, [pt_mixed33, pt2])
     assert nfc.identity_residuals["temporal"].max_rel < 1e-9
     for name in ("spatial", "vertical"):
         assert nfc.identity_residuals[name].max_rel > 1e-6
@@ -330,7 +343,7 @@ def test_natural_form_checks_direction_dependent(ctx_mixed33, pt_mixed33):
 
 def test_natural_form_checks_direction_independent(ctx_xdep33):
     pts = sample_points(ctx_xdep33, 3, seed=5)
-    nfc = natural_form_checks(ctx_xdep33, pts)
+    nfc = _natural_form(ctx_xdep33, pts)
     for stats in nfc.identity_residuals.values():
         assert stats.max_abs < 1e-8
     assert nfc.simple_form["applicable"]
@@ -344,7 +357,7 @@ def test_natural_form_gates(ctx_tdep22, pt_tdep22):
         natural_stress_energy(ctx_tdep22, pt_tdep22)
     vacuum33 = support.xdep33_ctx(K=0.0)
     pts = sample_points(vacuum33, 1, seed=5)
-    nf0 = natural_form_checks(vacuum33, pts)
+    nf0 = _natural_form(vacuum33, pts)
     assert nf0.identity_residuals is not None
     assert nf0.new_law_residuals is None
     assert nf0.tilde_tt is None
