@@ -754,37 +754,41 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     sweeps (:func:`~jetlag.geometry._block_records`), so the block's
     frames are built once, with every field grid run once per order over
     the block, read by every check, and dropped when the next block
-    starts.  After the last block, each check's fold, or the
-    whole-sweep runner of ``grad-check``, runs in config order.
+    starts; the last block's are dropped when the blocks end.  After the
+    last block, each check's fold, or the whole-sweep runner of
+    ``grad-check``, runs in config order.
     """
     start = time.perf_counter()
     ctx = cfg.space
-    pts = _collect_points(cfg, ctx)
-    if not cfg.count:
-        # sampling records the metric signature from its first accepted
-        # point; with explicit points only it is pts[0]'s, whichever check
-        # evaluates g first
-        try:
-            frame(ctx, pts[0], 0).g_jet
-        except JetlagError:
-            pass  # each check that evaluates g at pts[0] reports the error
-    # a dump error ends the run, so it comes before any check step; it
-    # reads pts[0] alone, at orders the checks may not read
-    dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
-
-    outcomes = {}
-    records = {name: [] for name in cfg.checks if name in _FOLDS}
-    size = block_size(ctx.p, ctx.n,
-                      3 if set(_DEEP_CHECKS) & set(cfg.checks) else 2)
-    for lo in range(0, len(pts), size):
-        block = pts[lo:lo + size]
-        for name, recs in records.items():
-            if name in outcomes:
-                continue  # the check raised at an earlier point
+    try:
+        pts = _collect_points(cfg, ctx)
+        if not cfg.count:
+            # sampling records the metric signature from its first
+            # accepted point; with explicit points only it is pts[0]'s,
+            # whichever check evaluates g first
             try:
-                recs += _block_records(_RUNNERS[name], ctx, block)
-            except JetlagError as exc:
-                outcomes[name] = _error_outcome(exc)
+                frame(ctx, pts[0], 0).g_jet
+            except JetlagError:
+                pass  # each check evaluating g at pts[0] reports the error
+        # a dump error ends the run, so it comes before any check step; it
+        # reads pts[0] alone, at orders the checks may not read
+        dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
+
+        outcomes = {}
+        records = {name: [] for name in cfg.checks if name in _FOLDS}
+        size = block_size(ctx.p, ctx.n,
+                          3 if set(_DEEP_CHECKS) & set(cfg.checks) else 2)
+        for lo in range(0, len(pts), size):
+            block = pts[lo:lo + size]
+            for name, recs in records.items():
+                if name in outcomes:
+                    continue  # the check raised at an earlier point
+                try:
+                    recs += _block_records(_RUNNERS[name], ctx, block)
+                except JetlagError as exc:
+                    outcomes[name] = _error_outcome(exc)
+    finally:
+        ctx.drop_frames()  # a run leaves no frame for the next to find
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]

@@ -23,8 +23,8 @@ alone.
 Products, ``*`` and :func:`jet_einsum` alike, use one multilinear Leibniz
 kernel (:func:`_leibniz`), compositions use Faa di Bruno over set
 partitions, and matrix inversion uses a Newton iteration whose accuracy
-order doubles per step.  Nothing here samples more than one point: finite
-differences live in :func:`fd_partial` and are only ever used as an
+order doubles per step.  Finite differences (:func:`fd_partial`, and
+:func:`check_grad`'s batch of its stencils) are only ever used as an
 independent cross-check of the Taylor path.
 """
 
@@ -1085,29 +1085,90 @@ class _Probed(ScalarField):
         return _field_value(res[self.k])
 
 
-def _probe_pairs(f: _Probed, res, pt: JetPoint, coords) -> list:
-    """``(wrt, taylor, fd)`` for every first and second partial of ``f`` at
-    ``pt`` over ``coords``, ``res`` being its order-2 Taylor value there;
-    see :func:`check_grad`."""
-    p, n = pt.dims
-    idx = [coord_index(p, n, c) for c in coords]
+def _probes(coords, dims) -> list:
+    """``(wrt, ix)`` for every first and second partial over ``coords``, in
+    the order :func:`check_grad` folds them: ``wrt`` the coordinate ids,
+    ``ix`` their flat indices (:func:`coord_index`)."""
+    idx = [coord_index(*dims, c) for c in coords]
     probes = [((c,), (i,)) for c, i in zip(coords, idx)]
     probes += [
-        ((coords[k], coords[m]), (idx[m], idx[k]))
+        ((coords[k], coords[m]), (idx[k], idx[m]))
         for k in range(len(coords))
         for m in range(k, len(coords))
     ]
-    out = []
-    for wrt, key in probes:
-        # a field that ignores the seeded jets returns a plain number
-        a = float(res.coeffs[len(key)][key]) if isinstance(res, Jet) else 0.0
-        out.append((wrt, a, fd_partial(f, pt, list(wrt))))
-    return out
+    return probes
+
+
+def _taylor(res, ix) -> float:
+    """The partial over flat indices ``ix`` read off ``res``, a field's
+    order-2 Taylor value: ``coeffs[2][j, i]`` for ``ix = (i, j)``, the entry
+    :func:`eval_derivs` reaches by taking ``.partial(i)`` then
+    ``.partial(j)`` (the order-2 coefficient is not bitwise symmetric)."""
+    # a field that ignores the seeded jets returns a plain number
+    return float(res.coeffs[len(ix)][ix[::-1]]) if isinstance(res, Jet) else 0.0
+
+
+def _probe_pairs(f: _Probed, res, pt: JetPoint, probes) -> list:
+    """``(wrt, taylor, fd)`` for every probe of :func:`_probes` of ``f`` at
+    ``pt``, ``res`` being its order-2 Taylor value there, by one
+    :func:`fd_partial` per probe."""
+    return [(wrt, _taylor(res, ix), fd_partial(f, pt, list(wrt)))
+            for wrt, ix in probes]
+
+
+def _fd_rows(grid, pts, probes) -> list:
+    """:func:`fd_partial` of each field of ``grid`` for each probe at each
+    point of ``pts``, as lists ``[point][field][probe]``.
+
+    The stencil points of every probe at every point are one (rows, N)
+    array, evaluated by one :meth:`~jetlag.field_expr.FieldGrid.rows` call,
+    and the central-difference formulas are array expressions: the same
+    IEEE operations on the same operands as :func:`fd_partial`, so each
+    estimate has its bits.  Raises what that call raises.
+    """
+    z = np.array([pt.flat() for pt in pts])
+    scale = np.maximum(1.0, np.abs(z))
+
+    def shifted(*shifts):
+        q = z.copy()
+        for i, delta in shifts:
+            q[:, i] += delta
+        return q
+
+    # per probe: its steps and its stencil points, in fd_partial's order
+    stencils = []
+    for _, ix in probes:
+        i, j = ix[0], ix[-1]
+        if len(ix) == 1:
+            h = FD_STEP_1 * scale[:, i]
+            stencils.append(((h,), [shifted((i, h)), shifted((i, -h))]))
+        elif i == j:
+            h = FD_STEP_2 * scale[:, i]
+            stencils.append(((h,), [shifted((i, h)), z, shifted((i, -h))]))
+        else:
+            h1, h2 = FD_STEP_2 * scale[:, i], FD_STEP_2 * scale[:, j]
+            stencils.append(((h1, h2), [
+                shifted((i, h1), (j, h2)), shifted((i, h1), (j, -h2)),
+                shifted((i, -h1), (j, h2)), shifted((i, -h1), (j, -h2))]))
+    rows = np.concatenate([q for _, qs in stencils for q in qs])
+    f = grid.rows(rows, pts[0].dims).reshape(len(grid.fields), -1, len(pts))
+    fd, r = [], 0
+    for h, qs in stencils:
+        v = f[:, r:r + len(qs)]
+        r += len(qs)
+        if len(qs) == 2:  # first partial
+            fd.append((v[:, 0] - v[:, 1]) / (2 * h[0]))
+        elif len(qs) == 3:  # second partial in one coordinate
+            fd.append((v[:, 0] - 2 * v[:, 1] + v[:, 2]) / (h[0] * h[0]))
+        else:  # mixed second partial
+            fd.append((v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4 * h[0] * h[1]))
+    # (probe, field, point) -> [point][field][probe]
+    return np.transpose(fd, (2, 1, 0)).tolist()
 
 
 def _fold(rep: AgreementReport, ip: int, pairs):
     for wrt, a, b in pairs:
-        if not (np.isfinite(a) and np.isfinite(b)):
+        if not (math.isfinite(a) and math.isfinite(b)):
             rep.nan_flags.append((ip, wrt))
             continue
         dev = abs(a - b) / max(1.0, abs(a), abs(b))
@@ -1124,20 +1185,24 @@ def check_grad(f, pts):
     alone.  The fields of one dependency group are evaluated together: one
     shared grid of all of them (:meth:`~jetlag.field_expr.FieldGrid.of`),
     run once at order 2 over every point
-    (:meth:`~jetlag.field_expr.FieldGrid.batch`; where the batch cannot run
-    as one, once per point), and one float grid per distinct stencil point
-    of :func:`fd_partial` (so the centre point of the diagonal probes is
-    evaluated once).
+    (:meth:`~jetlag.field_expr.FieldGrid.batch`), and once at order 0 over
+    every stencil point of every probe at every point
+    (:func:`_fd_rows`).
 
-    The Taylor side reads every probe off a field's order-2 jet:
-    ``coeffs[1][i]`` for ``d/dc_i`` and ``coeffs[2][j, i]`` for
-    ``wrt = (c_i, c_j)``, the entry :func:`eval_derivs` reaches by taking
-    ``.partial(i)`` then ``.partial(j)`` (the order-2 coefficient is not
-    bitwise symmetric).  The finite-difference side runs
-    :func:`fd_partial` per probe.  A domain or singular-metric error raised
-    while a point is evaluated names that point as its ``witness``.  The
-    error raised is the first field's, in order, that raises: the one
-    checking the fields one at a time would meet first.
+    The Taylor side reads every probe off a field's order-2 jet
+    (:func:`_taylor`).  The finite-difference side is :func:`fd_partial`'s
+    estimate, bit for bit, from the stencil batch.  Where the order-2 batch
+    cannot run as one, or the stencil batch raises or cannot run as one
+    (the grid calls exp, log, sin, cos or tanh, or holds a field that is
+    not an :class:`~jetlag.field_expr.ExprField`), the group is checked
+    point by point: the order-2 grid once per point, and :func:`fd_partial`
+    per probe with one float grid per distinct stencil point (so the centre
+    point of the diagonal probes is evaluated once).  There, a domain or
+    singular-metric error raised while a point is evaluated names that
+    point as its ``witness``.  The error raised is the first field's, in
+    order, that raises: the one checking the fields one at a time would
+    meet first.  The reports are folded point by point, in probe order
+    (:func:`_probes`), either way.
     """
     from .field_expr import FieldGrid  # field_expr builds on this module
 
@@ -1149,12 +1214,26 @@ def check_grad(f, pts):
         groups.setdefault(frozenset(fld.deps), []).append(k)
     for deps, members in groups.items():
         grid = FieldGrid.of([fields[k] for k in members])
-        if not deps:
-            continue  # no coordinate to probe
-        rows = grid.batch(pts, 2) or [None] * len(pts)
+        if not (deps and pts):
+            continue  # no coordinate or no point to probe
+        dims = pts[0].dims
+        probes = _probes(_dep_coords(grid.fields[0], *dims), dims)
+        rows = grid.batch(pts, 2)
+        if rows is not None:
+            try:
+                fds = _fd_rows(grid, pts, probes)
+            except (JetlagError, BatchDiverged):
+                pass  # per probe, below: each field keeps its error, witness
+            else:
+                for ip, jets in enumerate(rows):
+                    for j, k in enumerate(members):
+                        res = jets[j]
+                        _fold(reports[k], ip, [
+                            (wrt, _taylor(res, ix), b)
+                            for (wrt, ix), b in zip(probes, fds[ip][j])])
+                continue
         for ip, pt in enumerate(pts):
-            coords = _dep_coords(grid.fields[0], *pt.dims)
-            jets = rows[ip]
+            jets = None if rows is None else rows[ip]
             if jets is None:
                 try:
                     jets = grid.stacked(pt, 2)
@@ -1166,7 +1245,7 @@ def check_grad(f, pts):
                     continue
                 try:
                     res = fields[k](seed_point(pt, 2, deps)) if jets is None else jets[j]
-                    pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, coords)
+                    pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, probes)
                 except JetlagError as exc:
                     errors[k] = name_witness(exc, pt)
                     continue

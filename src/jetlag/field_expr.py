@@ -31,6 +31,7 @@ constant slots reach the generated source, never field text.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -130,6 +131,11 @@ _FUNCTIONS = {
     "tanh": jtanh,
     "abs": jabs,
 }
+
+# the functions whose numpy array form gives math's bits at every element:
+# sqrt is correctly rounded and abs exact in both, while numpy's array exp,
+# log, sin, cos and tanh may differ from math's in the last bit
+_ARRAY_FUNCTIONS = {"sqrt": np.sqrt, "abs": np.abs}
 
 
 # --------------------------------------------------------------------------
@@ -389,12 +395,44 @@ def _float_pow(base: float, expo: float, pos: int) -> float:
     return float(base) ** float(expo)
 
 
+def _array_pow(base, expo, pos) -> np.ndarray:
+    """:func:`_float_pow` at each element of ``base`` and ``expo`` (arrays
+    over rows, or one of them a float): Python's float power, the libm pow
+    the float path calls, where numpy's array power may take a vector path
+    that differs in the last bit."""
+    b, e = np.broadcast_arrays(base, expo)
+    return np.fromiter(map(_float_pow, b.tolist(), e.tolist(),
+                           itertools.repeat(pos)), float, b.size)
+
+
 def _jet_finite(v) -> bool:
     # one check over every coefficient is cheaper than one per order
     return np.isfinite(np.concatenate([c.ravel() for c in v.coeffs])).all()
 
 
+def _all_finite(v) -> bool:
+    return np.isfinite(v).all()
+
+
 _isfinite = math.isfinite
+
+# by the kind of a generated local (a float, a Jet, or an array of floats
+# over rows): the check of a site's value and the expression of its power
+_FINITE = {float: "_isfinite", Jet: "_jet_finite", np.ndarray: "_all_finite"}
+_POWER = {float: "_float_pow({}, {}, {})", Jet: "{} ** {}",
+          np.ndarray: "_array_pow({}, {}, {})"}
+
+
+def _kind(t) -> type:
+    """The kind of a coordinate of type ``t``: Jet, ndarray or float."""
+    if issubclass(t, Jet):
+        return Jet
+    return np.ndarray if issubclass(t, np.ndarray) else float
+
+
+def _join(a, b) -> type:
+    """The kind of an operation on locals of kinds ``a`` and ``b``."""
+    return Jet if Jet in (a, b) else np.ndarray if np.ndarray in (a, b) else float
 
 
 def _lift(exc, site):
@@ -427,10 +465,10 @@ def _guard(v, label, name, z, dims):
 _LOCAL = re.compile(r"\bv\d+\b")
 
 
-def _with_dels(body, jet_locals, keep) -> list:
-    """``body`` with a ``del`` of each jet local after its last use, except
-    those in ``keep``, so a batch of points holds only the jets still
-    needed."""
+def _with_dels(body, big_locals, keep) -> list:
+    """``body`` with a ``del`` of each local in ``big_locals`` after its
+    last use, except those in ``keep``, so a batch of points holds only the
+    jets and arrays still needed."""
     last = {}
     for i, line in enumerate(body):
         for name in _LOCAL.findall(line):
@@ -439,15 +477,15 @@ def _with_dels(body, jet_locals, keep) -> list:
     for i, line in enumerate(body):
         out.append(line)
         dead = [nm for nm in dict.fromkeys(_LOCAL.findall(line))
-                if last[nm] == i and nm in jet_locals and nm not in keep]
+                if last[nm] == i and nm in big_locals and nm not in keep]
         if dead:
             out.append(f"del {', '.join(dead)}")
     return out
 
 
-def _compile(grid, dims, jets):
+def _compile(grid, dims, kinds):
     """The generated function of ``grid`` at points of ``dims`` whose
-    coordinate k of group g is a Jet iff ``jets[g][k]``; see
+    coordinate k of group g is of kind ``kinds[g][k]`` (:func:`_kind`); see
     :class:`FieldGrid`.
 
     Literals, functions, fields and texts sit in the constant table
@@ -456,7 +494,7 @@ def _compile(grid, dims, jets):
     it runs, so the handler knows its offset, and its value must be finite.
     """
     body, consts, slots, names, sites, checked = [], [], {}, {}, [None], set()
-    jet_locals = set()
+    big_locals = set()  # the jets and arrays, deleted after their last use
 
     def const(key, value):
         if key not in slots:
@@ -468,45 +506,44 @@ def _compile(grid, dims, jets):
         body.append(f"v{len(body)} = {expr}")
         return f"v{len(body) - 1}"
 
-    def site(node, call, expr, jet):
+    def site(node, call, expr, kind):
         body.append(f"_k = {len(sites)}")
         sites.append((node.pos, call))
         name = new(expr)
-        check = "_jet_finite" if jet else "_isfinite"
-        body.append(f"if not {check}({name}): raise OverflowError")
-        return name, jet
+        body.append(f"if not {_FINITE[kind]}({name}): raise OverflowError")
+        return name, kind
 
     def visit(node, g):
         if isinstance(node, Num):
-            return const(_intern(node), node.value), False
+            return const(_intern(node), node.value), float
         key = (g, _intern(node))
         if key in names:
             return names[key]
         if isinstance(node, Coord):
             cid = (node.kind, node.i, node.a) if node.kind == "xs" else (node.kind, node.i)
             k = coord_index(*dims, cid)
-            got = new(f"z{g}[{k}]"), jets[g][k]
+            got = new(f"z{g}[{k}]"), kinds[g][k]
         elif isinstance(node, Neg):
-            child, jet = visit(node.child, g)
-            got = new(f"-{child}"), jet
+            child, kind = visit(node.child, g)
+            got = new(f"-{child}"), kind
         elif isinstance(node, Binary):
-            (lhs, lj), (rhs, rj) = visit(node.left, g), visit(node.right, g)
+            (lhs, lk), (rhs, rk) = visit(node.left, g), visit(node.right, g)
+            kind = _join(lk, rk)
             if node.op != "^":
                 expr = f"{lhs} {node.op} {rhs}"
-            elif lj or rj:
-                expr = f"{lhs} ** {rhs}"
             else:
-                expr = f"_float_pow({lhs}, {rhs}, {node.pos})"
-            got = site(node, False, expr, lj or rj)
+                expr = _POWER[kind].format(lhs, rhs, node.pos)
+            got = site(node, False, expr, kind)
         elif isinstance(node, Call):
-            arg, jet = visit(node.arg, g)
-            fn = const(("fn", node.fn), _FUNCTIONS[node.fn])
-            got = site(node, True, f"{fn}({arg})", jet)
+            arg, kind = visit(node.arg, g)
+            fn = (_ARRAY_FUNCTIONS if kind is np.ndarray else _FUNCTIONS)[node.fn]
+            fn = const(("fn", fn), fn)
+            got = site(node, True, f"{fn}({arg})", kind)
         else:
             raise TypeError(f"not an AST node: {node!r}")
         names[key] = got
-        if got[1]:
-            jet_locals.add(got[0])
+        if got[1] is not float:
+            big_locals.add(got[0])
         return got
 
     outs = []
@@ -527,10 +564,10 @@ def _compile(grid, dims, jets):
     source = "\n".join([
         "def _make(C, S):",
         f"    ({''.join(f'c{i}, ' for i in range(len(consts)))}) = C",
-        f"    def grid({', '.join(f'z{g}' for g in range(len(jets)))}):",
+        f"    def grid({', '.join(f'z{g}' for g in range(len(kinds)))}):",
         "        _k = 0",
         "        try:",
-        *(" " * 12 + line for line in _with_dels(body, jet_locals, set(outs))),
+        *(" " * 12 + line for line in _with_dels(body, big_locals, set(outs))),
         f"            return [{', '.join(outs)}]",
         "        except Exception as exc:",
         "            raise _lift(exc, S[_k])",
@@ -555,13 +592,16 @@ class FieldGrid:
     known before it runs.  So every value is bit for bit that of the field
     evaluated alone, and the first error raised is the first the walk
     meets.  An :class:`ExprField` with a ``guard`` checks it first.  Each
-    jet local is deleted after its last use.
+    jet or array local is deleted after its last use.
 
     The same function evaluates one point or a batch of points
     (:meth:`stacked`): seeded as a batch, each coordinate is one jet whose
     value axis runs over the points, and Jet arithmetic is elementwise over
     it, so the grid runs once for all of them and each point gets the bits
-    it gets alone (:func:`~jetlag.diff_engine.point_batch`).
+    it gets alone (:func:`~jetlag.diff_engine.point_batch`).  Float points
+    run as one batch too (:meth:`rows`), each coordinate one array over the
+    points, where the grid calls no function whose array form may differ
+    from the float path's.
 
     The function is generated on first use for each point shape (dims and
     the type of each coordinate) and kept with the grid; :meth:`of` keeps
@@ -574,6 +614,11 @@ class FieldGrid:
         self._fns = {}
         # any other field is called on one seeded point, which it may branch on
         self._batchable = all(isinstance(f, ExprField) for f in self.fields)
+        # whether a field or guard calls exp, log, sin, cos or tanh
+        self._libm = self._batchable and any(
+            _calls(ast) - set(_ARRAY_FUNCTIONS)
+            for f in self.fields
+            for ast in (f.ast, *([f.guard[1].ast] if f.guard else [])))
 
     @staticmethod
     def of(fields) -> "FieldGrid":
@@ -592,8 +637,8 @@ class FieldGrid:
         kinds = tuple(tuple(map(type, z)) for z in zs)
         fn = self._fns.get((dims, kinds))
         if fn is None:
-            jets = [[issubclass(k, Jet) for k in group] for group in kinds]
-            fn = self._fns[dims, kinds] = _compile(self, dims, jets)
+            fn = self._fns[dims, kinds] = _compile(
+                self, dims, [[_kind(k) for k in group] for group in kinds])
         return fn(*zs)
 
     def at(self, spts) -> list:
@@ -630,6 +675,26 @@ class FieldGrid:
                                     for j in jets], axis=len(lead))
                           for k in range(K + 1)])
 
+    def rows(self, zs, dims) -> np.ndarray:
+        """The fields' float values at each row of ``zs``, an (R, N) array
+        of the flat coordinates (:meth:`~jetlag.diff_engine.SeededPoint.flat`)
+        of R points of dims (p, n): an (F, R) array, by one call in a
+        :func:`~jetlag.diff_engine.point_batch` with each coordinate one
+        array over the rows.  The float path's operations run elementwise,
+        and powers by Python's float power, so each row gets bit for bit
+        the values the grid gives at its point with float coordinates.
+        Raises what the call raises, and
+        :class:`~jetlag.diff_engine.BatchDiverged` where a row fails a
+        guard, or the grid holds a field that is not an :class:`ExprField`
+        or calls a function whose numpy array form may differ from math's
+        (exp, log, sin, cos, tanh)."""
+        if not self._batchable or self._libm:
+            raise BatchDiverged
+        cols = list(np.ascontiguousarray(np.transpose(zs), dtype=float))
+        with point_batch():
+            vals = self([cols] * len(self.groups), dims)
+        return np.stack([np.broadcast_to(v, len(zs)) for v in vals])
+
     def batch(self, pts, order):
         """The per-point jets of :meth:`stacked` over two or more points as
         one batch, or None where they cannot run as one: the grid holds a
@@ -643,6 +708,17 @@ class FieldGrid:
         except (JetlagError, BatchDiverged):
             return None
         return [jet[b] for b in range(len(pts))]
+
+
+def _calls(node) -> set:
+    """The names of the functions ``node`` calls."""
+    if isinstance(node, Call):
+        return {node.fn} | _calls(node.arg)
+    if isinstance(node, Binary):
+        return _calls(node.left) | _calls(node.right)
+    if isinstance(node, Neg):
+        return _calls(node.child)
+    return set()
 
 
 def eval_field(ast, spt):

@@ -222,6 +222,11 @@ class GeometryContext:
         self._framed = None  # the key of the point or block last framed
         self._frames = {}  # its frames, by order
 
+    def drop_frames(self):
+        """Forget the frames of the point or block last framed
+        (:func:`frame`), so the next caller builds its own."""
+        self._framed, self._frames = None, {}
+
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
     def _check_signature(self, pt: JetPoint, h_val, g_val):
@@ -280,11 +285,15 @@ def sweep(step, ctx, pts, order: int) -> list:
     """The records of ``step`` (``(ctx, block) -> [record per point]``) at
     ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
     block of :func:`block_size` points whose frames go up to ``order``, so
-    a fold of them has the run's bits, errors and witnesses."""
+    a fold of them has the run's bits, errors and witnesses.  Like a run,
+    it leaves no frame on ``ctx``."""
     size = block_size(ctx.p, ctx.n, order)
     out = []
-    for lo in range(0, len(pts), size):
-        out += _block_records(step, ctx, pts[lo:lo + size])
+    try:
+        for lo in range(0, len(pts), size):
+            out += _block_records(step, ctx, pts[lo:lo + size])
+    finally:
+        ctx.drop_frames()
     return out
 
 
@@ -296,7 +305,9 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     The context keeps the frames of one point or block, by order: asking
     for another drops them.  So a caller that goes block by block, as
     ``jetlag run`` and :func:`sweep` do, reads each block's frames while
-    they live and frees them when the next block starts.
+    they live and frees them when the next block starts; it drops the last
+    block's when it ends (:meth:`GeometryContext.drop_frames`), so a later
+    run of the same context finds none of them.
 
     ``order`` is the Taylor depth carried by the metric-level jets; 2 covers
     torsion/curvature values, 3 is needed for covariant derivatives of
@@ -305,8 +316,11 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     order-k frame is the order-3 frame's block truncated, bit for bit.
     Each product is built only to the order its result keeps, and each
     metric inverse and the S-torsion only to the order their readers read.
+    A block of no points raises ValueError.
     """
     if not isinstance(pts, JetPoint):
+        if not pts:
+            raise ValueError("a frame needs at least one point")
         pts = pts[0] if len(pts) == 1 else tuple(pts)
     key = pts.key() if isinstance(pts, JetPoint) else tuple(pt.key() for pt in pts)
     if ctx._framed != key:

@@ -685,6 +685,33 @@ def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
     assert len(set(compiled)) == len(compiled), len(compiled)
 
 
+def test_optic_suite_grad_check_takes_one_stencil_batch_per_group(
+        tmp_path, monkeypatch):
+    # a tooling guard: the benchmark's fd_partial count reads 0 on
+    # optic-suite, so a fall back to the per-probe path shows only here
+    from jetlag import cli, diff_engine
+    from jetlag.field_expr import FieldGrid
+
+    batches, probes = [], []
+    rows = FieldGrid.rows
+
+    def recording(self, zs, dims):
+        batches.append(self)
+        return rows(self, zs, dims)
+
+    monkeypatch.setattr(FieldGrid, "rows", recording)
+    monkeypatch.setattr(diff_engine, "fd_partial",
+                        lambda *args: probes.append(args))
+    doc = _load_bench(monkeypatch, "spec").make_config("optic-suite", None)
+    cfg = cli.load_config(write_cfg(tmp_path, doc, name="space.json"))
+    groups = {frozenset(f.deps) for _, f in cli._grad_fields(cfg.space)}
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 0 and rep["checks"]["grad-check"]["status"] == "pass"
+    assert not probes
+    assert len(batches) == len(groups) == 3
+    assert {frozenset(g.fields[0].deps) for g in batches} == groups
+
+
 def _hexed(obj):
     """``obj`` as plain data with every float as its ``float.hex``."""
     from jetlag import cli
@@ -751,6 +778,43 @@ def test_library_sweep_frames_hold_one_block(monkeypatch):
     rep = conservation_fold(sweep(conservation_residuals, ctx, pts, 3))
     assert rep.n_points == 10 and block_size(2, 2, 3) == 3
     assert max(sizes) <= block_size(2, 2, 3) and sizes.count(3) == 3
+
+
+def test_a_run_leaves_no_frame_behind(tmp_path, monkeypatch):
+    # with one block covering every point, a second run of one loaded
+    # config would find the first run's frames and build none; a run and a
+    # library sweep each drop their frames when they end
+    from jetlag import cli, geometry
+    from jetlag.geometry import Frame, sweep
+    from jetlag.gravity import conservation_residuals
+
+    def whole(p, n, order):
+        return 10 ** 6
+
+    monkeypatch.setattr(cli, "block_size", whole)
+    monkeypatch.setattr(geometry, "block_size", whole)
+    builds = []
+    init = Frame.__init__
+
+    def counting(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        builds.append((len(self.pts), order))
+
+    monkeypatch.setattr(Frame, "__init__", counting)
+    doc = _load_bench(monkeypatch, "spec").make_config("optic-suite", None)
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    counts = []
+    for _ in range(2):
+        builds.clear()
+        cli.run_report(cfg)
+        counts.append(list(builds))
+        assert cfg.space._frames == {}
+    assert counts[0] == counts[1] and (12, 2) in counts[0]
+    pts = cli._collect_points(cfg, cfg.space)
+    for _ in range(2):
+        builds.clear()
+        sweep(conservation_residuals, cfg.space, pts, 3)
+        assert builds == [(12, 3)] and cfg.space._frames == {}
 
 
 def test_mixed33_deep_takes_each_divergence_once(tmp_path, monkeypatch):
@@ -1663,3 +1727,24 @@ def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch):
     finally:
         pointed.cache_clear()
     assert batched and set(DRIFTING_PLANS) <= per_point
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, "all"])
+def test_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, size):
+    # every pinned config and benchmark workload, cut into blocks of 1, 2,
+    # 5 or all of its points, gives the same report bytes
+    from jetlag import cli, geometry
+
+    def forced(p, n, order):
+        return 10 ** 6 if size == "all" else size
+
+    monkeypatch.setattr(cli, "block_size", forced)
+    monkeypatch.setattr(geometry, "block_size", forced)
+    bench_spec = _load_bench(monkeypatch, "spec")
+    docs = dict(REPORT_DIGESTS)
+    docs.update({name: (ref["digest"], bench_spec.make_config(name, None))
+                 for name, ref in bench_spec.WORKLOADS.items()})
+    for name, (digest, doc) in docs.items():
+        run_to(tmp_path, doc, name=f"{name}.json", out=f"{name}.report.json")
+        text = (tmp_path / f"{name}.report.json").read_text()
+        assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == digest, name

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jetlag import diff_engine
 from jetlag.diff_engine import (
+    BatchDiverged,
     Jet,
     JetPoint,
     PyField,
@@ -28,7 +29,7 @@ from jetlag.diff_engine import (
     point_batch,
     seed_point,
 )
-from jetlag.errors import OrderExceededError, SingularMetricError
+from jetlag.errors import EvalDomainError, OrderExceededError, SingularMetricError
 from jetlag.field_expr import ExprField
 
 import support
@@ -279,8 +280,10 @@ def _per_probe_check_grad(f, pts):
     """check_grad as one eval_derivs and one fd_partial call per probe."""
     worst, worst_pt, worst_wrt, count, nans = 0.0, -1, (), 0, []
     for ip, pt in enumerate(pts):
-        coords = [("t", a) for a in range(2)] + [("x", i) for i in range(2)]
-        coords += [("xs", i, a) for i in range(2) for a in range(2)]
+        p, n = pt.dims
+        coords = [("t", a) for a in range(p) if "t" in f.deps]
+        coords += [("x", i) for i in range(n) if "x" in f.deps]
+        coords += [("xs", i, a) for i in range(n) for a in range(p) if "xs" in f.deps]
         probes = [(c,) for c in coords]
         probes += [(c, d) for k, c in enumerate(coords) for d in coords[k:]]
         for wrt in probes:
@@ -319,6 +322,109 @@ def test_check_grad_matches_per_probe_reference(monkeypatch):
     # that differs from eval_derivs in any bit shows as a deviation
     monkeypatch.setattr(diff_engine, "fd_partial", eval_derivs)
     assert check_grad(f, pts).max_rel_dev == 0.0
+
+
+def _points(seed, count):
+    rng = np.random.default_rng(seed)
+    return [JetPoint.of(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
+                        rng.uniform(-1, 1, (2, 2))) for _ in range(count)]
+
+
+def _recorded(monkeypatch, owner, name) -> list:
+    """The argument tuples of every call of ``owner.name`` from now on."""
+    calls, fn = [], getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def _hexed_report(rep) -> tuple:
+    return (rep.max_rel_dev.hex(), rep.worst_point, rep.worst_wrt,
+            rep.n_comparisons, rep.nan_flags)
+
+
+# rational and polynomial fields in three dependency groups, two sharing
+# one grid: quotients, integer powers of negative bases, a fractional
+# power, sqrt and abs, all of which run on arrays with the float path's bits
+STENCIL_FIELDS = [
+    ExprField("(1 + t[1]^2)/(2 - t[2]) - t[1]*t[2]^3", (2, 2), deps=("t",)),
+    ExprField("-(t[2] - 3)^-2*t[1]/7", (2, 2), deps=("t",)),
+    ExprField("(x[1] - 2)^3/(3 + x[2]^2) + sqrt(2 + x[1]*x[2])", (2, 2), deps=("x",)),
+    ExprField("xs[1][2]*abs(xs[2][1] - 3)^1.5 - 1/(3 + xs[1][1]*xs[2][2])",
+              (2, 2), deps=("xs",)),
+]
+
+
+def test_check_grad_stencil_batch_matches_per_probe_reference(monkeypatch):
+    # every estimate comes from one stencil batch per dependency group, and
+    # each report is the per-probe reference's, bit for bit
+    from jetlag.field_expr import FieldGrid
+
+    pts = _points(5, 5)
+    probes = _recorded(monkeypatch, diff_engine, "fd_partial")
+    batches = _recorded(monkeypatch, FieldGrid, "rows")
+    reps = check_grad(STENCIL_FIELDS, pts)
+    assert not probes and len(batches) == 3
+    for f, rep in zip(STENCIL_FIELDS, reps):
+        worst, *rest = _per_probe_check_grad(f, pts)
+        assert _hexed_report(rep) == (worst.hex(), *rest), f.src
+        assert rep.n_comparisons > 0
+    # and each estimate of the batch is fd_partial's
+    monkeypatch.undo()  # stop recording
+    for grid, *_ in batches:
+        probes = diff_engine._probes(
+            diff_engine._dep_coords(grid.fields[0], 2, 2), (2, 2))
+        got = diff_engine._fd_rows(grid, pts, probes)
+        want = [[[fd_partial(f, pt, list(wrt)).hex() for wrt, _ in probes]
+                 for f in grid.fields] for pt in pts]
+        assert [[[v.hex() for v in row] for row in at] for at in got] == want
+
+
+def test_stencil_batch_keeps_the_per_probe_error(monkeypatch):
+    # sqrt(x[1]) at x[1] = 5e-5: the point is inside the domain, its
+    # step-2 stencil point x[1] - 1e-4 is not; the batch fails, and the
+    # probes taken one at a time raise the error and witness they always did
+    from jetlag.field_expr import FieldGrid
+
+    f = ExprField("t[1] + sqrt(x[1])", (2, 2), deps=("t", "x"))
+    pts = [JetPoint.of([0.1, 0.2], [0.5, 0.3], np.zeros((2, 2))),
+           JetPoint.of([0.1, 0.2], [5e-5, 0.3], np.zeros((2, 2)))]
+    got = []
+    for refuse in (False, True):
+        if refuse:
+            def refusing(self, zs, dims):
+                raise BatchDiverged
+            monkeypatch.setattr(FieldGrid, "rows", refusing)
+        with pytest.raises(EvalDomainError) as exc:
+            check_grad(f, pts)
+        got.append((type(exc.value), str(exc.value), exc.value.offset,
+                    exc.value.witness))
+    assert got[0][:3] == got[1][:3] == (EvalDomainError,
+                                        "sqrt of a negative value", 7)
+    assert got[0][3] is got[1][3] is pts[1]
+
+
+@pytest.mark.parametrize("field", [
+    ExprField("exp(0.5*x[1])*x[2]", (2, 2), deps=("x",)),
+    PyField(lambda spt: spt.x[0] * spt.x[1] ** 2, deps=("x",), name="py"),
+], ids=["exp", "python"])
+def test_grids_without_a_stencil_batch_take_fd_partial(monkeypatch, field):
+    # numpy's array exp may differ from math.exp in the last bit, and a
+    # python field runs on one point at a time: both keep the per-probe path
+    from jetlag.field_expr import FieldGrid
+
+    with pytest.raises(BatchDiverged):
+        FieldGrid.of([field]).rows(np.zeros((1, 8)), (2, 2))
+    pts = _points(7, 3)
+    probes = _recorded(monkeypatch, diff_engine, "fd_partial")
+    rep = check_grad(field, pts)
+    assert len(probes) == rep.n_comparisons == 3 * (2 + 3)
+    worst, *rest = _per_probe_check_grad(field, pts)
+    assert _hexed_report(rep) == (worst.hex(), *rest)
 
 
 def test_check_grad_skips_fields_without_dependencies():

@@ -775,3 +775,16 @@ def test_sampling_blocks_keep_draws_and_rejections(monkeypatch):
         "could not sample 3 admissible points in 1000 tries (1 found) from the "
         "boxes t (-0.4, 0.4), x (-1.0, 0.01), xs (-1.0, 1.0): 993 draws left a "
         "field's domain and 6 had a metric with condition number above 1e+08")
+
+
+def test_a_step_on_no_points_raises_a_named_error():
+    # a block of no points has no frame, so a step called on one stops
+    # before any jet is built
+    from jetlag.gravity import conservation_residuals
+
+    ctx = support.mixed22_ctx()
+    for step in (metricity_residuals, conservation_residuals):
+        with pytest.raises(ValueError, match="a frame needs at least one point"):
+            step(ctx, [])
+    with pytest.raises(ValueError, match="a frame needs at least one point"):
+        frame(ctx, [], 0)
