@@ -41,6 +41,7 @@ from .geometry import (
     GeometryContext,
     _block_records,
     block_size,
+    blocks,
     cartan_connection,
     curvature_antisymmetry_residuals,
     curvature_set,
@@ -747,9 +748,10 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     space ``load_config`` built.  A run with explicit points only records
     the metric signature from ``pts[0]`` before any check runs (a sampled
     run records it while sampling).  The dumps are taken at ``pts[0]``
-    before the first check step.  The run goes block by block, each block
-    as many points as :func:`~jetlag.geometry.block_size` gives the space
-    and the deepest frame its checks read: on each block every
+    before the first check step.  The run goes block by block, through the
+    :func:`~jetlag.geometry.blocks` of at most as many points as
+    :func:`~jetlag.geometry.block_size` lets the frames of the deepest order
+    its checks read keep within one budget of bytes: on each block every
     frame-reading check takes its step, by the rule of the library's
     sweeps (:func:`~jetlag.geometry._block_records`), so the block's
     frames are built once, with every field grid run once per order over
@@ -778,8 +780,7 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         records = {name: [] for name in cfg.checks if name in _FOLDS}
         size = block_size(ctx.p, ctx.n,
                           3 if set(_DEEP_CHECKS) & set(cfg.checks) else 2)
-        for lo in range(0, len(pts), size):
-            block = pts[lo:lo + size]
+        for block in blocks(pts, size):
             for name, recs in records.items():
                 if name in outcomes:
                     continue  # the check raised at an earlier point

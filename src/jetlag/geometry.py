@@ -38,6 +38,7 @@ symbol's logical indices left to right, a bound vertical pair contributing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -70,9 +71,11 @@ from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN
 
 MAX_ORDER = 3  # the derivative budget (module docstring)
 
-# The jet elements one block of points may hold in one frame block of the
-# largest kind (:func:`block_size`): about 1 MB of doubles.
-BLOCK_ELEMENTS = 2 ** 17
+# The bytes the frames of one block of points may keep (:func:`block_size`):
+# 768 KiB, which puts a (2,2) order-3 run in blocks of 6 points, a (2,2)
+# order-2 run in blocks of up to 43 and a (3,3) order-3 run one point at a
+# time.
+BLOCK_BYTES = 768 * 1024
 
 __all__ = [
     "MAX_ORDER",
@@ -90,8 +93,10 @@ __all__ = [
     "RegularityVerdict",
     "ResidualStats",
     "TorsionFreeVerdict",
-    "BLOCK_ELEMENTS",
+    "BLOCK_BYTES",
     "block_size",
+    "blocks",
+    "frame_bytes",
     "sweep",
     "frame",
     "sample_points",
@@ -252,14 +257,54 @@ class GeometryContext:
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXY"
 
 
+# The blocks a frame of order k keeps at each of its points, as (the order
+# it keeps them at, the axes of each: t one of p temporal, s one of n
+# spatial indices).  A block kept below order 0 is not built.
+_KEPT_BLOCKS = (
+    # the metric jets h, g and phi
+    (lambda k: k, ("tt", "ss", "ss")),
+    # h^-1, read at the frame's order on frames of order 2 or less
+    (lambda k: min(k, MAX_ORDER - 1), ("tt",)),
+    # g^-1 and phi^-1; the connection H, M, gamma, N, G, L, C; T = -G
+    (lambda k: k - 1, ("ss", "ss", "ttt", "stt", "sss", "sts", "sst", "sss",
+                       "ssst", "sts")),
+    # the torsion P2, P3, R1, R2, R3 and the curvature H, R1, R2, R3, P1,
+    # P2, S
+    (lambda k: k - 2, ("sttst", "stsst", "sttt", "stts", "stss", "tttt",
+                       "sstt", "ssts", "ssss", "sstst", "sssst", "ssstst")),
+    # the S-torsion, built at order 0 only (Frame.tor_S)
+    (lambda k: min(k - 2, 0), ("ststst",)),
+)
+
+
+def frame_bytes(p: int, n: int, order: int) -> int:
+    """The bytes that the frame blocks of ``order`` keep at each point of
+    a (p, n) space: each block of :data:`_KEPT_BLOCKS` as a jet of
+    doubles at the order it is kept at.  The frames of lower orders that a
+    run builds beside it, and the blocks derived outside this module, are
+    left out."""
+    N = coord_count(p, n)
+    dim = {"t": p, "s": n}
+    elements = 0
+    for kept_at, shapes in _KEPT_BLOCKS:
+        terms = sum(N ** j for j in range(kept_at(order) + 1))
+        elements += terms * sum(math.prod(dim[a] for a in axes) for axes in shapes)
+    return 8 * elements
+
+
 def block_size(p: int, n: int, order: int) -> int:
     """How many points one frame spans on a (p, n) space whose frames go
-    up to ``order``: as many as keep a six-index jet of that order (the
-    n^4 p^2 components of the vertical curvature S) within
-    :data:`BLOCK_ELEMENTS`, and at least one."""
-    N = coord_count(p, n)
-    per_point = n ** 4 * p ** 2 * sum(N ** k for k in range(order + 1))
-    return max(1, BLOCK_ELEMENTS // per_point)
+    up to ``order``: as many as keep :func:`frame_bytes` within
+    :data:`BLOCK_BYTES`, and at least one."""
+    return max(1, BLOCK_BYTES // frame_bytes(p, n, order))
+
+
+def blocks(pts, size: int) -> list:
+    """``pts`` cut, in order, into the fewest blocks of at most ``size``
+    points, whose sizes differ by one at most."""
+    count = -(-len(pts) // size)
+    return [pts[k * len(pts) // count:(k + 1) * len(pts) // count]
+            for k in range(count)]
 
 
 def _block_records(step, ctx, block) -> list:
@@ -284,14 +329,13 @@ def _block_records(step, ctx, block) -> list:
 def sweep(step, ctx, pts, order: int) -> list:
     """The records of ``step`` (``(ctx, block) -> [record per point]``) at
     ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
-    block of :func:`block_size` points whose frames go up to ``order``, so
-    a fold of them has the run's bits, errors and witnesses.  Like a run,
-    it leaves no frame on ``ctx``."""
-    size = block_size(ctx.p, ctx.n, order)
+    of the :func:`blocks` of at most :func:`block_size` points whose
+    frames go up to ``order``, so a fold of them has the run's bits,
+    errors and witnesses.  Like a run, it leaves no frame on ``ctx``."""
     out = []
     try:
-        for lo in range(0, len(pts), size):
-            out += _block_records(step, ctx, pts[lo:lo + size])
+        for block in blocks(pts, block_size(ctx.p, ctx.n, order)):
+            out += _block_records(step, ctx, block)
     finally:
         ctx.drop_frames()
     return out
@@ -329,6 +373,19 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     if fr is None:
         fr = ctx._frames[order] = Frame(ctx, pts, order)
     return fr
+
+
+@lru_cache(maxsize=None)
+def _xs_coefficients(p: int, n: int, order: int) -> tuple:
+    """The derivative coefficients of orders 1 to ``order`` of the jets of
+    the velocity coordinates xs^i_a of a (p, n) space, axes [i,a],
+    read-only: one table shared by every frame, as ``seed_point`` shares
+    its own."""
+    idx = [[coord_index(p, n, ("xs", i, a)) for a in range(p)] for i in range(n)]
+    coeffs = Jet.variables(np.zeros((n, p)), idx, coord_count(p, n), order).coeffs[1:]
+    for c in coeffs:
+        c.flags.writeable = False
+    return tuple(coeffs)
 
 
 def _each(pts, records):
@@ -445,14 +502,14 @@ class Frame:
 
     @cached_property
     def xs_jet(self) -> Jet:
-        idx = np.array(
-            [
-                [coord_index(self.p, self.n, ("xs", i, a)) for a in range(self.p)]
-                for i in range(self.n)
-            ]
-        )
-        xs = np.stack([pt.xs for pt in self.pts]) if self.batched else self.pts[0].xs
-        return Jet.variables(xs, np.broadcast_to(idx, xs.shape), self.N, self.order)
+        """The velocity coordinates xs^i_a as jets, axes [i,a]: their
+        derivative coefficients are the same at every point, so they are
+        read-only views of one table (:func:`_xs_coefficients`)."""
+        xs = np.array([pt.xs for pt in self.pts] if self.batched else self.pts[0].xs,
+                      dtype=float)
+        return Jet(self.N, self.order, [xs, *(
+            np.broadcast_to(c, self._lead + c.shape)
+            for c in _xs_coefficients(self.p, self.n, self.order))])
 
     # -- metrics -----------------------------------------------------------
 

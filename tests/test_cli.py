@@ -626,8 +626,11 @@ def test_point_major_matches_single_check_runs(tmp_path, name):
 
 
 def _block_sizes(count, size) -> list:
-    """The sizes of the blocks that ``count`` points fall into."""
-    return [min(size, count - lo) for lo in range(0, count, size)]
+    """The sizes of the blocks that ``count`` points fall into: the fewest
+    blocks of at most ``size``, the k-th of the n ending at point
+    (k + 1) count // n."""
+    n = -(-count // size)
+    return [(k + 1) * count // n - k * count // n for k in range(n)]
 
 
 def _order2_builds(tmp_path, monkeypatch, doc) -> tuple:
@@ -662,7 +665,7 @@ def test_optic_sweep_builds_one_order2_frame_per_block(tmp_path, monkeypatch):
     doc = _load_bench(monkeypatch, "spec").make_config("optic-sweep", None)
     builds, size = _order2_builds(tmp_path, monkeypatch, doc)
     assert len(builds) <= -(-doc["points"]["count"] // size)
-    assert 16 <= size <= 32
+    assert size == 43 and builds == [33, 33, 34]
 
 
 def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
@@ -730,7 +733,7 @@ def _hexed(obj):
 def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which):
     # each fold of a library sweep, which takes its steps block by block, is
     # the fold of one-point steps, bit for bit; optic-suite's conservation
-    # runs in blocks of 3, mixed33's one point at a time
+    # runs in blocks of 6, mixed33's one point at a time
     from jetlag import cli
     from jetlag.geometry import block_size, sweep
     from jetlag.gravity import (conservation_fold, conservation_residuals,
@@ -741,7 +744,7 @@ def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which)
     cfg = cli.load_config(write_cfg(tmp_path, doc))
     ctx = cfg.space
     pts = cli._collect_points(cfg, ctx)
-    assert block_size(ctx.p, ctx.n, 3) == (1 if which == "mixed33" else 3)
+    assert block_size(ctx.p, ctx.n, 3) == (1 if which == "mixed33" else 6)
     checks = [(conservation_residuals, conservation_fold)]
     if "natural-form" in cfg.checks:
         checks.append((natural_form_checks, natural_form_fold))
@@ -776,8 +779,76 @@ def test_library_sweep_frames_hold_one_block(monkeypatch):
 
     monkeypatch.setattr(Frame, "__init__", counting)
     rep = conservation_fold(sweep(conservation_residuals, ctx, pts, 3))
-    assert rep.n_points == 10 and block_size(2, 2, 3) == 3
-    assert max(sizes) <= block_size(2, 2, 3) and sizes.count(3) == 3
+    assert rep.n_points == 10 and block_size(2, 2, 3) == 6
+    assert sizes == [5, 5]
+
+
+@pytest.mark.parametrize("workload", ["optic-suite", "optic-sweep", "mixed33-deep"])
+def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
+    # block_size cuts a run by the bytes its frames keep per point
+    # (frame_bytes): the frames of a workload's first block, after every
+    # check's step has read them, keep within a factor of 2 of that charge
+    import gc
+    import tracemalloc
+
+    from jetlag import cli
+    from jetlag.geometry import _block_records, block_size, blocks, frame_bytes
+
+    doc = _load_bench(monkeypatch, "spec").make_config(workload, None)
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    ctx = cfg.space
+    order = 3 if set(cli._DEEP_CHECKS) & set(cfg.checks) else 2
+    block = blocks(cli._collect_points(cfg, ctx), block_size(ctx.p, ctx.n, order))[0]
+    ctx.drop_frames()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for name in cfg.checks:
+            if name in cli._FOLDS:
+                _block_records(cli._RUNNERS[name], ctx, block)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        ctx.drop_frames()
+        gc.collect()
+        kept -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    charged = len(block) * frame_bytes(ctx.p, ctx.n, order)
+    assert charged / 2 <= kept <= 2 * charged, (len(block), kept, charged)
+
+
+def test_frames_share_the_coordinate_jets_derivatives(tmp_path, monkeypatch):
+    # the derivative coefficients of a frame's xs jets are read-only views
+    # of one table, the same in every frame of a space and order, and the
+    # jets equal those of Jet.variables; an order-3 block of a run keeps
+    # its report bytes
+    from jetlag import cli
+    from jetlag.diff_engine import Jet, coord_index
+    from jetlag.geometry import frame
+
+    bench_spec = _load_bench(monkeypatch, "spec")
+    doc = bench_spec.make_config("optic-suite", None)
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    ctx = cfg.space
+    pts = cli._collect_points(cfg, ctx)
+    idx = [[coord_index(2, 2, ("xs", i, a)) for a in range(2)] for i in range(2)]
+    firsts = []
+    for block in (pts[:6], pts[6:], pts[:1]):
+        xs = frame(ctx, block, 3).xs_jet
+        vals = np.array([pt.xs for pt in block])
+        vals = vals[0] if len(block) == 1 else vals
+        want = Jet.variables(vals, np.broadcast_to(idx, vals.shape), 8, 3)
+        for c, w in zip(xs.coeffs, want.coeffs, strict=True):
+            assert c.shape == w.shape and np.array_equal(c, w)
+        for c in xs.coeffs[1:]:
+            assert c.base is not None and not c.flags.writeable
+        firsts.append(xs.coeffs[1])
+    assert all(np.shares_memory(firsts[0], c) for c in firsts[1:])
+    ctx.drop_frames()
+    run_to(tmp_path, doc, out="suite.json")
+    text = (tmp_path / "suite.json").read_text()
+    assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == (
+        bench_spec.WORKLOADS["optic-suite"]["digest"])
 
 
 def test_a_run_leaves_no_frame_behind(tmp_path, monkeypatch):
@@ -1574,7 +1645,7 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
     calls = support.record_grid_calls(monkeypatch)
     from jetlag.geometry import block_size
 
-    count = 40
+    count = 90
     doc = dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], count=count),
                checks=SWEEP_CHECKS, dump=[])
     rc, rep = run_to(tmp_path, doc)
@@ -1729,22 +1800,53 @@ def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch):
     assert batched and set(DRIFTING_PLANS) <= per_point
 
 
+# g is singular at the second of four points and direction-dependent at the
+# third, where the quadratic-canonical connection does not exist: a block
+# that holds the second raises, and one that holds the third too raises
+# there first, so every block of two or more points falls back to single
+# points; the digest was taken one point at a time
+FALLBACK_CFG = {
+    "p": 2, "n": 2,
+    "space": {"name": "custom", "params": {
+        "h": [["1", "0"], ["0", "1"]],
+        "g": [["(x[1]^2 + 1e-14)*(1 + xs[1][1]^2)", "0"], ["0", "1"]],
+        "nlc": {"kind": "quadratic"}}},
+    "points": {"explicit": [_block_point(x1, xs11) for x1, xs11 in
+                            ((0.3, 0.0), (0.0, 0.0), (0.4, 0.5), (0.6, 0.0))]},
+    "checks": ["metricity", "torsion", "curvature", "einstein", "conservation",
+               "regularity"],
+}
+FALLBACK_DIGEST = "1025faae4dcce4aad7b64de5bacfda8d6e4ce1c9bf86a2e698032eb8efd4931c"
+
+
 @pytest.mark.parametrize("size", [1, 2, 5, "all"])
-def test_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, size):
-    # every pinned config and benchmark workload, cut into blocks of 1, 2,
-    # 5 or all of its points, gives the same report bytes
+@given(data=st.data())
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, size, data):
+    # every pinned config, the fallback config and every benchmark
+    # workload at both of its seeds gives the same report bytes however
+    # its points are cut into blocks; hypothesis draws each run's block
+    # size, and its first, simplest draw cuts every run into blocks of 1,
+    # 2, 5 or all of its points
     from jetlag import cli, geometry
 
-    def forced(p, n, order):
-        return 10 ** 6 if size == "all" else size
-
-    monkeypatch.setattr(cli, "block_size", forced)
-    monkeypatch.setattr(geometry, "block_size", forced)
     bench_spec = _load_bench(monkeypatch, "spec")
-    docs = dict(REPORT_DIGESTS)
-    docs.update({name: (ref["digest"], bench_spec.make_config(name, None))
-                 for name, ref in bench_spec.WORKLOADS.items()})
-    for name, (digest, doc) in docs.items():
+    runs = dict(REPORT_DIGESTS, fallback=(FALLBACK_DIGEST, FALLBACK_CFG))
+    for name, ref in bench_spec.WORKLOADS.items():
+        runs[name] = (ref["digest"], bench_spec.make_config(name, None))
+        runs[f"{name}-23"] = (SEED23_DIGESTS[name], bench_spec.make_config(name, 23))
+    for name, (digest, doc) in runs.items():
+        count = len(doc["points"].get("explicit", ())) + doc["points"].get("count", 0)
+        first = count if size == "all" else min(size, count)
+        cut = data.draw(st.integers(0, count - 1).map(
+            lambda k: (first - 1 + k) % count + 1), label=name)
+
+        def forced(p, n, order, cut=cut):
+            return cut
+
+        monkeypatch.setattr(cli, "block_size", forced)
+        monkeypatch.setattr(geometry, "block_size", forced)
         run_to(tmp_path, doc, name=f"{name}.json", out=f"{name}.report.json")
         text = (tmp_path / f"{name}.report.json").read_text()
         assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == digest, name

@@ -167,7 +167,8 @@ def test_maxwell_residuals_builds_each_frame_once(monkeypatch, ctx_mixed22):
     monkeypatch.setattr(Frame, "__init__", counting)
     monkeypatch.setattr(geometry, "block_size", lambda p, n, order: 3)
     maxwell_residuals(ctx_mixed22, pts)
-    assert builds == [([pt.key() for pt in pts[:3]], 2), ([pts[3].key()], 2)]
+    assert builds == [([pt.key() for pt in pts[:2]], 2),
+                      ([pt.key() for pt in pts[2:]], 2)]
 
 
 def _precedence_ctx(g, nlc):
