@@ -39,6 +39,7 @@ from .geometry import (
     DirectMetric,
     FromLagrangian,
     GeometryContext,
+    UserGiven,
     _block_records,
     block_size,
     blocks,
@@ -627,6 +628,10 @@ def _grad_fields(ctx):
     if isinstance(ctx.nlc, ChristoffelOfPhi):
         for idx in np.ndindex(ctx.nlc.phi.shape):
             out.append((f"phi[{idx[0] + 1}][{idx[1] + 1}]", ctx.nlc.phi[idx]))
+    elif isinstance(ctx.nlc, UserGiven):
+        for idx in np.ndindex(ctx.nlc.entries.shape):
+            i, a, j = (k + 1 for k in idx)
+            out.append((f"N[{i}][{a}][{j}]", ctx.nlc.entries[idx]))
     return out
 
 

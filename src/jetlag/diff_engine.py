@@ -23,9 +23,11 @@ alone.
 Products, ``*`` and :func:`jet_einsum` alike, use one multilinear Leibniz
 kernel (:func:`_leibniz`), compositions use Faa di Bruno over set
 partitions, and matrix inversion uses a Newton iteration whose accuracy
-order doubles per step.  Finite differences (:func:`fd_partial`, and
-:func:`check_grad`'s batch of its stencils) are only ever used as an
-independent cross-check of the Taylor path.
+order doubles per step.  Finite differences are only ever used as an
+independent cross-check of the Taylor path: :func:`check_grad` evaluates
+every stencil of a dependency group in one batch, and only a grid that holds
+a Python field, or whose batch raises, is checked one probe at a time by
+:func:`fd_partial`, the reference that gives the batch's bits.
 """
 
 from __future__ import annotations
@@ -906,12 +908,6 @@ class ScalarField:
     def __call__(self, spt: SeededPoint):
         raise NotImplementedError
 
-    def value_at(self, z, dims) -> float:
-        """The field's value at the float point whose flat coordinates
-        (:meth:`SeededPoint.flat`) are ``z``; :func:`fd_partial` reads its
-        stencil points through this."""
-        return _field_value(self(SeededPoint.of_flat(z, dims)))
-
     @property
     def name(self) -> str:
         return getattr(self, "_name", self.__class__.__name__)
@@ -1004,8 +1000,9 @@ def fd_partial(f: ScalarField, pt: JetPoint, wrt) -> float:
 
     Steps are relative: ``FD_STEP_1`` (first order) or ``FD_STEP_2``
     (second order) times max(1, |coordinate|).  Each stencil point shifts
-    plain float copies of ``pt``'s flat coordinates and is read through
-    ``f.value_at``.
+    plain float copies of ``pt``'s flat coordinates, and ``f`` is called
+    there alone.  This is :func:`check_grad`'s reference: its stencil batch
+    gives these bits, and a group whose batch raises falls back to it.
     """
     order = len(wrt)
     if order not in (1, 2):
@@ -1017,7 +1014,7 @@ def fd_partial(f: ScalarField, pt: JetPoint, wrt) -> float:
         q = z.copy()
         for i, delta in shifts:
             q[i] += delta
-        return f.value_at(q, dims)
+        return _field_value(f(SeededPoint.of_flat(q, dims)))
 
     if order == 1:
         i = coord_index(p, n, wrt[0])
@@ -1058,33 +1055,6 @@ def _dep_coords(f: ScalarField, p: int, n: int):
     return out
 
 
-class _Probed(ScalarField):
-    """Field ``k`` of ``grid`` at one point of :func:`check_grad`.
-
-    Its value at each stencil point comes from one evaluation of the whole
-    grid there, kept in ``floats`` for every field of the grid; where the
-    grid raises, the field is evaluated alone, so it keeps its own value or
-    error.  Called with a seeded point, it is the field itself.
-    """
-
-    def __init__(self, grid, k, floats):
-        self.grid, self.k, self.floats = grid, k, floats
-        self.field = grid.fields[k]
-        self.deps = self.field.deps
-
-    def __call__(self, spt):
-        return self.field(spt)
-
-    def value_at(self, z, dims) -> float:
-        res = self.floats.get(key := tuple(z))
-        if res is None:
-            try:
-                res = self.floats[key] = self.grid([z], dims)
-            except JetlagError:
-                return self.field.value_at(z, dims)
-        return _field_value(res[self.k])
-
-
 def _probes(coords, dims) -> list:
     """``(wrt, ix)`` for every first and second partial over ``coords``, in
     the order :func:`check_grad` folds them: ``wrt`` the coordinate ids,
@@ -1106,14 +1076,6 @@ def _taylor(res, ix) -> float:
     ``.partial(j)`` (the order-2 coefficient is not bitwise symmetric)."""
     # a field that ignores the seeded jets returns a plain number
     return float(res.coeffs[len(ix)][ix[::-1]]) if isinstance(res, Jet) else 0.0
-
-
-def _probe_pairs(f: _Probed, res, pt: JetPoint, probes) -> list:
-    """``(wrt, taylor, fd)`` for every probe of :func:`_probes` of ``f`` at
-    ``pt``, ``res`` being its order-2 Taylor value there, by one
-    :func:`fd_partial` per probe."""
-    return [(wrt, _taylor(res, ix), fd_partial(f, pt, list(wrt)))
-            for wrt, ix in probes]
 
 
 def _fd_rows(grid, pts, probes) -> list:
@@ -1185,24 +1147,22 @@ def check_grad(f, pts):
     alone.  The fields of one dependency group are evaluated together: one
     shared grid of all of them (:meth:`~jetlag.field_expr.FieldGrid.of`),
     run once at order 2 over every point
-    (:meth:`~jetlag.field_expr.FieldGrid.batch`), and once at order 0 over
-    every stencil point of every probe at every point
-    (:func:`_fd_rows`).
+    (:meth:`~jetlag.field_expr.FieldGrid.stacked`, a single point seeded
+    alone), and once at order 0 over every stencil point of every probe at
+    every point (:func:`_fd_rows`).
 
     The Taylor side reads every probe off a field's order-2 jet
     (:func:`_taylor`).  The finite-difference side is :func:`fd_partial`'s
-    estimate, bit for bit, from the stencil batch.  Where the order-2 batch
-    cannot run as one, or the stencil batch raises or cannot run as one
-    (the grid calls exp, log, sin, cos or tanh, or holds a field that is
-    not an :class:`~jetlag.field_expr.ExprField`), the group is checked
-    point by point: the order-2 grid once per point, and :func:`fd_partial`
-    per probe with one float grid per distinct stencil point (so the centre
-    point of the diagonal probes is evaluated once).  There, a domain or
-    singular-metric error raised while a point is evaluated names that
-    point as its ``witness``.  The error raised is the first field's, in
-    order, that raises: the one checking the fields one at a time would
-    meet first.  The reports are folded point by point, in probe order
-    (:func:`_probes`), either way.
+    estimate, bit for bit, from the stencil batch.  Only where either batch
+    raises (a domain error, a guard, points that branch apart, or a field
+    that is not an :class:`~jetlag.field_expr.ExprField`) is the group
+    checked field by field, point by point, one probe at a time: each
+    field's own order-2 jet, then :func:`fd_partial` per probe.  There, a
+    domain or singular-metric error raised while a point is evaluated names
+    that point as its ``witness``, and the error raised is the first
+    field's, in order, that raises: the one checking the fields one at a
+    time would meet first.  The reports are folded point by point, in probe
+    order (:func:`_probes`), either way.
     """
     from .field_expr import FieldGrid  # field_expr builds on this module
 
@@ -1218,34 +1178,30 @@ def check_grad(f, pts):
             continue  # no coordinate or no point to probe
         dims = pts[0].dims
         probes = _probes(_dep_coords(grid.fields[0], *dims), dims)
-        rows = grid.batch(pts, 2)
-        if rows is not None:
-            try:
-                fds = _fd_rows(grid, pts, probes)
-            except (JetlagError, BatchDiverged):
-                pass  # per probe, below: each field keeps its error, witness
-            else:
-                for ip, jets in enumerate(rows):
-                    for j, k in enumerate(members):
-                        res = jets[j]
-                        _fold(reports[k], ip, [
-                            (wrt, _taylor(res, ix), b)
-                            for (wrt, ix), b in zip(probes, fds[ip][j])])
-                continue
+        one = len(pts) == 1
+        try:
+            jet = grid.stacked(pts[0] if one else pts, 2)
+            fds = _fd_rows(grid, pts, probes)
+        except (JetlagError, BatchDiverged):
+            pass  # field by field, below: each keeps its error and witness
+        else:
+            for ip in range(len(pts)):
+                at = jet if one else jet[ip]
+                for j, k in enumerate(members):
+                    res = at[j]
+                    _fold(reports[k], ip, [
+                        (wrt, _taylor(res, ix), b)
+                        for (wrt, ix), b in zip(probes, fds[ip][j])])
+            continue
         for ip, pt in enumerate(pts):
-            jets = None if rows is None else rows[ip]
-            if jets is None:
-                try:
-                    jets = grid.stacked(pt, 2)
-                except JetlagError:
-                    pass  # each field is evaluated alone below
-            floats = {}
-            for j, k in enumerate(members):
+            for k in members:
                 if k in errors:
                     continue
+                fld = fields[k]
                 try:
-                    res = fields[k](seed_point(pt, 2, deps)) if jets is None else jets[j]
-                    pairs = _probe_pairs(_Probed(grid, j, floats), res, pt, probes)
+                    res = fld(seed_point(pt, 2, deps))
+                    pairs = [(wrt, _taylor(res, ix), fd_partial(fld, pt, list(wrt)))
+                             for wrt, ix in probes]
                 except JetlagError as exc:
                     errors[k] = name_witness(exc, pt)
                     continue

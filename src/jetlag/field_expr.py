@@ -31,7 +31,6 @@ constant slots reach the generated source, never field text.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -61,7 +60,6 @@ from .errors import (
     EvalDomainError,
     FieldDomainError,
     FieldValidationError,
-    JetlagError,
     ParseError,
 )
 
@@ -131,11 +129,6 @@ _FUNCTIONS = {
     "tanh": jtanh,
     "abs": jabs,
 }
-
-# the functions whose numpy array form gives math's bits at every element:
-# sqrt is correctly rounded and abs exact in both, while numpy's array exp,
-# log, sin, cos and tanh may differ from math's in the last bit
-_ARRAY_FUNCTIONS = {"sqrt": np.sqrt, "abs": np.abs}
 
 
 # --------------------------------------------------------------------------
@@ -395,14 +388,14 @@ def _float_pow(base: float, expo: float, pos: int) -> float:
     return float(base) ** float(expo)
 
 
-def _array_pow(base, expo, pos) -> np.ndarray:
-    """:func:`_float_pow` at each element of ``base`` and ``expo`` (arrays
-    over rows, or one of them a float): Python's float power, the libm pow
-    the float path calls, where numpy's array power may take a vector path
-    that differs in the last bit."""
-    b, e = np.broadcast_arrays(base, expo)
-    return np.fromiter(map(_float_pow, b.tolist(), e.tolist(),
-                           itertools.repeat(pos)), float, b.size)
+def _each(fn, *args) -> np.ndarray:
+    """The float path's operation ``fn`` (:func:`_float_pow`, or a function
+    of ``_FUNCTIONS``) at each element of ``args`` (arrays over rows, or
+    floats): the libm call, domain check and error of the float path at
+    every row, where numpy's array form may take a vector path that differs
+    in the last bit."""
+    cols = np.broadcast_arrays(*args)
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, cols[0].size)
 
 
 def _jet_finite(v) -> bool:
@@ -420,7 +413,7 @@ _isfinite = math.isfinite
 # over rows): the check of a site's value and the expression of its power
 _FINITE = {float: "_isfinite", Jet: "_jet_finite", np.ndarray: "_all_finite"}
 _POWER = {float: "_float_pow({}, {}, {})", Jet: "{} ** {}",
-          np.ndarray: "_array_pow({}, {}, {})"}
+          np.ndarray: "_each(_float_pow, {}, {}, {})"}
 
 
 def _kind(t) -> type:
@@ -536,9 +529,9 @@ def _compile(grid, dims, kinds):
             got = site(node, False, expr, kind)
         elif isinstance(node, Call):
             arg, kind = visit(node.arg, g)
-            fn = (_ARRAY_FUNCTIONS if kind is np.ndarray else _FUNCTIONS)[node.fn]
-            fn = const(("fn", fn), fn)
-            got = site(node, True, f"{fn}({arg})", kind)
+            fn = const(("fn", node.fn), _FUNCTIONS[node.fn])
+            call = f"_each({fn}, {arg})" if kind is np.ndarray else f"{fn}({arg})"
+            got = site(node, True, call, kind)
         else:
             raise TypeError(f"not an AST node: {node!r}")
         names[key] = got
@@ -600,8 +593,9 @@ class FieldGrid:
     it, so the grid runs once for all of them and each point gets the bits
     it gets alone (:func:`~jetlag.diff_engine.point_batch`).  Float points
     run as one batch too (:meth:`rows`), each coordinate one array over the
-    points, where the grid calls no function whose array form may differ
-    from the float path's.
+    points: an array local runs each float-path operation on every element
+    (powers and the calls exp, log, sin, cos, sqrt, tanh and abs), so every
+    grid of :class:`ExprField` values batches with the float path's bits.
 
     The function is generated on first use for each point shape (dims and
     the type of each coordinate) and kept with the grid; :meth:`of` keeps
@@ -614,11 +608,6 @@ class FieldGrid:
         self._fns = {}
         # any other field is called on one seeded point, which it may branch on
         self._batchable = all(isinstance(f, ExprField) for f in self.fields)
-        # whether a field or guard calls exp, log, sin, cos or tanh
-        self._libm = self._batchable and any(
-            _calls(ast) - set(_ARRAY_FUNCTIONS)
-            for f in self.fields
-            for ast in (f.ast, *([f.guard[1].ast] if f.guard else [])))
 
     @staticmethod
     def of(fields) -> "FieldGrid":
@@ -680,45 +669,20 @@ class FieldGrid:
         of the flat coordinates (:meth:`~jetlag.diff_engine.SeededPoint.flat`)
         of R points of dims (p, n): an (F, R) array, by one call in a
         :func:`~jetlag.diff_engine.point_batch` with each coordinate one
-        array over the rows.  The float path's operations run elementwise,
-        and powers by Python's float power, so each row gets bit for bit
-        the values the grid gives at its point with float coordinates.
-        Raises what the call raises, and
-        :class:`~jetlag.diff_engine.BatchDiverged` where a row fails a
-        guard, or the grid holds a field that is not an :class:`ExprField`
-        or calls a function whose numpy array form may differ from math's
-        (exp, log, sin, cos, tanh)."""
-        if not self._batchable or self._libm:
+        array over the rows.  Arithmetic runs elementwise, and each power
+        and function call runs the float path's own operation on every
+        element, so each row gets bit for bit the values the grid gives at
+        its point with float coordinates, and each power or call raises the
+        float path's error at its first row outside the domain.  Raises
+        what the call raises, and :class:`~jetlag.diff_engine.BatchDiverged`
+        where a row fails a guard or the grid holds a field that is not an
+        :class:`ExprField`."""
+        if not self._batchable:
             raise BatchDiverged
         cols = list(np.ascontiguousarray(np.transpose(zs), dtype=float))
         with point_batch():
             vals = self([cols] * len(self.groups), dims)
         return np.stack([np.broadcast_to(v, len(zs)) for v in vals])
-
-    def batch(self, pts, order):
-        """The per-point jets of :meth:`stacked` over two or more points as
-        one batch, or None where they cannot run as one: the grid holds a
-        field that is not an :class:`ExprField`, or the batch raises or
-        branches apart.  The caller then evaluates each point alone, which
-        raises that point's own error."""
-        if len(pts) < 2:
-            return None
-        try:
-            jet = self.stacked(pts, order)
-        except (JetlagError, BatchDiverged):
-            return None
-        return [jet[b] for b in range(len(pts))]
-
-
-def _calls(node) -> set:
-    """The names of the functions ``node`` calls."""
-    if isinstance(node, Call):
-        return {node.fn} | _calls(node.arg)
-    if isinstance(node, Binary):
-        return _calls(node.left) | _calls(node.right)
-    if isinstance(node, Neg):
-        return _calls(node.child)
-    return set()
 
 
 def eval_field(ast, spt):

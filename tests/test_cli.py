@@ -166,6 +166,32 @@ def run_to(tmp_path, doc, *extra, name="cfg.json", out="report.json"):
     return rc, json.loads(target.read_text())
 
 
+# the benchmark's direction-dependent (3,3) space (support.mixed33_ctx) at
+# three sampled points; seven of the nine natural-form blocks have their
+# worst point at the last point, not the first
+MIXED33_CFG = {
+    "p": 3, "n": 3,
+    "space": {"name": "custom", "params": {
+        "h": support.H33_SRC,
+        "g": support.conformal_g_src(support.SIG33, support.PHI33_SRC),
+        "nlc": {"kind": "christoffel", "phi": support.PHI33_SRC}}},
+    "points": {"seed": 8, "count": 3,
+               "box": {"t": [-0.5, 0.5], "x": [-0.5, 0.5],
+                       "xs": [-0.5, 0.5]}},
+    "checks": ["conservation", "natural-form"],
+}
+
+# grad-check on grids that call exp (conformal g, mixed33's g) and sin
+# (mixed33's h), and at one explicit point
+GRAD_CONFORMAL_CFG = dict(CONFORMAL_EM_CFG, checks=["grad-check"], dump=[])
+GRAD_MIXED33_CFG = dict(MIXED33_CFG, points=dict(MIXED33_CFG["points"], count=4),
+                        checks=["grad-check"])
+GRAD_OPTIC_POINT_CFG = dict(
+    OPTIC_CFG, points={"explicit": [{"t": [0.1, -0.2], "x": [0.3, 0.4],
+                                     "xs": [[0.25, -0.1], [0.15, 0.35]]}]},
+    checks=["grad-check"], dump=[])
+
+
 # sha256 of a report minus its wall-time line, as the benchmark's
 # report_digest takes it; a mismatch means some report byte changed
 REPORT_DIGESTS = {
@@ -191,6 +217,14 @@ REPORT_DIGESTS = {
     # benchmark's own (3,3) workload
     "quadratic33-laws": ("e45682540680b3425a3198138a2b09530c5829fcb8823b11a71733d071d74f29",
                          QUADRATIC33_CFG),
+    # grad-check where the per-probe path once ran: taken before the stencil
+    # batch served grids that call exp or sin, or a single point
+    "grad-conformal": ("8ded27c7fdfb88ea7625d7db23783fc49c646f1f6fd5db02994a6c08718fdb59",
+                       GRAD_CONFORMAL_CFG),
+    "grad-mixed33": ("db6ef380fe1dea27008ed70d333c6d3099cb68665f661f1a0d5527efcb078484",
+                     GRAD_MIXED33_CFG),
+    "grad-optic-point": ("e6372d5445c876b4aea783846040ba1a5aed62fdacdef5a13951c03b9a257aa3",
+                         GRAD_OPTIC_POINT_CFG),
 }
 WALL_LINE = re.compile(r'^  "wall_time_s": .*\n', re.MULTILINE)
 
@@ -248,6 +282,19 @@ def test_torsion_failure_sets_exit_code_and_witness(tmp_path, capsys):
     doc = rep["checks"]["torsion"]
     assert doc["status"] == "fail"
     assert doc["witness"] is not None
+
+
+def test_grad_check_probes_user_given_n(tmp_path):
+    # a user NLC's entries are fields the frames evaluate into N, so
+    # grad-check probes each of them after h and g, in np.ndindex order
+    rc, rep = run_to(tmp_path, dict(TORSIONAL_CFG, checks=["grad-check"]))
+    doc = rep["checks"]["grad-check"]
+    assert rc == 0 and doc["status"] == "pass"
+    two = (1, 2)
+    assert list(doc["detail"]) == (
+        [f"h[{i}][{j}]" for i in two for j in two]
+        + [f"g[{i}][{j}]" for i in two for j in two]
+        + [f"N[{i}][{a}][{j}]" for i in two for a in two for j in two])
 
 
 def test_lagrangian_conservation_budget_error(tmp_path):
@@ -582,21 +629,6 @@ TORSION_PRECEDENCE_CFG = dict(
     checks=["metricity", "torsion", "maxwell"],
 )
 
-# the benchmark's direction-dependent (3,3) space (support.mixed33_ctx) at
-# three sampled points; seven of the nine natural-form blocks have their
-# worst point at the last point, not the first
-MIXED33_CFG = {
-    "p": 3, "n": 3,
-    "space": {"name": "custom", "params": {
-        "h": support.H33_SRC,
-        "g": support.conformal_g_src(support.SIG33, support.PHI33_SRC),
-        "nlc": {"kind": "christoffel", "phi": support.PHI33_SRC}}},
-    "points": {"seed": 8, "count": 3,
-               "box": {"t": [-0.5, 0.5], "x": [-0.5, 0.5],
-                       "xs": [-0.5, 0.5]}},
-    "checks": ["conservation", "natural-form"],
-}
-
 ORACLE_CFGS = {
     # a sweep of many points, each with its own frames
     "optic-66": dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], count=66),
@@ -688,10 +720,12 @@ def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
     assert len(set(compiled)) == len(compiled), len(compiled)
 
 
-def test_optic_suite_grad_check_takes_one_stencil_batch_per_group(
-        tmp_path, monkeypatch):
-    # a tooling guard: the benchmark's fd_partial count reads 0 on
-    # optic-suite, so a fall back to the per-probe path shows only here
+@pytest.mark.parametrize("which", ["optic-suite", "grad-conformal",
+                                   "grad-mixed33", "grad-optic-point"])
+def test_grad_check_takes_one_stencil_batch_per_group(tmp_path, monkeypatch, which):
+    # a tooling guard: the benchmark's fd_partial count reads 0 on every
+    # workload, so a fall back to the per-probe path shows only here; the
+    # pinned grad-check runs call exp and sin, or hold one point
     from jetlag import cli, diff_engine
     from jetlag.field_expr import FieldGrid
 
@@ -705,7 +739,8 @@ def test_optic_suite_grad_check_takes_one_stencil_batch_per_group(
     monkeypatch.setattr(FieldGrid, "rows", recording)
     monkeypatch.setattr(diff_engine, "fd_partial",
                         lambda *args: probes.append(args))
-    doc = _load_bench(monkeypatch, "spec").make_config("optic-suite", None)
+    doc = (_load_bench(monkeypatch, "spec").make_config(which, None)
+           if which == "optic-suite" else REPORT_DIGESTS[which][1])
     cfg = cli.load_config(write_cfg(tmp_path, doc, name="space.json"))
     groups = {frozenset(f.deps) for _, f in cli._grad_fields(cfg.space)}
     rc, rep = run_to(tmp_path, doc)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetlag.diff_engine import Jet, JetPoint, float_point, seed_point
+from jetlag.diff_engine import BatchDiverged, Jet, JetPoint, float_point, seed_point
 from jetlag.errors import (
     EvalDomainError,
     FieldValidationError,
+    JetlagError,
     ParseError,
 )
 from jetlag.field_expr import (
@@ -391,7 +392,48 @@ BATCHES = [
 def test_batch_matches_each_point_alone(srcs, order):
     grid = FieldGrid([ExprField(src, CORPUS_DIMS) for src in srcs])
     for pts in BATCHES:
-        # None where a point raises alone, or the points branch apart
-        for pt, row in zip(pts, grid.batch(pts, order) or ()):
+        try:
+            batch = grid.stacked(pts, order)
+        except (JetlagError, BatchDiverged):
+            continue  # a point raises alone, or the points branch apart
+        for b, pt in enumerate(pts):
+            row = batch[b]
             alone = grid.stacked(pt, order)
             assert [c.tobytes() for c in row.coeffs] == [c.tobytes() for c in alone.coeffs]
+
+
+# arguments at the edges of every function's domain and range: signed
+# zeros, subnormals, negatives, and exp's first overflow
+EDGE_ARGS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1.5, 709.7, 710.0, -745.2]
+
+
+@pytest.mark.parametrize("fn", ["exp", "log", "sin", "cos", "tanh", "sqrt", "abs"])
+@given(args=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from(EDGE_ARGS), min_size=1, max_size=6))
+@example(args=EDGE_ARGS)
+@settings(max_examples=60, deadline=None)
+def test_rows_give_each_row_the_float_path(fn, args):
+    # a batch of rows runs the float path's own function at each element:
+    # every value has its bits, and the first row outside the domain (or
+    # that overflows) raises the float path's error there.  (A grid of
+    # several nodes runs each over every row in turn, so its error is the
+    # first node's to meet a bad row, not always the first bad row's.)
+    dims = (1, 1)
+    grid = FieldGrid([ExprField(f"{fn}(x[1])", dims)])
+    zs = [[0.5, a, 0.25] for a in args]  # t[1], x[1], xs[1][1]
+    want = None
+    for z in zs:
+        try:
+            grid([z], dims)
+        except JetlagError as exc:
+            want = (type(exc), str(exc), exc.offset)
+            break
+    if want is None:
+        got = grid.rows(np.array(zs), dims)
+        assert got.shape == (1, len(zs))
+        assert [v.hex() for v in got[0].tolist()] == [
+            float(grid([z], dims)[0]).hex() for z in zs]
+    else:
+        with pytest.raises(want[0]) as exc:
+            grid.rows(np.array(zs), dims)
+        assert (type(exc.value), str(exc.value), exc.value.offset) == want
