@@ -122,7 +122,26 @@ class RunConfig:
     tolerances: dict
     dump: tuple
     output: str | None
-    echo: dict        # normalized config as embedded in the report
+    space_params: dict
+
+    @property
+    def echo(self) -> dict:
+        """The normalized config as the report embeds it, read off the
+        fields, so a field replaced after loading shows in the report."""
+        return {
+            "p": self.p,
+            "n": self.n,
+            "space": {"name": self.space_name, "params": self.space_params},
+            "points": {
+                "seed": self.seed,
+                "count": self.count,
+                "box": {k: list(v) for k, v in self.box.items()},
+                "explicit": [_point_doc(pt) for pt in self.explicit],
+            },
+            "checks": list(self.checks),
+            "tolerances": {c: self.tolerances[c] for c in self.checks},
+            "dump": list(self.dump),
+        }
 
 
 @dataclass(frozen=True)
@@ -312,24 +331,11 @@ def load_config(path: str) -> RunConfig:
         raise _err("space", f"space dims ({ctx.p}, {ctx.n}) do not match the "
                             f"declared (p, n) = ({p}, {n})")
 
-    echo = {
-        "p": p,
-        "n": n,
-        "space": {"name": name, "params": params},
-        "points": {
-            "seed": seed,
-            "count": count,
-            "box": {k: list(box[k]) for k in ("t", "x", "xs")},
-            "explicit": [_point_doc(pt) for pt in explicit],
-        },
-        "checks": list(checks),
-        "tolerances": {c: tolerances[c] for c in checks},
-        "dump": list(dump_cfg),
-    }
     return RunConfig(
         p=p, n=n, space_name=name, space=ctx, seed=seed,
         count=count, box=box, explicit=tuple(explicit), checks=tuple(checks),
-        tolerances=tolerances, dump=tuple(dump_cfg), output=output, echo=echo,
+        tolerances=tolerances, dump=tuple(dump_cfg), output=output,
+        space_params=params,
     )
 
 
@@ -846,15 +852,14 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        points = dict(cfg.echo["points"], seed=args.seed)
-        cfg = replace(cfg, seed=args.seed, echo=dict(cfg.echo, points=points))
+        cfg = replace(cfg, seed=args.seed)
     if args.dump:
         dump = tuple(args.dump.split(","))
         for fam in dump:
             if fam not in DUMP_FAMILIES:
                 raise ConfigError(f"unknown dump family {fam!r}; "
                                   f"available {list(DUMP_FAMILIES)}")
-        cfg = replace(cfg, dump=dump, echo=dict(cfg.echo, dump=list(dump)))
+        cfg = replace(cfg, dump=dump)
     report, code = run_report(cfg, out_path=args.out)
     for name, doc in report.checks.items():
         res = doc["max_abs"]

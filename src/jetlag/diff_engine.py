@@ -350,10 +350,7 @@ class Jet:
         c = self.coeffs[0]
         if np.any(c == 0.0):
             raise DerivativeDomainError("division by zero")
-        derivs = []
-        for m in range(self.order + 1):
-            derivs.append(((-1.0) ** m) * math.factorial(m) * _pow(c, -(m + 1)))
-        return self.compose(derivs)
+        return self.compose(_power_derivs(c, -1.0, self.order))
 
     def __pow__(self, expo):
         if isinstance(expo, Jet):
@@ -381,13 +378,7 @@ class Jet:
             raise DerivativeDomainError(
                 "non-integer power of a non-positive base"
             )
-        derivs = []
-        for m in range(self.order + 1):
-            fac = 1.0
-            for r in range(m):
-                fac *= e - r
-            derivs.append(fac * _pow(c, e - m))
-        return self.compose(derivs)
+        return self.compose(_power_derivs(c, e, self.order))
 
     def __rpow__(self, base):
         """A constant base to this jet's power, by :meth:`__pow__`."""
@@ -489,15 +480,13 @@ def point_batch():
     does not branch (:func:`_leibniz`); a power whose jet exponent is
     constant takes the real-power rule, and that branch raises
     :class:`BatchDiverged` inside this block unless it goes the same way at
-    every point.  numpy's floating-point warnings are off: a value that
-    would warn is not finite, so the batch fails, and the point evaluated
-    alone warns.
+    every point.  It wraps only field-grid calls, which run with numpy's
+    floating-point warnings off (:class:`~jetlag.field_expr.FieldGrid`).
     """
     global _batched
     _batched = True
     try:
-        with np.errstate(all="ignore"):
-            yield
+        yield
     finally:
         _batched = False
 
@@ -516,6 +505,17 @@ def _pow(c, e):
     """
     c = np.asarray(c, dtype=float)
     return np.array([v ** e for v in c.ravel()]).reshape(c.shape)
+
+
+def _power_derivs(c, e, order) -> list:
+    """The derivatives 0..``order`` of x ** e at ``c``: the falling
+    factorial e (e - 1) ... (e - m + 1) times ``_pow(c, e - m)``, the table
+    of every real power, reciprocal, log and sqrt jet."""
+    derivs, fac = [], 1.0
+    for m in range(order + 1):
+        derivs.append(fac * _pow(c, e - m))
+        fac *= e - m
+    return derivs
 
 
 # --------------------------------------------------------------------------
@@ -785,10 +785,8 @@ def jlog(x):
     if isinstance(x, Jet):
         c = x.coeffs[0]
         _require(np.all(c > 0.0), "log of a non-positive value")
-        derivs = [np.log(c)]
-        for m in range(1, x.order + 1):
-            derivs.append(((-1.0) ** (m - 1)) * math.factorial(m - 1) * _pow(c, -m))
-        return x.compose(derivs)
+        # log' = x ** -1, so the rest is the reciprocal's table
+        return x.compose([np.log(c)] + _power_derivs(c, -1.0, x.order - 1))
     xf = float(x)
     _require(xf > 0.0, "log of a non-positive value")
     return math.log(xf)
@@ -817,13 +815,7 @@ def jsqrt(x):
             _require(np.all(c > 0.0), "sqrt needs a positive argument")
         else:
             _require(np.all(c >= 0.0), "sqrt of a negative value")
-        derivs = []
-        for m in range(x.order + 1):
-            fac = 1.0
-            for r in range(m):
-                fac *= 0.5 - r
-            derivs.append(fac * _pow(c, 0.5 - m))
-        return x.compose(derivs)
+        return x.compose(_power_derivs(c, 0.5, x.order))
     xf = float(x)
     _require(xf >= 0.0, "sqrt of a negative value")
     return math.sqrt(xf)

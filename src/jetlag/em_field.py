@@ -34,9 +34,9 @@ import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import JetlagError, TorsionPreconditionError, name_witness
-from .geometry import (Frame, GeometryContext, ResidualStats, _Agg, _each,
-                       _residual_summary, frame, nlc_torsion_at, sweep,
-                       torsion_free_verdict)
+from .geometry import (Frame, GeometryContext, ResidualStats, _each,
+                       _pooled_stats, _residual_summary, frame, nlc_torsion_at,
+                       sweep, torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -276,7 +276,10 @@ def maxwell_fold(pts, records) -> MaxwellReport:
 
     The equations assume a torsion-free spatial nonlinear connection, so a
     torsion above :data:`TORSION_LIMIT` at any point raises first, at its
-    witness; then the first equation error held is raised.
+    witness; then the first equation error held is raised.  Each
+    equation's stats pool its residual components over the points
+    (:func:`~jetlag.geometry._pooled_stats`): mean_abs is the sum of |r|
+    over all points by their count of components.
     """
     verdict = torsion_free_verdict(pts, [t for t, _ in records])
     if verdict.max_violation > TORSION_LIMIT:
@@ -287,15 +290,11 @@ def maxwell_fold(pts, records) -> MaxwellReport:
             witness=verdict.witness[0],
             value=verdict.max_violation,
         )
-    aggs = [_Agg() for _ in range(5)]
     for _, eqs in records:
         if isinstance(eqs, JetlagError):
             raise eqs
-        for agg, summary in zip(aggs, eqs):
-            agg.add_summary(summary)
-    equations = {
-        name: agg.stats() for name, agg in zip(MaxwellReport.EQ_NAMES, aggs)
-    }
+    equations = {name: _pooled_stats([eqs[k] for _, eqs in records])
+                 for k, name in enumerate(MaxwellReport.EQ_NAMES)}
     return MaxwellReport(equations=equations, n_points=len(records))
 
 

@@ -622,13 +622,17 @@ class FieldGrid:
     def __call__(self, zs, dims) -> list:
         """The fields' values at one point of dims (p, n): ``zs[g]`` lists
         the coordinates seeded for ``groups[g]`` (floats or scalar jets, in
-        the order of :meth:`~jetlag.diff_engine.SeededPoint.flat`)."""
+        the order of :meth:`~jetlag.diff_engine.SeededPoint.flat`).  numpy's
+        floating-point warnings are off: a value that would warn is not
+        finite, and the grid's finiteness checks raise
+        :class:`~jetlag.errors.EvalDomainError` for it."""
         kinds = tuple(tuple(map(type, z)) for z in zs)
         fn = self._fns.get((dims, kinds))
         if fn is None:
             fn = self._fns[dims, kinds] = _compile(
                 self, dims, [[_kind(k) for k in group] for group in kinds])
-        return fn(*zs)
+        with np.errstate(all="ignore"):
+            return fn(*zs)
 
     def at(self, spts) -> list:
         """The fields' values at seeded points, one per group."""

@@ -1175,53 +1175,62 @@ class ResidualStats:
 
 def _residual_summary(residual: np.ndarray, terms) -> tuple:
     """(max |r|, sum |r|, size, scale) of one point's residual block r and
-    its constituent terms: all that ``_Agg`` keeps of the point."""
+    its constituent terms: all that :func:`_pooled_stats` reads of the
+    point."""
     a = np.abs(residual)
     pt_max = float(a.max()) if a.size else 0.0
     pt_scale = max((float(np.max(np.abs(t))) for t in terms), default=0.0)
     return pt_max, float(a.sum()), a.size, pt_scale
 
 
-class _Agg:
-    """Running stats of one residual block; ``add`` or ``add_summary`` is
-    called once per point."""
-
-    __slots__ = ("max_abs", "sum_abs", "count", "max_rel", "scale",
-                 "n_points", "worst_point")
-
-    def __init__(self):
-        self.max_abs = 0.0
-        self.sum_abs = 0.0
-        self.count = 0
-        self.max_rel = 0.0
-        self.scale = 0.0
-        self.n_points = 0
-        self.worst_point = 0
-
-    def add(self, residual: np.ndarray, terms) -> "_Agg":
-        self.add_summary(_residual_summary(residual, terms))
-        return self
-
-    def add_summary(self, summary):
-        pt_max, pt_sum, size, pt_scale = summary
-        self.max_abs = max(self.max_abs, pt_max)
-        self.sum_abs += pt_sum
-        self.count += size
+def _pooled_stats(summaries) -> ResidualStats:
+    """The stats of one residual block over the points of its per-point
+    ``summaries`` (:func:`_residual_summary`), in point order, with the
+    components of all points pooled: mean_abs is the sum of |r| over the
+    count of components.  No summaries give five zeros."""
+    max_abs = sum_abs = max_rel = scale = 0.0
+    count = worst_point = 0
+    for i, (pt_max, pt_sum, size, pt_scale) in enumerate(summaries):
+        max_abs = max(max_abs, pt_max)
+        sum_abs += pt_sum
+        count += size
         rel = pt_max / max(1.0, pt_scale)
-        if rel > self.max_rel:
-            self.max_rel = rel
-            self.worst_point = self.n_points
-        self.n_points += 1
-        self.scale = max(self.scale, pt_scale)
+        if rel > max_rel:
+            max_rel, worst_point = rel, i
+        scale = max(scale, pt_scale)
+    return ResidualStats(
+        max_abs=max_abs,
+        mean_abs=sum_abs / count if count else 0.0,
+        max_rel=max_rel,
+        scale=scale,
+        worst_point=worst_point,
+    )
 
-    def stats(self) -> ResidualStats:
-        return ResidualStats(
-            max_abs=self.max_abs,
-            mean_abs=self.sum_abs / self.count if self.count else 0.0,
-            max_rel=self.max_rel,
-            scale=self.scale,
-            worst_point=self.worst_point,
-        )
+
+def _point_stats(names, pairs):
+    """{name: :class:`ResidualStats`} of one point's (residual, constituent
+    terms) value ``pairs``, one per name; None for no pairs."""
+    return {nm: _pooled_stats([_residual_summary(res, terms)])
+            for nm, (res, terms) in zip(names, pairs)} if pairs else None
+
+
+def _fold_stats(maps):
+    """The {name: stats} map over the points of per-point ``maps``
+    (:func:`_point_stats`; None if they are None), in point order: the max
+    of max_abs, max_rel and scale, the mean of the points' mean_abs, and
+    the first point reaching max_rel."""
+    if maps[0] is None:
+        return None
+    out = {}
+    for nm in maps[0]:
+        stats = [m[nm] for m in maps]
+        rels = [st.max_rel for st in stats]
+        out[nm] = ResidualStats(
+            max_abs=max(st.max_abs for st in stats),
+            mean_abs=float(np.mean([st.mean_abs for st in stats])),
+            max_rel=max(rels), scale=max(st.scale for st in stats),
+            worst_point=rels.index(max(rels)))
+    return out
 
 
 def regularity_verdict(pts, per_point) -> RegularityVerdict:

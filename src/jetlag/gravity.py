@@ -43,8 +43,8 @@ import numpy as np
 
 from .diff_engine import JetPoint, jet_einsum, jet_linear
 from .errors import NaturalFormUnavailableError, VacuumConstantError
-from .geometry import (GeometryContext, ResidualStats, _Agg, _each, _gate,
-                       frame)
+from .geometry import (GeometryContext, _each, _fold_stats, _gate,
+                       _point_stats, frame)
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
 __all__ = [
@@ -247,33 +247,6 @@ def _laws_at(fr) -> list:
     ]
 
 
-def _point_stats(names, pairs):
-    """{name: :class:`~jetlag.geometry.ResidualStats`} of one point's
-    (residual, constituent terms) value ``pairs``, one per name; None for
-    no pairs."""
-    return {nm: _Agg().add(res, terms).stats()
-            for nm, (res, terms) in zip(names, pairs)} if pairs else None
-
-
-def _fold_stats(maps):
-    """The {name: stats} map over the points of per-point ``maps`` (None if
-    they are None), in point order: the max of max_abs, max_rel and scale,
-    the mean of the points' mean_abs, and the first point reaching
-    max_rel."""
-    if maps[0] is None:
-        return None
-    out = {}
-    for nm in maps[0]:
-        stats = [m[nm] for m in maps]
-        rels = [st.max_rel for st in stats]
-        out[nm] = ResidualStats(
-            max_abs=max(st.max_abs for st in stats),
-            mean_abs=float(np.mean([st.mean_abs for st in stats])),
-            max_rel=max(rels), scale=max(st.scale for st in stats),
-            worst_point=rels.index(max(rels)))
-    return out
-
-
 def conservation_residuals(ctx: GeometryContext, pts):
     """Componentwise residuals of the three conservation laws at ``pts``,
     one point or a block of points read off one frame of it: the report
@@ -291,7 +264,9 @@ def conservation_residuals(ctx: GeometryContext, pts):
 def conservation_fold(reports) -> ConservationReport:
     """The report over the points of the per-point ``reports`` of
     :func:`conservation_residuals`, in point order; over a whole sweep,
-    ``conservation_fold(sweep(conservation_residuals, ctx, pts, 3))``."""
+    ``conservation_fold(sweep(conservation_residuals, ctx, pts, 3))``.
+    Each law's mean_abs is the mean of the points' own means
+    (:func:`~jetlag.geometry._fold_stats`), not pooled as Maxwell's is."""
     if not reports:
         raise ValueError("conservation_fold needs at least one report")
     return ConservationReport(

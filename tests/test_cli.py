@@ -275,6 +275,22 @@ def test_seed_override(tmp_path):
     assert rep["points"] != base["points"]
 
 
+def test_replaced_seed_and_dump_show_in_the_config_echo(tmp_path):
+    # the report's config echo is read off the run's fields, so a seed or
+    # dump list replaced after loading is the one the report names
+    from dataclasses import replace
+
+    from jetlag import cli
+
+    doc = dict(FLAT_CFG, points={"seed": 3, "count": 2}, checks=["metricity"])
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    rep, rc = cli.run_report(replace(cfg, seed=9, dump=("ricci",)))
+    assert rc == 0
+    assert rep.config["points"]["seed"] == rep.rng["seed"] == 9
+    assert rep.config["dump"] == ["ricci"]
+    assert list(rep.dumps["families"]) == ["ricci"]
+
+
 def test_torsion_failure_sets_exit_code_and_witness(tmp_path, capsys):
     rc, rep = run_to(tmp_path, TORSIONAL_CFG)
     assert rc == 1

@@ -1,5 +1,7 @@
 """Taylor-jet arithmetic against exact sympy derivatives, plus the FD path."""
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +260,17 @@ def test_coefficient_tensors_symmetric(basis):
 # ---------------------------------------------------------------------------
 # field-level differentiation: taylor vs finite differences
 # ---------------------------------------------------------------------------
+
+
+def test_overflowing_field_raises_the_domain_error_not_a_warning():
+    # exp(700) overflows the order-2 jet; the grid runs with numpy's
+    # warnings off, so a library caller gets the named error alone
+    f = ExprField("exp(x[1]*700)", (1, 1), deps=("x",))
+    pt = JetPoint.of([0.0], [1.0], [[0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvalDomainError, match="non-finite result"):
+            check_grad(f, [pt])
 
 
 def test_check_grad_agreement():
@@ -592,3 +605,45 @@ def test_batched_products_keep_each_points_bits(factors):
             assert _coeff_bytes(_point_of(batched, pt)) == _coeff_bytes(want), (name, pt)
         for c in batched.coeffs:
             assert not (np.signbit(c) & (c == 0.0)).any(), name
+
+
+# reference derivative tables, one loop per rule: the reciprocal's, the
+# real power's (sqrt's is the same loop at e = 0.5) and log's from its
+# first derivative on
+def _reciprocal_table(c, order):
+    _pow = diff_engine._pow
+    return [((-1.0) ** m) * math.factorial(m) * _pow(c, -(m + 1))
+            for m in range(order + 1)]
+
+
+def _real_power_table(c, e, order):
+    derivs = []
+    for m in range(order + 1):
+        fac = 1.0
+        for r in range(m):
+            fac *= e - r
+        derivs.append(fac * diff_engine._pow(c, e - m))
+    return derivs
+
+
+def _log_tail(c, order):
+    _pow = diff_engine._pow
+    return [((-1.0) ** (m - 1)) * math.factorial(m - 1) * _pow(c, -m)
+            for m in range(1, order + 1)]
+
+
+def _hexed_table(derivs):
+    return [[float(v).hex() for v in np.ravel(d)] for d in derivs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+       st.sampled_from([-1.0, 0.5, -0.5, 1.5]), st.integers(0, 3))
+def test_power_derivs_keep_each_rules_bits(values, e, order):
+    c = np.array(values)
+    got = _hexed_table(diff_engine._power_derivs(c, e, order))
+    assert got == _hexed_table(_real_power_table(c, e, order))
+    if e == -1.0:
+        assert got == _hexed_table(_reciprocal_table(c, order))
+    tail = diff_engine._power_derivs(c, -1.0, order - 1)
+    assert _hexed_table(tail) == _hexed_table(_log_tail(c, order))

@@ -9,10 +9,13 @@ from jetlag.errors import (
     OrderExceededError,
     VacuumConstantError,
 )
+from jetlag.em_field import maxwell_fold, maxwell_step
 from jetlag.geometry import (
     FromLagrangian,
     GeometryContext,
     QuadraticCanonical,
+    _pooled_stats,
+    _residual_summary,
     frame,
     ricci_and_scalars,
     sample_points,
@@ -431,3 +434,52 @@ def test_budget_rule(name, fn, need, lagrangian):
         # within the budget, the log domain ends the evaluation
         with pytest.raises(EvalDomainError):
             fn(ctx, pt)
+
+
+def test_maxwell_pools_components_and_laws_average_point_means(ctx_mixed33):
+    # on these three points the two reductions of per-point residual blocks
+    # differ in the last bit: Maxwell's mean_abs is the sum of |r| over all
+    # points by their count of components, and the conservation and
+    # natural-form folds take the mean of each point's own mean
+    pts = sample_points(ctx_mixed33, 3, seed=1)
+
+    def hexed(stats):
+        return stats.mean_abs.hex()
+
+    def mean_of_means(summaries):
+        return float(np.mean([s / size for _, s, size, _ in summaries])).hex()
+
+    records = sweep(maxwell_step, ctx_mixed33, pts, 2)
+    rep = maxwell_fold(pts, records)
+    differ = 0
+    for k, name in enumerate(rep.EQ_NAMES):
+        summaries = [eqs[k] for _, eqs in records]
+        pooled = sum(s for _, s, _, _ in summaries) / sum(n for _, _, n, _ in summaries)
+        assert hexed(rep.equations[name]) == pooled.hex(), name
+        differ += pooled.hex() != mean_of_means(summaries)
+    assert differ
+
+    def folded_against_pooled(per_point, fold_map, raw_pairs):
+        differ = 0
+        for k, (name, stats) in enumerate(fold_map.items()):
+            means = [m[name].mean_abs for m in per_point]
+            assert hexed(stats) == float(np.mean(means)).hex(), name
+            pooled = _pooled_stats([_residual_summary(*pairs[k]) for pairs in raw_pairs])
+            differ += hexed(pooled) != hexed(stats)
+        return differ
+
+    frames = [frame(ctx_mixed33, pt, 3) for pt in pts]
+    reports = sweep(conservation_residuals, ctx_mixed33, pts, 3)
+    assert folded_against_pooled(
+        [r.laws for r in reports], conservation_fold(reports).laws,
+        [fr.residuals(_laws_at(fr))[0] for fr in frames])
+
+    def displayed(fr):
+        tilde = _tilde_einstein_jets(fr)
+        return _prop_identities_at(fr, _divergences(fr, *tilde[1::2]))[0]
+
+    reports = sweep(natural_form_checks, ctx_mixed33, pts, 3)
+    assert folded_against_pooled(
+        [r.identity_residuals for r in reports],
+        natural_form_fold(reports).identity_residuals,
+        [fr.residuals(displayed(fr))[0] for fr in frames])
