@@ -756,10 +756,12 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     Writes the serialized report to ``out_path`` (or the config's output
     path) atomically.  Evaluation is serial; ``jobs`` is accepted for
     existing callers and ignored.  Every run of one config evaluates the
-    space ``load_config`` built.  A run with explicit points only records
-    the metric signature from ``pts[0]`` before any check runs (a sampled
-    run records it while sampling).  The dumps are taken at ``pts[0]``
-    before the first check step.  The run goes block by block, through the
+    space ``load_config`` built, and starts and ends with no frame and no
+    metric signature on it (:meth:`~jetlag.geometry.GeometryContext.forget_run`):
+    it takes its signature from its first accepted draw, else from
+    ``pts[0]``, which the dumps and the first block read first.  The dumps
+    are taken at ``pts[0]`` before the first check step.  The run goes
+    block by block, through the
     :func:`~jetlag.geometry.blocks` of at most as many points as
     :func:`~jetlag.geometry.block_size` lets the frames of the deepest order
     its checks read keep within one budget of bytes: on each block every
@@ -773,16 +775,9 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     """
     start = time.perf_counter()
     ctx = cfg.space
+    ctx.forget_run()  # a run inherits no frame or signature
     try:
         pts = _collect_points(cfg, ctx)
-        if not cfg.count:
-            # sampling records the metric signature from its first
-            # accepted point; with explicit points only it is pts[0]'s,
-            # whichever check evaluates g first
-            try:
-                frame(ctx, pts[0], 0).g_jet
-            except JetlagError:
-                pass  # each check evaluating g at pts[0] reports the error
         # a dump error ends the run, so it comes before any check step; it
         # reads pts[0] alone, at orders the checks may not read
         dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
@@ -800,7 +795,7 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
                 except JetlagError as exc:
                     outcomes[name] = _error_outcome(exc)
     finally:
-        ctx.drop_frames()  # a run leaves no frame for the next to find
+        ctx.forget_run()  # and leaves none for the next to find
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]

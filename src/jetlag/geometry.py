@@ -59,6 +59,7 @@ from .errors import (
     ConfigError,
     EvalDomainError,
     DerivativeDomainError,
+    FieldDomainError,
     FieldValidationError,
     JetlagError,
     OrderExceededError,
@@ -187,12 +188,13 @@ class GeometryContext:
     """One space, and the state of evaluating it: not immutable.
 
     Besides the fields and K it holds one block's frames (:func:`frame`)
-    and the recorded signature.  All runs of one ``RunConfig`` share it.
+    and the recorded signature, until :meth:`forget_run`.  All runs of one
+    ``RunConfig`` share it, and each starts and ends with that call.
 
     The realized g must stay symmetric, invertible, and of constant
-    signature: the eigenvalue signs seen at the first evaluated point are
-    recorded and asserted at every later point.  ``sample_points`` records
-    and asserts it only for the draws it accepts.
+    signature: :attr:`Frame.g_jet` records the eigenvalue signs at the
+    first point it reads and asserts them at every later one;
+    ``sample_points`` does so only for the draws it accepts.
     """
 
     def __init__(self, p, n, h, g_source, nlc, K=1.0):
@@ -222,15 +224,15 @@ class GeometryContext:
             raise TypeError(f"unknown spatial nonlinear connection {nlc!r}")
         self.nlc = nlc
         self.K = float(K)
-        self._signature = None  # (h signs, g signs) at first sample
-        self._defer_signature = False  # set while sample_points tries a draw
+        self.forget_run()
+
+    def forget_run(self):
+        """Forget the frames of the point or block last framed and the
+        recorded signature.  A run starts and ends with this, and
+        :func:`sweep` ends with it, so no run inherits either."""
         self._framed = None  # the key of the point or block last framed
         self._frames = {}  # its frames, by order
-
-    def drop_frames(self):
-        """Forget the frames of the point or block last framed
-        (:func:`frame`), so the next caller builds its own."""
-        self._framed, self._frames = None, {}
+        self._signature = None  # (h signs, g signs) at the first point read
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
@@ -331,13 +333,13 @@ def sweep(step, ctx, pts, order: int) -> list:
     ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
     of the :func:`blocks` of at most :func:`block_size` points whose
     frames go up to ``order``, so a fold of them has the run's bits,
-    errors and witnesses.  Like a run, it leaves no frame on ``ctx``."""
+    errors and witnesses.  Like a run, it ends with ``ctx.forget_run()``."""
     out = []
     try:
         for block in blocks(pts, block_size(ctx.p, ctx.n, order)):
             out += _block_records(step, ctx, block)
     finally:
-        ctx.drop_frames()
+        ctx.forget_run()
     return out
 
 
@@ -350,7 +352,7 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     for another drops them.  So a caller that goes block by block, as
     ``jetlag run`` and :func:`sweep` do, reads each block's frames while
     they live and frees them when the next block starts; it drops the last
-    block's when it ends (:meth:`GeometryContext.drop_frames`), so a later
+    block's when it ends (:meth:`GeometryContext.forget_run`), so a later
     run of the same context finds none of them.
 
     ``order`` is the Taylor depth carried by the metric-level jets; 2 covers
@@ -530,17 +532,23 @@ class Frame:
 
     @cached_property
     def g_jet(self) -> Jet:
+        """:meth:`symmetric_g`, its signature at each point held to the
+        context's (:meth:`GeometryContext._check_signature`)."""
+        g = self.symmetric_g()
+        for pt, (h_val, g_val) in zip(self.pts, self.values(self.h_jet, g)):
+            self.ctx._check_signature(pt, h_val, g_val)
+        return g
+
+    def symmetric_g(self) -> Jet:
+        """g at the frame's points, checked symmetric but not held to any
+        signature; built anew on each call."""
         src = self.ctx.g_source
         if isinstance(src, DirectMetric):
             g = self.eval_grid(src.entries)
         else:
             hh = self.vertical_half_hessian
             g = jet_einsum("mn,imjn->ij", self.h_jet, hh) * (1.0 / self.p)
-        self._symmetric(g, "vertical metric g")
-        if not self.ctx._defer_signature:
-            for pt, (h_val, g_val) in zip(self.pts, self.values(self.h_jet, g)):
-                self.ctx._check_signature(pt, h_val, g_val)
-        return g
+        return self._symmetric(g, "vertical metric g")
 
     @cached_property
     def vertical_half_hessian(self) -> Jet:
@@ -1324,9 +1332,9 @@ def curvature_antisymmetry_residuals(ctx: GeometryContext, pt):
 
 def _metric_values(ctx, pts) -> list:
     """The values (h, g) at each of ``pts``, off their order-0 frame, which
-    the next frame replaces."""
+    the next frame replaces; g is held to no signature."""
     fr = frame(ctx, pts, 0)
-    return fr.values(fr.h_jet, fr.g_jet)
+    return fr.values(fr.h_jet, fr.symmetric_g())
 
 
 def sample_points(
@@ -1342,7 +1350,8 @@ def sample_points(
     metrics (condition number above ``cond_limit``) and field-domain
     violations.  Raises :class:`ConfigError` naming the boxes and counting
     each kind of rejection when the try budget runs out.  Only accepted
-    points record or assert the metric signature.  The draws are made one
+    points record or assert the metric signature, which ``ctx`` keeps
+    until :meth:`GeometryContext.forget_run`.  The draws are made one
     block at a time, one draw per point still wanted, and h and g are read
     off one order-0 frame of the block; a block that raises or branches
     apart is read one draw at a time, so each draw is tried, in draw
@@ -1370,16 +1379,12 @@ def sample_points(
             rng.uniform(box_x[0], box_x[1], size=n),
             rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
         ) for _ in range(min(count - len(pts), budget - tries))]
-        ctx._defer_signature = True
         try:
             metrics = _metric_values(ctx, block) if len(block) > 1 else None
         except (JetlagError, BatchDiverged):
             metrics = None
-        finally:
-            ctx._defer_signature = False
         for k, pt in enumerate(block):
             tries += 1
-            ctx._defer_signature = True
             try:
                 hval, gval = metrics[k] if metrics else _metric_values(ctx, pt)[0]
                 if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
@@ -1388,10 +1393,8 @@ def sample_points(
             except SingularMetricError:
                 ill_conditioned += 1
                 continue
-            except (EvalDomainError, DerivativeDomainError):
+            except (EvalDomainError, DerivativeDomainError, FieldDomainError):
                 continue
-            finally:
-                ctx._defer_signature = False
             ctx._check_signature(pt, hval, gval)
             pts.append(pt)
     return pts

@@ -850,7 +850,7 @@ def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
     ctx = cfg.space
     order = 3 if set(cli._DEEP_CHECKS) & set(cfg.checks) else 2
     block = blocks(cli._collect_points(cfg, ctx), block_size(ctx.p, ctx.n, order))[0]
-    ctx.drop_frames()
+    ctx.forget_run()
     gc.collect()
     tracemalloc.start()
     try:
@@ -859,7 +859,7 @@ def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
                 _block_records(cli._RUNNERS[name], ctx, block)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
-        ctx.drop_frames()
+        ctx.forget_run()
         gc.collect()
         kept -= tracemalloc.get_traced_memory()[0]
     finally:
@@ -895,7 +895,7 @@ def test_frames_share_the_coordinate_jets_derivatives(tmp_path, monkeypatch):
             assert c.base is not None and not c.flags.writeable
         firsts.append(xs.coeffs[1])
     assert all(np.shares_memory(firsts[0], c) for c in firsts[1:])
-    ctx.drop_frames()
+    ctx.forget_run()
     run_to(tmp_path, doc, out="suite.json")
     text = (tmp_path / "suite.json").read_text()
     assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == (
@@ -1298,8 +1298,9 @@ def test_explicit_run_signature_from_first_point(tmp_path, monkeypatch, checks):
     from jetlag import cli
     from jetlag.geometry import GeometryContext
 
-    # the signature is recorded from point 0 before any check runs, so the
-    # check order cannot change which point is held to which signature
+    # the signature is recorded from point 0, the first point the first
+    # block reads, so the check order cannot change which point is held to
+    # which signature
     events = []
     record = GeometryContext._check_signature
 
@@ -1315,7 +1316,7 @@ def test_explicit_run_signature_from_first_point(tmp_path, monkeypatch, checks):
 
         monkeypatch.setitem(cli._RUNNERS, name, step)
     rc, rep = run_to(tmp_path, dict(SIGNATURE_FLIP_CFG, checks=checks))
-    assert events[0] == ("signature", -0.5)
+    assert next(e for e in events if e[0] == "signature") == ("signature", -0.5)
     assert rc == 1
     flip = SIGNATURE_FLIP_CFG["points"]["explicit"][1]
     for name in checks:
@@ -1327,6 +1328,48 @@ def test_explicit_run_signature_from_first_point(tmp_path, monkeypatch, checks):
                                 "points: recorded ((1, 1), (-1, 1)), found "
                                 "((1, 1), (1, 1))")
         assert doc["witness"] == flip
+
+
+def _report_text(cfg, path):
+    from jetlag import cli
+
+    cli.run_report(cfg, out_path=str(path))
+    return WALL_LINE.sub("", path.read_text())
+
+
+@pytest.mark.parametrize("before", ["run", "frame", "sweep"])
+def test_a_run_inherits_no_signature(tmp_path, before):
+    # g = diag(x1, 1) has opposite signatures at x1 = 0.5 and x1 = -0.5: a
+    # run at one of them, after a run, a frame's g or a library sweep at
+    # the other on the same loaded config, writes the report it writes
+    # on a config of its own
+    from dataclasses import replace
+
+    from jetlag import cli
+    from jetlag.geometry import frame, metricity_residuals, sweep
+
+    path = write_cfg(tmp_path, dict(
+        _custom_g_cfg([["x[1]", "0"], ["0", "1"]]),
+        points={"explicit": [_explicit_point(0.5)]},
+        checks=["metricity", "curvature", "einstein"]))
+
+    def at(cfg, x1):
+        pt = JetPoint.of([0.1, 0.2], [x1, 0.4], [[0.5, 0.6], [0.7, 0.8]])
+        return replace(cfg, explicit=(pt,))
+
+    for first, second in ((0.5, -0.5), (-0.5, 0.5)):
+        alone = _report_text(at(cli.load_config(path), second),
+                             tmp_path / "alone.json")
+        assert "signature changed" not in alone
+        cfg = cli.load_config(path)
+        earlier = at(cfg, first)
+        if before == "run":
+            cli.run_report(earlier, out_path=str(tmp_path / "first.json"))
+        elif before == "frame":
+            frame(cfg.space, earlier.explicit[0], 0).g_jet
+        else:
+            sweep(metricity_residuals, cfg.space, list(earlier.explicit), 2)
+        assert _report_text(at(cfg, second), tmp_path / "after.json") == alone
 
 
 @pytest.mark.parametrize("doc", [
@@ -1537,6 +1580,32 @@ def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
         _one_error_line(capsys.readouterr().err)
 
 
+# the optic space's guard raises where the refraction index n = x1 < 1
+GUARDED_OPTIC_CFG = dict(
+    OPTIC_CFG,
+    space={"name": "optic", "params": dict(OPTIC_CFG["space"]["params"], n="x[1]")},
+    points=dict(OPTIC_CFG["points"], box={"x": [0.5, 2], "xs": [-0.5, 0.5]}))
+
+
+def test_sampling_rejects_a_draw_that_fails_a_field_guard(tmp_path, capsys):
+    # a draw where n < 1 is rejected as one that left a field's domain, so
+    # a box that holds admissible points gives a report, and one that holds
+    # none ends in the sampling error that counts the rejections
+    rc, rep = run_to(tmp_path, GUARDED_OPTIC_CFG)
+    assert rc in (0, 1) and len(rep["points"]) == OPTIC_CFG["points"]["count"]
+    assert all(pt["x"][0] >= 1 for pt in rep["points"])
+    doc = dict(GUARDED_OPTIC_CFG, points=dict(
+        GUARDED_OPTIC_CFG["points"], box={"x": [0.1, 0.9]}))
+    cfg = write_cfg(tmp_path, doc)
+    for command in ("run", "validate"):
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert err.startswith("error: could not sample 6 admissible points")
+        assert ("1000 draws left a field's domain and 0 had a metric with "
+                "condition number above 1e+08") in err
+
+
 @pytest.mark.parametrize("case", ["config-not-utf8", "output-dir-missing",
                                   "out-is-a-directory"])
 def test_unreadable_or_unwritable_path_is_a_named_error(tmp_path, capsys, case):
@@ -1713,20 +1782,21 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
         assert sizes == ([count] if order == 0 else blocks), order
 
 
-def test_a_second_run_evaluates_the_first_point_alone(tmp_path, monkeypatch):
-    # the explicit-point signature step reads pts[0] alone, in every run of
-    # one loaded config: no run evaluates it over another run's points
+def test_two_runs_of_one_loaded_config_make_the_same_grid_calls(tmp_path, monkeypatch):
+    # a run starts with no frame of another run's points, so every run of
+    # one loaded config runs the same grids at the same orders over the
+    # same batches
     from jetlag import cli
 
     calls = support.record_grid_calls(monkeypatch)
     points = {"explicit": [_explicit_point(x1) for x1 in (0.1, 0.3, 0.5)]}
     cfg = cli.load_config(write_cfg(tmp_path, dict(OPTIC_CFG, points=points)))
-    order0 = []
+    runs = []
     for out in ("r1.json", "r2.json"):
         calls.clear()
         cli.run_report(cfg, out_path=str(tmp_path / out))
-        order0.append([n for _, order, n in calls if order == 0])
-    assert order0[0] == order0[1] and order0[0] and not any(order0[0])
+        runs.append(list(calls))
+    assert runs[0] == runs[1] and runs[0]
 
 
 # --------------------------------------------------------------------------
@@ -1869,21 +1939,29 @@ FALLBACK_CFG = {
 }
 FALLBACK_DIGEST = "1025faae4dcce4aad7b64de5bacfda8d6e4ce1c9bf86a2e698032eb8efd4931c"
 
+# every check that reads frames, on the two points of opposite signature
+SIGNATURE_FLIP_ALL_CFG = dict(
+    SIGNATURE_FLIP_CFG,
+    checks=["metricity", "antisymmetry", "torsion", "curvature", "maxwell",
+            "einstein", "conservation", "regularity"])
+SIGNATURE_FLIP_DIGEST = "423318e0a0d499865fe2b5400e4de77675e2802c0b36ea95c6e0268c3a07ef4b"
+
 
 @pytest.mark.parametrize("size", [1, 2, 5, "all"])
 @given(data=st.data())
 @settings(max_examples=2, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, size, data):
-    # every pinned config, the fallback config and every benchmark
-    # workload at both of its seeds gives the same report bytes however
-    # its points are cut into blocks; hypothesis draws each run's block
-    # size, and its first, simplest draw cuts every run into blocks of 1,
-    # 2, 5 or all of its points
+    # every pinned config, the fallback and signature-flip configs and
+    # every benchmark workload at both of its seeds gives the same report
+    # bytes however its points are cut into blocks; hypothesis draws each
+    # run's block size, and its first, simplest draw cuts every run into
+    # blocks of 1, 2, 5 or all of its points
     from jetlag import cli, geometry
 
     bench_spec = _load_bench(monkeypatch, "spec")
-    runs = dict(REPORT_DIGESTS, fallback=(FALLBACK_DIGEST, FALLBACK_CFG))
+    runs = dict(REPORT_DIGESTS, fallback=(FALLBACK_DIGEST, FALLBACK_CFG),
+                flip=(SIGNATURE_FLIP_DIGEST, SIGNATURE_FLIP_ALL_CFG))
     for name, ref in bench_spec.WORKLOADS.items():
         runs[name] = (ref["digest"], bench_spec.make_config(name, None))
         runs[f"{name}-23"] = (SEED23_DIGESTS[name], bench_spec.make_config(name, 23))
