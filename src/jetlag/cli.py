@@ -21,6 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,32 +72,6 @@ from .spaces import PARAM_SCHEMAS, _finite_real, build_space, space_names
 __all__ = ["RunConfig", "RunReport", "load_config", "run_report", "main"]
 
 SCHEMA = "jetlag-report/1"
-
-CHECK_NAMES = (
-    "metricity",
-    "antisymmetry",
-    "torsion",
-    "curvature",
-    "maxwell",
-    "einstein",
-    "conservation",
-    "natural-form",
-    "regularity",
-    "grad-check",
-)
-
-DEFAULT_TOL = {
-    "metricity": 1e-8,
-    "antisymmetry": 1e-9,
-    "torsion": 1e-9,
-    "curvature": 1e-9,
-    "maxwell": 1e-7,
-    "einstein": 1e-9,
-    "conservation": 1e-6,
-    "natural-form": 1e-8,
-    "regularity": 1e-9,
-    "grad-check": 1e-5,
-}
 
 DUMP_FAMILIES = ("nlc", "connection", "torsion", "curvature", "ricci",
                  "em", "einstein")
@@ -304,7 +279,7 @@ def load_config(path: str) -> RunConfig:
     tol_cfg = raw.get("tolerances", {})
     if not isinstance(tol_cfg, dict):
         raise _err("tolerances", "must be a map")
-    tolerances = dict(DEFAULT_TOL)
+    tolerances = {name: check.tol for name, check in CHECKS.items()}
     for key, v in tol_cfg.items():
         if key not in CHECK_NAMES:
             raise _err("tolerances", f"unknown check {key!r}")
@@ -687,19 +662,35 @@ _RUNNERS = {
     "grad-check": _run_grad_check,
 }
 
-_FOLDS = {
-    "metricity": _from_per_point,
-    "antisymmetry": _from_per_point,
-    "torsion": partial(_fold_first_max, torsion_free_verdict,
-                       "max_violation", "torsion_free", "max_abs"),
-    "curvature": _from_per_point,
-    "maxwell": _fold_maxwell,
-    "einstein": _from_per_point,
-    "conservation": _fold_conservation,
-    "natural-form": _fold_natural_form,
-    "regularity": partial(_fold_first_max, regularity_verdict,
-                          "max_deviation", "regular", "max_rel"),
+
+class Check(NamedTuple):
+    """What the run knows of a check besides its runner."""
+
+    tol: float             # the default tolerance
+    fold: Callable | None  # see _RUNNERS; None: the runner takes the sweep
+    order: int             # the highest frame order the check's step reads
+
+
+# Every check, in the order the config error lists them.  A new check is
+# one row here and one runner in _RUNNERS.
+CHECKS = {
+    "metricity": Check(1e-8, _from_per_point, 2),
+    "antisymmetry": Check(1e-9, _from_per_point, 2),
+    "torsion": Check(1e-9, partial(_fold_first_max, torsion_free_verdict,
+                                   "max_violation", "torsion_free",
+                                   "max_abs"), 2),
+    "curvature": Check(1e-9, _from_per_point, 2),
+    "maxwell": Check(1e-7, _fold_maxwell, 2),
+    "einstein": Check(1e-9, _from_per_point, 2),
+    "conservation": Check(1e-6, _fold_conservation, 3),
+    "natural-form": Check(1e-8, _fold_natural_form, 3),
+    "regularity": Check(1e-9, partial(_fold_first_max, regularity_verdict,
+                                      "max_deviation", "regular",
+                                      "max_rel"), 2),
+    "grad-check": Check(1e-5, None, 0),
 }
+
+CHECK_NAMES = tuple(CHECKS)
 
 
 def _dump_family(ctx, pt, fam):
@@ -737,16 +728,21 @@ def _dump_families(ctx, pt, families) -> dict:
 # run
 # --------------------------------------------------------------------------
 
-# the checks that read order-3 frames; the others read order 2 at most
-_DEEP_CHECKS = ("conservation", "natural-form")
-
-
 def _collect_points(cfg: RunConfig, ctx) -> list:
-    """The run's points: the explicit ones, then ``cfg.count`` sampled ones."""
+    """The run's points: the explicit ones, then ``cfg.count`` sampled ones.
+    A sampling error at a draw (an asymmetric metric, a signature change)
+    keeps its class and witness, and its message ends with the draw's
+    coordinates."""
     pts = list(cfg.explicit)
     if cfg.count:
-        pts += sample_points(ctx, cfg.count, cfg.seed, box_t=cfg.box["t"],
-                             box_x=cfg.box["x"], box_xs=cfg.box["xs"])
+        try:
+            pts += sample_points(ctx, cfg.count, cfg.seed, box_t=cfg.box["t"],
+                                 box_x=cfg.box["x"], box_xs=cfg.box["xs"])
+        except JetlagError as exc:
+            if exc.witness is not None:
+                exc.args = (f"{exc}; sampled point "
+                            f"{json.dumps(_point_doc(exc.witness))}",)
+            raise
     return pts
 
 
@@ -783,9 +779,10 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
 
         outcomes = {}
-        records = {name: [] for name in cfg.checks if name in _FOLDS}
+        records = {name: [] for name in cfg.checks if CHECKS[name].fold}
         size = block_size(ctx.p, ctx.n,
-                          3 if set(_DEEP_CHECKS) & set(cfg.checks) else 2)
+                          max((CHECKS[name].order for name in cfg.checks),
+                              default=0))
         for block in blocks(pts, size):
             for name, recs in records.items():
                 if name in outcomes:
@@ -801,8 +798,8 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         tol = cfg.tolerances[name]
         if name not in outcomes:
             try:
-                if name in _FOLDS:
-                    outcomes[name] = _FOLDS[name](pts, records[name], tol)
+                if name in records:
+                    outcomes[name] = CHECKS[name].fold(pts, records[name], tol)
                 else:
                     outcomes[name] = _RUNNERS[name](ctx, pts, tol)
             except JetlagError as exc:

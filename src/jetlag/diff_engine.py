@@ -923,7 +923,8 @@ class PyField(ScalarField):
 @lru_cache(maxsize=None)
 def _seed_tables(N: int, order: int) -> tuple:
     """(the N x N identity, the zero coefficients of orders 1..``order``),
-    read-only, shared by every seeded coordinate."""
+    read-only, shared by every seeded coordinate and by the velocity jets
+    of every frame (:attr:`~jetlag.geometry.Frame.xs_jet`)."""
     tables = [np.eye(N)] + [np.zeros((N,) * k) for k in range(1, order + 1)]
     for t in tables:
         t.flags.writeable = False

@@ -110,14 +110,7 @@ class VacuumConstantError(JetlagError):
 
 
 class ConfigError(JetlagError):
-    """A run configuration failed validation.
-
-    ``location`` is a '/'-joined path into the JSON document.
-    """
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
+    """A run configuration failed validation."""
 
 
 # errors a point's fields raise without naming the point; whoever evaluated

@@ -671,11 +671,12 @@ class FieldGrid:
     def rows(self, zs, dims) -> np.ndarray:
         """The fields' float values at each row of ``zs``, an (R, N) array
         of the flat coordinates (:meth:`~jetlag.diff_engine.SeededPoint.flat`)
-        of R points of dims (p, n): an (F, R) array, by one call in a
-        :func:`~jetlag.diff_engine.point_batch` with each coordinate one
-        array over the rows.  Arithmetic runs elementwise, and each power
-        and function call runs the float path's own operation on every
-        element, so each row gets bit for bit the values the grid gives at
+        of R points of dims (p, n): an (F, R) array, by one call with each
+        coordinate one array over the rows.  No jet is built, so the call
+        needs no :func:`~jetlag.diff_engine.point_batch`.  Arithmetic runs
+        elementwise, and each power and function call runs the float path's
+        own operation on every element, so each row gets bit for bit the
+        values the grid gives at
         its point with float coordinates, and each power or call raises the
         float path's error at its first row outside the domain.  Raises
         what the call raises, and :class:`~jetlag.diff_engine.BatchDiverged`
@@ -684,8 +685,7 @@ class FieldGrid:
         if not self._batchable:
             raise BatchDiverged
         cols = list(np.ascontiguousarray(np.transpose(zs), dtype=float))
-        with point_batch():
-            vals = self([cols] * len(self.groups), dims)
+        vals = self([cols] * len(self.groups), dims)
         return np.stack([np.broadcast_to(v, len(zs)) for v in vals])
 
 

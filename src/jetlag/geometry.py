@@ -49,8 +49,9 @@ from .diff_engine import (
     Jet,
     JetPoint,
     ScalarField,
+    _LETTERS,
+    _seed_tables,
     coord_count,
-    coord_index,
     jet_einsum,
     jet_linear,
     jet_matrix_inverse,
@@ -255,10 +256,6 @@ class GeometryContext:
 # frame: all jet-level geometry at one point, lazily computed and cached
 # --------------------------------------------------------------------------
 
-# every letter but the point letter of a batched operand (diff_engine.POINT)
-_LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXY"
-
-
 # The blocks a frame of order k keeps at each of its points, as (the order
 # it keeps them at, the axes of each: t one of p temporal, s one of n
 # spatial indices).  A block kept below order 0 is not built.
@@ -377,19 +374,6 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     return fr
 
 
-@lru_cache(maxsize=None)
-def _xs_coefficients(p: int, n: int, order: int) -> tuple:
-    """The derivative coefficients of orders 1 to ``order`` of the jets of
-    the velocity coordinates xs^i_a of a (p, n) space, axes [i,a],
-    read-only: one table shared by every frame, as ``seed_point`` shares
-    its own."""
-    idx = [[coord_index(p, n, ("xs", i, a)) for a in range(p)] for i in range(n)]
-    coeffs = Jet.variables(np.zeros((n, p)), idx, coord_count(p, n), order).coeffs[1:]
-    for c in coeffs:
-        c.flags.writeable = False
-    return tuple(coeffs)
-
-
 def _each(pts, records):
     """``records``, one per point, as a caller of a per-point function
     asked for them: the one record at a :class:`JetPoint`, else the list."""
@@ -414,9 +398,10 @@ class Frame:
     its upper index into each lower one.  The coefficients are H on
     temporal and G on spatial indices for /b, L for |k and C for |^(g)_(k);
     the latter two leave temporal indices alone.  A block that
-    several checks derive outside this module (the conservation-law
-    right-hand sides, the metrical deflections) is built once per frame
-    through :meth:`shared`, so it lives and dies with the frame.
+    several checks derive (the conservation-law right-hand sides, the
+    metrical deflections, the Einstein blocks, the torsion probe) is built
+    once per frame through :meth:`shared`, so it lives and dies with the
+    frame.
     Each product is built only to the order its result keeps, through the
     ``order`` cap of :func:`jet_einsum`.  The metric inverses
     (:meth:`inverse`) and the S-torsion (:meth:`tor_S`) are built only to
@@ -506,12 +491,18 @@ class Frame:
     def xs_jet(self) -> Jet:
         """The velocity coordinates xs^i_a as jets, axes [i,a]: their
         derivative coefficients are the same at every point, so they are
-        read-only views of one table (:func:`_xs_coefficients`)."""
+        read-only views of the tables that seed every coordinate
+        (:func:`~jetlag.diff_engine._seed_tables`): the rows of the
+        identity that belong to xs, and the zero tables above order 1."""
+        p, n, N = self.p, self.n, self.N
         xs = np.array([pt.xs for pt in self.pts] if self.batched else self.pts[0].xs,
                       dtype=float)
-        return Jet(self.N, self.order, [xs, *(
-            np.broadcast_to(c, self._lead + c.shape)
-            for c in _xs_coefficients(self.p, self.n, self.order))])
+        unit, zeros = _seed_tables(N, self.order)
+        # xs^i_a is the coordinate p + n + i p + a
+        derivs = [unit[p + n:].reshape(n, p, N)][:self.order] + zeros[1:]
+        return Jet(N, self.order, [xs, *(
+            np.broadcast_to(c, self._lead + (n, p) + (N,) * k)
+            for k, c in enumerate(derivs, 1))])
 
     # -- metrics -----------------------------------------------------------
 
@@ -589,7 +580,7 @@ class Frame:
     @staticmethod
     @lru_cache(maxsize=None)
     def _letters(k: int, avoid: str) -> str:
-        return "".join([c for c in _LETTER_POOL if c not in avoid][:k])
+        return "".join([c for c in _LETTERS if c not in avoid][:k])
 
     def delta_t(self, A: Jet) -> Jet:
         """Adapted temporal derivative dA/dt^a - M^(j)_(b)a dA/dxs^j_b;
@@ -1261,16 +1252,22 @@ def nlc_torsion_free_check(ctx, pts) -> TorsionFreeVerdict:
 def nlc_torsion_at(ctx, pt):
     """(max |dN/dxs asymmetry|, the entry [i,a,j,k,g] holding it) at one
     point, or the list of them over a block of points; see
-    :func:`nlc_torsion_free_check`."""
+    :func:`nlc_torsion_free_check`.  The ``torsion`` check and the Maxwell
+    step both read it off the frame-shared :func:`_torsion_probe`."""
     # Christoffel-built N already spends one derivative order, so the
     # xs-gradient of N needs a depth-2 frame.
-    fr = frame(ctx, pt, 2)
+    return _each(pt, list(frame(ctx, pt, 2).shared(_torsion_probe)))
+
+
+def _torsion_probe(fr) -> tuple:
+    """:func:`nlc_torsion_at` at each point of the frame ``fr``, as a
+    tuple; read through ``fr.shared``."""
     out = []
     for (dN,) in fr.values(fr.ddxs(fr.N_jet)):  # [i,a,j,k,g]
         viol = np.abs(dN - np.transpose(dN, (0, 1, 3, 2, 4)))
         idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
         out.append((float(np.max(viol)), tuple(int(v) for v in idx)))
-    return _each(pt, out)
+    return tuple(out)
 
 
 def torsion_free_verdict(pts, per_point) -> TorsionFreeVerdict:

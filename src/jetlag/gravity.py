@@ -25,9 +25,11 @@ S^(i)(b)_(a)(j) = g^{im} h_{au} S^(u)(b)_(m)(j).
 
 The rewritten laws of the natural form keep these right-hand sides: the
 divergences of the raised R and P blocks are derived once per frame
-(:func:`_law_rhs`) and read by both law checks.  The natural-form checks
-build each frame's trace-adjusted Einstein jets and their divergences once,
-for both the identities and the rewritten laws.
+(:func:`_law_rhs`) and read by both law checks.  So are the Einstein
+blocks (:func:`_einstein_blocks_at`), read by the field equations, the
+stress-energy extraction and the natural-form construction.  The
+natural-form checks build each frame's trace-adjusted Einstein jets and
+their divergences once, for both the identities and the rewritten laws.
 
 Both checks are a step, the report of each point of one frame alone, and
 a fold of those reports over the points, in point order:
@@ -106,18 +108,21 @@ class StressEnergySet:
 def einstein_blocks(ctx: GeometryContext, pt):
     """The adapted blocks of the gravitational field equations at a point,
     or the list of them over a block of points."""
-    return _each(pt, _einstein_blocks_at(frame(ctx, pt, 2)))
+    return _each(pt, list(frame(ctx, pt, 2).shared(_einstein_blocks_at)))
 
 
-def _einstein_blocks_at(fr) -> list:
-    """:func:`einstein_blocks` at each point of the frame ``fr``."""
+def _einstein_blocks_at(fr) -> tuple:
+    """:func:`einstein_blocks` at each point of the frame ``fr``, as a
+    tuple, with read-only arrays: a frame-shared block (read through
+    ``fr.shared``) that the Einstein blocks, the stress-energy extraction
+    and the natural-form construction all read."""
     out = []
     for h, g, sH, sR, sS, rH, rR, rS, rRmt, rP3, rP1, rP2, h_inv in fr.values(
             fr.h_jet, fr.g_jet, fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
             fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet, fr.ricci_Rmt_jet,
             fr.ricci_P3_jet, fr.ricci_P1_jet, fr.ricci_P2_jet, fr.inverse("h", 0)):
         sc = float(sH + sR + sS)
-        out.append(EinsteinBlocks(
+        arrays = dict(
             tt=rH - 0.5 * sc * h,
             ss=rR - 0.5 * sc * g,
             vv=rS - 0.5 * sc * np.einsum("ab,ij->iajb", h_inv, g),
@@ -127,8 +132,11 @@ def _einstein_blocks_at(fr) -> list:
             vs=rP2.copy(),
             zero_ts=np.zeros((fr.p, fr.n)),
             zero_tv=np.zeros((fr.p, fr.n, fr.p)),
-        ))
-    return out
+        )
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        out.append(EinsteinBlocks(**arrays))
+    return tuple(out)
 
 
 def stress_energy_extract(ctx: GeometryContext, pt):
@@ -139,8 +147,8 @@ def stress_energy_extract(ctx: GeometryContext, pt):
             "stress-energy extraction needs a nonzero gravitational constant; "
             "zero describes a vacuum source"
         )
-    return _each(pt, [_stress_energy_of(eb, ctx.K)
-                      for eb in _einstein_blocks_at(frame(ctx, pt, 2))])
+    return _each(pt, [_stress_energy_of(eb, ctx.K) for eb in
+                      frame(ctx, pt, 2).shared(_einstein_blocks_at)])
 
 
 def _stress_energy_of(eb: EinsteinBlocks, k: float) -> StressEnergySet:
@@ -339,7 +347,7 @@ def _natural_stress_energy_at(fr) -> list:
     p, n, K = fr.p, fr.n, fr.ctx.K
     out = []
     for eb, (h, g, h_inv, g_inv, H, R, S, ricci_H, ricci_Rmm, ricci_S) in zip(
-            _einstein_blocks_at(fr), fr.values(
+            fr.shared(_einstein_blocks_at), fr.values(
                 fr.h_jet, fr.g_jet, fr.inverse("h", 0), fr.inverse("g", 0),
                 fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
                 fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet)):

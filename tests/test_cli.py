@@ -265,6 +265,17 @@ def test_report_digest_pinned(tmp_path, name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_an_empty_check_list_writes_an_empty_report(tmp_path, capsys):
+    # load_config accepts "checks": []; the run writes a report with no
+    # checks (digest taken before the check table sized blocks)
+    rc, rep = run_to(tmp_path, dict(FLAT_CFG, checks=[]))
+    assert rc == 0
+    assert rep["summary"]["n_checks"] == 0 and rep["checks"] == {}
+    text = WALL_LINE.sub("", (tmp_path / "report.json").read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "36a8baa322cc1d446813167620a47572d847429f73a0d7153443bcdc9754c17d")
+
+
 def test_seed_override(tmp_path):
     rc, base = run_to(tmp_path, FLAT_CFG, name="a.json", out="a_rep.json")
     assert rc == 0
@@ -452,6 +463,11 @@ def test_spaces_subcommand(capsys):
     assert set(doc) == {"flat", "quadratic", "conformal", "optic", "custom"}
 
 
+# a rejection case's mutate may return the text written in place of the
+# config, or NO_CONFIG to leave no file at the config's path
+NO_CONFIG = object()
+
+
 @pytest.mark.parametrize(
     "mutate,frag",
     [
@@ -464,16 +480,48 @@ def test_spaces_subcommand(capsys):
         (lambda c: c.update(points={"seed": 1, "count": 2,
                                     "box": {"zz": [0, 1]}}),
          "unknown keys"),
+        (lambda c: NO_CONFIG, "cannot read config"),
+        (lambda c: '{"p": 2,', "is not valid JSON"),
+        (lambda c: "[1, 2]", "must be a JSON object"),
+        (lambda c: c.update(zz=1), "config: unknown keys ['zz']"),
+        (lambda c: c.update(space={"name": "flat", "zz": 1}),
+         "config.space: unknown keys ['zz']"),
+        (lambda c: c.update(points={"count": 2, "zz": 1}),
+         "config.points: unknown keys ['zz']"),
+        (lambda c: c.update(points={"explicit": [
+            {"t": [0.0], "x": [0.0, 0.0], "xs": [[0.0], [0.0]]}]}),
+         "config.points.explicit[0]: dims (1, 2) do not match (p, n) = (2, 2)"),
+        (lambda c: c.update(checks=["metricity", "torsion", "metricity"]),
+         "config.checks: check 'metricity' listed twice"),
+        (lambda c: c.update(tolerances=[1e-3]),
+         "config.tolerances: must be a map"),
+        (lambda c: c.update(tolerances={"bogus": 1e-3}),
+         "config.tolerances: unknown check 'bogus'"),
+        (lambda c: c.update(dump=["bogus"]),
+         "config.dump: unknown family 'bogus'"),
+        (lambda c: c.update(output=3), "config.output: must be a path string"),
+        (lambda c: c.update(space={"name": "flat", "params": {"p": 3, "n": 2}}),
+         "config.space: space dims (3, 2) do not match the declared "
+         "(p, n) = (2, 2)"),
     ],
-    ids=["natural-form-dims", "zero-points", "unknown-check", "bad-box"],
+    ids=["natural-form-dims", "zero-points", "unknown-check", "bad-box",
+         "unreadable", "invalid-json", "not-an-object", "unknown-key",
+         "unknown-space-key", "unknown-points-key", "explicit-dims",
+         "check-twice", "tolerances-not-a-map", "unknown-tolerance",
+         "unknown-dump", "output-not-a-string", "space-dims"],
 )
 def test_config_rejections(tmp_path, capsys, mutate, frag):
     doc = json.loads(json.dumps(FLAT_CFG))
-    mutate(doc)
+    text = mutate(doc)
     cfg = write_cfg(tmp_path, doc)
+    if text is NO_CONFIG:
+        os.remove(cfg)
+    elif text is not None:
+        with open(cfg, "w") as fh:
+            fh.write(text)
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    _one_error_line(err)
     assert frag in err
 
 
@@ -490,24 +538,47 @@ def _custom_g_cfg(g):
 
 
 @pytest.mark.parametrize(
-    "g,frag",
+    "g,count,frag",
     [
-        ([["1", "x[1]"], ["0", "1"]],
-         "error: vertical metric g is not symmetric at this point"),
-        ([["log(x[1]-5)", "0"], ["0", "1"]],
+        ([["1", "x[1]"], ["0", "1"]], 2,
+         "error: vertical metric g is not symmetric at this point; "
+         "sampled point "),
+        # g = diag(x1, 1) flips its signature between draws 0 and 1
+        ([["x[1]", "0"], ["0", "1"]], 4,
+         "error: metric signature changed between sample points: recorded "
+         "((1, 1), (-1, 1)), found ((1, 1), (1, 1)); sampled point "),
+        ([["log(x[1]-5)", "0"], ["0", "1"]], 2,
          "error: could not sample 2 admissible points in 1000 tries (0 found) "
          "from the boxes t (-1.0, 1.0), x (-1.0, 1.0), xs (-1.0, 1.0)"),
     ],
-    ids=["asymmetric-g", "sampling-exhausted"],
+    ids=["asymmetric-g", "signature-flip", "sampling-exhausted"],
 )
-def test_run_time_config_defects_exit_2(tmp_path, capsys, g, frag):
-    # the defect shows only once points are sampled, which validate does too
-    cfg = write_cfg(tmp_path, _custom_g_cfg(g))
+def test_run_time_config_defects_exit_2(tmp_path, capsys, g, count, frag):
+    # the defect shows only once points are sampled, which validate does
+    # too; a defect at a draw ends with the draw's coordinates
+    doc = _custom_g_cfg(g)
+    doc["points"]["count"] = count
+    cfg = write_cfg(tmp_path, doc)
     for command in ("run", "validate"):
         assert main([command, cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(frag)
         assert err.count("\n") == 1 and "Traceback" not in err
+        if frag.endswith("sampled point "):
+            pt = JetPoint.of(**json.loads(err[len(frag):]))
+            assert pt.dims == (2, 2)
+            if "signature" in frag:
+                assert pt.x[0] > 0  # the draw of the other sign
+    if frag.endswith("sampled point "):
+        # a library caller keeps the error's class and its witness
+        from jetlag import cli
+        from jetlag.errors import RegularityViolationError
+
+        with pytest.raises(RegularityViolationError) as info:
+            cli.run_report(cli.load_config(cfg))
+        assert f"error: {info.value}\n" == err
+        assert json.dumps(cli._point_doc(info.value.witness)) == \
+            err[len(frag):].rstrip("\n")
 
 
 def test_constant_to_varying_power_runs(tmp_path, capsys):
@@ -848,14 +919,14 @@ def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
     doc = _load_bench(monkeypatch, "spec").make_config(workload, None)
     cfg = cli.load_config(write_cfg(tmp_path, doc))
     ctx = cfg.space
-    order = 3 if set(cli._DEEP_CHECKS) & set(cfg.checks) else 2
+    order = max(cli.CHECKS[name].order for name in cfg.checks)
     block = blocks(cli._collect_points(cfg, ctx), block_size(ctx.p, ctx.n, order))[0]
     ctx.forget_run()
     gc.collect()
     tracemalloc.start()
     try:
         for name in cfg.checks:
-            if name in cli._FOLDS:
+            if cli.CHECKS[name].fold:
                 _block_records(cli._RUNNERS[name], ctx, block)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
@@ -1071,6 +1142,15 @@ def _load_bench(monkeypatch, name):
     return mod
 
 
+def test_every_check_has_one_row_and_one_runner():
+    # the check table and the runners name the same checks, and only the
+    # whole-sweep grad-check has no fold
+    from jetlag import cli
+
+    assert list(cli.CHECKS) == list(cli._RUNNERS)
+    assert [n for n, c in cli.CHECKS.items() if c.fold is None] == ["grad-check"]
+
+
 def test_benchmark_trace_targets_resolve(monkeypatch):
     # the traced benchmark run wraps these names; a refactor that drops one
     # fails there, and here
@@ -1225,6 +1305,44 @@ def test_natural_form_names_its_witness(tmp_path):
     assert doc["witness"] == NATURAL_LOG_DOMAIN_CFG["points"]["explicit"][1]
 
 
+# the two natural-form grades short of fail: on a (3,3) quadratic space of
+# diagonal h(t) and g(x) every identity and law closes (pass); on the
+# direction-dependent space with K = 0 the contracted-cyclic identities
+# close and the stated ones do not (flagged)
+NATURAL_PASS_CFG = {
+    "p": 3, "n": 3,
+    "space": {"name": "quadratic", "params": {
+        "h": [["1+0.1*t[2]^2", "0", "0"], ["0", "2+0.1*t[3]^2", "0"],
+              ["0", "0", "1.5+0.1*t[1]^2"]],
+        "g": [["1+0.2*x[2]^2", "0", "0"], ["0", "2+0.1*x[3]^2", "0"],
+              ["0", "0", "1+0.1*x[1]^2"]]}},
+    "points": {"seed": 5, "count": 2, "box": {"t": [-0.5, 0.5],
+                                              "x": [-0.5, 0.5]}},
+    "checks": ["natural-form"],
+}
+NATURAL_FLAGGED_CFG = dict(
+    MIXED33_CFG,
+    space={"name": "custom", "params": dict(MIXED33_CFG["space"]["params"], K=0)},
+    points=dict(MIXED33_CFG["points"], count=2),
+    checks=["natural-form"],
+)
+
+
+@pytest.mark.parametrize("doc,status,digest", [
+    (NATURAL_PASS_CFG, "pass",
+     "5f9307f7b283edcc8c9048243a441481400b79afe3dfcee750c94c48a1b991db"),
+    (NATURAL_FLAGGED_CFG, "flagged",
+     "abf9c078e8043b9e9b83372217cd3496a42ac11c1107cf457c2841a3ad3acc87"),
+], ids=["pass", "flagged"])
+def test_natural_form_pass_and_flagged(tmp_path, doc, status, digest):
+    rc, rep = run_to(tmp_path, doc)
+    assert rc == 0
+    assert rep["checks"]["natural-form"]["status"] == status
+    assert rep["checks"]["natural-form"]["witness"] is None
+    text = WALL_LINE.sub("", (tmp_path / "report.json").read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # N^(1)_(1)1 = 5e-10 xs^2_1: a violation below the Maxwell precondition's
 # limit that a torsion tolerance of 1e-12 still fails
 WEAK_TORSION_CFG = dict(
@@ -1260,11 +1378,15 @@ def test_every_failing_check_names_its_witness(tmp_path):
 
 def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
     # conservation and natural-form read one set of law right-hand sides
-    # per frame, curvature and maxwell one set of metrical deflections
-    from jetlag import cli, em_field, gravity
+    # per frame, curvature and maxwell one set of metrical deflections,
+    # torsion and maxwell one torsion probe, and the einstein step reads
+    # one set of Einstein blocks for the blocks and the stress-energy
+    from jetlag import cli, em_field, geometry, gravity
 
     calls = []
-    for mod, name in ((gravity, "_raised_p_jets"), (em_field, "_metrical_jets")):
+    for mod, name in ((gravity, "_raised_p_jets"), (em_field, "_metrical_jets"),
+                      (gravity, "_einstein_blocks_at"),
+                      (geometry, "_torsion_probe")):
         def counting(fr, _fn=getattr(mod, name), _name=name):
             calls.append(_name)
             return _fn(fr)
@@ -1273,12 +1395,36 @@ def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
     ctx = support.mixed33_ctx()
     cli._run_conservation(ctx, [pt_mixed33])
     cli._natural_form_at(ctx, [pt_mixed33])
+    assert calls.count("_einstein_blocks_at") == 1  # the construction's
     ctx = build_space("optic", OPTIC_CFG["space"]["params"])
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
     cli._run_curvature(ctx, [pt])
+    cli._RUNNERS["torsion"](ctx, [pt])
     cli._RUNNERS["maxwell"](ctx, [pt])
+    cli._run_einstein(ctx, [pt])
     assert calls.count("_raised_p_jets") == 1
     assert calls.count("_metrical_jets") == 1
+    assert calls.count("_torsion_probe") == 1
+    assert calls.count("_einstein_blocks_at") == 2
+
+
+def test_a_reader_cannot_change_a_shared_block():
+    # the Einstein arrays are read-only and the torsion probe is handed out
+    # as a new list, so a later reader of the frame gets what the first got
+    from jetlag.geometry import nlc_torsion_at
+    from jetlag.gravity import einstein_blocks, stress_energy_extract
+
+    ctx = build_space("optic", OPTIC_CFG["space"]["params"])
+    pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
+    eb = einstein_blocks(ctx, [pt])
+    with pytest.raises(ValueError):
+        eb[0].tt[0, 0] = 1.0
+    eb.clear()
+    assert len(einstein_blocks(ctx, [pt])) == 1
+    assert stress_energy_extract(ctx, pt).T_tt.flags.writeable
+    probe = nlc_torsion_at(ctx, [pt])
+    probe.clear()
+    assert len(nlc_torsion_at(ctx, [pt])) == 1
 
 
 # g = diag(x1, 1): signature ((1, 1), (-1, 1)) at point 0, ((1, 1), (1, 1))
