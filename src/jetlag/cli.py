@@ -34,7 +34,7 @@ from .em_field import (
     maxwell_fold,
     maxwell_step,
 )
-from .errors import ConfigError, JetlagError, ParseError
+from .errors import ConfigError, JetlagError
 from .geometry import (
     ChristoffelOfPhi,
     DirectMetric,
@@ -42,6 +42,7 @@ from .geometry import (
     GeometryContext,
     UserGiven,
     _block_records,
+    _raise_held,
     block_size,
     blocks,
     cartan_connection,
@@ -643,10 +644,10 @@ def _run_grad_check(ctx, pts, tol):
 
 
 # A check with a fold runs block-major: run_report calls its step
-# ``(ctx, block) -> [record per point]`` on each block of points (a list;
-# see geometry._block_records), then its fold
-# ``(pts, records, tol) -> CheckOutcome`` once, over the records in point
-# order.  Every check that reads frames has one.  ``grad-check`` reads
+# ``(ctx, block) -> [record per point]`` on each block of points (a list,
+# in which geometry._block_records puts a point's error as its record),
+# then its fold ``(pts, records, tol) -> CheckOutcome`` once, over the
+# records in point order.  Every check that reads frames has one.  ``grad-check`` reads
 # none, and its runner takes the whole sweep, ``(ctx, pts, tol)``.
 # run_report looks every runner up here at call time.
 _RUNNERS = {
@@ -765,9 +766,12 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     sweeps (:func:`~jetlag.geometry._block_records`), so the block's
     frames are built once, with every field grid run once per order over
     the block, read by every check, and dropped when the next block
-    starts; the last block's are dropped when the blocks end.  After the
-    last block, each check's fold, or the whole-sweep runner of
-    ``grad-check``, runs in config order.
+    starts; the last block's are dropped when the blocks end.  A point
+    error does not stop a check: its point holds it as its record, and
+    the check steps every later block.  After the last block, in config
+    order, a check whose records hold an error reports the first one, and
+    any other check gets its fold, or the whole-sweep runner of
+    ``grad-check``.
     """
     start = time.perf_counter()
     ctx = cfg.space
@@ -778,33 +782,26 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         # reads pts[0] alone, at orders the checks may not read
         dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
 
-        outcomes = {}
         records = {name: [] for name in cfg.checks if CHECKS[name].fold}
         size = block_size(ctx.p, ctx.n,
                           max((CHECKS[name].order for name in cfg.checks),
                               default=0))
         for block in blocks(pts, size):
             for name, recs in records.items():
-                if name in outcomes:
-                    continue  # the check raised at an earlier point
-                try:
-                    recs += _block_records(_RUNNERS[name], ctx, block)
-                except JetlagError as exc:
-                    outcomes[name] = _error_outcome(exc)
+                recs += _block_records(_RUNNERS[name], ctx, block)
     finally:
         ctx.forget_run()  # and leaves none for the next to find
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]
-        if name not in outcomes:
-            try:
-                if name in records:
-                    outcomes[name] = CHECKS[name].fold(pts, records[name], tol)
-                else:
-                    outcomes[name] = _RUNNERS[name](ctx, pts, tol)
-            except JetlagError as exc:
-                outcomes[name] = _error_outcome(exc)
-        checks[name] = outcomes[name].doc(tol)
+        try:
+            if name in records:
+                outcome = CHECKS[name].fold(pts, _raise_held(records[name]), tol)
+            else:
+                outcome = _RUNNERS[name](ctx, pts, tol)
+        except JetlagError as exc:
+            outcome = _error_outcome(exc)
+        checks[name] = outcome.doc(tol)
 
     statuses = [c["status"] for c in checks.values()]
     summary = {

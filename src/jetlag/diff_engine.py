@@ -1171,17 +1171,15 @@ def check_grad(f, pts):
             continue  # no coordinate or no point to probe
         dims = pts[0].dims
         probes = _probes(_dep_coords(grid.fields[0], *dims), dims)
-        one = len(pts) == 1
         try:
-            jet = grid.stacked(pts[0] if one else pts, 2)
+            jet = grid.stacked(pts, 2)
             fds = _fd_rows(grid, pts, probes)
         except (JetlagError, BatchDiverged):
             pass  # field by field, below: each keeps its error and witness
         else:
             for ip in range(len(pts)):
-                at = jet if one else jet[ip]
                 for j, k in enumerate(members):
-                    res = at[j]
+                    res = jet[ip, j]
                     _fold(reports[k], ip, [
                         (wrt, _taylor(res, ix), b)
                         for (wrt, ix), b in zip(probes, fds[ip][j])])

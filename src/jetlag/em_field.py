@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
-from .errors import JetlagError, TorsionPreconditionError, name_witness
-from .geometry import (Frame, GeometryContext, ResidualStats, _each,
-                       _pooled_stats, _residual_summary, frame, nlc_torsion_at,
-                       sweep, torsion_free_verdict)
+from .errors import TorsionPreconditionError
+from .geometry import (Frame, GeometryContext, ResidualStats, _block_records,
+                       _each, _pooled_stats, _raise_held, _residual_summary,
+                       frame, nlc_torsion_at, sweep, torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -251,37 +251,28 @@ def maxwell_at(ctx: GeometryContext, pt) -> list:
     return _each(pt, [list(eqs) for eqs in zip(*out)])
 
 
-def maxwell_step(ctx: GeometryContext, pts):
-    """One point's record: (its torsion probe, its :func:`maxwell_at`
-    summaries, or the error an equation raised, held for
-    :func:`maxwell_fold` with its witness named and its traceback dropped,
-    so that it keeps none of the point's frames alive).  A torsion-probe
-    error is raised, and :func:`~jetlag.geometry.sweep` names its point.
-    Over a block (sequence) of points, the list of their records; a block
-    of two or more points is read off one frame of it and raises any
-    error, so that its points are then stepped one at a time."""
-    if not isinstance(pts, JetPoint) and len(pts) > 1:
-        return list(zip(nlc_torsion_at(ctx, pts), maxwell_at(ctx, pts)))
-    pt = pts if isinstance(pts, JetPoint) else pts[0]
-    torsion = nlc_torsion_at(ctx, pt)
-    try:
-        record = torsion, maxwell_at(ctx, pt)
-    except JetlagError as exc:
-        record = torsion, name_witness(exc, pt).with_traceback(None)
-    return _each(pts, [record])
+def maxwell_step(ctx: GeometryContext, pts) -> list:
+    """The records of a block (sequence) of points, one per point: (its
+    torsion probe, its :func:`maxwell_at` summaries), each taken by the
+    rule of :func:`~jetlag.geometry._block_records`, so either may be the
+    error the point holds, for :func:`maxwell_fold` to raise."""
+    return list(zip(_block_records(nlc_torsion_at, ctx, pts),
+                    _block_records(maxwell_at, ctx, pts)))
 
 
 def maxwell_fold(pts, records) -> MaxwellReport:
     """Fold the :func:`maxwell_step` records of ``pts``, in point order.
 
-    The equations assume a torsion-free spatial nonlinear connection, so a
-    torsion above :data:`TORSION_LIMIT` at any point raises first, at its
-    witness; then the first equation error held is raised.  Each
-    equation's stats pool its residual components over the points
+    The equations assume a torsion-free spatial nonlinear connection, so
+    the first torsion-probe error held is raised first, then a torsion
+    above :data:`TORSION_LIMIT` at any point, at its witness, and then the
+    first equation error held.  Each equation's stats pool its residual
+    components over the points
     (:func:`~jetlag.geometry._pooled_stats`): mean_abs is the sum of |r|
     over all points by their count of components.
     """
-    verdict = torsion_free_verdict(pts, [t for t, _ in records])
+    torsions = _raise_held([torsion for torsion, _ in records])
+    verdict = torsion_free_verdict(pts, torsions)
     if verdict.max_violation > TORSION_LIMIT:
         raise TorsionPreconditionError(
             "spatial nonlinear connection has torsion: "
@@ -290,19 +281,18 @@ def maxwell_fold(pts, records) -> MaxwellReport:
             witness=verdict.witness[0],
             value=verdict.max_violation,
         )
-    for _, eqs in records:
-        if isinstance(eqs, JetlagError):
-            raise eqs
-    equations = {name: _pooled_stats([eqs[k] for _, eqs in records])
-                 for k, name in enumerate(MaxwellReport.EQ_NAMES)}
-    return MaxwellReport(equations=equations, n_points=len(records))
+    equations = _raise_held([eqs for _, eqs in records])
+    return MaxwellReport(
+        equations={name: _pooled_stats([eqs[k] for eqs in equations])
+                   for k, name in enumerate(MaxwellReport.EQ_NAMES)},
+        n_points=len(records))
 
 
 def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
     """Residuals of the five field equations over sample points: the
     :func:`maxwell_fold` of the :func:`maxwell_step` records, taken block
-    by block (:func:`~jetlag.geometry.sweep`), so the torsion precondition
-    outranks the first equation error."""
+    by block (:func:`~jetlag.geometry.sweep`), so it raises the errors the
+    run reports, in the fold's order."""
     pts = list(pts)
     return maxwell_fold(pts, sweep(maxwell_step, ctx, pts, 2))
 

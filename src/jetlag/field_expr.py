@@ -639,33 +639,33 @@ class FieldGrid:
         return self([s.flat() for s in spts], (spts[0].p, spts[0].n))
 
     def stacked(self, pts, order) -> Jet:
-        """The fields as one jet of ``order`` that stacks the F fields in
-        order (a field that reads no seeded jet is a constant jet): of
-        component shape (F,) at one :class:`~jetlag.diff_engine.JetPoint`,
-        seeded alone, or (B, F) over a sequence of B points, seeded as one
-        batch and evaluated by one call in a
-        :func:`~jetlag.diff_engine.point_batch`.  Raises what the call
-        raises, and :class:`~jetlag.diff_engine.BatchDiverged` where the
-        points of a batch branch apart or the grid holds a field that is not
-        an :class:`ExprField`.
+        """The fields at a sequence of B points as one jet of ``order`` of
+        component shape (B, F), which stacks the F fields in order (a field
+        that reads no seeded jet is a constant jet).  One point is seeded
+        alone; two or more are seeded as one batch and evaluated by one
+        call in a :func:`~jetlag.diff_engine.point_batch`.  Raises what
+        the call raises, and :class:`~jetlag.diff_engine.BatchDiverged`
+        where the points of a batch branch apart or a batch meets a field
+        that is not an :class:`ExprField`.
         """
-        one = isinstance(pts, JetPoint)
+        one = len(pts) == 1
         if not (one or self._batchable):
             raise BatchDiverged
-        seeds = [seed_point(pts, order, deps) for deps in self.groups]
+        seeds = [seed_point(pts[0] if one else pts, order, deps)
+                 for deps in self.groups]
         if one:
             vals = self.at(seeds)
         else:
             with point_batch():
                 vals = self.at(seeds)
-        lead = () if one else (len(pts),)
-        N = coord_count(*(pts if one else pts[0]).dims)
+        N = coord_count(*pts[0].dims)
         jets = [v if isinstance(v, Jet) else Jet.constant(float(v), N, order)
                 for v in vals]
         K = min(j.order for j in jets)
-        return Jet(N, K, [np.stack([np.broadcast_to(j.coeffs[k], lead + j.coeffs[k].shape)
-                                    if lead and not j.shape else j.coeffs[k]
-                                    for j in jets], axis=len(lead))
+        B = len(pts)
+        return Jet(N, K, [np.stack([j.coeffs[k] if j.shape else
+                                    np.broadcast_to(j.coeffs[k], (B,) + j.coeffs[k].shape)
+                                    for j in jets], axis=1)
                           for k in range(K + 1)])
 
     def rows(self, zs, dims) -> np.ndarray:

@@ -65,11 +65,10 @@ from .errors import (
     JetlagError,
     OrderExceededError,
     RegularityViolationError,
-    SingularMetricError,
     name_witness,
 )
 from .field_expr import FieldGrid
-from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN
+from .tensor_core import S_DN, S_UP, T_DN, V_DN
 
 MAX_ORDER = 3  # the derivative budget (module docstring)
 
@@ -307,10 +306,14 @@ def blocks(pts, size: int) -> list:
 
 
 def _block_records(step, ctx, block) -> list:
-    """The records of ``step`` at the points of ``block``: from one call
-    over the block, or, where that raises or its points branch apart, from
-    one call per point, whose error names its point.  So a point keeps the
-    record or the error it gets alone."""
+    """The records of ``step`` at the points of ``block``, one per point,
+    in order: from one call over the block, or, where that raises or its
+    points branch apart, from one call per point.  A point whose call
+    raises a :class:`JetlagError` has that error as its record, held: its
+    witness named and the traceback of every error in its chain dropped,
+    so that it keeps none of the point's frames alive.  So a point keeps
+    the record or the error it gets alone, and no JetlagError leaves
+    here: each caller decides what a held error means."""
     if len(block) > 1:
         try:
             return step(ctx, block)
@@ -321,8 +324,30 @@ def _block_records(step, ctx, block) -> list:
         try:
             out += step(ctx, [pt])
         except JetlagError as exc:
-            raise name_witness(exc, pt)
+            out.append(_held(name_witness(exc, pt)))
     return out
+
+
+def _held(exc: JetlagError) -> JetlagError:
+    """``exc``, with the traceback of every exception in its chain
+    (``__cause__`` and ``__context__``) dropped."""
+    seen, todo = set(), [exc]
+    while todo:
+        e = todo.pop()
+        if e is not None and id(e) not in seen:
+            seen.add(id(e))
+            e.__traceback__ = None
+            todo += [e.__cause__, e.__context__]
+    return exc
+
+
+def _raise_held(records) -> list:
+    """``records``, once the first error held among them, in point order,
+    is raised (:func:`_block_records`)."""
+    for rec in records:
+        if isinstance(rec, JetlagError):
+            raise rec
+    return records
 
 
 def sweep(step, ctx, pts, order: int) -> list:
@@ -330,14 +355,15 @@ def sweep(step, ctx, pts, order: int) -> list:
     ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
     of the :func:`blocks` of at most :func:`block_size` points whose
     frames go up to ``order``, so a fold of them has the run's bits,
-    errors and witnesses.  Like a run, it ends with ``ctx.forget_run()``."""
+    errors and witnesses.  After the last block it raises the first error
+    a point holds.  Like a run, it ends with ``ctx.forget_run()``."""
     out = []
     try:
         for block in blocks(pts, block_size(ctx.p, ctx.n, order)):
             out += _block_records(step, ctx, block)
     finally:
         ctx.forget_run()
-    return out
+    return _raise_held(out)
 
 
 def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
@@ -475,15 +501,15 @@ class Frame:
             self._lead + grid.shape)
 
     def _eval_fields(self, fields, order) -> Jet:
-        """``fields`` at the frame's points, as jets of ``order`` (default:
-        the frame's) stacked along one axis behind the point axis, through
-        the context's compiled grid of them (:meth:`FieldGrid.of`), run
-        once over the frame's points.  A block whose grid raises or whose
-        points branch apart raises, and its points are then framed alone
+        """``fields`` at the frame's B points, as one jet of ``order``
+        (default: the frame's) of component shape (B, F), through the
+        context's compiled grid of them (:meth:`FieldGrid.of`), run once
+        over the frame's points; the frame of one point reshapes its point
+        axis away.  A block whose grid raises or whose points branch apart
+        raises, and its points are then framed alone
         (:class:`~jetlag.diff_engine.BatchDiverged`)."""
         order = self.order if order is None else order
-        pts = self.pts if self.batched else self.pts[0]
-        return FieldGrid.of(fields).stacked(pts, order)
+        return FieldGrid.of(fields).stacked(self.pts, order)
 
     # -- coordinates -------------------------------------------------------
 
@@ -495,8 +521,8 @@ class Frame:
         (:func:`~jetlag.diff_engine._seed_tables`): the rows of the
         identity that belong to xs, and the zero tables above order 1."""
         p, n, N = self.p, self.n, self.N
-        xs = np.array([pt.xs for pt in self.pts] if self.batched else self.pts[0].xs,
-                      dtype=float)
+        xs = np.array([pt.xs for pt in self.pts], dtype=float).reshape(
+            self._lead + (n, p))
         unit, zeros = _seed_tables(N, self.order)
         # xs^i_a is the coordinate p + n + i p + a
         derivs = [unit[p + n:].reshape(n, p, N)][:self.order] + zeros[1:]
@@ -1350,9 +1376,11 @@ def sample_points(
     points record or assert the metric signature, which ``ctx`` keeps
     until :meth:`GeometryContext.forget_run`.  The draws are made one
     block at a time, one draw per point still wanted, and h and g are read
-    off one order-0 frame of the block; a block that raises or branches
-    apart is read one draw at a time, so each draw is tried, in draw
-    order, as it would be alone."""
+    off one order-0 frame of the block, by the rule of
+    :func:`_block_records`, so each draw is tried, in draw order, as it
+    would be alone: a draw that holds a domain error is rejected, and any
+    other error a draw holds is raised.  No draw inverts a metric: a
+    singular h or g is rejected as ill-conditioned."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
@@ -1376,21 +1404,16 @@ def sample_points(
             rng.uniform(box_x[0], box_x[1], size=n),
             rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
         ) for _ in range(min(count - len(pts), budget - tries))]
-        try:
-            metrics = _metric_values(ctx, block) if len(block) > 1 else None
-        except (JetlagError, BatchDiverged):
-            metrics = None
-        for k, pt in enumerate(block):
+        for pt, rec in zip(block, _block_records(_metric_values, ctx, block)):
             tries += 1
-            try:
-                hval, gval = metrics[k] if metrics else _metric_values(ctx, pt)[0]
-                if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
-                    ill_conditioned += 1
-                    continue
-            except SingularMetricError:
+            if isinstance(rec, (EvalDomainError, DerivativeDomainError,
+                                FieldDomainError)):
+                continue  # the draw left a field's domain
+            if isinstance(rec, JetlagError):
+                raise rec
+            hval, gval = rec
+            if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
                 ill_conditioned += 1
-                continue
-            except (EvalDomainError, DerivativeDomainError, FieldDomainError):
                 continue
             ctx._check_signature(pt, hval, gval)
             pts.append(pt)

@@ -192,6 +192,53 @@ GRAD_OPTIC_POINT_CFG = dict(
     checks=["grad-check"], dump=[])
 
 
+def _custom_g_cfg(g):
+    return {
+        "p": 2, "n": 2,
+        "space": {"name": "custom", "params": {
+            "h": [["1", "0"], ["0", "1"]],
+            "g": g,
+            "nlc": {"kind": "christoffel", "phi": [["1", "0"], ["0", "1"]]}}},
+        "points": {"seed": 1, "count": 2},
+        "checks": ["metricity"],
+    }
+
+
+def _explicit_point(x1, x2=0.4):
+    return {"t": [0.1, 0.2], "x": [x1, x2], "xs": [[0.5, 0.6], [0.7, 0.8]]}
+
+
+# g = diag(x1, 1) is singular at x1 = 0
+SINGULAR_CFG = dict(
+    _custom_g_cfg([["x[1]", "0"], ["0", "1"]]),
+    points={"explicit": [_explicit_point(0.0)]},
+    checks=["metricity", "antisymmetry", "torsion", "curvature", "maxwell",
+            "einstein", "conservation", "regularity"],
+)
+
+# point 0: g singular, so a Maxwell equation raises there; point 1: the
+# phi of the torsion precheck takes the log of a negative number
+MAXWELL_PRECEDENCE_CFG = {
+    "p": 2, "n": 2,
+    "space": {"name": "custom", "params": {
+        "h": [["1", "0"], ["0", "1"]],
+        "g": [["x[1]", "0"], ["0", "1"]],
+        "nlc": {"kind": "christoffel",
+                "phi": [["exp(x[1])", "0"], ["0", "log(x[2])"]]}}},
+    "points": {"explicit": [_explicit_point(0.0, 0.4),
+                            _explicit_point(0.5, -0.4)]},
+    "checks": ["metricity", "torsion", "maxwell"],
+}
+
+# point 0: g singular; the user N has torsion at every point
+TORSION_PRECEDENCE_CFG = dict(
+    TORSIONAL_CFG,
+    space={"name": "custom", "params": dict(
+        TORSIONAL_CFG["space"]["params"], g=[["x[1]", "0"], ["0", "1"]])},
+    points={"explicit": [_explicit_point(0.0), _explicit_point(0.5)]},
+    checks=["metricity", "torsion", "maxwell"],
+)
+
 # sha256 of a report minus its wall-time line, as the benchmark's
 # report_digest takes it; a mismatch means some report byte changed
 REPORT_DIGESTS = {
@@ -225,6 +272,14 @@ REPORT_DIGESTS = {
                      GRAD_MIXED33_CFG),
     "grad-optic-point": ("e6372d5445c876b4aea783846040ba1a5aed62fdacdef5a13951c03b9a257aa3",
                          GRAD_OPTIC_POINT_CFG),
+    # the error paths: a point error in every block check, and the order of
+    # the Maxwell errors
+    "singular": ("ed2a9c325b464be758bfd1d84c377d12008afa24273778fdc2ca68edc8acd0f4",
+                 SINGULAR_CFG),
+    "maxwell-precedence": ("be295607e3644c485e4e6bc29f57835b6c7524254a94ae553dc90a646adbe808",
+                           MAXWELL_PRECEDENCE_CFG),
+    "torsion-precedence": ("f6bef3ff2445cedafda09f52c72ccaaf99e33b5ab04808b9f79655bd9a89ab36",
+                           TORSION_PRECEDENCE_CFG),
 }
 WALL_LINE = re.compile(r'^  "wall_time_s": .*\n', re.MULTILINE)
 
@@ -525,18 +580,6 @@ def test_config_rejections(tmp_path, capsys, mutate, frag):
     assert frag in err
 
 
-def _custom_g_cfg(g):
-    return {
-        "p": 2, "n": 2,
-        "space": {"name": "custom", "params": {
-            "h": [["1", "0"], ["0", "1"]],
-            "g": g,
-            "nlc": {"kind": "christoffel", "phi": [["1", "0"], ["0", "1"]]}}},
-        "points": {"seed": 1, "count": 2},
-        "checks": ["metricity"],
-    }
-
-
 @pytest.mark.parametrize(
     "g,count,frag",
     [
@@ -680,41 +723,6 @@ def test_named_parse_errors(tmp_path, capsys, doc, frag):
 
 SWEEP_CHECKS = ["metricity", "antisymmetry", "curvature", "maxwell", "einstein"]
 
-
-def _explicit_point(x1, x2=0.4):
-    return {"t": [0.1, 0.2], "x": [x1, x2], "xs": [[0.5, 0.6], [0.7, 0.8]]}
-
-
-# g = diag(x1, 1) is singular at x1 = 0
-SINGULAR_CFG = dict(
-    _custom_g_cfg([["x[1]", "0"], ["0", "1"]]),
-    points={"explicit": [_explicit_point(0.0)]},
-    checks=["metricity", "antisymmetry", "torsion", "curvature", "maxwell",
-            "einstein", "conservation", "regularity"],
-)
-
-# point 0: g singular, so a Maxwell equation raises there; point 1: the
-# phi of the torsion precheck takes the log of a negative number
-MAXWELL_PRECEDENCE_CFG = {
-    "p": 2, "n": 2,
-    "space": {"name": "custom", "params": {
-        "h": [["1", "0"], ["0", "1"]],
-        "g": [["x[1]", "0"], ["0", "1"]],
-        "nlc": {"kind": "christoffel",
-                "phi": [["exp(x[1])", "0"], ["0", "log(x[2])"]]}}},
-    "points": {"explicit": [_explicit_point(0.0, 0.4),
-                            _explicit_point(0.5, -0.4)]},
-    "checks": ["metricity", "torsion", "maxwell"],
-}
-
-# point 0: g singular; the user N has torsion at every point
-TORSION_PRECEDENCE_CFG = dict(
-    TORSIONAL_CFG,
-    space={"name": "custom", "params": dict(
-        TORSIONAL_CFG["space"]["params"], g=[["x[1]", "0"], ["0", "1"]])},
-    points={"explicit": [_explicit_point(0.0), _explicit_point(0.5)]},
-    checks=["metricity", "torsion", "maxwell"],
-)
 
 ORACLE_CFGS = {
     # a sweep of many points, each with its own frames
@@ -1818,6 +1826,28 @@ def _validate_ends_cleanly(tmp_path, capsys, doc):
         assert rc == 0 and err == ""
 
 
+def _run_ends_cleanly(tmp_path, capsys, doc):
+    """run writes a report of ``doc`` and exits 0 or 1, or names the error
+    and exits 2, and never raises."""
+    capsys.readouterr()
+    out = tmp_path / "fuzz.report.json"
+    out.unlink(missing_ok=True)
+    rc = main(["run", write_cfg(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    if rc == 2:
+        _one_error_line(err)
+        assert not out.exists()
+    else:
+        assert rc in (0, 1) and err == ""
+        assert (json.loads(out.read_text())["summary"]["n_fail"] > 0) == rc
+
+
+def _ends_cleanly(tmp_path, capsys, doc):
+    """validate and run each end cleanly on ``doc``."""
+    _validate_ends_cleanly(tmp_path, capsys, doc)
+    _run_ends_cleanly(tmp_path, capsys, doc)
+
+
 # non-finite and overflowing numbers
 EXTREMES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308]
 EXTREME = st.sampled_from(EXTREMES)
@@ -1836,11 +1866,11 @@ FUZZ_VALUES = st.one_of(
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_config_shape_fuzz(tmp_path, capsys, data):
-    # one key of a small config gets a value of the wrong shape
+    # one key of a small config gets a value of the wrong shape, and both
+    # validate and run end in a report or a named error
     base = data.draw(st.sampled_from(FUZZ_BASES))
     path = data.draw(st.sampled_from([p for p, _ in _key_paths(base)]))
-    _validate_ends_cleanly(tmp_path, capsys,
-                           _with(base, path, data.draw(FUZZ_VALUES)))
+    _ends_cleanly(tmp_path, capsys, _with(base, path, data.draw(FUZZ_VALUES)))
 
 
 def test_extreme_number_at_every_number(tmp_path, capsys):
@@ -1850,8 +1880,7 @@ def test_extreme_number_at_every_number(tmp_path, capsys):
         for path, val in _key_paths(base):
             if type(val) in (int, float):
                 for value in EXTREMES:
-                    _validate_ends_cleanly(tmp_path, capsys,
-                                           _with(base, path, value))
+                    _ends_cleanly(tmp_path, capsys, _with(base, path, value))
 
 
 def test_regularity_at_singular_h_names_its_point(tmp_path):
@@ -2125,3 +2154,34 @@ def test_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, size, da
         run_to(tmp_path, doc, name=f"{name}.json", out=f"{name}.report.json")
         text = (tmp_path / f"{name}.report.json").read_text()
         assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("doc", [SINGULAR_CFG, MAXWELL_PRECEDENCE_CFG,
+                                 TORSION_PRECEDENCE_CFG, FALLBACK_CFG],
+                         ids=["singular", "maxwell-precedence",
+                              "torsion-precedence", "fallback"])
+def test_library_sweeps_raise_what_the_run_reports(tmp_path, doc):
+    # each block check's step, swept at the check's own order, and its
+    # fold raise the error and witness that the run reports, and a check
+    # that the run reports without error raises none; maxwell's step holds
+    # its errors, so its fold raises them
+    from jetlag import cli
+    from jetlag.errors import JetlagError
+    from jetlag.geometry import sweep
+
+    _, rep = run_to(tmp_path, doc)
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    pts = list(cfg.explicit)
+    raised = []
+    for name in cfg.checks:
+        check, got = cli.CHECKS[name], rep["checks"][name]
+        try:
+            check.fold(pts, sweep(cli._RUNNERS[name], cfg.space, pts, check.order),
+                       cfg.tolerances[name])
+        except JetlagError as exc:
+            raised.append(name)
+            assert str(exc) == got["error"], name
+            assert cli._point_doc(exc.witness) == got["witness"], name
+        else:
+            assert got["measure"] != "error", name
+    assert raised

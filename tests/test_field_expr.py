@@ -398,7 +398,7 @@ def test_batch_matches_each_point_alone(srcs, order):
             continue  # a point raises alone, or the points branch apart
         for b, pt in enumerate(pts):
             row = batch[b]
-            alone = grid.stacked(pt, order)
+            alone = grid.stacked([pt], order)[0]
             assert [c.tobytes() for c in row.coeffs] == [c.tobytes() for c in alone.coeffs]
 
 
