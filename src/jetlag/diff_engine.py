@@ -14,8 +14,8 @@ A :class:`Jet` is a truncated multivariate Taylor expansion with respect to z:
 arithmetic broadcasts over it like numpy does.  The same axis can run over the
 points of a batch (:func:`seed_point` of several points, evaluated inside a
 :func:`point_batch`): vector forward mode, one pass for all of them.  Above
-the fields, a frame of a block of points gives every jet one leading point
-axis, which :func:`jet_einsum`, :func:`jet_linear` and
+the fields, a frame of a block of points, one point included, gives every
+jet one leading point axis, which :func:`jet_einsum`, :func:`jet_linear` and
 :func:`jet_matrix_inverse` recognise as one component axis more than their
 spec names, and letter :data:`POINT`; each point keeps the bits it gets
 alone.
@@ -547,10 +547,11 @@ def _pointed(spec: str, *ranks) -> tuple:
     operand has it; the einsum that runs its subscripts).
 
     A batched operand carries one leading point axis over the points of a
-    frame's block (:class:`~jetlag.geometry.Frame`), and the result keeps
-    it.  A contraction over one letter gives each point the bits it gets
-    alone, but one over two or more may sum them in another order, so such
-    a spec runs one point at a time (:func:`_per_point`).
+    frame's block (:class:`~jetlag.geometry.Frame`), of size 1 on the frame
+    of one point, and the result keeps it.  A contraction over one letter
+    gives each point the bits it gets alone, but one over two or more may
+    sum them in another order, so such a spec runs one point at a time
+    (:func:`_per_point`).
     """
     ins, outs = spec.split("->")
     terms = ins.split(",")
@@ -572,9 +573,12 @@ def _unpointed(subs: str) -> tuple:
 
 def _per_point(subs: str, *ops) -> np.ndarray:
     """``np.einsum(subs, *ops)`` as one einsum per point along the point
-    axis, stacked."""
+    axis, stacked.  On an axis of one point it runs ``subs`` as it is: one
+    point has only one summation order."""
     one, lead = _unpointed(subs)
-    B = next(len(op) for op, b in zip(ops, lead) if b)
+    B = len(ops[lead.index(True)])
+    if B == 1:
+        return _einsum(subs, *ops)
     return np.stack([_einsum(one, *(op[i] if b else op for op, b in zip(ops, lead)))
                      for i in range(B)])
 

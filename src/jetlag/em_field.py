@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
-from .errors import TorsionPreconditionError
+from .errors import JetlagError, TorsionPreconditionError
 from .geometry import (Frame, GeometryContext, ResidualStats, _block_records,
                        _each, _pooled_stats, _raise_held, _residual_summary,
                        frame, nlc_torsion_at, sweep, torsion_free_verdict)
@@ -135,13 +135,13 @@ def deflection_set(ctx: GeometryContext, pt: JetPoint) -> DeflectionSet:
     raw_t, raw_s, raw_v = fr.shared(_raw_jets)
     x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
     return DeflectionSet(
-        raw_temporal=raw_t.value.copy(),
-        raw_spatial=raw_s.value.copy(),
-        raw_vertical=raw_v.value.copy(),
-        met_temporal=Dbar.value.copy(),
-        met_spatial=Dmet.value.copy(),
-        met_vertical=dmet.value.copy(),
-        x_low=x_low.value.copy(),
+        raw_temporal=raw_t.value[0].copy(),
+        raw_spatial=raw_s.value[0].copy(),
+        raw_vertical=raw_v.value[0].copy(),
+        met_temporal=Dbar.value[0].copy(),
+        met_spatial=Dmet.value[0].copy(),
+        met_vertical=dmet.value[0].copy(),
+        x_low=x_low.value[0].copy(),
     )
 
 
@@ -156,7 +156,7 @@ class EmSet:
 def em_tensors(ctx: GeometryContext, pt: JetPoint) -> EmSet:
     """The two antisymmetrized electromagnetic blocks at a point."""
     F, f = frame(ctx, pt, 2).shared(_em_jets)
-    return EmSet(F=F.value.copy(), f=f.value.copy())
+    return EmSet(F=F.value[0].copy(), f=f.value[0].copy())
 
 
 # --------------------------------------------------------------------------
@@ -255,9 +255,14 @@ def maxwell_step(ctx: GeometryContext, pts) -> list:
     """The records of a block (sequence) of points, one per point: (its
     torsion probe, its :func:`maxwell_at` summaries), each taken by the
     rule of :func:`~jetlag.geometry._block_records`, so either may be the
-    error the point holds, for :func:`maxwell_fold` to raise."""
-    return list(zip(_block_records(nlc_torsion_at, ctx, pts),
-                    _block_records(maxwell_at, ctx, pts)))
+    error the point holds, for :func:`maxwell_fold` to raise.  Where a
+    point's probe holds an error, the block's equations are not stepped
+    and every point's summaries are None: :func:`maxwell_fold` raises the
+    first probe error before it reads any equation."""
+    torsions = _block_records(nlc_torsion_at, ctx, pts)
+    if any(isinstance(rec, JetlagError) for rec in torsions):
+        return [(rec, None) for rec in torsions]
+    return list(zip(torsions, _block_records(maxwell_at, ctx, pts)))
 
 
 def maxwell_fold(pts, records) -> MaxwellReport:

@@ -227,10 +227,10 @@ class GeometryContext:
         self.forget_run()
 
     def forget_run(self):
-        """Forget the frames of the point or block last framed and the
-        recorded signature.  A run starts and ends with this, and
+        """Forget the frames of the block last framed and the recorded
+        signature.  A run starts and ends with this, and
         :func:`sweep` ends with it, so no run inherits either."""
-        self._framed = None  # the key of the point or block last framed
+        self._framed = None  # the key of the block last framed
         self._frames = {}  # its frames, by order
         self._signature = None  # (h signs, g signs) at the first point read
 
@@ -252,7 +252,8 @@ class GeometryContext:
 
 
 # --------------------------------------------------------------------------
-# frame: all jet-level geometry at one point, lazily computed and cached
+# frame: all jet-level geometry at a block of points, lazily computed and
+# cached
 # --------------------------------------------------------------------------
 
 # The blocks a frame of order k keeps at each of its points, as (the order
@@ -367,12 +368,12 @@ def sweep(step, ctx, pts, order: int) -> list:
 
 
 def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
-    """The geometry frame of ``ctx`` at ``pts``: one :class:`JetPoint`, or
-    a block (sequence) of points, of which a block of one is framed at its
-    point alone.
+    """The geometry frame of ``ctx`` at ``pts``, a block (sequence) of
+    points; one :class:`JetPoint` is the block of that point alone, and
+    its frame is the frame of ``[pt]``.
 
-    The context keeps the frames of one point or block, by order: asking
-    for another drops them.  So a caller that goes block by block, as
+    The context keeps the frames of one block, by order: asking for
+    another drops them.  So a caller that goes block by block, as
     ``jetlag run`` and :func:`sweep` do, reads each block's frames while
     they live and frees them when the next block starts; it drops the last
     block's when it ends (:meth:`GeometryContext.forget_run`), so a later
@@ -387,11 +388,10 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     metric inverse and the S-torsion only to the order their readers read.
     A block of no points raises ValueError.
     """
-    if not isinstance(pts, JetPoint):
-        if not pts:
-            raise ValueError("a frame needs at least one point")
-        pts = pts[0] if len(pts) == 1 else tuple(pts)
-    key = pts.key() if isinstance(pts, JetPoint) else tuple(pt.key() for pt in pts)
+    pts = (pts,) if isinstance(pts, JetPoint) else tuple(pts)
+    if not pts:
+        raise ValueError("a frame needs at least one point")
+    key = tuple(pt.key() for pt in pts)
     if ctx._framed != key:
         ctx._framed, ctx._frames = key, {}
     fr = ctx._frames.get(order)
@@ -407,15 +407,15 @@ def _each(pts, records):
 
 
 class Frame:
-    """Lazy jet pipeline of one (context, point or block, order) triple.
+    """Lazy jet pipeline of one (context, block of points, order) triple.
 
     Every cached property is a Jet whose component axes follow the block's
     logical indices; ``.value`` peels the point values.  The frame of a
     block of B points (:func:`frame`) runs the same pipeline once for all
-    of them: every jet carries one leading point axis of size B, which the
-    jet operations recognise as one component axis more than their spec
-    names, and each point gets the bits it gets alone.  :meth:`values`
-    splits values by point.
+    of them: every jet carries one leading point axis of size B, a block
+    of one point included, which the jet operations recognise as one
+    component axis more than their spec names, and each point gets the
+    bits it gets alone.  :meth:`values` splits values by point.
 
     The three covariant derivatives (:meth:`cov_t` /b, :meth:`cov_s` |k,
     :meth:`cov_v` |^(g)_(k)) are one rule: the base derivative
@@ -445,8 +445,6 @@ class Frame:
                     f"point dims {pt.dims} do not match context ({ctx.p},{ctx.n})"
                 )
         self.ctx = ctx
-        self.batched = len(self.pts) > 1
-        self._lead = (len(self.pts),) if self.batched else ()
         self.order = order
         self.p = ctx.p
         self.n = ctx.n
@@ -473,12 +471,11 @@ class Frame:
 
     def _rank(self, A: Jet) -> int:
         """The number of ``A``'s component axes, its point axis not counted."""
-        return A.value.ndim - self.batched
+        return A.value.ndim - 1
 
     def values(self, *jets) -> list:
         """Per point of the frame, the tuple of the values of ``jets`` there."""
-        vals = [j.value if self.batched else j.value[None] for j in jets]
-        return list(zip(*vals))
+        return list(zip(*[j.value for j in jets]))
 
     def max_abs(self, jet: Jet) -> list:
         """Per point of the frame, the largest |value| of ``jet`` there."""
@@ -493,21 +490,20 @@ class Frame:
     # -- field evaluation ----------------------------------------------------
 
     def eval_scalar(self, f: ScalarField, order=None) -> Jet:
-        return self._eval_fields([f], order).reshape_components(self._lead)
+        return self._eval_fields([f], order).reshape_components((len(self.pts),))
 
     def eval_grid(self, grid: np.ndarray, order=None) -> Jet:
         fields = [grid[idx] for idx in np.ndindex(grid.shape)]
         return self._eval_fields(fields, order).reshape_components(
-            self._lead + grid.shape)
+            (len(self.pts),) + grid.shape)
 
     def _eval_fields(self, fields, order) -> Jet:
         """``fields`` at the frame's B points, as one jet of ``order``
-        (default: the frame's) of component shape (B, F), through the
-        context's compiled grid of them (:meth:`FieldGrid.of`), run once
-        over the frame's points; the frame of one point reshapes its point
-        axis away.  A block whose grid raises or whose points branch apart
-        raises, and its points are then framed alone
-        (:class:`~jetlag.diff_engine.BatchDiverged`)."""
+        (default: the frame's) of component shape (B, F), B = 1 included,
+        through the context's compiled grid of them (:meth:`FieldGrid.of`),
+        run once over the frame's points.  A block whose grid raises or
+        whose points branch apart raises, and its points are then framed
+        alone (:class:`~jetlag.diff_engine.BatchDiverged`)."""
         order = self.order if order is None else order
         return FieldGrid.of(fields).stacked(self.pts, order)
 
@@ -521,13 +517,12 @@ class Frame:
         (:func:`~jetlag.diff_engine._seed_tables`): the rows of the
         identity that belong to xs, and the zero tables above order 1."""
         p, n, N = self.p, self.n, self.N
-        xs = np.array([pt.xs for pt in self.pts], dtype=float).reshape(
-            self._lead + (n, p))
+        xs = np.array([pt.xs for pt in self.pts], dtype=float)
         unit, zeros = _seed_tables(N, self.order)
         # xs^i_a is the coordinate p + n + i p + a
         derivs = [unit[p + n:].reshape(n, p, N)][:self.order] + zeros[1:]
         return Jet(N, self.order, [xs, *(
-            np.broadcast_to(c, self._lead + (n, p) + (N,) * k)
+            np.broadcast_to(c, xs.shape + (N,) * k)
             for k, c in enumerate(derivs, 1))])
 
     # -- metrics -----------------------------------------------------------
@@ -1054,12 +1049,12 @@ class TorsionFreeVerdict:
 def temporal_christoffel_and_M(ctx: GeometryContext, pt: JetPoint):
     """(H^g_ab, M^(i)_(a)b) of the canonical temporal nonlinear connection."""
     fr = frame(ctx, pt, 1)
-    return fr.Htc_jet.value.copy(), fr.M_jet.value.copy()
+    return fr.Htc_jet.value[0].copy(), fr.M_jet.value[0].copy()
 
 
 def spatial_nlc(ctx: GeometryContext, pt: JetPoint):
     """N^(i)_(a)j values at pt, axes [i,a,j]."""
-    return frame(ctx, pt, 1).N_jet.value.copy()
+    return frame(ctx, pt, 1).N_jet.value[0].copy()
 
 
 def _gate(ctx: GeometryContext, order: int, why: str):
@@ -1079,10 +1074,10 @@ def cartan_connection(ctx: GeometryContext, pt: JetPoint) -> CartanCoefficients:
     """The four coefficient families of the Cartan canonical connection."""
     fr = frame(ctx, pt, 1)
     return CartanCoefficients(
-        Htc=fr.Htc_jet.value.copy(),
-        Gc=fr.Gc_jet.value.copy(),
-        Lc=fr.Lc_jet.value.copy(),
-        Cc=fr.Cc_jet.value.copy(),
+        Htc=fr.Htc_jet.value[0].copy(),
+        Gc=fr.Gc_jet.value[0].copy(),
+        Lc=fr.Lc_jet.value[0].copy(),
+        Cc=fr.Cc_jet.value[0].copy(),
     )
 
 
@@ -1090,14 +1085,14 @@ def torsion_set(ctx: GeometryContext, pt: JetPoint) -> TorsionSet:
     """All eight torsion blocks of the Cartan canonical connection."""
     fr = frame(ctx, pt, 2)
     return TorsionSet(
-        T=fr.tor_T_jet.value.copy(),
-        P1=fr.Cc_jet.value.copy(),
-        P2=fr.tor_P2_jet.value.copy(),
-        P3=fr.tor_P3_jet.value.copy(),
-        R1=fr.tor_R1_jet.value.copy(),
-        R2=fr.tor_R2_jet.value.copy(),
-        R3=fr.tor_R3_jet.value.copy(),
-        S=fr.tor_S(0).value.copy(),
+        T=fr.tor_T_jet.value[0].copy(),
+        P1=fr.Cc_jet.value[0].copy(),
+        P2=fr.tor_P2_jet.value[0].copy(),
+        P3=fr.tor_P3_jet.value[0].copy(),
+        R1=fr.tor_R1_jet.value[0].copy(),
+        R2=fr.tor_R2_jet.value[0].copy(),
+        R3=fr.tor_R3_jet.value[0].copy(),
+        S=fr.tor_S(0).value[0].copy(),
     )
 
 
@@ -1105,13 +1100,13 @@ def curvature_set(ctx: GeometryContext, pt: JetPoint) -> CurvatureSet:
     """The seven effective curvature blocks."""
     fr = frame(ctx, pt, 2)
     return CurvatureSet(
-        H=fr.cur_H_jet.value.copy(),
-        R1=fr.cur_R1_jet.value.copy(),
-        R2=fr.cur_R2_jet.value.copy(),
-        R3=fr.cur_R3_jet.value.copy(),
-        P1=fr.cur_P1_jet.value.copy(),
-        P2=fr.cur_P2_jet.value.copy(),
-        S=fr.cur_S_jet.value.copy(),
+        H=fr.cur_H_jet.value[0].copy(),
+        R1=fr.cur_R1_jet.value[0].copy(),
+        R2=fr.cur_R2_jet.value[0].copy(),
+        R3=fr.cur_R3_jet.value[0].copy(),
+        P1=fr.cur_P1_jet.value[0].copy(),
+        P2=fr.cur_P2_jet.value[0].copy(),
+        S=fr.cur_S_jet.value[0].copy(),
     )
 
 
@@ -1119,17 +1114,17 @@ def ricci_and_scalars(ctx: GeometryContext, pt: JetPoint):
     """Ricci contractions and the three curvature scalars."""
     fr = frame(ctx, pt, 2)
     ric = RicciSet(
-        H=fr.ricci_H_jet.value.copy(),
-        P1=fr.ricci_P1_jet.value.copy(),
-        P2=fr.ricci_P2_jet.value.copy(),
-        P3=fr.ricci_P3_jet.value.copy(),
-        S=fr.ricci_S_jet.value.copy(),
-        R_mt=fr.ricci_Rmt_jet.value.copy(),
-        R_mm=fr.ricci_Rmm_jet.value.copy(),
+        H=fr.ricci_H_jet.value[0].copy(),
+        P1=fr.ricci_P1_jet.value[0].copy(),
+        P2=fr.ricci_P2_jet.value[0].copy(),
+        P3=fr.ricci_P3_jet.value[0].copy(),
+        S=fr.ricci_S_jet.value[0].copy(),
+        R_mt=fr.ricci_Rmt_jet.value[0].copy(),
+        R_mm=fr.ricci_Rmm_jet.value[0].copy(),
     )
-    H = float(fr.scalar_H_jet.value)
-    R = float(fr.scalar_R_jet.value)
-    S = float(fr.scalar_S_jet.value)
+    H = float(fr.scalar_H_jet.value[0])
+    R = float(fr.scalar_R_jet.value[0])
+    S = float(fr.scalar_S_jet.value[0])
     return ric, ScalarSet(H=H, R=R, S=S, total=H + R + S)
 
 

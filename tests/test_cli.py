@@ -966,7 +966,6 @@ def test_frames_share_the_coordinate_jets_derivatives(tmp_path, monkeypatch):
     for block in (pts[:6], pts[6:], pts[:1]):
         xs = frame(ctx, block, 3).xs_jet
         vals = np.array([pt.xs for pt in block])
-        vals = vals[0] if len(block) == 1 else vals
         want = Jet.variables(vals, np.broadcast_to(idx, vals.shape), 8, 3)
         for c, w in zip(xs.coeffs, want.coeffs, strict=True):
             assert c.shape == w.shape and np.array_equal(c, w)
@@ -1135,6 +1134,27 @@ def test_held_maxwell_error_keeps_no_frame_alive(tmp_path, monkeypatch, count):
         maxwell_residuals(cfg.space, cfg.explicit)
     assert str(info.value) == got["error"]
     assert cli._point_doc(info.value.witness) == got["witness"] == points["explicit"][-1]
+
+
+def test_a_torsion_error_skips_the_blocks_maxwell_equations(tmp_path, monkeypatch):
+    # the torsion probe of point 1 raises, so the block's probe falls back
+    # to each point alone and the equations are not stepped: three frames,
+    # the block and each point, and the report keeps the probe's error
+    from jetlag.geometry import Frame
+
+    builds = []
+    init = Frame.__init__
+
+    def counting(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        builds.append(_block_key(self.pts))
+
+    monkeypatch.setattr(Frame, "__init__", counting)
+    _, rep = run_to(tmp_path, dict(MAXWELL_PRECEDENCE_CFG, checks=["maxwell"]))
+    explicit = MAXWELL_PRECEDENCE_CFG["points"]["explicit"]
+    assert len(builds) == 3 and len(set(builds)) == 3
+    assert rep["checks"]["maxwell"]["error"] == "log of a non-positive value"
+    assert rep["checks"]["maxwell"]["witness"] == explicit[1]
 
 
 def _load_bench(monkeypatch, name):
@@ -2052,11 +2072,13 @@ DRIFTING_PLANS = ("ab,iajb->ij", "muil,lmu->i", "muialc,lcmu->ia",
                   "muiajb,jbmu->ia")
 
 
-def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch):
+@pytest.mark.parametrize("size", [1, 4])
+def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch, size):
     # every einsum over the point axis of a block, in every pinned config
-    # and benchmark workload run in blocks of four, is replayed at each
+    # and benchmark workload run in blocks of ``size``, is replayed at each
     # point alone and must give its bytes; the plans that sum two or more
-    # letters run point by point, the drifting ones among them
+    # letters run point by point, the drifting ones among them, and on an
+    # axis of one point as they are
     from jetlag import cli, diff_engine
 
     bench_spec = _load_bench(monkeypatch, "spec")
@@ -2081,7 +2103,7 @@ def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch):
 
     monkeypatch.setattr(diff_engine, "_einsum", checking)
     monkeypatch.setattr(diff_engine, "_pointed", recording)
-    monkeypatch.setattr(cli, "block_size", lambda p, n, order: 4)
+    monkeypatch.setattr(cli, "block_size", lambda p, n, order: size)
     docs = {name: (digest, doc) for name, (digest, doc) in REPORT_DIGESTS.items()}
     docs.update({name: (ref["digest"], bench_spec.make_config(name, None))
                  for name, ref in bench_spec.WORKLOADS.items()})

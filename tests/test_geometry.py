@@ -85,14 +85,14 @@ def test_adapted_derivative_uses_nlc(diag_t_ctx):
     ctx, pt = diag_t_ctx
     f = PyField(lambda spt: spt.xs[0][1], deps=("xs",), name="xs12")
     fr = frame(ctx, pt, 1)
-    val = float(fr.delta_t(fr.eval_scalar(f)).value[0])
+    val = float(fr.delta_t(fr.eval_scalar(f)).value[0, 0])
     # delta/delta t^1 of xs^1_2 is -M^(1)_(2)1 = 1.5
     assert val == pytest.approx(1.5, abs=1e-12)
 
 
 def test_spatial_christoffel_hand_values(diag_x_ctx):
     ctx, pt = diag_x_ctx
-    Gamma = frame(ctx, pt, 1).gamma_g_jet.value
+    Gamma = frame(ctx, pt, 1).gamma_g_jet.value[0]
     assert Gamma[1, 1, 0] == pytest.approx(1 / 3, abs=1e-12)
     assert Gamma[0, 1, 1] == pytest.approx(-3.0, abs=1e-12)
     Nv = spatial_nlc(ctx, pt)
@@ -110,8 +110,8 @@ def test_energy_value(diag_x_ctx):
     ctx, pt = diag_x_ctx
     want = 1 * 1 * 0.5 ** 2 + (3.0 ** 2) * 2.0 ** 2
     fr = frame(ctx, pt, 0)
-    energy = np.einsum("mn,ab,am,bn->", fr.inverse("h", 0).value, fr.g_jet.value,
-                       fr.xs_jet.value, fr.xs_jet.value)
+    energy = np.einsum("mn,ab,am,bn->", fr.inverse("h", 0).value[0], fr.g_jet.value[0],
+                       fr.xs_jet.value[0], fr.xs_jet.value[0])
     assert float(energy) == pytest.approx(want, abs=1e-12)
 
 
@@ -252,18 +252,18 @@ def test_liouville_closed_forms(ctx_mixed22, pt_mixed22):
     xs = pt_mixed22.xs
 
     D = fr.cov_t(lio, (V_UP,))
-    want = np.einsum("imb,ma->iab", fr.Gc_jet.value, xs)
-    assert np.max(np.abs(D.value - want)) < 1e-12
+    want = np.einsum("imb,ma->iab", fr.Gc_jet.value[0], xs)
+    assert np.max(np.abs(D.value[0] - want)) < 1e-12
 
     D = fr.cov_s(lio, (V_UP,))
-    want = -fr.N_jet.value + np.einsum("imk,ma->iak", fr.Lc_jet.value, xs)
-    assert np.max(np.abs(D.value - want)) < 1e-12
+    want = -fr.N_jet.value[0] + np.einsum("imk,ma->iak", fr.Lc_jet.value[0], xs)
+    assert np.max(np.abs(D.value[0] - want)) < 1e-12
 
     D = fr.cov_v(lio, (V_UP,))
     want = np.einsum("ij,ab->iajb", np.eye(2), np.eye(2)) + np.einsum(
-        "ijmb,ma->iajb", fr.Cc_jet.value, xs
+        "ijmb,ma->iajb", fr.Cc_jet.value[0], xs
     )
-    assert np.max(np.abs(D.value - want)) < 1e-12
+    assert np.max(np.abs(D.value[0] - want)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -297,8 +297,8 @@ def test_vertical_metric_from_lagrangian(lagrangian_ctx):
     pt = JetPoint.of([0.2, -0.1], [0.5, 0.3], [[0.4, -0.2], [0.1, 0.6]])
     fr = frame(lagrangian_ctx, pt, 0)
     # half-Hessian [i,mu,j,nu] as [mu,nu,i,j]
-    Gvert = np.transpose(fr.vertical_half_hessian.value, (1, 3, 0, 2))
-    gcan = fr.g_jet.value
+    Gvert = np.transpose(fr.vertical_half_hessian.value[0], (1, 3, 0, 2))
+    gcan = fr.g_jet.value[0]
     g_want = np.array(
         [
             [1 + 0.3 * 0.3 ** 2, 0.1 * 0.5 * 0.3],
@@ -315,7 +315,7 @@ def test_quadratic_lagrangian_is_regular(lagrangian_ctx):
     verdict = kronecker_regularity_check(lagrangian_ctx, pts)
     assert verdict.max_deviation < 1e-9
     for pt, ghat in zip(pts, verdict.ghats):
-        assert np.max(np.abs(ghat - frame(lagrangian_ctx, pt, 0).g_jet.value)) < 1e-9
+        assert np.max(np.abs(ghat - frame(lagrangian_ctx, pt, 0).g_jet.value[0])) < 1e-9
 
 
 def test_quartic_lagrangian_is_irregular():
@@ -443,7 +443,7 @@ def test_grid_keeps_signed_zeros(ctx_flat22):
     grid = np.empty((2,), dtype=object)
     grid[0] = ExprField(Binary("*", Num(0.0), x1), (2, 2))
     grid[1] = ExprField(Binary("*", Num(-0.0), x1), (2, 2))
-    val = Frame(ctx_flat22, OPTIC_POINT, 1).eval_grid(grid).value
+    val = Frame(ctx_flat22, OPTIC_POINT, 1).eval_grid(grid).value[0]
     assert [np.copysign(1.0, v) for v in val] == [1.0, -1.0]
 
 
@@ -640,9 +640,7 @@ def _field_jets(ctx, pts, order) -> list:
         jets["L"] = fr.eval_scalar(src.L)
     if isinstance(ctx.nlc, ChristoffelOfPhi):
         jets["phi"] = fr.eval_grid(ctx.nlc.phi)
-    per = [jet.coeffs if fr.batched else [c[None] for c in jet.coeffs]
-           for jet in jets.values()]
-    return [{name: [c[b].tobytes() for c in coeffs] for name, coeffs in zip(jets, per)}
+    return [{name: [c[b].tobytes() for c in jet.coeffs] for name, jet in jets.items()}
             for b in range(len(fr.pts))]
 
 
@@ -657,19 +655,26 @@ def _frame_fields(ctx) -> list:
     return out
 
 
-@pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "quadratic"])
-def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
-    from jetlag.field_expr import FieldGrid
+SPACES = ("optic", "mixed33", "lagrangian", "quadratic")
+
+
+def _space(name) -> GeometryContext:
     from jetlag.spaces import build_space
 
-    make = {
+    return {
         "optic": lambda: build_space("optic", OPTIC_PARAMS),
         "mixed33": support.mixed33_ctx,
         "lagrangian": _lagrangian_ctx,
         "quadratic": support.tdep_g_ctx,
-    }[space]
+    }[name]()
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
+    from jetlag.field_expr import FieldGrid
+
     calls = support.record_grid_calls(monkeypatch)
-    ctx = make()
+    ctx = _space(space)
     pts = _random_points(ctx, 5, 17)
     for order in range(4):
         calls.clear()
@@ -678,6 +683,52 @@ def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
         runs = [size for grid, k, size in calls if grid in grids]
         assert sorted(runs) == [len(pts)] * len(grids)
         assert got == [_field_jets(ctx, pt, order)[0] for pt in pts], order
+
+
+def _every_block(fr) -> dict:
+    """Every block the frame ``fr`` keeps once each of its cached
+    properties that the space has is built, and the S-torsion at order 0:
+    the cached properties, the metric inverses and S-torsion by key, and
+    the frame-shared blocks in the order they were built.  A property the
+    space does not have is named by the type of the error it raises."""
+    from functools import cached_property
+
+    from jetlag.geometry import Frame
+
+    out = {}
+    for name, attr in vars(Frame).items():
+        if isinstance(attr, cached_property):
+            try:
+                out[name] = getattr(fr, name)
+            except (ValueError, RegularityViolationError) as exc:
+                out[name] = type(exc)
+    fr.tor_S(0)
+    out.update(fr._built)
+    out.update(enumerate(fr._shared.values()))
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("space", SPACES)
+def test_a_frame_of_one_point_is_a_block_of_one(space, order):
+    # every block of a one-point frame keeps a point axis of size 1, and
+    # holds the bytes of that point's row of a two-point frame
+    from jetlag.diff_engine import Jet
+
+    ctx = _space(space)
+    pt, q = _random_points(ctx, 2, 29)
+    one = _every_block(frame(ctx, [pt], order))
+    two = _every_block(frame(ctx, [pt, q], order))
+    ctx.forget_run()
+    assert one.keys() == two.keys()
+    for name, block in one.items():
+        if not isinstance(block, Jet):
+            assert block is two[name], name
+            continue
+        assert block.order == two[name].order, name
+        for c, c2 in zip(block.coeffs, two[name].coeffs, strict=True):
+            assert c.shape == (1,) + c2.shape[1:], name
+            assert c.tobytes() == c2[0].tobytes(), name
 
 
 def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):

@@ -90,9 +90,9 @@ def test_mixed_einstein_tensor_matches_h_oracle(ctx_curved_h, curved_h_point):
     fr = frame(ctx_curved_h, curved_h_point, 3)
     X1 = jet_einsum("am,mb->ab", fr.inverse("h", fr.order), fr.ricci_H_jet)
     total = float(
-        fr.scalar_H_jet.value + fr.scalar_R_jet.value + fr.scalar_S_jet.value
+        fr.scalar_H_jet.value[0] + fr.scalar_R_jet.value[0] + fr.scalar_S_jet.value[0]
     )
-    emix_engine = X1.value - 0.5 * total * np.eye(2)
+    emix_engine = X1.value[0] - 0.5 * total * np.eye(2)
     emix_oracle, _ = h_einstein_oracle(support.h22_at, curved_h_point.t)
     assert np.max(np.abs(emix_engine - emix_oracle)) < 1e-7
 
@@ -117,10 +117,10 @@ def test_x_dependent_g_laws_pass(ctx_xdep22):
 def test_temporal_law_defect_structure(ctx_tdep22, pt_tdep22):
     fr = frame(ctx_tdep22, pt_tdep22, 3)
     res, _ = fr.residuals(_laws_at(fr))[0][0]
-    ginv = fr.inverse("g", 0).value
-    dgdt = fr.ddt(fr.g_jet).value  # [i, j, b]
+    ginv = fr.inverse("g", 0).value[0]
+    dgdt = fr.ddt(fr.g_jet).value[0]  # [i, j, b]
     ric_up = np.einsum(
-        "im,jn,mn->ij", ginv, ginv, fr.ricci_Rmm_jet.value
+        "im,jn,mn->ij", ginv, ginv, fr.ricci_Rmm_jet.value[0]
     )
     # the residual is exactly +R^{ij} dg_ij/dt^b / 2 when g varies with t
     pred = 0.5 * np.einsum("ij,ijb->b", ric_up, dgdt)
@@ -142,7 +142,7 @@ def test_temporal_law_flagged_others_pass(ctx_tdep22, pt_tdep22):
 
 def test_extraction_inverts_field_equation(ctx_tdep22, pt_tdep22):
     ric, sc = ricci_and_scalars(ctx_tdep22, pt_tdep22)
-    gv = frame(ctx_tdep22, pt_tdep22, 2).g_jet.value
+    gv = frame(ctx_tdep22, pt_tdep22, 2).g_jet.value[0]
     T = stress_energy_extract(ctx_tdep22, pt_tdep22)
     assert np.max(np.abs(T.K * T.T_ss + 0.5 * sc.total * gv - ric.R_mm)) < 1e-12
 
@@ -193,28 +193,28 @@ def test_conservation_needs_deep_budget():
 
 def test_raised_contractions_match_ricci(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
-    hv, hiv = fr.h_jet.value, fr.inverse("h", 0).value
-    giv = fr.inverse("g", 0).value
+    hv, hiv = fr.h_jet.value[0], fr.inverse("h", 0).value[0]
+    giv = fr.inverse("g", 0).value[0]
 
-    aux = np.einsum("me,ameb->ab", hiv, fr.cur_H_jet.value)
-    assert np.max(np.abs(aux - np.einsum("am,mb->ab", hiv, fr.ricci_H_jet.value))) < 1e-12
+    aux = np.einsum("me,ameb->ab", hiv, fr.cur_H_jet.value[0])
+    assert np.max(np.abs(aux - np.einsum("am,mb->ab", hiv, fr.ricci_H_jet.value[0]))) < 1e-12
 
-    aux = -np.einsum("lm,ilbm->ib", giv, fr.cur_R2_jet.value)
-    assert np.max(np.abs(aux - np.einsum("im,mb->ib", giv, fr.ricci_Rmt_jet.value))) < 1e-12
+    aux = -np.einsum("lm,ilbm->ib", giv, fr.cur_R2_jet.value[0])
+    assert np.max(np.abs(aux - np.einsum("im,mb->ib", giv, fr.ricci_Rmt_jet.value[0]))) < 1e-12
 
-    aux = np.einsum("ml,imlj->ij", giv, fr.cur_R3_jet.value)
-    assert np.max(np.abs(aux - np.einsum("im,mj->ij", giv, fr.ricci_Rmm_jet.value))) < 1e-12
+    aux = np.einsum("ml,imlj->ij", giv, fr.cur_R3_jet.value[0])
+    assert np.max(np.abs(aux - np.einsum("im,mj->ij", giv, fr.ricci_Rmm_jet.value[0]))) < 1e-12
 
     Pvt, Pvs, Psb = _raised_p_jets(fr)
-    aux = -np.einsum("lm,au,ilbmu->iab", giv, hv, fr.cur_P1_jet.value)
-    assert np.max(np.abs(aux - Pvt.value)) < 1e-12
-    aux = -np.einsum("lm,au,iljmu->iaj", giv, hv, fr.cur_P2_jet.value)
-    assert np.max(np.abs(aux - Pvs.value)) < 1e-12
-    aux = np.einsum("lm,ilmjb->ijb", giv, fr.cur_P2_jet.value)
-    assert np.max(np.abs(aux - Psb.value)) < 1e-12
+    aux = -np.einsum("lm,au,ilbmu->iab", giv, hv, fr.cur_P1_jet.value[0])
+    assert np.max(np.abs(aux - Pvt.value[0])) < 1e-12
+    aux = -np.einsum("lm,au,iljmu->iaj", giv, hv, fr.cur_P2_jet.value[0])
+    assert np.max(np.abs(aux - Pvs.value[0])) < 1e-12
+    aux = np.einsum("lm,ilmjb->ijb", giv, fr.cur_P2_jet.value[0])
+    assert np.max(np.abs(aux - Psb.value[0])) < 1e-12
 
-    aux = np.einsum("lm,au,ilmujb->iajb", giv, hv, fr.cur_S_jet.value)
-    tmp = np.einsum("im,mujb->iujb", giv, fr.ricci_S_jet.value)
+    aux = np.einsum("lm,au,ilmujb->iajb", giv, hv, fr.cur_S_jet.value[0])
+    tmp = np.einsum("im,mujb->iujb", giv, fr.ricci_S_jet.value[0])
     Sup = np.einsum("au,iujb->iajb", hv, tmp)
     assert np.max(np.abs(aux - Sup)) < 1e-12
 
@@ -312,7 +312,7 @@ def test_trace_term_sign_matters(ctx_mixed33, pt_mixed33):
 def test_block_trace_relation(ctx_mixed33, pt_mixed33):
     eb = einstein_blocks(ctx_mixed33, pt_mixed33)
     ric, sc = ricci_and_scalars(ctx_mixed33, pt_mixed33)
-    hiv = frame(ctx_mixed33, pt_mixed33, 2).inverse("h", 0).value
+    hiv = frame(ctx_mixed33, pt_mixed33, 2).inverse("h", 0).value[0]
     lhs = np.einsum("ab,ab->", hiv, eb.tt)
     assert lhs == pytest.approx(sc.H - 1.5 * sc.total, abs=1e-10)
 

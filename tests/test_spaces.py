@@ -153,7 +153,7 @@ def test_optic_fixture_inverse_discrepancy():
     # the stated closed form gives 4/3, a strict > 0.6 gap at this point
     ctx = make_optic(H2, [["1", "0"], ["0", "1"]], "2", ["1", "0"])
     pt = JetPoint.of([0.0, 0.0], [0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
-    gv = frame(ctx, pt, 0).g_jet.value
+    gv = frame(ctx, pt, 0).g_jet.value[0]
     assert np.max(np.abs(gv - np.diag([1.5, 1.0]))) < 1e-15
     closed = optic_inverse_closed(ctx, pt)
     numeric = np.linalg.inv(gv)
