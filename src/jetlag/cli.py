@@ -42,6 +42,8 @@ from .geometry import (
     GeometryContext,
     UserGiven,
     _block_records,
+    _by_point,
+    _point_max,
     _raise_held,
     block_size,
     blocks,
@@ -506,26 +508,33 @@ def _fold_maxwell(pts, records, tol):
 
 
 def _run_einstein(ctx, block):
+    """The einstein step: each identity's max |residual| at each point of
+    ``block``.  The per-point Einstein blocks and stress-energy that the
+    library hands out are stacked back along a point axis, so that each
+    maximum is one reduction over the block."""
     k = ctx.K
+
+    def stacked(records, name):
+        return np.stack([getattr(rec, name) for rec in records])
+
+    def point_max(a):
+        return _point_max(a).tolist()
+
     ebs = einstein_blocks(ctx, block)
-    tss = stress_energy_extract(ctx, block) if k != 0.0 else [None] * len(ebs)
-    out = []
-    for eb, ts in zip(ebs, tss):
-        rec = {
-            "tt_symmetry": float(np.max(np.abs(eb.tt - eb.tt.T))),
-            "ss_symmetry": float(np.max(np.abs(eb.ss - eb.ss.T))),
-            "vv_symmetry": float(np.max(np.abs(
-                eb.vv - np.transpose(eb.vv, (2, 3, 0, 1))))),
-            "declared_zero_blocks": float(max(np.max(np.abs(eb.zero_ts)),
-                                              np.max(np.abs(eb.zero_tv)))),
-        }
-        if ts is not None:
-            rec["extraction_roundtrip"] = float(max(
-                np.max(np.abs(k * getattr(ts, f"T_{b}") - getattr(eb, b)))
-                for b in ("tt", "ss", "vv", "st", "vt", "sv", "vs")
-            ))
-        out.append(rec)
-    return out
+    tt, ss, vv = (stacked(ebs, b) for b in ("tt", "ss", "vv"))
+    cols = {
+        "tt_symmetry": point_max(tt - tt.swapaxes(1, 2)),
+        "ss_symmetry": point_max(ss - ss.swapaxes(1, 2)),
+        "vv_symmetry": point_max(vv - vv.transpose(0, 3, 4, 1, 2)),
+        "declared_zero_blocks": [max(a, b) for a, b in zip(
+            point_max(stacked(ebs, "zero_ts")), point_max(stacked(ebs, "zero_tv")))],
+    }
+    if k != 0.0:
+        tss = stress_energy_extract(ctx, block)
+        cols["extraction_roundtrip"] = [max(row) for row in zip(*(
+            point_max(k * stacked(tss, f"T_{b}") - stacked(ebs, b))
+            for b in ("tt", "ss", "vv", "st", "vt", "sv", "vs")))]
+    return _by_point(cols)
 
 
 # The conservation and natural-form steps are the library's, called through

@@ -574,7 +574,12 @@ def _unpointed(subs: str) -> tuple:
 def _per_point(subs: str, *ops) -> np.ndarray:
     """``np.einsum(subs, *ops)`` as one einsum per point along the point
     axis, stacked.  On an axis of one point it runs ``subs`` as it is: one
-    point has only one summation order."""
+    point has only one summation order.
+
+    Two other forms were tried, and both moved bits, so that reports
+    changed with the block size: one batched einsum of a two-letter sum
+    over the whole point axis, and each point's einsum written into a
+    preallocated stack through ``out=``."""
     one, lead = _unpointed(subs)
     B = len(ops[lead.index(True)])
     if B == 1:

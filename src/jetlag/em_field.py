@@ -35,8 +35,8 @@ import numpy as np
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import JetlagError, TorsionPreconditionError
 from .geometry import (Frame, GeometryContext, ResidualStats, _block_records,
-                       _each, _pooled_stats, _raise_held, _residual_summary,
-                       frame, nlc_torsion_at, sweep, torsion_free_verdict)
+                       _by_point, _each, _pooled_stats, _raise_held, frame,
+                       nlc_torsion_at, sweep, torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -200,7 +200,7 @@ def maxwell_at(ctx: GeometryContext, pt) -> list:
     out = []  # per equation, its summary at each point
 
     def add(res, *terms):
-        out.append([_residual_summary(*pair) for [pair] in fr.residuals([(res, terms)])])
+        out.append([summary for [summary] in fr.summaries([(res, terms)])])
 
     # 1) F^(a)_(i)k/b  =  A_{i,k} { Dbar_{|k} + Dmet.T + dmet.R - [T_{|k} + C.R] x_low } / 2
     lhs = fr.cov_t(F, (V_DN, S_DN))  # [i,a,k,b]
@@ -370,7 +370,7 @@ def deflection_identity_residuals(ctx: GeometryContext, pt):
                            ("met", x_low, met, False)):
         for k, r in enumerate(_liouville_identities(fr, X, D, up), 1):
             res[f"{kind}_{k}"] = r
-    return _each(pt, [dict(zip(res, vals)) for vals in zip(*res.values())])
+    return _each(pt, _by_point(res))
 
 
 def bianchi_residuals(ctx: GeometryContext, pt):
@@ -420,4 +420,4 @@ def bianchi_residuals(ctx: GeometryContext, pt):
         + jet_einsum("lkmu,mujpe->ljkpe", Cc, fr.tor_P3_jet)
     )
     res["b4"] = fr.max_abs(core - jet_linear("lkjpe->ljkpe", core))
-    return _each(pt, [dict(zip(res, vals)) for vals in zip(*res.values())])
+    return _each(pt, _by_point(res))

@@ -236,19 +236,25 @@ class GeometryContext:
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
-    def _check_signature(self, pt: JetPoint, h_val, g_val):
-        signs = (
-            tuple(int(np.sign(v)) for v in np.linalg.eigvalsh(h_val)),
-            tuple(int(np.sign(v)) for v in np.linalg.eigvalsh(g_val)),
-        )
-        if self._signature is None:
-            self._signature = signs
-        elif self._signature != signs:
-            raise RegularityViolationError(
-                f"metric signature changed between sample points: "
-                f"recorded {self._signature}, found {signs}",
-                witness=pt,
-            )
+    def _check_signature(self, pts, hs, gs):
+        """Hold the eigenvalue signs of h and g at each of ``pts``, whose
+        values ``hs`` and ``gs`` are stacked along a leading point axis, to
+        the recorded signature, in point order: the first point records it
+        if none is, and the first point whose signs differ raises, as its
+        witness.  The eigenvalues come from one stacked ``eigvalsh`` per
+        metric."""
+        h_signs = np.sign(np.linalg.eigvalsh(hs)).tolist()
+        g_signs = np.sign(np.linalg.eigvalsh(gs)).tolist()
+        for pt, h_row, g_row in zip(pts, h_signs, g_signs):
+            signs = (tuple(int(v) for v in h_row), tuple(int(v) for v in g_row))
+            if self._signature is None:
+                self._signature = signs
+            elif self._signature != signs:
+                raise RegularityViolationError(
+                    f"metric signature changed between sample points: "
+                    f"recorded {self._signature}, found {signs}",
+                    witness=pt,
+                )
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +406,19 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     return fr
 
 
+def _point_max(a: np.ndarray) -> np.ndarray:
+    """max |a| over every axis of ``a`` but its leading point axis: one
+    reduction over a frame block's values, each point's bits its own, as
+    the maximum of a set does not depend on the order it is read in."""
+    return np.abs(a).max(axis=tuple(range(1, a.ndim)))
+
+
+def _by_point(columns: dict) -> list:
+    """Per point, the {name: value} map of ``columns``, {name: [value at
+    each point]}: the records of a step whose reads are block-wide."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def _each(pts, records):
     """``records``, one per point, as a caller of a per-point function
     asked for them: the one record at a :class:`JetPoint`, else the list."""
@@ -415,7 +434,13 @@ class Frame:
     of them: every jet carries one leading point axis of size B, a block
     of one point included, which the jet operations recognise as one
     component axis more than their spec names, and each point gets the
-    bits it gets alone.  :meth:`values` splits values by point.
+    bits it gets alone.  The value reads do too: :meth:`max_abs`,
+    :meth:`summaries`, the symmetry and signature checks of the metrics and
+    :meth:`direction_independent` each reduce the block's values over every
+    axis but the point axis, once per block, and then split the result by
+    point; a check raises at the first point, in point order, that fails
+    it.  :meth:`values` splits values by point, for the readers that still
+    contract each point's values alone.
 
     The three covariant derivatives (:meth:`cov_t` /b, :meth:`cov_s` |k,
     :meth:`cov_v` |^(g)_(k)) are one rule: the base derivative
@@ -478,14 +503,27 @@ class Frame:
         return list(zip(*[j.value for j in jets]))
 
     def max_abs(self, jet: Jet) -> list:
-        """Per point of the frame, the largest |value| of ``jet`` there."""
-        return [float(np.max(np.abs(v))) for (v,) in self.values(jet)]
+        """Per point of the frame, the largest |value| of ``jet`` there:
+        one reduction over the block's values (:func:`_point_max`)."""
+        return _point_max(jet.value).tolist()
 
-    def residuals(self, pairs) -> list:
-        """Per point of the frame, [(residual value, constituent-term
-        values)] of each (residual, terms) pair of jets in ``pairs``."""
-        per = [self.values(res, *terms) for res, terms in pairs]
-        return [[(v[k][0], v[k][1:]) for v in per] for k in range(len(self.pts))]
+    def summaries(self, pairs) -> list:
+        """Per point of the frame, the (max |r|, sum |r|, size, scale)
+        summary of each (residual r, constituent terms) pair of jets in
+        ``pairs``, in order: all that :func:`_pooled_stats` reads of a
+        point, scale being the largest |value| among the terms.  Each
+        maximum and sum is one reduction over the block's values, split by
+        point afterwards; a point gets the bits it gets alone."""
+        B = len(self.pts)
+        cols = []
+        for res, terms in pairs:
+            a = np.abs(res.value)
+            axes = tuple(range(1, a.ndim))
+            size = a[0].size
+            maxes = a.max(axis=axes).tolist() if size else [0.0] * B
+            scales = [max(col) for col in zip(*map(self.max_abs, terms))] or [0.0] * B
+            cols.append(zip(maxes, a.sum(axis=axes).tolist(), [size] * B, scales))
+        return [list(row) for row in zip(*cols)]
 
     # -- field evaluation ----------------------------------------------------
 
@@ -529,13 +567,16 @@ class Frame:
 
     def _symmetric(self, jet: Jet, what: str) -> Jet:
         """``jet`` after checking that its (square) value is symmetric at
-        each point."""
-        for pt, (val,) in zip(self.pts, self.values(jet)):
-            scale = max(1.0, float(np.max(np.abs(val))))
-            if float(np.max(np.abs(val - val.T))) > 1e-9 * scale:
-                raise RegularityViolationError(
-                    f"{what} is not symmetric at this point", witness=pt
-                )
+        each point, once over the block: the first point that is not
+        raises, as its witness."""
+        val = jet.value
+        scale = np.fmax(1.0, _point_max(val))  # fmax: max(1.0, nan) is 1.0
+        bad = _point_max(val - val.swapaxes(1, 2)) > 1e-9 * scale
+        if bad.any():
+            raise RegularityViolationError(
+                f"{what} is not symmetric at this point",
+                witness=self.pts[int(bad.argmax())],
+            )
         return jet
 
     @cached_property
@@ -545,10 +586,10 @@ class Frame:
     @cached_property
     def g_jet(self) -> Jet:
         """:meth:`symmetric_g`, its signature at each point held to the
-        context's (:meth:`GeometryContext._check_signature`)."""
+        context's, once over the block
+        (:meth:`GeometryContext._check_signature`)."""
         g = self.symmetric_g()
-        for pt, (h_val, g_val) in zip(self.pts, self.values(self.h_jet, g)):
-            self.ctx._check_signature(pt, h_val, g_val)
+        self.ctx._check_signature(self.pts, self.h_jet.value, g.value)
         return g
 
     def symmetric_g(self) -> Jet:
@@ -653,13 +694,15 @@ class Frame:
 
     def direction_independent(self) -> list:
         """Per point of the frame, whether g has no velocity dependence
-        there: max |dg/dxs| <= 1e-10 max(1, max |g|)."""
+        there: max |dg/dxs| <= 1e-10 max(1, max |g|), read once over the
+        block."""
         src = self.ctx.g_source
         if isinstance(src, DirectMetric) and not any(
                 "xs" in f.deps for f in src.entries.flat):
             return [True] * len(self.pts)
-        return [float(np.max(np.abs(dg))) <= 1e-10 * max(1.0, float(np.max(np.abs(g))))
-                for g, dg in self.values(self.g_jet, self.ddxs(self.g_jet))]
+        g = self.g_jet.value
+        dg = self.ddxs(self.g_jet).value
+        return (_point_max(dg) <= 1e-10 * np.fmax(1.0, _point_max(g))).tolist()
 
     def require_direction_independent(self, what: str):
         """Error, at the first point that is not, unless every point of the
@@ -668,7 +711,7 @@ class Frame:
         if all(independent):
             return
         k = independent.index(False)
-        dg = np.abs(self.values(self.ddxs(self.g_jet))[k][0])
+        dg = np.abs(self.ddxs(self.g_jet).value[k])
         ij = np.unravel_index(int(np.argmax(dg)), dg.shape)
         raise RegularityViolationError(
             f"{what} requires a direction-independent g, but "
@@ -1193,21 +1236,12 @@ class ResidualStats:
     worst_point: int = 0
 
 
-def _residual_summary(residual: np.ndarray, terms) -> tuple:
-    """(max |r|, sum |r|, size, scale) of one point's residual block r and
-    its constituent terms: all that :func:`_pooled_stats` reads of the
-    point."""
-    a = np.abs(residual)
-    pt_max = float(a.max()) if a.size else 0.0
-    pt_scale = max((float(np.max(np.abs(t))) for t in terms), default=0.0)
-    return pt_max, float(a.sum()), a.size, pt_scale
-
-
 def _pooled_stats(summaries) -> ResidualStats:
     """The stats of one residual block over the points of its per-point
-    ``summaries`` (:func:`_residual_summary`), in point order, with the
-    components of all points pooled: mean_abs is the sum of |r| over the
-    count of components.  No summaries give five zeros."""
+    (max |r|, sum |r|, size, scale) ``summaries``, in point order, as
+    :meth:`Frame.summaries` gives each point's once over its block, with
+    the components of all points pooled: mean_abs is the sum of |r| over
+    the count of components.  No summaries give five zeros."""
     max_abs = sum_abs = max_rel = scale = 0.0
     count = worst_point = 0
     for i, (pt_max, pt_sum, size, pt_scale) in enumerate(summaries):
@@ -1227,11 +1261,11 @@ def _pooled_stats(summaries) -> ResidualStats:
     )
 
 
-def _point_stats(names, pairs):
-    """{name: :class:`ResidualStats`} of one point's (residual, constituent
-    terms) value ``pairs``, one per name; None for no pairs."""
-    return {nm: _pooled_stats([_residual_summary(res, terms)])
-            for nm, (res, terms) in zip(names, pairs)} if pairs else None
+def _point_stats(names, summaries):
+    """{name: :class:`ResidualStats`} of one point's
+    :meth:`Frame.summaries`, one per name; None for no summaries."""
+    return {nm: _pooled_stats([summary])
+            for nm, summary in zip(names, summaries)} if summaries else None
 
 
 def _fold_stats(maps):
@@ -1282,13 +1316,14 @@ def nlc_torsion_at(ctx, pt):
 
 def _torsion_probe(fr) -> tuple:
     """:func:`nlc_torsion_at` at each point of the frame ``fr``, as a
-    tuple; read through ``fr.shared``."""
-    out = []
-    for (dN,) in fr.values(fr.ddxs(fr.N_jet)):  # [i,a,j,k,g]
-        viol = np.abs(dN - np.transpose(dN, (0, 1, 3, 2, 4)))
-        idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        out.append((float(np.max(viol)), tuple(int(v) for v in idx)))
-    return tuple(out)
+    tuple, from one maximum and one argmax over the block; read through
+    ``fr.shared``."""
+    dN = fr.ddxs(fr.N_jet).value  # [point,i,a,j,k,g]
+    viol = np.abs(dN - dN.swapaxes(3, 4)).reshape(len(fr.pts), -1)
+    shape = dN.shape[1:]
+    return tuple(
+        (worst, tuple(int(v) for v in np.unravel_index(k, shape)))
+        for worst, k in zip(viol.max(axis=1).tolist(), viol.argmax(axis=1).tolist()))
 
 
 def torsion_free_verdict(pts, per_point) -> TorsionFreeVerdict:
@@ -1312,8 +1347,7 @@ def metricity_residuals(ctx: GeometryContext, pt):
              "h_vertical", "g_temporal")
     blocks = (fr.cov_s(g, g_slots), fr.cov_v(g, g_slots), fr.cov_t(h, h_slots),
               fr.cov_s(h, h_slots), fr.cov_v(h, h_slots), fr.cov_t(g, g_slots))
-    return _each(pt, [{nm: float(np.max(np.abs(v))) for nm, v in zip(names, vals)}
-                      for vals in fr.values(*blocks)])
+    return _each(pt, _by_point(dict(zip(names, map(fr.max_abs, blocks)))))
 
 
 def curvature_antisymmetry_residuals(ctx: GeometryContext, pt):
@@ -1324,24 +1358,21 @@ def curvature_antisymmetry_residuals(ctx: GeometryContext, pt):
     tensor and its first-two-index swap must vanish.
     """
     fr = frame(ctx, pt, 2)
-
-    def anti(lowered, perm):
-        return float(np.max(np.abs(lowered + np.transpose(lowered, perm))))
-
-    out = []
-    for h, g, H, R1, R2, R3, P1, P2, S in fr.values(
-            fr.h_jet, fr.g_jet, fr.cur_H_jet, fr.cur_R1_jet, fr.cur_R2_jet,
-            fr.cur_R3_jet, fr.cur_P1_jet, fr.cur_P2_jet, fr.cur_S_jet):
-        out.append({
-            "H_tt": anti(np.einsum("bm,magd->abgd", h, H), (1, 0, 2, 3)),
-            "R_tt": anti(np.einsum("jm,mibg->ijbg", g, R1), (1, 0, 2, 3)),
-            "R_tm": anti(np.einsum("jm,mibk->ijbk", g, R2), (1, 0, 2, 3)),
-            "R_mm": anti(np.einsum("jm,mikl->ijkl", g, R3), (1, 0, 2, 3)),
-            "P_vt": anti(np.einsum("jm,mibkg->ijbkg", g, P1), (1, 0, 2, 3, 4)),
-            "P_vm": anti(np.einsum("jm,mikld->ijkld", g, P2), (1, 0, 2, 3, 4)),
-            "S_vv": anti(np.einsum("jm,mikgld->ijkgld", g, S), (1, 0, 2, 3, 4, 5)),
-        })
-    return _each(pt, out)
+    h, g = fr.h_jet.value, fr.g_jet.value
+    # (name, metric, curvature block, lowering); Z is the point axis, and
+    # one summed letter gives each point the bits it gets alone
+    rows = (("H_tt", h, fr.cur_H_jet, "Zbm,Zmagd->Zabgd"),
+            ("R_tt", g, fr.cur_R1_jet, "Zjm,Zmibg->Zijbg"),
+            ("R_tm", g, fr.cur_R2_jet, "Zjm,Zmibk->Zijbk"),
+            ("R_mm", g, fr.cur_R3_jet, "Zjm,Zmikl->Zijkl"),
+            ("P_vt", g, fr.cur_P1_jet, "Zjm,Zmibkg->Zijbkg"),
+            ("P_vm", g, fr.cur_P2_jet, "Zjm,Zmikld->Zijkld"),
+            ("S_vv", g, fr.cur_S_jet, "Zjm,Zmikgld->Zijkgld"))
+    cols = {}
+    for name, metric, block, spec in rows:
+        lowered = np.einsum(spec, metric, block.value)
+        cols[name] = _point_max(lowered + lowered.swapaxes(1, 2)).tolist()
+    return _each(pt, _by_point(cols))
 
 
 # --------------------------------------------------------------------------
@@ -1373,9 +1404,12 @@ def sample_points(
     block at a time, one draw per point still wanted, and h and g are read
     off one order-0 frame of the block, by the rule of
     :func:`_block_records`, so each draw is tried, in draw order, as it
-    would be alone: a draw that holds a domain error is rejected, and any
-    other error a draw holds is raised.  No draw inverts a metric: a
-    singular h or g is rejected as ill-conditioned."""
+    would be alone: a draw that holds a domain error is rejected, and the
+    first that holds any other error is raised, once the draws before it
+    are tried.  Those draws are tried together: one stacked ``cond`` of
+    their h, one of the g of those whose h passed, and one signature
+    check of the accepted ones.  No draw inverts a metric: a singular h or
+    g is rejected as ill-conditioned."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
     pts = []
@@ -1399,17 +1433,25 @@ def sample_points(
             rng.uniform(box_x[0], box_x[1], size=n),
             rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
         ) for _ in range(min(count - len(pts), budget - tries))]
-        for pt, rec in zip(block, _block_records(_metric_values, ctx, block)):
-            tries += 1
-            if isinstance(rec, (EvalDomainError, DerivativeDomainError,
-                                FieldDomainError)):
-                continue  # the draw left a field's domain
-            if isinstance(rec, JetlagError):
-                raise rec
-            hval, gval = rec
-            if np.linalg.cond(hval) > cond_limit or np.linalg.cond(gval) > cond_limit:
-                ill_conditioned += 1
-                continue
-            ctx._check_signature(pt, hval, gval)
-            pts.append(pt)
+        tries += len(block)
+        records = _block_records(_metric_values, ctx, block)
+        # the first draw that holds an error other than a domain error
+        # (a draw that left a field's domain) is raised after the draws
+        # before it
+        stop = next((k for k, rec in enumerate(records)
+                     if isinstance(rec, JetlagError) and not isinstance(
+                         rec, (EvalDomainError, DerivativeDomainError,
+                               FieldDomainError))), len(records))
+        kept = [k for k in range(stop) if not isinstance(records[k], JetlagError)]
+        if kept:
+            hs = np.array([records[k][0] for k in kept])
+            gs = np.array([records[k][1] for k in kept])
+            ok = ~(np.linalg.cond(hs) > cond_limit)
+            ok[ok] = ~(np.linalg.cond(gs[ok]) > cond_limit)
+            ill_conditioned += len(kept) - int(ok.sum())
+            accepted = [block[k] for k, good in zip(kept, ok) if good]
+            ctx._check_signature(accepted, hs[ok], gs[ok])
+            pts += accepted
+        if stop < len(records):
+            raise records[stop]
     return pts

@@ -39,7 +39,7 @@ the same steps block by block and the same fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,35 +108,47 @@ class StressEnergySet:
 def einstein_blocks(ctx: GeometryContext, pt):
     """The adapted blocks of the gravitational field equations at a point,
     or the list of them over a block of points."""
-    return _each(pt, list(frame(ctx, pt, 2).shared(_einstein_blocks_at)))
+    return _each(pt, _rows(frame(ctx, pt, 2).shared(_einstein_blocks_at)))
 
 
-def _einstein_blocks_at(fr) -> tuple:
-    """:func:`einstein_blocks` at each point of the frame ``fr``, as a
-    tuple, with read-only arrays: a frame-shared block (read through
-    ``fr.shared``) that the Einstein blocks, the stress-energy extraction
-    and the natural-form construction all read."""
-    out = []
-    for h, g, sH, sR, sS, rH, rR, rS, rRmt, rP3, rP1, rP2, h_inv in fr.values(
-            fr.h_jet, fr.g_jet, fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
-            fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet, fr.ricci_Rmt_jet,
-            fr.ricci_P3_jet, fr.ricci_P1_jet, fr.ricci_P2_jet, fr.inverse("h", 0)):
-        sc = float(sH + sR + sS)
-        arrays = dict(
-            tt=rH - 0.5 * sc * h,
-            ss=rR - 0.5 * sc * g,
-            vv=rS - 0.5 * sc * np.einsum("ab,ij->iajb", h_inv, g),
-            st=rRmt.copy(),
-            vt=rP3.copy(),
-            sv=rP1.copy(),
-            vs=rP2.copy(),
-            zero_ts=np.zeros((fr.p, fr.n)),
-            zero_tv=np.zeros((fr.p, fr.n, fr.p)),
-        )
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        out.append(EinsteinBlocks(**arrays))
-    return tuple(out)
+def _einstein_blocks_at(fr) -> EinsteinBlocks:
+    """:func:`einstein_blocks` over the block of the frame ``fr``: one
+    :class:`EinsteinBlocks` whose read-only arrays carry the frame's
+    leading point axis, computed once for the block (:func:`_rows` splits
+    it by point).  A frame-shared block (read through ``fr.shared``) that
+    the Einstein blocks, the stress-energy extraction and the natural-form
+    construction all read."""
+    B, p, n = len(fr.pts), fr.p, fr.n
+    h, g = fr.h_jet.value, fr.g_jet.value
+    # the scalar curvature times 1/2, one per point, against the axes of h
+    half = (0.5 * (fr.scalar_H_jet.value + fr.scalar_R_jet.value
+                   + fr.scalar_S_jet.value))[:, None, None]
+    arrays = dict(
+        tt=fr.ricci_H_jet.value - half * h,
+        ss=fr.ricci_Rmm_jet.value - half * g,
+        vv=fr.ricci_S_jet.value - half[..., None, None] * np.einsum(
+            "Zab,Zij->Ziajb", fr.inverse("h", 0).value, g),
+        st=fr.ricci_Rmt_jet.value.copy(),
+        vt=fr.ricci_P3_jet.value.copy(),
+        sv=fr.ricci_P1_jet.value.copy(),
+        vs=fr.ricci_P2_jet.value.copy(),
+        zero_ts=np.zeros((B, p, n)),
+        zero_tv=np.zeros((B, p, n, p)),
+    )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return EinsteinBlocks(**arrays)
+
+
+def _rows(blocks) -> list:
+    """The per-point records of ``blocks``, a dataclass whose arrays carry
+    a leading point axis: one copy per point, each array its row there
+    (a view, as writable as the array), every other field kept."""
+    arrays = {f.name: getattr(blocks, f.name) for f in fields(blocks)
+              if isinstance(getattr(blocks, f.name), np.ndarray)}
+    count = len(next(iter(arrays.values())))
+    return [replace(blocks, **{nm: a[k] for nm, a in arrays.items()})
+            for k in range(count)]
 
 
 def stress_energy_extract(ctx: GeometryContext, pt):
@@ -147,12 +159,13 @@ def stress_energy_extract(ctx: GeometryContext, pt):
             "stress-energy extraction needs a nonzero gravitational constant; "
             "zero describes a vacuum source"
         )
-    return _each(pt, [_stress_energy_of(eb, ctx.K) for eb in
-                      frame(ctx, pt, 2).shared(_einstein_blocks_at)])
+    return _each(pt, _rows(_stress_energy_of(
+        frame(ctx, pt, 2).shared(_einstein_blocks_at), ctx.K)))
 
 
 def _stress_energy_of(eb: EinsteinBlocks, k: float) -> StressEnergySet:
-    """The stress-energy of the Einstein blocks ``eb`` at K = ``k``."""
+    """The stress-energy of the Einstein blocks ``eb`` at K = ``k``, at a
+    point or, with ``eb``'s point axis, over a block."""
     return StressEnergySet(
         T_tt=eb.tt / k,
         T_ss=eb.ss / k,
@@ -265,7 +278,7 @@ def conservation_residuals(ctx: GeometryContext, pts):
     return _each(pts, [
         ConservationReport(laws=_point_stats(ConservationReport.LAW_NAMES, laws),
                            direction_independent=di, n_points=1)
-        for laws, di in zip(fr.residuals(_laws_at(fr)),
+        for laws, di in zip(fr.summaries(_laws_at(fr)),
                             fr.direction_independent())])
 
 
@@ -346,12 +359,11 @@ def _natural_stress_energy_at(fr) -> list:
     """:func:`natural_stress_energy` at each point of the frame ``fr``."""
     p, n, K = fr.p, fr.n, fr.ctx.K
     out = []
-    for eb, (h, g, h_inv, g_inv, H, R, S, ricci_H, ricci_Rmm, ricci_S) in zip(
-            fr.shared(_einstein_blocks_at), fr.values(
+    for T, (h, g, h_inv, g_inv, H, R, S, ricci_H, ricci_Rmm, ricci_S) in zip(
+            _rows(_stress_energy_of(fr.shared(_einstein_blocks_at), K)), fr.values(
                 fr.h_jet, fr.g_jet, fr.inverse("h", 0), fr.inverse("g", 0),
                 fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
                 fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet)):
-        T = _stress_energy_of(eb, K)
         H, R, S = float(H), float(R), float(S)
 
         # the vertical trace pairs the inverse vertical metric h_ab g^ij with
@@ -557,18 +569,18 @@ def natural_form_checks(ctx: GeometryContext, pts):
     laws, simple = _new_laws_at(fr, tilde, divs, ctx.K) if have_K else ([], [])
     names = NaturalFormReport.IDENTITY_NAMES
     out = []
-    for base, pairs, P, S in zip(
-            bases, fr.residuals(displayed + derived + laws + simple),
+    for base, summaries, P, S in zip(
+            bases, fr.summaries(displayed + derived + laws + simple),
             fr.max_abs(fr.cur_P2_jet), fr.max_abs(fr.cur_S_jet)):
         applicable = P < 1e-10 and S < 1e-10
         out.append(replace(
             base,
-            identity_residuals=_point_stats(names, pairs[:3]),
-            identity_residuals_derived=_point_stats(names, pairs[3:6]),
-            new_law_residuals=_point_stats(names, pairs[6:9]),
+            identity_residuals=_point_stats(names, summaries[:3]),
+            identity_residuals_derived=_point_stats(names, summaries[3:6]),
+            new_law_residuals=_point_stats(names, summaries[6:9]),
             simple_form={"applicable": applicable, "max_P_curvature": P,
                          "max_S_curvature": S,
-                         "residuals": _point_stats(names, pairs[9:])
+                         "residuals": _point_stats(names, summaries[9:])
                          if applicable else None},
         ))
     return _each(pts, out)

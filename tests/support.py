@@ -22,6 +22,12 @@ def grid(src_rows, dims, deps):
     )
 
 
+def point_pairs(pairs, k=0):
+    """(residual value, constituent-term values) of each (residual, terms)
+    pair of frame jets in ``pairs``, at point ``k`` of their frame."""
+    return [(res.value[k], tuple(t.value[k] for t in terms)) for res, terms in pairs]
+
+
 def ident_src(k):
     return [["1" if i == j else "0" for j in range(k)] for i in range(k)]
 

@@ -1478,9 +1478,9 @@ def test_explicit_run_signature_from_first_point(tmp_path, monkeypatch, checks):
     events = []
     record = GeometryContext._check_signature
 
-    def check_signature(ctx, pt, h_val, g_val):
-        events.append(("signature", pt.x[0]))
-        return record(ctx, pt, h_val, g_val)
+    def check_signature(ctx, pts, hs, gs):
+        events.extend(("signature", pt.x[0]) for pt in pts)
+        return record(ctx, pts, hs, gs)
 
     monkeypatch.setattr(GeometryContext, "_check_signature", check_signature)
     for name in checks:

@@ -2,6 +2,7 @@
 and finite-difference oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetlag.diff_engine import JetPoint, PyField
 from jetlag.field_expr import ExprField
@@ -26,7 +27,7 @@ from jetlag.geometry import (
     torsion_set,
 )
 from jetlag.errors import RegularityViolationError
-from jetlag.tensor_core import S_DN, V_UP
+from jetlag.tensor_core import S_DN, T_DN, V_UP
 
 import support
 from oracles import fd_christoffel, fd_riemann
@@ -839,3 +840,206 @@ def test_a_step_on_no_points_raises_a_named_error():
             step(ctx, [])
     with pytest.raises(ValueError, match="a frame needs at least one point"):
         frame(ctx, [], 0)
+
+
+# --------------------------------------------------------------------------
+# block-wide value reads: a block frame's reads split into the bits each
+# point's own frame gives, read there the way they were read point by point
+# --------------------------------------------------------------------------
+
+OPTIC_PARAMS = {
+    "h": [["1", "0"], ["0", "1 + t[1]^2"]],
+    "phi": [["1 + x[1]^2", "0"], ["0", "1 + x[2]^2"]],
+    "n": "1 + 0.5/(1+x[1]^2)",
+    "X": ["1", "1 - t[2]"],
+}
+
+
+@pytest.fixture(scope="module")
+def block_spaces():
+    """{name: (context, sample points)} of the spaces the block reads run on."""
+    from jetlag.spaces import build_space
+
+    optic = build_space("optic", OPTIC_PARAMS)
+    mixed33 = support.mixed33_ctx()
+    return {"optic": (optic, sample_points(optic, 5, seed=7, box_xs=(-0.5, 0.5))),
+            "mixed33": (mixed33, sample_points(mixed33, 3, seed=3,
+                                               box_t=(-0.5, 0.5), box_x=(-0.5, 0.5),
+                                               box_xs=(-0.5, 0.5)))}
+
+
+def _bits(v):
+    """``v`` with every float as its hex and every array as (shape, bytes)."""
+    if isinstance(v, dict):
+        return {k: _bits(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_bits(x) for x in v]
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, np.ndarray):
+        return v.shape, v.tobytes()
+    return v
+
+
+# the per-point reads as they were written before they read the block at
+# once; each takes the frame of one point
+
+def _ref_max_abs(fr, jet):
+    return [float(np.max(np.abs(v))) for (v,) in fr.values(jet)]
+
+
+def _ref_summaries(fr, pairs):
+    per = [fr.values(res, *terms) for res, terms in pairs]
+    out = []
+    for v in per:
+        residual, terms = v[0][0], v[0][1:]
+        a = np.abs(residual)
+        out.append((float(a.max()) if a.size else 0.0, float(a.sum()), a.size,
+                    max((float(np.max(np.abs(t))) for t in terms), default=0.0)))
+    return out
+
+
+def _ref_direction_independent(fr):
+    return [float(np.max(np.abs(dg))) <= 1e-10 * max(1.0, float(np.max(np.abs(g))))
+            for g, dg in fr.values(fr.g_jet, fr.ddxs(fr.g_jet))]
+
+
+def _ref_metricity(fr):
+    g, g_slots = fr.g_jet.truncated(1), (S_DN, S_DN)
+    h, h_slots = fr.h_jet.truncated(1), (T_DN, T_DN)
+    names = ("g_spatial", "g_vertical", "h_temporal", "h_spatial",
+             "h_vertical", "g_temporal")
+    blocks = (fr.cov_s(g, g_slots), fr.cov_v(g, g_slots), fr.cov_t(h, h_slots),
+              fr.cov_s(h, h_slots), fr.cov_v(h, h_slots), fr.cov_t(g, g_slots))
+    return [{nm: float(np.max(np.abs(v))) for nm, v in zip(names, vals)}
+            for vals in fr.values(*blocks)]
+
+
+def _ref_antisymmetry(fr):
+    def anti(lowered, perm):
+        return float(np.max(np.abs(lowered + np.transpose(lowered, perm))))
+
+    out = []
+    for h, g, H, R1, R2, R3, P1, P2, S in fr.values(
+            fr.h_jet, fr.g_jet, fr.cur_H_jet, fr.cur_R1_jet, fr.cur_R2_jet,
+            fr.cur_R3_jet, fr.cur_P1_jet, fr.cur_P2_jet, fr.cur_S_jet):
+        out.append({
+            "H_tt": anti(np.einsum("bm,magd->abgd", h, H), (1, 0, 2, 3)),
+            "R_tt": anti(np.einsum("jm,mibg->ijbg", g, R1), (1, 0, 2, 3)),
+            "R_tm": anti(np.einsum("jm,mibk->ijbk", g, R2), (1, 0, 2, 3)),
+            "R_mm": anti(np.einsum("jm,mikl->ijkl", g, R3), (1, 0, 2, 3)),
+            "P_vt": anti(np.einsum("jm,mibkg->ijbkg", g, P1), (1, 0, 2, 3, 4)),
+            "P_vm": anti(np.einsum("jm,mikld->ijkld", g, P2), (1, 0, 2, 3, 4)),
+            "S_vv": anti(np.einsum("jm,mikgld->ijkgld", g, S), (1, 0, 2, 3, 4, 5)),
+        })
+    return out
+
+
+def _ref_torsion_probe(fr):
+    out = []
+    for (dN,) in fr.values(fr.ddxs(fr.N_jet)):
+        viol = np.abs(dN - np.transpose(dN, (0, 1, 3, 2, 4)))
+        idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        out.append((float(np.max(viol)), tuple(int(v) for v in idx)))
+    return out
+
+
+def _ref_einstein(fr):
+    out = []
+    for h, g, sH, sR, sS, rH, rR, rS, rRmt, rP3, rP1, rP2, h_inv in fr.values(
+            fr.h_jet, fr.g_jet, fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
+            fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet, fr.ricci_Rmt_jet,
+            fr.ricci_P3_jet, fr.ricci_P1_jet, fr.ricci_P2_jet, fr.inverse("h", 0)):
+        sc = float(sH + sR + sS)
+        out.append(dict(
+            tt=rH - 0.5 * sc * h, ss=rR - 0.5 * sc * g,
+            vv=rS - 0.5 * sc * np.einsum("ab,ij->iajb", h_inv, g),
+            st=rRmt.copy(), vt=rP3.copy(), sv=rP1.copy(), vs=rP2.copy(),
+            zero_ts=np.zeros((fr.p, fr.n)), zero_tv=np.zeros((fr.p, fr.n, fr.p))))
+    return out
+
+
+def _reads(ctx, pts, one):
+    """Every block-wide read of the frames of ``pts``, per point; the
+    reference loops instead when ``one`` (``pts`` is then one point)."""
+    from dataclasses import asdict
+
+    from jetlag.em_field import maxwell_at
+    from jetlag.geometry import nlc_torsion_at
+    from jetlag.gravity import _laws_at, einstein_blocks
+
+    fr = frame(ctx, pts, 2)
+    jets = (fr.g_jet, fr.tor_P2_jet, fr.cur_S_jet, fr.scalar_R_jet)
+    if one:
+        reads = dict(
+            max_abs=[_ref_max_abs(fr, j) for j in jets],
+            direction_independent=_ref_direction_independent(fr),
+            metricity=_ref_metricity(fr),
+            antisymmetry=_ref_antisymmetry(fr),
+            torsion=_ref_torsion_probe(fr),
+            einstein=_ref_einstein(fr))
+    else:
+        reads = dict(
+            max_abs=[fr.max_abs(j) for j in jets],
+            direction_independent=fr.direction_independent(),
+            metricity=metricity_residuals(ctx, pts),
+            antisymmetry=curvature_antisymmetry_residuals(ctx, pts),
+            torsion=nlc_torsion_at(ctx, pts),
+            einstein=[{k: v for k, v in asdict(eb).items() if k != "note"}
+                      for eb in einstein_blocks(ctx, pts)])
+    reads["maxwell"] = maxwell_at(ctx, pts)
+    fr = frame(ctx, pts, 3)
+    laws = _laws_at(fr)
+    reads["summaries"] = [_ref_summaries(fr, laws)] if one else fr.summaries(laws)
+    return reads
+
+
+@pytest.mark.parametrize("space", ["optic", "mixed33"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_block_reads_have_each_points_bits(block_spaces, space, data):
+    # a block cut out of the space's points, a block of one included (the
+    # first, simplest draw), reads at each point what that point's own
+    # frame reads, bit for bit, with the loops that read it point by point
+    ctx, pts = block_spaces[space]
+    start = data.draw(st.integers(0, len(pts) - 1), label="start")
+    size = data.draw(st.integers(1, len(pts) - start), label="size")
+    block = pts[start:start + size]
+    try:
+        got = _reads(ctx, block, one=False)
+        for k, pt in enumerate(block):
+            want = _reads(ctx, [pt], one=True)
+            assert _bits([col[k] for col in got["max_abs"]]) == _bits(
+                [col[0] for col in want["max_abs"]]), k
+            for name in ("direction_independent", "metricity", "antisymmetry",
+                         "torsion", "einstein", "maxwell", "summaries"):
+                assert _bits(got[name][k]) == _bits(want[name][0]), (name, k)
+    finally:
+        ctx.forget_run()
+
+
+def _direct_g_ctx(g_src):
+    dims = (2, 2)
+    return GeometryContext(
+        2, 2, support.grid(support.ident_src(2), dims, ("t",)),
+        DirectMetric(support.grid(g_src, dims, ("x",))), QuadraticCanonical())
+
+
+@pytest.mark.parametrize("g_src,first_x1,message", [
+    ([["1", "x[1]"], ["0", "1"]], 0.0,
+     "vertical metric g is not symmetric at this point"),
+    ([["x[1]", "0"], ["0", "1"]], 0.5,
+     "metric signature changed between sample points: "
+     "recorded ((1, 1), (1, 1)), found ((1, 1), (-1, 1))"),
+], ids=["asymmetric", "signature"])
+def test_a_block_raises_at_its_first_failing_point(g_src, first_x1, message):
+    # the second and third points of the block fail, where x[1] is not 0
+    # for the asymmetric g and negative for g = diag(x[1], 1): the block's
+    # one reduction raises at the second
+    ctx = _direct_g_ctx(g_src)
+    pts = [JetPoint.of([0.1, 0.2], [x1, 0.3], [[0.2, 0.1], [0.3, 0.4]])
+           for x1 in (first_x1, -0.5, -0.7)]
+    with pytest.raises(RegularityViolationError) as exc:
+        frame(ctx, pts, 1).g_jet
+    assert str(exc.value) == message
+    assert exc.value.witness is pts[1]

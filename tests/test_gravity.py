@@ -15,7 +15,6 @@ from jetlag.geometry import (
     GeometryContext,
     QuadraticCanonical,
     _pooled_stats,
-    _residual_summary,
     frame,
     ricci_and_scalars,
     sample_points,
@@ -81,7 +80,7 @@ def curved_h_point():
 
 def test_first_law_matches_h_oracle(ctx_curved_h, curved_h_point):
     fr = frame(ctx_curved_h, curved_h_point, 3)
-    res1, _ = fr.residuals(_laws_at(fr))[0][0]
+    res1, _ = support.point_pairs(_laws_at(fr))[0]
     _, div_oracle = h_einstein_oracle(support.h22_at, curved_h_point.t)
     assert np.max(np.abs(res1 - div_oracle)) < 1e-7
 
@@ -116,7 +115,7 @@ def test_x_dependent_g_laws_pass(ctx_xdep22):
 
 def test_temporal_law_defect_structure(ctx_tdep22, pt_tdep22):
     fr = frame(ctx_tdep22, pt_tdep22, 3)
-    res, _ = fr.residuals(_laws_at(fr))[0][0]
+    res, _ = support.point_pairs(_laws_at(fr))[0]
     ginv = fr.inverse("g", 0).value[0]
     dgdt = fr.ddt(fr.g_jet).value[0]  # [i, j, b]
     ric_up = np.einsum(
@@ -222,7 +221,7 @@ def test_raised_contractions_match_ricci(ctx_mixed33, pt_mixed33):
 def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
     tilde = _tilde_einstein_jets(fr)
-    displayed, derived = (fr.residuals(pairs)[0] for pairs in
+    displayed, derived = (support.point_pairs(pairs) for pairs in
                           _prop_identities_at(fr, _divergences(fr, *tilde[1::2])))
     # the temporal identity closes as stated
     assert np.max(np.abs(displayed[0][0])) < 1e-12
@@ -238,9 +237,9 @@ def test_divergence_identities_stated_vs_derived(ctx_mixed33, pt_mixed33):
 
 def test_law_variants_agree(ctx_mixed33, pt_mixed33):
     fr = frame(ctx_mixed33, pt_mixed33, 3)
-    old = fr.residuals(_laws_at(fr))[0]
+    old = support.point_pairs(_laws_at(fr))
     tilde = _tilde_einstein_jets(fr)
-    new = fr.residuals(_new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), 1.0)[0])[0]
+    new = support.point_pairs(_new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), 1.0)[0])
     for k in range(3):
         scale = max(1.0, np.max(np.abs(old[k][0])))
         assert np.max(np.abs(old[k][0] - new[k][0])) < 1e-11 * scale
@@ -261,9 +260,9 @@ def _two_path_laws(fr, tilde, K):
     div_R, div_P1, div_P2, div_P3 = fr.shared(_law_rhs)
     a, b, c = 1.0 / (2.0 - p), 1.0 / (2.0 - n), 1.0 / (2.0 - p * n)
     return [
-        ((d1 - fr.delta_t(tM) * b - fr.delta_t(tv) * c) * K + div_R + div_P1).value,
-        ((d2 - fr.delta_x(tT) * a - fr.delta_x(tv) * c) * K + div_P2).value,
-        ((d3 - fr.ddxs(tT) * a - fr.ddxs(tM) * b) * K + div_P3).value,
+        ((d1 - fr.delta_t(tM) * b - fr.delta_t(tv) * c) * K + div_R + div_P1).value[0],
+        ((d2 - fr.delta_x(tT) * a - fr.delta_x(tv) * c) * K + div_P2).value[0],
+        ((d3 - fr.ddxs(tT) * a - fr.ddxs(tM) * b) * K + div_P3).value[0],
     ]
 
 
@@ -273,7 +272,7 @@ def test_rewritten_laws_read_the_identities_divergences(pt_mixed33, K):
     # them: bit for bit at K = 1, to rounding otherwise
     fr = frame(support.mixed33_ctx(K), pt_mixed33, 3)
     tilde = _tilde_einstein_jets(fr)
-    laws = fr.residuals(_new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), K)[0])[0]
+    laws = support.point_pairs(_new_laws_at(fr, tilde, _divergences(fr, *tilde[1::2]), K)[0])
     for (res, terms), want in zip(laws, _two_path_laws(fr, tilde, K)):
         if K == 1.0:
             assert res.tobytes() == want.tobytes()
@@ -299,14 +298,14 @@ def test_trace_term_sign_matters(ctx_mixed33, pt_mixed33):
     term = fr.delta_t(tM) * (1.0 / (2.0 - n)) + fr.delta_t(tv) * (
         1.0 / (2.0 - n * n)
     )
-    minus = (d1 - term).value + div_R.value + div_P1.value
-    plus = (d1 + term).value + div_R.value + div_P1.value
-    assert np.max(np.abs(plus - minus - 2 * term.value)) < 1e-12
+    minus = ((d1 - term).value + div_R.value + div_P1.value)[0]
+    plus = ((d1 + term).value + div_R.value + div_P1.value)[0]
+    assert np.max(np.abs(plus - minus - 2 * term.value[0])) < 1e-12
     # the minus form is the engine's law; the trace terms are genuinely
     # nonzero here, so the plus variant is a different (wrong) equation
-    engine_res, _ = fr.residuals(_laws_at(fr))[0][0]
+    engine_res, _ = support.point_pairs(_laws_at(fr))[0]
     assert np.max(np.abs(minus - engine_res)) < 1e-11
-    assert np.max(np.abs(term.value)) > 1e-6
+    assert np.max(np.abs(term.value[0])) > 1e-6
 
 
 def test_block_trace_relation(ctx_mixed33, pt_mixed33):
@@ -459,12 +458,12 @@ def test_maxwell_pools_components_and_laws_average_point_means(ctx_mixed33):
         differ += pooled.hex() != mean_of_means(summaries)
     assert differ
 
-    def folded_against_pooled(per_point, fold_map, raw_pairs):
+    def folded_against_pooled(per_point, fold_map, point_summaries):
         differ = 0
         for k, (name, stats) in enumerate(fold_map.items()):
             means = [m[name].mean_abs for m in per_point]
             assert hexed(stats) == float(np.mean(means)).hex(), name
-            pooled = _pooled_stats([_residual_summary(*pairs[k]) for pairs in raw_pairs])
+            pooled = _pooled_stats([summaries[k] for summaries in point_summaries])
             differ += hexed(pooled) != hexed(stats)
         return differ
 
@@ -472,7 +471,7 @@ def test_maxwell_pools_components_and_laws_average_point_means(ctx_mixed33):
     reports = sweep(conservation_residuals, ctx_mixed33, pts, 3)
     assert folded_against_pooled(
         [r.laws for r in reports], conservation_fold(reports).laws,
-        [fr.residuals(_laws_at(fr))[0] for fr in frames])
+        [fr.summaries(_laws_at(fr))[0] for fr in frames])
 
     def displayed(fr):
         tilde = _tilde_einstein_jets(fr)
@@ -482,4 +481,4 @@ def test_maxwell_pools_components_and_laws_average_point_means(ctx_mixed33):
     assert folded_against_pooled(
         [r.identity_residuals for r in reports],
         natural_form_fold(reports).identity_residuals,
-        [fr.residuals(displayed(fr))[0] for fr in frames])
+        [fr.summaries(displayed(fr))[0] for fr in frames])

@@ -94,7 +94,7 @@ def test_quadratic_lagrangian_regular_with_ghat_equal_g():
     verdict = kronecker_regularity_check(ctx, pts, lagrangian=ctx.lagrangian)
     assert verdict.max_deviation < 1e-12
     for pt, ghat in zip(pts, verdict.ghats):
-        gval = frame(ctx, pt, 0).g_jet.value
+        gval = frame(ctx, pt, 0).g_jet.value[0]
         assert np.max(np.abs(ghat - gval)) < 1e-12
 
 
@@ -103,7 +103,7 @@ def test_quadratic_identity_data_equals_flat():
     flat = make_flat(2, 2)
     for pt in sample_points(flat, 4, seed=3):
         assert np.array_equal(
-            frame(ctx, pt, 1).g_jet.value, frame(flat, pt, 1).g_jet.value
+            frame(ctx, pt, 1).g_jet.value[0], frame(flat, pt, 1).g_jet.value[0]
         )
         for a, b in zip(connection_blocks(ctx, pt), connection_blocks(flat, pt)):
             assert np.array_equal(a, b)
@@ -119,7 +119,7 @@ def test_conformal_ii_fixture_value():
     # A = (1, 0), phi = delta: sigma = xs^1_1 at the chosen point, so g = e^0.5 delta
     ctx = make_conformal(H2, [["1", "0"], ["0", "1"]], "ii", ["1", "0"])
     pt = JetPoint.of([0.0, 0.0], [0.0, 0.0], [[0.5, 0.0], [0.0, 0.0]])
-    gv = frame(ctx, pt, 0).g_jet.value
+    gv = frame(ctx, pt, 0).g_jet.value[0]
     assert np.max(np.abs(gv - np.exp(0.5) * np.eye(2))) < 1e-15
 
 
@@ -127,8 +127,8 @@ def test_conformal_sigma_zero_reduces_bitwise():
     ctx0 = make_conformal(H2, PHI_NT, "i", [["0", "0"], ["0", "0"]])
     ctx_phi = direct_phi_ctx(PHI_NT)
     for pt in sample_points(ctx_phi, 6, seed=9):
-        a = frame(ctx0, pt, 0).g_jet.value
-        b = frame(ctx_phi, pt, 0).g_jet.value
+        a = frame(ctx0, pt, 0).g_jet.value[0]
+        b = frame(ctx_phi, pt, 0).g_jet.value[0]
         assert np.array_equal(bits(a), bits(b))
 
 
@@ -172,8 +172,8 @@ def test_optic_reduces_bitwise_to_phi_space(n_src, X_src):
     ctx = make_optic(H2, PHI_O, n_src, X_src)
     ctx_phi = direct_phi_ctx(PHI_O)
     for pt in sample_points(ctx_phi, 6, seed=21):
-        a = frame(ctx, pt, 0).g_jet.value
-        b = frame(ctx_phi, pt, 0).g_jet.value
+        a = frame(ctx, pt, 0).g_jet.value[0]
+        b = frame(ctx_phi, pt, 0).g_jet.value[0]
         assert np.array_equal(bits(a), bits(b))
 
 
@@ -181,7 +181,7 @@ def test_optic_positive_definite_and_metric():
     ctx = make_optic(H2, PHI_O, "1 + exp(x[1])", ["t[1]", "1 - t[2]"])
     pts = sample_points(ctx, 30, seed=33)
     for pt in pts:
-        eig = np.linalg.eigvalsh(frame(ctx, pt, 0).g_jet.value)
+        eig = np.linalg.eigvalsh(frame(ctx, pt, 0).g_jet.value[0])
         assert np.min(eig) > 0.0
     met = max(max(metricity_residuals(ctx, pt).values()) for pt in pts[:8])
     assert met < 1e-8
