@@ -18,7 +18,10 @@ the fields, a frame of a block of points, one point included, gives every
 jet one leading point axis, which :func:`jet_einsum`, :func:`jet_linear` and
 :func:`jet_matrix_inverse` recognise as one component axis more than their
 spec names, and letter :data:`POINT`; each point keeps the bits it gets
-alone.
+alone.  A contraction that sums two or more letters runs as one einsum over
+the point axis only at a layout (subscripts, shapes, strides) whose probe
+shows that it keeps them, and one point at a time elsewhere
+(:func:`_per_point`).
 
 Products, ``*`` and :func:`jet_einsum` alike, use one multilinear Leibniz
 kernel (:func:`_leibniz`), compositions use Faa di Bruno over set
@@ -550,8 +553,9 @@ def _pointed(spec: str, *ranks) -> tuple:
     frame's block (:class:`~jetlag.geometry.Frame`), of size 1 on the frame
     of one point, and the result keeps it.  A contraction over one letter
     gives each point the bits it gets alone, but one over two or more may
-    sum them in another order, so such a spec runs one point at a time
-    (:func:`_per_point`).
+    sum them in another order, so such a spec runs through
+    :func:`_per_point`, which batches it only at a layout whose probe
+    keeps every point's bits.
     """
     ins, outs = spec.split("->")
     terms = ins.split(",")
@@ -572,20 +576,86 @@ def _unpointed(subs: str) -> tuple:
 
 
 def _per_point(subs: str, *ops) -> np.ndarray:
-    """``np.einsum(subs, *ops)`` as one einsum per point along the point
-    axis, stacked.  On an axis of one point it runs ``subs`` as it is: one
-    point has only one summation order.
+    """``np.einsum(subs, *ops)``, each point along the point axis with the
+    bits of its own einsum: one einsum over the whole axis where the
+    operands' layout keeps them (:func:`_batch_keeps_bits`), else one
+    einsum per point, stacked.  On an axis of one point it runs ``subs``
+    as it is: one point has only one summation order.
 
-    Two other forms were tried, and both moved bits, so that reports
-    changed with the block size: one batched einsum of a two-letter sum
-    over the whole point axis, and each point's einsum written into a
+    Two forms were tried before the layout probe, and both moved bits, so
+    that reports changed with the block size: one batched einsum of every
+    two-letter sum over the whole point axis, whose summation order
+    depends on the layout, and each point's einsum written into a
     preallocated stack through ``out=``."""
+    ops = tuple(map(np.asarray, ops))
+    if (len(ops[_unpointed(subs)[1].index(True)]) == 1
+            or _batch_keeps_bits(subs, tuple((op.dtype, op.shape, op.strides)
+                                             for op in ops))):
+        return _einsum(subs, *ops)
+    return np.stack(_each_point(_einsum, subs, ops))
+
+
+def _each_point(einsum, subs: str, ops) -> list:
+    """Each point's own ``einsum`` of ``subs`` along the point axis, in
+    point order."""
     one, lead = _unpointed(subs)
     B = len(ops[lead.index(True)])
-    if B == 1:
-        return _einsum(subs, *ops)
-    return np.stack([_einsum(one, *(op[i] if b else op for op, b in zip(ops, lead)))
-                     for i in range(B)])
+    return [einsum(one, *(op[i] if b else op for op, b in zip(ops, lead)))
+            for i in range(B)]
+
+
+# how many output entries of each point a layout's probe compares, at the
+# least: one draw of probe operands covers a layout of that many entries,
+# and a smaller one draws again, as its few sums may round alike in two
+# orders by chance
+_PROBE_SUMS = 16
+
+
+@lru_cache(maxsize=None)
+def _batch_keeps_bits(subs: str, layout: tuple, einsum=_einsum) -> bool:
+    """Whether one einsum of ``subs`` over the whole point axis gives each
+    point the bytes of that point's own einsum, at operands of ``layout``:
+    (dtype, shape, strides) per operand.
+
+    The summation order of an einsum depends on its subscripts, shapes and
+    strides, not on its values, so one probe per layout decides it.  The
+    probe operands have exactly that layout and dense float64 values from a
+    private generator of fixed seed, with random mantissas, signs and
+    magnitudes spread over about 2**+-10: no term vanishes or drowns
+    another, so another association of a sum most often rounds
+    differently, and the probe draws until it has compared
+    :data:`_PROBE_SUMS` entries of each point.  A layout the probe cannot rebuild (another dtype, a negative
+    stride, a zero-size axis), or any probe that raises, runs one point at
+    a time.  The probe runs the kernel bound here, whatever later replaces
+    the module's ``_einsum``, and draws nothing from numpy's global
+    generator.
+    """
+    try:
+        rng = np.random.default_rng(0)
+        drawn = 0
+        while drawn < _PROBE_SUMS:
+            ops = [_probe_operand(rng, *op) for op in layout]
+            out = einsum(subs, *ops)
+            if any(got.tobytes() != alone.tobytes()
+                   for got, alone in zip(out, _each_point(einsum, subs, ops))):
+                return False
+            drawn += out.size // len(out)
+        return True
+    except Exception:
+        return False
+
+
+def _probe_operand(rng, dtype, shape, strides) -> np.ndarray:
+    """A read-only float64 array of ``shape`` and ``strides`` over a dense
+    buffer of probe values; ValueError where no such buffer exists."""
+    item = np.dtype(float).itemsize
+    if (dtype != np.float64 or 0 in shape
+            or any(s < 0 or s % item for s in strides)):
+        raise ValueError(f"no probe operand of layout {shape}, {strides}")
+    size = sum((n - 1) * s for n, s in zip(shape, strides)) // item + 1
+    base = rng.uniform(-2.0, 2.0, size)
+    np.ldexp(base, rng.integers(-10, 11, size, dtype=np.int8), out=base)
+    return np.lib.stride_tricks.as_strided(base, shape, strides, writeable=False)
 
 
 @lru_cache(maxsize=None)

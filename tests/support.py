@@ -22,6 +22,13 @@ def grid(src_rows, dims, deps):
     )
 
 
+# The einsum plans that sum two or more letters and, stacked over the points
+# of a mixed33-deep block, move bits: at such a layout each runs one point
+# at a time (diff_engine._per_point).
+DRIFTING_PLANS = ("ab,iajb->ij", "muil,lmu->i", "muialc,lcmu->ia",
+                  "muiajb,jbmu->ia")
+
+
 def point_pairs(pairs, k=0):
     """(residual value, constituent-term values) of each (residual, terms)
     pair of frame jets in ``pairs``, at point ``k`` of their frame."""

@@ -2066,24 +2066,63 @@ def test_a_block_keeps_each_points_errors_and_branches(tmp_path, monkeypatch,
         assert rep["checks"]["conservation"]["detail"]["direction_independent"] is False
 
 
-# The einsum plans that sum two or more letters and, stacked over the points
-# of a mixed33-deep block, move bits: each must run one point at a time.
-DRIFTING_PLANS = ("ab,iajb->ij", "muil,lmu->i", "muialc,lcmu->ia",
-                  "muiajb,jbmu->ia")
+def _summed(subs: str) -> set:
+    """The letters an einsum's subscripts sum over."""
+    ins, outs = subs.split("->")
+    return set(ins.replace(",", "")) - set(outs)
+
+
+def _drifts(subs, layout) -> bool:
+    """Whether one einsum of ``subs`` over the point axis moves the bits of
+    some point, on normal values of ``layout`` ((dtype, shape, strides) per
+    operand, none negative), drawn here apart from the router's probe."""
+    from jetlag import diff_engine
+
+    rng = np.random.default_rng(5)
+    ops = [np.lib.stride_tricks.as_strided(
+               rng.normal(size=sum((n - 1) * s for n, s in zip(shape, strides)) // 8 + 1),
+               shape, strides) for _, shape, strides in layout]
+    one, lead = diff_engine._unpointed(subs)
+    out = np.einsum(subs, *ops)
+    return any(out[i].tobytes() != np.einsum(one, *(op[i] if b else op
+                                                   for op, b in zip(ops, lead))).tobytes()
+               for i in range(len(out)))
+
+
+def _routes(monkeypatch) -> list:
+    """The (subscripts, layout, batched) of each routing decision of
+    diff_engine._per_point while the test runs, in order; the recorder
+    keeps the router's cache_clear and cache_info."""
+    from jetlag import diff_engine
+
+    keeps = diff_engine._batch_keeps_bits
+    routes = []
+
+    def recording(subs, layout):
+        out = keeps(subs, layout)
+        routes.append((subs, layout, out))
+        return out
+
+    recording.cache_clear, recording.cache_info = keeps.cache_clear, keeps.cache_info
+    monkeypatch.setattr(diff_engine, "_batch_keeps_bits", recording)
+    return routes
 
 
 @pytest.mark.parametrize("size", [1, 4])
 def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch, size):
     # every einsum over the point axis of a block, in every pinned config
     # and benchmark workload run in blocks of ``size``, is replayed at each
-    # point alone and must give its bytes; the plans that sum two or more
-    # letters run point by point, the drifting ones among them, and on an
-    # axis of one point as they are
+    # point alone and must give its bytes; the router's probes run their own
+    # kernel and are not replayed.  On an axis of one point every plan runs
+    # as it is; in blocks of 4 the plans that sum two or more letters run as
+    # one einsum where their layout keeps each point's bits, and the
+    # drifting ones run one point at a time at a layout where they drift
     from jetlag import cli, diff_engine
 
     bench_spec = _load_bench(monkeypatch, "spec")
     einsum, pointed = diff_engine._einsum, diff_engine._pointed
-    batched, per_point = set(), set()
+    batched, routes = set(), _routes(monkeypatch)
+    keeps = diff_engine._batch_keeps_bits
 
     def checking(subs, *ops):
         out = einsum(subs, *ops)
@@ -2092,22 +2131,16 @@ def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch, size):
             for i, got in enumerate(out):
                 alone = einsum(one, *(op[i] if b else op for op, b in zip(ops, lead)))
                 assert got.tobytes() == alone.tobytes(), subs
-            batched.add(subs)
-        return out
-
-    def recording(spec, *ranks):
-        out = pointed(spec, *ranks)
-        if out[1] is diff_engine._per_point:
-            per_point.add(spec)
+            batched.add((subs, len(out)))
         return out
 
     monkeypatch.setattr(diff_engine, "_einsum", checking)
-    monkeypatch.setattr(diff_engine, "_pointed", recording)
     monkeypatch.setattr(cli, "block_size", lambda p, n, order: size)
     docs = {name: (digest, doc) for name, (digest, doc) in REPORT_DIGESTS.items()}
     docs.update({name: (ref["digest"], bench_spec.make_config(name, None))
                  for name, ref in bench_spec.WORKLOADS.items()})
     pointed.cache_clear()  # it keeps the einsum it hands out
+    keeps.cache_clear()  # so that every layout is probed here
     try:
         for name, (digest, doc) in docs.items():
             run_to(tmp_path, doc, name=f"{name}.json", out=f"{name}.report.json")
@@ -2115,7 +2148,51 @@ def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch, size):
             assert hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest() == digest, name
     finally:
         pointed.cache_clear()
-    assert batched and set(DRIFTING_PLANS) <= per_point
+        keeps.cache_clear()
+    assert batched
+    if size == 1:
+        return
+    assert any(len(_summed(subs)) >= 2 for subs, B in batched if B > 1)
+    for plan in support.DRIFTING_PLANS:
+        assert any(_drifts(subs, layout) for subs, layout, out in routes
+                   if not out and diff_engine._unpointed(subs)[0] == plan), plan
+
+
+def test_optic_sweep_batches_its_contractions(tmp_path, monkeypatch):
+    # a second optic-sweep run in one process, in blocks of 33, 33 and 34
+    # points, finds every layout probed by the first and runs 207 of its
+    # 210 two-letter contractions as one einsum over the block (all 210 ran
+    # one einsum per point before the router); the other 3 are the scalar
+    # S trace's "ab,iajb->ij" over a transposed Ricci view, a layout where
+    # it drifts.  A mixed33 run in blocks of 4 still runs the drifting
+    # plans point by point
+    from jetlag import cli, diff_engine
+
+    bench_spec = _load_bench(monkeypatch, "spec")
+    routes = _routes(monkeypatch)
+    keeps = diff_engine._batch_keeps_bits
+    keeps.cache_clear()
+    try:
+        doc = bench_spec.make_config("optic-sweep", None)
+        run_to(tmp_path, doc)
+        probed = keeps.cache_info().misses
+        del routes[:]
+        run_to(tmp_path, doc)
+        assert keeps.cache_info().misses == probed
+        looped = [(subs, layout) for subs, layout, out in routes if not out]
+        assert len(routes) == 210 and len(looped) == 3
+        assert all(diff_engine._unpointed(subs)[0] == "ab,iajb->ij"
+                   and _drifts(subs, layout) for subs, layout in looped)
+        assert {shape[0] for subs, layout, _ in routes
+                for (_, shape, _), b in zip(layout, diff_engine._unpointed(subs)[1])
+                if b} == {33, 34}
+        del routes[:]
+        monkeypatch.setattr(cli, "block_size", lambda p, n, order: 4)
+        run_to(tmp_path, bench_spec.make_config("mixed33-deep", None))
+    finally:
+        keeps.cache_clear()
+    looped = {diff_engine._unpointed(subs)[0] for subs, _, out in routes if not out}
+    assert set(support.DRIFTING_PLANS) <= looped
 
 
 # g is singular at the second of four points and direction-dependent at the

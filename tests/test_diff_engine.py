@@ -2,6 +2,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from jetlag import diff_engine
 from jetlag.diff_engine import (
+    POINT,
     BatchDiverged,
     Jet,
     JetPoint,
@@ -605,6 +607,112 @@ def test_batched_products_keep_each_points_bits(factors):
             assert _coeff_bytes(_point_of(batched, pt)) == _coeff_bytes(want), (name, pt)
         for c in batched.coeffs:
             assert not (np.signbit(c) & (c == 0.0)).any(), name
+
+
+# the plans the router of diff_engine._per_point runs in the property test:
+# the drifting four and two of optic-sweep's connection and curvature plans
+_ROUTED_PLANS = support.DRIFTING_PLANS + ("acdjb,jbw->acdw", "iamu,mubk->iabk")
+# the operand layouts of a block: C-contiguous, a transposed view (as the
+# Leibniz placements make), a zero-stride broadcast (as Frame.xs_jet's shared
+# tables) and a sliced view (as Frame.dblock)
+_LAYOUTS = ("contiguous", "transposed", "broadcast", "sliced")
+# layouts the probe cannot rebuild, and a probe that raises: all run per point
+_UNPROBED = ("negative stride", "zero-size axis", "probe raises")
+
+
+def _laid_out(draw, rng, shape, kind):
+    """An array of ``shape`` with values from ``rng``, in the layout ``kind``."""
+    if kind == "transposed":
+        perm = draw(st.permutations(range(len(shape))))
+        full = rng.normal(size=[shape[i] for i in perm])
+        return full.transpose(np.argsort(perm))
+    if kind == "broadcast":
+        axis = draw(st.integers(0, len(shape) - 1))
+        one = rng.normal(size=shape[:axis] + (1,) + shape[axis + 1:])
+        return np.broadcast_to(one, shape)
+    if kind == "sliced":
+        axis = draw(st.integers(0, len(shape) - 1))
+        full = rng.normal(size=shape[:axis] + (2 * shape[axis] + 1,) + shape[axis + 1:])
+        return full[(slice(None),) * axis + (slice(1, None, 2),)]
+    if kind == "negative stride":
+        axis = draw(st.integers(0, len(shape) - 1))
+        return np.flip(rng.normal(size=shape), axis)
+    return rng.normal(size=shape)
+
+
+@st.composite
+def _routed_operands(draw):
+    """(a routed plan with its point letter, its two operands over a block
+    of 2-40 points, one of them or both batched, the unprobed case or
+    None), values with some +0.0 and -0.0 among them."""
+    spec = draw(st.sampled_from(_ROUTED_PLANS))
+    B = draw(st.integers(2, 40))
+    unprobed = draw(st.sampled_from((None,) * 3 + _UNPROBED))
+    sizes = {c: draw(st.integers(1, 3)) for c in sorted(set(spec) - set(",->"))}
+    if unprobed == "zero-size axis":
+        sizes[draw(st.sampled_from(sorted(sizes)))] = 0
+    lead = draw(st.sampled_from(((True, True), (True, False), (False, True))))
+    ins, outs = spec.split("->")
+    terms = [POINT * b + t for t, b in zip(ins.split(","), lead)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [draw(st.sampled_from(_LAYOUTS)) for _ in terms]
+    if unprobed == "negative stride":
+        kinds[draw(st.integers(0, 1))] = unprobed
+    ops = []
+    for term, kind in zip(terms, kinds):
+        shape = tuple(B if c == POINT else sizes[c] for c in term)
+        op = _laid_out(draw, rng, shape, kind)
+        zeros = rng.random(op.shape) < 0.1
+        if op.flags.writeable and zeros.any():
+            op[zeros] = rng.choice((0.0, -0.0), int(zeros.sum()))
+        ops.append(op)
+    return f"{','.join(terms)}->{POINT}{outs}", ops, unprobed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_routed_operands())
+def test_routed_einsums_keep_each_points_bits(case):
+    # whichever way its layout routes it, a contraction over two or more
+    # letters gives each point the bytes of that point's own einsum, the
+    # reference loop kept here; a layout the probe cannot rebuild, or whose
+    # probe raises, runs per point, and no probe draws from numpy's global
+    # generator
+    subs, ops, unprobed = case
+    one, lead = diff_engine._unpointed(subs)
+    B = len(ops[lead.index(True)])
+    want = [np.einsum(one, *(op[i] if b else op for op, b in zip(ops, lead)))
+            for i in range(B)]
+    layout = tuple((op.dtype, op.shape, op.strides) for op in ops)
+    keeps = diff_engine._batch_keeps_bits
+    keeps.cache_clear()  # each example probes its own layout
+    state = np.random.get_state()
+    if unprobed == "probe raises":
+        with mock.patch.object(diff_engine, "_probe_operand", side_effect=MemoryError):
+            got = diff_engine._per_point(subs, *ops)
+    else:
+        got = diff_engine._per_point(subs, *ops)
+    after = np.random.get_state()
+    assert after[0] == state[0] and after[2:] == state[2:]
+    assert np.array_equal(after[1], state[1])
+    assert got.shape == (B,) + want[0].shape
+    for i in range(B):
+        assert got[i].tobytes() == want[i].tobytes(), (subs, i)
+    if unprobed is not None:
+        assert keeps.cache_info().currsize == 1 and not keeps(subs, layout), unprobed
+    keeps.cache_clear()
+
+
+def test_router_batches_by_layout():
+    # optic-sweep's connection plan keeps each point's bits in one einsum
+    # over a block of 33; the conservation law's trace does not at
+    # mixed33-deep's shapes, and runs point by point
+    keeps = diff_engine._batch_keeps_bits
+
+    def contiguous(*shapes):
+        return tuple((np.dtype(float), s, np.zeros(s).strides) for s in shapes)
+
+    assert keeps("Zacdjb,Zjbw->Zacdw", contiguous((33, 2, 2, 2, 2, 2), (33, 2, 2, 2)))
+    assert not keeps("Zmuil,Zlmu->Zi", contiguous((4, 3, 3, 3, 3), (4, 3, 3, 3)))
 
 
 # reference derivative tables, one loop per rule: the reciprocal's, the
