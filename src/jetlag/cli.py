@@ -51,6 +51,7 @@ from .geometry import (
     curvature_antisymmetry_residuals,
     curvature_set,
     frame,
+    in_row_blocks,
     kronecker_deviation_at,
     metricity_residuals,
     nlc_torsion_at,
@@ -773,9 +774,12 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     its checks read keep within one budget of bytes: on each block every
     frame-reading check takes its step, by the rule of the library's
     sweeps (:func:`~jetlag.geometry._block_records`), so the block's
-    frames are built once, with every field grid run once per order over
-    the block, read by every check, and dropped when the next block
-    starts; the last block's are dropped when the blocks end.  A point
+    frames are built once, read by every check, and dropped when the next
+    block starts; the last block's are dropped when the blocks end.  The
+    blocks come in row blocks (:func:`~jetlag.geometry.in_row_blocks`),
+    as many whole blocks as keep the compact rows of the space's field
+    grids at that order within the same budget, and every field grid runs
+    once per order over a row block.  A point
     error does not stop a check: its point holds it as its record, and
     the check steps every later block.  After the last block, in config
     order, a check whose records hold an error reports the first one, and
@@ -792,10 +796,9 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
 
         records = {name: [] for name in cfg.checks if CHECKS[name].fold}
-        size = block_size(ctx.p, ctx.n,
-                          max((CHECKS[name].order for name in cfg.checks),
-                              default=0))
-        for block in blocks(pts, size):
+        order = max((CHECKS[name].order for name in cfg.checks), default=0)
+        for block in in_row_blocks(ctx, blocks(pts, block_size(ctx.p, ctx.n, order)),
+                                   order):
             for name, recs in records.items():
                 recs += _block_records(_RUNNERS[name], ctx, block)
     finally:

@@ -1010,7 +1010,8 @@ def _seed_tables(N: int, order: int) -> tuple:
     return tables[0], tables[1:]
 
 
-def seed_point(pts, order: int, deps=frozenset(("t", "x", "xs"))) -> SeededPoint:
+def seed_point(pts, order: int, deps=frozenset(("t", "x", "xs")),
+               over=None) -> SeededPoint:
     """Seed points with scalar jets; non-dependency groups become constants.
 
     ``pts`` is one :class:`JetPoint`, seeded alone (component shape ()), or
@@ -1019,23 +1020,33 @@ def seed_point(pts, order: int, deps=frozenset(("t", "x", "xs"))) -> SeededPoint
     (component shape (B,)), for a :func:`point_batch`.  The derivative
     coefficients are the same at every point, so they are broadcast,
     read-only views.
+
+    ``over``, sorted flat indices (:func:`coord_index`), names the M
+    coordinates the jets' derivative slots range over: all N by default.
+    A coordinate of a group in ``deps`` that ``over`` names is seeded as
+    its own unit vector over them, and every other one as a constant.
+    Every jet operation of a field is elementwise over the slots, so each
+    entry of a jet over M coordinates holds the bits of the same entry of
+    the jet over all N.
     """
     one = isinstance(pts, JetPoint)
     p, n = (pts if one else pts[0]).dims
     N = coord_count(p, n)
+    over = range(N) if over is None else over
+    slot = {k: m for m, k in enumerate(over)}
     values = pts.flat() if one else np.stack([pt.flat() for pt in pts], axis=1)
     comp = values.shape[1:]
-    unit, zeros = _seed_tables(N, order)
+    unit, zeros = _seed_tables(len(slot), order)
     if comp:
-        unit = np.broadcast_to(unit[:, None], (N,) + comp + (N,))
+        unit = np.broadcast_to(unit[:, None], unit.shape[:1] + comp + unit.shape[1:])
         zeros = [np.broadcast_to(c, comp + c.shape) for c in zeros]
     z = []
     # at order 0 there is no first-order slot; everything is a constant
     for k, group in enumerate(["t"] * p + ["x"] * n + ["xs"] * (n * p)):
         coeffs = [np.asarray(values[k]), *zeros]
-        if group in deps and order >= 1:
-            coeffs[1] = unit[k]
-        z.append(Jet(N, order, coeffs))
+        if group in deps and order >= 1 and k in slot:
+            coeffs[1] = unit[slot[k]]
+        z.append(Jet(len(slot), order, coeffs))
     return SeededPoint.of_flat(z, (p, n))
 
 

@@ -25,8 +25,9 @@ entries say, become one generated straight-line Python function with one
 local per distinct subexpression, so a subexpression that several fields
 share (the refraction index in every optic metric entry) is computed once.
 The function runs at one point or, with jets seeded over a batch of
-points, at all of them in one call.  Only node types, integer indices and
-constant slots reach the generated source, never field text.
+points, at all of them in one call; the jets range only over the
+coordinates that the grid's fields read.  Only node types, integer indices
+and constant slots reach the generated source, never field text.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .diff_engine import (
     JetPoint,
     ScalarField,
     SeededPoint,
+    _dep_coords,
     coord_count,
     coord_index,
     jabs,
@@ -513,8 +515,7 @@ def _compile(grid, dims, kinds):
         if key in names:
             return names[key]
         if isinstance(node, Coord):
-            cid = (node.kind, node.i, node.a) if node.kind == "xs" else (node.kind, node.i)
-            k = coord_index(*dims, cid)
+            k = _flat_index(node, dims)
             got = new(f"z{g}[{k}]"), kinds[g][k]
         elif isinstance(node, Neg):
             child, kind = visit(node.child, g)
@@ -588,14 +589,20 @@ class FieldGrid:
     jet or array local is deleted after its last use.
 
     The same function evaluates one point or a batch of points
-    (:meth:`stacked`): seeded as a batch, each coordinate is one jet whose
+    (:meth:`compact`): seeded as a batch, each coordinate is one jet whose
     value axis runs over the points, and Jet arithmetic is elementwise over
     it, so the grid runs once for all of them and each point gets the bits
-    it gets alone (:func:`~jetlag.diff_engine.point_batch`).  Float points
-    run as one batch too (:meth:`rows`), each coordinate one array over the
-    points: an array local runs each float-path operation on every element
-    (powers and the calls exp, log, sin, cos, sqrt, tanh and abs), so every
-    grid of :class:`ExprField` values batches with the float path's bits.
+    it gets alone (:func:`~jetlag.diff_engine.point_batch`).  Its jets range
+    only over the coordinates that the fields and their guards read
+    (:meth:`over`); every operation of a grid is elementwise over the
+    derivative slots too, so each of their entries holds the bits of the
+    same entry of a grid seeded over all N coordinates, and
+    :meth:`stacked` scatters them back among zeros (:meth:`expand`).
+    Float points run as one batch too (:meth:`rows`), each coordinate one
+    array over the points: an array local runs each float-path operation
+    on every element (powers and the calls exp, log, sin, cos, sqrt, tanh
+    and abs), so every grid of :class:`ExprField` values batches with the
+    float path's bits.
 
     The function is generated on first use for each point shape (dims and
     the type of each coordinate) and kept with the grid; :meth:`of` keeps
@@ -606,8 +613,9 @@ class FieldGrid:
         self.fields = tuple(fields)
         self.groups = list(dict.fromkeys(frozenset(f.deps) for f in self.fields))
         self._fns = {}
+        self._over = {}
         # any other field is called on one seeded point, which it may branch on
-        self._batchable = all(isinstance(f, ExprField) for f in self.fields)
+        self.batchable = all(isinstance(f, ExprField) for f in self.fields)
 
     @staticmethod
     def of(fields) -> "FieldGrid":
@@ -638,35 +646,81 @@ class FieldGrid:
         """The fields' values at seeded points, one per group."""
         return self([s.flat() for s in spts], (spts[0].p, spts[0].n))
 
-    def stacked(self, pts, order) -> Jet:
-        """The fields at a sequence of B points as one jet of ``order`` of
-        component shape (B, F), which stacks the F fields in order (a field
-        that reads no seeded jet is a constant jet).  One point is seeded
-        alone; two or more are seeded as one batch and evaluated by one
-        call in a :func:`~jetlag.diff_engine.point_batch`.  Raises what
-        the call raises, and :class:`~jetlag.diff_engine.BatchDiverged`
-        where the points of a batch branch apart or a batch meets a field
-        that is not an :class:`ExprField`.
+    def over(self, dims) -> tuple:
+        """The sorted flat indices of the coordinates that the fields and
+        their guards read at points of dims (p, n), from their ASTs; of a
+        field that is not an :class:`ExprField`, every coordinate of its
+        dependency groups."""
+        got = self._over.get(dims)
+        if got is None:
+            read = set()
+            for f in self.fields:
+                if isinstance(f, ExprField):
+                    asts = [f.ast] + ([f.guard[1].ast] if f.guard else [])
+                    read.update(_flat_index(c, dims) for a in asts for c in _coords(a))
+                else:
+                    read.update(coord_index(*dims, c) for c in _dep_coords(f, *dims))
+            got = self._over[dims] = tuple(sorted(read))
+        return got
+
+    def row_bytes(self, dims, order) -> int:
+        """The bytes of one point's row of :meth:`compact` at ``order``."""
+        M = len(self.over(dims))
+        return 8 * len(self.fields) * sum(M ** k for k in range(order + 1))
+
+    def compact(self, pts, order) -> Jet:
+        """The fields at a sequence of B points as one jet of ``order`` over
+        the M coordinates of :meth:`over`, of component shape (B, F), which
+        stacks the F fields in order (a field that reads no seeded jet is a
+        constant jet).  One point is seeded alone; two or more are seeded
+        as one batch and evaluated by one call in a
+        :func:`~jetlag.diff_engine.point_batch`.  Raises what the call
+        raises, and :class:`~jetlag.diff_engine.BatchDiverged` where the
+        points of a batch branch apart or a batch meets a field that is not
+        an :class:`ExprField`.
         """
         one = len(pts) == 1
-        if not (one or self._batchable):
+        if not (one or self.batchable):
             raise BatchDiverged
-        seeds = [seed_point(pts[0] if one else pts, order, deps)
+        over = self.over(pts[0].dims)
+        seeds = [seed_point(pts[0] if one else pts, order, deps, over)
                  for deps in self.groups]
         if one:
             vals = self.at(seeds)
         else:
             with point_batch():
                 vals = self.at(seeds)
-        N = coord_count(*pts[0].dims)
-        jets = [v if isinstance(v, Jet) else Jet.constant(float(v), N, order)
+        M = len(over)
+        jets = [v if isinstance(v, Jet) else Jet.constant(float(v), M, order)
                 for v in vals]
         K = min(j.order for j in jets)
         B = len(pts)
-        return Jet(N, K, [np.stack([j.coeffs[k] if j.shape else
+        return Jet(M, K, [np.stack([j.coeffs[k] if j.shape else
                                     np.broadcast_to(j.coeffs[k], (B,) + j.coeffs[k].shape)
                                     for j in jets], axis=1)
                           for k in range(K + 1)])
+
+    def expand(self, jet, dims) -> Jet:
+        """A jet of :meth:`compact` at points of dims (p, n) as the jet over
+        all N coordinates: each derivative slot scattered to the flat index
+        it stands for, every other entry zero."""
+        N = coord_count(*dims)
+        over = self.over(dims)
+        if len(over) == N:
+            return jet
+        out = [jet.coeffs[0]]
+        for k, c in enumerate(jet.coeffs[1:], 1):
+            full = np.zeros(c.shape[:c.ndim - k] + (N,) * k)
+            full[(Ellipsis, *np.ix_(*[over] * k))] = c
+            out.append(full)
+        return Jet(N, jet.order, out)
+
+    def stacked(self, pts, order) -> Jet:
+        """:meth:`compact` of ``pts``, expanded over all N coordinates
+        (:meth:`expand`): the fields' jets as seeding every coordinate of
+        their groups gives them, but for the sign of a zero in a slot that
+        no field reads."""
+        return self.expand(self.compact(pts, order), pts[0].dims)
 
     def rows(self, zs, dims) -> np.ndarray:
         """The fields' float values at each row of ``zs``, an (R, N) array
@@ -682,7 +736,7 @@ class FieldGrid:
         what the call raises, and :class:`~jetlag.diff_engine.BatchDiverged`
         where a row fails a guard or the grid holds a field that is not an
         :class:`ExprField`."""
-        if not self._batchable:
+        if not self.batchable:
             raise BatchDiverged
         cols = list(np.ascontiguousarray(np.transpose(zs), dtype=float))
         vals = self([cols] * len(self.groups), dims)
@@ -709,22 +763,27 @@ def validate_field(ast, declared_deps):
     bad = deps - {"t", "x", "xs"}
     if bad:
         raise ValueError(f"unknown dependency groups {sorted(bad)}")
-    out = []
+    return [(c.kind, c.pos) for c in _coords(ast) if c.kind not in deps]
 
-    def walk(node):
-        if isinstance(node, Coord):
-            if node.kind not in deps:
-                out.append((node.kind, node.pos))
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Neg):
-            walk(node.child)
-        elif isinstance(node, Call):
-            walk(node.arg)
 
-    walk(ast)
-    return out
+def _coords(node):
+    """Every coordinate reference of an AST, depth-first, left to right."""
+    if isinstance(node, Coord):
+        yield node
+    elif isinstance(node, Binary):
+        yield from _coords(node.left)
+        yield from _coords(node.right)
+    elif isinstance(node, Neg):
+        yield from _coords(node.child)
+    elif isinstance(node, Call):
+        yield from _coords(node.arg)
+
+
+def _flat_index(node: Coord, dims) -> int:
+    """The flat index (:func:`~jetlag.diff_engine.coord_index`) of a
+    coordinate reference at points of dims (p, n)."""
+    cid = (node.kind, node.i, node.a) if node.kind == "xs" else (node.kind, node.i)
+    return coord_index(*dims, cid)
 
 
 # --------------------------------------------------------------------------

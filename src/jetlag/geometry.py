@@ -75,7 +75,8 @@ MAX_ORDER = 3  # the derivative budget (module docstring)
 # The bytes the frames of one block of points may keep (:func:`block_size`):
 # 768 KiB, which puts a (2,2) order-3 run in blocks of 6 points, a (2,2)
 # order-2 run in blocks of up to 43 and a (3,3) order-3 run one point at a
-# time.
+# time.  The compact field-grid rows of one row block keep within it too
+# (:func:`in_row_blocks`).
 BLOCK_BYTES = 768 * 1024
 
 __all__ = [
@@ -97,6 +98,7 @@ __all__ = [
     "BLOCK_BYTES",
     "block_size",
     "blocks",
+    "in_row_blocks",
     "frame_bytes",
     "sweep",
     "frame",
@@ -227,12 +229,39 @@ class GeometryContext:
         self.forget_run()
 
     def forget_run(self):
-        """Forget the frames of the block last framed and the recorded
-        signature.  A run starts and ends with this, and
-        :func:`sweep` ends with it, so no run inherits either."""
+        """Forget the frames of the block last framed, the rows of the row
+        block last held (:meth:`hold_rows`) and the recorded signature.  A
+        run starts and ends with this, and :func:`sweep` ends with it, so
+        no run inherits any of them."""
         self._framed = None  # the key of the block last framed
         self._frames = {}  # its frames, by order
+        self._rows = None  # the _RowBlock held
         self._signature = None  # (h signs, g signs) at the first point read
+
+    def hold_rows(self, pts):
+        """Hold the rows of the row block ``pts`` until the next row block
+        or :meth:`forget_run`: the first frame of its points that asks for
+        a field grid at an order runs the grid once over all of them, and
+        every frame of its points takes its own points' rows
+        (:meth:`Frame._eval_fields`)."""
+        self._rows = _RowBlock(self, pts)
+
+    def row_bytes(self, order: int) -> int:
+        """The bytes of one point's compact rows
+        (:meth:`~jetlag.field_expr.FieldGrid.row_bytes`) of the grids that
+        a frame of ``order`` runs: h, g's entries or L at ``order`` + 2,
+        and phi's or N's entries."""
+        grids = [(self.h.flat, order)]
+        if isinstance(self.g_source, DirectMetric):
+            grids.append((self.g_source.entries.flat, order))
+        else:
+            grids.append(([self.g_source.L], order + 2))
+        if isinstance(self.nlc, ChristoffelOfPhi):
+            grids.append((self.nlc.phi.flat, order))
+        elif isinstance(self.nlc, UserGiven):
+            grids.append((self.nlc.entries.flat, order))
+        return sum(FieldGrid.of(list(fields)).row_bytes((self.p, self.n), k)
+                   for fields, k in grids)
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
@@ -312,6 +341,67 @@ def blocks(pts, size: int) -> list:
             for k in range(count)]
 
 
+class _RowBlock:
+    """The points of a row block (:meth:`GeometryContext.hold_rows`) and,
+    by (grid, order), the compact jet
+    (:meth:`~jetlag.field_expr.FieldGrid.compact`) of the grid's one run
+    over all of them, or None where each frame block runs the grid itself:
+    a grid that holds a field that is not an
+    :class:`~jetlag.field_expr.ExprField`, rows that would take the held
+    rows past :data:`BLOCK_BYTES`, or a run that raises, so that each
+    frame block, and each point, meets its own error."""
+
+    def __init__(self, ctx, pts):
+        self.pts = tuple(pts)
+        self.dims = (ctx.p, ctx.n)
+        self.row = {pt.key(): k for k, pt in enumerate(self.pts)}
+        self.held = {}
+        self.nbytes = 0
+
+    def rows(self, grid, pts, order):
+        """The rows of ``pts`` of the grid's run at ``order``, a compact jet
+        of component shape (len(pts), F); None where ``pts`` are not all in
+        the row block or the frame block runs the grid itself."""
+        at = [self.row.get(pt.key()) for pt in pts]
+        if None in at:
+            return None
+        if (grid, order) not in self.held:
+            self.held[grid, order] = self._run(grid, order)
+        jet = self.held[grid, order]
+        return None if jet is None else jet[at]
+
+    def _run(self, grid, order):
+        nbytes = grid.row_bytes(self.dims, order) * len(self.pts)
+        if not grid.batchable or self.nbytes + nbytes > BLOCK_BYTES:
+            return None
+        try:
+            jet = grid.compact(self.pts, order)
+        except (JetlagError, BatchDiverged):
+            return None
+        self.nbytes += nbytes
+        return jet
+
+
+def in_row_blocks(ctx, frame_blocks, order: int):
+    """Yield ``frame_blocks`` (:func:`blocks`) in order, cut into row
+    blocks: runs of as many whole frame blocks as keep one point's compact
+    rows of the context's grids at ``order``
+    (:meth:`GeometryContext.row_bytes`) within :data:`BLOCK_BYTES`, one
+    frame block at least.  While a row block's frame blocks are yielded,
+    the context holds its rows (:meth:`GeometryContext.hold_rows`), so
+    each grid runs once per order over the row block."""
+    size = BLOCK_BYTES // ctx.row_bytes(order)
+    runs = []
+    for block in frame_blocks:
+        if runs and sum(map(len, runs[-1])) + len(block) <= size:
+            runs[-1].append(block)
+        else:
+            runs.append([block])
+    for run in runs:
+        ctx.hold_rows([pt for block in run for pt in block])
+        yield from run
+
+
 def _block_records(step, ctx, block) -> list:
     """The records of ``step`` at the points of ``block``, one per point,
     in order: from one call over the block, or, where that raises or its
@@ -361,12 +451,13 @@ def sweep(step, ctx, pts, order: int) -> list:
     """The records of ``step`` (``(ctx, block) -> [record per point]``) at
     ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
     of the :func:`blocks` of at most :func:`block_size` points whose
-    frames go up to ``order``, so a fold of them has the run's bits,
-    errors and witnesses.  After the last block it raises the first error
+    frames go up to ``order``, in the row blocks of :func:`in_row_blocks`,
+    so a fold of them has the run's bits, errors and witnesses.  After the last block it raises the first error
     a point holds.  Like a run, it ends with ``ctx.forget_run()``."""
     out = []
     try:
-        for block in blocks(pts, block_size(ctx.p, ctx.n, order)):
+        for block in in_row_blocks(ctx, blocks(pts, block_size(ctx.p, ctx.n, order)),
+                                   order):
             out += _block_records(step, ctx, block)
     finally:
         ctx.forget_run()
@@ -459,7 +550,8 @@ class Frame:
     the order their readers name: each reader asks for the order of the
     block it contracts, and a lower order is served truncated.  The
     fields (h, g, phi, N, L) come from the context's compiled field grids
-    (:meth:`eval_grid`), each run once per order over the frame's points.
+    (:meth:`eval_grid`), each run once per order over the row block the
+    context holds, or else over the frame's points (:meth:`_eval_fields`).
     """
 
     def __init__(self, ctx: GeometryContext, pts, order: int):
@@ -531,19 +623,27 @@ class Frame:
         return self._eval_fields([f], order).reshape_components((len(self.pts),))
 
     def eval_grid(self, grid: np.ndarray, order=None) -> Jet:
-        fields = [grid[idx] for idx in np.ndindex(grid.shape)]
-        return self._eval_fields(fields, order).reshape_components(
+        return self._eval_fields(list(grid.flat), order).reshape_components(
             (len(self.pts),) + grid.shape)
 
     def _eval_fields(self, fields, order) -> Jet:
         """``fields`` at the frame's B points, as one jet of ``order``
         (default: the frame's) of component shape (B, F), B = 1 included,
         through the context's compiled grid of them (:meth:`FieldGrid.of`),
-        run once over the frame's points.  A block whose grid raises or
-        whose points branch apart raises, and its points are then framed
-        alone (:class:`~jetlag.diff_engine.BatchDiverged`)."""
+        seeded only in the coordinates it reads and expanded over all N
+        (:meth:`FieldGrid.stacked`).  Its rows come from the grid's one run
+        over the row block that the context holds
+        (:meth:`GeometryContext.hold_rows`); where there is none, or it
+        leaves the grid to each frame block, from one run over the frame's
+        points.  A block whose grid raises or whose points branch apart
+        raises, and its points are then framed alone
+        (:class:`~jetlag.diff_engine.BatchDiverged`)."""
         order = self.order if order is None else order
-        return FieldGrid.of(fields).stacked(self.pts, order)
+        grid = FieldGrid.of(fields)
+        rows = self.ctx._rows and self.ctx._rows.rows(grid, self.pts, order)
+        if rows is None:
+            rows = grid.compact(self.pts, order)
+        return grid.expand(rows, (self.p, self.n))
 
     # -- coordinates -------------------------------------------------------
 

@@ -182,9 +182,10 @@ def xdep33_ctx(K=1.0):
     )
 
 
-def record_grid_calls(monkeypatch) -> list:
+def record_grid_calls(monkeypatch, nvars=False) -> list:
     """(grid, order, batch size) of every jet-seeded FieldGrid call from now
-    on; the batch size of a point seeded alone is 0."""
+    on; the batch size of a point seeded alone is 0.  With ``nvars``, each
+    entry ends with the number of coordinates the call's jets range over."""
     from jetlag.diff_engine import Jet
     from jetlag.field_expr import FieldGrid
 
@@ -194,7 +195,8 @@ def record_grid_calls(monkeypatch) -> list:
     def recording(self, zs, dims):
         z = zs[0][0]
         if isinstance(z, Jet):
-            calls.append((self, z.order, z.value.size if z.value.ndim else 0))
+            calls.append((self, z.order, z.value.size if z.value.ndim else 0)
+                         + ((z.nvars,) if nvars else ()))
         return call(self, zs, dims)
 
     monkeypatch.setattr(FieldGrid, "__call__", recording)

@@ -239,6 +239,25 @@ TORSION_PRECEDENCE_CFG = dict(
     checks=["metricity", "torsion", "maxwell"],
 )
 
+# every field text negated, some twice, with unary minus and negative
+# factors: a field's jet then holds -0.0 in the derivative slots of the
+# coordinates it does not read
+NEGATED_CFG = {
+    "p": 2, "n": 2,
+    "space": {"name": "custom", "params": {
+        "h": [["-(-1 - 0.3*t[1]^2)", "-0.2*t[1]*-t[2]"],
+              ["-0.2*t[1]*-t[2]", "-(-2 - 0.1*sin(t[2]))"]],
+        "g": [["-(-(1 + x[1]^2))*exp(-0.2*xs[1][1]^2)", "-0.1*x[1]*-x[2]"],
+              ["-0.1*x[1]*-x[2]", "-(-2 - x[2]^2 - 0.1*t[1]*xs[2][2])"]],
+        "nlc": {"kind": "christoffel",
+                "phi": [["-(-1 - x[1]^2)", "-0*x[2]"],
+                        ["-0*x[2]", "-(-(1 + x[2]^2))"]]}}},
+    "points": {"seed": 6, "count": 4, "box": {"xs": [-0.5, 0.5]}},
+    "checks": ["metricity", "antisymmetry", "torsion", "curvature", "maxwell",
+               "einstein", "conservation", "regularity", "grad-check"],
+    "dump": list(DUMP_FAMILIES),
+}
+
 # sha256 of a report minus its wall-time line, as the benchmark's
 # report_digest takes it; a mismatch means some report byte changed
 REPORT_DIGESTS = {
@@ -280,6 +299,11 @@ REPORT_DIGESTS = {
                            MAXWELL_PRECEDENCE_CFG),
     "torsion-precedence": ("f6bef3ff2445cedafda09f52c72ccaaf99e33b5ab04808b9f79655bd9a89ab36",
                            TORSION_PRECEDENCE_CFG),
+    # fields whose jets keep -0.0 in the slots of coordinates they do not
+    # read, through every dump family: taken while every grid was seeded in
+    # every coordinate of its groups
+    "negated-dumps": ("14a253fa9621e238479eb84970f59789862b43eba285b617fd63f32bed246f6b",
+                      NEGATED_CFG),
 }
 WALL_LINE = re.compile(r'^  "wall_time_s": .*\n', re.MULTILINE)
 
@@ -1937,26 +1961,45 @@ DOMAIN_SWEEP_CFG = {
 }
 
 
-def test_a_point_outside_a_domain_keeps_its_error_in_a_batch(tmp_path):
+def test_a_point_outside_a_domain_keeps_its_error_in_a_batch(tmp_path, monkeypatch):
     # the phi grid's batch raises, so each point is evaluated alone and the
     # third one raises its own error; the digest was taken with every point
-    # evaluated alone
-    rc, rep = run_to(tmp_path, DOMAIN_SWEEP_CFG)
-    assert rc == 1
+    # evaluated alone.  In frame blocks of at most two points, one row block
+    # holds all five: its phi run raises, so each frame block runs phi
+    # itself while h and g still run once over all five points
+    from jetlag import cli
+
+    calls = support.record_grid_calls(monkeypatch)
     bad = DOMAIN_SWEEP_CFG["points"]["explicit"][2]
-    for name in DOMAIN_SWEEP_CFG["checks"]:
-        doc = rep["checks"][name]
-        assert (doc["status"], doc["error"], doc["witness"]) == (
-            "fail", "log of a non-positive value", bad), name
-    text = (tmp_path / "report.json").read_text()
-    digest = hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest()
-    assert digest == "f375815e1d5b583b40317ffa9309d884a696e2e0129e48c3884865877b276eab"
+    for size in (None, 2):
+        if size is not None:
+            monkeypatch.setattr(cli, "block_size", lambda p, n, order: size)
+        calls.clear()
+        rc, rep = run_to(tmp_path, DOMAIN_SWEEP_CFG)
+        assert rc == 1
+        for name in DOMAIN_SWEEP_CFG["checks"]:
+            doc = rep["checks"][name]
+            assert (doc["status"], doc["error"], doc["witness"]) == (
+                "fail", "log of a non-positive value", bad), (size, name)
+        text = (tmp_path / "report.json").read_text()
+        digest = hashlib.sha256(WALL_LINE.sub("", text).encode()).hexdigest()
+        assert digest == "f375815e1d5b583b40317ffa9309d884a696e2e0129e48c3884865877b276eab"
+    runs = {}
+    for grid, order, n in calls:
+        if order == 2:
+            runs.setdefault(tuple(f.deps for f in grid.fields), []).append(n)
+    # blocks of 1, 2 and 2 points; a point framed alone is seeded alone
+    phi = runs.pop((frozenset({"x"}),) * 4)
+    assert phi[0] == 5 and set(phi[1:]) == {0, 2}
+    assert list(runs.values()) == [[5], [5]]
 
 
 def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch):
     # a tooling guard: perfbench's field_expr.eval.calls wraps ExprField
     # calls, which grids bypass, so it cannot see a run that falls back to
-    # evaluating its fields point by point
+    # evaluating its fields point by point.  The run's frames take its
+    # points in several blocks, but the rows of every grid fit one row
+    # block, so each grid runs once per order over all of them
     calls = support.record_grid_calls(monkeypatch)
     from jetlag.geometry import block_size
 
@@ -1965,16 +2008,65 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
                checks=SWEEP_CHECKS, dump=[])
     rc, rep = run_to(tmp_path, doc)
     assert rc == 0 and len(rep["points"]) == count
-    # one sampling block (no draw is rejected), then one batch per block
-    # and order
-    blocks = _block_sizes(count, block_size(2, 2, 2))
-    assert len(blocks) > 1
+    assert len(_block_sizes(count, block_size(2, 2, 2))) > 1
+    # one sampling block (no draw is rejected), then one run per order
     runs = {}
     for grid, order, n in calls:
         runs.setdefault((grid, order), []).append(n)
     assert {order for _, order in runs} == {0, 2}
+    assert len([key for key in runs if key[1] == 2]) == 3
     for (grid, order), sizes in runs.items():
-        assert sizes == ([count] if order == 0 else blocks), order
+        assert sizes == [count], order
+
+
+def test_a_deep_run_evaluates_each_grid_once_over_the_coordinates_it_reads(
+        tmp_path, monkeypatch):
+    # sixteen points of the (3,3) space frame one point at a time at order
+    # 3, and the h, g and phi grids each run once over all of them, their
+    # jets over the 3, 8 and 3 coordinates they read of 15
+    from jetlag.geometry import block_size
+
+    calls = support.record_grid_calls(monkeypatch, nvars=True)
+    doc = dict(MIXED33_CFG, points=dict(MIXED33_CFG["points"], count=16))
+    run_to(tmp_path, doc)
+    assert block_size(3, 3, 3) == 1
+    runs = {}
+    for grid, order, n, nvars in calls:
+        if order == 3:
+            deps = " ".join(sorted(grid.fields[0].deps))
+            runs.setdefault(deps, []).append((n, nvars))
+    assert runs == {"t": [(16, 3)], "t x xs": [(16, 8)], "x": [(16, 3)]}
+
+
+def test_rows_held_at_once_stay_within_the_block_budget(tmp_path, monkeypatch):
+    # a g that reads all 15 coordinates keeps 266,112 bytes of order-3 rows
+    # per point, so 40 points go in row blocks of two, and the rows held at
+    # any one time never pass BLOCK_BYTES
+    from jetlag import geometry
+
+    sigma = " + ".join(f"0.01*{c}" for c in
+                       ["t[1]", "t[2]", "t[3]", "x[1]", "x[2]", "x[3]"]
+                       + [f"xs[{i}][{a}]^2" for i in (1, 2, 3) for a in (1, 2, 3)])
+    doc = dict(MIXED33_CFG, space={"name": "custom", "params": dict(
+        MIXED33_CFG["space"]["params"],
+        g=support.conformal_g_src(sigma, support.PHI33_SRC))},
+               points=dict(MIXED33_CFG["points"], count=40), checks=["conservation"])
+    held = []
+    run = geometry._RowBlock._run
+
+    def holding(self, grid, order):
+        jet = run(self, grid, order)
+        held.append(sum(c.nbytes for rows in [*self.held.values(), jet]
+                        if rows is not None for c in rows.coeffs))
+        return jet
+
+    monkeypatch.setattr(geometry._RowBlock, "_run", holding)
+    calls = support.record_grid_calls(monkeypatch, nvars=True)
+    rc, rep = run_to(tmp_path, doc)
+    assert rep["checks"]["conservation"]["error"] is None
+    g_runs = [n for grid, order, n, nvars in calls if order == 3 and nvars == 15]
+    assert g_runs == [2] * 20
+    assert held and max(held) <= geometry.BLOCK_BYTES
 
 
 def test_two_runs_of_one_loaded_config_make_the_same_grid_calls(tmp_path, monkeypatch):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetlag.diff_engine import BatchDiverged, Jet, JetPoint, float_point, seed_point
+from jetlag.diff_engine import (
+    BatchDiverged,
+    Jet,
+    JetPoint,
+    float_point,
+    point_batch,
+    seed_point,
+)
 from jetlag.errors import (
     EvalDomainError,
     FieldValidationError,
@@ -437,3 +444,115 @@ def test_rows_give_each_row_the_float_path(fn, args):
         with pytest.raises(want[0]) as exc:
             grid.rows(np.array(zs), dims)
         assert (type(exc.value), str(exc.value), exc.value.offset) == want
+
+
+# --------------------------------------------------------------------------
+# a grid's jets range over the coordinates its fields read
+# --------------------------------------------------------------------------
+
+def _signed_strategy():
+    """Field texts with unary minus, negative constant factors and the
+    calls exp, log, sqrt, sin, tanh and abs."""
+    atoms = st.sampled_from(["1", "-2", "0.5", "-0.25", "t[1]", "t[2]", "x[1]",
+                             "x[2]", "xs[1][2]", "xs[2][1]", "-x[1]", "-xs[1][1]"])
+
+    def compose(children):
+        binary = st.tuples(
+            children, st.sampled_from(["+", "-", "*", "/", "^"]), children
+        ).map(lambda t: f"({t[0]}){t[1]}({t[2]})")
+        unary = children.map(lambda s: f"-({s})")
+        scaled = children.map(lambda s: f"-3*({s})")
+        call = st.tuples(
+            st.sampled_from(["exp", "log", "sqrt", "sin", "tanh", "abs"]), children
+        ).map(lambda t: f"{t[0]}({t[1]})")
+        return st.one_of(binary, unary, scaled, call)
+
+    return st.recursive(atoms, compose, max_leaves=8)
+
+
+# guards that always hold, that fail at some points, and that read a
+# coordinate the guarded field may not read
+GUARDS = [None, "1 + x[1]^2", "4*t[1]", "1 + xs[2][2]^2"]
+SIGNED_POINTS = [
+    JetPoint.of([0.7, 0.3], [1.2, 0.4], [[0.5, 1.5], [0.2, 0.9]]),
+    JetPoint.of([0.2, 1.1], [0.6, 2.0], [[1.3, 0.4], [0.8, 0.1]]),
+    CORPUS_POINT,  # x[2] < 0: log and sqrt of it raise
+]
+
+
+# the flat index of each coordinate reference at CORPUS_DIMS: t^1 t^2 x^1 x^2
+# xs^1_1 xs^1_2 xs^2_1 xs^2_2
+_COORD_REF = re.compile(r"xs\[\d\]\[\d\]|t\[\d\]|x\[\d\]")
+_FLAT = {ref: k for k, ref in enumerate(["t[1]", "t[2]", "x[1]", "x[2]", "xs[1][1]",
+                                         "xs[1][2]", "xs[2][1]", "xs[2][2]"])}
+
+
+def _outcomes(evaluate):
+    try:
+        return evaluate()
+    except (JetlagError, BatchDiverged) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _seeded_over_all(grid, pts, order):
+    """Per field, the grid's value seeded in every coordinate of each group,
+    as the grid seeds ``pts`` (one point alone): a float, or the jet's
+    coefficients, each with a leading point axis."""
+    one = len(pts) == 1
+    seeds = [seed_point(pts[0] if one else pts, order, deps) for deps in grid.groups]
+    if one:
+        vals = grid.at(seeds)
+    else:
+        with point_batch():
+            vals = grid.at(seeds)
+    return [[c[None] if one else c for c in v.coeffs] if isinstance(v, Jet)
+            else float(v) for v in vals]
+
+
+@given(srcs=st.lists(st.tuples(_signed_strategy(), st.sampled_from(GUARDS),
+                               st.sets(st.sampled_from(["t", "x", "xs"]))),
+                     min_size=1, max_size=3),
+       order=st.sampled_from([0, 1, 2, 3]))
+@example(srcs=[("-(2)*-0.5", None, set()), ("exp(-1)", None, {"x"})], order=3)
+@example(srcs=[("-x[1]", None, set()), ("-3*(xs[1][2])", "1 + xs[2][2]^2", set())],
+         order=2)
+@settings(max_examples=150, deadline=None)
+def test_compact_jets_expand_to_the_full_seeding(srcs, order):
+    # each entry of a grid's jets seeded over the coordinates it reads holds
+    # the bits of that entry seeded over all N, alone and in a batch; every
+    # other entry of the full seeding is a zero, whose sign the expansion
+    # does not keep (unary minus and negative factors leave -0.0 there)
+    fields = []
+    for src, guard, extra in srcs:
+        ast = parse_field(src, CORPUS_DIMS)
+        deps = {c[0] for c in validate_field(ast, ())} | extra
+        fields.append(ExprField(ast, CORPUS_DIMS, deps, guard=guard and (
+            "guard", ExprField(guard, CORPUS_DIMS))))
+    grid = FieldGrid(fields)
+    over = grid.over(CORPUS_DIMS)
+    texts = " ".join(f"{src} {guard}" for src, guard, _ in srcs)
+    assert over == tuple(sorted({_FLAT[ref] for ref in _COORD_REF.findall(texts)}))
+    for pts in [[pt] for pt in SIGNED_POINTS] + [SIGNED_POINTS[:2], SIGNED_POINTS]:
+        compact = _outcomes(lambda: grid.compact(pts, order))
+        stacked = _outcomes(lambda: grid.stacked(pts, order))
+        full = _outcomes(lambda: _seeded_over_all(grid, pts, order))
+        if isinstance(full, tuple):
+            # a batch seeded over all N branches apart where a point alone
+            # raises, and the grid runs a single point alone
+            assert compact == stacked == full or (
+                len(pts) > 1 and compact == stacked)
+            continue
+        assert not isinstance(compact, tuple), compact
+        assert compact.nvars == len(over)
+        for j, want in enumerate(full):
+            for k in range(compact.order + 1):
+                got = compact.coeffs[k][:, j]
+                if isinstance(want, float):  # a constant jet
+                    want = [np.full(len(pts), want)] + [
+                        np.zeros((len(pts),) + (8,) * m) for m in range(1, order + 1)]
+                read = (Ellipsis, *np.ix_(*[over] * k))
+                assert np.ascontiguousarray(want[k][read]).tobytes() == got.tobytes()
+                expected = np.zeros(want[k].shape)
+                expected[read] = want[k][read]
+                assert not (want[k] - expected).any()  # unread entries are zeros
+                assert stacked.coeffs[k][:, j].tobytes() == expected.tobytes()

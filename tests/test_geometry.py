@@ -789,6 +789,42 @@ def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
         assert c == 0.0 and not np.signbit(c)
 
 
+def test_a_grid_holding_a_python_field_runs_in_each_frame_block(monkeypatch):
+    # a context holding a row block runs a grid of expression fields once
+    # over all of its points, and each frame block takes its own rows; a
+    # grid that holds a PyField, which may branch on its point, runs in
+    # each frame block instead: a block of several points gives up
+    # (BatchDiverged) and its points are framed alone.  Every point keeps
+    # the bits it gets in a context holding no rows
+    from jetlag.diff_engine import BatchDiverged
+    from jetlag.geometry import Frame
+
+    dims = (2, 2)
+    grids = {"expression": ([E("x[1]*x[2]", dims), E("-exp(t[1])", dims)], [5]),
+             "python": ([E("x[1]*x[2]", dims),
+                         PyField(lambda spt: spt.x[0] * spt.x[1], ("x",))], [0] * 5)}
+    ctx, alone = support.tdep_g_ctx(), support.tdep_g_ctx()
+    pts = _random_points(ctx, 5, 11)
+    ctx.hold_rows(pts)
+    calls = support.record_grid_calls(monkeypatch)
+    for name, (fields, want) in grids.items():
+        for order in range(4):
+            calls.clear()
+            got = []
+            for block in (pts[:1], pts[1:3], pts[3:]):
+                try:
+                    jet = Frame(ctx, block, order)._eval_fields(fields, None)
+                    got += [jet[b] for b in range(len(block))]
+                except BatchDiverged:
+                    got += [Frame(ctx, pt, order)._eval_fields(fields, None)[0]
+                            for pt in block]
+            assert [size for _, _, size in calls] == want, (name, order)
+            for pt, jet in zip(pts, got):
+                ref = Frame(alone, pt, order)._eval_fields(fields, None)[0]
+                assert ([c.tobytes() for c in jet.coeffs]
+                        == [c.tobytes() for c in ref.coeffs]), (name, order)
+
+
 def _log_domain_ctx():
     """g = diag(t1^16, sqrt(x2)): x2 < 0 leaves sqrt's domain, and a small
     t1 makes g ill-conditioned."""
