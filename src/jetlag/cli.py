@@ -453,19 +453,43 @@ def _error_outcome(exc: JetlagError) -> CheckOutcome:
     )
 
 
-def _from_per_point(pts, per_point, tol, measure="max_abs"):
-    """Fold per-point {name: residual} maps into one outcome."""
+def _from_per_point(pts, per_point, tol, measure="max_abs", scales=None):
+    """Fold per-point {name: residual} maps into one outcome.  With
+    ``scales``, one per point, each point's largest residual is graded
+    over max(1, its scale), and the witness is the first point worst so
+    graded; the reported residuals stay absolute."""
     names = list(per_point[0])
     agg = {nm: max(d[nm] for d in per_point) for nm in names}
     point_max = [max(d.values()) for d in per_point]
-    worst = int(np.argmax(point_max))
-    max_abs = float(point_max[worst])
-    mean_abs = float(np.mean(point_max))
-    status = "pass" if max_abs <= tol else "fail"
+    graded = point_max if scales is None else [
+        v / max(1.0, scale) for v, scale in zip(point_max, scales)]
+    worst = int(np.argmax(graded))
+    status = "pass" if graded[worst] <= tol else "fail"
     return CheckOutcome(
-        status=status, max_abs=max_abs, mean_abs=mean_abs, measure=measure,
+        status=status, max_abs=float(max(point_max)),
+        mean_abs=float(np.mean(point_max)), measure=measure,
         detail=agg, witness=pts[worst] if status == "fail" else None,
     )
+
+
+def _from_scaled(pts, records, tol):
+    """:func:`_from_per_point` of per-point (residual map, scale) records,
+    as :func:`_metric_scaled` steps give them."""
+    maps, scales = zip(*records)
+    return _from_per_point(pts, list(maps), tol, scales=scales)
+
+
+def _metric_scaled(step):
+    """``step`` with each point's record paired with the scale of its
+    metrics, the largest |entry| of h and g there, read off the order-2
+    frame of the block that ``step`` reads: a well-conditioned metric of
+    large scale then meets its tolerance relative to that scale."""
+    def scaled(ctx, block):
+        records = step(ctx, block)
+        fr = frame(ctx, block, 2)
+        scales = map(max, fr.max_abs(fr.h_jet), fr.max_abs(fr.g_jet))
+        return list(zip(records, scales))
+    return scaled
 
 
 def _run_curvature(ctx, block):
@@ -661,10 +685,10 @@ def _run_grad_check(ctx, pts, tol):
 # none, and its runner takes the whole sweep, ``(ctx, pts, tol)``.
 # run_report looks every runner up here at call time.
 _RUNNERS = {
-    "metricity": metricity_residuals,
+    "metricity": _metric_scaled(metricity_residuals),
     "antisymmetry": curvature_antisymmetry_residuals,
     "torsion": nlc_torsion_at,
-    "curvature": _run_curvature,
+    "curvature": _metric_scaled(_run_curvature),
     "maxwell": maxwell_step,
     "einstein": _run_einstein,
     "conservation": _run_conservation,
@@ -685,12 +709,12 @@ class Check(NamedTuple):
 # Every check, in the order the config error lists them.  A new check is
 # one row here and one runner in _RUNNERS.
 CHECKS = {
-    "metricity": Check(1e-8, _from_per_point, 2),
+    "metricity": Check(1e-8, _from_scaled, 2),
     "antisymmetry": Check(1e-9, _from_per_point, 2),
     "torsion": Check(1e-9, partial(_fold_first_max, torsion_free_verdict,
                                    "max_violation", "torsion_free",
                                    "max_abs"), 2),
-    "curvature": Check(1e-9, _from_per_point, 2),
+    "curvature": Check(1e-9, _from_scaled, 2),
     "maxwell": Check(1e-7, _fold_maxwell, 2),
     "einstein": Check(1e-9, _from_per_point, 2),
     "conservation": Check(1e-6, _fold_conservation, 3),
@@ -796,9 +820,9 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
 
         records = {name: [] for name in cfg.checks if CHECKS[name].fold}
-        order = max((CHECKS[name].order for name in cfg.checks), default=0)
-        for block in in_row_blocks(ctx, blocks(pts, block_size(ctx.p, ctx.n, order)),
-                                   order):
+        orders = {CHECKS[name].order for name in records}
+        frame_blocks = blocks(pts, block_size(ctx, orders)) if orders else []
+        for block in in_row_blocks(ctx, frame_blocks, max(orders, default=0)):
             for name, recs in records.items():
                 recs += _block_records(_RUNNERS[name], ctx, block)
     finally:

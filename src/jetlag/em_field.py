@@ -66,7 +66,7 @@ TORSION_LIMIT = 1e-9
 
 def _x_low_jet(fr) -> Jet:
     """x^(a)_(p) = h^{am} g_pq xs^q_m, axes [p, a]."""
-    gx = jet_einsum("pq,qm->pm", fr.g_jet, fr.xs_jet)
+    gx = jet_einsum("pq,qm->pm", fr.metric("g", fr.order), fr.xs_jet)
     return jet_einsum("am,pm->pa", fr.inverse("h", fr.order), gx)
 
 

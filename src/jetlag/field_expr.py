@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -710,9 +711,10 @@ class FieldGrid:
             return jet
         out = [jet.coeffs[0]]
         for k, c in enumerate(jet.coeffs[1:], 1):
-            full = np.zeros(c.shape[:c.ndim - k] + (N,) * k)
-            full[(Ellipsis, *np.ix_(*[over] * k))] = c
-            out.append(full)
+            lead = c.shape[:c.ndim - k]
+            full = np.zeros((math.prod(lead), N ** k))
+            full[:, _slots(over, N, k)] = c.reshape(len(full), len(over) ** k)
+            out.append(full.reshape(lead + (N,) * k))
         return Jet(N, jet.order, out)
 
     def stacked(self, pts, order) -> Jet:
@@ -741,6 +743,15 @@ class FieldGrid:
         cols = list(np.ascontiguousarray(np.transpose(zs), dtype=float))
         vals = self([cols] * len(self.groups), dims)
         return np.stack([np.broadcast_to(v, len(zs)) for v in vals])
+
+
+@lru_cache(maxsize=None)
+def _slots(over: tuple, N: int, k: int) -> np.ndarray:
+    """The flat indices, in (N,)*k, of the derivative slots of order k over
+    the coordinates ``over``, in the order of their compact (M,)*k slots."""
+    slots = np.ravel_multi_index(np.ix_(*[over] * k), (N,) * k).ravel()
+    slots.flags.writeable = False
+    return slots
 
 
 def eval_field(ast, spt):

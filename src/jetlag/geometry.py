@@ -73,11 +73,12 @@ from .tensor_core import S_DN, S_UP, T_DN, V_DN
 MAX_ORDER = 3  # the derivative budget (module docstring)
 
 # The bytes the frames of one block of points may keep (:func:`block_size`):
-# 768 KiB, which puts a (2,2) order-3 run in blocks of 6 points, a (2,2)
-# order-2 run in blocks of up to 43 and a (3,3) order-3 run one point at a
-# time.  The compact field-grid rows of one row block keep within it too
+# 2 MiB, which puts the benchmark's (3,3) order-3 runs in blocks of 2
+# points, and runs on its (2,2) optic space in blocks of up to 17 where
+# they read frames of orders 2 and 3, of up to 83 where they read order 2
+# alone.  The compact field-grid rows of one row block keep within it too
 # (:func:`in_row_blocks`).
-BLOCK_BYTES = 768 * 1024
+BLOCK_BYTES = 2 * 1024 * 1024
 
 __all__ = [
     "MAX_ORDER",
@@ -291,46 +292,102 @@ class GeometryContext:
 # cached
 # --------------------------------------------------------------------------
 
-# The blocks a frame of order k keeps at each of its points, as (the order
-# it keeps them at, the axes of each: t one of p temporal, s one of n
-# spatial indices).  A block kept below order 0 is not built.
+# The blocks a frame of order k keeps at each of its points, by the name
+# the frame keeps them under (a cached property, an :meth:`Frame._upto` key
+# or the function of a :meth:`Frame.shared` block), in groups of (the order
+# the group keeps them at, {name: the axes of each jet or value array the
+# block holds: t one of p temporal, s one of n spatial indices}).  A block
+# kept below order 0 is not built.  A frame also keeps the compact rows of
+# its field grids (:meth:`GeometryContext.row_bytes`), and its xs jets,
+# whose derivative coefficients every frame shares.
 _KEPT_BLOCKS = (
-    # the metric jets h, g and phi
-    (lambda k: k, ("tt", "ss", "ss")),
+    # the metrics, one order below the frame (Frame._kept), and xs
+    (lambda k: max(0, k - 1), {"h_jet": ("tt",), "g_jet": ("ss",),
+                               "phi_jet": ("ss",)}),
+    (lambda k: 0, {"xs_jet": ("st",)}),
+    # a Lagrangian's half-Hessian, which g contracts
+    (lambda k: k, {"vertical_half_hessian": ("stst",)}),
     # h^-1, read at the frame's order on frames of order 2 or less
-    (lambda k: min(k, MAX_ORDER - 1), ("tt",)),
-    # g^-1 and phi^-1; the connection H, M, gamma, N, G, L, C; T = -G
-    (lambda k: k - 1, ("ss", "ss", "ttt", "stt", "sss", "sts", "sst", "sss",
-                       "ssst", "sts")),
-    # the torsion P2, P3, R1, R2, R3 and the curvature H, R1, R2, R3, P1,
-    # P2, S
-    (lambda k: k - 2, ("sttst", "stsst", "sttt", "stts", "stss", "tttt",
-                       "sstt", "ssts", "ssss", "sstst", "sssst", "ssstst")),
-    # the S-torsion, built at order 0 only (Frame.tor_S)
-    (lambda k: min(k - 2, 0), ("ststst",)),
+    (lambda k: min(k, MAX_ORDER - 1), {"h": ("tt",)}),
+    # g^-1 and phi^-1; the connection H, M, gamma, N, G, L, C
+    (lambda k: k - 1, {"g": ("ss",), "phi": ("ss",), "Htc_jet": ("ttt",),
+                       "M_jet": ("stt",), "gamma_phi_jet": ("sss",),
+                       "gamma_g_jet": ("sss",), "N_jet": ("sts",),
+                       "Gc_jet": ("sst",), "Lc_jet": ("sss",),
+                       "Cc_jet": ("ssst",)}),
+    # the torsion, the curvature, the Ricci blocks and scalars, and the
+    # covariant derivatives of C that the curvature P blocks read
+    (lambda k: k - 2, {
+        "tor_P2_jet": ("sttst",), "tor_P3_jet": ("stsst",),
+        "tor_R2_jet": ("stts",), "tor_R3_jet": ("stss",),
+        "cur_H_jet": ("tttt",), "cur_R2_jet": ("ssts",),
+        "cur_R3_jet": ("ssss",), "cur_P1_jet": ("sstst",), "cur_P2_jet": ("sssst",),
+        "cur_S_jet": ("ssstst",), "ricci_H_jet": ("tt",), "ricci_P1_jet": ("sst",),
+        "ricci_P2_jet": ("sts",), "ricci_P3_jet": ("stt",), "ricci_S_jet": ("stst",),
+        "ricci_Rmt_jet": ("st",), "ricci_Rmm_jet": ("ss",), "scalar_H_jet": ("",),
+        "scalar_R_jet": ("",), "scalar_S_jet": ("",),
+        "cov_t": ("ssstt",), "cov_s": ("sssts",)}),
+    # the S-torsion, the Einstein blocks (values) and the torsion probe
+    # (floats), built at order 0 only
+    (lambda k: min(k - 2, 0), {
+        "tor_S": ("ststst",), "_torsion_probe": (),
+        "_einstein_blocks_at": ("tt", "ss", "stst", "st", "stt", "sst", "sts",
+                                "ts", "tst")}),
+    # the right-hand sides of the conservation laws
+    (lambda k: k - 3, {"_law_rhs": ("t", "t", "s", "st")}),
+    # what only the readers of frames of order 2 read (em_field's and the
+    # torsion and curvature sets): the lowered Liouville field at order 2;
+    # T = -G, the deflections and F, f at order 1; the R1 torsion and
+    # curvature and the covariant derivatives of the deflections and of T
+    # at order 0
+    (lambda k: 2 if k == 2 else -1, {"_metrical_jets": ("st",)}),
+    (lambda k: 1 if k == 2 else -1, {"tor_T_jet": ("sts",),
+                                     "_metrical_jets": ("stt", "sts", "stst"),
+                                     "_raw_jets": ("stt", "sts", "stst"),
+                                     "_em_jets": ("sts", "stst")}),
+    (lambda k: 0 if k == 2 else -1, {"tor_R1_jet": ("sttt",), "cur_R1_jet": ("sstt",),
+                                     "cov_s": ("stss", "stts", "stts"),
+                                     "cov_v": ("sttst", "sttst")}),
 )
 
 
-def frame_bytes(p: int, n: int, order: int) -> int:
-    """The bytes that the frame blocks of ``order`` keep at each point of
-    a (p, n) space: each block of :data:`_KEPT_BLOCKS` as a jet of
-    doubles at the order it is kept at.  The frames of lower orders that a
-    run builds beside it, and the blocks derived outside this module, are
-    left out."""
-    N = coord_count(p, n)
-    dim = {"t": p, "s": n}
+def _unbuilt(ctx) -> set:
+    """The names of :data:`_KEPT_BLOCKS` that no frame of ``ctx`` builds:
+    phi and its blocks without a fixed spatial metric, Gamma(g) but for
+    the quadratic-canonical connection, and the half-Hessian of a
+    Lagrangian on a direct g."""
+    out = set()
+    if not isinstance(ctx.nlc, ChristoffelOfPhi):
+        out |= {"phi_jet", "phi", "gamma_phi_jet"}
+    if not isinstance(ctx.nlc, QuadraticCanonical):
+        out.add("gamma_g_jet")
+    if not isinstance(ctx.g_source, FromLagrangian):
+        out.add("vertical_half_hessian")
+    return out
+
+
+def frame_bytes(ctx, order: int) -> int:
+    """The bytes that a frame of ``order`` on ``ctx`` keeps at each of its
+    points, as every reader of that order reads it: each block of
+    :data:`_KEPT_BLOCKS` that the context builds, as a jet of doubles at
+    the order it is kept at, and the compact rows of its field grids."""
+    N = coord_count(ctx.p, ctx.n)
+    dim = {"t": ctx.p, "s": ctx.n}
+    unbuilt = _unbuilt(ctx)
     elements = 0
-    for kept_at, shapes in _KEPT_BLOCKS:
+    for kept_at, named in _KEPT_BLOCKS:
         terms = sum(N ** j for j in range(kept_at(order) + 1))
-        elements += terms * sum(math.prod(dim[a] for a in axes) for axes in shapes)
-    return 8 * elements
+        elements += terms * sum(math.prod(dim[a] for a in axes)
+                                for name, shapes in named.items() if name not in unbuilt
+                                for axes in shapes)
+    return 8 * elements + ctx.row_bytes(order)
 
 
-def block_size(p: int, n: int, order: int) -> int:
-    """How many points one frame spans on a (p, n) space whose frames go
-    up to ``order``: as many as keep :func:`frame_bytes` within
-    :data:`BLOCK_BYTES`, and at least one."""
-    return max(1, BLOCK_BYTES // frame_bytes(p, n, order))
+def block_size(ctx, orders) -> int:
+    """How many points one block spans on ``ctx`` when it builds a frame
+    of each of ``orders``: as many as keep the :func:`frame_bytes` of
+    those frames within :data:`BLOCK_BYTES`, and at least one."""
+    return max(1, BLOCK_BYTES // sum(frame_bytes(ctx, k) for k in set(orders)))
 
 
 def blocks(pts, size: int) -> list:
@@ -347,9 +404,11 @@ class _RowBlock:
     (:meth:`~jetlag.field_expr.FieldGrid.compact`) of the grid's one run
     over all of them, or None where each frame block runs the grid itself:
     a grid that holds a field that is not an
-    :class:`~jetlag.field_expr.ExprField`, rows that would take the held
-    rows past :data:`BLOCK_BYTES`, or a run that raises, so that each
-    frame block, and each point, meets its own error."""
+    :class:`~jetlag.field_expr.ExprField`, or rows that would take the held
+    rows past :data:`BLOCK_BYTES`.  A run that raises keeps its error
+    (held, :func:`_held`): a frame block of all the row block's points
+    meets it again without a second run, and each smaller frame block, and
+    each point, meets its own."""
 
     def __init__(self, ctx, pts):
         self.pts = tuple(pts)
@@ -361,13 +420,19 @@ class _RowBlock:
     def rows(self, grid, pts, order):
         """The rows of ``pts`` of the grid's run at ``order``, a compact jet
         of component shape (len(pts), F); None where ``pts`` are not all in
-        the row block or the frame block runs the grid itself."""
+        the row block or the frame block runs the grid itself.  Raises the
+        run's error where it raised and ``pts`` are all the row block's
+        points."""
         at = [self.row.get(pt.key()) for pt in pts]
         if None in at:
             return None
         if (grid, order) not in self.held:
             self.held[grid, order] = self._run(grid, order)
         jet = self.held[grid, order]
+        if isinstance(jet, Exception):
+            if len(pts) == len(self.pts):
+                raise jet
+            return None
         return None if jet is None else jet[at]
 
     def _run(self, grid, order):
@@ -376,8 +441,8 @@ class _RowBlock:
             return None
         try:
             jet = grid.compact(self.pts, order)
-        except (JetlagError, BatchDiverged):
-            return None
+        except (JetlagError, BatchDiverged) as exc:
+            return _held(exc)
         self.nbytes += nbytes
         return jet
 
@@ -414,8 +479,11 @@ def _block_records(step, ctx, block) -> list:
     if len(block) > 1:
         try:
             return step(ctx, block)
-        except (JetlagError, BatchDiverged):
-            pass  # each point alone gives its own record or error
+        except (JetlagError, BatchDiverged) as exc:
+            # each point alone gives its own record or error; the block's
+            # error, which a row block may hold (_RowBlock), keeps none of
+            # the block's frames
+            _held(exc)
     out = []
     for pt in block:
         try:
@@ -450,14 +518,14 @@ def _raise_held(records) -> list:
 def sweep(step, ctx, pts, order: int) -> list:
     """The records of ``step`` (``(ctx, block) -> [record per point]``) at
     ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
-    of the :func:`blocks` of at most :func:`block_size` points whose
-    frames go up to ``order``, in the row blocks of :func:`in_row_blocks`,
-    so a fold of them has the run's bits, errors and witnesses.  After the last block it raises the first error
-    a point holds.  Like a run, it ends with ``ctx.forget_run()``."""
+    of the :func:`blocks` of at most :func:`block_size` points that frames
+    of ``order`` are charged for, in the row blocks of
+    :func:`in_row_blocks`, so a fold of them has the run's bits, errors
+    and witnesses.  After the last block it raises the first error a point
+    holds.  Like a run, it ends with ``ctx.forget_run()``."""
     out = []
     try:
-        for block in in_row_blocks(ctx, blocks(pts, block_size(ctx.p, ctx.n, order)),
-                                   order):
+        for block in in_row_blocks(ctx, blocks(pts, block_size(ctx, [order])), order):
             out += _block_records(step, ctx, block)
     finally:
         ctx.forget_run()
@@ -483,7 +551,10 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     order-k frame is the order-3 frame's block truncated, bit for bit.
     Each product is built only to the order its result keeps, and each
     metric inverse and the S-torsion only to the order their readers read.
-    A block of no points raises ValueError.
+    A frame keeps h, g and phi one order below its own, and the compact
+    rows of its field grids, from which the readers of a metric's top
+    order expand it anew (:meth:`Frame.metric`); :func:`frame_bytes`
+    charges all it keeps.  A block of no points raises ValueError.
     """
     pts = (pts,) if isinstance(pts, JetPoint) else tuple(pts)
     if not pts:
@@ -552,6 +623,13 @@ class Frame:
     fields (h, g, phi, N, L) come from the context's compiled field grids
     (:meth:`eval_grid`), each run once per order over the row block the
     context holds, or else over the frame's points (:meth:`_eval_fields`).
+    The frame keeps the compact rows of each grid it reads and the metrics
+    h, g and phi at :attr:`kept_order`, one below its own: only the
+    readers that differentiate a metric at the frame's order read its top
+    coefficient, and each takes a fresh expansion of the rows
+    (:meth:`metric`), with the code, layout and bits of the kept jet's.
+    What a frame keeps is named, with the order it is kept at, in
+    :data:`_KEPT_BLOCKS`.
     """
 
     def __init__(self, ctx: GeometryContext, pts, order: int):
@@ -566,8 +644,11 @@ class Frame:
         self.p = ctx.p
         self.n = ctx.n
         self.N = coord_count(ctx.p, ctx.n)
+        # the order the metrics are kept at: one below the frame's
+        self.kept_order = max(0, order - 1)
         self._shared = {}
         self._built = {}
+        self._rows = {}  # the compact rows of each (grid, order) read
 
     def shared(self, block, *args):
         """``block(self, *args)``, computed on the first call and kept per
@@ -622,28 +703,32 @@ class Frame:
     def eval_scalar(self, f: ScalarField, order=None) -> Jet:
         return self._eval_fields([f], order).reshape_components((len(self.pts),))
 
-    def eval_grid(self, grid: np.ndarray, order=None) -> Jet:
-        return self._eval_fields(list(grid.flat), order).reshape_components(
+    def eval_grid(self, grid: np.ndarray, order=None, to=None) -> Jet:
+        return self._eval_fields(list(grid.flat), order, to).reshape_components(
             (len(self.pts),) + grid.shape)
 
-    def _eval_fields(self, fields, order) -> Jet:
+    def _eval_fields(self, fields, order, to=None) -> Jet:
         """``fields`` at the frame's B points, as one jet of ``order``
         (default: the frame's) of component shape (B, F), B = 1 included,
         through the context's compiled grid of them (:meth:`FieldGrid.of`),
         seeded only in the coordinates it reads and expanded over all N
-        (:meth:`FieldGrid.stacked`).  Its rows come from the grid's one run
-        over the row block that the context holds
-        (:meth:`GeometryContext.hold_rows`); where there is none, or it
-        leaves the grid to each frame block, from one run over the frame's
-        points.  A block whose grid raises or whose points branch apart
-        raises, and its points are then framed alone
-        (:class:`~jetlag.diff_engine.BatchDiverged`)."""
+        (:meth:`FieldGrid.expand`) up to order ``to`` (default: all of
+        it).  Its rows come from the grid's one run over the row block that
+        the context holds (:meth:`GeometryContext.hold_rows`); where there
+        is none, or it leaves the grid to each frame block, from one run
+        over the frame's points.  The frame keeps them, by (grid, order), so
+        each call after the first only expands them.  A block whose grid
+        raises or whose points branch apart raises, and its points are then
+        framed alone (:class:`~jetlag.diff_engine.BatchDiverged`)."""
         order = self.order if order is None else order
         grid = FieldGrid.of(fields)
-        rows = self.ctx._rows and self.ctx._rows.rows(grid, self.pts, order)
+        rows = self._rows.get((grid, order))
         if rows is None:
-            rows = grid.compact(self.pts, order)
-        return grid.expand(rows, (self.p, self.n))
+            rows = self.ctx._rows and self.ctx._rows.rows(grid, self.pts, order)
+            if rows is None:
+                rows = grid.compact(self.pts, order)
+            self._rows[grid, order] = rows
+        return grid.expand(rows if to is None else rows.truncated(to), (self.p, self.n))
 
     # -- coordinates -------------------------------------------------------
 
@@ -679,29 +764,56 @@ class Frame:
             )
         return jet
 
+    def metric(self, which: str, order: int) -> Jet:
+        """The metric ``which`` ("h", "g" or "phi") to ``order``: the jet
+        the frame keeps (:attr:`h_jet`, :attr:`g_jet`, :attr:`phi_jet`)
+        truncated, or, above it, a jet built anew from the frame's rows
+        (:meth:`_metric_jet`), which its reader drops once read.  The kept
+        jet is read first, so its checks come first."""
+        kept = getattr(self, f"{which}_jet")
+        if order <= kept.order:
+            return kept.truncated(order)
+        return self._metric_jet(which, order)
+
+    def _metric_jet(self, which: str, order: int) -> Jet:
+        """The metric ``which`` to ``order``, unchecked and built anew on
+        each call: h, phi and a direct g expanded from the frame's rows of
+        their grids, a Lagrangian-derived g contracted from its half-Hessian
+        and h."""
+        if which == "h":
+            return self.eval_grid(self.ctx.h, to=order)
+        if which == "phi":
+            if not isinstance(self.ctx.nlc, ChristoffelOfPhi):
+                raise ValueError("this context has no fixed spatial metric phi")
+            return self.eval_grid(self.ctx.nlc.phi, to=order)
+        src = self.ctx.g_source
+        if isinstance(src, DirectMetric):
+            return self.eval_grid(src.entries, to=order)
+        hh = self.vertical_half_hessian
+        return jet_einsum("mn,imjn->ij", self.metric("h", order), hh,
+                          order=order) * (1.0 / self.p)
+
     @cached_property
     def h_jet(self) -> Jet:
-        return self._symmetric(self.eval_grid(self.ctx.h), "temporal metric h")
+        """h, checked symmetric, kept at :attr:`kept_order`."""
+        return self._symmetric(self._metric_jet("h", self.kept_order),
+                               "temporal metric h")
 
     @cached_property
     def g_jet(self) -> Jet:
-        """:meth:`symmetric_g`, its signature at each point held to the
-        context's, once over the block
+        """:meth:`symmetric_g` kept at :attr:`kept_order`, its signature at
+        each point held to the context's, once over the block
         (:meth:`GeometryContext._check_signature`)."""
-        g = self.symmetric_g()
+        g = self.symmetric_g(self.kept_order)
         self.ctx._check_signature(self.pts, self.h_jet.value, g.value)
         return g
 
-    def symmetric_g(self) -> Jet:
-        """g at the frame's points, checked symmetric but not held to any
-        signature; built anew on each call."""
-        src = self.ctx.g_source
-        if isinstance(src, DirectMetric):
-            g = self.eval_grid(src.entries)
-        else:
-            hh = self.vertical_half_hessian
-            g = jet_einsum("mn,imjn->ij", self.h_jet, hh) * (1.0 / self.p)
-        return self._symmetric(g, "vertical metric g")
+    def symmetric_g(self, order=None) -> Jet:
+        """g at the frame's points to ``order`` (default: the frame's),
+        checked symmetric but not held to any signature; built anew on each
+        call."""
+        order = self.order if order is None else order
+        return self._symmetric(self._metric_jet("g", order), "vertical metric g")
 
     @cached_property
     def vertical_half_hessian(self) -> Jet:
@@ -726,7 +838,7 @@ class Frame:
         reader reads it above order 2."""
         top = min(self.order, MAX_ORDER - 1) if which == "h" else order
         return self._upto(which, max(order, top), lambda k: jet_matrix_inverse(
-            getattr(self, f"{which}_jet"), order=k)).truncated(order)
+            self.metric(which, k))).truncated(order)
 
     # -- raw derivative blocks ----------------------------------------------
 
@@ -774,7 +886,7 @@ class Frame:
     @cached_property
     def Htc_jet(self) -> Jet:
         """Temporal Christoffel H^g_ab of h, axes [g,a,b]."""
-        return self._christoffel(self.ddt(self.h_jet), "h")
+        return self._christoffel(self.ddt(self.metric("h", self.order)), "h")
 
     @cached_property
     def M_jet(self) -> Jet:
@@ -783,14 +895,14 @@ class Frame:
 
     @cached_property
     def phi_jet(self) -> Jet:
-        if not isinstance(self.ctx.nlc, ChristoffelOfPhi):
-            raise ValueError("this context has no fixed spatial metric phi")
-        return self._symmetric(self.eval_grid(self.ctx.nlc.phi), "spatial metric phi")
+        """phi, checked symmetric, kept at :attr:`kept_order`."""
+        return self._symmetric(self._metric_jet("phi", self.kept_order),
+                               "spatial metric phi")
 
     @cached_property
     def gamma_phi_jet(self) -> Jet:
         """Christoffel gamma^i_jm of phi, axes [i,j,m]."""
-        return self._christoffel(self.ddx(self.phi_jet), "phi")
+        return self._christoffel(self.ddx(self.metric("phi", self.order)), "phi")
 
     def direction_independent(self) -> list:
         """Per point of the frame, whether g has no velocity dependence
@@ -801,8 +913,12 @@ class Frame:
                 "xs" in f.deps for f in src.entries.flat):
             return [True] * len(self.pts)
         g = self.g_jet.value
-        dg = self.ddxs(self.g_jet).value
+        dg = self._dg_dxs()
         return (_point_max(dg) <= 1e-10 * np.fmax(1.0, _point_max(g))).tolist()
+
+    def _dg_dxs(self) -> np.ndarray:
+        """The values of dg/dxs at the frame's points, axes [point,i,j,k,g]."""
+        return self.ddxs(self.metric("g", min(1, self.order))).value
 
     def require_direction_independent(self, what: str):
         """Error, at the first point that is not, unless every point of the
@@ -811,7 +927,7 @@ class Frame:
         if all(independent):
             return
         k = independent.index(False)
-        dg = np.abs(self.ddxs(self.g_jet).value[k])
+        dg = np.abs(self._dg_dxs()[k])
         ij = np.unravel_index(int(np.argmax(dg)), dg.shape)
         raise RegularityViolationError(
             f"{what} requires a direction-independent g, but "
@@ -824,7 +940,7 @@ class Frame:
         """Generalized Christoffel Gamma^i_jm of g(t,x); direction-independent
         g only."""
         self.require_direction_independent("the generalized Christoffel symbols")
-        return self._christoffel(self.ddx(self.g_jet), "g")
+        return self._christoffel(self.ddx(self.metric("g", self.order)), "g")
 
     @cached_property
     def N_jet(self) -> Jet:
@@ -836,7 +952,7 @@ class Frame:
             return jet_einsum("ijm,ma->iaj", self.gamma_phi_jet, self.xs_jet)
         self.require_direction_independent("the quadratic-canonical connection")
         term1 = jet_einsum("ijm,ma->iaj", self.gamma_g_jet, self.xs_jet)
-        dg_t = self.ddt(self.g_jet)  # [j,m,a]
+        dg_t = self.ddt(self.metric("g", self.order))  # [j,m,a]
         term2 = jet_einsum("im,jma->iaj", self.inverse("g", dg_t.order), dg_t) * 0.5
         return term1 + term2
 
@@ -845,18 +961,18 @@ class Frame:
     @cached_property
     def Gc_jet(self) -> Jet:
         """G^k_jg = (g^ki/2) delta g_ij / delta t^g, axes [k,j,g]."""
-        dg = self.delta_t(self.g_jet)  # [i,j,g]
+        dg = self.delta_t(self.metric("g", self.order))  # [i,j,g]
         return jet_einsum("ki,ijg->kjg", self.inverse("g", dg.order), dg) * 0.5
 
     @cached_property
     def Lc_jet(self) -> Jet:
         """L^i_jk, axes [i,j,k]; Christoffel-type with delta/delta x."""
-        return self._christoffel(self.delta_x(self.g_jet), "g")
+        return self._christoffel(self.delta_x(self.metric("g", self.order)), "g")
 
     @cached_property
     def Cc_jet(self) -> Jet:
         """C^i(g)_j(k), axes [i,j,k,g]; Christoffel-type with d/dxs."""
-        return self._christoffel(self.ddxs(self.g_jet), "g")
+        return self._christoffel(self.ddxs(self.metric("g", self.order)), "g")
 
     # -- generic covariant derivatives on jets ---------------------------------
 
@@ -1441,8 +1557,8 @@ def metricity_residuals(ctx: GeometryContext, pt):
     One map at a point, or the list of them over a block of points."""
     fr = frame(ctx, pt, 2)
     # only values are read, so the metrics enter at order 1
-    g, g_slots = fr.g_jet.truncated(1), (S_DN, S_DN)
-    h, h_slots = fr.h_jet.truncated(1), (T_DN, T_DN)
+    g, g_slots = fr.metric("g", 1), (S_DN, S_DN)
+    h, h_slots = fr.metric("h", 1), (T_DN, T_DN)
     names = ("g_spatial", "g_vertical", "h_temporal", "h_spatial",
              "h_vertical", "g_temporal")
     blocks = (fr.cov_s(g, g_slots), fr.cov_v(g, g_slots), fr.cov_t(h, h_slots),

@@ -776,6 +776,20 @@ def test_point_major_matches_single_check_runs(tmp_path, name):
         assert rep["checks"][check] == alone["checks"][check], check
 
 
+def test_a_metric_of_large_scale_meets_its_tolerances(tmp_path):
+    # metricity and curvature grade each point's residuals over max(1, the
+    # scale of its metrics): with x up to 1e150 the optic g reaches about
+    # 1e300, well conditioned, and its absolute metricity residuals of
+    # about 1e134 are roundoff, which failed an absolute grade
+    doc = dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], box={
+        "x": [-1, 1e150], "xs": [-0.5, 0.5]}),
+        checks=OPTIC_CFG["checks"] + ["curvature"], dump=[])
+    rc, rep = run_to(tmp_path, doc)
+    assert rep["checks"]["metricity"]["max_abs"] > 1e100
+    assert rc == 0 and {c["status"] for c in rep["checks"].values()} <= {
+        "pass", "flagged"}, {k: c["status"] for k, c in rep["checks"].items()}
+
+
 def _block_sizes(count, size) -> list:
     """The sizes of the blocks that ``count`` points fall into: the fewest
     blocks of at most ``size``, the k-th of the n ending at point
@@ -784,10 +798,21 @@ def _block_sizes(count, size) -> list:
     return [(k + 1) * count // n - k * count // n for k in range(n)]
 
 
+def _block_size_of(tmp_path, doc) -> int:
+    """The block size of a run of ``doc``: as many points as the frames of
+    the orders its block checks read keep within the budget."""
+    from jetlag import cli
+    from jetlag.geometry import block_size
+
+    cfg = cli.load_config(write_cfg(tmp_path, doc, name="sized.json"))
+    return block_size(cfg.space, {cli.CHECKS[name].order for name in cfg.checks
+                                  if cli.CHECKS[name].fold})
+
+
 def _order2_builds(tmp_path, monkeypatch, doc) -> tuple:
     """(the number of points of each order-2 frame that a run of ``doc``
     builds, the run's block size)."""
-    from jetlag.geometry import Frame, block_size
+    from jetlag.geometry import Frame
 
     builds = []
     init = Frame.__init__
@@ -800,11 +825,15 @@ def _order2_builds(tmp_path, monkeypatch, doc) -> tuple:
     monkeypatch.setattr(Frame, "__init__", counting)
     rc, rep = run_to(tmp_path, doc)
     assert rc == 0 and len(rep["points"]) == sum(builds)
-    return builds, block_size(doc["p"], doc["n"], 2)
+    return builds, _block_size_of(tmp_path, doc)
 
 
 def test_point_major_builds_each_order2_frame_once(tmp_path, monkeypatch):
-    # one order-2 frame per block of points, read by every check
+    # one order-2 frame per block of points, read by every check; a quarter
+    # of the budget cuts the 66 points into several blocks
+    from jetlag import geometry
+
+    monkeypatch.setattr(geometry, "BLOCK_BYTES", geometry.BLOCK_BYTES // 4)
     builds, size = _order2_builds(tmp_path, monkeypatch, ORACLE_CFGS["optic-66"])
     assert 1 < size < 66
     assert builds == _block_sizes(66, size)
@@ -816,7 +845,66 @@ def test_optic_sweep_builds_one_order2_frame_per_block(tmp_path, monkeypatch):
     doc = _load_bench(monkeypatch, "spec").make_config("optic-sweep", None)
     builds, size = _order2_builds(tmp_path, monkeypatch, doc)
     assert len(builds) <= -(-doc["points"]["count"] // size)
-    assert size == 43 and builds == [33, 33, 34]
+    assert size == 83 and builds == [50, 50]
+
+
+@pytest.mark.parametrize("workload, frames", [
+    ("mixed33-deep", {(3, 2): 8}),
+    ("optic-suite", {(2, 12): 1, (3, 12): 1}),
+    ("optic-sweep", {(2, 50): 2}),
+])
+def test_benchmark_runs_build_the_frame_blocks_they_are_charged_for(
+        tmp_path, monkeypatch, workload, frames):
+    # a tooling guard: each block is charged the frames of every order its
+    # checks read (block_size), so the benchmark's configs build these
+    # frames, by (order, points), besides their sampling frames of order 0
+    from collections import Counter
+
+    from jetlag.geometry import Frame
+
+    built = Counter()
+    init = Frame.__init__
+
+    def counting(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        if order:
+            built[order, len(self.pts)] += 1
+
+    monkeypatch.setattr(Frame, "__init__", counting)
+    run_to(tmp_path, _load_bench(monkeypatch, "spec").make_config(workload, None))
+    assert built == frames
+
+
+def test_the_charge_names_every_block_a_frame_keeps(tmp_path, monkeypatch):
+    # a tooling guard: frame_bytes charges the blocks named in
+    # geometry._KEPT_BLOCKS, so every cached property of a frame, every key
+    # it keeps a block under to an order (Frame._upto) and every frame-shared
+    # block that a pinned config builds has its charge there
+    from functools import cached_property
+
+    from jetlag import geometry
+    from jetlag.geometry import Frame
+
+    named = {name for _, blocks in geometry._KEPT_BLOCKS for name in blocks}
+    props = {name for name, val in vars(Frame).items() if isinstance(val, cached_property)}
+    assert props <= named, props - named
+    frames = []
+    init = Frame.__init__
+
+    def keeping(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        frames.append(self)
+
+    monkeypatch.setattr(Frame, "__init__", keeping)
+    kept = set()
+    for name, (_, doc) in REPORT_DIGESTS.items():
+        run_to(tmp_path, doc, name=f"{name}.json", out=f"{name}.report.json")
+        for fr in frames:
+            kept |= set(fr._built) | {key[0].__name__ for key in fr._shared}
+        frames.clear()
+    assert {"h", "g", "phi", "tor_S", "cov_t", "cov_s", "cov_v", "_law_rhs",
+            "_einstein_blocks_at", "_em_jets"} <= kept
+    assert kept <= named, kept - named
 
 
 def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
@@ -887,7 +975,7 @@ def _hexed(obj):
 def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which):
     # each fold of a library sweep, which takes its steps block by block, is
     # the fold of one-point steps, bit for bit; optic-suite's conservation
-    # runs in blocks of 6, mixed33's one point at a time
+    # runs in one block of its 12 points, mixed33's in blocks of 2
     from jetlag import cli
     from jetlag.geometry import block_size, sweep
     from jetlag.gravity import (conservation_fold, conservation_residuals,
@@ -898,7 +986,7 @@ def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which)
     cfg = cli.load_config(write_cfg(tmp_path, doc))
     ctx = cfg.space
     pts = cli._collect_points(cfg, ctx)
-    assert block_size(ctx.p, ctx.n, 3) == (1 if which == "mixed33" else 6)
+    assert block_size(ctx, [3]) == (2 if which == "mixed33" else 22)
     checks = [(conservation_residuals, conservation_fold)]
     if "natural-form" in cfg.checks:
         checks.append((natural_form_checks, natural_form_fold))
@@ -918,10 +1006,13 @@ def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which)
 
 
 def test_library_sweep_frames_hold_one_block(monkeypatch):
-    # a library sweep frames block_size points at a time, as a run does
+    # a library sweep frames block_size points at a time, as a run does; a
+    # quarter of the budget cuts its 10 points into two blocks
+    from jetlag import geometry
     from jetlag.geometry import Frame, block_size, sample_points, sweep
     from jetlag.gravity import conservation_fold, conservation_residuals
 
+    monkeypatch.setattr(geometry, "BLOCK_BYTES", geometry.BLOCK_BYTES // 4)
     ctx = build_space("optic", OPTIC_CFG["space"]["params"])
     pts = sample_points(ctx, 10, seed=4, box_xs=(-0.5, 0.5))
     sizes = []
@@ -933,15 +1024,16 @@ def test_library_sweep_frames_hold_one_block(monkeypatch):
 
     monkeypatch.setattr(Frame, "__init__", counting)
     rep = conservation_fold(sweep(conservation_residuals, ctx, pts, 3))
-    assert rep.n_points == 10 and block_size(2, 2, 3) == 6
+    assert rep.n_points == 10 and block_size(ctx, [3]) == 5
     assert sizes == [5, 5]
 
 
 @pytest.mark.parametrize("workload", ["optic-suite", "optic-sweep", "mixed33-deep"])
 def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
     # block_size cuts a run by the bytes its frames keep per point
-    # (frame_bytes): the frames of a workload's first block, after every
-    # check's step has read them, keep within a factor of 2 of that charge
+    # (frame_bytes, one frame per order the run's block checks read): the
+    # frames of a workload's first block, after every check's step has read
+    # them, keep within 0.8 to 1.25 times that charge
     import gc
     import tracemalloc
 
@@ -951,8 +1043,8 @@ def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
     doc = _load_bench(monkeypatch, "spec").make_config(workload, None)
     cfg = cli.load_config(write_cfg(tmp_path, doc))
     ctx = cfg.space
-    order = max(cli.CHECKS[name].order for name in cfg.checks)
-    block = blocks(cli._collect_points(cfg, ctx), block_size(ctx.p, ctx.n, order))[0]
+    orders = {cli.CHECKS[name].order for name in cfg.checks if cli.CHECKS[name].fold}
+    block = blocks(cli._collect_points(cfg, ctx), block_size(ctx, orders))[0]
     ctx.forget_run()
     gc.collect()
     tracemalloc.start()
@@ -967,8 +1059,8 @@ def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
         kept -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    charged = len(block) * frame_bytes(ctx.p, ctx.n, order)
-    assert charged / 2 <= kept <= 2 * charged, (len(block), kept, charged)
+    charged = len(block) * sum(frame_bytes(ctx, k) for k in orders)
+    assert 0.8 * charged <= kept <= 1.25 * charged, (len(block), kept, charged)
 
 
 def test_frames_share_the_coordinate_jets_derivatives(tmp_path, monkeypatch):
@@ -1012,7 +1104,7 @@ def test_a_run_leaves_no_frame_behind(tmp_path, monkeypatch):
     from jetlag.geometry import Frame, sweep
     from jetlag.gravity import conservation_residuals
 
-    def whole(p, n, order):
+    def whole(ctx, orders):
         return 10 ** 6
 
     monkeypatch.setattr(cli, "block_size", whole)
@@ -1043,7 +1135,8 @@ def test_a_run_leaves_no_frame_behind(tmp_path, monkeypatch):
 
 def test_mixed33_deep_takes_each_divergence_once(tmp_path, monkeypatch):
     # natural-form's rewritten laws read the divergences its identities
-    # take: 12 covariant derivatives per order-3 frame, not 15
+    # take: 12 covariant derivatives per order-3 frame, not 15, in 8 frames
+    # of 2 points
     from jetlag.geometry import Frame
 
     calls = []
@@ -1056,7 +1149,7 @@ def test_mixed33_deep_takes_each_divergence_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Frame, "_cov", counting)
     doc = _load_bench(monkeypatch, "spec").make_config("mixed33-deep", None)
     run_to(tmp_path, doc)
-    assert calls == [3] * 192
+    assert calls == [3] * 96
 
 
 def _block_key(pts):
@@ -1964,16 +2057,22 @@ DOMAIN_SWEEP_CFG = {
 def test_a_point_outside_a_domain_keeps_its_error_in_a_batch(tmp_path, monkeypatch):
     # the phi grid's batch raises, so each point is evaluated alone and the
     # third one raises its own error; the digest was taken with every point
-    # evaluated alone.  In frame blocks of at most two points, one row block
-    # holds all five: its phi run raises, so each frame block runs phi
-    # itself while h and g still run once over all five points
+    # evaluated alone.  In one frame block of all five points, the row
+    # block's failed phi run is the frame block's, so phi runs over the
+    # five once and then over each point alone.  In frame blocks of at most
+    # two points, one row block holds all five: its phi run raises, so each
+    # frame block runs phi itself while h and g still run once over all
+    # five points
     from jetlag import cli
 
     calls = support.record_grid_calls(monkeypatch)
     bad = DOMAIN_SWEEP_CFG["points"]["explicit"][2]
     for size in (None, 2):
         if size is not None:
-            monkeypatch.setattr(cli, "block_size", lambda p, n, order: size)
+            phi_runs = [n for grid, order, n in calls if order == 2
+                        and {f.deps for f in grid.fields} == {frozenset({"x"})}]
+            assert phi_runs[0] == 5 and set(phi_runs[1:]) == {0}, phi_runs
+            monkeypatch.setattr(cli, "block_size", lambda ctx, orders: size)
         calls.clear()
         rc, rep = run_to(tmp_path, DOMAIN_SWEEP_CFG)
         assert rc == 1
@@ -2001,14 +2100,12 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
     # points in several blocks, but the rows of every grid fit one row
     # block, so each grid runs once per order over all of them
     calls = support.record_grid_calls(monkeypatch)
-    from jetlag.geometry import block_size
-
     count = 90
     doc = dict(OPTIC_CFG, points=dict(OPTIC_CFG["points"], count=count),
                checks=SWEEP_CHECKS, dump=[])
     rc, rep = run_to(tmp_path, doc)
     assert rc == 0 and len(rep["points"]) == count
-    assert len(_block_sizes(count, block_size(2, 2, 2))) > 1
+    assert len(_block_sizes(count, _block_size_of(tmp_path, doc))) > 1
     # one sampling block (no draw is rejected), then one run per order
     runs = {}
     for grid, order, n in calls:
@@ -2021,15 +2118,13 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
 
 def test_a_deep_run_evaluates_each_grid_once_over_the_coordinates_it_reads(
         tmp_path, monkeypatch):
-    # sixteen points of the (3,3) space frame one point at a time at order
+    # sixteen points of the (3,3) space frame two points at a time at order
     # 3, and the h, g and phi grids each run once over all of them, their
     # jets over the 3, 8 and 3 coordinates they read of 15
-    from jetlag.geometry import block_size
-
     calls = support.record_grid_calls(monkeypatch, nvars=True)
     doc = dict(MIXED33_CFG, points=dict(MIXED33_CFG["points"], count=16))
     run_to(tmp_path, doc)
-    assert block_size(3, 3, 3) == 1
+    assert _block_size_of(tmp_path, doc) == 2
     runs = {}
     for grid, order, n, nvars in calls:
         if order == 3:
@@ -2040,8 +2135,9 @@ def test_a_deep_run_evaluates_each_grid_once_over_the_coordinates_it_reads(
 
 def test_rows_held_at_once_stay_within_the_block_budget(tmp_path, monkeypatch):
     # a g that reads all 15 coordinates keeps 266,112 bytes of order-3 rows
-    # per point, so 40 points go in row blocks of two, and the rows held at
-    # any one time never pass BLOCK_BYTES
+    # per point, so 40 points, framed one at a time, go in row blocks of
+    # seven, five in the last, and the rows held at any one time never pass
+    # BLOCK_BYTES
     from jetlag import geometry
 
     sigma = " + ".join(f"0.01*{c}" for c in
@@ -2065,7 +2161,7 @@ def test_rows_held_at_once_stay_within_the_block_budget(tmp_path, monkeypatch):
     rc, rep = run_to(tmp_path, doc)
     assert rep["checks"]["conservation"]["error"] is None
     g_runs = [n for grid, order, n, nvars in calls if order == 3 and nvars == 15]
-    assert g_runs == [2] * 20
+    assert g_runs == [7] * 5 + [5]
     assert held and max(held) <= geometry.BLOCK_BYTES
 
 
@@ -2227,7 +2323,7 @@ def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch, size):
         return out
 
     monkeypatch.setattr(diff_engine, "_einsum", checking)
-    monkeypatch.setattr(cli, "block_size", lambda p, n, order: size)
+    monkeypatch.setattr(cli, "block_size", lambda ctx, orders: size)
     docs = {name: (digest, doc) for name, (digest, doc) in REPORT_DIGESTS.items()}
     docs.update({name: (ref["digest"], bench_spec.make_config(name, None))
                  for name, ref in bench_spec.WORKLOADS.items()})
@@ -2251,12 +2347,12 @@ def test_batched_einsums_keep_each_points_bits(tmp_path, monkeypatch, size):
 
 
 def test_optic_sweep_batches_its_contractions(tmp_path, monkeypatch):
-    # a second optic-sweep run in one process, in blocks of 33, 33 and 34
-    # points, finds every layout probed by the first and runs 207 of its
-    # 210 two-letter contractions as one einsum over the block (all 210 ran
-    # one einsum per point before the router); the other 3 are the scalar
-    # S trace's "ab,iajb->ij" over a transposed Ricci view, a layout where
-    # it drifts.  A mixed33 run in blocks of 4 still runs the drifting
+    # a second optic-sweep run in one process, in two blocks of 50 points,
+    # finds every layout probed by the first and runs 138 of its 140
+    # two-letter contractions as one einsum over the block (all 140 ran one
+    # einsum per point before the router); the other 2 are the scalar S
+    # trace's "ab,iajb->ij" over a transposed Ricci view, a layout where it
+    # drifts.  A mixed33 run in blocks of 4 still runs the drifting
     # plans point by point
     from jetlag import cli, diff_engine
 
@@ -2272,14 +2368,14 @@ def test_optic_sweep_batches_its_contractions(tmp_path, monkeypatch):
         run_to(tmp_path, doc)
         assert keeps.cache_info().misses == probed
         looped = [(subs, layout) for subs, layout, out in routes if not out]
-        assert len(routes) == 210 and len(looped) == 3
+        assert len(routes) == 140 and len(looped) == 2
         assert all(diff_engine._unpointed(subs)[0] == "ab,iajb->ij"
                    and _drifts(subs, layout) for subs, layout in looped)
         assert {shape[0] for subs, layout, _ in routes
                 for (_, shape, _), b in zip(layout, diff_engine._unpointed(subs)[1])
-                if b} == {33, 34}
+                if b} == {50}
         del routes[:]
-        monkeypatch.setattr(cli, "block_size", lambda p, n, order: 4)
+        monkeypatch.setattr(cli, "block_size", lambda ctx, orders: 4)
         run_to(tmp_path, bench_spec.make_config("mixed33-deep", None))
     finally:
         keeps.cache_clear()
@@ -2337,7 +2433,7 @@ def test_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, size, da
         cut = data.draw(st.integers(0, count - 1).map(
             lambda k: (first - 1 + k) % count + 1), label=name)
 
-        def forced(p, n, order, cut=cut):
+        def forced(ctx, orders, cut=cut):
             return cut
 
         monkeypatch.setattr(cli, "block_size", forced)

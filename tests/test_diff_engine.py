@@ -202,7 +202,7 @@ def test_matrix_inverse_order_cap_is_the_full_inverse_truncated(pt_mixed33):
     for pt in (pt_mixed33, JetPoint.of([-0.1, 0.3, 0.2], [0.1, -0.2, 0.3],
                                        np.full((3, 3), 0.15))):
         fr = frame(ctx, pt, 3)
-        mats += [fr.h_jet, fr.g_jet, fr.phi_jet]
+        mats += [fr.metric(which, 3) for which in ("h", "g", "phi")]
     for a in mats:
         assert a.order == 3 and not a.is_constant()
         full = jet_matrix_inverse(a)

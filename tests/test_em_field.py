@@ -166,7 +166,7 @@ def test_maxwell_residuals_builds_each_frame_once(monkeypatch, ctx_mixed22):
         builds.append(([pt.key() for pt in self.pts], order))
 
     monkeypatch.setattr(Frame, "__init__", counting)
-    monkeypatch.setattr(geometry, "block_size", lambda p, n, order: 3)
+    monkeypatch.setattr(geometry, "block_size", lambda ctx, orders: 3)
     maxwell_residuals(ctx_mixed22, pts)
     assert builds == [([pt.key() for pt in pts[:2]], 2),
                       ([pt.key() for pt in pts[2:]], 2)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetlag import geometry
 from jetlag.diff_engine import JetPoint, PyField
 from jetlag.field_expr import ExprField
 from jetlag.geometry import (
@@ -523,6 +524,77 @@ def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
                 assert jet.order == want.order == key[1], (order, key)
                 assert all(np.array_equal(a, b)
                            for a, b in zip(jet.coeffs, want.coeffs)), (order, key)
+
+
+# --------------------------------------------------------------------------
+# a frame keeps its metrics one order below its own
+# --------------------------------------------------------------------------
+
+def _user_n_ctx():
+    """A (2,2) space whose spatial nonlinear connection is user-given
+    fields of t, x and xs, over a curved h and a t- and x-dependent g."""
+    dims = (2, 2)
+    src = "0.1*x[{j}]*xs[{i}][{a}] + 0.05*t[{a}]*x[{i}]"
+    nu = np.array([[[E(src.format(i=i, a=a, j=j), dims, ("t", "x", "xs"))
+                     for j in (1, 2)] for a in (1, 2)] for i in (1, 2)], dtype=object)
+    g = support.grid(support.G_TDEP_SRC, dims, ("t", "x"))
+    return GeometryContext(2, 2, support.grid(support.H22_SRC, dims, ("t",)),
+                           DirectMetric(g), UserGiven(nu))
+
+
+class _KeptAtTheFrameOrder(geometry.Frame):
+    """The frame as it was before its metrics were kept one order lower:
+    h, g and phi kept at the frame's own order, which every reader then
+    reads truncated.  The reference for the connection blocks below."""
+
+    def __init__(self, ctx, pts, order):
+        super().__init__(ctx, pts, order)
+        self.kept_order = order
+
+
+CONNECTION_BLOCKS = ("Htc_jet", "M_jet", "gamma_phi_jet", "gamma_g_jet", "N_jet",
+                     "Gc_jet", "Lc_jet", "Cc_jet")
+
+
+def _same_bytes(a, b) -> bool:
+    """Whether jets ``a`` and ``b`` have the same order and, coefficient by
+    coefficient, the same shape, strides and bytes."""
+    return a.order == b.order and all(
+        x.shape == y.shape and x.strides == y.strides and x.tobytes() == y.tobytes()
+        for x, y in zip(a.coeffs, b.coeffs, strict=True))
+
+
+@pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "user-n"])
+def test_kept_metrics_and_the_connection_keep_their_bytes(request, space):
+    # at orders 0 to 3, each metric a frame keeps is the frame-order read
+    # truncated, byte for byte, and every connection block has the bytes
+    # and strides it has when the frame keeps its metrics at its own order
+    from jetlag.errors import OrderExceededError
+    from jetlag.spaces import build_space
+
+    ctx, pt = {
+        "optic": lambda: (build_space("optic", OPTIC_PARAMS), OPTIC_POINT),
+        "mixed33": lambda: (support.mixed33_ctx(),
+                            request.getfixturevalue("pt_mixed33")),
+        "lagrangian": lambda: (request.getfixturevalue("lagrangian_ctx"), PT22_B),
+        "user-n": lambda: (_user_n_ctx(), PT22_B),
+    }[space]()
+    metrics = ("h", "g", "phi") if isinstance(ctx.nlc, ChristoffelOfPhi) else ("h", "g")
+    for order in range(4):
+        fr = geometry.Frame(ctx, [pt], order)
+        for which in metrics:
+            kept, top = getattr(fr, f"{which}_jet"), fr.metric(which, order)
+            assert kept.order == max(0, order - 1) and top.order == order, which
+            assert _same_bytes(kept, top.truncated(kept.order)), (order, which)
+        ref = _KeptAtTheFrameOrder(ctx, [pt], order)
+        for name in CONNECTION_BLOCKS:
+            try:
+                want = getattr(ref, name)
+            except (ValueError, RegularityViolationError, OrderExceededError) as exc:
+                with pytest.raises(type(exc)):
+                    getattr(fr, name)
+                continue
+            assert _same_bytes(getattr(fr, name), want), (order, name)
 
 
 # --------------------------------------------------------------------------
