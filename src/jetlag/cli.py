@@ -42,7 +42,6 @@ from .geometry import (
     GeometryContext,
     UserGiven,
     _block_records,
-    _by_point,
     _point_max,
     _raise_held,
     block_size,
@@ -453,14 +452,13 @@ def _error_outcome(exc: JetlagError) -> CheckOutcome:
     )
 
 
-def _from_per_point(pts, per_point, tol, measure="max_abs", scales=None):
-    """Fold per-point {name: residual} maps into one outcome.  With
-    ``scales``, one per point, each point's largest residual is graded
-    over max(1, its scale), and the witness is the first point worst so
-    graded; the reported residuals stay absolute."""
-    names = list(per_point[0])
-    agg = {nm: max(d[nm] for d in per_point) for nm in names}
-    point_max = [max(d.values()) for d in per_point]
+def _from_per_point(pts, record, tol, measure="max_abs", scales=None):
+    """Fold a {name: column of each point's residual} record into one
+    outcome.  With ``scales``, a column, each point's largest residual is
+    graded over max(1, its scale), and the witness is the first point worst
+    so graded; the reported residuals stay absolute."""
+    agg = {nm: max(col) for nm, col in record.items()}
+    point_max = [max(row) for row in zip(*record.values())]
     graded = point_max if scales is None else [
         v / max(1.0, scale) for v, scale in zip(point_max, scales)]
     worst = int(np.argmax(graded))
@@ -472,37 +470,35 @@ def _from_per_point(pts, per_point, tol, measure="max_abs", scales=None):
     )
 
 
-def _from_scaled(pts, records, tol):
-    """:func:`_from_per_point` of per-point (residual map, scale) records,
-    as :func:`_metric_scaled` steps give them."""
-    maps, scales = zip(*records)
-    return _from_per_point(pts, list(maps), tol, scales=scales)
+def _from_scaled(pts, record, tol):
+    """:func:`_from_per_point` of a :func:`_metric_scaled` record."""
+    return _from_per_point(pts, record["residuals"], tol, scales=record["scale"])
 
 
 def _metric_scaled(step):
-    """``step`` with each point's record paired with the scale of its
-    metrics, the largest |entry| of h and g there, read off the order-2
-    frame of the block that ``step`` reads: a well-conditioned metric of
-    large scale then meets its tolerance relative to that scale."""
+    """``step`` with its record under ``residuals`` and the column
+    ``scale``, the scale of the metrics at each point, the largest |entry|
+    of h and g there, read off the order-2 frame of the block: a
+    well-conditioned metric of large scale then meets its tolerance
+    relative to that scale."""
     def scaled(ctx, block):
-        records = step(ctx, block)
+        residuals = step(ctx, block)
         fr = frame(ctx, block, 2)
-        scales = map(max, fr.max_abs(fr.h_jet), fr.max_abs(fr.g_jet))
-        return list(zip(records, scales))
+        return {"residuals": residuals, "scale": list(
+            map(max, fr.max_abs(fr.h_jet), fr.max_abs(fr.g_jet)))}
     return scaled
 
 
 def _run_curvature(ctx, block):
-    return [{**{f"deflection_{k}": v for k, v in defl.items()},
-             **{f"bracket_{k}": v for k, v in bracket.items()}}
-            for defl, bracket in zip(deflection_identity_residuals(ctx, block),
-                                     bianchi_residuals(ctx, block))]
+    return {**{f"deflection_{k}": v for k, v in
+               deflection_identity_residuals(ctx, block).items()},
+            **{f"bracket_{k}": v for k, v in bianchi_residuals(ctx, block).items()}}
 
 
-def _fold_first_max(verdict_of, value, flag, measure, pts, records, tol):
+def _fold_first_max(verdict_of, value, flag, measure, pts, record, tol):
     """Grade a first-maximum verdict: ``flag`` in the detail is the status,
     and only a failure shows the verdict's witness."""
-    verdict = verdict_of(pts, records)
+    verdict = verdict_of(pts, record)
     v = float(getattr(verdict, value))
     ok = v <= tol
     return CheckOutcome(
@@ -512,8 +508,8 @@ def _fold_first_max(verdict_of, value, flag, measure, pts, records, tol):
     )
 
 
-def _fold_maxwell(pts, records, tol):
-    rep = maxwell_fold(pts, records)
+def _fold_maxwell(pts, record, tol):
+    rep = maxwell_fold(pts, record)
     detail = {
         nm: {"max_abs": st.max_abs, "mean_abs": st.mean_abs,
              "max_rel": st.max_rel}
@@ -534,32 +530,27 @@ def _fold_maxwell(pts, records, tol):
 
 def _run_einstein(ctx, block):
     """The einstein step: each identity's max |residual| at each point of
-    ``block``.  The per-point Einstein blocks and stress-energy that the
-    library hands out are stacked back along a point axis, so that each
-    maximum is one reduction over the block."""
+    ``block``, one reduction over the block's Einstein blocks and
+    stress-energy each."""
     k = ctx.K
-
-    def stacked(records, name):
-        return np.stack([getattr(rec, name) for rec in records])
 
     def point_max(a):
         return _point_max(a).tolist()
 
-    ebs = einstein_blocks(ctx, block)
-    tt, ss, vv = (stacked(ebs, b) for b in ("tt", "ss", "vv"))
+    eb = einstein_blocks(ctx, block)
     cols = {
-        "tt_symmetry": point_max(tt - tt.swapaxes(1, 2)),
-        "ss_symmetry": point_max(ss - ss.swapaxes(1, 2)),
-        "vv_symmetry": point_max(vv - vv.transpose(0, 3, 4, 1, 2)),
+        "tt_symmetry": point_max(eb.tt - eb.tt.swapaxes(1, 2)),
+        "ss_symmetry": point_max(eb.ss - eb.ss.swapaxes(1, 2)),
+        "vv_symmetry": point_max(eb.vv - eb.vv.transpose(0, 3, 4, 1, 2)),
         "declared_zero_blocks": [max(a, b) for a, b in zip(
-            point_max(stacked(ebs, "zero_ts")), point_max(stacked(ebs, "zero_tv")))],
+            point_max(eb.zero_ts), point_max(eb.zero_tv))],
     }
     if k != 0.0:
         tss = stress_energy_extract(ctx, block)
         cols["extraction_roundtrip"] = [max(row) for row in zip(*(
-            point_max(k * stacked(tss, f"T_{b}") - stacked(ebs, b))
+            point_max(k * getattr(tss, f"T_{b}") - getattr(eb, b))
             for b in ("tt", "ss", "vv", "st", "vt", "sv", "vs")))]
-    return _by_point(cols)
+    return cols
 
 
 # The conservation and natural-form steps are the library's, called through
@@ -569,8 +560,8 @@ def _run_conservation(ctx, block):
     return conservation_residuals(ctx, block)
 
 
-def _fold_conservation(pts, per, tol):
-    rep = conservation_fold(per)
+def _fold_conservation(pts, record, tol):
+    rep = conservation_fold(record)
     laws = rep.laws.values()
     detail = {nm: {"max_abs": st.max_abs, "mean_abs": st.mean_abs,
                    "max_rel": st.max_rel,
@@ -588,10 +579,10 @@ def _natural_form_at(ctx, block):
     return natural_form_checks(ctx, block)
 
 
-def _fold_natural_form(pts, per, tol):
+def _fold_natural_form(pts, record, tol):
     """Grade :func:`~jetlag.gravity.natural_form_fold`, whose construction
     is the first point's."""
-    rep = natural_form_fold(per)
+    rep = natural_form_fold(record)
     construction = {
         "rewritten_equation": rep.e1prime_residual,
         "trace_recovery": rep.trace_residual,
@@ -678,12 +669,13 @@ def _run_grad_check(ctx, pts, tol):
 
 
 # A check with a fold runs block-major: run_report calls its step
-# ``(ctx, block) -> [record per point]`` on each block of points (a list,
-# in which geometry._block_records puts a point's error as its record),
-# then its fold ``(pts, records, tol) -> CheckOutcome`` once, over the
-# records in point order.  Every check that reads frames has one.  ``grad-check`` reads
-# none, and its runner takes the whole sweep, ``(ctx, pts, tol)``.
-# run_report looks every runner up here at call time.
+# ``(ctx, block) -> record`` on each block of points (geometry._block_records
+# holds each point's error apart), a record of the block whose columns hold
+# one entry per point, then its fold ``(pts, record, tol) -> CheckOutcome``
+# once, over the records concatenated in point order.  Every check that
+# reads frames has one.  ``grad-check`` reads none, and its runner takes
+# the whole sweep, ``(ctx, pts, tol)``.  run_report looks every runner up
+# here at call time.
 _RUNNERS = {
     "metricity": _metric_scaled(metricity_residuals),
     "antisymmetry": curvature_antisymmetry_residuals,
@@ -803,12 +795,12 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     blocks come in row blocks (:func:`~jetlag.geometry.in_row_blocks`),
     as many whole blocks as keep the compact rows of the space's field
     grids at that order within the same budget, and every field grid runs
-    once per order over a row block.  A point
-    error does not stop a check: its point holds it as its record, and
-    the check steps every later block.  After the last block, in config
-    order, a check whose records hold an error reports the first one, and
-    any other check gets its fold, or the whole-sweep runner of
-    ``grad-check``.
+    once per order over a row block.  A step gives one record per block.
+    A point error does not stop a check: its point holds it, and the
+    check steps every later block.  After the last block, in config
+    order, a check whose points hold an error reports the first one, and
+    any other check gets its fold, over its blocks' records in point
+    order, or the whole-sweep runner of ``grad-check``.
     """
     start = time.perf_counter()
     ctx = cfg.space
@@ -819,20 +811,21 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         # reads pts[0] alone, at orders the checks may not read
         dumps = _dump_families(ctx, pts[0], cfg.dump) if cfg.dump else None
 
-        records = {name: [] for name in cfg.checks if CHECKS[name].fold}
-        orders = {CHECKS[name].order for name in records}
+        # by check with a fold, the (record, held errors) of each block
+        parts = {name: [] for name in cfg.checks if CHECKS[name].fold}
+        orders = {CHECKS[name].order for name in parts}
         frame_blocks = blocks(pts, block_size(ctx, orders)) if orders else []
         for block in in_row_blocks(ctx, frame_blocks, max(orders, default=0)):
-            for name, recs in records.items():
-                recs += _block_records(_RUNNERS[name], ctx, block)
+            for name, got in parts.items():
+                got.append(_block_records(_RUNNERS[name], ctx, block))
     finally:
         ctx.forget_run()  # and leaves none for the next to find
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]
         try:
-            if name in records:
-                outcome = CHECKS[name].fold(pts, _raise_held(records[name]), tol)
+            if name in parts:
+                outcome = CHECKS[name].fold(pts, _raise_held(parts[name]), tol)
             else:
                 outcome = _RUNNERS[name](ctx, pts, tol)
         except JetlagError as exc:

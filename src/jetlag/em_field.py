@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
-from .errors import JetlagError, TorsionPreconditionError
+from .errors import TorsionPreconditionError
 from .geometry import (Frame, GeometryContext, ResidualStats, _block_records,
-                       _by_point, _each, _pooled_stats, _raise_held, frame,
-                       nlc_torsion_at, sweep, torsion_free_verdict)
+                       _each, _pooled_stats, frame, nlc_torsion_at, sweep,
+                       torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -183,13 +183,13 @@ def _cyclic3(core: Jet, spec1: str, spec2: str) -> Jet:
     return core + jet_linear(spec1, core) + jet_linear(spec2, core)
 
 
-def maxwell_at(ctx: GeometryContext, pt) -> list:
-    """Residual summaries of the five equations at one point, or the list
-    of them over a block of points.
+def maxwell_at(ctx: GeometryContext, pt) -> dict:
+    """Residual summaries of the five equations at one point, or over a
+    block of points their columns, by equation name.
 
-    Returns one (max |r|, sum |r|, size, scale) summary of each residual r
-    and its constituent terms, in equation order.  The torsion precondition
-    is not checked here; see :func:`maxwell_fold`.
+    Each is the (max |r|, sum |r|, size, scale) summary of the residual r
+    and its constituent terms.  The torsion precondition is not checked
+    here; see :func:`maxwell_fold`.
     """
     fr = frame(ctx, pt, 2)
     x_low, Dbar, Dmet, dmet = fr.shared(_metrical_jets)
@@ -197,10 +197,10 @@ def maxwell_at(ctx: GeometryContext, pt) -> list:
     Tt = fr.tor_T_jet
     Cc = fr.Cc_jet
     R2 = fr.tor_R2_jet
-    out = []  # per equation, its summary at each point
+    out = []  # per equation, its column of summaries
 
     def add(res, *terms):
-        out.append([summary for [summary] in fr.summaries([(res, terms)])])
+        out.extend(fr.summaries([(res, terms)]))
 
     # 1) F^(a)_(i)k/b  =  A_{i,k} { Dbar_{|k} + Dmet.T + dmet.R - [T_{|k} + C.R] x_low } / 2
     lhs = fr.cov_t(F, (V_DN, S_DN))  # [i,a,k,b]
@@ -248,36 +248,33 @@ def maxwell_at(ctx: GeometryContext, pt) -> list:
     fcv = fr.cov_v(f, (V_DN, V_DN))  # [i,a,j,b,k,g]
     res = _cyclic3(fcv, "jakbig->iajbkg", "kaibjg->iajbkg")
     add(res, fcv)
-    return _each(pt, [list(eqs) for eqs in zip(*out)])
+    return _each(pt, dict(zip(MaxwellReport.EQ_NAMES, out)))
 
 
-def maxwell_step(ctx: GeometryContext, pts) -> list:
-    """The records of a block (sequence) of points, one per point: (its
-    torsion probe, its :func:`maxwell_at` summaries), each taken by the
-    rule of :func:`~jetlag.geometry._block_records`, so either may be the
-    error the point holds, for :func:`maxwell_fold` to raise.  Where a
-    point's probe holds an error, the block's equations are not stepped
-    and every point's summaries are None: :func:`maxwell_fold` raises the
-    first probe error before it reads any equation."""
-    torsions = _block_records(nlc_torsion_at, ctx, pts)
-    if any(isinstance(rec, JetlagError) for rec in torsions):
-        return [(rec, None) for rec in torsions]
-    return list(zip(torsions, _block_records(maxwell_at, ctx, pts)))
+def maxwell_step(ctx: GeometryContext, pts) -> dict:
+    """The record of a block (sequence) of points: its torsion probe
+    (:func:`~jetlag.geometry.nlc_torsion_at`), which raises its error,
+    and its :func:`maxwell_at` record, by the rule of
+    :func:`~jetlag.geometry._block_records`, with each point's equation
+    error, or None, in the column ``error``, for :func:`maxwell_fold`."""
+    torsion = nlc_torsion_at(ctx, pts)
+    equations, held = _block_records(maxwell_at, ctx, pts)
+    return {"torsion": torsion, "equations": equations,
+            "error": [held.get(k) for k in range(len(pts))]}
 
 
-def maxwell_fold(pts, records) -> MaxwellReport:
-    """Fold the :func:`maxwell_step` records of ``pts``, in point order.
+def maxwell_fold(pts, record) -> MaxwellReport:
+    """Fold the :func:`maxwell_step` record of ``pts``, in point order.
 
     The equations assume a torsion-free spatial nonlinear connection, so
-    the first torsion-probe error held is raised first, then a torsion
-    above :data:`TORSION_LIMIT` at any point, at its witness, and then the
-    first equation error held.  Each equation's stats pool its residual
-    components over the points
+    after the probe errors, which a run or sweep raises, a torsion above
+    :data:`TORSION_LIMIT` at any point is raised, at its witness, and then
+    the first equation error held.  Each equation's stats pool its
+    residual components over the points
     (:func:`~jetlag.geometry._pooled_stats`): mean_abs is the sum of |r|
     over all points by their count of components.
     """
-    torsions = _raise_held([torsion for torsion, _ in records])
-    verdict = torsion_free_verdict(pts, torsions)
+    verdict = torsion_free_verdict(pts, record["torsion"])
     if verdict.max_violation > TORSION_LIMIT:
         raise TorsionPreconditionError(
             "spatial nonlinear connection has torsion: "
@@ -286,18 +283,20 @@ def maxwell_fold(pts, records) -> MaxwellReport:
             witness=verdict.witness[0],
             value=verdict.max_violation,
         )
-    equations = _raise_held([eqs for _, eqs in records])
+    error = next((exc for exc in record["error"] if exc is not None), None)
+    if error is not None:
+        raise error
     return MaxwellReport(
-        equations={name: _pooled_stats([eqs[k] for eqs in equations])
-                   for k, name in enumerate(MaxwellReport.EQ_NAMES)},
-        n_points=len(records))
+        equations={name: _pooled_stats(record["equations"][name])
+                   for name in MaxwellReport.EQ_NAMES},
+        n_points=len(record["error"]))
 
 
 def maxwell_residuals(ctx: GeometryContext, pts) -> MaxwellReport:
     """Residuals of the five field equations over sample points: the
-    :func:`maxwell_fold` of the :func:`maxwell_step` records, taken block
+    :func:`maxwell_fold` of the :func:`maxwell_step` record, taken block
     by block (:func:`~jetlag.geometry.sweep`), so it raises the errors the
-    run reports, in the fold's order."""
+    run reports, in the run's order."""
     pts = list(pts)
     return maxwell_fold(pts, sweep(maxwell_step, ctx, pts, 2))
 
@@ -356,7 +355,7 @@ def _liouville_identities(fr, X, D, up: bool) -> list:
 
 def deflection_identity_residuals(ctx: GeometryContext, pt):
     """Max-abs residuals of the ten deflection identities at one point, or
-    the list of them over a block of points.
+    over a block of points a map of columns.
 
     raw_1..raw_5 are the Liouville identities of xs^i_a, met_1..met_5 those
     of its lowering x_low.  All should vanish; they exercise every covariant
@@ -370,13 +369,13 @@ def deflection_identity_residuals(ctx: GeometryContext, pt):
                            ("met", x_low, met, False)):
         for k, r in enumerate(_liouville_identities(fr, X, D, up), 1):
             res[f"{kind}_{k}"] = r
-    return _each(pt, _by_point(res))
+    return _each(pt, res)
 
 
 def bianchi_residuals(ctx: GeometryContext, pt):
     """Max-abs residuals of the four bracket identities tying torsion to
     curvature (the fifth is the vertical curvature's defining formula), at
-    one point, or the list of them over a block of points.
+    one point, or over a block of points a map of columns.
     """
     fr = frame(ctx, pt, 2)
     Cc = fr.Cc_jet
@@ -420,4 +419,4 @@ def bianchi_residuals(ctx: GeometryContext, pt):
         + jet_einsum("lkmu,mujpe->ljkpe", Cc, fr.tor_P3_jet)
     )
     res["b4"] = fr.max_abs(core - jet_linear("lkjpe->ljkpe", core))
-    return _each(pt, _by_point(res))
+    return _each(pt, res)

@@ -28,8 +28,8 @@ on a Lagrangian-derived space, whose g already spends one order on the
 half-Hessian of L.  So only the order-3 readers, the conservation laws and
 the natural-form checks, are closed to a Lagrangian-derived space.
 
-A check over many points folds the records of a per-point step, which
-:func:`sweep` takes block by block as ``jetlag run`` does.
+A check over many points folds the record of a block-wide step, which
+:func:`sweep` takes block by block and concatenates as ``jetlag run`` does.
 
 Index layout convention used for every stored block: axes follow the
 symbol's logical indices left to right, a bound vertical pair contributing
@@ -39,7 +39,7 @@ symbol's logical indices left to right, a bound vertical pair contributing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -467,30 +467,30 @@ def in_row_blocks(ctx, frame_blocks, order: int):
         yield from run
 
 
-def _block_records(step, ctx, block) -> list:
-    """The records of ``step`` at the points of ``block``, one per point,
-    in order: from one call over the block, or, where that raises or its
-    points branch apart, from one call per point.  A point whose call
-    raises a :class:`JetlagError` has that error as its record, held: its
-    witness named and the traceback of every error in its chain dropped,
-    so that it keeps none of the point's frames alive.  So a point keeps
-    the record or the error it gets alone, and no JetlagError leaves
-    here: each caller decides what a held error means."""
+def _block_records(step, ctx, block) -> tuple:
+    """(record, held): the record of ``step`` at the points of ``block``
+    from one call over the block, and no errors held; where that raises or
+    its points branch apart, the :func:`_concat` of one call per point,
+    and the errors held by point, {index in ``block``: error}.  A point
+    whose call raises a :class:`JetlagError` holds that error, its witness
+    named and the traceback of every error in its chain dropped, so that
+    it keeps none of the point's frames alive, and has no row.  So no
+    JetlagError leaves here: each caller decides what a held error means."""
     if len(block) > 1:
         try:
-            return step(ctx, block)
+            return step(ctx, block), {}
         except (JetlagError, BatchDiverged) as exc:
-            # each point alone gives its own record or error; the block's
+            # each point alone gives its own row or error; the block's
             # error, which a row block may hold (_RowBlock), keeps none of
             # the block's frames
             _held(exc)
-    out = []
-    for pt in block:
+    rows, held = [], {}
+    for k, pt in enumerate(block):
         try:
-            out += step(ctx, [pt])
+            rows.append(step(ctx, [pt]))
         except JetlagError as exc:
-            out.append(_held(name_witness(exc, pt)))
-    return out
+            held[k] = _held(name_witness(exc, pt))
+    return _concat(rows), held
 
 
 def _held(exc: JetlagError) -> JetlagError:
@@ -506,30 +506,69 @@ def _held(exc: JetlagError) -> JetlagError:
     return exc
 
 
-def _raise_held(records) -> list:
-    """``records``, once the first error held among them, in point order,
-    is raised (:func:`_block_records`)."""
-    for rec in records:
-        if isinstance(rec, JetlagError):
-            raise rec
-    return records
+def _raise_held(parts):
+    """The record of the points of the :func:`_block_records` ``parts`` of
+    consecutive blocks, concatenated in point order (:func:`_concat`),
+    once the first error a point holds, in point order, is raised."""
+    for _, held in parts:
+        if held:
+            raise held[min(held)]
+    return _concat([record for record, _ in parts])
 
 
-def sweep(step, ctx, pts, order: int) -> list:
-    """The records of ``step`` (``(ctx, block) -> [record per point]``) at
-    ``pts``, as ``jetlag run`` takes them: :func:`_block_records` of each
-    of the :func:`blocks` of at most :func:`block_size` points that frames
-    of ``order`` are charged for, in the row blocks of
-    :func:`in_row_blocks`, so a fold of them has the run's bits, errors
-    and witnesses.  After the last block it raises the first error a point
-    holds.  Like a run, it ends with ``ctx.forget_run()``."""
-    out = []
+def _columns(fn, records):
+    """One record of ``records``, records of one shape: a map, a tuple or a
+    dataclass of records, or a column (a list or an array, an entry per
+    point), which ``fn`` makes of the list of the records' columns; any
+    other value is a constant, the first record's.  None records are
+    skipped, and none left give None."""
+    records = [r for r in records if r is not None]
+    if not records:
+        return None
+    first = records[0]
+    if isinstance(first, dict):
+        return {nm: _columns(fn, [r[nm] for r in records]) for nm in first}
+    if isinstance(first, tuple):
+        return tuple(_columns(fn, list(cols)) for cols in zip(*records))
+    if is_dataclass(first):
+        return replace(first, **{f.name: _columns(fn, [getattr(r, f.name) for r in records])
+                                 for f in fields(first)})
+    if isinstance(first, (list, np.ndarray)):
+        return fn(records)
+    return first
+
+
+def _concat(records):
+    """The record of the points of ``records``, the records of runs of
+    points in point order, each column concatenated (:func:`_columns`);
+    one record is returned as it is."""
+    if len(records) == 1:
+        return records[0]
+    return _columns(lambda cols: np.concatenate(cols) if isinstance(cols[0], np.ndarray)
+                    else [v for col in cols for v in col], records)
+
+
+def _each(pts, record):
+    """A block's ``record``, or at a :class:`JetPoint` its one row."""
+    if isinstance(pts, JetPoint):
+        return _columns(lambda cols: cols[0][0], [record])
+    return record
+
+
+def sweep(step, ctx, pts, order: int):
+    """The record of ``step`` (``(ctx, block) -> record``) at ``pts``, as
+    ``jetlag run`` takes it: :func:`_block_records` of each of the
+    :func:`blocks` of at most :func:`block_size` points that frames of
+    ``order`` are charged for, in the row blocks of :func:`in_row_blocks`,
+    so a fold of it has the run's bits, errors and witnesses
+    (:func:`_raise_held`).  Like a run, it ends with ``ctx.forget_run()``."""
+    parts = []
     try:
         for block in in_row_blocks(ctx, blocks(pts, block_size(ctx, [order])), order):
-            out += _block_records(step, ctx, block)
+            parts.append(_block_records(step, ctx, block))
     finally:
         ctx.forget_run()
-    return _raise_held(out)
+    return _raise_held(parts)
 
 
 def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
@@ -575,18 +614,6 @@ def _point_max(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(1, a.ndim)))
 
 
-def _by_point(columns: dict) -> list:
-    """Per point, the {name: value} map of ``columns``, {name: [value at
-    each point]}: the records of a step whose reads are block-wide."""
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
-
-
-def _each(pts, records):
-    """``records``, one per point, as a caller of a per-point function
-    asked for them: the one record at a :class:`JetPoint`, else the list."""
-    return records[0] if isinstance(pts, JetPoint) else records
-
-
 class Frame:
     """Lazy jet pipeline of one (context, block of points, order) triple.
 
@@ -599,10 +626,10 @@ class Frame:
     bits it gets alone.  The value reads do too: :meth:`max_abs`,
     :meth:`summaries`, the symmetry and signature checks of the metrics and
     :meth:`direction_independent` each reduce the block's values over every
-    axis but the point axis, once per block, and then split the result by
-    point; a check raises at the first point, in point order, that fails
-    it.  :meth:`values` splits values by point, for the readers that still
-    contract each point's values alone.
+    axis but the point axis, once per block, into a column of one entry
+    per point; a check raises at the first point, in point order, that
+    fails it.  :meth:`values` splits values by point, for the Kronecker
+    probe, which contracts each point's values alone.
 
     The three covariant derivatives (:meth:`cov_t` /b, :meth:`cov_s` |k,
     :meth:`cov_v` |^(g)_(k)) are one rule: the base derivative
@@ -676,17 +703,17 @@ class Frame:
         return list(zip(*[j.value for j in jets]))
 
     def max_abs(self, jet: Jet) -> list:
-        """Per point of the frame, the largest |value| of ``jet`` there:
-        one reduction over the block's values (:func:`_point_max`)."""
+        """The column of the largest |value| of ``jet`` at the frame's
+        points: one reduction over the block's values (:func:`_point_max`)."""
         return _point_max(jet.value).tolist()
 
     def summaries(self, pairs) -> list:
-        """Per point of the frame, the (max |r|, sum |r|, size, scale)
-        summary of each (residual r, constituent terms) pair of jets in
-        ``pairs``, in order: all that :func:`_pooled_stats` reads of a
-        point, scale being the largest |value| among the terms.  Each
-        maximum and sum is one reduction over the block's values, split by
-        point afterwards; a point gets the bits it gets alone."""
+        """Per (residual r, constituent terms) pair of jets in ``pairs``,
+        the column of its (max |r|, sum |r|, size, scale) summary at the
+        frame's points: all that :func:`_pooled_stats` reads of a point,
+        scale being the largest |value| among the terms.  Each maximum and
+        sum is one reduction over the block's values; a point gets the
+        bits it gets alone."""
         B = len(self.pts)
         cols = []
         for res, terms in pairs:
@@ -695,8 +722,8 @@ class Frame:
             size = a[0].size
             maxes = a.max(axis=axes).tolist() if size else [0.0] * B
             scales = [max(col) for col in zip(*map(self.max_abs, terms))] or [0.0] * B
-            cols.append(zip(maxes, a.sum(axis=axes).tolist(), [size] * B, scales))
-        return [list(row) for row in zip(*cols)]
+            cols.append(list(zip(maxes, a.sum(axis=axes).tolist(), [size] * B, scales)))
+        return cols
 
     # -- field evaluation ----------------------------------------------------
 
@@ -1404,8 +1431,8 @@ def kronecker_regularity_check(ctx, pts, lagrangian=None) -> RegularityVerdict:
 
 
 def kronecker_deviation_at(ctx, pt, lagrangian=None):
-    """(scaled max |B^(a)(b) - h^ab ghat|, ghat) at one point, or the list
-    of them over a block of points; see :func:`kronecker_regularity_check`."""
+    """(scaled max |B^(a)(b) - h^ab ghat|, ghat) at one point, or over a
+    block of points the two columns; see :func:`kronecker_regularity_check`."""
     if lagrangian is not None:
         fr = frame(ctx, pt, 0)
         B = fr.half_hessian(fr.eval_scalar(lagrangian, 2))
@@ -1417,13 +1444,14 @@ def kronecker_deviation_at(ctx, pt, lagrangian=None):
         E = jet_einsum("mn,am->an", fr.inverse("h", fr.order), fr.xs_jet)
         E = jet_einsum("an,ab->bn", E, fr.eval_grid(ctx.g_source.entries))
         B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
-    out = []
+    devs, ghats = [], []
     for B, hval, hinv in fr.values(B, fr.h_jet, fr.inverse("h", 0)):  # B[i,mu,j,nu]
         ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
         recon = np.einsum("mn,ij->imjn", hinv, ghat)
         scale = max(1.0, float(np.max(np.abs(B))))
-        out.append((float(np.max(np.abs(B - recon))) / scale, ghat))
-    return _each(pt, out)
+        devs.append(float(np.max(np.abs(B - recon))) / scale)
+        ghats.append(ghat)
+    return _each(pt, (devs, ghats))
 
 
 def _first_max(values, witnesses) -> tuple:
@@ -1453,11 +1481,11 @@ class ResidualStats:
 
 
 def _pooled_stats(summaries) -> ResidualStats:
-    """The stats of one residual block over the points of its per-point
-    (max |r|, sum |r|, size, scale) ``summaries``, in point order, as
-    :meth:`Frame.summaries` gives each point's once over its block, with
-    the components of all points pooled: mean_abs is the sum of |r| over
-    the count of components.  No summaries give five zeros."""
+    """The stats of one residual block over the points of its column of
+    (max |r|, sum |r|, size, scale) ``summaries`` (:meth:`Frame.summaries`),
+    in point order, with the components of all points pooled: mean_abs is
+    the sum of |r| over the count of components.  No summaries give five
+    zeros."""
     max_abs = sum_abs = max_rel = scale = 0.0
     count = worst_point = 0
     for i, (pt_max, pt_sum, size, pt_scale) in enumerate(summaries):
@@ -1477,23 +1505,17 @@ def _pooled_stats(summaries) -> ResidualStats:
     )
 
 
-def _point_stats(names, summaries):
-    """{name: :class:`ResidualStats`} of one point's
-    :meth:`Frame.summaries`, one per name; None for no summaries."""
-    return {nm: _pooled_stats([summary])
-            for nm, summary in zip(names, summaries)} if summaries else None
-
-
-def _fold_stats(maps):
-    """The {name: stats} map over the points of per-point ``maps``
-    (:func:`_point_stats`; None if they are None), in point order: the max
-    of max_abs, max_rel and scale, the mean of the points' mean_abs, and
-    the first point reaching max_rel."""
-    if maps[0] is None:
+def _fold_stats(columns):
+    """The {name: stats} map over the points of the {name: column of
+    :meth:`Frame.summaries`} ``columns``, in point order, from each
+    point's own stats (:func:`_pooled_stats`): the max of max_abs,
+    max_rel and scale, the mean of the points' mean_abs, and the first
+    point reaching max_rel.  No columns give None."""
+    if not columns:
         return None
     out = {}
-    for nm in maps[0]:
-        stats = [m[nm] for m in maps]
+    for nm, col in columns.items():
+        stats = [_pooled_stats([summary]) for summary in col]
         rels = [st.max_rel for st in stats]
         out[nm] = ResidualStats(
             max_abs=max(st.max_abs for st in stats),
@@ -1503,15 +1525,13 @@ def _fold_stats(maps):
     return out
 
 
-def regularity_verdict(pts, per_point) -> RegularityVerdict:
-    """Fold the per-point ``kronecker_deviation_at`` results, in point
+def regularity_verdict(pts, record) -> RegularityVerdict:
+    """Fold the ``kronecker_deviation_at`` record of ``pts``, in point
     order."""
-    worst, witness = _first_max([dev for dev, _ in per_point], pts)
-    return RegularityVerdict(
-        max_deviation=worst,
-        witness=witness,
-        ghats=tuple(ghat for _, ghat in per_point),
-    )
+    devs, ghats = record
+    worst, witness = _first_max(devs, pts)
+    return RegularityVerdict(max_deviation=worst, witness=witness,
+                             ghats=tuple(ghats))
 
 
 def nlc_torsion_free_check(ctx, pts) -> TorsionFreeVerdict:
@@ -1522,39 +1542,38 @@ def nlc_torsion_free_check(ctx, pts) -> TorsionFreeVerdict:
 
 def nlc_torsion_at(ctx, pt):
     """(max |dN/dxs asymmetry|, the entry [i,a,j,k,g] holding it) at one
-    point, or the list of them over a block of points; see
+    point, or over a block of points the two columns; see
     :func:`nlc_torsion_free_check`.  The ``torsion`` check and the Maxwell
     step both read it off the frame-shared :func:`_torsion_probe`."""
     # Christoffel-built N already spends one derivative order, so the
     # xs-gradient of N needs a depth-2 frame.
-    return _each(pt, list(frame(ctx, pt, 2).shared(_torsion_probe)))
+    devs, entries = frame(ctx, pt, 2).shared(_torsion_probe)
+    return _each(pt, (list(devs), list(entries)))
 
 
 def _torsion_probe(fr) -> tuple:
-    """:func:`nlc_torsion_at` at each point of the frame ``fr``, as a
-    tuple, from one maximum and one argmax over the block; read through
+    """:func:`nlc_torsion_at`'s two columns over the frame ``fr``, as
+    tuples, from one maximum and one argmax over the block; read through
     ``fr.shared``."""
     dN = fr.ddxs(fr.N_jet).value  # [point,i,a,j,k,g]
     viol = np.abs(dN - dN.swapaxes(3, 4)).reshape(len(fr.pts), -1)
     shape = dN.shape[1:]
-    return tuple(
-        (worst, tuple(int(v) for v in np.unravel_index(k, shape)))
-        for worst, k in zip(viol.max(axis=1).tolist(), viol.argmax(axis=1).tolist()))
+    return (tuple(viol.max(axis=1).tolist()),
+            tuple(tuple(int(v) for v in np.unravel_index(k, shape))
+                  for k in viol.argmax(axis=1).tolist()))
 
 
-def torsion_free_verdict(pts, per_point) -> TorsionFreeVerdict:
-    """Fold the per-point ``nlc_torsion_at`` results, in point order; the
+def torsion_free_verdict(pts, record) -> TorsionFreeVerdict:
+    """Fold the ``nlc_torsion_at`` record of ``pts``, in point order; the
     witness carries the point's entry."""
-    worst, witness = _first_max(
-        [dev for dev, _ in per_point],
-        [(pt, idx) for pt, (_, idx) in zip(pts, per_point)],
-    )
+    devs, entries = record
+    worst, witness = _first_max(devs, list(zip(pts, entries)))
     return TorsionFreeVerdict(max_violation=worst, witness=witness)
 
 
 def metricity_residuals(ctx: GeometryContext, pt):
     """Max-abs covariant derivatives of both metrics; all six should vanish.
-    One map at a point, or the list of them over a block of points."""
+    One map at a point, or over a block of points a map of columns."""
     fr = frame(ctx, pt, 2)
     # only values are read, so the metrics enter at order 1
     g, g_slots = fr.metric("g", 1), (S_DN, S_DN)
@@ -1563,12 +1582,12 @@ def metricity_residuals(ctx: GeometryContext, pt):
              "h_vertical", "g_temporal")
     blocks = (fr.cov_s(g, g_slots), fr.cov_v(g, g_slots), fr.cov_t(h, h_slots),
               fr.cov_s(h, h_slots), fr.cov_v(h, h_slots), fr.cov_t(g, g_slots))
-    return _each(pt, _by_point(dict(zip(names, map(fr.max_abs, blocks)))))
+    return _each(pt, dict(zip(names, map(fr.max_abs, blocks))))
 
 
 def curvature_antisymmetry_residuals(ctx: GeometryContext, pt):
     """The seven lowered-antisymmetry identities; max |sym part| each.
-    One map at a point, or the list of them over a block of points.
+    One map at a point, or over a block of points a map of columns.
 
     Lower the upper index with the matching metric, then the sum of the
     tensor and its first-two-index swap must vanish.
@@ -1588,18 +1607,18 @@ def curvature_antisymmetry_residuals(ctx: GeometryContext, pt):
     for name, metric, block, spec in rows:
         lowered = np.einsum(spec, metric, block.value)
         cols[name] = _point_max(lowered + lowered.swapaxes(1, 2)).tolist()
-    return _each(pt, _by_point(cols))
+    return _each(pt, cols)
 
 
 # --------------------------------------------------------------------------
 # sampling (identities are pointwise; boxes keep fields in smooth regimes)
 # --------------------------------------------------------------------------
 
-def _metric_values(ctx, pts) -> list:
-    """The values (h, g) at each of ``pts``, off their order-0 frame, which
-    the next frame replaces; g is held to no signature."""
+def _metric_values(ctx, pts) -> dict:
+    """The values {"h", "g"} at ``pts``, (B, ., .) arrays off their order-0
+    frame, which the next frame replaces; g is held to no signature."""
     fr = frame(ctx, pts, 0)
-    return fr.values(fr.h_jet, fr.symmetric_g())
+    return {"h": fr.h_jet.value, "g": fr.symmetric_g().value}
 
 
 def sample_points(
@@ -1622,9 +1641,9 @@ def sample_points(
     :func:`_block_records`, so each draw is tried, in draw order, as it
     would be alone: a draw that holds a domain error is rejected, and the
     first that holds any other error is raised, once the draws before it
-    are tried.  Those draws are tried together: one stacked ``cond`` of
-    their h, one of the g of those whose h passed, and one signature
-    check of the accepted ones.  No draw inverts a metric: a singular h or
+    are tried.  Those draws are tried together, on the rows of the block's
+    h and g arrays: one ``cond`` of their h, one of the g of those whose h
+    passed, and one signature check of the accepted ones.  No draw inverts a metric: a singular h or
     g is rejected as ill-conditioned."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
@@ -1650,24 +1669,22 @@ def sample_points(
             rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
         ) for _ in range(min(count - len(pts), budget - tries))]
         tries += len(block)
-        records = _block_records(_metric_values, ctx, block)
+        values, held = _block_records(_metric_values, ctx, block)
         # the first draw that holds an error other than a domain error
         # (a draw that left a field's domain) is raised after the draws
         # before it
-        stop = next((k for k, rec in enumerate(records)
-                     if isinstance(rec, JetlagError) and not isinstance(
-                         rec, (EvalDomainError, DerivativeDomainError,
-                               FieldDomainError))), len(records))
-        kept = [k for k in range(stop) if not isinstance(records[k], JetlagError)]
-        if kept:
-            hs = np.array([records[k][0] for k in kept])
-            gs = np.array([records[k][1] for k in kept])
+        stop = min((k for k, exc in held.items() if not isinstance(
+            exc, (EvalDomainError, DerivativeDomainError, FieldDomainError))),
+            default=len(block))
+        kept = [k for k in range(stop) if k not in held]
+        if kept:  # the first rows, as the draws that hold no error have rows
+            hs, gs = values["h"][:len(kept)], values["g"][:len(kept)]
             ok = ~(np.linalg.cond(hs) > cond_limit)
             ok[ok] = ~(np.linalg.cond(gs[ok]) > cond_limit)
             ill_conditioned += len(kept) - int(ok.sum())
             accepted = [block[k] for k, good in zip(kept, ok) if good]
             ctx._check_signature(accepted, hs[ok], gs[ok])
             pts += accepted
-        if stop < len(records):
-            raise records[stop]
+        if stop < len(block):
+            raise held[stop]
     return pts

@@ -31,22 +31,21 @@ stress-energy extraction and the natural-form construction.  The
 natural-form checks build each frame's trace-adjusted Einstein jets and
 their divergences once, for both the identities and the rewritten laws.
 
-Both checks are a step, the report of each point of one frame alone, and
-a fold of those reports over the points, in point order:
-``jetlag run`` and a library sweep (:func:`~jetlag.geometry.sweep`) take
-the same steps block by block and the same fold.
+Both checks are a step, the record of the points of one frame, and a
+fold of the records of all points, in point order: ``jetlag run`` and a
+library sweep (:func:`~jetlag.geometry.sweep`) take the same steps block
+by block and the same fold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diff_engine import JetPoint, jet_einsum, jet_linear
 from .errors import NaturalFormUnavailableError, VacuumConstantError
-from .geometry import (GeometryContext, _each, _fold_stats, _gate,
-                       _point_stats, frame)
+from .geometry import GeometryContext, _each, _fold_stats, _gate, frame
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
 __all__ = [
@@ -107,17 +106,17 @@ class StressEnergySet:
 
 def einstein_blocks(ctx: GeometryContext, pt):
     """The adapted blocks of the gravitational field equations at a point,
-    or the list of them over a block of points."""
-    return _each(pt, _rows(frame(ctx, pt, 2).shared(_einstein_blocks_at)))
+    or over a block of points the frame's own blocks, whose read-only
+    arrays carry its leading point axis."""
+    return _each(pt, frame(ctx, pt, 2).shared(_einstein_blocks_at))
 
 
 def _einstein_blocks_at(fr) -> EinsteinBlocks:
     """:func:`einstein_blocks` over the block of the frame ``fr``: one
     :class:`EinsteinBlocks` whose read-only arrays carry the frame's
-    leading point axis, computed once for the block (:func:`_rows` splits
-    it by point).  A frame-shared block (read through ``fr.shared``) that
-    the Einstein blocks, the stress-energy extraction and the natural-form
-    construction all read."""
+    leading point axis, computed once for the block: a frame-shared block
+    (``fr.shared``) that the Einstein blocks, the stress-energy extraction
+    and the natural-form construction all read."""
     B, p, n = len(fr.pts), fr.p, fr.n
     h, g = fr.h_jet.value, fr.g_jet.value
     # the scalar curvature times 1/2, one per point, against the axes of h
@@ -140,27 +139,17 @@ def _einstein_blocks_at(fr) -> EinsteinBlocks:
     return EinsteinBlocks(**arrays)
 
 
-def _rows(blocks) -> list:
-    """The per-point records of ``blocks``, a dataclass whose arrays carry
-    a leading point axis: one copy per point, each array its row there
-    (a view, as writable as the array), every other field kept."""
-    arrays = {f.name: getattr(blocks, f.name) for f in fields(blocks)
-              if isinstance(getattr(blocks, f.name), np.ndarray)}
-    count = len(next(iter(arrays.values())))
-    return [replace(blocks, **{nm: a[k] for nm, a in arrays.items()})
-            for k in range(count)]
-
-
 def stress_energy_extract(ctx: GeometryContext, pt):
     """Stress-energy components implied by the field equations and ctx.K,
-    at a point, or the list of them over a block of points."""
+    at a point, or over a block of points one set whose arrays carry its
+    leading point axis."""
     if ctx.K == 0.0:
         raise VacuumConstantError(
             "stress-energy extraction needs a nonzero gravitational constant; "
             "zero describes a vacuum source"
         )
-    return _each(pt, _rows(_stress_energy_of(
-        frame(ctx, pt, 2).shared(_einstein_blocks_at), ctx.K)))
+    return _each(pt, _stress_energy_of(
+        frame(ctx, pt, 2).shared(_einstein_blocks_at), ctx.K))
 
 
 def _stress_energy_of(eb: EinsteinBlocks, k: float) -> StressEnergySet:
@@ -270,30 +259,30 @@ def _laws_at(fr) -> list:
 
 def conservation_residuals(ctx: GeometryContext, pts):
     """Componentwise residuals of the three conservation laws at ``pts``,
-    one point or a block of points read off one frame of it: the report
-    of each point alone (of a :class:`JetPoint`, its one report).
-    :func:`conservation_fold` folds them."""
+    read off one frame of them: over a block of points, the record
+    {"laws": {law: column of summaries}, "direction_independent": column}
+    that :func:`conservation_fold` folds; at a :class:`JetPoint`, the fold
+    of its one row."""
     _gate(ctx, 3, "conservation-law divergences")
     fr = frame(ctx, pts, 3)
-    return _each(pts, [
-        ConservationReport(laws=_point_stats(ConservationReport.LAW_NAMES, laws),
-                           direction_independent=di, n_points=1)
-        for laws, di in zip(fr.summaries(_laws_at(fr)),
-                            fr.direction_independent())])
+    record = {"laws": dict(zip(ConservationReport.LAW_NAMES,
+                               fr.summaries(_laws_at(fr)))),
+              "direction_independent": fr.direction_independent()}
+    return conservation_fold(record) if isinstance(pts, JetPoint) else record
 
 
-def conservation_fold(reports) -> ConservationReport:
-    """The report over the points of the per-point ``reports`` of
-    :func:`conservation_residuals`, in point order; over a whole sweep,
+def conservation_fold(record) -> ConservationReport:
+    """The report over the points of a :func:`conservation_residuals`
+    record, in point order; over a whole sweep,
     ``conservation_fold(sweep(conservation_residuals, ctx, pts, 3))``.
     Each law's mean_abs is the mean of the points' own means
     (:func:`~jetlag.geometry._fold_stats`), not pooled as Maxwell's is."""
-    if not reports:
-        raise ValueError("conservation_fold needs at least one report")
+    if record is None:
+        raise ValueError("conservation_fold needs the record of a point")
     return ConservationReport(
-        laws=_fold_stats([r.laws for r in reports]),
-        direction_independent=all(r.direction_independent for r in reports),
-        n_points=sum(r.n_points for r in reports),
+        laws=_fold_stats(record["laws"]),
+        direction_independent=all(record["direction_independent"]),
+        n_points=len(record["direction_independent"]),
     )
 
 
@@ -308,7 +297,7 @@ class NaturalFormReport:
     The construction half (traces, recovered scalars, tilde blocks, the
     rewritten-equation and round-trip residuals) describes one probe point;
     the verification half covers the report's ``n_points`` points (one for
-    a step of :func:`natural_form_checks`, all of them after
+    :func:`natural_form_checks` at a point, all of them after
     :func:`natural_form_fold`) and is None in a bare construction.  With
     K = 0 only the pure-geometry identity residuals are available.
     """
@@ -352,84 +341,84 @@ def natural_stress_energy(ctx: GeometryContext, pt: JetPoint) -> NaturalFormRepo
             "the trace-adjusted stress-energy needs a nonzero gravitational "
             "constant"
         )
-    return _natural_stress_energy_at(frame(ctx, pt, 2))[0]
+    return _natural_stress_energy_at(frame(ctx, pt, 2))
 
 
-def _natural_stress_energy_at(fr) -> list:
-    """:func:`natural_stress_energy` at each point of the frame ``fr``."""
+def _natural_stress_energy_at(fr) -> NaturalFormReport:
+    """:func:`natural_stress_energy` at the first point of the frame
+    ``fr``."""
     p, n, K = fr.p, fr.n, fr.ctx.K
-    out = []
-    for T, (h, g, h_inv, g_inv, H, R, S, ricci_H, ricci_Rmm, ricci_S) in zip(
-            _rows(_stress_energy_of(fr.shared(_einstein_blocks_at), K)), fr.values(
-                fr.h_jet, fr.g_jet, fr.inverse("h", 0), fr.inverse("g", 0),
-                fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
-                fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet)):
-        H, R, S = float(H), float(R), float(S)
+    T = _stress_energy_of(_each(fr.pts[0], fr.shared(_einstein_blocks_at)), K)
+    h, g, h_inv, g_inv, H, R, S, ricci_H, ricci_Rmm, ricci_S = (
+        jet.value[0] for jet in (
+            fr.h_jet, fr.g_jet, fr.inverse("h", 0), fr.inverse("g", 0),
+            fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
+            fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet))
+    H, R, S = float(H), float(R), float(S)
 
-        # the vertical trace pairs the inverse vertical metric h_ab g^ij with
-        # the vv block, mirroring the S scalar
-        T_T = float(np.einsum("ab,ab->", h_inv, T.T_tt))
-        T_M = float(np.einsum("ij,ij->", g_inv, T.T_ss))
-        T_v = float(np.einsum("ab,ij,iajb->", h, g_inv, T.T_vv))
-        D = 2.0 - p - n - p * n
-        tot = T_T + T_M + T_v
-        scalars_solved = (
-            K * (T_T + p / D * tot),
-            K * (T_M + n / D * tot),
-            K * (T_v + p * n / D * tot),
-        )
+    # the vertical trace pairs the inverse vertical metric h_ab g^ij with
+    # the vv block, mirroring the S scalar
+    T_T = float(np.einsum("ab,ab->", h_inv, T.T_tt))
+    T_M = float(np.einsum("ij,ij->", g_inv, T.T_ss))
+    T_v = float(np.einsum("ab,ij,iajb->", h, g_inv, T.T_vv))
+    D = 2.0 - p - n - p * n
+    tot = T_T + T_M + T_v
+    scalars_solved = (
+        K * (T_T + p / D * tot),
+        K * (T_M + n / D * tot),
+        K * (T_v + p * n / D * tot),
+    )
 
-        G_up = np.einsum("ab,ij->iajb", h_inv, g)
-        tilde_tt = T.T_tt + (R + S) / (2.0 * K) * h
-        tilde_ss = T.T_ss + (H + S) / (2.0 * K) * g
-        tilde_vv = T.T_vv + (H + R) / (2.0 * K) * G_up
+    G_up = np.einsum("ab,ij->iajb", h_inv, g)
+    tilde_tt = T.T_tt + (R + S) / (2.0 * K) * h
+    tilde_ss = T.T_ss + (H + S) / (2.0 * K) * g
+    tilde_vv = T.T_vv + (H + R) / (2.0 * K) * G_up
 
-        Tt_T = float(np.einsum("ab,ab->", h_inv, tilde_tt))
-        Tt_M = float(np.einsum("ij,ij->", g_inv, tilde_ss))
-        Tt_v = float(np.einsum("ab,ij,iajb->", h, g_inv, tilde_vv))
-        scalars_from_tilde = (
-            2.0 * K * Tt_T / (2.0 - p),
-            2.0 * K * Tt_M / (2.0 - n),
-            2.0 * K * Tt_v / (2.0 - p * n),
-        )
+    Tt_T = float(np.einsum("ab,ab->", h_inv, tilde_tt))
+    Tt_M = float(np.einsum("ij,ij->", g_inv, tilde_ss))
+    Tt_v = float(np.einsum("ab,ij,iajb->", h, g_inv, tilde_vv))
+    scalars_from_tilde = (
+        2.0 * K * Tt_T / (2.0 - p),
+        2.0 * K * Tt_M / (2.0 - n),
+        2.0 * K * Tt_v / (2.0 - p * n),
+    )
 
-        e1p = max(
-            float(np.max(np.abs(ricci_H - 0.5 * H * h - K * tilde_tt))),
-            float(np.max(np.abs(ricci_Rmm - 0.5 * R * g - K * tilde_ss))),
-            float(np.max(np.abs(ricci_S - 0.5 * S * G_up - K * tilde_vv))),
-        )
-        direct = (H, R, S)
-        trace_res = max(
-            max(abs(a - b) for a, b in zip(direct, scalars_solved)),
-            max(abs(a - b) for a, b in zip(direct, scalars_from_tilde)),
-        )
-        # round trip through the inverse trace relations
-        Hr, Rr, Sr = scalars_from_tilde
-        back_tt = tilde_tt - (Rr + Sr) / (2.0 * K) * h
-        back_ss = tilde_ss - (Hr + Sr) / (2.0 * K) * g
-        back_vv = tilde_vv - (Hr + Rr) / (2.0 * K) * G_up
-        roundtrip = max(
-            float(np.max(np.abs(back_tt - T.T_tt))),
-            float(np.max(np.abs(back_ss - T.T_ss))),
-            float(np.max(np.abs(back_vv - T.T_vv))),
-        )
-        out.append(NaturalFormReport(
-            p=p,
-            n=n,
-            K=K,
-            traces={"T_T": T_T, "T_M": T_M, "T_v": T_v},
-            tilde_traces={"T_T": Tt_T, "T_M": Tt_M, "T_v": Tt_v},
-            scalars_direct=direct,
-            scalars_solved=scalars_solved,
-            scalars_from_tilde=scalars_from_tilde,
-            tilde_tt=tilde_tt,
-            tilde_ss=tilde_ss,
-            tilde_vv=tilde_vv,
-            e1prime_residual=e1p,
-            trace_residual=trace_res,
-            roundtrip_residual=roundtrip,
-        ))
-    return out
+    e1p = max(
+        float(np.max(np.abs(ricci_H - 0.5 * H * h - K * tilde_tt))),
+        float(np.max(np.abs(ricci_Rmm - 0.5 * R * g - K * tilde_ss))),
+        float(np.max(np.abs(ricci_S - 0.5 * S * G_up - K * tilde_vv))),
+    )
+    direct = (H, R, S)
+    trace_res = max(
+        max(abs(a - b) for a, b in zip(direct, scalars_solved)),
+        max(abs(a - b) for a, b in zip(direct, scalars_from_tilde)),
+    )
+    # round trip through the inverse trace relations
+    Hr, Rr, Sr = scalars_from_tilde
+    back_tt = tilde_tt - (Rr + Sr) / (2.0 * K) * h
+    back_ss = tilde_ss - (Hr + Sr) / (2.0 * K) * g
+    back_vv = tilde_vv - (Hr + Rr) / (2.0 * K) * G_up
+    roundtrip = max(
+        float(np.max(np.abs(back_tt - T.T_tt))),
+        float(np.max(np.abs(back_ss - T.T_ss))),
+        float(np.max(np.abs(back_vv - T.T_vv))),
+    )
+    return NaturalFormReport(
+        p=p,
+        n=n,
+        K=K,
+        traces={"T_T": T_T, "T_M": T_M, "T_v": T_v},
+        tilde_traces={"T_T": Tt_T, "T_M": Tt_M, "T_v": Tt_v},
+        scalars_direct=direct,
+        scalars_solved=scalars_solved,
+        scalars_from_tilde=scalars_from_tilde,
+        tilde_tt=tilde_tt,
+        tilde_ss=tilde_ss,
+        tilde_vv=tilde_vv,
+        e1prime_residual=e1p,
+        trace_residual=trace_res,
+        roundtrip_residual=roundtrip,
+    )
 
 
 def _tilde_einstein_jets(fr):
@@ -550,62 +539,58 @@ def _new_laws_at(fr, tilde, divs, K: float):
 
 
 def natural_form_checks(ctx: GeometryContext, pts):
-    """Identity and rewritten-law residuals at ``pts``, one point or a
-    block of points read off one frame of it: the report of each point
-    alone (of a :class:`JetPoint`, its one report), with its own
-    construction of :func:`natural_stress_energy` (none without K).
-    :func:`natural_form_fold` folds them.  The laws' divergence
-    right-hand sides are shared with a conservation check of the frame.
+    """Identity and rewritten-law residuals at ``pts``, read off one frame
+    of them: over a block of points, the record that
+    :func:`natural_form_fold` folds, a column of summaries per residual,
+    the largest |P| and |S| curvature at each point, and the construction
+    of :func:`natural_stress_energy` (none without K) at the first point
+    only; at a :class:`JetPoint`, the fold of its one row.  The laws'
+    divergence right-hand sides are shared with a conservation check.
     """
     _require_natural_form(ctx)
     _gate(ctx, 3, "the trace-adjusted identity checks")
     have_K = ctx.K != 0.0
     fr = frame(ctx, pts, 3)
-    bases = (_natural_stress_energy_at(fr) if have_K else
-             [NaturalFormReport(p=ctx.p, n=ctx.n, K=ctx.K)] * len(fr.pts))
+    construction = (_natural_stress_energy_at(fr) if have_K else
+                    NaturalFormReport(p=ctx.p, n=ctx.n, K=ctx.K))
     tilde = _tilde_einstein_jets(fr)
     divs = _divergences(fr, *tilde[1::2])  # Emix_t, Emix_s, Econ
     displayed, derived = _prop_identities_at(fr, divs)
     laws, simple = _new_laws_at(fr, tilde, divs, ctx.K) if have_K else ([], [])
     names = NaturalFormReport.IDENTITY_NAMES
-    out = []
-    for base, summaries, P, S in zip(
-            bases, fr.summaries(displayed + derived + laws + simple),
-            fr.max_abs(fr.cur_P2_jet), fr.max_abs(fr.cur_S_jet)):
-        applicable = P < 1e-10 and S < 1e-10
-        out.append(replace(
-            base,
-            identity_residuals=_point_stats(names, summaries[:3]),
-            identity_residuals_derived=_point_stats(names, summaries[3:6]),
-            new_law_residuals=_point_stats(names, summaries[6:9]),
-            simple_form={"applicable": applicable, "max_P_curvature": P,
-                         "max_S_curvature": S,
-                         "residuals": _point_stats(names, summaries[9:])
-                         if applicable else None},
-        ))
-    return _each(pts, out)
+    cols = fr.summaries(displayed + derived + laws + simple)
+    record = {
+        "construction": [construction] + [None] * (len(fr.pts) - 1),
+        "identity_residuals": dict(zip(names, cols[:3])),
+        "identity_residuals_derived": dict(zip(names, cols[3:6])),
+        "new_law_residuals": dict(zip(names, cols[6:9])),
+        "max_P_curvature": fr.max_abs(fr.cur_P2_jet),
+        "max_S_curvature": fr.max_abs(fr.cur_S_jet),
+        "simple_form_residuals": dict(zip(names, cols[9:])),
+    }
+    return natural_form_fold(record) if isinstance(pts, JetPoint) else record
 
 
-def natural_form_fold(reports) -> NaturalFormReport:
-    """The report over the points of the per-point ``reports`` of
-    :func:`natural_form_checks`, in point order, with the first point's
-    construction; over a whole sweep,
-    ``natural_form_fold(sweep(natural_form_checks, ctx, pts, 3))``."""
-    if not reports:
-        raise ValueError("natural_form_fold needs at least one report")
-    simple = [r.simple_form for r in reports]
-    max_P = max(sf["max_P_curvature"] for sf in simple)
-    max_S = max(sf["max_S_curvature"] for sf in simple)
+def natural_form_fold(record) -> NaturalFormReport:
+    """The report over the points of a :func:`natural_form_checks` record,
+    in point order, with the construction at its first point; over a whole
+    sweep, ``natural_form_fold(sweep(natural_form_checks, ctx, pts, 3))``.
+    The simple form applies where its P and S curvatures vanish at every
+    point."""
+    if record is None:
+        raise ValueError("natural_form_fold needs the record of a point")
+    max_P = max(record["max_P_curvature"])
+    max_S = max(record["max_S_curvature"])
     applicable = max_P < 1e-10 and max_S < 1e-10
     return replace(
-        reports[0],
-        identity_residuals=_fold_stats([r.identity_residuals for r in reports]),
+        record["construction"][0],
+        identity_residuals=_fold_stats(record["identity_residuals"]),
         identity_residuals_derived=_fold_stats(
-            [r.identity_residuals_derived for r in reports]),
-        new_law_residuals=_fold_stats([r.new_law_residuals for r in reports]),
+            record["identity_residuals_derived"]),
+        new_law_residuals=_fold_stats(record["new_law_residuals"]),
         simple_form={"applicable": applicable, "max_P_curvature": max_P,
                      "max_S_curvature": max_S,
-                     "residuals": _fold_stats([sf["residuals"] for sf in simple])
+                     "residuals": _fold_stats(record["simple_form_residuals"])
                      if applicable else None},
-        n_points=sum(r.n_points for r in reports),
+        n_points=len(record["max_P_curvature"]),
     )

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import jetlag
@@ -55,3 +56,42 @@ def test_every_imported_name_is_used():
         if unused:
             found[path.stem] = unused
     assert not found, found
+
+
+def _unreferenced_private_defs(trees) -> list:
+    """(module, name) of each module-level ``_private`` function or class
+    of ``trees``, {module: tree}, that no tree reads by name, by attribute,
+    in an import or in a string that is not a docstring (the source of
+    generated code)."""
+    used = set()
+    for tree in trees.values():
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {a.name for a in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docstrings:
+                used |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    return sorted(
+        (mod, node.name) for mod, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used)
+
+
+def test_every_private_helper_is_used():
+    # a helper that its last caller stopped reading is deleted with it
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(jetlag.__file__).parent.glob("*.py"))}
+    assert not _unreferenced_private_defs(trees)
+    # the scan sees a helper that nothing reads
+    trees["_probe"] = ast.parse(
+        'def _orphan():\n    """Not :func:`_Lone`."""\n\n\nclass _Lone:\n    pass\n')
+    assert _unreferenced_private_defs(trees) == [("_probe", "_Lone"), ("_probe", "_orphan")]

@@ -977,7 +977,7 @@ def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which)
     # the fold of one-point steps, bit for bit; optic-suite's conservation
     # runs in one block of its 12 points, mixed33's in blocks of 2
     from jetlag import cli
-    from jetlag.geometry import block_size, sweep
+    from jetlag.geometry import _concat, block_size, sweep
     from jetlag.gravity import (conservation_fold, conservation_residuals,
                                 natural_form_checks, natural_form_fold)
 
@@ -992,10 +992,10 @@ def test_folds_over_blocks_match_folds_over_points(tmp_path, monkeypatch, which)
         checks.append((natural_form_checks, natural_form_fold))
     for step, fold in checks:
         got = fold(sweep(step, ctx, pts, 3))
-        assert _hexed(got) == _hexed(fold([step(ctx, pt) for pt in pts]))
+        assert _hexed(got) == _hexed(fold(_concat([step(ctx, [pt]) for pt in pts])))
         assert got.n_points == len(pts)
         with pytest.raises(ValueError):
-            fold([])
+            fold(sweep(step, ctx, [], 3))
     if which == "mixed33":
         # the worst point of most blocks is not the first
         worst = [st.worst_point for attr in ("new_law_residuals",
@@ -1150,6 +1150,33 @@ def test_mixed33_deep_takes_each_divergence_once(tmp_path, monkeypatch):
     doc = _load_bench(monkeypatch, "spec").make_config("mixed33-deep", None)
     run_to(tmp_path, doc)
     assert calls == [3] * 96
+
+
+def test_mixed33_deep_builds_one_construction_per_block(tmp_path, monkeypatch):
+    # natural-form builds its trace-adjusted construction at the first
+    # point of each block, not at each point: 8 for 16 points in 8 frames of
+    # 2, and the fold keeps the first block's, which is pts[0]'s
+    from jetlag import cli, gravity
+    from jetlag.geometry import block_size, blocks
+
+    built = []
+
+    class Counted(gravity.NaturalFormReport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.traces is not None and self.identity_residuals is None:
+                built.append(self)  # a construction, not a fold of one
+
+    monkeypatch.setattr(gravity, "NaturalFormReport", Counted)
+    doc = _load_bench(monkeypatch, "spec").make_config("mixed33-deep", None)
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    pts = cli._collect_points(cfg, cfg.space)
+    rep, _ = cli.run_report(cfg)
+    assert len(built) == len(blocks(pts, block_size(cfg.space, {3}))) == 8
+    assert len(pts) == 16
+    got = rep.checks["natural-form"]["detail"]["construction"]
+    assert got["roundtrip"] == gravity.natural_stress_energy(
+        cfg.space, pts[0]).roundtrip_residual
 
 
 def _block_key(pts):
@@ -1554,8 +1581,11 @@ def test_shared_blocks_derived_once_per_frame(monkeypatch, pt_mixed33):
 
 
 def test_a_reader_cannot_change_a_shared_block():
-    # the Einstein arrays are read-only and the torsion probe is handed out
-    # as a new list, so a later reader of the frame gets what the first got
+    # the Einstein blocks are frozen with read-only arrays, at a point and
+    # over a block, and the torsion probe's columns are handed out as new
+    # lists, so a later reader of the frame gets what the first got
+    from dataclasses import FrozenInstanceError
+
     from jetlag.geometry import nlc_torsion_at
     from jetlag.gravity import einstein_blocks, stress_energy_extract
 
@@ -1563,13 +1593,16 @@ def test_a_reader_cannot_change_a_shared_block():
     pt = JetPoint.of([0.1, 0.2], [0.3, 0.4], [[0.2, -0.1], [0.3, 0.4]])
     eb = einstein_blocks(ctx, [pt])
     with pytest.raises(ValueError):
-        eb[0].tt[0, 0] = 1.0
-    eb.clear()
-    assert len(einstein_blocks(ctx, [pt])) == 1
+        eb.tt[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        einstein_blocks(ctx, pt).tt[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        eb.tt = np.zeros_like(eb.tt)
+    assert einstein_blocks(ctx, [pt]).tt.shape == (1, 2, 2)
     assert stress_energy_extract(ctx, pt).T_tt.flags.writeable
-    probe = nlc_torsion_at(ctx, [pt])
-    probe.clear()
-    assert len(nlc_torsion_at(ctx, [pt])) == 1
+    for column in nlc_torsion_at(ctx, [pt]):
+        column.clear()
+    assert list(map(len, nlc_torsion_at(ctx, [pt]))) == [1, 1]
 
 
 # g = diag(x1, 1): signature ((1, 1), (-1, 1)) at point 0, ((1, 1), (1, 1))

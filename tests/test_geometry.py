@@ -1,5 +1,7 @@
 """Connection, torsion, curvature and metric pipeline against hand values
 and finite-difference oracles."""
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -978,6 +980,8 @@ def block_spaces():
 
 def _bits(v):
     """``v`` with every float as its hex and every array as (shape, bytes)."""
+    if is_dataclass(v):
+        v = {f.name: getattr(v, f.name) for f in fields(v)}
     if isinstance(v, dict):
         return {k: _bits(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -1067,14 +1071,35 @@ def _ref_einstein(fr):
     return out
 
 
+def _row(record, k):
+    """Row ``k`` of a block's ``record``: the entry at point k of each of
+    its columns (lists and arrays), kept in its maps, tuples and
+    dataclasses (a dataclass as a map)."""
+    if is_dataclass(record):
+        record = {f.name: getattr(record, f.name) for f in fields(record)}
+    if isinstance(record, dict):
+        return {nm: _row(v, k) for nm, v in record.items()}
+    if isinstance(record, tuple):
+        return tuple(_row(v, k) for v in record)
+    if isinstance(record, (list, np.ndarray)):
+        return record[k]
+    return record
+
+
+def _rows(record, count):
+    return [_row(record, k) for k in range(count)]
+
+
 def _reads(ctx, pts, one):
     """Every block-wide read of the frames of ``pts``, per point; the
-    reference loops instead when ``one`` (``pts`` is then one point)."""
-    from dataclasses import asdict
-
-    from jetlag.em_field import maxwell_at
-    from jetlag.geometry import nlc_torsion_at
-    from jetlag.gravity import _laws_at, einstein_blocks
+    reference loops instead when ``one`` (``pts`` is then one point).
+    The fold checks' steps that have no reference loop give the rows of
+    their record over ``pts`` either way."""
+    from jetlag.em_field import (bianchi_residuals, deflection_identity_residuals,
+                                 maxwell_at)
+    from jetlag.geometry import kronecker_deviation_at, nlc_torsion_at
+    from jetlag.gravity import (_laws_at, conservation_residuals, einstein_blocks,
+                                natural_form_checks)
 
     fr = frame(ctx, pts, 2)
     jets = (fr.g_jet, fr.tor_P2_jet, fr.cur_S_jet, fr.scalar_R_jet)
@@ -1087,18 +1112,29 @@ def _reads(ctx, pts, one):
             torsion=_ref_torsion_probe(fr),
             einstein=_ref_einstein(fr))
     else:
+        B = len(pts)
         reads = dict(
             max_abs=[fr.max_abs(j) for j in jets],
             direction_independent=fr.direction_independent(),
-            metricity=metricity_residuals(ctx, pts),
-            antisymmetry=curvature_antisymmetry_residuals(ctx, pts),
-            torsion=nlc_torsion_at(ctx, pts),
-            einstein=[{k: v for k, v in asdict(eb).items() if k != "note"}
-                      for eb in einstein_blocks(ctx, pts)])
-    reads["maxwell"] = maxwell_at(ctx, pts)
+            metricity=_rows(metricity_residuals(ctx, pts), B),
+            antisymmetry=_rows(curvature_antisymmetry_residuals(ctx, pts), B),
+            torsion=_rows(nlc_torsion_at(ctx, pts), B),
+            einstein=[{k: v for k, v in row.items() if k != "note"}
+                      for row in _rows(einstein_blocks(ctx, pts), B)])
+    steps = dict(
+        maxwell=maxwell_at,
+        curvature=lambda ctx, pts: {**deflection_identity_residuals(ctx, pts),
+                                    **bianchi_residuals(ctx, pts)},
+        regularity=kronecker_deviation_at,
+        conservation=conservation_residuals)
+    if ctx.p > 2 and ctx.n > 2:
+        steps["natural_form"] = natural_form_checks
+    for name, step in steps.items():
+        reads[name] = _rows(step(ctx, pts), len(pts))
     fr = frame(ctx, pts, 3)
     laws = _laws_at(fr)
-    reads["summaries"] = [_ref_summaries(fr, laws)] if one else fr.summaries(laws)
+    reads["summaries"] = [_ref_summaries(fr, laws)] if one else [
+        list(row) for row in zip(*fr.summaries(laws))]
     return reads
 
 
@@ -1108,7 +1144,8 @@ def _reads(ctx, pts, one):
 def test_block_reads_have_each_points_bits(block_spaces, space, data):
     # a block cut out of the space's points, a block of one included (the
     # first, simplest draw), reads at each point what that point's own
-    # frame reads, bit for bit, with the loops that read it point by point
+    # frame reads, bit for bit, with the loops that read it point by point;
+    # row k of each fold check's step record is point k's one-point record
     ctx, pts = block_spaces[space]
     start = data.draw(st.integers(0, len(pts) - 1), label="start")
     size = data.draw(st.integers(1, len(pts) - start), label="size")
@@ -1119,9 +1156,61 @@ def test_block_reads_have_each_points_bits(block_spaces, space, data):
             want = _reads(ctx, [pt], one=True)
             assert _bits([col[k] for col in got["max_abs"]]) == _bits(
                 [col[0] for col in want["max_abs"]]), k
+            if "natural_form" in got:
+                # the construction is the block's first point's only
+                construction = want["natural_form"][0].pop("construction")
+                assert _bits(got["natural_form"][k].pop("construction")) == _bits(
+                    construction if k == 0 else None), k
             for name in ("direction_independent", "metricity", "antisymmetry",
-                         "torsion", "einstein", "maxwell", "summaries"):
-                assert _bits(got[name][k]) == _bits(want[name][0]), (name, k)
+                         "torsion", "einstein", "maxwell", "summaries", "curvature",
+                         "regularity", "conservation", "natural_form"):
+                if name in got:
+                    assert _bits(got[name][k]) == _bits(want[name][0]), (name, k)
+    finally:
+        ctx.forget_run()
+
+
+def _leaves(record):
+    """The columns (lists and arrays) of ``record``."""
+    if is_dataclass(record):
+        record = {f.name: getattr(record, f.name) for f in fields(record)}
+    if isinstance(record, dict):
+        record = tuple(record.values())
+    if isinstance(record, tuple):
+        return [col for v in record for col in _leaves(v)]
+    return [record] if isinstance(record, (list, np.ndarray)) else []
+
+
+def test_a_block_holds_each_points_error_apart_from_its_record():
+    # h, g and phi are ill-conditioned at the middle point alone, so every
+    # fold check's step raises on the block: the record keeps the rows of
+    # points 0 and 2, each as that point gives it alone, and point 1 holds
+    # its own error, named and without a traceback
+    from jetlag import cli
+    from jetlag.errors import SingularMetricError
+    from jetlag.geometry import _block_records
+    from jetlag.spaces import build_space
+
+    def diag(first):
+        return [[first, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+    ctx = build_space("custom", {
+        "h": diag("t[1]^2 + 1e-14"), "g": diag("x[1]^2 + 1e-14"),
+        "nlc": {"kind": "christoffel", "phi": diag("x[1]^2 + 1e-14")}})
+    xs = [[0.1, 0.2, 0.3], [0.2, 0.1, 0.3], [0.3, 0.1, 0.2]]
+    pts = [JetPoint.of([v, 0.2, 0.3], [v, 0.2, 0.1], xs) for v in (0.5, 0.0, 0.7)]
+    steps = [name for name, check in cli.CHECKS.items() if check.fold]
+    assert len(steps) == 9
+    try:
+        for name in steps:
+            step = cli._RUNNERS[name]
+            record, held = _block_records(step, ctx, pts)
+            assert list(held) == [1], name
+            assert isinstance(held[1], SingularMetricError), name
+            assert held[1].witness is pts[1] and held[1].__traceback__ is None, name
+            assert {len(col) for col in _leaves(record)} == {2}, name
+            for k, pt in enumerate((pts[0], pts[2])):
+                assert _bits(_row(record, k)) == _bits(_row(step(ctx, [pt]), 0)), name
     finally:
         ctx.forget_run()
 

@@ -448,37 +448,40 @@ def test_maxwell_pools_components_and_laws_average_point_means(ctx_mixed33):
     def mean_of_means(summaries):
         return float(np.mean([s / size for _, s, size, _ in summaries])).hex()
 
-    records = sweep(maxwell_step, ctx_mixed33, pts, 2)
-    rep = maxwell_fold(pts, records)
+    record = sweep(maxwell_step, ctx_mixed33, pts, 2)
+    rep = maxwell_fold(pts, record)
     differ = 0
-    for k, name in enumerate(rep.EQ_NAMES):
-        summaries = [eqs[k] for _, eqs in records]
+    for name in rep.EQ_NAMES:
+        summaries = record["equations"][name]
         pooled = sum(s for _, s, _, _ in summaries) / sum(n for _, _, n, _ in summaries)
         assert hexed(rep.equations[name]) == pooled.hex(), name
         differ += pooled.hex() != mean_of_means(summaries)
     assert differ
 
-    def folded_against_pooled(per_point, fold_map, point_summaries):
+    def folded_against_pooled(columns, fold_map, point_summaries):
         differ = 0
         for k, (name, stats) in enumerate(fold_map.items()):
-            means = [m[name].mean_abs for m in per_point]
+            means = [_pooled_stats([s]).mean_abs for s in columns[name]]
             assert hexed(stats) == float(np.mean(means)).hex(), name
             pooled = _pooled_stats([summaries[k] for summaries in point_summaries])
             differ += hexed(pooled) != hexed(stats)
         return differ
 
+    def one_point(summaries):  # a one-point frame's summary of each pair
+        return [col for [col] in summaries]
+
     frames = [frame(ctx_mixed33, pt, 3) for pt in pts]
-    reports = sweep(conservation_residuals, ctx_mixed33, pts, 3)
+    record = sweep(conservation_residuals, ctx_mixed33, pts, 3)
     assert folded_against_pooled(
-        [r.laws for r in reports], conservation_fold(reports).laws,
-        [fr.summaries(_laws_at(fr))[0] for fr in frames])
+        record["laws"], conservation_fold(record).laws,
+        [one_point(fr.summaries(_laws_at(fr))) for fr in frames])
 
     def displayed(fr):
         tilde = _tilde_einstein_jets(fr)
         return _prop_identities_at(fr, _divergences(fr, *tilde[1::2]))[0]
 
-    reports = sweep(natural_form_checks, ctx_mixed33, pts, 3)
+    record = sweep(natural_form_checks, ctx_mixed33, pts, 3)
     assert folded_against_pooled(
-        [r.identity_residuals for r in reports],
-        natural_form_fold(reports).identity_residuals,
-        [fr.summaries(displayed(fr))[0] for fr in frames])
+        record["identity_residuals"],
+        natural_form_fold(record).identity_residuals,
+        [one_point(fr.summaries(displayed(fr))) for fr in frames])
