@@ -643,12 +643,18 @@ def _grad_fields(ctx):
 
 
 def _run_grad_check(ctx, pts, tol):
+    """The ``grad-check`` outcome over the whole sweep: each field of the
+    space cross-checked by :func:`~jetlag.diff_engine.check_grad`, whose
+    Taylor side reads the rows of the row block that the context holds
+    (:meth:`~jetlag.geometry.GeometryContext.held_rows`) where it covers
+    ``pts``, and runs its own batch otherwise."""
     detail = {}
     worst = 0.0
     witness = None
     flagged_nans = []
     fields = _grad_fields(ctx)
-    reps = check_grad([fld for _, fld in fields], pts)
+    reps = check_grad([fld for _, fld in fields], pts,
+                      rows=lambda grid: ctx.held_rows(grid, pts, 2))
     for (name, _), rep in zip(fields, reps):
         detail[name] = rep.max_rel_dev
         if rep.nan_flags:
@@ -773,6 +779,14 @@ def _collect_points(cfg: RunConfig, ctx) -> list:
     return pts
 
 
+def _outcome(fn) -> CheckOutcome:
+    """``fn()``, or the outcome of the JetlagError it raises."""
+    try:
+        return fn()
+    except JetlagError as exc:
+        return _error_outcome(exc)
+
+
 def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     """Execute a validated config; returns (RunReport, exit_code).
 
@@ -794,13 +808,19 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     block starts; the last block's are dropped when the blocks end.  The
     blocks come in row blocks (:func:`~jetlag.geometry.in_row_blocks`),
     as many whole blocks as keep the compact rows of the space's field
-    grids at that order within the same budget, and every field grid runs
-    once per order over a row block.  A step gives one record per block.
+    grids at that order within the same budget, and each field grid of the
+    space runs once over a row block, at the order its deepest frames read
+    it; shallower frames take those rows truncated.  A step gives one
+    record per block.
     A point error does not stop a check: its point holds it, and the
-    check steps every later block.  After the last block, in config
-    order, a check whose points hold an error reports the first one, and
-    any other check gets its fold, over its blocks' records in point
-    order, or the whole-sweep runner of ``grad-check``.
+    check steps every later block.  After the last block, its frames
+    dropped and its row block still held, ``grad-check`` takes its
+    whole-sweep runner, which reads the row block's rows, truncated to
+    order 2, where that row block covers every point
+    (:func:`_run_grad_check`).  Then, in
+    config order, a check whose points hold an error reports the first
+    one, and any other check gets its fold, over its blocks' records in
+    point order, or the outcome of its runner.
     """
     start = time.perf_counter()
     ctx = cfg.space
@@ -818,18 +838,20 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         for block in in_row_blocks(ctx, frame_blocks, max(orders, default=0)):
             for name, got in parts.items():
                 got.append(_block_records(_RUNNERS[name], ctx, block))
+        # the whole-sweep runners read no frame, and the rows of the last
+        # row block, which the context still holds
+        ctx.forget_frames()
+        outcomes = {name: _outcome(partial(_RUNNERS[name], ctx, pts, cfg.tolerances[name]))
+                    for name in cfg.checks if name not in parts}
     finally:
         ctx.forget_run()  # and leaves none for the next to find
     checks = {}
     for name in cfg.checks:
         tol = cfg.tolerances[name]
-        try:
-            if name in parts:
-                outcome = CHECKS[name].fold(pts, _raise_held(parts[name]), tol)
-            else:
-                outcome = _RUNNERS[name](ctx, pts, tol)
-        except JetlagError as exc:
-            outcome = _error_outcome(exc)
+        if name in parts:
+            outcome = _outcome(lambda: CHECKS[name].fold(pts, _raise_held(parts[name]), tol))
+        else:
+            outcome = outcomes[name]
         checks[name] = outcome.doc(tol)
 
     statuses = [c["status"] for c in checks.values()]

@@ -1152,18 +1152,25 @@ def _probes(coords, dims) -> list:
     return probes
 
 
-def _taylor(res, ix) -> float:
-    """The partial over flat indices ``ix`` read off ``res``, a field's
-    order-2 Taylor value: ``coeffs[2][j, i]`` for ``ix = (i, j)``, the entry
-    :func:`eval_derivs` reaches by taking ``.partial(i)`` then
-    ``.partial(j)`` (the order-2 coefficient is not bitwise symmetric)."""
-    # a field that ignores the seeded jets returns a plain number
-    return float(res.coeffs[len(ix)][ix[::-1]]) if isinstance(res, Jet) else 0.0
+def _taylor(res, probes) -> np.ndarray:
+    """Every probe's partial read off ``res``, a field's order-2 Taylor
+    jet, or a jet of fields of component shape S: an S + (probes,) array,
+    one gather per order.  The partial over flat indices (i, j) is
+    ``coeffs[2][..., j, i]``, the entry :func:`eval_derivs` reaches by
+    taking ``.partial(i)`` then ``.partial(j)`` (the order-2 coefficient is
+    not bitwise symmetric)."""
+    if not isinstance(res, Jet):  # a field that ignores the seeded jets
+        return np.zeros(np.shape(res) + (len(probes),))
+    first = [ix[0] for _, ix in probes if len(ix) == 1]
+    second = [ix for _, ix in probes if len(ix) == 2]
+    i, j = (list(idx) for idx in zip(*second)) if second else ([], [])
+    return np.concatenate([res.coeffs[1][..., first], res.coeffs[2][..., j, i]],
+                          axis=-1)
 
 
-def _fd_rows(grid, pts, probes) -> list:
+def _fd_rows(grid, pts, probes) -> np.ndarray:
     """:func:`fd_partial` of each field of ``grid`` for each probe at each
-    point of ``pts``, as lists ``[point][field][probe]``.
+    point of ``pts``, as a (point, field, probe) array.
 
     The stencil points of every probe at every point are one (rows, N)
     array, evaluated by one :meth:`~jetlag.field_expr.FieldGrid.rows` call,
@@ -1207,22 +1214,34 @@ def _fd_rows(grid, pts, probes) -> list:
             fd.append((v[:, 0] - 2 * v[:, 1] + v[:, 2]) / (h[0] * h[0]))
         else:  # mixed second partial
             fd.append((v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4 * h[0] * h[1]))
-    # (probe, field, point) -> [point][field][probe]
-    return np.transpose(fd, (2, 1, 0)).tolist()
+    # (probe, field, point) -> (point, field, probe)
+    return np.transpose(fd, (2, 1, 0))
 
 
-def _fold(rep: AgreementReport, ip: int, pairs):
-    for wrt, a, b in pairs:
-        if not (math.isfinite(a) and math.isfinite(b)):
-            rep.nan_flags.append((ip, wrt))
-            continue
-        dev = abs(a - b) / max(1.0, abs(a), abs(b))
-        rep.n_comparisons += 1
-        if dev > rep.max_rel_dev:
-            rep.max_rel_dev, rep.worst_point, rep.worst_wrt = dev, ip, wrt
+def _fold(wrts, taylor, fd) -> AgreementReport:
+    """The report of one field from its Taylor partials ``taylor`` and its
+    finite-difference estimates ``fd``, (point, probe) arrays (or nested
+    sequences) of the probes ``wrts``, read in (point, probe) order: a pair
+    that is not finite is
+    flagged, every other one compared by |a - b| / max(1, |a|, |b|), and
+    the worst is the first pair to reach the largest deviation above 0, or
+    none.  One reduction over the arrays, with the bits of a per-pair
+    loop."""
+    taylor, fd = np.asarray(taylor, dtype=float), np.asarray(fd, dtype=float)
+    finite = np.isfinite(taylor) & np.isfinite(fd)
+    a, b = taylor[finite], fd[finite]
+    with np.errstate(over="ignore"):  # a - b may overflow, as floats do
+        dev = np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+    rep = AgreementReport(0.0, -1, (), int(finite.sum()),
+                          [(int(ip), wrts[q]) for ip, q in np.argwhere(~finite)])
+    if dev.size and dev.max() > 0.0:
+        k = int(dev.argmax())
+        ip, q = np.argwhere(finite)[k]
+        rep.max_rel_dev, rep.worst_point, rep.worst_wrt = float(dev[k]), int(ip), wrts[q]
+    return rep
 
 
-def check_grad(f, pts):
+def check_grad(f, pts, rows=None):
     """Compare first and second partials between taylor and fd at each point.
 
     ``f`` is one field, or a sequence of fields; for a sequence the result
@@ -1232,20 +1251,27 @@ def check_grad(f, pts):
     run once at order 2 over every point
     (:meth:`~jetlag.field_expr.FieldGrid.stacked`, a single point seeded
     alone), and once at order 0 over every stencil point of every probe at
-    every point (:func:`_fd_rows`).
+    every point (:func:`_fd_rows`).  Where ``rows`` is given and
+    ``rows(grid)`` gives the grid's compact rows at ``pts`` to order 2
+    (:meth:`~jetlag.field_expr.FieldGrid.compact`, as ``jetlag run``'s row
+    block holds them: :meth:`~jetlag.geometry.GeometryContext.held_rows`),
+    the Taylor side expands those instead; a run at order 2 or deeper,
+    truncated, has those bits.
 
-    The Taylor side reads every probe off a field's order-2 jet
-    (:func:`_taylor`).  The finite-difference side is :func:`fd_partial`'s
-    estimate, bit for bit, from the stencil batch.  Only where either batch
-    raises (a domain error, a guard, points that branch apart, or a field
-    that is not an :class:`~jetlag.field_expr.ExprField`) is the group
-    checked field by field, point by point, one probe at a time: each
-    field's own order-2 jet, then :func:`fd_partial` per probe.  There, a
-    domain or singular-metric error raised while a point is evaluated names
-    that point as its ``witness``, and the error raised is the first
-    field's, in order, that raises: the one checking the fields one at a
-    time would meet first.  The reports are folded point by point, in probe
-    order (:func:`_probes`), either way.
+    The Taylor side reads every probe off the group's order-2 jets, one
+    gather per order (:func:`_taylor`).  The finite-difference side is
+    :func:`fd_partial`'s estimate, bit for bit, from the stencil batch.
+    Only where either batch raises (a domain error, a guard, points that
+    branch apart, or a field that is not an
+    :class:`~jetlag.field_expr.ExprField`) is the group checked field by
+    field, point by point, one probe at a time: each field's own order-2
+    jet, then :func:`fd_partial` per probe.  There, a domain or
+    singular-metric error raised while a point is evaluated names that
+    point as its ``witness``, and the error raised is the first field's, in
+    order, that raises: the one checking the fields one at a time would
+    meet first.  Each field's report folds its (point, probe) pairs in
+    point order, then probe order (:func:`_probes`), either way
+    (:func:`_fold`).
     """
     from .field_expr import FieldGrid  # field_expr builds on this module
 
@@ -1261,32 +1287,36 @@ def check_grad(f, pts):
             continue  # no coordinate or no point to probe
         dims = pts[0].dims
         probes = _probes(_dep_coords(grid.fields[0], *dims), dims)
+        wrts = [wrt for wrt, _ in probes]
         try:
-            jet = grid.stacked(pts, 2)
+            held = rows and rows(grid)
+            jet = (grid.stacked(pts, 2) if held is None
+                   else grid.expand(held.truncated(2), dims))
             fds = _fd_rows(grid, pts, probes)
         except (JetlagError, BatchDiverged):
             pass  # field by field, below: each keeps its error and witness
         else:
-            for ip in range(len(pts)):
-                for j, k in enumerate(members):
-                    res = jet[ip, j]
-                    _fold(reports[k], ip, [
-                        (wrt, _taylor(res, ix), b)
-                        for (wrt, ix), b in zip(probes, fds[ip][j])])
+            taylor = _taylor(jet, probes)
+            for j, k in enumerate(members):
+                reports[k] = _fold(wrts, taylor[:, j], fds[:, j])
             continue
-        for ip, pt in enumerate(pts):
+        pairs = {k: ([], []) for k in members}
+        for pt in pts:
             for k in members:
                 if k in errors:
                     continue
                 fld = fields[k]
                 try:
-                    res = fld(seed_point(pt, 2, deps))
-                    pairs = [(wrt, _taylor(res, ix), fd_partial(fld, pt, list(wrt)))
-                             for wrt, ix in probes]
+                    taylor = _taylor(fld(seed_point(pt, 2, deps)), probes)
+                    fd = [fd_partial(fld, pt, list(wrt)) for wrt in wrts]
                 except JetlagError as exc:
                     errors[k] = name_witness(exc, pt)
                     continue
-                _fold(reports[k], ip, pairs)
+                pairs[k][0].append(taylor)
+                pairs[k][1].append(fd)
+        for k, (taylor, fd) in pairs.items():
+            if k not in errors:
+                reports[k] = _fold(wrts, taylor, fd)
     if errors:
         raise errors[min(errors)]
     return reports[0] if isinstance(f, ScalarField) else reports

@@ -617,6 +617,13 @@ class FieldGrid:
         self._over = {}
         # any other field is called on one seeded point, which it may branch on
         self.batchable = all(isinstance(f, ExprField) for f in self.fields)
+        # a power whose exponent reads a coordinate takes the real-power rule
+        # where its jet exponent is constant, as every jet of order 0 is, so
+        # only a grid without one gives at each order its deeper runs' rows
+        # truncated, bit for bit (a Taylor coefficient reads only those below)
+        self.truncates = self.batchable and not any(
+            _varying_power(a) for f in self.fields
+            for a in [f.ast] + ([f.guard[1].ast] if f.guard else []))
 
     @staticmethod
     def of(fields) -> "FieldGrid":
@@ -788,6 +795,17 @@ def _coords(node):
         yield from _coords(node.child)
     elif isinstance(node, Call):
         yield from _coords(node.arg)
+
+
+def _varying_power(node) -> bool:
+    """Whether an AST holds a power whose exponent reads a coordinate."""
+    if isinstance(node, Binary):
+        if node.op == "^" and next(_coords(node.right), None) is not None:
+            return True
+        return _varying_power(node.left) or _varying_power(node.right)
+    if isinstance(node, Neg):
+        return _varying_power(node.child)
+    return isinstance(node, Call) and _varying_power(node.arg)
 
 
 def _flat_index(node: Coord, dims) -> int:

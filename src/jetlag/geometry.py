@@ -50,6 +50,7 @@ from .diff_engine import (
     JetPoint,
     ScalarField,
     _LETTERS,
+    _pointed,
     _seed_tables,
     coord_count,
     jet_einsum,
@@ -234,24 +235,46 @@ class GeometryContext:
         block last held (:meth:`hold_rows`) and the recorded signature.  A
         run starts and ends with this, and :func:`sweep` ends with it, so
         no run inherits any of them."""
-        self._framed = None  # the key of the block last framed
-        self._frames = {}  # its frames, by order
+        self.forget_frames()
         self._rows = None  # the _RowBlock held
         self._signature = None  # (h signs, g signs) at the first point read
 
-    def hold_rows(self, pts):
-        """Hold the rows of the row block ``pts`` until the next row block
-        or :meth:`forget_run`: the first frame of its points that asks for
-        a field grid at an order runs the grid once over all of them, and
-        every frame of its points takes its own points' rows
-        (:meth:`Frame._eval_fields`)."""
-        self._rows = _RowBlock(self, pts)
+    def forget_frames(self):
+        """Forget the frames of the block last framed (:func:`frame`)."""
+        self._framed = None  # the key of the block last framed
+        self._frames = {}  # its frames, by order
+
+    def hold_rows(self, pts, depth: int):
+        """Hold the rows of the row block ``pts``, whose deepest frames are
+        of order ``depth``, until the next row block or :meth:`forget_run`,
+        and drop the frames of the block last framed, which the next frame
+        block replaces: the first reader of its points that asks for a
+        field grid runs the grid once over all of them, a grid of the
+        context at the order its deepest frames read it, and every frame of
+        its points takes its own points' rows, truncated to the order it
+        asks for (:class:`_RowBlock`, :meth:`Frame._eval_fields`)."""
+        self.forget_frames()
+        self._rows = _RowBlock(self, pts, depth)
+
+    def held_rows(self, grid, pts, order: int):
+        """The compact rows (:meth:`~jetlag.field_expr.FieldGrid.compact`)
+        of ``grid`` at ``pts`` to ``order`` from the row block held
+        (:meth:`hold_rows`), as a frame of ``pts`` takes them
+        (:meth:`_RowBlock.rows`); None where no row block holding every one
+        of ``pts`` is held or it leaves the grid to its readers."""
+        return self._rows and self._rows.rows(grid, pts, order)
 
     def row_bytes(self, order: int) -> int:
         """The bytes of one point's compact rows
         (:meth:`~jetlag.field_expr.FieldGrid.row_bytes`) of the grids that
-        a frame of ``order`` runs: h, g's entries or L at ``order`` + 2,
-        and phi's or N's entries."""
+        a frame of ``order`` runs (:meth:`_frame_grids`)."""
+        return sum(grid.row_bytes((self.p, self.n), k)
+                   for grid, k in self._frame_grids(order))
+
+    def _frame_grids(self, order: int) -> list:
+        """(grid, the order it runs at) of each field grid that a frame of
+        ``order`` runs: h, g's entries or L at ``order`` + 2, and phi's or
+        N's entries, at ``order`` but for L."""
         grids = [(self.h.flat, order)]
         if isinstance(self.g_source, DirectMetric):
             grids.append((self.g_source.entries.flat, order))
@@ -261,8 +284,7 @@ class GeometryContext:
             grids.append((self.nlc.phi.flat, order))
         elif isinstance(self.nlc, UserGiven):
             grids.append((self.nlc.entries.flat, order))
-        return sum(FieldGrid.of(list(fields)).row_bytes((self.p, self.n), k)
-                   for fields, k in grids)
+        return [(FieldGrid.of(list(fields)), k) for fields, k in grids]
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
@@ -370,16 +392,20 @@ def frame_bytes(ctx, order: int) -> int:
     """The bytes that a frame of ``order`` on ``ctx`` keeps at each of its
     points, as every reader of that order reads it: each block of
     :data:`_KEPT_BLOCKS` that the context builds, as a jet of doubles at
-    the order it is kept at, and the compact rows of its field grids."""
+    the order it is kept at, and the compact rows of its field grids.  A
+    user-given N is a field grid's jet, which :attr:`Frame.N_jet` keeps at
+    the frame's own order."""
     N = coord_count(ctx.p, ctx.n)
     dim = {"t": ctx.p, "s": ctx.n}
     unbuilt = _unbuilt(ctx)
+    given = isinstance(ctx.nlc, UserGiven)
     elements = 0
     for kept_at, named in _KEPT_BLOCKS:
-        terms = sum(N ** j for j in range(kept_at(order) + 1))
-        elements += terms * sum(math.prod(dim[a] for a in axes)
-                                for name, shapes in named.items() if name not in unbuilt
-                                for axes in shapes)
+        for name, shapes in named.items():
+            if name not in unbuilt:
+                k = order if given and name == "N_jet" else kept_at(order)
+                elements += (sum(N ** j for j in range(k + 1))
+                             * sum(math.prod(dim[a] for a in axes) for axes in shapes))
     return 8 * elements + ctx.row_bytes(order)
 
 
@@ -402,38 +428,55 @@ class _RowBlock:
     """The points of a row block (:meth:`GeometryContext.hold_rows`) and,
     by (grid, order), the compact jet
     (:meth:`~jetlag.field_expr.FieldGrid.compact`) of the grid's one run
-    over all of them, or None where each frame block runs the grid itself:
-    a grid that holds a field that is not an
+    at that order over all of them, or None where each frame block runs
+    the grid itself: a grid that holds a field that is not an
     :class:`~jetlag.field_expr.ExprField`, or rows that would take the held
-    rows past :data:`BLOCK_BYTES`.  A run that raises keeps its error
-    (held, :func:`_held`): a frame block of all the row block's points
-    meets it again without a second run, and each smaller frame block, and
-    each point, meets its own."""
+    rows past :data:`BLOCK_BYTES`.
 
-    def __init__(self, ctx, pts):
+    Each of the context's grids (:meth:`GeometryContext._frame_grids`)
+    runs at the order that the row block's deepest frames, of order
+    ``depth``, read it at, and every frame of a lower order takes those
+    rows truncated to the order it asks for: a Taylor coefficient reads
+    only the coefficients below it, so they are the rows of a run at that
+    order, bit for bit, and the grid runs once per row block.  Any other
+    grid, and a grid whose powers' exponents read coordinates (which
+    :attr:`~jetlag.field_expr.FieldGrid.truncates` excludes), runs at the
+    order asked.  A run that raises keeps its error
+    (held, :func:`_held`): a frame block of all the row block's points
+    that asks at the run's own order meets it again without a second run;
+    each smaller frame block, each point, and each frame that asks below
+    the run's order, which a deeper run's error need not reach, runs the
+    grid at its own order and meets its own."""
+
+    def __init__(self, ctx, pts, depth: int):
         self.pts = tuple(pts)
         self.dims = (ctx.p, ctx.n)
+        self.deepest = dict(ctx._frame_grids(depth))  # {grid: its run's order}
         self.row = {pt.key(): k for k, pt in enumerate(self.pts)}
         self.held = {}
         self.nbytes = 0
 
     def rows(self, grid, pts, order):
-        """The rows of ``pts`` of the grid's run at ``order``, a compact jet
-        of component shape (len(pts), F); None where ``pts`` are not all in
-        the row block or the frame block runs the grid itself.  Raises the
-        run's error where it raised and ``pts`` are all the row block's
-        points."""
+        """The rows of ``pts`` of the grid at ``order``: a compact jet of
+        component shape (len(pts), F), a view of the run's where ``pts``
+        are a run of the row block's points; None where ``pts`` are not all
+        in the row block or the frame block runs the grid itself.  Raises
+        the run's error where it raised at ``order`` and ``pts`` are all
+        the row block's points."""
         at = [self.row.get(pt.key()) for pt in pts]
         if None in at:
             return None
-        if (grid, order) not in self.held:
-            self.held[grid, order] = self._run(grid, order)
-        jet = self.held[grid, order]
+        if at == list(range(at[0], at[0] + len(at))):
+            at = slice(at[0], at[0] + len(at))  # so a view of the run's rows
+        run = max(order, self.deepest.get(grid, order)) if grid.truncates else order
+        if (grid, run) not in self.held:
+            self.held[grid, run] = self._run(grid, run)
+        jet = self.held[grid, run]
         if isinstance(jet, Exception):
-            if len(pts) == len(self.pts):
+            if run == order and len(pts) == len(self.pts):
                 raise jet
             return None
-        return None if jet is None else jet[at]
+        return None if jet is None else jet.truncated(order)[at]
 
     def _run(self, grid, order):
         nbytes = grid.row_bytes(self.dims, order) * len(self.pts)
@@ -450,11 +493,13 @@ class _RowBlock:
 def in_row_blocks(ctx, frame_blocks, order: int):
     """Yield ``frame_blocks`` (:func:`blocks`) in order, cut into row
     blocks: runs of as many whole frame blocks as keep one point's compact
-    rows of the context's grids at ``order``
-    (:meth:`GeometryContext.row_bytes`) within :data:`BLOCK_BYTES`, one
-    frame block at least.  While a row block's frame blocks are yielded,
-    the context holds its rows (:meth:`GeometryContext.hold_rows`), so
-    each grid runs once per order over the row block."""
+    rows of the context's grids at ``order``, the deepest frame order the
+    run reads (:meth:`GeometryContext.row_bytes`), within
+    :data:`BLOCK_BYTES`, one frame block at least.  While a row block's
+    frame blocks are yielded, the context holds its rows
+    (:meth:`GeometryContext.hold_rows`), so each of the context's grids
+    runs once over the row block, at the order the frames of ``order``
+    read it, and frames of a lower order take those rows truncated."""
     size = BLOCK_BYTES // ctx.row_bytes(order)
     runs = []
     for block in frame_blocks:
@@ -463,7 +508,7 @@ def in_row_blocks(ctx, frame_blocks, order: int):
         else:
             runs.append([block])
     for run in runs:
-        ctx.hold_rows([pt for block in run for pt in block])
+        ctx.hold_rows([pt for block in run for pt in block], order)
         yield from run
 
 
@@ -607,6 +652,14 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     return fr
 
 
+def _pointed_einsum(spec: str, *ops) -> np.ndarray:
+    """``np.einsum(spec)`` of value arrays that carry a frame block's
+    leading point axis, over the whole block, each point with the bits of
+    its own einsum (:func:`~jetlag.diff_engine._pointed`)."""
+    subs, einsum = _pointed(spec, *(op.ndim for op in ops))
+    return einsum(subs, *ops)
+
+
 def _point_max(a: np.ndarray) -> np.ndarray:
     """max |a| over every axis of ``a`` but its leading point axis: one
     reduction over a frame block's values, each point's bits its own, as
@@ -628,8 +681,7 @@ class Frame:
     :meth:`direction_independent` each reduce the block's values over every
     axis but the point axis, once per block, into a column of one entry
     per point; a check raises at the first point, in point order, that
-    fails it.  :meth:`values` splits values by point, for the Kronecker
-    probe, which contracts each point's values alone.
+    fails it.
 
     The three covariant derivatives (:meth:`cov_t` /b, :meth:`cov_s` |k,
     :meth:`cov_v` |^(g)_(k)) are one rule: the base derivative
@@ -648,8 +700,9 @@ class Frame:
     the order their readers name: each reader asks for the order of the
     block it contracts, and a lower order is served truncated.  The
     fields (h, g, phi, N, L) come from the context's compiled field grids
-    (:meth:`eval_grid`), each run once per order over the row block the
-    context holds, or else over the frame's points (:meth:`_eval_fields`).
+    (:meth:`eval_grid`), each run once over the row block the context
+    holds, at the order its deepest frames read, or else over the frame's
+    points (:meth:`_eval_fields`).
     The frame keeps the compact rows of each grid it reads and the metrics
     h, g and phi at :attr:`kept_order`, one below its own: only the
     readers that differentiate a metric at the frame's order read its top
@@ -698,10 +751,6 @@ class Frame:
         """The number of ``A``'s component axes, its point axis not counted."""
         return A.value.ndim - 1
 
-    def values(self, *jets) -> list:
-        """Per point of the frame, the tuple of the values of ``jets`` there."""
-        return list(zip(*[j.value for j in jets]))
-
     def max_abs(self, jet: Jet) -> list:
         """The column of the largest |value| of ``jet`` at the frame's
         points: one reduction over the block's values (:func:`_point_max`)."""
@@ -741,17 +790,21 @@ class Frame:
         seeded only in the coordinates it reads and expanded over all N
         (:meth:`FieldGrid.expand`) up to order ``to`` (default: all of
         it).  Its rows come from the grid's one run over the row block that
-        the context holds (:meth:`GeometryContext.hold_rows`); where there
-        is none, or it leaves the grid to each frame block, from one run
-        over the frame's points.  The frame keeps them, by (grid, order), so
-        each call after the first only expands them.  A block whose grid
-        raises or whose points branch apart raises, and its points are then
-        framed alone (:class:`~jetlag.diff_engine.BatchDiverged`)."""
+        the context holds (:meth:`GeometryContext.hold_rows`), a grid of
+        the context at the order the row block's deepest frames read it,
+        truncated to ``order`` (:class:`_RowBlock`): a view of the run's
+        rows where the frame's points are a run of the row block's.  Where
+        there is no row block, or it leaves the grid to each frame block,
+        they come from one run over the frame's points at ``order``.  The
+        frame keeps them, by (grid, order), so each call after the first
+        only expands them.  A block whose grid raises or whose points
+        branch apart raises, and its points are then framed alone
+        (:class:`~jetlag.diff_engine.BatchDiverged`)."""
         order = self.order if order is None else order
         grid = FieldGrid.of(fields)
         rows = self._rows.get((grid, order))
         if rows is None:
-            rows = self.ctx._rows and self.ctx._rows.rows(grid, self.pts, order)
+            rows = self.ctx.held_rows(grid, self.pts, order)
             if rows is None:
                 rows = grid.compact(self.pts, order)
             self._rows[grid, order] = rows
@@ -1444,14 +1497,11 @@ def kronecker_deviation_at(ctx, pt, lagrangian=None):
         E = jet_einsum("mn,am->an", fr.inverse("h", fr.order), fr.xs_jet)
         E = jet_einsum("an,ab->bn", E, fr.eval_grid(ctx.g_source.entries))
         B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
-    devs, ghats = [], []
-    for B, hval, hinv in fr.values(B, fr.h_jet, fr.inverse("h", 0)):  # B[i,mu,j,nu]
-        ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
-        recon = np.einsum("mn,ij->imjn", hinv, ghat)
-        scale = max(1.0, float(np.max(np.abs(B))))
-        devs.append(float(np.max(np.abs(B - recon))) / scale)
-        ghats.append(ghat)
-    return _each(pt, (devs, ghats))
+    B = B.value  # B[i,mu,j,nu] at each point
+    ghat = _pointed_einsum("mn,imjn->ij", fr.h_jet.value, B) / ctx.p
+    recon = _pointed_einsum("mn,ij->imjn", fr.inverse("h", 0).value, ghat)
+    scale = np.fmax(1.0, _point_max(B))  # fmax: max(1.0, nan) is 1.0
+    return _each(pt, ((_point_max(B - recon) / scale).tolist(), ghat))
 
 
 def _first_max(values, witnesses) -> tuple:

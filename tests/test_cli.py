@@ -1028,19 +1028,37 @@ def test_library_sweep_frames_hold_one_block(monkeypatch):
     assert sizes == [5, 5]
 
 
-@pytest.mark.parametrize("workload", ["optic-suite", "optic-sweep", "mixed33-deep"])
+# a (3,3) space whose spatial NLC is given entry by entry: its frames keep N
+# at their own order, 241 terms of 27 entries on an order-2 frame, where a
+# derived N is kept one order below (16 terms)
+USER_N33_CFG = {
+    "p": 3, "n": 3,
+    "space": {"name": "custom", "params": {
+        "h": support.H33_SRC, "g": support.PHI33_SRC,
+        "nlc": {"kind": "user", "entries": [
+            [[f"0.1*xs[{j}][{a}]*x[{i}]" if (i + j + a) % 2 else "0" for j in (1, 2, 3)]
+             for a in (1, 2, 3)] for i in (1, 2, 3)]}}},
+    "points": {"seed": 3, "count": 4, "box": {"xs": [-0.5, 0.5]}},
+    "checks": ["metricity", "torsion", "curvature", "einstein"],
+}
+
+
+@pytest.mark.parametrize("workload", ["optic-suite", "optic-sweep", "mixed33-deep",
+                                      "user-given-n"])
 def test_block_size_charges_what_a_frame_keeps(tmp_path, monkeypatch, workload):
     # block_size cuts a run by the bytes its frames keep per point
     # (frame_bytes, one frame per order the run's block checks read): the
     # frames of a workload's first block, after every check's step has read
-    # them, keep within 0.8 to 1.25 times that charge
+    # them, keep within 0.8 to 1.25 times that charge; on a user-given N,
+    # too, which its frames keep at their own order
     import gc
     import tracemalloc
 
     from jetlag import cli
     from jetlag.geometry import _block_records, block_size, blocks, frame_bytes
 
-    doc = _load_bench(monkeypatch, "spec").make_config(workload, None)
+    doc = (USER_N33_CFG if workload == "user-given-n"
+           else _load_bench(monkeypatch, "spec").make_config(workload, None))
     cfg = cli.load_config(write_cfg(tmp_path, doc))
     ctx = cfg.space
     orders = {cli.CHECKS[name].order for name in cfg.checks if cli.CHECKS[name].fold}
@@ -2147,6 +2165,22 @@ def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch)
     assert len([key for key in runs if key[1] == 2]) == 3
     for (grid, order), sizes in runs.items():
         assert sizes == [count], order
+
+
+def test_optic_suite_runs_each_grid_once_at_order_3(tmp_path, monkeypatch):
+    # a tooling guard: perfbench's field_expr.eval.calls reads 0, so it
+    # cannot see how often a run evaluates its grids.  optic-suite reads
+    # frames of orders 2 and 3 and runs grad-check over its 12 points in
+    # one row block: its h, g and phi grids each run once, at order 3, and
+    # the order-2 frames and grad-check read those rows truncated
+    calls = support.record_grid_calls(monkeypatch)
+    rc, rep = run_to(tmp_path, _load_bench(monkeypatch, "spec").make_config(
+        "optic-suite", None))
+    assert rc == 0 and rep["checks"]["grad-check"]["status"] == "pass"
+    runs = [(grid, order, n) for grid, order, n in calls if order > 0]
+    assert sorted((order, n) for _, order, n in runs) == [(3, 12)] * 3
+    assert sorted(" ".join(sorted(grid.fields[0].deps)) for grid, _, _ in runs) == [
+        "t", "t x xs", "x"]
 
 
 def test_a_deep_run_evaluates_each_grid_once_over_the_coordinates_it_reads(

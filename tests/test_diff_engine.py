@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetlag import diff_engine
@@ -335,12 +335,75 @@ def test_check_grad_matches_per_probe_reference(monkeypatch):
     assert rep.n_comparisons == 4 * (8 + 36)
     # with eval_derivs standing in for the FD side, a probe read off the jet
     # that differs from eval_derivs in any bit shows as a deviation
-    def exact_rows(grid, pts, probes):  # _fd_rows's [point][field][probe]
-        return [[[eval_derivs(fld, pt, list(wrt)) for wrt, _ in probes]
-                 for fld in grid.fields] for pt in pts]
+    def exact_rows(grid, pts, probes):  # _fd_rows's (point, field, probe)
+        return np.array([[[eval_derivs(fld, pt, list(wrt)) for wrt, _ in probes]
+                          for fld in grid.fields] for pt in pts])
 
     monkeypatch.setattr(diff_engine, "_fd_rows", exact_rows)
     assert check_grad(f, pts).max_rel_dev == 0.0
+
+
+def _fold_per_pair(wrts, taylor, fd) -> tuple:
+    """check_grad's fold of one field as it was written, one pair at a time
+    in (point, probe) order: (max_rel_dev, worst_point, worst_wrt,
+    n_comparisons, nan_flags)."""
+    worst, worst_pt, worst_wrt, count, nans = 0.0, -1, (), 0, []
+    for ip, (a_row, b_row) in enumerate(zip(taylor.tolist(), fd.tolist())):
+        for wrt, a, b in zip(wrts, a_row, b_row):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                nans.append((ip, wrt))
+                continue
+            dev = abs(a - b) / max(1.0, abs(a), abs(b))
+            count += 1
+            if dev > worst:
+                worst, worst_pt, worst_wrt = dev, ip, wrt
+    return worst, worst_pt, worst_wrt, count, nans
+
+
+@given(cells=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-9, 3e300,
+                                       -3e300, math.inf, -math.inf, math.nan]),
+                      min_size=12, max_size=12),
+       fd_cells=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 2.5e-9, -3e300,
+                                          math.inf, math.nan]),
+                         min_size=12, max_size=12),
+       shape=st.sampled_from([(1, 12), (3, 4), (4, 3), (12, 1)]))
+@example(cells=[0.0] * 12, fd_cells=[0.0] * 12, shape=(3, 4))  # all zero
+@example(cells=[1.0, 0.0, 1.0] * 4, fd_cells=[0.5, 0.0, 0.5] * 4, shape=(4, 3))  # ties
+@example(cells=[math.nan, 1.0] * 6, fd_cells=[1.0, math.inf] * 6, shape=(3, 4))
+@settings(max_examples=200, deadline=None)
+def test_array_fold_matches_the_per_pair_fold(cells, fd_cells, shape):
+    # check_grad's fold reduces a field's (point, probe) arrays at once:
+    # the same deviations by float.hex, the first of the largest in point
+    # then probe order, the count, and the non-finite pairs in order; a
+    # field whose pairs all agree keeps worst_point -1
+    taylor = np.reshape(cells, shape)
+    fd = np.reshape(fd_cells, shape)
+    wrts = [(("x", q),) for q in range(shape[1])]
+    rep = diff_engine._fold(wrts, taylor, fd)
+    worst, *rest = _fold_per_pair(wrts, taylor, fd)
+    assert _hexed_report(rep) == (worst.hex(), *rest)
+
+
+def test_check_grad_fold_keeps_flags_ties_and_zero_fields():
+    # each report of a grid's one batch is the per-probe reference's, bit
+    # for bit: a field that is zero everywhere keeps worst_point -1, equal
+    # deviations at x[1] == x[2] name the first probe, and finite values
+    # near the largest double overflow the second differences, which are
+    # flagged in (point, probe) order
+    dims = (2, 2)
+    fields = [ExprField("0*x[1]", dims, deps=("x",)),
+              ExprField("x[1]^3 + x[2]^3", dims, deps=("x",)),
+              ExprField("1.5e308 + x[1]", dims, deps=("x",))]
+    pts = [JetPoint.of([0.1, 0.2], [x, x], [[0.3, 0.4], [0.5, 0.6]])
+           for x in (0.7, 0.7, -0.2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reps = check_grad(fields, pts)
+        refs = [_per_probe_check_grad(f, pts) for f in fields]
+    for rep, (worst, *rest) in zip(reps, refs):
+        assert _hexed_report(rep) == (worst.hex(), *rest)
+    assert reps[0].worst_point == -1 and reps[0].n_comparisons == 3 * 5
+    assert reps[1].worst_wrt[0] == ("x", 0)
+    assert reps[2].nan_flags and reps[2].n_comparisons < 3 * 5
 
 
 def _points(seed, count):

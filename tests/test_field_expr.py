@@ -556,3 +556,50 @@ def test_compact_jets_expand_to_the_full_seeding(srcs, order):
                 expected[read] = want[k][read]
                 assert not (want[k] - expected).any()  # unread entries are zeros
                 assert stacked.coeffs[k][:, j].tobytes() == expected.tobytes()
+
+
+@given(srcs=st.lists(st.tuples(st.one_of(_signed_strategy(),
+                                         st.sampled_from([src for src, _ in EVAL_CASES])),
+                               st.sampled_from(GUARDS)),
+                     min_size=1, max_size=3),
+       order=st.sampled_from([0, 1, 2]), deeper=st.sampled_from([1, 2, 3]))
+@example(srcs=[("-3*(x[1]*xs[2][1])", "4*t[1]"), ("sqrt(x[2])", None)], order=2, deeper=1)
+@example(srcs=[("t[1]^t[2]", None), ("-(2)*-0.5", "1 + xs[2][2]^2")], order=0, deeper=1)
+@settings(max_examples=150, deadline=None)
+def test_a_deeper_run_truncated_is_the_run(srcs, order, deeper):
+    # a grid's compact rows at an order are its rows at any deeper order
+    # truncated, byte for byte, alone and in a batch: a Taylor coefficient
+    # reads only the coefficients below it, so a row block serves every
+    # frame from one run.  A run that raises at an order raises at every
+    # deeper one; a deeper run may raise alone, where its top coefficients
+    # leave a domain, and the row block then leaves the grid to each frame.
+    # A power whose exponent reads a coordinate takes the real-power rule
+    # at order 0 (t[1]^t[2] differs in its last bit), so a grid holding one
+    # does not truncate
+    fields = [ExprField(src, CORPUS_DIMS, guard=guard and (
+        "guard", ExprField(guard, CORPUS_DIMS))) for src, guard in srcs]
+    grid = FieldGrid(fields)
+    if not grid.truncates:
+        return
+    for pts in [[pt] for pt in SIGNED_POINTS] + [SIGNED_POINTS[:2], SIGNED_POINTS]:
+        run = _outcomes(lambda: grid.compact(pts, order))
+        deep = _outcomes(lambda: grid.compact(pts, order + deeper))
+        if isinstance(run, tuple):
+            assert isinstance(deep, tuple), run
+            continue
+        if isinstance(deep, tuple):
+            continue
+        cut = deep.truncated(order)
+        assert (run.nvars, run.order) == (cut.nvars, cut.order)
+        assert [c.tobytes() for c in run.coeffs] == [c.tobytes() for c in cut.coeffs]
+
+
+def test_a_power_whose_exponent_reads_a_coordinate_does_not_truncate():
+    # at order 0 every jet exponent is constant, so t[1]^t[2] takes the
+    # real-power rule there and exp(t[2]*log(t[1])) above it: the value of
+    # the order-0 run is not the order-1 run's in its last bit
+    grid = FieldGrid([ExprField("t[1]^t[2]", CORPUS_DIMS)])
+    assert not grid.truncates
+    assert any(grid.compact([pt], 0).coeffs[0].tobytes()
+               != grid.compact([pt], 1).coeffs[0].tobytes() for pt in SIGNED_POINTS)
+    assert FieldGrid([ExprField("t[1]^2.5 + 2^3", CORPUS_DIMS)]).truncates

@@ -760,6 +760,69 @@ def test_registered_points_run_each_grid_once_bit_for_bit(monkeypatch, space):
         assert got == [_field_jets(ctx, pt, order)[0] for pt in pts], order
 
 
+@pytest.mark.parametrize("space", SPACES)
+def test_a_row_block_serves_every_frame_from_its_deepest_run(monkeypatch, space):
+    # a row block whose deepest frames are of order 3 runs each grid of the
+    # context once, at the order those frames read it (L at 5), and frames
+    # of orders 0 to 2 take its rows truncated, with the bytes of their own
+    # runs.  A frame block that is a run of the row block's points takes a
+    # view of the rows, which it keeps without a copy; one that is not
+    # takes a copy
+    from jetlag.field_expr import FieldGrid
+    from jetlag.geometry import Frame
+
+    ctx, alone = _space(space), _space(space)
+    pts = _random_points(ctx, 5, 23)
+    frame_blocks = (pts[:2], pts[2:], [pts[4], pts[0]])
+    want = {(order, k): _field_jets(alone, block, order)
+            for order in range(4) for k, block in enumerate(frame_blocks)}
+    grids = [FieldGrid.of(fields) for fields in _frame_fields(ctx)]
+    deepest = dict(ctx._frame_grids(3))
+    calls = support.record_grid_calls(monkeypatch)
+    ctx.hold_rows(pts, 3)
+    for order in (2, 0, 3, 1):
+        for k, block in enumerate(frame_blocks):
+            assert _field_jets(ctx, block, order) == want[order, k], (order, k)
+            fr = Frame(ctx, block, order)
+            for grid in grids:
+                fr._eval_fields(list(grid.fields), None)
+                run = ctx._rows.held[grid, deepest[grid]]
+                for c, held in zip(fr._rows[grid, order].coeffs, run.coeffs):
+                    if c.size:  # a grid that reads no coordinate has empty slots
+                        assert np.shares_memory(c, held) == (k < 2), (order, k)
+    assert len(calls) == len(grids)
+    assert set(calls) == {(grid, deepest[grid], len(pts)) for grid in grids}
+    # a grid that is not the context's, such as the Lagrangian that the
+    # Kronecker probe is given, runs at the order asked
+    other = [E("x[1]*xs[1][2] - t[1]", (ctx.p, ctx.n))]
+    calls.clear()
+    Frame(ctx, pts[:2], 0)._eval_fields(other, 2)
+    assert calls == [(FieldGrid.of(other), 2, len(pts))]
+
+
+def test_a_grid_whose_exponent_reads_a_coordinate_runs_at_each_order(monkeypatch):
+    # t[1]^t[2] takes the real-power rule at order 0 only, so a row block
+    # runs an h holding it at each order its frames ask for, each with the
+    # bits of a frame alone; at order 0 the batch gives up (BatchDiverged)
+    # and each point runs alone
+    from jetlag.field_expr import FieldGrid
+
+    dims = (2, 2)
+    h = support.grid([["1 + 0.1*t[1]^t[2]", "0"], ["0", "1"]], dims, ("t",))
+    g = DirectMetric(support.grid(support.G_XDEP_SRC, dims, ("x",)))
+    ctx, alone = (GeometryContext(2, 2, h, g, QuadraticCanonical()) for _ in range(2))
+    pts = [JetPoint.of([0.5 + 0.1 * k, 0.3], [0.2, 0.1], np.zeros((2, 2)))
+           for k in range(3)]
+    framed = [(pts, 3), (pts, 2), (pts, 1)] + [([pt], 0) for pt in pts]
+    want = [_field_jets(alone, block, order) for block, order in framed]
+    calls = support.record_grid_calls(monkeypatch)
+    ctx.hold_rows(pts, 3)
+    assert [_field_jets(ctx, block, order) for block, order in framed] == want
+    h_grid = FieldGrid.of(list(ctx.h.flat))
+    assert [(order, n) for grid, order, n in calls if grid is h_grid] == [
+        (3, 3), (2, 3), (1, 3), (0, 3), (0, 0), (0, 0), (0, 0)]
+
+
 def _every_block(fr) -> dict:
     """Every block the frame ``fr`` keeps once each of its cached
     properties that the space has is built, and the S-torsion at order 0:
@@ -879,10 +942,10 @@ def test_a_grid_holding_a_python_field_runs_in_each_frame_block(monkeypatch):
                          PyField(lambda spt: spt.x[0] * spt.x[1], ("x",))], [0] * 5)}
     ctx, alone = support.tdep_g_ctx(), support.tdep_g_ctx()
     pts = _random_points(ctx, 5, 11)
-    ctx.hold_rows(pts)
     calls = support.record_grid_calls(monkeypatch)
     for name, (fields, want) in grids.items():
         for order in range(4):
+            ctx.hold_rows(pts, order)
             calls.clear()
             got = []
             for block in (pts[:1], pts[1:3], pts[3:]):
@@ -996,12 +1059,17 @@ def _bits(v):
 # the per-point reads as they were written before they read the block at
 # once; each takes the frame of one point
 
+def _values(*jets) -> list:
+    """Per point of a frame, the tuple of the values of ``jets`` there."""
+    return list(zip(*[j.value for j in jets]))
+
+
 def _ref_max_abs(fr, jet):
-    return [float(np.max(np.abs(v))) for (v,) in fr.values(jet)]
+    return [float(np.max(np.abs(v))) for (v,) in _values(jet)]
 
 
 def _ref_summaries(fr, pairs):
-    per = [fr.values(res, *terms) for res, terms in pairs]
+    per = [_values(res, *terms) for res, terms in pairs]
     out = []
     for v in per:
         residual, terms = v[0][0], v[0][1:]
@@ -1013,7 +1081,7 @@ def _ref_summaries(fr, pairs):
 
 def _ref_direction_independent(fr):
     return [float(np.max(np.abs(dg))) <= 1e-10 * max(1.0, float(np.max(np.abs(g))))
-            for g, dg in fr.values(fr.g_jet, fr.ddxs(fr.g_jet))]
+            for g, dg in _values(fr.g_jet, fr.ddxs(fr.g_jet))]
 
 
 def _ref_metricity(fr):
@@ -1024,7 +1092,7 @@ def _ref_metricity(fr):
     blocks = (fr.cov_s(g, g_slots), fr.cov_v(g, g_slots), fr.cov_t(h, h_slots),
               fr.cov_s(h, h_slots), fr.cov_v(h, h_slots), fr.cov_t(g, g_slots))
     return [{nm: float(np.max(np.abs(v))) for nm, v in zip(names, vals)}
-            for vals in fr.values(*blocks)]
+            for vals in _values(*blocks)]
 
 
 def _ref_antisymmetry(fr):
@@ -1032,7 +1100,7 @@ def _ref_antisymmetry(fr):
         return float(np.max(np.abs(lowered + np.transpose(lowered, perm))))
 
     out = []
-    for h, g, H, R1, R2, R3, P1, P2, S in fr.values(
+    for h, g, H, R1, R2, R3, P1, P2, S in _values(
             fr.h_jet, fr.g_jet, fr.cur_H_jet, fr.cur_R1_jet, fr.cur_R2_jet,
             fr.cur_R3_jet, fr.cur_P1_jet, fr.cur_P2_jet, fr.cur_S_jet):
         out.append({
@@ -1049,7 +1117,7 @@ def _ref_antisymmetry(fr):
 
 def _ref_torsion_probe(fr):
     out = []
-    for (dN,) in fr.values(fr.ddxs(fr.N_jet)):
+    for (dN,) in _values(fr.ddxs(fr.N_jet)):
         viol = np.abs(dN - np.transpose(dN, (0, 1, 3, 2, 4)))
         idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
         out.append((float(np.max(viol)), tuple(int(v) for v in idx)))
@@ -1058,7 +1126,7 @@ def _ref_torsion_probe(fr):
 
 def _ref_einstein(fr):
     out = []
-    for h, g, sH, sR, sS, rH, rR, rS, rRmt, rP3, rP1, rP2, h_inv in fr.values(
+    for h, g, sH, sR, sS, rH, rR, rS, rRmt, rP3, rP1, rP2, h_inv in _values(
             fr.h_jet, fr.g_jet, fr.scalar_H_jet, fr.scalar_R_jet, fr.scalar_S_jet,
             fr.ricci_H_jet, fr.ricci_Rmm_jet, fr.ricci_S_jet, fr.ricci_Rmt_jet,
             fr.ricci_P3_jet, fr.ricci_P1_jet, fr.ricci_P2_jet, fr.inverse("h", 0)):
@@ -1068,6 +1136,23 @@ def _ref_einstein(fr):
             vv=rS - 0.5 * sc * np.einsum("ab,ij->iajb", h_inv, g),
             st=rRmt.copy(), vt=rP3.copy(), sv=rP1.copy(), vs=rP2.copy(),
             zero_ts=np.zeros((fr.p, fr.n)), zero_tv=np.zeros((fr.p, fr.n, fr.p))))
+    return out
+
+
+def _ref_regularity(ctx, fr):
+    """kronecker_deviation_at's per-point loop, on a direct g: (scaled max
+    |B - h^ab ghat|, ghat) per point of the order-2 frame ``fr``."""
+    from jetlag.diff_engine import jet_einsum
+
+    E = jet_einsum("mn,am->an", fr.inverse("h", fr.order), fr.xs_jet)
+    E = jet_einsum("an,ab->bn", E, fr.eval_grid(ctx.g_source.entries))
+    B = fr.half_hessian(jet_einsum("bn,bn->", E, fr.xs_jet))
+    out = []
+    for B, hval, hinv in _values(B, fr.h_jet, fr.inverse("h", 0)):
+        ghat = np.einsum("mn,imjn->ij", hval, B) / ctx.p
+        recon = np.einsum("mn,ij->imjn", hinv, ghat)
+        scale = max(1.0, float(np.max(np.abs(B))))
+        out.append((float(np.max(np.abs(B - recon))) / scale, ghat))
     return out
 
 
@@ -1110,7 +1195,8 @@ def _reads(ctx, pts, one):
             metricity=_ref_metricity(fr),
             antisymmetry=_ref_antisymmetry(fr),
             torsion=_ref_torsion_probe(fr),
-            einstein=_ref_einstein(fr))
+            einstein=_ref_einstein(fr),
+            regularity=_ref_regularity(ctx, fr))
     else:
         B = len(pts)
         reads = dict(
@@ -1120,12 +1206,12 @@ def _reads(ctx, pts, one):
             antisymmetry=_rows(curvature_antisymmetry_residuals(ctx, pts), B),
             torsion=_rows(nlc_torsion_at(ctx, pts), B),
             einstein=[{k: v for k, v in row.items() if k != "note"}
-                      for row in _rows(einstein_blocks(ctx, pts), B)])
+                      for row in _rows(einstein_blocks(ctx, pts), B)],
+            regularity=_rows(kronecker_deviation_at(ctx, pts), B))
     steps = dict(
         maxwell=maxwell_at,
         curvature=lambda ctx, pts: {**deflection_identity_residuals(ctx, pts),
                                     **bianchi_residuals(ctx, pts)},
-        regularity=kronecker_deviation_at,
         conservation=conservation_residuals)
     if ctx.p > 2 and ctx.n > 2:
         steps["natural_form"] = natural_form_checks
