@@ -136,18 +136,10 @@ class RunReport:
     wall_time_s: float
 
     def to_json(self) -> str:
-        doc = {
-            "schema": SCHEMA,
-            "config": self.config,
-            "space": self.space,
-            "rng": self.rng,
-            "points": self.points,
-            "checks": self.checks,
-            "dumps": self.dumps,
-            "summary": self.summary,
-            "wall_time_s": self.wall_time_s,
-        }
-        return _emit(_jsonable(doc), 0) + "\n"
+        """The report as JSON: the schema name, then each field in order,
+        written in one walk (:func:`_to_json`)."""
+        doc = {"schema": SCHEMA, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        return _to_json(doc) + "\n"
 
 
 def _err(loc: str, msg: str) -> ConfigError:
@@ -321,64 +313,79 @@ def load_config(path: str) -> RunConfig:
 # serialization: 17-significant-digit JSON with a fixed key order
 # --------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
-    if isinstance(obj, numbers.Real):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return str(obj)
-
-
 def _fmt_float(v: float) -> str:
-    if math.isnan(v):
-        return '"nan"'
-    if math.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
-    return f"{v:.17g}"
+    if math.isfinite(v):
+        return f"{v:.17g}"
+    return '"nan"' if math.isnan(v) else '"inf"' if v > 0 else '"-inf"'
 
 
-def _emit(obj, level: int) -> str:
-    pad = "  " * level
+_string = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_NUMBER = {float: _fmt_float, int: int.__repr__, bool: lambda v: "true" if v else "false"}
+_WRITTEN = {*_NUMBER, str, type(None), dict, list}  # as they are
+
+
+def _plain(obj):
+    """``obj`` as a type of ``_WRITTEN``: an integer as int, any other real
+    as float, an array as its ``tolist``, a dataclass as the dict of its
+    fields, any other dict as a dict, a tuple as a list, else its str."""
+    while type(obj) not in _WRITTEN:
+        if isinstance(obj, str):
+            obj = str.__str__(obj)
+        elif isinstance(obj, numbers.Integral):
+            obj = int(obj)
+        elif isinstance(obj, numbers.Real):
+            obj = float(obj)
+        elif isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        elif is_dataclass(obj):
+            obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        elif isinstance(obj, (dict, list, tuple)):
+            obj = dict(obj) if isinstance(obj, dict) else list(obj)
+        else:
+            obj = str(obj)
+    return obj
+
+
+def _write(obj, level: int, out: list):
+    """Append the JSON text of ``obj``, nested ``level`` deep, to ``out``,
+    converting values as they are met (:func:`_plain`): reals with 17
+    significant digits, NaN and infinities as strings, a list of numbers
+    (bools included) on one line, and each entry of any other container on
+    its own line, keys as text in their order."""
+    if type(obj) not in _WRITTEN:
+        obj = _plain(obj)
+    kind = type(obj)
+    if kind is not dict and kind is not list:
+        return out.append(_string(obj) if kind is str else
+                          "null" if obj is None else _NUMBER[kind](obj))
+    if not obj:
+        return out.append("{}" if kind is dict else "[]")
+    if kind is dict:
+        if set(map(type, obj)) - {str}:  # keys equal as text keep the last value
+            obj = {str(k): v for k, v in obj.items()}
+        heads, values, brackets = [f"{_string(k)}: " for k in obj], obj.values(), "{}"
+    else:
+        if set(map(type, obj)) == {float}:  # one format for the whole list
+            text = ", ".join(map("{:.17g}".format, obj))
+            if "n" not in text:  # no nan or inf
+                return out.append(f"[{text}]")
+        values = [_plain(v) for v in obj]
+        if set(map(type, values)) <= _NUMBER.keys():
+            return out.append("[" + ", ".join([_NUMBER[type(v)](v) for v in values]) + "]")
+        heads, brackets = [""] * len(values), "[]"
     inner = "  " * (level + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k), ensure_ascii=True)}: {_emit(v, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        flat = all(isinstance(v, (int, float)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_emit(v, 0) for v in obj) + "]"
-        rows = [f"{inner}{_emit(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    sep = brackets[0] + "\n" + inner
+    for head, v in zip(heads, values):
+        out.append(sep + head)
+        _write(v, level + 1, out)
+        sep = ",\n" + inner
+    out.append("\n" + "  " * level + brackets[1])
+
+
+def _to_json(doc) -> str:
+    """``doc`` as JSON text, written in one walk (:func:`_write`)."""
+    _write(doc, 0, out := [])
+    return "".join(out)
 
 
 def _point_doc(pt: JetPoint) -> dict:
@@ -391,9 +398,7 @@ def _witness_doc(obj):
     if isinstance(obj, JetPoint):
         return _point_doc(obj)
     if isinstance(obj, tuple) and obj and isinstance(obj[0], JetPoint):
-        doc = _point_doc(obj[0])
-        doc["where"] = _jsonable(list(obj[1:]))
-        return doc
+        return {**_point_doc(obj[0]), "where": list(obj[1:])}
     return str(obj)
 
 
@@ -432,16 +437,10 @@ class CheckOutcome:
     error: str | None = None
 
     def doc(self, tol: float) -> dict:
-        return {
-            "status": self.status,
-            "tolerance": tol,
-            "measure": self.measure,
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "detail": self.detail,
-            "witness": _witness_doc(self.witness),
-            "error": self.error,
-        }
+        return {"status": self.status, "tolerance": tol, "measure": self.measure,
+                "max_abs": self.max_abs, "mean_abs": self.mean_abs,
+                "detail": self.detail, "witness": _witness_doc(self.witness),
+                "error": self.error}
 
 
 def _error_outcome(exc: JetlagError) -> CheckOutcome:
@@ -623,22 +622,19 @@ def _run_regularity(ctx, block):
 
 
 def _grad_fields(ctx):
-    out = []
-    for idx in np.ndindex(ctx.h.shape):
-        out.append((f"h[{idx[0] + 1}][{idx[1] + 1}]", ctx.h[idx]))
+    def entries(name, arr):  # each named by its 1-based indices
+        return [(name + "".join(f"[{k + 1}]" for k in idx), arr[idx])
+                for idx in np.ndindex(arr.shape)]
+
+    out = entries("h", ctx.h)
     if isinstance(ctx.g_source, DirectMetric):
-        for idx in np.ndindex(ctx.g_source.entries.shape):
-            out.append((f"g[{idx[0] + 1}][{idx[1] + 1}]",
-                        ctx.g_source.entries[idx]))
+        out += entries("g", ctx.g_source.entries)
     elif isinstance(ctx.g_source, FromLagrangian):
         out.append(("L", ctx.g_source.L))
     if isinstance(ctx.nlc, ChristoffelOfPhi):
-        for idx in np.ndindex(ctx.nlc.phi.shape):
-            out.append((f"phi[{idx[0] + 1}][{idx[1] + 1}]", ctx.nlc.phi[idx]))
+        out += entries("phi", ctx.nlc.phi)
     elif isinstance(ctx.nlc, UserGiven):
-        for idx in np.ndindex(ctx.nlc.entries.shape):
-            i, a, j = (k + 1 for k in idx)
-            out.append((f"N[{i}][{a}][{j}]", ctx.nlc.entries[idx]))
+        out += entries("N", ctx.nlc.entries)
     return out
 
 
@@ -933,7 +929,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_spaces(args) -> int:
     doc = {name: PARAM_SCHEMAS[name] for name in space_names()}
-    print(_emit(_jsonable(doc), 0))
+    print(_to_json(doc))
     return 0
 
 

@@ -113,13 +113,27 @@ def coord_index(p: int, n: int, cid) -> int:
     raise ValueError(f"unknown coordinate kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JetPoint:
-    """A single sample point on the jet bundle: t (p,), x (n,), xs (n,p)."""
+    """A single sample point on the jet bundle: t (p,), x (n,), xs (n,p).
+
+    ``JetPoint(flat, (p, n))`` keeps ``flat``, the point's coordinates in
+    the order of :func:`coord_index`, as they are made: read-only, with t,
+    x and xs views of it.  :meth:`flat` returns that array and :meth:`key`
+    its bytes, taken once, so no reader rebuilds either."""
 
     t: np.ndarray
     x: np.ndarray
     xs: np.ndarray
+
+    def __init__(self, flat: np.ndarray, dims):
+        p, n = dims
+        flat = flat.view()
+        flat.flags.writeable = False
+        for name, value in (("t", flat[:p]), ("x", flat[p:p + n]),
+                            ("xs", flat[p + n:].reshape(n, p)),
+                            ("_flat", flat), ("_key", flat.tobytes())):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def of(t, x, xs) -> "JetPoint":
@@ -130,17 +144,17 @@ class JetPoint:
             raise ValueError(
                 f"xs must have shape (n,p)=({x.size},{t.size}); got {xs.shape}"
             )
-        return JetPoint(t, x, xs)
+        return JetPoint(np.concatenate([t, x, xs.reshape(-1)]), (t.size, x.size))
 
     @property
     def dims(self):
         return len(self.t), len(self.x)
 
     def key(self) -> bytes:
-        return self.t.tobytes() + self.x.tobytes() + self.xs.tobytes()
+        return self._key
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.t, self.x, self.xs.reshape(-1)])
+        return self._flat
 
 
 # --------------------------------------------------------------------------
@@ -362,9 +376,12 @@ class Jet:
             else:
                 # at a point where the exponent is constant the point alone
                 # takes the branch above
-                if _batched and not np.any(
-                        [_at_each_point(c) for c in expo.coeffs[1:]], axis=0).all():
-                    raise BatchDiverged
+                if _batched:
+                    varying = np.any([_at_each_point(c) for c in expo.coeffs[1:]], axis=0)
+                    if not np.any(varying):  # at every point, as at order 0
+                        return self._pow_each(expo.value)
+                    if not np.all(varying):
+                        raise BatchDiverged
                 base = self.coeffs[0]
                 if np.any(base <= 0.0):
                     raise DerivativeDomainError(
@@ -375,13 +392,32 @@ class Jet:
             isinstance(expo, (float, np.floating)) and float(expo).is_integer()
         ):
             return self._int_pow(int(expo))
-        e = float(expo)
+        return self._real_pow(float(expo))
+
+    def _real_pow(self, e) -> "Jet":
+        """This jet to the non-integer power ``e`` (a float, or an array of
+        one per point), by the real-power rule."""
         c = self.coeffs[0]
         if np.any(c <= 0.0):
             raise DerivativeDomainError(
                 "non-integer power of a non-positive base"
             )
         return self.compose(_power_derivs(c, e, self.order))
+
+    def _pow_each(self, e: np.ndarray) -> "Jet":
+        """This jet to the power ``e``, one constant exponent per point of
+        a batch: each point's branch of :meth:`__pow__` with its own float
+        exponent, run once for the batch where every point takes the same
+        one.  Every exponent integral and equal takes one integer-power
+        chain, and none integral the real-power rule, each element by libm
+        pow (:func:`_power_derivs`); raises :class:`BatchDiverged` where
+        the points' chains differ."""
+        whole = np.isfinite(e) & (e == np.trunc(e))
+        if whole.all() and (e == e.flat[0]).all():
+            return self._int_pow(int(e.flat[0]))
+        if whole.any():
+            raise BatchDiverged
+        return self._real_pow(e)
 
     def __rpow__(self, base):
         """A constant base to this jet's power, by :meth:`__pow__`."""
@@ -481,10 +517,10 @@ def point_batch():
     scalar libm pow (:func:`_pow`), so each point gets bit for bit the
     values it gets alone.  A product that skips an all-zero coefficient
     does not branch (:func:`_leibniz`); a power whose jet exponent is
-    constant takes the real-power rule, and that branch raises
-    :class:`BatchDiverged` inside this block unless it goes the same way at
-    every point.  It wraps only field-grid calls, which run with numpy's
-    floating-point warnings off (:class:`~jetlag.field_expr.FieldGrid`).
+    constant at a point takes that point's branch for a constant exponent,
+    and raises :class:`BatchDiverged` inside this block unless every point
+    takes the same one (:meth:`Jet._pow_each`).  It wraps only field-grid
+    calls, which run with numpy's floating-point warnings off (:class:`~jetlag.field_expr.FieldGrid`).
     """
     global _batched
     _batched = True
@@ -500,14 +536,15 @@ def _at_each_point(c) -> np.ndarray:
 
 
 def _pow(c, e):
-    """``c ** e`` elementwise, each element by the scalar libm pow.
+    """``c ** e`` elementwise, each element by the scalar libm pow; ``e``
+    is a float or an array that broadcasts with ``c``.
 
     numpy's array pow may take a vector path that differs from libm in the
     last bit, so every derivative table takes its powers here: a point then
     gets the same bits alone, in a batch, or as a 0-d array.
     """
-    c = np.asarray(c, dtype=float)
-    return np.array([v ** e for v in c.ravel()]).reshape(c.shape)
+    c, e = np.broadcast_arrays(np.asarray(c, dtype=float), e)
+    return np.array([v ** w for v, w in zip(c.ravel(), e.ravel())]).reshape(c.shape)
 
 
 def _power_derivs(c, e, order) -> list:

@@ -396,9 +396,16 @@ def _each(fn, *args) -> np.ndarray:
     of ``_FUNCTIONS``) at each element of ``args`` (arrays over rows, or
     floats): the libm call, domain check and error of the float path at
     every row, where numpy's array form may take a vector path that differs
-    in the last bit."""
+    in the last bit.  ``fn`` runs once per distinct bit pattern of the
+    arguments (their int64 views, so -0.0 and 0.0 stay apart), in the order
+    the rows first hold them, and each row takes its pattern's value: so
+    the first row outside the domain raises, as it would row by row."""
     cols = np.broadcast_arrays(*args)
-    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, cols[0].size)
+    bits = [c.view(np.int64).tolist() for c in cols if c.strides[0]]  # those that vary
+    rows = list(zip(*bits)) if len(bits) > 1 else bits[0] if bits else [0] * len(cols[0])
+    last = dict(zip(rows, range(len(rows))))  # pattern -> last row, in first-row order
+    value = dict(zip(last, map(fn, *(c[list(last.values())].tolist() for c in cols))))
+    return np.fromiter(map(value.__getitem__, rows), float, len(rows))
 
 
 def _jet_finite(v) -> bool:
@@ -601,9 +608,9 @@ class FieldGrid:
     :meth:`stacked` scatters them back among zeros (:meth:`expand`).
     Float points run as one batch too (:meth:`rows`), each coordinate one
     array over the points: an array local runs each float-path operation
-    on every element (powers and the calls exp, log, sin, cos, sqrt, tanh
-    and abs), so every grid of :class:`ExprField` values batches with the
-    float path's bits.
+    once per distinct element (powers and the calls exp, log, sin, cos,
+    sqrt, tanh and abs), so every grid of :class:`ExprField` values
+    batches with the float path's bits.
 
     The function is generated on first use for each point shape (dims and
     the type of each coordinate) and kept with the grid; :meth:`of` keeps
@@ -738,11 +745,12 @@ class FieldGrid:
         coordinate one array over the rows.  No jet is built, so the call
         needs no :func:`~jetlag.diff_engine.point_batch`.  Arithmetic runs
         elementwise, and each power and function call runs the float path's
-        own operation on every element, so each row gets bit for bit the
-        values the grid gives at
-        its point with float coordinates, and each power or call raises the
-        float path's error at its first row outside the domain.  Raises
-        what the call raises, and :class:`~jetlag.diff_engine.BatchDiverged`
+        own operation once per distinct bit pattern of its arguments, in the
+        order of their first rows, and scatters the values back
+        (:func:`_each`), so each row gets bit for bit the values the grid
+        gives at its point with float coordinates, and each power or call
+        raises the float path's error at its first row outside the domain.
+        Raises what the call raises, and :class:`~jetlag.diff_engine.BatchDiverged`
         where a row fails a guard or the grid holds a field that is not an
         :class:`ExprField`."""
         if not self.batchable:

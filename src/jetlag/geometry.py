@@ -1686,7 +1686,12 @@ def sample_points(
     each kind of rejection when the try budget runs out.  Only accepted
     points record or assert the metric signature, which ``ctx`` keeps
     until :meth:`GeometryContext.forget_run`.  The draws are made one
-    block at a time, one draw per point still wanted, and h and g are read
+    block at a time, one draw per point still wanted: one ``rng.uniform``
+    call fills a (draws, p + n + n p) array, bounded column by column, in
+    row-major order with ``low + (high - low) u`` at each element, so every
+    draw takes the stream position and the bits that drawing t, x and xs in
+    turn would give it, and its point keeps its row as its flat
+    coordinates (:class:`~jetlag.diff_engine.JetPoint`).  h and g are read
     off one order-0 frame of the block, by the rule of
     :func:`_block_records`, so each draw is tried, in draw order, as it
     would be alone: a draw that holds a domain error is rejected, and the
@@ -1697,6 +1702,8 @@ def sample_points(
     g is rejected as ill-conditioned."""
     rng = np.random.default_rng(seed)
     p, n = ctx.p, ctx.n
+    # each column's bounds, for a draw's flat coordinates: t, x, then xs
+    lo, hi = (np.repeat([box_t[k], box_x[k], box_xs[k]], [p, n, n * p]) for k in (0, 1))
     pts = []
     tries = 0
     ill_conditioned = 0
@@ -1713,11 +1720,8 @@ def sample_points(
                 f"{cond_limit:g}"
             )
         # one draw per point still wanted, evaluated as one block
-        block = [JetPoint.of(
-            rng.uniform(box_t[0], box_t[1], size=p),
-            rng.uniform(box_x[0], box_x[1], size=n),
-            rng.uniform(box_xs[0], box_xs[1], size=(n, p)),
-        ) for _ in range(min(count - len(pts), budget - tries))]
+        draws = rng.uniform(lo, hi, size=(min(count - len(pts), budget - tries), lo.size))
+        block = [JetPoint(z, (p, n)) for z in draws]
         tries += len(block)
         values, held = _block_records(_metric_values, ctx, block)
         # the first draw that holds an error other than a domain error

@@ -1,17 +1,22 @@
 """End-to-end CLI runs, in process: exit codes, reports, determinism."""
 
+import enum
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
+import reference_json
 import support
 from jetlag import JetPoint, build_space, maxwell_residuals
 from jetlag.cli import CHECK_NAMES, DUMP_FAMILIES, main
@@ -959,9 +964,7 @@ def test_grad_check_takes_one_stencil_batch_per_group(tmp_path, monkeypatch, whi
 
 def _hexed(obj):
     """``obj`` as plain data with every float as its ``float.hex``."""
-    from jetlag import cli
-
-    obj = cli._jsonable(obj)
+    obj = reference_json.jsonable(obj)
     if isinstance(obj, float):
         return obj.hex()
     if isinstance(obj, dict):
@@ -2539,3 +2542,113 @@ def test_library_sweeps_raise_what_the_run_reports(tmp_path, doc):
         else:
             assert got["measure"] != "error", name
     assert raised
+
+
+# --------------------------------------------------------------------------
+# the report writer
+# --------------------------------------------------------------------------
+
+@dataclass
+class _Pair:
+    first: object
+    second: object = None
+
+
+class _Tag(enum.StrEnum):
+    A = "a"
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+_floats = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                         5e-324, 1e300, 0.1])
+_ints = st.integers() | st.sampled_from([0, -1, 2 ** 63, -(2 ** 70)])
+_numpy_scalars = st.one_of(
+    _floats.map(np.float64), st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8))
+_arrays = npst.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+                      npst.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+_leaves = st.one_of(
+    st.none(), st.booleans(), _ints, _floats, st.text(), _numpy_scalars, _arrays,
+    st.complex_numbers(allow_nan=False), st.sampled_from([_Tag.A, _Count.TWO]))
+_keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
+                  st.sampled_from([1.5, _Tag.A, _Count.TWO, "1", "True"]))
+_docs = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_keys, kids, max_size=5),
+        st.lists(_floats | _ints | st.booleans() | _numpy_scalars, max_size=6),
+        st.builds(_Pair, kids, kids)),
+    max_leaves=25)
+
+
+@given(doc=_docs)
+@settings(max_examples=400, deadline=None)
+def test_the_report_writer_is_the_two_pass_writer(doc):
+    # the one-pass writer gives the bytes of converting the document to
+    # plain data and then writing that: numpy scalars and arrays (0-d
+    # included), dataclasses, tuples, enums, non-str keys (keys equal as
+    # text keep the last value), bools in number lists, NaN, infinities,
+    # -0.0, non-ASCII text and empty containers
+    from jetlag import cli
+
+    assert cli._to_json(doc) == reference_json.emit(reference_json.jsonable(doc), 0)
+
+
+def _nodes(obj) -> int:
+    """The nodes of plain data, a list of numbers counted as one."""
+    if isinstance(obj, dict):
+        return 1 + sum(map(_nodes, obj.values()))
+    if isinstance(obj, list) and not all(isinstance(v, (int, float)) for v in obj):
+        return 1 + sum(map(_nodes, obj))
+    return 1
+
+
+def test_optic_sweep_makes_each_points_coordinates_once_and_writes_in_one_walk(
+        tmp_path, monkeypatch):
+    # each sampled point's flat coordinates are its draw's row, made once:
+    # every flat() and key() of the run returns the object made with the
+    # point, and the report is written by one _write per node of the
+    # document, bytes equal to the two-pass writer's
+    from dataclasses import fields
+
+    from jetlag import cli, diff_engine
+
+    made, flats, keys = {}, [], []
+    init, flat, key = (diff_engine.JetPoint.__init__, diff_engine.JetPoint.flat,
+                       diff_engine.JetPoint.key)
+
+    def making(self, z, dims):
+        init(self, z, dims)
+        made[id(self)] = (self, self._flat, self._key)
+
+    monkeypatch.setattr(diff_engine.JetPoint, "__init__", making)
+    monkeypatch.setattr(diff_engine.JetPoint, "flat",
+                        lambda self: flats.append((id(self), flat(self))) or flats[-1][1])
+    monkeypatch.setattr(diff_engine.JetPoint, "key",
+                        lambda self: keys.append((id(self), key(self))) or keys[-1][1])
+    doc = _load_bench(monkeypatch, "spec").make_config("optic-sweep", None)
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    report, _ = cli.run_report(cfg)
+    assert len(made) == cfg.count == len(report.points)  # every draw accepted
+    assert len(flats) > cfg.count and len(keys) > cfg.count
+    assert all(got is made[pt][1] for pt, got in flats)
+    assert all(got is made[pt][2] for pt, got in keys)
+    assert not any(z.flags.writeable for _, z, _ in made.values())
+
+    writes = []
+    write = cli._write
+
+    def counting(obj, level, out):
+        writes.append(obj)
+        return write(obj, level, out)
+
+    monkeypatch.setattr(cli, "_write", counting)
+    text = report.to_json()
+    doc = {"schema": cli.SCHEMA, **{f.name: getattr(report, f.name) for f in fields(report)}}
+    assert text == reference_json.emit(reference_json.jsonable(doc), 0) + "\n"
+    assert len(writes) == _nodes(reference_json.jsonable(doc))

@@ -446,6 +446,59 @@ def test_rows_give_each_row_the_float_path(fn, args):
         assert (type(exc.value), str(exc.value), exc.value.offset) == want
 
 
+def _per_row(fn, *args):
+    """``_each`` as it was: ``fn`` once per row, in row order."""
+    cols = np.broadcast_arrays(*args)
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, cols[0].size)
+
+
+def _each_outcome(fn, *args):
+    try:
+        return [v.hex() for v in fn(*args).tolist()]
+    except Exception as exc:  # noqa: BLE001 - compared between the two paths
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+# few values, so rows repeat; signed zeros, a subnormal, NaN, overflow edges
+ROW_VALUES = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, -2.0, 0.5, 3.0, 5e-324,
+                              709.7, 710.0, -745.2, math.nan]) | st.floats()
+
+
+@pytest.mark.parametrize("fn", ["pow", "exp", "log", "sin", "cos", "tanh", "sqrt", "abs"])
+@given(rows=st.lists(st.tuples(ROW_VALUES, ROW_VALUES), min_size=1, max_size=12),
+       scalar=st.none() | ROW_VALUES)
+@settings(max_examples=80, deadline=None)
+def test_each_runs_once_per_distinct_row(fn, rows, scalar):
+    # _each runs the float path's operation once per distinct bit pattern
+    # of its arguments, in the order of their first rows, and gives every
+    # row its pattern's value: the values and the first error (type, text
+    # and offset) of running it on every row in turn
+    from jetlag.field_expr import _FUNCTIONS, _each, _float_pow
+
+    a = np.array([r[0] for r in rows])
+    if fn == "pow":  # base, then an exponent per row or one for all, and the offset
+        args = (a, np.array([r[1] for r in rows]) if scalar is None else scalar, 7)
+        op = _float_pow
+    else:
+        args, op = (a,), _FUNCTIONS[fn]
+    calls = []
+
+    def counted(*xs):
+        calls.append(xs)
+        return op(*xs)
+
+    want = _each_outcome(_per_row, op, *args)
+    assert _each_outcome(_each, counted, *args) == want
+    bits = [tuple(np.asarray(c).view(np.int64).tolist())
+            for c in np.broadcast_arrays(*args)]
+    patterns = list(dict.fromkeys(zip(*bits)))
+    if isinstance(want, list):
+        assert [tuple(np.array(x).view(np.int64).tolist() for x in c)
+                for c in calls] == patterns
+    else:
+        assert len(calls) <= len(patterns)
+
+
 # --------------------------------------------------------------------------
 # a grid's jets range over the coordinates its fields read
 # --------------------------------------------------------------------------

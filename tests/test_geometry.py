@@ -803,8 +803,9 @@ def test_a_row_block_serves_every_frame_from_its_deepest_run(monkeypatch, space)
 def test_a_grid_whose_exponent_reads_a_coordinate_runs_at_each_order(monkeypatch):
     # t[1]^t[2] takes the real-power rule at order 0 only, so a row block
     # runs an h holding it at each order its frames ask for, each with the
-    # bits of a frame alone; at order 0 the batch gives up (BatchDiverged)
-    # and each point runs alone
+    # bits of a frame alone; at order 0 every point takes the real-power
+    # rule with its own exponent, so the batch runs, and each one-point
+    # frame reads its row
     from jetlag.field_expr import FieldGrid
 
     dims = (2, 2)
@@ -820,7 +821,7 @@ def test_a_grid_whose_exponent_reads_a_coordinate_runs_at_each_order(monkeypatch
     assert [_field_jets(ctx, block, order) for block, order in framed] == want
     h_grid = FieldGrid.of(list(ctx.h.flat))
     assert [(order, n) for grid, order, n in calls if grid is h_grid] == [
-        (3, 3), (2, 3), (1, 3), (0, 3), (0, 0), (0, 0), (0, 0)]
+        (3, 3), (2, 3), (1, 3), (0, 3)]
 
 
 def _every_block(fr) -> dict:
@@ -872,11 +873,13 @@ def test_a_frame_of_one_point_is_a_block_of_one(space, order):
 def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
     # at t1 = 0 the first-order coefficient of t1^2 vanishes, so a product
     # with it skips a term there and not at the other points, which does
-    # not branch: the batch adds that term as +0.0.  A constant jet
-    # exponent takes the real-power rule, and a PyField may branch on its
-    # point: such a block frame raises BatchDiverged, and its points are
-    # framed one at a time.  Every point keeps its own bits, signed zeros
-    # included.
+    # not branch: the batch adds that term as +0.0.  A jet exponent that is
+    # constant at every point gives each point its own branch, which batches
+    # where every point takes the same one (7 + t[1] is an integer at the
+    # first point only, so at order 0 its power does not batch), and a
+    # PyField may branch on its point: such a block frame raises
+    # BatchDiverged, and its points are framed one at a time.  Every point
+    # keeps its own bits, signed zeros included.
     from jetlag.diff_engine import BatchDiverged, PyField
     from jetlag.geometry import Frame
 
@@ -890,7 +893,7 @@ def test_points_that_branch_apart_are_evaluated_alone(ctx_flat22, monkeypatch):
     }
     # the orders at which each grid runs as one batch: at order 0 every jet
     # exponent is constant
-    batches_at = {"vanishing": {0, 1, 2, 3}, "constant exponent": set(),
+    batches_at = {"vanishing": {0, 1, 2, 3}, "constant exponent": {0, 1, 2, 3},
                   "varying exponent": {1, 2, 3}, "pyfield": None}
     zero_t = JetPoint.of([0.0, 0.3], [0.2, -0.1], [[0.4, 0.1], [-0.3, 0.2]])
     pts = [zero_t] + _random_points(ctx_flat22, 4, 5)
@@ -1000,6 +1003,99 @@ def test_sampling_blocks_keep_draws_and_rejections(monkeypatch):
         "could not sample 3 admissible points in 1000 tries (1 found) from the "
         "boxes t (-0.4, 0.4), x (-1.0, 0.01), xs (-1.0, 1.0): 993 draws left a "
         "field's domain and 6 had a metric with condition number above 1e+08")
+
+
+def _sample_per_draw(ctx, count, seed, box_t=(-1.0, 1.0), box_x=(-1.0, 1.0),
+                     box_xs=(-1.0, 1.0), cond_limit=1e8):
+    """Sampling as it was with three ``rng.uniform`` calls per draw (t, x,
+    xs): (the points or the error raised, the generator)."""
+    from jetlag.errors import (ConfigError, DerivativeDomainError,
+                               EvalDomainError, FieldDomainError)
+    from jetlag.geometry import _block_records, _metric_values
+
+    rng = np.random.default_rng(seed)
+    p, n = ctx.p, ctx.n
+    pts, tries, ill_conditioned = [], 0, 0
+    budget = max(1000, 50 * count)
+    while len(pts) < count:
+        if tries >= budget:
+            rejected = budget - len(pts)
+            return ConfigError(
+                f"could not sample {count} admissible points in {budget} tries "
+                f"({len(pts)} found) from the boxes t {tuple(box_t)}, "
+                f"x {tuple(box_x)}, xs {tuple(box_xs)}: "
+                f"{rejected - ill_conditioned} draws left a field's domain and "
+                f"{ill_conditioned} had a metric with condition number above "
+                f"{cond_limit:g}"), rng
+        block = [JetPoint.of(rng.uniform(box_t[0], box_t[1], size=p),
+                             rng.uniform(box_x[0], box_x[1], size=n),
+                             rng.uniform(box_xs[0], box_xs[1], size=(n, p)))
+                 for _ in range(min(count - len(pts), budget - tries))]
+        tries += len(block)
+        values, held = _block_records(_metric_values, ctx, block)
+        stop = min((k for k, exc in held.items() if not isinstance(
+            exc, (EvalDomainError, DerivativeDomainError, FieldDomainError))),
+            default=len(block))
+        kept = [k for k in range(stop) if k not in held]
+        if kept:
+            hs, gs = values["h"][:len(kept)], values["g"][:len(kept)]
+            ok = ~(np.linalg.cond(hs) > cond_limit)
+            ok[ok] = ~(np.linalg.cond(gs[ok]) > cond_limit)
+            ill_conditioned += len(kept) - int(ok.sum())
+            accepted = [block[k] for k, good in zip(kept, ok) if good]
+            ctx._check_signature(accepted, hs[ok], gs[ok])
+            pts += accepted
+        if stop < len(block):
+            return held[stop], rng
+    return pts, rng
+
+
+def _one_one_ctx():
+    dims = (1, 1)
+    return GeometryContext(
+        1, 1, np.array([[E("1 + 0.2*t[1]^2", dims, ("t",))]]),
+        DirectMetric(np.array([[E("1 + sqrt(x[1] + 0.1)*xs[1][1]^2", dims)]],
+                              dtype=object)),
+        QuadraticCanonical())
+
+
+@pytest.mark.parametrize("make,count,seed,boxes,cond_limit", [
+    (_one_one_ctx, 7, 3, {}, 1e8),
+    (_one_one_ctx, 40, 11, {"box_t": (0.0, 2.5), "box_x": (-0.3, 0.2)}, 1e8),
+    (support.tdep_g_ctx, 9, 5, {"box_xs": (-0.5, 0.5)}, 1e8),
+    (support.tdep_g_ctx, 12, 0, {"box_t": (-2.0, -1.0), "box_x": (0.25, 0.75)}, 3.0),
+    (support.mixed33_ctx, 5, 8, {"box_t": (-0.5, 0.5), "box_x": (-0.5, 0.5),
+                                 "box_xs": (-0.5, 0.5)}, 1e8),
+    (support.mixed33_ctx, 3, 23, {}, 1e8),
+    (_log_domain_ctx, 5, 4, {"box_t": (-0.4, 0.4)}, 1e8),
+    (_log_domain_ctx, 3, 2, {"box_t": (-0.4, 0.4), "box_x": (-1.0, 0.01)}, 1e8),
+], ids=["11", "11-box", "22", "22-cond", "33-box", "33", "log-domain",
+        "log-domain-exhausted"])
+def test_array_draws_are_the_per_point_draws(monkeypatch, make, count, seed, boxes,
+                                             cond_limit):
+    # one rng.uniform call over a block's (draws, p + n + n p) array gives
+    # every draw the bits of three calls per draw, so sampling keeps its
+    # points, its rejections and its error text, and leaves the generator
+    # where the per-point draws leave it
+    rngs = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        rngs.append(default_rng(seed))
+        return rngs[-1]
+
+    want, ref_rng = _sample_per_draw(make(), count, seed, cond_limit=cond_limit, **boxes)
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    try:
+        got = sample_points(make(), count, seed, cond_limit=cond_limit, **boxes)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's
+        got = exc
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert [pt.key() for pt in got] == [pt.key() for pt in want]
+        assert all(pt.dims == (make().p, make().n) for pt in got)
+    assert rngs[0].bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_a_step_on_no_points_raises_a_named_error():
