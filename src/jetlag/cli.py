@@ -783,6 +783,14 @@ def _outcome(fn) -> CheckOutcome:
         return _error_outcome(exc)
 
 
+def _step_order(names) -> list:
+    """The checks ``names`` in the order they take their steps on a block:
+    deepest frame order first, and in config order within an order, so
+    that each shallower frame of the block takes what the deeper ones
+    built (:func:`~jetlag.geometry.frame`)."""
+    return sorted(names, key=lambda name: -CHECKS[name].order)
+
+
 def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     """Execute a validated config; returns (RunReport, exit_code).
 
@@ -791,17 +799,22 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
     existing callers and ignored.  Every run of one config evaluates the
     space ``load_config`` built, and starts and ends with no frame and no
     metric signature on it (:meth:`~jetlag.geometry.GeometryContext.forget_run`):
-    it takes its signature from its first accepted draw, else from
-    ``pts[0]``, which the dumps and the first block read first.  The dumps
+    it takes its signature from its first accepted draw, else from the
+    dumps at ``pts[0]``, else from the first block, before any check steps
+    on it (:meth:`~jetlag.geometry.GeometryContext.record_signature`), so
+    the order the checks step in does not decide it.  The dumps
     are taken at ``pts[0]`` before the first check step.  The run goes
     block by block, through the
     :func:`~jetlag.geometry.blocks` of at most as many points as
     :func:`~jetlag.geometry.block_size` lets the frames of the deepest order
     its checks read keep within one budget of bytes: on each block every
     frame-reading check takes its step, by the rule of the library's
-    sweeps (:func:`~jetlag.geometry._block_records`), so the block's
+    sweeps (:func:`~jetlag.geometry._block_records`), the checks of the
+    deepest frame order first (:func:`_step_order`), so the block's
     frames are built once, read by every check, and dropped when the next
-    block starts; the last block's are dropped when the blocks end.  The
+    block starts; the last block's are dropped when the blocks end.  A
+    shallower frame takes what the deeper frame of its block built,
+    truncated, and builds only the rest.  The
     blocks come in row blocks (:func:`~jetlag.geometry.in_row_blocks`),
     as many whole blocks as keep the compact rows of the space's field
     grids at that order within the same budget, and each field grid of the
@@ -831,9 +844,12 @@ def run_report(cfg: RunConfig, jobs: int = 1, out_path: str | None = None):
         parts = {name: [] for name in cfg.checks if CHECKS[name].fold}
         orders = {CHECKS[name].order for name in parts}
         frame_blocks = blocks(pts, block_size(ctx, orders)) if orders else []
-        for block in in_row_blocks(ctx, frame_blocks, max(orders, default=0)):
-            for name, got in parts.items():
-                got.append(_block_records(_RUNNERS[name], ctx, block))
+        steps = _step_order(parts)
+        depth = max(orders, default=0)
+        for block in in_row_blocks(ctx, frame_blocks, depth):
+            ctx.record_signature(block, depth)
+            for name in steps:
+                parts[name].append(_block_records(_RUNNERS[name], ctx, block))
         # the whole-sweep runners read no frame, and the rows of the last
         # row block, which the context still holds
         ctx.forget_frames()

@@ -288,6 +288,25 @@ class GeometryContext:
 
     # signature bookkeeping (D-tensor metrics must keep constant signature)
 
+    def record_signature(self, pts, order: int):
+        """Unless a signature is recorded, record it off g of the frame of
+        ``order`` at the block ``pts``, else of each point's frame in turn
+        until one records it; an error is left to the readers of its
+        points.  ``jetlag run`` does this on each block before any check
+        steps, at the order its deepest checks read, so that no check
+        decides the signature by the point it reads g at first: a step
+        that fails at a point before it reads g would leave it to a later
+        point."""
+        if self._signature is not None:
+            return
+        for block in (pts, *([pt] for pt in pts)):
+            try:
+                frame(self, block, order).g_jet
+            except (JetlagError, BatchDiverged):
+                pass
+            if self._signature is not None:
+                return
+
     def _check_signature(self, pts, hs, gs):
         """Hold the eigenvalue signs of h and g at each of ``pts``, whose
         values ``hs`` and ``gs`` are stacked along a leading point axis, to
@@ -388,22 +407,31 @@ def _unbuilt(ctx) -> set:
     return out
 
 
+def _kept_order(ctx, name: str, kept_at, order: int) -> int:
+    """The order a frame of ``order`` on ``ctx`` keeps the block ``name``
+    of the :data:`_KEPT_BLOCKS` group ``kept_at`` at.  A user-given N is a
+    field grid's jet, which :attr:`Frame.N_jet` keeps at the frame's own
+    order, one above a derived N, and so are the torsion blocks P3 and R3,
+    which differentiate N alone."""
+    if name in ("N_jet", "tor_P3_jet", "tor_R3_jet") and isinstance(ctx.nlc, UserGiven):
+        return kept_at(order) + 1
+    return kept_at(order)
+
+
 def frame_bytes(ctx, order: int) -> int:
     """The bytes that a frame of ``order`` on ``ctx`` keeps at each of its
     points, as every reader of that order reads it: each block of
     :data:`_KEPT_BLOCKS` that the context builds, as a jet of doubles at
-    the order it is kept at, and the compact rows of its field grids.  A
-    user-given N is a field grid's jet, which :attr:`Frame.N_jet` keeps at
-    the frame's own order."""
+    the order it is kept at (:func:`_kept_order`), and the compact rows of
+    its field grids."""
     N = coord_count(ctx.p, ctx.n)
     dim = {"t": ctx.p, "s": ctx.n}
     unbuilt = _unbuilt(ctx)
-    given = isinstance(ctx.nlc, UserGiven)
     elements = 0
     for kept_at, named in _KEPT_BLOCKS:
         for name, shapes in named.items():
             if name not in unbuilt:
-                k = order if given and name == "N_jet" else kept_at(order)
+                k = _kept_order(ctx, name, kept_at, order)
                 elements += (sum(N ** j for j in range(k + 1))
                              * sum(math.prod(dim[a] for a in axes) for axes in shapes))
     return 8 * elements + ctx.row_bytes(order)
@@ -632,13 +660,18 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
     torsion/curvature values, 3 is needed for covariant derivatives of
     curvature-level objects (conservation laws, Bianchi residuals).  It
     decides how much is computed, not any number: every block of an
-    order-k frame is the order-3 frame's block truncated, bit for bit.
-    Each product is built only to the order its result keeps, and each
-    metric inverse and the S-torsion only to the order their readers read.
-    A frame keeps h, g and phi one order below its own, and the compact
-    rows of its field grids, from which the readers of a metric's top
-    order expand it anew (:meth:`Frame.metric`); :func:`frame_bytes`
-    charges all it keeps.  A block of no points raises ValueError.
+    order-k frame is the order-3 frame's block truncated, bit for bit, in
+    shape, strides and bytes.  So a frame created while the context holds
+    a deeper frame of the same points takes what that frame has built
+    (:meth:`Frame._take_built`), and builds only the rest; ``jetlag run``
+    steps a block's deepest checks first, so that its shallower frames
+    find the most.  Each product is built only to the order its result
+    keeps, and each metric inverse and the S-torsion only to the order
+    their readers read.  A frame keeps h, g and phi one order below its
+    own, and the compact rows of its field grids, from which the readers
+    of a metric's top order expand it anew (:meth:`Frame.metric`);
+    :func:`frame_bytes` charges all it keeps, taken or not.  A block of no
+    points raises ValueError.
     """
     pts = (pts,) if isinstance(pts, JetPoint) else tuple(pts)
     if not pts:
@@ -648,7 +681,11 @@ def frame(ctx: GeometryContext, pts, order: int = 2) -> "Frame":
         ctx._framed, ctx._frames = key, {}
     fr = ctx._frames.get(order)
     if fr is None:
-        fr = ctx._frames[order] = Frame(ctx, pts, order)
+        fr = Frame(ctx, pts, order)
+        deepest = max(ctx._frames, default=order)
+        if deepest > order:
+            fr._take_built(ctx._frames[deepest])
+        ctx._frames[order] = fr
     return fr
 
 
@@ -709,7 +746,9 @@ class Frame:
     coefficient, and each takes a fresh expansion of the rows
     (:meth:`metric`), with the code, layout and bits of the kept jet's.
     What a frame keeps is named, with the order it is kept at, in
-    :data:`_KEPT_BLOCKS`.
+    :data:`_KEPT_BLOCKS`.  A frame that :func:`frame` creates while the
+    context holds a deeper frame of its points starts with what that
+    frame has built, truncated to those orders (:meth:`_take_built`).
     """
 
     def __init__(self, ctx: GeometryContext, pts, order: int):
@@ -738,6 +777,28 @@ class Frame:
         if key not in self._shared:
             self._shared[key] = block(self, *args)
         return self._shared[key]
+
+    def _take_built(self, deeper: "Frame"):
+        """Take what ``deeper``, a frame of the same points of a higher
+        order, has built, as :meth:`~jetlag.diff_engine.Jet.truncated`
+        views at the orders this frame keeps them at (:func:`_kept_order`):
+        each cached block but the xs jets, whose order is their frame's,
+        and each :meth:`_upto` entry, at most at the order it was built
+        to.  Each is the block this frame would build, bit for bit (see
+        :func:`frame`).  A taken metric skips this frame's symmetry and
+        signature checks, which ``deeper`` ran on the same points.  What
+        ``deeper`` has not built, the shared blocks (:meth:`shared`)
+        among it, this frame builds itself, and a block that raised there
+        raises here as it is built."""
+        cached = vars(deeper)
+        for kept_at, named in _KEPT_BLOCKS:
+            for name in named.keys() - {"xs_jet"}:
+                k = _kept_order(self.ctx, name, kept_at, self.order)
+                if name in deeper._built and k >= 0:
+                    have = deeper._built[name]
+                    self._built[name] = have.truncated(min(k, have.order))
+                elif name in cached and 0 <= k <= cached[name].order:
+                    vars(self)[name] = cached[name].truncated(k)
 
     def _upto(self, key, order: int, build) -> Jet:
         """``build(order)``, kept per frame at the highest order asked for

@@ -349,6 +349,36 @@ def test_report_digest_pinned(tmp_path, name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# pinned configs that together reach the Newton inverse (every frame
+# block, through every dump family, at orders 2 and 3), the signature
+# check and sampling rejection (six draws of the singular config)
+BLAS_KERNEL_RUNS = ("optic-dumps", "quadratic33-laws", "singular")
+
+
+def test_report_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the digests are pinned on one host's OpenBLAS kernel; a child process
+    # that forces another writes the same bytes, so an @, np.dot or
+    # np.matmul on a report path, whose bits follow the kernel, fails here
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH "
+                    "OpenBLAS, whose kernel OPENBLAS_CORETYPE chooses")
+    args = []
+    for name in BLAS_KERNEL_RUNS:
+        args += [write_cfg(tmp_path, REPORT_DIGESTS[name][1], name=f"{name}.json"),
+                 str(tmp_path / f"{name}.report.json")]
+    script = ("import sys\nfrom jetlag.cli import main\n"
+              "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    main(['run', cfg, '--out', out])\n")
+    env = _child_env(OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in BLAS_KERNEL_RUNS:
+        text = WALL_LINE.sub("", (tmp_path / f"{name}.report.json").read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name][0], name
+
+
 def test_an_empty_check_list_writes_an_empty_report(tmp_path, capsys):
     # load_config accepts "checks": []; the run writes a report with no
     # checks (digest taken before the check table sized blocks)
@@ -697,12 +727,16 @@ def test_asymmetric_g_at_explicit_point_names_witness(tmp_path):
     assert check["witness"] == pt
 
 
+def _child_env(**extra) -> dict:
+    """This process's environment, with ``src`` first on PYTHONPATH and
+    ``extra`` set, for a child process only."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_python_dash_m_entry_point():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "jetlag", "spaces"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "jetlag", "spaces"], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) == {
@@ -878,6 +912,51 @@ def test_benchmark_runs_build_the_frame_blocks_they_are_charged_for(
     monkeypatch.setattr(Frame, "__init__", counting)
     run_to(tmp_path, _load_bench(monkeypatch, "spec").make_config(workload, None))
     assert built == frames
+
+
+def test_an_order2_frame_takes_what_its_order3_frame_built(tmp_path, monkeypatch):
+    # a tooling guard: perfbench counts the blocks a run computes, not the
+    # frame that computes them.  optic-suite's checks read frames of orders
+    # 2 and 3 on one block of its points; the order-3 checks step first, so
+    # the order-2 frame builds none of the cached blocks and Frame._upto
+    # entries its order-3 frame built, but the xs jets, whose order is
+    # their frame's.  The run builds 3 frames, its draw block's and its
+    # block's two: a block step that raised would frame each point alone
+    from functools import cached_property
+
+    from jetlag.geometry import Frame
+
+    built = {}  # by frame order, the names of the blocks its frames built
+    frames = []
+
+    def recorded(name, build):
+        def recording(self):
+            built.setdefault(self.order, set()).add(name)
+            return build(self)
+        return recording
+
+    for name, val in list(vars(Frame).items()):
+        if isinstance(val, cached_property):
+            prop = cached_property(recorded(name, val.func))
+            prop.__set_name__(Frame, name)
+            monkeypatch.setattr(Frame, name, prop)
+    upto, init = Frame._upto, Frame.__init__
+
+    def upto_recorded(self, key, order, build):
+        return upto(self, key, order, lambda k: recorded(key, lambda fr: build(k))(self))
+
+    monkeypatch.setattr(Frame, "_upto", upto_recorded)
+
+    def counting(self, ctx, pts, order):
+        init(self, ctx, pts, order)
+        frames.append((order, len(self.pts)))
+
+    monkeypatch.setattr(Frame, "__init__", counting)
+    rc, _ = run_to(tmp_path, _load_bench(monkeypatch, "spec").make_config("optic-suite", None))
+    assert rc == 0
+    assert sorted(frames) == [(0, 12), (2, 12), (3, 12)]
+    assert {"h", "g", "Cc_jet", "cur_S_jet"} <= built[3]
+    assert built[2] & built[3] <= {"xs_jet"}, built[2] & built[3]
 
 
 def test_the_charge_names_every_block_a_frame_keeps(tmp_path, monkeypatch):
@@ -2145,6 +2224,69 @@ def test_a_point_outside_a_domain_keeps_its_error_in_a_batch(tmp_path, monkeypat
     phi = runs.pop((frozenset({"x"}),) * 4)
     assert phi[0] == 5 and set(phi[1:]) == {0, 2}
     assert list(runs.values()) == [[5], [5]]
+
+
+def test_deepest_checks_step_first_and_each_check_keeps_its_error(tmp_path, monkeypatch):
+    # on each block conservation, which reads frames of order 3, steps
+    # first, and the order-2 checks after it take its frame's blocks; every
+    # check still fails at the third point with its own error, and the
+    # report is the one that steps in config order write, byte for byte
+    # (digest taken while the checks stepped in config order)
+    from jetlag import cli
+
+    doc = dict(DOMAIN_SWEEP_CFG, checks=[*DOMAIN_SWEEP_CFG["checks"], "conservation"])
+    assert cli._step_order(doc["checks"]) == ["conservation", *DOMAIN_SWEEP_CFG["checks"]]
+    bad = doc["points"]["explicit"][2]
+    texts = []
+    for step_order in (cli._step_order, list):
+        monkeypatch.setattr(cli, "_step_order", step_order)
+        rc, rep = run_to(tmp_path, doc)
+        assert rc == 1
+        for name in doc["checks"]:
+            check = rep["checks"][name]
+            assert (check["status"], check["error"], check["witness"]) == (
+                "fail", "log of a non-positive value", bad), name
+        texts.append(WALL_LINE.sub("", (tmp_path / "report.json").read_text()))
+    assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == (
+        "20c2427300a3e1fcb0eb6f772c3a442d1ea91236586201146b16aef9e4a37459")
+
+
+# h is singular at the first explicit point, so its eigenvalue signs
+# there differ from the later points'
+SINGULAR_FIRST_CFG = {
+    "p": 2, "n": 2,
+    "space": {"name": "custom", "params": {
+        "h": [["1", "0"], ["0", "t[1]"]],
+        "g": [["1", "0"], ["0", "x[2]"]],
+        "nlc": {"kind": "christoffel", "phi": [["1", "0"], ["0", "1"]]}}},
+    "points": {"explicit": [{"t": [t1, 0.2], "x": [0.3, 1.0], "xs": [[0.5, 0.6], [0.7, 0.8]]}
+                            for t1 in (0.0, 0.5, 0.4)]},
+    "checks": ["metricity", "conservation"],
+}
+
+
+def test_the_step_order_does_not_decide_the_signature(tmp_path, monkeypatch):
+    # conservation steps first and fails at the first point on its singular
+    # h before it reads g; the run records the signature at that point
+    # before any check steps, so metricity still fails there on the
+    # singular h, not on a signature taken at the second point, as when it
+    # stepped first (digest taken then)
+    from jetlag import cli
+
+    texts = []
+    for step_order in (cli._step_order, list):
+        monkeypatch.setattr(cli, "_step_order", step_order)
+        rc, rep = run_to(tmp_path, SINGULAR_FIRST_CFG)
+        assert rc == 1
+        for name in SINGULAR_FIRST_CFG["checks"]:
+            check = rep["checks"][name]
+            assert check["error"].startswith("matrix is singular"), (name, check["error"])
+            assert check["witness"] == SINGULAR_FIRST_CFG["points"]["explicit"][0]
+        texts.append(WALL_LINE.sub("", (tmp_path / "report.json").read_text()))
+    assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == (
+        "235a07e75181fd62d12673c38d04e90488a7ca4d4a84e9bde6dd5ddf92a3c2ec")
 
 
 def test_a_sampled_run_evaluates_each_grid_once_per_order(tmp_path, monkeypatch):

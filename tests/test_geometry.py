@@ -493,8 +493,14 @@ def _order_keyed(fr, orders) -> dict:
     return out
 
 
-@pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "quadratic"])
+@pytest.mark.parametrize("space", ["optic", "mixed33", "lagrangian", "quadratic",
+                                   "user-n"])
 def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
+    # a frame of order 0, 1 or 2 built alone holds the order-3 frame's
+    # blocks, inverses and S-torsion truncated, in shape, strides and
+    # bytes, so the frame that frame() makes while it holds the order-3
+    # frame of its points, which takes them (Frame._take_built), holds
+    # what it would build alone: c_einsum's bits follow operand layout
     from jetlag.spaces import build_space
 
     ctx, pts = {
@@ -505,27 +511,32 @@ def test_frame_of_any_order_is_the_order3_frame_truncated(request, space):
         "lagrangian": lambda: (request.getfixturevalue("lagrangian_ctx"),
                                [OPTIC_POINT, PT22_B]),
         "quadratic": lambda: (support.tdep_g_ctx(), [OPTIC_POINT, PT22_B]),
+        "user-n": lambda: (_user_n_ctx(), [OPTIC_POINT, PT22_B]),
     }[space]()
     for pt in pts:
-        full = _blocks(frame(ctx, pt, 3))
+        deep = frame(ctx, pt, 3)
+        full = _blocks(deep)
         # highest order first, so that lower ones are served truncated
-        full_keyed = _order_keyed(frame(ctx, pt, 3), (3, 2, 1, 0))
+        full_keyed = _order_keyed(deep, (3, 2, 1, 0))
         for order in (0, 1, 2):
-            blocks = _blocks(frame(ctx, pt, order))
+            alone = _blocks(geometry.Frame(ctx, [pt], order))
+            taken = _blocks(frame(ctx, pt, order))
             if order == 2:
-                assert blocks.keys() == full.keys()
-            for name, jet in blocks.items():
-                want = full[name].truncated(jet.order)
-                assert all(np.array_equal(a, b)
-                           for a, b in zip(jet.coeffs, want.coeffs)), (order, name)
+                assert alone.keys() == full.keys()
+            assert taken.keys() == alone.keys()
+            for name, jet in alone.items():
+                assert _same_bytes(jet, full[name].truncated(jet.order)), (order, name)
+                assert _same_bytes(taken[name], jet), (order, name)
             # lowest order first, so that each higher one is built again
-            keyed = _order_keyed(frame(ctx, pt, order), range(order + 1))
+            keyed = _order_keyed(geometry.Frame(ctx, [pt], order), range(order + 1))
+            taken_keyed = _order_keyed(frame(ctx, pt, order), range(order + 1))
             assert keyed and keyed.keys() <= full_keyed.keys()
+            assert taken_keyed.keys() == keyed.keys()
             for key, jet in keyed.items():
                 want = full_keyed[key]
                 assert jet.order == want.order == key[1], (order, key)
-                assert all(np.array_equal(a, b)
-                           for a, b in zip(jet.coeffs, want.coeffs)), (order, key)
+                assert _same_bytes(jet, want), (order, key)
+                assert _same_bytes(taken_keyed[key], jet), (order, key)
 
 
 # --------------------------------------------------------------------------
