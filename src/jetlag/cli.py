@@ -242,12 +242,15 @@ def load_config(path: str) -> RunConfig:
         loc = f"points.explicit[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"t", "x", "xs"}:
             raise _err(loc, "must be a map with exactly the keys t, x, xs")
-        try:
-            pt = JetPoint.of(entry["t"], entry["x"], entry["xs"])
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise _err(loc, str(exc)) from None
-        if not np.isfinite(pt.flat()).all():
-            raise _err(loc, "coordinates must be finite")
+        t, x, xs = entry["t"], entry["x"], entry["xs"]
+        if not (isinstance(t, list) and isinstance(x, list) and isinstance(xs, list)
+                and len(xs) == len(x)
+                and all(isinstance(row, list) and len(row) == len(t) for row in xs)):
+            raise _err(loc, "t and x must be lists and xs a list of len(x) lists "
+                            "of len(t) coordinates")
+        pt = JetPoint(np.array([_finite_real(v, f"every coordinate of config.{loc}")
+                                for v in [*t, *x, *(v for row in xs for v in row)]]),
+                      (len(t), len(x)))
         if pt.dims != (p, n):
             raise _err(loc, f"dims {pt.dims} do not match (p, n) = ({p}, {n})")
         explicit.append(pt)
@@ -987,6 +990,10 @@ def main(argv=None) -> int:
         if excerpt is not None:
             msg += f" (offset {getattr(exc, 'offset', '?')} in {excerpt!r})"
         print(f"error: {msg}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a space or a run too large for the host is no failing check
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -35,8 +35,8 @@ import numpy as np
 from .diff_engine import Jet, JetPoint, jet_einsum, jet_linear
 from .errors import TorsionPreconditionError
 from .geometry import (Frame, GeometryContext, ResidualStats, _block_records,
-                       _each, _pooled_stats, frame, nlc_torsion_at, sweep,
-                       torsion_free_verdict)
+                       _each, _kept, _order2, _pooled_stats, frame,
+                       nlc_torsion_at, sweep, torsion_free_verdict)
 from .tensor_core import S_DN, S_UP, T_DN, V_DN, V_UP
 
 __all__ = [
@@ -70,6 +70,7 @@ def _x_low_jet(fr) -> Jet:
     return jet_einsum("am,pm->pa", fr.inverse("h", fr.order), gx)
 
 
+@_kept(_order2(1), "stt", "sts", "stst")
 def _raw_jets(fr):
     """(Dbar, Dmet, dmet) of the Liouville field xs itself, as jets via the
     generic covariant rules; read through ``fr.shared``."""
@@ -77,6 +78,8 @@ def _raw_jets(fr):
     return (fr.cov_t(xs, (V_UP,)), fr.cov_s(xs, (V_UP,)), fr.cov_v(xs, (V_UP,)))
 
 
+@_kept(_order2(2), "st")
+@_kept(_order2(1), "stt", "sts", "stst")
 def _metrical_jets(fr):
     """(x_low, Dbar, Dmet, dmet) as jets via the generic covariant rules;
     read through ``fr.shared`` so each frame derives them once."""
@@ -89,6 +92,7 @@ def _metrical_jets(fr):
     )
 
 
+@_kept(_order2(1), "sts", "stst")
 def _em_jets(fr):
     """(F, f), the antisymmetrized metrical deflections, as jets; read
     through ``fr.shared``."""

@@ -333,107 +333,77 @@ class GeometryContext:
 # cached
 # --------------------------------------------------------------------------
 
-# The blocks a frame of order k keeps at each of its points, by the name
-# the frame keeps them under (a cached property, an :meth:`Frame._upto` key
-# or the function of a :meth:`Frame.shared` block), in groups of (the order
-# the group keeps them at, {name: the axes of each jet or value array the
-# block holds: t one of p temporal, s one of n spatial indices}).  A block
-# kept below order 0 is not built.  A frame also keeps the compact rows of
-# its field grids (:meth:`GeometryContext.row_bytes`), and its xs jets,
-# whose derivative coefficients every frame shares.
-_KEPT_BLOCKS = (
-    # the metrics, one order below the frame (Frame._kept), and xs
-    (lambda k: max(0, k - 1), {"h_jet": ("tt",), "g_jet": ("ss",),
-                               "phi_jet": ("ss",)}),
-    (lambda k: 0, {"xs_jet": ("st",)}),
-    # a Lagrangian's half-Hessian, which g contracts
-    (lambda k: k, {"vertical_half_hessian": ("stst",)}),
-    # h^-1, read at the frame's order on frames of order 2 or less
-    (lambda k: min(k, MAX_ORDER - 1), {"h": ("tt",)}),
-    # g^-1 and phi^-1; the connection H, M, gamma, N, G, L, C
-    (lambda k: k - 1, {"g": ("ss",), "phi": ("ss",), "Htc_jet": ("ttt",),
-                       "M_jet": ("stt",), "gamma_phi_jet": ("sss",),
-                       "gamma_g_jet": ("sss",), "N_jet": ("sts",),
-                       "Gc_jet": ("sst",), "Lc_jet": ("sss",),
-                       "Cc_jet": ("ssst",)}),
-    # the torsion, the curvature, the Ricci blocks and scalars, and the
-    # covariant derivatives of C that the curvature P blocks read
-    (lambda k: k - 2, {
-        "tor_P2_jet": ("sttst",), "tor_P3_jet": ("stsst",),
-        "tor_R2_jet": ("stts",), "tor_R3_jet": ("stss",),
-        "cur_H_jet": ("tttt",), "cur_R2_jet": ("ssts",),
-        "cur_R3_jet": ("ssss",), "cur_P1_jet": ("sstst",), "cur_P2_jet": ("sssst",),
-        "cur_S_jet": ("ssstst",), "ricci_H_jet": ("tt",), "ricci_P1_jet": ("sst",),
-        "ricci_P2_jet": ("sts",), "ricci_P3_jet": ("stt",), "ricci_S_jet": ("stst",),
-        "ricci_Rmt_jet": ("st",), "ricci_Rmm_jet": ("ss",), "scalar_H_jet": ("",),
-        "scalar_R_jet": ("",), "scalar_S_jet": ("",),
-        "cov_t": ("ssstt",), "cov_s": ("sssts",)}),
-    # the S-torsion, the Einstein blocks (values) and the torsion probe
-    # (floats), built at order 0 only
-    (lambda k: min(k - 2, 0), {
-        "tor_S": ("ststst",), "_torsion_probe": (),
-        "_einstein_blocks_at": ("tt", "ss", "stst", "st", "stt", "sst", "sts",
-                                "ts", "tst")}),
-    # the right-hand sides of the conservation laws
-    (lambda k: k - 3, {"_law_rhs": ("t", "t", "s", "st")}),
-    # what only the readers of frames of order 2 read (em_field's and the
-    # torsion and curvature sets): the lowered Liouville field at order 2;
-    # T = -G, the deflections and F, f at order 1; the R1 torsion and
-    # curvature and the covariant derivatives of the deflections and of T
-    # at order 0
-    (lambda k: 2 if k == 2 else -1, {"_metrical_jets": ("st",)}),
-    (lambda k: 1 if k == 2 else -1, {"tor_T_jet": ("sts",),
-                                     "_metrical_jets": ("stt", "sts", "stst"),
-                                     "_raw_jets": ("stt", "sts", "stst"),
-                                     "_em_jets": ("sts", "stst")}),
-    (lambda k: 0 if k == 2 else -1, {"tor_R1_jet": ("sttt",), "cur_R1_jet": ("sstt",),
-                                     "cov_s": ("stss", "stts", "stts"),
-                                     "cov_v": ("sttst", "sttst")}),
-)
+# The blocks a frame keeps at each of its points, by the name it keeps each
+# under (a cached property, an :meth:`Frame._upto` key or the function of a
+# :meth:`Frame.shared` block): its groups of (kept-order rule, the axes of
+# each jet or value array the group holds: t one of p temporal, s one of n
+# spatial indices), as the block's builder declares them (:func:`_kept`).
+_KEPT = {}
 
 
-def _unbuilt(ctx) -> set:
-    """The names of :data:`_KEPT_BLOCKS` that no frame of ``ctx`` builds:
-    phi and its blocks without a fixed spatial metric, Gamma(g) but for
-    the quadratic-canonical connection, and the half-Hessian of a
-    Lagrangian on a direct g."""
-    out = set()
-    if not isinstance(ctx.nlc, ChristoffelOfPhi):
-        out |= {"phi_jet", "phi", "gamma_phi_jet"}
-    if not isinstance(ctx.nlc, QuadraticCanonical):
-        out.add("gamma_g_jet")
-    if not isinstance(ctx.g_source, FromLagrangian):
-        out.add("vertical_half_hessian")
-    return out
+def _kept(rule, *axes, key=None):
+    """Declare that a frame of order k on ctx keeps the block ``key``
+    (default: the decorated function's name) at order ``rule(ctx, k)``,
+    none of it below order 0, as one array of each of ``axes``; each
+    declaration of a block adds a group.  The function is returned as it
+    is."""
+    def declare(fn):
+        _KEPT.setdefault(key or fn.__name__, []).append((rule, axes))
+        return fn
+    return declare
 
 
-def _kept_order(ctx, name: str, kept_at, order: int) -> int:
-    """The order a frame of ``order`` on ``ctx`` keeps the block ``name``
-    of the :data:`_KEPT_BLOCKS` group ``kept_at`` at.  A user-given N is a
-    field grid's jet, which :attr:`Frame.N_jet` keeps at the frame's own
-    order, one above a derived N, and so are the torsion blocks P3 and R3,
-    which differentiate N alone."""
-    if name in ("N_jet", "tor_P3_jet", "tor_R3_jet") and isinstance(ctx.nlc, UserGiven):
-        return kept_at(order) + 1
-    return kept_at(order)
+def _kept_block(rule, *axes):
+    """A :class:`Frame` block: a cached property declared by :func:`_kept`."""
+    return lambda fn: cached_property(_kept(rule, *axes)(fn))
+
+
+# kept-order rules: (ctx, k) -> the order a frame of order k on ctx keeps a
+# block at
+
+def _metric_order(ctx, k: int) -> int:
+    """h, g and phi: one below the frame (:attr:`Frame.kept_order`)."""
+    return max(0, k - 1)
+
+
+def _less(j: int, user_n=False):
+    """``j`` below the frame; with ``user_n`` (N and the blocks that
+    differentiate N alone), one above that on a user-given N, which
+    :attr:`Frame.N_jet` keeps at the frame's own order."""
+    return lambda ctx, k: k - j + (user_n and isinstance(ctx.nlc, UserGiven))
+
+
+def _on(kind, rule):
+    """``rule`` where the g source or the spatial connection is a ``kind``;
+    none kept elsewhere."""
+    return lambda ctx, k: (rule(ctx, k) if isinstance(ctx.g_source, kind)
+                           or isinstance(ctx.nlc, kind) else -1)
+
+
+def _order2(j: int):
+    """At ``j`` on frames of order 2, whose readers alone read the block
+    (em_field's and the torsion and curvature sets)."""
+    return lambda ctx, k: j if k == 2 else -1
+
+
+def _values(ctx, k: int) -> int:
+    """At order 0 on frames of order 2 or more."""
+    return min(k - 2, 0)
 
 
 def frame_bytes(ctx, order: int) -> int:
     """The bytes that a frame of ``order`` on ``ctx`` keeps at each of its
-    points, as every reader of that order reads it: each block of
-    :data:`_KEPT_BLOCKS` that the context builds, as a jet of doubles at
-    the order it is kept at (:func:`_kept_order`), and the compact rows of
-    its field grids."""
+    points, as every reader of that order reads it: each group of each
+    block declared (:func:`_kept`), as jets of doubles at the order its rule
+    keeps it at, and the compact rows of its field grids.  Importing
+    jetlag imports every module that declares a block."""
     N = coord_count(ctx.p, ctx.n)
     dim = {"t": ctx.p, "s": ctx.n}
-    unbuilt = _unbuilt(ctx)
     elements = 0
-    for kept_at, named in _KEPT_BLOCKS:
-        for name, shapes in named.items():
-            if name not in unbuilt:
-                k = _kept_order(ctx, name, kept_at, order)
-                elements += (sum(N ** j for j in range(k + 1))
-                             * sum(math.prod(dim[a] for a in axes) for axes in shapes))
+    for groups in _KEPT.values():
+        for rule, shapes in groups:
+            elements += (sum(N ** j for j in range(rule(ctx, order) + 1))
+                         * sum(math.prod(dim[a] for a in axes) for axes in shapes))
     return 8 * elements + ctx.row_bytes(order)
 
 
@@ -745,8 +715,8 @@ class Frame:
     readers that differentiate a metric at the frame's order read its top
     coefficient, and each takes a fresh expansion of the rows
     (:meth:`metric`), with the code, layout and bits of the kept jet's.
-    What a frame keeps is named, with the order it is kept at, in
-    :data:`_KEPT_BLOCKS`.  A frame that :func:`frame` creates while the
+    Each block's builder declares the order it is kept at and its index
+    kinds (:func:`_kept`).  A frame that :func:`frame` creates while the
     context holds a deeper frame of its points starts with what that
     frame has built, truncated to those orders (:meth:`_take_built`).
     """
@@ -763,8 +733,7 @@ class Frame:
         self.p = ctx.p
         self.n = ctx.n
         self.N = coord_count(ctx.p, ctx.n)
-        # the order the metrics are kept at: one below the frame's
-        self.kept_order = max(0, order - 1)
+        self.kept_order = _metric_order(ctx, order)
         self._shared = {}
         self._built = {}
         self._rows = {}  # the compact rows of each (grid, order) read
@@ -781,24 +750,23 @@ class Frame:
     def _take_built(self, deeper: "Frame"):
         """Take what ``deeper``, a frame of the same points of a higher
         order, has built, as :meth:`~jetlag.diff_engine.Jet.truncated`
-        views at the orders this frame keeps them at (:func:`_kept_order`):
-        each cached block but the xs jets, whose order is their frame's,
-        and each :meth:`_upto` entry, at most at the order it was built
-        to.  Each is the block this frame would build, bit for bit (see
-        :func:`frame`).  A taken metric skips this frame's symmetry and
-        signature checks, which ``deeper`` ran on the same points.  What
-        ``deeper`` has not built, the shared blocks (:meth:`shared`)
-        among it, this frame builds itself, and a block that raised there
-        raises here as it is built."""
+        views at the orders this frame keeps them at, by the rule each
+        declares (:func:`_kept`): each cached block but the xs jets, whose
+        order is their frame's, and each :meth:`_upto` entry, at most at
+        the order it was built to.  Each is the block this frame would
+        build, bit for bit (see :func:`frame`).  A taken metric skips this
+        frame's symmetry and signature checks, which ``deeper`` ran on the
+        same points.  What ``deeper`` has not built, the shared blocks
+        (:meth:`shared`) among it, this frame builds itself, and a block
+        that raised there raises here as it is built."""
         cached = vars(deeper)
-        for kept_at, named in _KEPT_BLOCKS:
-            for name in named.keys() - {"xs_jet"}:
-                k = _kept_order(self.ctx, name, kept_at, self.order)
-                if name in deeper._built and k >= 0:
-                    have = deeper._built[name]
-                    self._built[name] = have.truncated(min(k, have.order))
-                elif name in cached and 0 <= k <= cached[name].order:
-                    vars(self)[name] = cached[name].truncated(k)
+        for name, [(rule, _), *_] in _KEPT.items():
+            k = rule(self.ctx, self.order)  # what is taken is declared once
+            if name in deeper._built and k >= 0:
+                have = deeper._built[name]
+                self._built[name] = have.truncated(min(k, have.order))
+            elif name in cached and name != "xs_jet" and 0 <= k <= cached[name].order:
+                vars(self)[name] = cached[name].truncated(k)
 
     def _upto(self, key, order: int, build) -> Jet:
         """``build(order)``, kept per frame at the highest order asked for
@@ -873,7 +841,7 @@ class Frame:
 
     # -- coordinates -------------------------------------------------------
 
-    @cached_property
+    @_kept_block(lambda ctx, k: 0, "st")  # every frame shares the derivatives
     def xs_jet(self) -> Jet:
         """The velocity coordinates xs^i_a as jets, axes [i,a]: their
         derivative coefficients are the same at every point, so they are
@@ -934,13 +902,13 @@ class Frame:
         return jet_einsum("mn,imjn->ij", self.metric("h", order), hh,
                           order=order) * (1.0 / self.p)
 
-    @cached_property
+    @_kept_block(_metric_order, "tt")
     def h_jet(self) -> Jet:
         """h, checked symmetric, kept at :attr:`kept_order`."""
         return self._symmetric(self._metric_jet("h", self.kept_order),
                                "temporal metric h")
 
-    @cached_property
+    @_kept_block(_metric_order, "ss")
     def g_jet(self) -> Jet:
         """:meth:`symmetric_g` kept at :attr:`kept_order`, its signature at
         each point held to the context's, once over the block
@@ -956,7 +924,7 @@ class Frame:
         order = self.order if order is None else order
         return self._symmetric(self._metric_jet("g", order), "vertical metric g")
 
-    @cached_property
+    @_kept_block(_on(FromLagrangian, _less(0)), "stst")
     def vertical_half_hessian(self) -> Jet:
         """G^(m)(n)_(i)(j) = (1/2) d^2 L / dxs^i_m dxs^j_n, axes [i,m,j,n]."""
         src = self.ctx.g_source
@@ -970,6 +938,9 @@ class Frame:
         d1 = L.dblock(slice(lo, self.N), (self.n, self.p))
         return d1.dblock(slice(lo, self.N), (self.n, self.p)) * 0.5
 
+    @_kept(lambda ctx, k: min(k, MAX_ORDER - 1), "tt", key="h")
+    @_kept(_less(1), "ss", key="g")
+    @_kept(_on(ChristoffelOfPhi, _less(1)), "ss", key="phi")
     def inverse(self, which: str, order: int) -> Jet:
         """The inverse of the metric ``which`` ("h", "g" or "phi"), built
         to ``order`` only.  h^-1 is built at once to the frame's order, at
@@ -1024,23 +995,23 @@ class Frame:
 
     # -- connections ---------------------------------------------------------
 
-    @cached_property
+    @_kept_block(_less(1), "ttt")
     def Htc_jet(self) -> Jet:
         """Temporal Christoffel H^g_ab of h, axes [g,a,b]."""
         return self._christoffel(self.ddt(self.metric("h", self.order)), "h")
 
-    @cached_property
+    @_kept_block(_less(1), "stt")
     def M_jet(self) -> Jet:
         """Canonical temporal NLC M^(i)_(a)b = -H^g_ab x^i_g, axes [i,a,b]."""
         return -jet_einsum("gab,ig->iab", self.Htc_jet, self.xs_jet)
 
-    @cached_property
+    @_kept_block(_on(ChristoffelOfPhi, _metric_order), "ss")
     def phi_jet(self) -> Jet:
         """phi, checked symmetric, kept at :attr:`kept_order`."""
         return self._symmetric(self._metric_jet("phi", self.kept_order),
                                "spatial metric phi")
 
-    @cached_property
+    @_kept_block(_on(ChristoffelOfPhi, _less(1)), "sss")
     def gamma_phi_jet(self) -> Jet:
         """Christoffel gamma^i_jm of phi, axes [i,j,m]."""
         return self._christoffel(self.ddx(self.metric("phi", self.order)), "phi")
@@ -1076,14 +1047,14 @@ class Frame:
             witness=self.pts[k],
         )
 
-    @cached_property
+    @_kept_block(_on(QuadraticCanonical, _less(1)), "sss")
     def gamma_g_jet(self) -> Jet:
         """Generalized Christoffel Gamma^i_jm of g(t,x); direction-independent
         g only."""
         self.require_direction_independent("the generalized Christoffel symbols")
         return self._christoffel(self.ddx(self.metric("g", self.order)), "g")
 
-    @cached_property
+    @_kept_block(_less(1, user_n=True), "sts")
     def N_jet(self) -> Jet:
         """Spatial NLC N^(i)_(a)j, axes [i,a,j]."""
         nlc = self.ctx.nlc
@@ -1099,18 +1070,18 @@ class Frame:
 
     # -- Cartan canonical connection ------------------------------------------
 
-    @cached_property
+    @_kept_block(_less(1), "sst")
     def Gc_jet(self) -> Jet:
         """G^k_jg = (g^ki/2) delta g_ij / delta t^g, axes [k,j,g]."""
         dg = self.delta_t(self.metric("g", self.order))  # [i,j,g]
         return jet_einsum("ki,ijg->kjg", self.inverse("g", dg.order), dg) * 0.5
 
-    @cached_property
+    @_kept_block(_less(1), "sss")
     def Lc_jet(self) -> Jet:
         """L^i_jk, axes [i,j,k]; Christoffel-type with delta/delta x."""
         return self._christoffel(self.delta_x(self.metric("g", self.order)), "g")
 
-    @cached_property
+    @_kept_block(_less(1), "ssst")
     def Cc_jet(self) -> Jet:
         """C^i(g)_j(k), axes [i,j,k,g]; Christoffel-type with d/dxs."""
         return self._christoffel(self.ddxs(self.metric("g", self.order)), "g")
@@ -1123,14 +1094,24 @@ class Frame:
             out.extend(s.constituents())
         return tuple(out)
 
+    # The covariant derivatives are charged for what they give the shared
+    # calls (:meth:`shared`): C/b (cur_P1_jet, em_field.bianchi_residuals);
+    # C|j (cur_P2_jet, bianchi_residuals); on frames of order 2, T|k
+    # (bianchi_residuals, em_field.maxwell_at), and Dbar|k and Dbar|^(g)_(k)
+    # of the metrical (maxwell_at, em_field._liouville_identities) and of
+    # the raw deflections (_liouville_identities).
+    @_kept(_less(2), "ssstt")
     def cov_t(self, A: Jet, slots) -> Jet:
         """Temporal covariant derivative /b; appends one temporal axis."""
         return self._cov(A, slots, self.delta_t, ("Htc_jet", "Gc_jet"), 1)
 
+    @_kept(_less(2), "sssts")
+    @_kept(_order2(0), "stss", "stts", "stts")
     def cov_s(self, A: Jet, slots) -> Jet:
         """Spatial covariant derivative |k; appends one spatial axis."""
         return self._cov(A, slots, self.delta_x, (None, "Lc_jet"), 1)
 
+    @_kept(_order2(0), "sttst", "sttst")
     def cov_v(self, A: Jet, slots) -> Jet:
         """Vertical covariant derivative |^(g)_(k); appends (n, p) axes."""
         return self._cov(A, slots, self.ddxs, (None, "Cc_jet"), 2)
@@ -1163,12 +1144,12 @@ class Frame:
 
     # -- torsion ---------------------------------------------------------------
 
-    @cached_property
+    @_kept_block(_order2(1), "sts")
     def tor_T_jet(self) -> Jet:
         """T^m_bk = -G^m_kb; axes [m,b,k]."""
         return jet_linear("mkb->mbk", self.Gc_jet) * (-1.0)
 
-    @cached_property
+    @_kept_block(_less(2), "sttst")
     def tor_P2_jet(self) -> Jet:
         """P^(m)(b)_(mu)a(j) = dM^(m)_(mu)a/dxs^j_b - d^b_mu G^m_ja
         + d^m_j H^b_mu a; axes [m,mu,a,j,b]."""
@@ -1180,7 +1161,7 @@ class Frame:
         t3 = jet_einsum("bua,mj->muajb", self.Htc_jet, eye_n, order=dM.order)
         return dM - t2 + t3
 
-    @cached_property
+    @_kept_block(_less(2, user_n=True), "stsst")
     def tor_P3_jet(self) -> Jet:
         """P^(m)(b)_(mu)i(j) = dN^(m)_(mu)i/dxs^j_b - d^b_mu L^m_ji;
         axes [m,mu,i,j,b]."""
@@ -1188,13 +1169,13 @@ class Frame:
         t2 = jet_einsum("mji,ub->muijb", self.Lc_jet, np.eye(self.p), order=dN.order)
         return dN - t2
 
-    @cached_property
+    @_kept_block(_order2(0), "sttt")
     def tor_R1_jet(self) -> Jet:
         """R^(m)_(mu)ab = delta M^(m)_(mu)a/dt^b - (a<->b); axes [m,mu,a,b]."""
         dM = self.delta_t(self.M_jet)  # [m,mu,a,b]
         return dM - jet_linear("muab->muba", dM)
 
-    @cached_property
+    @_kept_block(_less(2), "stts")
     def tor_R2_jet(self) -> Jet:
         """R^(m)_(mu)aj = delta M^(m)_(mu)a/dx^j - delta N^(m)_(mu)j/dt^a;
         axes [m,mu,a,j]."""
@@ -1202,12 +1183,13 @@ class Frame:
         dN = self.delta_t(self.N_jet)   # [m,mu,j,a]
         return dM - jet_linear("muja->muaj", dN)
 
-    @cached_property
+    @_kept_block(_less(2, user_n=True), "stss")
     def tor_R3_jet(self) -> Jet:
         """R^(m)_(mu)ij = delta N^(m)_(mu)i/dx^j - (i<->j); axes [m,mu,i,j]."""
         dN = self.delta_x(self.N_jet)  # [m,mu,i,j]
         return dN - jet_linear("muij->muji", dN)
 
+    @_kept(_values, "ststst")
     def tor_S(self, order: int) -> Jet:
         """S^(m)(a)(b)_(mu)(i)(j) = d^a_mu C^m(b)_i(j) - d^b_mu C^m(a)_j(i),
         built to ``order`` only; axes [m,mu,i,a,j,b]."""
@@ -1219,7 +1201,7 @@ class Frame:
 
     # -- curvature ---------------------------------------------------------------
 
-    @cached_property
+    @_kept_block(_less(2), "tttt")
     def cur_H_jet(self) -> Jet:
         """H^a_e b g = dH^a_eb/dt^g - dH^a_eg/dt^b + H^m_eb H^a_mg
         - H^m_eg H^a_mb; axes [a,e,b,g]."""
@@ -1228,7 +1210,7 @@ class Frame:
         anti = dH + quad
         return anti - jet_linear("aebg->aegb", anti)
 
-    @cached_property
+    @_kept_block(_order2(0), "sstt")
     def cur_R1_jet(self) -> Jet:
         """R^l_i b g; axes [l,i,b,g]."""
         dG = self.delta_t(self.Gc_jet)  # [l,i,b,g]
@@ -1238,7 +1220,7 @@ class Frame:
         tail = jet_einsum("limu,mubg->libg", self.Cc_jet, self.tor_R1_jet)
         return anti + tail
 
-    @cached_property
+    @_kept_block(_less(2), "ssts")
     def cur_R2_jet(self) -> Jet:
         """R^l_i b k; axes [l,i,b,k]."""
         dG = self.delta_x(self.Gc_jet)   # [l,i,b,k]
@@ -1249,7 +1231,7 @@ class Frame:
         tail = jet_einsum("limu,mubk->libk", self.Cc_jet, self.tor_R2_jet)
         return t1 + t2 - t3 + tail
 
-    @cached_property
+    @_kept_block(_less(2), "ssss")
     def cur_R3_jet(self) -> Jet:
         """R^l_i j k; axes [l,i,j,k]."""
         dL = self.delta_x(self.Lc_jet)  # [l,i,j,k]
@@ -1259,7 +1241,7 @@ class Frame:
         tail = jet_einsum("limu,mujk->lijk", self.Cc_jet, self.tor_R3_jet)
         return anti + tail
 
-    @cached_property
+    @_kept_block(_less(2), "sstst")
     def cur_P1_jet(self) -> Jet:
         """P^l(g)_i b (k) = dG^l_ib/dxs^k_g - C^l(g)_i(k)/b
         + C^l(mu)_i(m) P^(m)(g)_(mu)b(k); axes [l,i,b,k,g]."""
@@ -1269,7 +1251,7 @@ class Frame:
         t3 = jet_einsum("limu,mubkg->libkg", self.Cc_jet, self.tor_P2_jet)
         return dG - t2 + t3
 
-    @cached_property
+    @_kept_block(_less(2), "sssst")
     def cur_P2_jet(self) -> Jet:
         """P^l(g)_ij(k) = dL^l_ij/dxs^k_g - C^l(g)_i(k)|j
         + C^l(mu)_i(m) P^(m)(g)_(mu)j(k); axes [l,i,j,k,g]."""
@@ -1279,7 +1261,7 @@ class Frame:
         t3 = jet_einsum("limu,mujkg->lijkg", self.Cc_jet, self.tor_P3_jet)
         return dL - t2 + t3
 
-    @cached_property
+    @_kept_block(_less(2), "ssstst")
     def cur_S_jet(self) -> Jet:
         """S^l(b)(g)_i(j)(k); axes [l,i,j,b,k,g]."""
         dC = self.ddxs(self.Cc_jet)  # [l,i,j,b,k,g]
@@ -1289,52 +1271,52 @@ class Frame:
 
     # -- Ricci and scalars ----------------------------------------------------
 
-    @cached_property
+    @_kept_block(_less(2), "tt")
     def ricci_H_jet(self) -> Jet:
         """H_ab = H^m_abm."""
         return jet_linear("mabm->ab", self.cur_H_jet)
 
-    @cached_property
+    @_kept_block(_less(2), "sst")
     def ricci_P1_jet(self) -> Jet:
         """P^(a)_i(j) = -P^m(a)_im(j); axes [i,j,a]."""
         return -jet_linear("mimja->ija", self.cur_P2_jet)
 
-    @cached_property
+    @_kept_block(_less(2), "sts")
     def ricci_P2_jet(self) -> Jet:
         """P^(a)_(i)j = P^m(a)_ij(m); axes [i,a,j]."""
         return jet_linear("mijma->iaj", self.cur_P2_jet)
 
-    @cached_property
+    @_kept_block(_less(2), "stt")
     def ricci_P3_jet(self) -> Jet:
         """P^(a)_(i)b = P^m(a)_ib(m); axes [i,a,b]."""
         return jet_linear("mibma->iab", self.cur_P1_jet)
 
-    @cached_property
+    @_kept_block(_less(2), "stst")
     def ricci_S_jet(self) -> Jet:
         """S^(a)(b)_(i)(j) = S^m(b)(a)_i(j)(m); axes [i,a,j,b]."""
         return jet_linear("mijbma->iajb", self.cur_S_jet)
 
-    @cached_property
+    @_kept_block(_less(2), "st")
     def ricci_Rmt_jet(self) -> Jet:
         """R_ia = R^m_iam; axes [i,a]."""
         return jet_linear("miam->ia", self.cur_R2_jet)
 
-    @cached_property
+    @_kept_block(_less(2), "ss")
     def ricci_Rmm_jet(self) -> Jet:
         """R_ij = R^m_ijm; axes [i,j]."""
         return jet_linear("mijm->ij", self.cur_R3_jet)
 
-    @cached_property
+    @_kept_block(_less(2), "")
     def scalar_H_jet(self) -> Jet:
         B = self.ricci_H_jet
         return jet_linear("aa->", jet_einsum("ab,bc->ac", self.inverse("h", B.order), B))
 
-    @cached_property
+    @_kept_block(_less(2), "")
     def scalar_R_jet(self) -> Jet:
         B = self.ricci_Rmm_jet
         return jet_linear("ii->", jet_einsum("ij,jk->ik", self.inverse("g", B.order), B))
 
-    @cached_property
+    @_kept_block(_less(2), "")
     def scalar_S_jet(self) -> Jet:
         B = jet_einsum("ab,iajb->ij", self.h_jet, self.ricci_S_jet)
         return jet_linear("ii->", jet_einsum("ij,jk->ik", self.inverse("g", B.order), B))
@@ -1662,6 +1644,7 @@ def nlc_torsion_at(ctx, pt):
     return _each(pt, (list(devs), list(entries)))
 
 
+@_kept(_values)  # floats
 def _torsion_probe(fr) -> tuple:
     """:func:`nlc_torsion_at`'s two columns over the frame ``fr``, as
     tuples, from one maximum and one argmax over the block; read through

@@ -45,7 +45,8 @@ import numpy as np
 
 from .diff_engine import JetPoint, jet_einsum, jet_linear
 from .errors import NaturalFormUnavailableError, VacuumConstantError
-from .geometry import GeometryContext, _each, _fold_stats, _gate, frame
+from .geometry import (GeometryContext, _each, _fold_stats, _gate, _kept, _less,
+                       _values, frame)
 from .tensor_core import S_DN, S_UP, T_DN, T_UP, V_DN, V_UP
 
 __all__ = [
@@ -111,6 +112,7 @@ def einstein_blocks(ctx: GeometryContext, pt):
     return _each(pt, frame(ctx, pt, 2).shared(_einstein_blocks_at))
 
 
+@_kept(_values, "tt", "ss", "stst", "st", "stt", "sst", "sts", "ts", "tst")
 def _einstein_blocks_at(fr) -> EinsteinBlocks:
     """:func:`einstein_blocks` over the block of the frame ``fr``: one
     :class:`EinsteinBlocks` whose read-only arrays carry the frame's
@@ -221,6 +223,7 @@ def _raised_p_jets(fr):
     return Pvt, Pvs, Psb
 
 
+@_kept(_less(3), "t", "t", "s", "st")
 def _law_rhs(fr):
     """(div_R, div_P1, div_P2, div_P3): the divergences of the raised R and
     P blocks on the right of the laws, read through ``fr.shared``."""

@@ -960,16 +960,16 @@ def test_an_order2_frame_takes_what_its_order3_frame_built(tmp_path, monkeypatch
 
 
 def test_the_charge_names_every_block_a_frame_keeps(tmp_path, monkeypatch):
-    # a tooling guard: frame_bytes charges the blocks named in
-    # geometry._KEPT_BLOCKS, so every cached property of a frame, every key
-    # it keeps a block under to an order (Frame._upto) and every frame-shared
+    # a tooling guard: frame_bytes charges the blocks declared in
+    # geometry._KEPT, so every cached property of a frame, every key it
+    # keeps a block under to an order (Frame._upto) and every frame-shared
     # block that a pinned config builds has its charge there
     from functools import cached_property
 
     from jetlag import geometry
     from jetlag.geometry import Frame
 
-    named = {name for _, blocks in geometry._KEPT_BLOCKS for name in blocks}
+    named = set(geometry._KEPT)
     props = {name for name, val in vars(Frame).items() if isinstance(val, cached_property)}
     assert props <= named, props - named
     frames = []
@@ -989,6 +989,82 @@ def test_the_charge_names_every_block_a_frame_keeps(tmp_path, monkeypatch):
     assert {"h", "g", "phi", "tor_S", "cov_t", "cov_s", "cov_v", "_law_rhs",
             "_einstein_blocks_at", "_em_jets"} <= kept
     assert kept <= named, kept - named
+
+
+def _declared_jets(fr, name, order):
+    """The jets of the block declared as ``name`` (geometry._KEPT) on the
+    frame ``fr``: a metric inverse and the S-torsion to ``order``, a
+    covariant derivative of C, a cached block, or the jets of a
+    frame-shared block (values and floats have none)."""
+    from jetlag import em_field, geometry, gravity
+    from jetlag.diff_engine import Jet
+    from jetlag.tensor_core import S_DN, S_UP, V_DN
+
+    if name in ("h", "g", "phi"):
+        return [fr.inverse(name, order)]
+    if name == "tor_S":
+        return [fr.tor_S(order)]
+    if name.startswith("cov_"):
+        return [getattr(fr, name)(fr.Cc_jet, (S_UP, S_DN, V_DN))]
+    if hasattr(type(fr), name):
+        return [getattr(fr, name)]
+    block = next(vars(m)[name] for m in (geometry, em_field, gravity) if name in vars(m))
+    out = fr.shared(block)
+    return [j for j in out if isinstance(j, Jet)] if isinstance(out, tuple) else []
+
+
+def _fd_space(tmp_path, name):
+    """(context, its first point) of a space the finite-difference oracle
+    reads: support.mixed33_ctx at a sampled point, or a config's space at
+    its first point."""
+    from jetlag import cli
+    from jetlag.geometry import sample_points
+
+    if name == "mixed33":
+        ctx = support.mixed33_ctx()
+        box = (-0.5, 0.5)
+        return ctx, sample_points(ctx, 1, 8, box, box, box)[0]
+    doc = {"optic": OPTIC_CFG, "torsional": TORSIONAL_CFG, "user-given-n": USER_N33_CFG,
+           "quadratic33-laws": QUADRATIC33_CFG, "lagrangian-dumps": LAGRANGIAN_CFG}[name]
+    cfg = cli.load_config(write_cfg(tmp_path, doc))
+    return cfg.space, cli._collect_points(cfg, cfg.space)[0]
+
+
+@pytest.mark.parametrize("space", ["mixed33", "optic", "torsional", "user-given-n",
+                                   "quadratic33-laws", "lagrangian-dumps"])
+def test_every_declared_block_agrees_with_finite_differences(tmp_path, space):
+    # each jet block that geometry._KEPT declares, but those the space
+    # keeps none of: its first-order coefficient on an order-3 frame of one
+    # point against Richardson-extrapolated central differences (steps h
+    # and h/2) of its values on one order-2 frame of the 4N stencil points.
+    # It reads a block only through its coefficients, so it holds across
+    # any change of their layout or bits
+    from jetlag import geometry
+    from jetlag.geometry import Frame
+
+    ctx, pt = _fd_space(tmp_path, space)
+    N, h = pt.flat().size, 1e-3
+    stencil = [JetPoint(pt.flat() + step * e, pt.dims)
+               for step in (h, -h, h / 2, -h / 2) for e in np.eye(N)]
+    kept = [name for name, groups in geometry._KEPT.items()
+            if any(rule(ctx, k) >= 0 for rule, _ in groups for k in range(4))]
+    at_pt, at_stencil = Frame(ctx, [pt], 3), Frame(ctx, stencil, 2)
+    worst = {}
+    for name in kept:
+        jets = _declared_jets(at_pt, name, 1)
+        if not any(jet.order >= 1 for jet in jets):
+            continue
+        for jet, values in zip(jets, _declared_jets(at_stencil, name, 0), strict=True):
+            d = jet.coeffs[1][0]  # [components..., N]
+            v = values.value.reshape((4, N) + d.shape[:-1])
+            richardson = (4 * (v[2] - v[3]) / h - (v[0] - v[1]) / (2 * h)) / 3
+            err = np.abs(np.moveaxis(richardson, 0, -1) - d).max(initial=0.0)
+            rel = err / max(1.0, np.abs(d).max(initial=0.0))
+            worst[name] = max(worst.get(name, 0.0), rel)
+    ctx.forget_run()
+    assert {"xs_jet", "g", "N_jet", "Cc_jet", "tor_S", "cur_S_jet", "scalar_S_jet",
+            "cov_t", "_em_jets"} <= set(worst), sorted(worst)
+    assert max(worst.values()) <= 1e-9, sorted(worst.items(), key=lambda kv: -kv[1])[:3]
 
 
 def test_optic_run_compiles_each_grid_once(tmp_path, monkeypatch):
@@ -1123,6 +1199,47 @@ USER_N33_CFG = {
     "points": {"seed": 3, "count": 4, "box": {"xs": [-0.5, 0.5]}},
     "checks": ["metricity", "torsion", "curvature", "einstein"],
 }
+
+
+# frame_bytes(ctx, k) for k = 0..3 on the space of each pinned config, each
+# benchmark workload and USER_N33_CFG: a mis-declared kept-order rule or
+# index kind changes a block size, and so a run's blocks, and fails here
+FRAME_BYTES = {
+    "optic": (256, 1408, 25112, 94088),
+    "torsional": (320, 1952, 29240, 129000),
+    "optic-dumps": (256, 1408, 25112, 94088),
+    "lagrangian-dumps": (632, 4184, 44208, 225568),
+    "conformal-em": (256, 1408, 25112, 94088),
+    "quadratic-regularity": (192, 1184, 23288, 79208),
+    "quadratic33-laws": (432, 4176, 162240, 923640),
+    "grad-conformal": (256, 1408, 25112, 94088),
+    "grad-mixed33": (576, 4752, 167640, 984696),
+    "grad-optic-point": (256, 1408, 25112, 94088),
+    "singular": (256, 1120, 23128, 80872),
+    "maxwell-precedence": (256, 1184, 23320, 81320),
+    "torsion-precedence": (320, 1984, 29304, 129096),
+    "negated-dumps": (256, 1376, 24408, 86632),
+    "optic-suite": (256, 1408, 25112, 94088),
+    "optic-sweep": (256, 1408, 25112, 94088),
+    "mixed33-deep": (576, 4752, 167640, 984696),
+    "user-given-n": (864, 12384, 278016, 2575176),
+}
+
+
+@pytest.mark.parametrize("name", [*REPORT_DIGESTS, "optic-suite", "optic-sweep",
+                                  "mixed33-deep", "user-given-n"])
+def test_frame_bytes_are_pinned(tmp_path, monkeypatch, name):
+    from jetlag import cli
+    from jetlag.geometry import frame_bytes
+
+    if name in REPORT_DIGESTS:
+        doc = REPORT_DIGESTS[name][1]
+    elif name == "user-given-n":
+        doc = USER_N33_CFG
+    else:
+        doc = _load_bench(monkeypatch, "spec").make_config(name, None)
+    ctx = cli.load_config(write_cfg(tmp_path, doc)).space
+    assert tuple(frame_bytes(ctx, k) for k in range(4)) == FRAME_BYTES[name]
 
 
 @pytest.mark.parametrize("workload", ["optic-suite", "optic-sweep", "mixed33-deep",
@@ -1476,11 +1593,15 @@ def _traced_workloads(tmp_path, monkeypatch):
 def test_benchmark_nonzero_targets_hold(tmp_path, monkeypatch):
     # the traced benchmark run asserts spec.NONZERO_ON: each workload must
     # reach the targets named for it (check_grad, natural_form_checks) and
-    # no other, and tensor_core on none
+    # no other, and tensor_core on none.  Every workload computes a block of
+    # each traced category: spans.install times only the Frame blocks that
+    # are plain cached properties, so a block kept any other way reads 0
     bench_spec = _load_bench(monkeypatch, "spec")
     for name, _, got in _traced_workloads(tmp_path, monkeypatch):
         for metric, on in bench_spec.NONZERO_ON.items():
             assert (got[metric] > 0) == (name in on), (name, metric, got[metric])
+        for block in bench_spec.BLOCKS:
+            assert got[f"geometry.block.{block}.computes"] > 0, (name, block)
 
 
 # the library entry points each check's step calls, by the per-layer
@@ -1979,8 +2100,19 @@ def _one_error_line(err):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES) + sorted(BOX_CASES) + [
-    "explicit-scalar", "explicit-nan", "tolerance-inf", "negative-seed"])
+# explicit points that are no list, or hold a coordinate that is no finite
+# number: text, a bool and a nested list used to be coerced and run to exit 0
+EXPLICIT_CASES = {
+    "explicit-scalar": 5,
+    "explicit-nan": [_point(float("nan"))],
+    "explicit-text": [dict(_point(0.3), t=["0.1", 2])],
+    "explicit-bool": [dict(_point(0.3), t=[True, 2])],
+    "explicit-nested": [dict(_point(0.3), x=[[0.3], [0.4]])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES) + sorted(BOX_CASES) + sorted(
+    EXPLICIT_CASES) + ["tolerance-inf", "negative-seed"])
 def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
     if case in MALFORMED_SPACES:
         doc = _space_cfg(*MALFORMED_SPACES[case])
@@ -1988,10 +2120,8 @@ def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
         doc = _space_cfg("conformal", CONFORMAL_PARAMS)
     if case in BOX_CASES:
         doc["points"]["box"] = {"xs": BOX_CASES[case]}
-    if case == "explicit-scalar":
-        doc["points"] = {"explicit": 5}
-    if case == "explicit-nan":
-        doc["points"] = {"explicit": [_point(float("nan"))]}
+    if case in EXPLICIT_CASES:
+        doc["points"] = {"explicit": EXPLICIT_CASES[case]}
     if case == "tolerance-inf":
         doc["tolerances"] = {"metricity": float("inf")}
     cfg = write_cfg(tmp_path, doc)
@@ -2002,6 +2132,25 @@ def test_malformed_input_is_a_named_error(tmp_path, capsys, case):
     for argv in commands:
         assert main(argv) == 2
         _one_error_line(capsys.readouterr().err)
+
+
+def test_running_out_of_memory_is_a_named_error(tmp_path, capsys, monkeypatch):
+    # a space too large for the host (flat with n = 10^6 asks numpy for
+    # terabytes) ends in one error line and exit 2, as a config error does,
+    # not in a traceback and the exit code of a failing check; the space
+    # build is patched to raise, so nothing is allocated
+    from jetlag import cli
+
+    def too_large(name, params):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "build_space", too_large)
+    cfg = write_cfg(tmp_path, FLAT_CFG)
+    for command in ("run", "validate"):
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
 # the optic space's guard raises where the refraction index n = x1 < 1
